@@ -27,7 +27,6 @@ from .errors import (
 from .exprs import Expr, matrix_field, vector_field
 from .filtering import (
     FilterOutput,
-    Particle,
     ParticleEnsemble,
     PsiSpec,
     init_ensemble,
@@ -60,8 +59,6 @@ from .noise import (
     brownian_increments,
     null_measure,
     sample_poisson_jumps,
-    stream_for,
-    thin_jumps,
 )
 from .sde import (
     JointPath,
@@ -69,7 +66,6 @@ from .sde import (
     StepScheme,
     make_grid,
     simulate_full,
-    simulate_homogenized,
     simulate_reference_observations,
     simulate_signal_ensemble,
 )
@@ -96,17 +92,16 @@ __all__ = [
     "ConfigError", "ExtrapolationError", "IntegrationFailureError", "LevyFilterError",
     "ModelViolationError", "StiffnessError", "UnsupportedMeasureError",
     "Expr", "matrix_field", "vector_field",
-    "FilterOutput", "Particle", "ParticleEnsemble", "PsiSpec", "init_ensemble",
+    "FilterOutput", "ParticleEnsemble", "PsiSpec", "init_ensemble",
     "psi_from_string", "resample", "run_filter",
     "PRESETS", "ClosedFormFacts", "ModelPreset", "ObservationModel", "OuFast",
     "SlowFastModel", "ThinningLaw", "build_example6", "load_config",
     "make_linear_gaussian", "preset_from_config", "preset_to_config",
     "validate_assumptions", "with_epsilon",
     "JumpEvent", "LevyMeasureSpec", "MarkSampler", "NoiseSource", "RngStream",
-    "brownian_increments", "null_measure", "sample_poisson_jumps", "stream_for",
-    "thin_jumps",
+    "brownian_increments", "null_measure", "sample_poisson_jumps",
     "JointPath", "ObservationRecord", "StepScheme", "make_grid", "simulate_full",
-    "simulate_homogenized", "simulate_reference_observations", "simulate_signal_ensemble",
+    "simulate_reference_observations", "simulate_signal_ensemble",
     "ConvergenceReport", "MartingaleReport", "OracleResult", "convergence_study",
     "default_scheme", "filter_convergence_study", "kalman_bucy", "kalman_oracle",
     "ks_statistic", "martingale_check", "signal_convergence_study",

@@ -14,13 +14,12 @@ import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import ExtrapolationError
 from .exprs import vector_field
 from .models import ModelPreset, ObservationModel, SlowFastModel
 from .noise import LevyMeasureSpec, NoiseSource, RngStream
-from .sde import simulate_frozen_fast
+from .sde import ou_transition, simulate_frozen_fast
 
 _MIN_SAMPLES = 1000
 _BATCHES = 64
@@ -113,17 +112,20 @@ def estimate_invariant_measure(
     if fast_mode == "exact_ou":
         if model.ou_fast is None:
             raise ValueError("fast_mode='exact_ou' but the model declares no OU fast part")
-        ou = model.ou_fast
         gen = stream.generator()
         z = float(model.z0[0])
         if burn_in > 0:
-            z = ou.decay(burn_in) * z + ou.step_std(burn_in) * gen.standard_normal()
-        spacing = stride * dt
-        a = ou.decay(spacing)
-        b = ou.step_std(spacing)
-        noise = b * gen.standard_normal(n_samples)
-        chain = lfilter([1.0], [1.0, -a], noise) + z * a ** np.arange(1, n_samples + 1)
-        samples = chain.reshape(-1, 1)
+            decay, scale = ou_transition(model.ou_fast, burn_in)
+            z = decay * z + scale * gen.standard_normal()
+        a, b = ou_transition(model.ou_fast, stride * dt)
+        # exact transitions at the recording spacing: the recursion started at
+        # zero plus the decayed start value z a^k
+        chain = []
+        acc = 0.0
+        for v in (b * gen.standard_normal(n_samples)).tolist():
+            acc = a * acc + v
+            chain.append(acc)
+        samples = (np.asarray(chain) + z * a ** np.arange(1, n_samples + 1)).reshape(-1, 1)
     else:
         burn_steps = int(round(burn_in / dt))
         total_steps = burn_steps + n_samples * stride
@@ -382,10 +384,12 @@ def build_homogenized(
                 hit = cache.get(key)
             if hit is not None:
                 return hit
-            idx = abs(hash(key)) % (1 << 63)
+            chain_stream = stream
+            for v in key:   # zigzag: 0, -1, 1, -2, ... -> 0, 1, 2, 3, ...
+                chain_stream = chain_stream.child(2 * v if v >= 0 else -2 * v - 1)
             meas = estimate_invariant_measure(
                 model, xi, burn_in=burn_in, n_samples=n_samples, stride=stride,
-                dt=dt, stream=stream.child(idx),
+                dt=dt, stream=chain_stream,
             )
             pt = average_coefficients(model, obs, xi, meas)
             with lock:

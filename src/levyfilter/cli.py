@@ -39,7 +39,7 @@ from .models import (
     with_epsilon,
 )
 from .noise import RngStream
-from .sde import StepScheme, simulate_full
+from .sde import StepScheme, euler_scheme, simulate_full
 from .averaging import average_coefficients, estimate_invariant_measure
 
 
@@ -241,11 +241,9 @@ def _scheme(args, model) -> StepScheme:
         return default_scheme(model, args.dt)
     if args.fast_mode == "exact_ou":
         return StepScheme(dt_slow=args.dt, fast_mode="exact_ou")
-    dt_fast = args.dt_fast
-    if dt_fast is None:
-        substeps = max(1, math.ceil(args.dt / (model.epsilon / 10.0)))
-        dt_fast = args.dt / substeps
-    return StepScheme(dt_slow=args.dt, dt_fast=dt_fast, fast_mode="euler")
+    if args.dt_fast is None:
+        return euler_scheme(model, args.dt)
+    return StepScheme(dt_slow=args.dt, dt_fast=args.dt_fast, fast_mode="euler")
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:

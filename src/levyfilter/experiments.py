@@ -17,12 +17,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .averaging import HomogenizedModel, build_homogenized
-from .filtering import FullDynamics, PsiSpec, psi_from_string, run_filter
-from .models import ModelPreset, ObservationModel, make_linear_gaussian, with_epsilon
+from .filtering import (
+    FullDynamics,
+    PsiSpec,
+    _batch_log_weight,
+    _log_thinning,
+    psi_from_string,
+    run_filter,
+)
+from .models import ModelPreset, make_linear_gaussian, with_epsilon
 from .noise import RngStream
 from .sde import (
-    ObservationRecord,
     StepScheme,
+    default_scheme,
     simulate_full,
     simulate_homogenized_ensemble,
     simulate_signal_ensemble,
@@ -44,14 +51,6 @@ def ks_statistic(a, b) -> float:
 def strictly_decreasing(values) -> bool:
     vals = list(values)
     return all(y < x for x, y in zip(vals, vals[1:]))
-
-
-def default_scheme(model, dt_slow: float) -> StepScheme:
-    """Exact OU transitions when declared, else Euler substeps at epsilon/10."""
-    if model.ou_fast is not None:
-        return StepScheme(dt_slow=dt_slow, fast_mode="exact_ou")
-    substeps = max(1, math.ceil(dt_slow / (model.epsilon / 10.0)))
-    return StepScheme(dt_slow=dt_slow, dt_fast=dt_slow / substeps, fast_mode="euler")
 
 
 # ---------------------------------------------------------------------------
@@ -92,37 +91,6 @@ def signal_convergence_study(
 
 # ---------------------------------------------------------------------------
 # likelihood martingale diagnostics
-
-
-def _path_log_likelihood(
-    obs: ObservationModel,
-    record: ObservationRecord,
-    h_series: np.ndarray,   # (K, d) sensor at right endpoints
-    x_series: np.ndarray,   # (K, n) slow state at right endpoints
-) -> float:
-    """Discrete log-likelihood of one path against one observation record."""
-    dt = record.dt
-    dbar = record.bbar_increments
-    out = float(np.sum(h_series * dbar)) - 0.5 * dt * float(np.sum(h_series ** 2))
-    idx = record.small_step_index()
-    thinning = obs.thinning
-    for j, k in enumerate(idx):
-        lam_arr = np.asarray(thinning(
-            record.small_times[j], x_series[k], record.small_marks[j][None, :]
-        ))
-        lam = float(lam_arr.reshape(-1)[0])
-        out += math.log(lam)
-    intensity = obs.nu3_small.total_intensity
-    if intensity > 0:
-        if thinning.kind == "const":
-            out += dt * intensity * (1.0 - thinning.params[0]) * len(h_series)
-        else:
-            for k in range(len(h_series)):
-                comp = obs.nu3_small.integrate(
-                    lambda u: 1.0 - thinning(record.times[k + 1], x_series[k], u)
-                )
-                out += dt * float(comp)
-    return out
 
 
 @dataclass
@@ -168,18 +136,25 @@ def martingale_check(
 
     times, HX, HZ = simulate_signal_ensemble(model, T, scheme, P, root.child(0), keep_history=True)
     K = len(times) - 1
-    d = obs.d
     gen_obs = root.child(1).generator()
-    dbar = gen_obs.standard_normal((K, P, d)) * math.sqrt(dt)
-    hv = np.asarray(obs.h(HX[1:], HZ[1:]), dtype=float)            # (K, P, d)
-    logl = np.einsum("kpd,kpd->p", hv, dbar) - 0.5 * dt * np.einsum("kpd,kpd->p", hv, hv)
+    dbar = gen_obs.standard_normal((K, P, obs.d)) * math.sqrt(dt)
+    _, HX0 = simulate_homogenized_ensemble(hmodel, T, dt, P, root.child(2), keep_history=True)
 
-    times0, HX0 = simulate_homogenized_ensemble(hmodel, T, dt, P, root.child(2), keep_history=True)
-    hv0 = np.asarray(hmodel.hbar(HX0[1:]), dtype=float)
-    logl0 = np.einsum("kpd,kpd->p", hv0, dbar) - 0.5 * dt * np.einsum("kpd,kpd->p", hv0, hv0)
+    # Gaussian and compensator terms one step at a time, so state-dependent
+    # thinning never holds more than a (P, quadrature nodes) block
+    no_t, no_u = np.zeros(0), np.zeros((0, obs.nu3_small.mark_dim))
+    logl = np.zeros(P)
+    logl0 = np.zeros(P)
+    for k in range(K):
+        t = float(times[k + 1])
+        hv = np.asarray(obs.h(HX[k + 1], HZ[k + 1]), dtype=float)
+        logl += _batch_log_weight(obs, hv, HX[k + 1], dbar[k], dt, t, no_t, no_u)
+        hv0 = np.asarray(hmodel.hbar(HX0[k + 1]), dtype=float)
+        logl0 += _batch_log_weight(obs, hv0, HX0[k + 1], dbar[k], dt, t, no_t, no_u)
 
     intensity = obs.nu3_small.total_intensity
     if intensity > 0:
+        # reference-law events, each charged to its own run at its step's right endpoint
         gen_ev = root.child(3).generator()
         counts = gen_ev.poisson(intensity * T, size=P)
         M = int(counts.sum())
@@ -187,27 +162,8 @@ def martingale_check(
         ev_marks = obs.nu3_small.mark_sampler.sample(gen_ev, M)
         run_id = np.repeat(np.arange(P), counts)
         step = np.searchsorted(times[1:], ev_times, side="left")
-        x_ev = HX[step + 1, run_id, :]                              # right-endpoint states
-        lam = np.asarray(obs.thinning(ev_times, x_ev, ev_marks), dtype=float)
-        np.add.at(logl, run_id, np.log(lam))
-        x0_ev = HX0[step + 1, run_id, :]
-        lam0 = np.asarray(obs.thinning(ev_times, x0_ev, ev_marks), dtype=float)
-        np.add.at(logl0, run_id, np.log(lam0))
-        if obs.thinning.kind == "const":
-            comp = dt * intensity * (1.0 - obs.thinning.params[0]) * K
-            logl += comp
-            logl0 += comp
-        else:
-            nodes, weights = obs.nu3_small.mark_sampler.quadrature()
-            for k in range(K):
-                lamq = np.asarray(
-                    obs.thinning(times[k + 1], HX[k + 1][:, None, :], nodes), dtype=float
-                )
-                logl += dt * intensity * ((1.0 - lamq) @ weights)
-                lamq0 = np.asarray(
-                    obs.thinning(times[k + 1], HX0[k + 1][:, None, :], nodes), dtype=float
-                )
-                logl0 += dt * intensity * ((1.0 - lamq0) @ weights)
+        np.add.at(logl, run_id, _log_thinning(obs, ev_times, HX[step + 1, run_id, :], ev_marks))
+        np.add.at(logl0, run_id, _log_thinning(obs, ev_times, HX0[step + 1, run_id, :], ev_marks))
 
     lik = np.exp(logl)
     lik0 = np.exp(logl0)
@@ -223,9 +179,14 @@ def martingale_check(
     for r in range(inverse_runs):
         path = simulate_full(model, obs, T, scheme, root.child(4).child(r))
         rec = path.observations()
-        hser = np.asarray(obs.h(path.X[1:], path.Z[1:]), dtype=float)
-        ll = _path_log_likelihood(obs, rec, hser, path.X[1:])
-        inv_vals[r] = math.exp(-ll)
+        xr = path.X[1:]
+        hser = np.asarray(obs.h(xr, path.Z[1:]), dtype=float)
+        ll = _batch_log_weight(
+            obs, hser, xr, rec.bbar_increments, dt, rec.times[1:], no_t, no_u
+        )
+        idx = rec.small_step_index()
+        np.add.at(ll, idx, _log_thinning(obs, rec.small_times, xr[idx], rec.small_marks))
+        inv_vals[r] = math.exp(-float(np.sum(ll)))
     mean_inverse = float(inv_vals.mean()) if inverse_runs else math.nan
     se_inverse = (
         float(inv_vals.std(ddof=1) / math.sqrt(inverse_runs)) if inverse_runs else math.nan

@@ -30,9 +30,16 @@ import numpy as np
 
 from .averaging import HomogenizedModel
 from .errors import ModelViolationError
-from .models import ModelPreset, ObservationModel, SlowFastModel, ThinningLaw
+from .models import ModelPreset, ObservationModel, SlowFastModel, ThinningLaw, check_thinning
 from .noise import NoiseSource, RngStream
-from .sde import ObservationRecord, StepScheme, _fast_scheme_params
+from .sde import (
+    ObservationRecord,
+    StepScheme,
+    _fast_scheme_params,
+    default_scheme,
+    euler_step,
+    signal_step,
+)
 
 _DEFAULT_CHUNK = 128
 _INDICATOR_WIDTH = 1e-2
@@ -94,14 +101,6 @@ def psi_from_string(spec: str) -> PsiSpec:
 
 
 @dataclass
-class Particle:
-    x: np.ndarray
-    z: np.ndarray | None
-    log_weight: float
-    stream: RngStream
-
-
-@dataclass
 class ParticleEnsemble:
     """State arrays plus the per-particle streams that drive them.
 
@@ -117,7 +116,6 @@ class ParticleEnsemble:
     time: float
     base_stream: RngStream
     resample_count: int = 0
-    ess_trigger_steps: list = field(default_factory=list)
     _noise_width: int = 1
     _chunk: int = _DEFAULT_CHUNK
     _buffer: np.ndarray | None = field(default=None, repr=False)
@@ -137,21 +135,6 @@ class ParticleEnsemble:
             self._stream_cache = [base.child(i) for i in range(self.n_particles)]
             self._stream_generation = self.resample_count
         return self._stream_cache
-
-    def particles(self) -> list[Particle]:
-        return [
-            Particle(
-                x=self.x[i].copy(),
-                z=None if self.z is None else self.z[i].copy(),
-                log_weight=float(self.log_weights[i]),
-                stream=s,
-            )
-            for i, s in enumerate(self.streams())
-        ]
-
-    def ess(self) -> float:
-        w = np.exp(self.log_weights - self.log_weights.max())
-        return float(w.sum() ** 2 / np.sum(w * w))
 
     def next_noise(self) -> np.ndarray:
         """(N, width) standard normals for one step, from the particle streams."""
@@ -217,24 +200,12 @@ class FullDynamics:
         m = self.model
         col = ens.next_noise()
         dV = col[:, : m.l1] * math.sqrt(dt)
-        x, z = ens.x, ens.z
-        drift = m.b1(x, z)
-        diff = np.einsum("pnl,pl->pn", m.sigma1(x, z), dV)
         if self.dt_fast is None:
-            ou = m.ou_fast
-            eps = m.epsilon
-            xi = col[:, m.l1: m.l1 + 1]
-            ens.z = ou.decay(dt / eps) * z + ou.step_std(dt / eps) * xi
+            fast_noise = col[:, m.l1: m.l1 + 1]
         else:
-            ksub = self.scheme.substeps
-            eps = m.epsilon
-            dW = col[:, m.l1:].reshape(-1, ksub, m.l2) * math.sqrt(self.dt_fast)
-            z_new = z
-            for j in range(ksub):
-                z_new = z_new + m.b2(x, z_new) * (self.dt_fast / eps) \
-                    + np.einsum("pml,pl->pm", m.sigma2(x, z_new), dW[:, j, :]) / math.sqrt(eps)
-            ens.z = z_new
-        ens.x = x + drift * dt + diff
+            dW = col[:, m.l1:].reshape(-1, self.scheme.substeps, m.l2)
+            fast_noise = dW * math.sqrt(self.dt_fast / m.epsilon)
+        ens.x, ens.z = signal_step(m, self.dt_fast, ens.x, ens.z, dV, fast_noise, dt)
 
 
 @dataclass
@@ -257,9 +228,7 @@ class HomogDynamics:
         h = self.hmodel
         col = ens.next_noise()
         dV = col[:, : h.l_factor] * math.sqrt(dt)
-        ens.x = ens.x + h.bbar1(ens.x) * dt + np.einsum(
-            "pnl,pl->pn", h.sigmabar1(ens.x), dV
-        )
+        ens.x = euler_step(ens.x, h.bbar1(ens.x), h.sigmabar1(ens.x), dV, dt)
 
 
 def propagate(ens: ParticleEnsemble, dynamics, dt: float) -> ParticleEnsemble:
@@ -305,13 +274,8 @@ def log_weight_increment(
     out = float(h @ db) - 0.5 * dt * float(h @ h)
     x = np.asarray(x, dtype=float)
     for tj, uj in zip(event_times, event_marks):
-        lam_arr = np.asarray(thinning(tj, x, np.asarray(uj, dtype=float).reshape(1, -1)))
-        lam = float(lam_arr.reshape(-1)[0])
-        if not 0.0 < lam <= 1.0:
-            raise ModelViolationError(
-                f"thinning intensity {lam} outside (0,1] at t={tj}, mark={uj}"
-            )
-        out += math.log(lam)
+        lam = np.asarray(thinning(tj, x, np.asarray(uj, dtype=float).reshape(1, -1)))
+        out += math.log(float(check_thinning(lam.reshape(-1)[0])))
     intensity = nu3_small.total_intensity
     if intensity > 0:
         if isinstance(thinning, ThinningLaw) and thinning.kind == "const":
@@ -322,40 +286,40 @@ def log_weight_increment(
     return out
 
 
+def _log_thinning(obs: ObservationModel, t, x, u) -> np.ndarray:
+    """log lambda(t, x, u) at observation events, checked to lie in (0, 1)."""
+    return np.log(check_thinning(obs.thinning(t, x, u)))
+
+
 def _batch_log_weight(
     obs: ObservationModel,
-    h_vals: np.ndarray,          # (N, d) sensor at right endpoint
-    x_right: np.ndarray,         # (N, n)
-    d_bbar: np.ndarray,          # (d,)
+    h_vals: np.ndarray,          # (..., d) sensor at right endpoints
+    x_right: np.ndarray,         # (..., n) state at right endpoints
+    d_bbar: np.ndarray,          # (..., d)
     dt: float,
-    t_right: float,
+    t_right,                     # scalar or (...) right-endpoint times
     event_times: np.ndarray,
     event_marks: np.ndarray,
 ) -> np.ndarray:
-    incr = h_vals @ d_bbar - 0.5 * dt * np.einsum("nd,nd->n", h_vals, h_vals)
-    thinning = obs.thinning
-    const = thinning.kind == "const"
+    """One-step log-weights, broadcast over the leading axes of the states.
+
+    The Gaussian and compensator terms are per row.  Each event in
+    ``event_times``/``event_marks`` is charged to every row, as in the filter,
+    where all particles saw it; callers whose events belong to single rows
+    pass none here and add ``_log_thinning`` at those rows themselves.
+    """
+    incr = np.sum(h_vals * d_bbar, axis=-1) - 0.5 * dt * np.sum(h_vals * h_vals, axis=-1)
     for tj, uj in zip(event_times, event_marks):
-        if const:
-            lam0 = thinning.params[0]
-            if not 0.0 < lam0 <= 1.0:
-                raise ModelViolationError(f"thinning intensity {lam0} outside (0,1]")
-            incr = incr + math.log(lam0)
-        else:
-            lam = np.asarray(thinning(tj, x_right, uj[None, :]), dtype=float)
-            if np.any(lam <= 0.0) or np.any(lam > 1.0):
-                bad = float(lam[np.argmax((lam <= 0.0) | (lam > 1.0))])
-                raise ModelViolationError(
-                    f"thinning intensity {bad} outside (0,1] at t={tj}, mark={uj}"
-                )
-            incr = incr + np.log(lam)
+        incr = incr + _log_thinning(obs, tj, x_right, uj[None, :])
     intensity = obs.nu3_small.total_intensity
     if intensity > 0:
-        if const:
+        thinning = obs.thinning
+        if thinning.kind == "const":
             incr = incr + dt * intensity * (1.0 - thinning.params[0])
         else:
             nodes, weights = obs.nu3_small.mark_sampler.quadrature()
-            lam = np.asarray(thinning(t_right, x_right[:, None, :], nodes), dtype=float)
+            t_col = np.asarray(t_right, dtype=float)[..., None]
+            lam = np.asarray(thinning(t_col, x_right[..., None, :], nodes), dtype=float)
             incr = incr + dt * intensity * ((1.0 - lam) @ weights)
     return incr
 
@@ -490,11 +454,7 @@ def run_filter(
     if mode == "full":
         model = preset.model
         if scheme is None:
-            scheme = StepScheme(
-                dt_slow=dt,
-                fast_mode="exact_ou" if model.ou_fast is not None else "euler",
-                dt_fast=None if model.ou_fast is not None else min(dt, model.epsilon / 10.0),
-            )
+            scheme = default_scheme(model, dt)
         if abs(scheme.dt_slow - dt) > 1e-9 * max(1.0, dt):
             raise ValueError(
                 f"scheme dt_slow={scheme.dt_slow} must match the observation spacing {dt}"

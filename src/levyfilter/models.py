@@ -15,9 +15,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
-from .errors import ConfigError
+from .errors import ConfigError, ModelViolationError
 from .exprs import matrix_field, vector_field
 from .noise import LevyMeasureSpec, MarkSampler, NoiseSource, RngStream, null_measure
 
@@ -49,9 +48,11 @@ class ThinningLaw:
     """State-dependent acceptance probability for observation jumps.
 
     Families: ``const`` (value in (0, 1]; the open upper end is required as
-    soon as the jump measures actually charge marks) and ``logistic``,
-    lambda(t, x, u) = low + (high - low) * expit(slope * x[0]), with low and
-    high in (0, 1).
+    soon as the jump measures actually charge marks, which ``ObservationModel``
+    enforces) and ``logistic``, lambda(t, x, u) = low + (high - low) /
+    (1 + exp(-slope * x[0])), with low and high in (0, 1).  Wherever the law
+    is evaluated at a charged event its value must lie in (0, 1); see
+    ``check_thinning``.
     """
 
     kind: str
@@ -83,15 +84,10 @@ class ThinningLaw:
             val = np.full_like(x0, self.params[0], dtype=float)
         else:
             low, high, slope = self.params
-            val = low + (high - low) * expit(slope * x0)
+            with np.errstate(over="ignore"):   # exp overflow is the limit value low
+                val = low + (high - low) / (1.0 + np.exp(-slope * x0))
         out, _ = np.broadcast_arrays(val, u0)
         return out.copy()
-
-    def to_dict(self) -> dict:
-        if self.kind == "const":
-            return {"kind": "const", "value": self.params[0]}
-        low, high, slope = self.params
-        return {"kind": "logistic", "low": low, "high": high, "slope": slope}
 
     @staticmethod
     def from_dict(doc: dict) -> "ThinningLaw":
@@ -105,6 +101,19 @@ class ThinningLaw:
                 raise ConfigError(f"logistic thinning takes low/high/slope, got {sorted(keys)}")
             return ThinningLaw("logistic", (float(doc["low"]), float(doc["high"]), float(doc["slope"])))
         raise ConfigError(f"unknown thinning kind {doc.get('kind')!r}")
+
+
+def check_thinning(lam):
+    """Return ``lam`` as an array after checking that every value lies in (0, 1).
+
+    This is the admissible range of the acceptance law at a charged event:
+    log lambda must stay finite and a rejection must stay possible.
+    """
+    lam = np.asarray(lam, dtype=float)
+    bad = ~((lam > 0.0) & (lam < 1.0))
+    if np.any(bad):
+        raise ModelViolationError(f"thinning intensity {float(lam[bad].flat[0])} outside (0,1)")
+    return lam
 
 
 @dataclass
@@ -185,6 +194,9 @@ class ObservationModel:
         ul = np.zeros((2, self.nu3_large.mark_dim))
         _probe_shape("f3", self.f3(0.0, us), (2, self.d))
         _probe_shape("g3", self.g3(0.0, ul), (2, self.d))
+        charged = self.nu3_small.total_intensity > 0 or self.nu3_large.total_intensity > 0
+        if charged and self.thinning.kind == "const" and self.thinning.params[0] == 1.0:
+            raise ValueError("const thinning 1 needs nu3_small and nu3_large without mass")
 
 
 @dataclass(frozen=True)
@@ -249,10 +261,6 @@ def _measure_from_dict(doc: dict, region: str, where: str) -> LevyMeasureSpec:
     if "intensity" not in doc or "marks" not in doc:
         raise ConfigError(f"{where} needs both 'intensity' and 'marks'")
     return LevyMeasureSpec(float(doc["intensity"]), MarkSampler.parse(doc["marks"]), region)
-
-
-def _measure_to_dict(spec: LevyMeasureSpec) -> dict:
-    return {"intensity": spec.total_intensity, "marks": spec.mark_sampler.spec_string()}
 
 
 def model_from_dict(doc: dict) -> SlowFastModel:

@@ -1,10 +1,9 @@
 """Reproducible random streams and finite-activity jump-measure sampling.
 
 Every driving noise of every simulated path gets its own stream, addressed by
-an integer id.  Ids are allocated hierarchically: ``stream_for(root, source,
-path)`` packs ``source * 2**64 + path``, and ``RngStream.child(key)`` shifts
-the parent id up by another 64 bits, so distinct (parent, key) pairs can never
-collide no matter how deep the derivation goes.  The bit stream behind a
+an integer id.  Ids are allocated hierarchically: ``RngStream.child(key)``
+shifts the parent id up by 64 bits and packs ``key`` below it, so distinct
+(parent, key) pairs can never collide no matter how deep the derivation goes.  The bit stream behind a
 ``(root_seed, stream_id, counter)`` triple is a pure function of those three
 integers; nothing here mutates global numpy state.
 """
@@ -19,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ModelViolationError, UnsupportedMeasureError
+from .errors import UnsupportedMeasureError
 
 _KEY_BITS = 64
 _KEY_SPACE = 1 << _KEY_BITS
@@ -83,14 +82,6 @@ class RngStream:
         if not 0 <= key < _KEY_SPACE:
             raise ValueError(f"child key must lie in [0, 2**64), got {key}")
         return RngStream(self.root_seed, (self.stream_id << _KEY_BITS) | key, 0)
-
-
-def stream_for(root_seed: int, source: int, path_index: int) -> RngStream:
-    """Stream for one (noise source, path) pair: id = source * 2**64 + path."""
-    path_index = int(path_index)
-    if not 0 <= path_index < _KEY_SPACE:
-        raise ValueError(f"path_index must lie in [0, 2**64), got {path_index}")
-    return RngStream(int(root_seed), (int(source) << _KEY_BITS) | path_index)
 
 
 # ---------------------------------------------------------------------------
@@ -285,27 +276,3 @@ def sample_poisson_jumps(
     times = np.sort(horizon * (1.0 - gen.uniform(size=count)))
     marks = spec.mark_sampler.sample(gen, count)
     return [JumpEvent(float(t), marks[i].copy()) for i, t in enumerate(times)]
-
-
-def thin_jumps(events, lambda_fn, state_lookup, stream: RngStream) -> list[JumpEvent]:
-    """Keep each event with probability lambda_fn(t, state_lookup(t), mark).
-
-    Acceptance uniforms are drawn once, indexed by position in ``events``, so
-    thinning commutes with any later re-examination of the same list.  A
-    thinning intensity outside (0, 1] at an evaluated point is a model
-    violation and names the offending point (1 is allowed: keep-always is the
-    degenerate no-contamination edge, and log-likelihood terms stay finite).
-    """
-    gen = stream.generator()
-    uniforms = gen.uniform(size=len(events))
-    kept = []
-    for event, u in zip(events, uniforms):
-        x = state_lookup(event.time)
-        lam = float(np.asarray(lambda_fn(event.time, x, event.mark)))
-        if not 0.0 < lam <= 1.0:
-            raise ModelViolationError(
-                f"thinning intensity {lam} outside (0,1] at t={event.time}, mark={event.mark}"
-            )
-        if u < lam:
-            kept.append(JumpEvent(event.time, event.mark, True))
-    return kept

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IntegrationFailureError, ModelViolationError, StiffnessError
-from .models import ObservationModel, SlowFastModel
+from .errors import IntegrationFailureError, StiffnessError
+from .models import ObservationModel, OuFast, SlowFastModel, check_thinning
 from .noise import JumpEvent, NoiseSource, RngStream, brownian_increments, sample_poisson_jumps
 
 _GRID_RTOL = 1e-9
@@ -49,6 +49,19 @@ class StepScheme:
         if self.dt_fast is None:
             return 1
         return int(round(self.dt_slow / self.dt_fast))
+
+
+def euler_scheme(model: SlowFastModel, dt_slow: float) -> StepScheme:
+    """Euler substeps: the fewest equal ones that fill dt_slow and are no longer than epsilon/10."""
+    substeps = max(1, math.ceil(dt_slow / (model.epsilon / 10.0)))
+    return StepScheme(dt_slow=dt_slow, dt_fast=dt_slow / substeps, fast_mode="euler")
+
+
+def default_scheme(model: SlowFastModel, dt_slow: float) -> StepScheme:
+    """Exact OU transitions when declared, else Euler substeps at epsilon/10."""
+    if model.ou_fast is not None:
+        return StepScheme(dt_slow=dt_slow, fast_mode="exact_ou")
+    return euler_scheme(model, dt_slow)
 
 
 def make_grid(T: float, dt: float) -> np.ndarray:
@@ -165,13 +178,50 @@ def _fast_scheme_params(model: SlowFastModel, scheme: StepScheme):
     return dt_fast
 
 
-def _thinning_value(obs: ObservationModel, t: float, x: np.ndarray, mark: np.ndarray) -> float:
-    lam = float(np.asarray(obs.thinning(t, x, mark)))
-    if not 0.0 < lam < 1.0:
-        raise ModelViolationError(
-            f"thinning intensity {lam} outside (0,1) at t={t}, mark={mark}"
-        )
-    return lam
+def euler_step(x, drift, diffusion, dV, dt: float):
+    """Euler-Maruyama update x + drift dt + diffusion dV, batched over leading axes.
+
+    ``diffusion`` has shape (..., n, l) and ``dV`` shape (..., l).  The slow
+    step of the full model, the step of the reduced model and the fast
+    substep all take it, so the slow and reduced steps agree operation for
+    operation when their coefficients do.
+    """
+    if np.ndim(diffusion) == 2:   # one path: matmul is the fastest form; batches: einsum
+        return x + drift * dt + diffusion @ dV
+    return x + drift * dt + np.einsum("...nl,...l->...n", diffusion, dV)
+
+
+def fast_euler_substep(model: SlowFastModel, x, z, dW, ds: float):
+    """One jump-free Euler substep of the fast component, slow state frozen at x.
+
+    ``ds`` is the substep in fast time (dt/epsilon on the slow clock) and
+    ``dW`` the fast-time Brownian increment, of variance ds.
+    """
+    return euler_step(z, model.b2(x, z), model.sigma2(x, z), dW, ds)
+
+
+def ou_transition(ou: OuFast, s: float) -> tuple[float, float]:
+    """Exact OU transition over fast time s as (decay, scale): z -> decay z + scale xi,
+    with xi standard normal."""
+    return ou.decay(s), ou.step_std(s)
+
+
+def signal_step(model: SlowFastModel, dt_fast: float | None, x, z, dV, fast_noise, dt: float):
+    """One coarse step of the jump-free slow/fast pair, batched over leading axes.
+
+    The slow Euler step and every fast substep read the slow state at the
+    start of the step.  ``fast_noise`` holds (..., 1) standard normals for the
+    exact OU transition (``dt_fast`` None) or the (..., substeps, l2)
+    fast-time Brownian increments of the Euler substeps, of variance
+    dt_fast/epsilon.  Returns (x_new, z_new).
+    """
+    x_new = euler_step(x, model.b1(x, z), model.sigma1(x, z), dV, dt)
+    if dt_fast is None:
+        decay, scale = ou_transition(model.ou_fast, dt / model.epsilon)
+        return x_new, decay * z + scale * fast_noise
+    for j in range(fast_noise.shape[-2]):
+        z = fast_euler_substep(model, x, z, fast_noise[..., j, :], dt_fast / model.epsilon)
+    return x_new, z
 
 
 def simulate_full(
@@ -196,15 +246,13 @@ def simulate_full(
     dV = brownian_increments(stream.child(NoiseSource.SLOW_BROWNIAN), model.l1, dt, K)
     dB = brownian_increments(stream.child(NoiseSource.OBS_BROWNIAN), d, dt, K)
     if dt_fast is None:
-        ou = model.ou_fast
-        decay = ou.decay(dt / eps)
-        step_std = ou.step_std(dt / eps)
+        decay, scale = ou_transition(model.ou_fast, dt / eps)
         xi = stream.child(NoiseSource.FAST_BROWNIAN).generator().normal(size=(K, 1))
-        substeps = 1
     else:
         substeps = int(round(dt / dt_fast))
+        ds = dt_fast / eps
         dW = brownian_increments(
-            stream.child(NoiseSource.FAST_BROWNIAN), model.l2, dt_fast, K * substeps
+            stream.child(NoiseSource.FAST_BROWNIAN), model.l2, ds, K * substeps
         )
 
     slow_events = (
@@ -229,8 +277,13 @@ def simulate_full(
 
     slow_step = _bin_events(slow_events, times)
     fast_step = _bin_events(fast_events, times)
-    small_step = _bin_events(small_base, times)
-    large_step = _bin_events(large_base, times)
+    small_out: list[JumpEvent] = []
+    large_out: list[JumpEvent] = []
+    # (base events, acceptance uniforms, owning step, accepted record, jump shape)
+    obs_jumps = (
+        (small_base, small_u, _bin_events(small_base, times), small_out, obs.f3),
+        (large_base, large_u, _bin_events(large_base, times), large_out, obs.g3),
+    )
 
     X = np.empty((K + 1, n)); X[0] = model.x0
     Z = np.empty((K + 1, m)); Z[0] = model.z0
@@ -238,14 +291,12 @@ def simulate_full(
     bbar = np.empty((K, d))
     x_jumps = np.zeros((K, n))
     y_jumps = np.zeros((K, d))
-    small_out: list[JumpEvent] = []
-    large_out: list[JumpEvent] = []
 
     for k in range(K):
         t, x, z = times[k], X[k], Z[k]
 
         # slow component: Euler with compensated jumps, state frozen at t_k
-        x_new = x + model.b1(x, z) * dt + model.sigma1(x, z) @ dV[k]
+        x_new = euler_step(x, model.b1(x, z), model.sigma1(x, z), dV[k], dt)
         for idx in np.nonzero(slow_step == k)[0]:
             jump = model.f1(x, slow_events[idx].mark[None, :])[0]
             x_new = x_new + jump
@@ -257,24 +308,16 @@ def simulate_full(
         hv = obs.h(x, z)
         bbar[k] = dB[k] + hv * dt
         y_new = Y[k] + bbar[k]
-        for idx in np.nonzero(small_step == k)[0]:
-            ev = small_base[idx]
-            lam = _thinning_value(obs, ev.time, x, ev.mark)
-            accepted = bool(small_u[idx] < lam)
-            small_out.append(JumpEvent(ev.time, ev.mark, accepted))
-            if accepted:
-                jump = obs.f3(ev.time, ev.mark[None, :])[0]
-                y_new = y_new + jump
-                y_jumps[k] += jump
-        for idx in np.nonzero(large_step == k)[0]:
-            ev = large_base[idx]
-            lam = _thinning_value(obs, ev.time, x, ev.mark)
-            accepted = bool(large_u[idx] < lam)
-            large_out.append(JumpEvent(ev.time, ev.mark, accepted))
-            if accepted:
-                jump = obs.g3(ev.time, ev.mark[None, :])[0]
-                y_new = y_new + jump
-                y_jumps[k] += jump
+        for base, uniforms, owner, out, shape in obs_jumps:
+            for idx in np.nonzero(owner == k)[0]:
+                ev = base[idx]
+                lam = float(check_thinning(obs.thinning(ev.time, x, ev.mark)))
+                accepted = bool(uniforms[idx] < lam)
+                out.append(JumpEvent(ev.time, ev.mark, accepted))
+                if accepted:
+                    jump = shape(ev.time, ev.mark[None, :])[0]
+                    y_new = y_new + jump
+                    y_jumps[k] += jump
         if obs.nu3_small.total_intensity > 0:
             comp = obs.nu3_small.integrate(
                 lambda u: obs.f3(t, u) * obs.thinning(t, x, u)[..., None]
@@ -283,27 +326,24 @@ def simulate_full(
 
         # fast component across the coarse step, slow state frozen at t_k
         if dt_fast is None:
-            z_new = decay * z + step_std * xi[k]
+            z_new = decay * z + scale * xi[k]
         else:
-            z_new = z.copy()
+            z_new = z
             base = k * substeps
             in_step = np.nonzero(fast_step == k)[0]
             for j in range(substeps):
                 sub_lo = t + j * dt_fast
                 sub_hi = sub_lo + dt_fast
-                incr = (
-                    model.b2(x, z_new) * (dt_fast / eps)
-                    + model.sigma2(x, z_new) @ dW[base + j] / math.sqrt(eps)
-                )
+                z_sub = fast_euler_substep(model, x, z_new, dW[base + j], ds)
                 if model.f2 is not None and model.nu2.total_intensity > 0:
-                    incr = incr - (dt_fast / eps) * model.nu2.integrate(
+                    z_sub = z_sub - ds * model.nu2.integrate(
                         lambda u: model.f2(x, z_new, u)
                     )
                 for idx in in_step:
                     ev_t = fast_events[idx].time
                     if sub_lo < ev_t <= sub_hi:
-                        incr = incr + model.f2(x, z_new, fast_events[idx].mark[None, :])[0]
-                z_new = z_new + incr
+                        z_sub = z_sub + model.f2(x, z_new, fast_events[idx].mark[None, :])[0]
+                z_new = z_sub
 
         X[k + 1] = x_new
         Z[k + 1] = z_new
@@ -347,7 +387,7 @@ def simulate_frozen_fast(
     has_jumps = model.f2 is not None and model.nu2.total_intensity > 0
     for k in range(K):
         z = Z[k]
-        z_new = z + model.b2(x, z) * dt + model.sigma2(x, z) @ dW[k]
+        z_new = fast_euler_substep(model, x, z, dW[k], dt)
         if has_jumps:
             z_new = z_new - dt * model.nu2.integrate(lambda u: model.f2(x, z, u))
             for idx in np.nonzero(ev_step == k)[0]:
@@ -355,37 +395,6 @@ def simulate_frozen_fast(
         Z[k + 1] = z_new
         _check_finite((z_new,), times[k + 1])
     return times, Z
-
-
-def simulate_homogenized(hmodel, T: float, dt: float, stream: RngStream) -> JointPath:
-    """One trajectory of the reduced slow model (no fast state, no observation)."""
-    times = make_grid(T, dt)
-    K = len(times) - 1
-    n = hmodel.n
-    dV = brownian_increments(stream.child(NoiseSource.HOMOG_BROWNIAN), hmodel.l_factor, dt, K)
-    events = (
-        sample_poisson_jumps(stream.child(NoiseSource.HOMOG_JUMPS), hmodel.nu1, T)
-        if hmodel.nu1.total_intensity > 0 else []
-    )
-    ev_step = _bin_events(events, times)
-    X = np.empty((K + 1, n)); X[0] = hmodel.x0
-    x_jumps = np.zeros((K, n))
-    for k in range(K):
-        x = X[k]
-        x_new = x + hmodel.bbar1(x) * dt + hmodel.sigmabar1(x) @ dV[k]
-        for idx in np.nonzero(ev_step == k)[0]:
-            jump = hmodel.f1(x, events[idx].mark[None, :])[0]
-            x_new = x_new + jump
-            x_jumps[k] += jump
-        if hmodel.f1 is not None and hmodel.nu1.total_intensity > 0:
-            x_new = x_new - dt * hmodel.nu1.integrate(lambda u: hmodel.f1(x, u))
-        X[k + 1] = x_new
-        _check_finite((x_new,), times[k + 1])
-    return JointPath(
-        times=times, X=X, Z=np.zeros((K + 1, 0)), Y=np.zeros((K + 1, 0)),
-        bbar_increments=np.zeros((K, 0)), x_jump_totals=x_jumps,
-        y_jump_totals=np.zeros((K, 0)), events={"slow": events}, epsilon=None,
-    )
 
 
 def simulate_reference_observations(
@@ -442,7 +451,6 @@ def simulate_signal_ensemble(
     times = make_grid(T, scheme.dt_slow)
     K = len(times) - 1
     dt = scheme.dt_slow
-    eps = model.epsilon
     dt_fast = _fast_scheme_params(model, scheme)
     P = int(n_paths)
 
@@ -455,28 +463,16 @@ def simulate_signal_ensemble(
     if keep_history:
         hist_x[0], hist_z[0] = X, Z
 
-    if dt_fast is None:
-        ou = model.ou_fast
-        decay = ou.decay(dt / eps)
-        step_std = ou.step_std(dt / eps)
-    else:
-        substeps = int(round(dt / dt_fast))
-        sqeps = math.sqrt(eps)
-
+    substeps = scheme.substeps
     sqdt = math.sqrt(dt)
     for k in range(K):
         dV = gen_v.normal(0.0, sqdt, size=(P, model.l1))
-        drift = model.b1(X, Z)
-        diff = np.einsum("pnl,pl->pn", model.sigma1(X, Z), dV)
         if dt_fast is None:
-            Z = decay * Z + step_std * gen_w.normal(size=(P, 1))
+            fast_noise = gen_w.normal(size=(P, 1))
         else:
-            x_frozen = X
-            for _ in range(substeps):
-                dWj = gen_w.normal(0.0, math.sqrt(dt_fast), size=(P, model.l2))
-                Z = Z + model.b2(x_frozen, Z) * (dt_fast / eps) \
-                    + np.einsum("pml,pl->pm", model.sigma2(x_frozen, Z), dWj) / sqeps
-        X = X + drift * dt + diff
+            dW = gen_w.normal(0.0, math.sqrt(dt_fast / model.epsilon), size=(substeps, P, model.l2))
+            fast_noise = np.moveaxis(dW, 0, -2)
+        X, Z = signal_step(model, dt_fast, X, Z, dV, fast_noise, dt)
         if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Z))):
             raise IntegrationFailureError(
                 f"ensemble state became non-finite at t={times[k + 1]:.6g}", time=times[k + 1]
@@ -505,7 +501,7 @@ def simulate_homogenized_ensemble(
     sqdt = math.sqrt(dt)
     for k in range(K):
         dV = gen_v.normal(0.0, sqdt, size=(P, hmodel.l_factor))
-        X = X + hmodel.bbar1(X) * dt + np.einsum("pnl,pl->pn", hmodel.sigmabar1(X), dV)
+        X = euler_step(X, hmodel.bbar1(X), hmodel.sigmabar1(X), dV, dt)
         if not np.all(np.isfinite(X)):
             raise IntegrationFailureError(
                 f"ensemble state became non-finite at t={times[k + 1]:.6g}", time=times[k + 1]

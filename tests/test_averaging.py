@@ -175,6 +175,19 @@ def test_build_homogenized_on_demand_caches(example6):
     assert abs(hm.hbar(x)[0, 0] - math.atan(0.4)) < 0.05
 
 
+def test_on_demand_streams_separate_nearby_negative_points(example6):
+    # x = -1e-6 and -2e-6 round to the keys (-1,) and (-2,), whose CPython
+    # hashes coincide; each key must still get its own chain
+    hm = build_homogenized(
+        example6, mode="on_demand", stream=RngStream(13),
+        burn_in=1.0, n_samples=1000, stride=5, dt=0.01,
+    )
+    a = hm.bbar1(np.array([[-1e-6]]))
+    b = hm.bbar1(np.array([[-2e-6]]))
+    assert not np.array_equal(a, b)
+    np.testing.assert_array_equal(hm.bbar1(np.array([[-1e-6], [-2e-6]])), np.concatenate([a, b]))
+
+
 def test_stationarity_warning_on_transient_chain(example6):
     # skipping burn-in from a displaced start leaves a visible trend
     meas = estimate_invariant_measure(

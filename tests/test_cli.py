@@ -2,6 +2,9 @@
 
 import copy
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -224,3 +227,10 @@ def test_emit_svg_log_axes_reject_nonpositive_values():
         emit_svg([{"label": "a", "x": [1.0], "y": [2.0]}])  # one point is not a line
     with pytest.raises(ValueError):
         emit_svg([{"label": "a", "x": [1.0, 2.0], "y": [float("nan"), 1.0]}])
+
+
+def test_package_and_cli_import_without_scipy():
+    code = "import sys, levyfilter, levyfilter.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"

@@ -12,6 +12,7 @@ from levyfilter import (
     RngStream,
     StepScheme,
     ThinningLaw,
+    default_scheme,
     make_linear_gaussian,
     null_measure,
     run_filter,
@@ -19,12 +20,15 @@ from levyfilter import (
     vector_field,
     matrix_field,
     PRESETS,
+    preset_from_config,
+    preset_to_config,
 )
 from levyfilter.averaging import HomogenizedModel
 from levyfilter.filtering import (
     FullDynamics,
     HomogDynamics,
     _batch_log_weight,
+    _log_thinning,
     estimate,
     init_ensemble,
     log_weight_increment,
@@ -136,17 +140,33 @@ def _batch_vs_scalar(obs, n_events, seed):
     dt = 0.05
     ev_t = np.sort(rng.uniform(0.0, dt, size=n_events))
     ev_u = rng.uniform(-1.0, 1.0, size=(n_events, obs.nu3_small.mark_dim))
+
+    def reference(i, db, t_right, rows_events):
+        return log_weight_increment(
+            h_vals[i], db, dt, ev_t[rows_events], ev_u[rows_events],
+            obs.thinning, x_right[i], t_right, obs.nu3_small,
+        )
+
+    # filter: one observation increment, every event charged to every particle
     batch = _batch_log_weight(obs, h_vals, x_right, d_bbar, dt, dt, ev_t, ev_u)
-    scalar = np.array(
-        [
-            log_weight_increment(
-                h_vals[i], d_bbar, dt, ev_t, ev_u,
-                obs.thinning, x_right[i], dt, obs.nu3_small,
-            )
-            for i in range(N)
-        ]
-    )
+    every = np.arange(n_events)
+    scalar = np.array([reference(i, d_bbar, dt, every) for i in range(N)])
     np.testing.assert_allclose(batch, scalar, rtol=1e-12)
+
+    # diagnostics: one increment per row, each event charged to its own row
+    # (per-run in a forward martingale step, per-step on an inverse path)
+    row_bbar = rng.normal(size=(N, d)) * 0.1
+    owner = rng.integers(0, N, size=n_events)
+    no_t, no_u = ev_t[:0], ev_u[:0]
+    t_steps = dt * np.arange(1, N + 1)
+    for t_right in (dt, t_steps):
+        rows = _batch_log_weight(obs, h_vals, x_right, row_bbar, dt, t_right, no_t, no_u)
+        np.add.at(rows, owner, _log_thinning(obs, ev_t, x_right[owner], ev_u))
+        scalar = np.array([
+            reference(i, row_bbar[i], np.broadcast_to(t_right, N)[i], owner == i)
+            for i in range(N)
+        ])
+        np.testing.assert_allclose(rows, scalar, rtol=1e-12)
 
 
 def test_batch_weights_match_scalar_reference_const_thinning():
@@ -311,6 +331,21 @@ def test_unnormalized_mass_is_mean_one_under_reference_law():
         vals[r] = math.exp(out.log_rho1[-1])
     se = vals.std(ddof=1) / math.sqrt(n_runs)
     assert abs(vals.mean() - 1.0) < 3.0 * se + 1e-12
+
+
+def test_run_filter_default_scheme_fills_the_step_with_equal_substeps():
+    # Euler fast mode at eps = 0.03, dt = 0.01: eps/10 does not divide dt, so
+    # the default takes 4 substeps of 0.0025
+    cfg = preset_to_config(PRESETS["example6"](epsilon=0.03))
+    del cfg["model"]["ou_fast"]
+    preset = preset_from_config(cfg)
+    obs = simulate_reference_observations(preset.observation, 0.05, 0.01, RngStream(4, 0))
+    scheme = default_scheme(preset.model, 0.01)
+    assert scheme.substeps == 4
+    implicit = run_filter(obs, "full", preset, 16, ["tanh"], RngStream(5, 0))
+    explicit = run_filter(obs, "full", preset, 16, ["tanh"], RngStream(5, 0), scheme=scheme)
+    np.testing.assert_array_equal(implicit.pi, explicit.pi)
+    np.testing.assert_array_equal(implicit.log_rho1, explicit.log_rho1)
 
 
 def test_run_filter_validation_errors():

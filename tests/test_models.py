@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from levyfilter.errors import ConfigError
+from levyfilter.errors import ConfigError, ModelViolationError
 from levyfilter.models import (
     PRESETS,
     OuFast,
     ThinningLaw,
     build_example6,
+    check_thinning,
     load_config,
     make_linear_gaussian,
     preset_from_config,
@@ -82,6 +83,25 @@ def test_thinning_law_const_range():
     for bad in [0.0, -0.1, 1.5]:
         with pytest.raises(ValueError):
             ThinningLaw("const", (bad,))
+
+
+def test_thinning_check_rejects_values_outside_open_interval():
+    np.testing.assert_array_equal(check_thinning([0.3, 0.999]), [0.3, 0.999])
+    for bad in [0.0, 1.0, 1.5, float("nan"), [0.5, 1.0]]:
+        with pytest.raises(ModelViolationError):
+            check_thinning(bad)
+
+
+def test_const_thinning_one_needs_massless_measures():
+    for region in ("nu3_small", "nu3_large"):
+        cfg = copy.deepcopy(preset_to_config(build_example6()))
+        cfg["observation"]["lambda"] = {"kind": "const", "value": 1.0}
+        other = "nu3_large" if region == "nu3_small" else "nu3_small"
+        cfg["observation"][other] = {"intensity": 0.0, "marks": "point(0.0)"}
+        with pytest.raises(ConfigError, match="const thinning 1"):
+            preset_from_config(cfg)
+    # the massless case, as in the linear-Gaussian preset, stays admissible
+    assert make_linear_gaussian().observation.thinning.params == (1.0,)
 
 
 def test_thinning_law_logistic():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from levyfilter.errors import ModelViolationError, UnsupportedMeasureError
+from levyfilter.errors import UnsupportedMeasureError
 from levyfilter.noise import (
     LevyMeasureSpec,
     MarkSampler,
@@ -14,18 +14,20 @@ from levyfilter.noise import (
     brownian_increments,
     null_measure,
     sample_poisson_jumps,
-    stream_for,
-    thin_jumps,
 )
 
 
+def _source_stream(root, source, path):
+    return RngStream(root, int(source)).child(path)
+
+
 def test_stream_determinism_and_separation():
-    a = stream_for(7, NoiseSource.SLOW_BROWNIAN, 5)
-    b = stream_for(7, NoiseSource.SLOW_BROWNIAN, 5)
+    a = _source_stream(7, NoiseSource.SLOW_BROWNIAN, 5)
+    b = _source_stream(7, NoiseSource.SLOW_BROWNIAN, 5)
     assert np.array_equal(a.generator().standard_normal(8), b.generator().standard_normal(8))
-    c = stream_for(7, NoiseSource.SLOW_BROWNIAN, 6)
+    c = _source_stream(7, NoiseSource.SLOW_BROWNIAN, 6)
     assert not np.array_equal(a.generator().standard_normal(8), c.generator().standard_normal(8))
-    d = stream_for(8, NoiseSource.SLOW_BROWNIAN, 5)
+    d = _source_stream(8, NoiseSource.SLOW_BROWNIAN, 5)
     assert not np.array_equal(a.generator().standard_normal(8), d.generator().standard_normal(8))
 
 
@@ -55,8 +57,8 @@ def test_stream_child_keys_do_not_collide():
     )
 
 
-def test_stream_for_matches_packed_id():
-    s = stream_for(7, NoiseSource.FAST_JUMPS, 9)
+def test_child_stream_matches_packed_id():
+    s = _source_stream(7, NoiseSource.FAST_JUMPS, 9)
     packed = RngStream(7, stream_id=int(NoiseSource.FAST_JUMPS) * 2**64 + 9)
     assert np.array_equal(
         s.generator().standard_normal(4), packed.generator().standard_normal(4)
@@ -150,25 +152,6 @@ def test_sample_poisson_jumps_rate_scaling():
     mean = np.mean(counts)
     # Poisson(50): mean of 40 draws has SE ~ 1.1
     assert abs(mean - 50.0) < 5.0
-
-
-def test_thin_jumps_keep_all_and_reject_invalid():
-    spec = LevyMeasureSpec(2.0, MarkSampler.parse("uniform(-1,1)"), "U3")
-    events = sample_poisson_jumps(RngStream(9), spec, 3.0)
-    kept = thin_jumps(events, lambda t, x, u: 1.0, lambda t: np.zeros(1), RngStream(1))
-    assert [ev.accepted for ev in kept] == [True] * len(events)
-    with pytest.raises(ModelViolationError):
-        thin_jumps(events, lambda t, x, u: 1.5, lambda t: np.zeros(1), RngStream(1))
-    with pytest.raises(ModelViolationError):
-        thin_jumps(events, lambda t, x, u: 0.0, lambda t: np.zeros(1), RngStream(1))
-
-
-def test_thin_jumps_acceptance_rate():
-    spec = LevyMeasureSpec(200.0, MarkSampler.parse("uniform(-1,1)"), "U3")
-    events = sample_poisson_jumps(RngStream(2), spec, 1.0)
-    kept = thin_jumps(events, lambda t, x, u: 0.3, lambda t: np.zeros(1), RngStream(3))
-    frac = len(kept) / len(events)
-    assert abs(frac - 0.3) < 0.1
 
 
 def test_brownian_increments_moments_and_determinism():

@@ -12,7 +12,7 @@ from levyfilter.sde import (
     StepScheme,
     make_grid,
     simulate_full,
-    simulate_homogenized,
+    simulate_homogenized_ensemble,
     simulate_reference_observations,
     simulate_signal_ensemble,
 )
@@ -150,6 +150,18 @@ def test_observation_path_reconstruction():
     )
 
 
+def test_simulate_full_thinning_acceptance_rate():
+    # constant acceptance 0.3 on both observation regions, ~400 base events
+    preset = build_example6(lambda_const=0.3, small_jump_intensity=200.0,
+                            large_jump_intensity=200.0)
+    scheme = StepScheme(dt_slow=0.01, fast_mode="exact_ou")
+    path = simulate_full(preset.model, preset.observation, 1.0, scheme, RngStream(3))
+    events = path.events["obs_small"] + path.events["obs_large"]
+    frac = sum(ev.accepted for ev in events) / len(events)
+    assert len(events) > 300
+    assert abs(frac - 0.3) < 0.1
+
+
 def test_signal_ensemble_matches_path_simulator_moments():
     preset = make_linear_gaussian()
     scheme = StepScheme(dt_slow=0.01, fast_mode="exact_ou")
@@ -176,10 +188,10 @@ def test_simulate_homogenized_reduced_dimensions():
     from levyfilter.averaging import build_homogenized
 
     hmodel = build_homogenized(build_example6(), mode="closed_form")
-    path = simulate_homogenized(hmodel, 1.0, 0.01, RngStream(5))
-    assert path.X.shape == (101, 1)
-    assert path.Z.shape[1] == 0
-    assert path.Y.shape[1] == 0
+    times, X = simulate_homogenized_ensemble(hmodel, 1.0, 0.01, 3, RngStream(5), keep_history=True)
+    assert times.shape == (101,)
+    assert X.shape == (101, 3, 1)   # slow state only: no fast or observation part
+    np.testing.assert_array_equal(X[0], np.broadcast_to(hmodel.x0, (3, 1)))
 
 
 def test_path_csv_round_trip(tmp_path):

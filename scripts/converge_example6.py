@@ -9,7 +9,6 @@ few cores); the default is a quick desk-scale pass.
 """
 
 import argparse
-import os
 from pathlib import Path
 
 from levyfilter import PRESETS, filter_convergence_study
@@ -22,7 +21,7 @@ def run(args):
     report = filter_convergence_study(
         preset, [0.5, 0.1, 0.02], replications=reps, n_particles=particles,
         psis=["tanh"], T=1.0, dt=0.01, seed=args.seed,
-        threads=args.threads or os.cpu_count() or 1,
+        threads=args.threads or 1,
     )
     print(f"replications={reps} particles={particles} psi=tanh T=1")
     print(f"{'eps':>6} {'mean gap':>10} {'SE':>9} {'KS(pi)':>7}")

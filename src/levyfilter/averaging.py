@@ -60,15 +60,8 @@ def _stationarity_warning(samples: np.ndarray) -> str | None:
     S = samples.shape[0]
     half = S // 2
     a, b = samples[:half], samples[half: 2 * half]
-
-    def batch_se(block):
-        nb = min(_BATCHES, max(2, block.shape[0] // 16))
-        usable = (block.shape[0] // nb) * nb
-        means = block[:usable].reshape(nb, -1, block.shape[1]).mean(axis=1)
-        return means.std(axis=0, ddof=1) / math.sqrt(nb)
-
     gap = np.abs(a.mean(axis=0) - b.mean(axis=0))
-    se = np.sqrt(batch_se(a) ** 2 + batch_se(b) ** 2)
+    se = np.sqrt(_batch_means_se(a) ** 2 + _batch_means_se(b) ** 2)
     worst = float(np.max(gap / np.maximum(se, 1e-300)))
     if worst > 4.0:
         return (

@@ -233,7 +233,7 @@ def _threads(args) -> int:
                               key="LEVYFILTER_THREADS") from exc
     if args.threads is not None:
         return max(1, args.threads)
-    return os.cpu_count() or 1
+    return 1
 
 
 def _scheme(args, model) -> StepScheme:
@@ -521,7 +521,7 @@ def build_parser() -> _Parser:
     p.add_argument("--psi", action="append", default=None)
     p.add_argument("--ess-frac", type=float, default=0.5)
     p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (default: hardware; env LEVYFILTER_THREADS overrides)")
+                   help="worker threads (default: 1; env LEVYFILTER_THREADS overrides)")
     p.add_argument("--signal-paths", type=int, default=5000)
     p.add_argument("--martingale-runs", type=int, default=5000)
     p.set_defaults(fn=_cmd_converge)

@@ -14,9 +14,10 @@ small-region events enter the weights: with the acceptance law constant on
 the complement region the large-jump factor is state-independent and cancels
 from every normalized estimate.
 
-Each particle owns a stream derived from (run stream, resample generation,
-particle index); propagation noise is pre-drawn in per-particle blocks, so the
-output is independent of how the work is scheduled.
+Propagation noise comes from one stream per (run stream, resample
+generation): each step draws the next (N, width) block from it, one row per
+particle in particle order, so the output is independent of how the work is
+scheduled.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .sde import (
     signal_step,
 )
 
-_DEFAULT_CHUNK = 128
 _INDICATOR_WIDTH = 1e-2
 _POLY_CLIP = 1e6
 
@@ -102,12 +102,15 @@ def psi_from_string(spec: str) -> PsiSpec:
 
 @dataclass
 class ParticleEnsemble:
-    """State arrays plus the per-particle streams that drive them.
+    """State arrays plus the propagation-noise stream that drives them.
 
-    ``_buffer`` holds pre-drawn standard normals, one row block per particle,
-    consumed column-by-column by ``propagate``; it is refilled from the
-    particle streams (one ``bump`` per particle per refill), so values depend
-    only on (run stream, resample generation, particle index, draw position).
+    Each resample generation draws its noise from one generator, built on
+    first use from the child stream (PARTICLES, resample generation) of the
+    run stream; ``resample`` drops it so the next generation is re-keyed.
+    Successive draws of one generator equal the rows of a single large draw,
+    so step k of a generation gets row k of a (K, N, width) block of standard
+    normals, rows in particle order: values depend only on (run stream,
+    resample generation, step within the generation).
     """
 
     x: np.ndarray                      # (N, n)
@@ -117,36 +120,18 @@ class ParticleEnsemble:
     base_stream: RngStream
     resample_count: int = 0
     _noise_width: int = 1
-    _chunk: int = _DEFAULT_CHUNK
-    _buffer: np.ndarray | None = field(default=None, repr=False)
-    _cursor: int = 0
-    _stream_cache: list | None = field(default=None, repr=False)
-    _stream_generation: int = -1
+    _noise: np.random.Generator | None = field(default=None, repr=False)
 
     @property
     def n_particles(self) -> int:
         return self.x.shape[0]
 
-    def streams(self) -> list[RngStream]:
-        # Cached per resample generation: the stream objects'
-        # counters must persist across buffer refills.
-        if self._stream_cache is None or self._stream_generation != self.resample_count:
-            base = self.base_stream.child(NoiseSource.PARTICLES).child(self.resample_count)
-            self._stream_cache = [base.child(i) for i in range(self.n_particles)]
-            self._stream_generation = self.resample_count
-        return self._stream_cache
-
     def next_noise(self) -> np.ndarray:
-        """(N, width) standard normals for one step, from the particle streams."""
-        if self._buffer is None or self._cursor >= self._buffer.shape[1]:
-            streams = self.streams()
-            self._buffer = np.stack(
-                [s.bump().standard_normal((self._chunk, self._noise_width)) for s in streams]
-            )
-            self._cursor = 0
-        col = self._buffer[:, self._cursor, :]
-        self._cursor += 1
-        return col
+        """(N, width) standard normals for one step, from the generation's stream."""
+        if self._noise is None:
+            stream = self.base_stream.child(NoiseSource.PARTICLES).child(self.resample_count)
+            self._noise = stream.generator()
+        return self._noise.standard_normal((self.n_particles, self._noise_width))
 
 
 def init_ensemble(
@@ -155,7 +140,6 @@ def init_ensemble(
     z0: np.ndarray | None,
     stream: RngStream,
     noise_width: int,
-    chunk: int = _DEFAULT_CHUNK,
 ) -> ParticleEnsemble:
     if n_particles < 1:
         raise ValueError("need at least one particle")
@@ -167,7 +151,6 @@ def init_ensemble(
         time=0.0,
         base_stream=stream,
         _noise_width=noise_width,
-        _chunk=chunk,
     )
 
 
@@ -354,7 +337,7 @@ def resample(ens: ParticleEnsemble) -> ParticleEnsemble:
 
     Offspring counts of a weight p differ from N p by less than one in either
     direction.  Survivors keep equal log-weights at the current mass level,
-    and every particle is re-keyed to a stream derived from the new resample
+    and the ensemble is re-keyed to the stream of the new resample
     generation, so the future noise of survivor copies is independent.
     """
     N = ens.n_particles
@@ -377,8 +360,7 @@ def resample(ens: ParticleEnsemble) -> ParticleEnsemble:
         ens.z = ens.z[idx].copy()
     ens.log_weights = np.full(N, log_rho1)
     ens.resample_count += 1
-    ens._buffer = None
-    ens._cursor = 0
+    ens._noise = None
     return ens
 
 
@@ -432,10 +414,11 @@ def run_filter(
     propagates the reduced model (``hmodel`` required) and evaluates the
     averaged sensor in the weights.  One propagation step is taken per
     observation step.  Resampling is triggered after the weight update when
-    ESS < ess_frac * N.  ``noise_width`` can widen the per-particle noise
-    block beyond what the dynamics consume, which lets a full and a reduced
-    filter share their slow-noise columns for coupled comparisons.  Output is
-    a deterministic function of (observations, parameters, stream).
+    ESS < ess_frac * N.  ``noise_width`` can widen each step's (N, width)
+    noise block (one row per particle) beyond what the dynamics consume, which
+    lets a full and a reduced filter share their slow-noise columns for
+    coupled comparisons.  Output is a deterministic function of
+    (observations, parameters, stream).
     """
     if mode not in ("full", "homog"):
         raise ValueError(f"mode must be 'full' or 'homog', got {mode!r}")
@@ -474,8 +457,7 @@ def run_filter(
         raise ValueError(
             f"noise_width={width} is narrower than the dynamics need ({dynamics.noise_width})"
         )
-    chunk = min(_DEFAULT_CHUNK, K) if K > 0 else 1
-    ens = init_ensemble(n_particles, x0, z0, stream, width, chunk=chunk)
+    ens = init_ensemble(n_particles, x0, z0, stream, width)
 
     small_idx = observations.small_step_index()
     order = np.argsort(small_idx, kind="stable")

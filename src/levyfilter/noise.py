@@ -37,7 +37,7 @@ class NoiseSource(IntEnum):
     THINNING = 7           # acceptance uniforms for state-dependent thinning
     HOMOG_BROWNIAN = 8     # Brownian motion of the reduced slow model
     HOMOG_JUMPS = 9        # jump measure of the reduced slow model
-    PARTICLES = 10         # per-particle propagation noise in the filter
+    PARTICLES = 10         # filter propagation noise, one stream per resample generation
     RESAMPLING = 11        # systematic-resampling offsets
     VALIDATION = 12        # state sampling in assumption checks
     AVERAGING = 13         # invariant-measure chains
@@ -49,9 +49,8 @@ class RngStream:
 
     ``generator()`` is a pure function of ``(root_seed, stream_id, counter)``
     and does not advance anything: calling it twice reproduces identical
-    draws.  A single owner that needs successive fresh batches calls
-    ``bump()``; derived purposes get their own ``child()`` stream instead of
-    sharing a counter.
+    draws.  Derived purposes get their own ``child()`` stream; an owner that
+    needs successive fresh batches draws them from one generator.
     """
 
     root_seed: int
@@ -69,12 +68,6 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         seq = np.random.SeedSequence(self.root_seed, spawn_key=(self.stream_id, self.counter))
         return np.random.Generator(np.random.PCG64(seq))
-
-    def bump(self) -> np.random.Generator:
-        """Generator for the current counter value; advances the counter."""
-        gen = self.generator()
-        self.counter += 1
-        return gen
 
     def child(self, key: int) -> "RngStream":
         """Independent stream addressed below this one (collision-free)."""

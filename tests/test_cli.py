@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from levyfilter import PRESETS, preset_to_config
-from levyfilter.cli import _split_top_level, emit_svg, main
+from levyfilter.cli import _split_top_level, _threads, build_parser, emit_svg, main
 
 
 @pytest.fixture(autouse=True)
@@ -110,6 +110,12 @@ def test_converge_writes_tables_and_plots(tmp_path):
     svg = (out / "gap_vs_eps.svg").read_text()
     assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
     assert (out / "ks_vs_eps.svg").exists()
+
+
+def test_threads_default_to_one_without_flag_or_env():
+    args = build_parser().parse_args(["converge"])
+    assert args.threads is None
+    assert _threads(args) == 1
 
 
 def test_converge_is_thread_count_invariant(tmp_path):

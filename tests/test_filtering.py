@@ -9,6 +9,7 @@ from levyfilter import (
     LevyMeasureSpec,
     MarkSampler,
     ModelViolationError,
+    NoiseSource,
     RngStream,
     StepScheme,
     ThinningLaw,
@@ -188,27 +189,30 @@ def test_batch_weights_match_scalar_reference_state_dependent_thinning():
 # ensembles and resampling
 
 
-def _toy_ensemble(n=4, width=2, chunk=8):
+def _toy_ensemble(n=4, width=2):
     stream = RngStream(99, 0)
-    ens = init_ensemble(n, np.zeros(1), None, stream, width, chunk=chunk)
+    ens = init_ensemble(n, np.zeros(1), None, stream, width)
     return ens
 
 
-def test_noise_buffer_refills_are_fresh_draws():
-    # Regression guard: consuming past one buffer chunk must continue the
-    # stream, not replay the first chunk.
-    ens = _toy_ensemble(n=3, width=2, chunk=4)
-    cols = np.stack([ens.next_noise().copy() for _ in range(12)])
+def test_particle_noise_is_one_draw_per_resample_generation():
+    ens = _toy_ensemble(n=3, width=2)
+    cols = np.stack([ens.next_noise() for _ in range(12)])
     assert not np.allclose(cols[:4], cols[4:8])
     assert not np.allclose(cols[4:8], cols[8:12])
     # deterministic replay from an identically keyed ensemble
-    again = _toy_ensemble(n=3, width=2, chunk=4)
-    cols2 = np.stack([again.next_noise().copy() for _ in range(12)])
+    again = _toy_ensemble(n=3, width=2)
+    cols2 = np.stack([again.next_noise() for _ in range(12)])
     np.testing.assert_array_equal(cols, cols2)
-    # a wider first buffer starts from the same draws
-    other = _toy_ensemble(n=3, width=2, chunk=5)
-    cols3 = np.stack([other.next_noise().copy() for _ in range(5)])
-    np.testing.assert_array_equal(cols[:4], cols3[:4])
+    # step k of a generation is row k of one (K, N, width) draw of its stream
+    particles = RngStream(99, 0).child(NoiseSource.PARTICLES)
+    block = particles.child(0).generator().standard_normal((12, 3, 2))
+    for k in range(12):
+        np.testing.assert_array_equal(cols[k], block[k])
+    # resampling re-keys the ensemble to the next generation's stream
+    resample(ens)
+    block1 = particles.child(1).generator().standard_normal((1, 3, 2))
+    np.testing.assert_array_equal(ens.next_noise(), block1[0])
 
 
 def test_systematic_resample_offspring_counts():

@@ -31,17 +31,6 @@ def test_stream_determinism_and_separation():
     assert not np.array_equal(a.generator().standard_normal(8), d.generator().standard_normal(8))
 
 
-def test_stream_bump_advances():
-    s = RngStream(3)
-    first = s.bump().standard_normal(4)
-    second = s.bump().standard_normal(4)
-    assert not np.array_equal(first, second)
-    # a fresh stream replays the same sequence
-    t = RngStream(3)
-    assert np.array_equal(t.bump().standard_normal(4), first)
-    assert np.array_equal(t.bump().standard_normal(4), second)
-
-
 def test_stream_child_keys_do_not_collide():
     s = RngStream(11)
     seen = []

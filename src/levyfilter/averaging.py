@@ -1,17 +1,17 @@
 """Invariant-measure estimation and coefficient averaging for the fast scale.
 
 The reduced slow model replaces (b1, sigma1 sigma1^T, h) by their averages
-against the invariant law of the frozen-x fast component.  Averages are Monte
-Carlo unless the preset carries closed-form values.  Standard errors use
-batch means, which stay honest for the correlated samples a single chain
-produces.
+against the invariant law of the frozen-x fast component.  There are two
+routes to those averages: the preset's closed-form values, or Monte Carlo on
+a lattice of frozen slow states whose chains advance together as one
+ensemble.  Standard errors use batch means, which stay honest for the
+correlated samples a single chain produces.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -27,10 +27,16 @@ _BATCHES = 64
 
 @dataclass
 class EmpiricalMeasure:
-    """Thinned samples of the frozen-x fast chain after burn-in."""
+    """Thinned samples of the frozen-x fast chain after burn-in.
 
-    samples: np.ndarray        # (S, m)
-    frozen_x: np.ndarray       # (n,)
+    A stack of G frozen states carries a leading node axis; ``node(g)`` is
+    node g's own measure and ``warnings`` lists every node's in node order.
+    ``mean()`` and ``cov()`` describe one state's measure: take ``node(g)``
+    of a stack first.
+    """
+
+    samples: np.ndarray        # (S, m), or (G, S, m) for a stack
+    frozen_x: np.ndarray       # (n,), or (G, n) for a stack
     burn_in: float
     stride: int
     dt: float
@@ -38,10 +44,17 @@ class EmpiricalMeasure:
     warnings: list = field(default_factory=list)
 
     def __post_init__(self):
-        if self.samples.shape[0] < _MIN_SAMPLES:
+        if self.samples.shape[-2] < _MIN_SAMPLES:
             raise ValueError(
-                f"need at least {_MIN_SAMPLES} samples, got {self.samples.shape[0]}"
+                f"need at least {_MIN_SAMPLES} samples, got {self.samples.shape[-2]}"
             )
+
+    def node(self, g: int) -> "EmpiricalMeasure":
+        """Node g of a stack: the measure of that frozen state alone."""
+        return replace(
+            self, samples=self.samples[g], frozen_x=self.frozen_x[g],
+            warnings=_stationarity_warnings(self.samples[g]),
+        )
 
     @property
     def spacing(self) -> float:
@@ -54,9 +67,12 @@ class EmpiricalMeasure:
         return np.cov(self.samples.T).reshape(self.samples.shape[1], self.samples.shape[1])
 
 
-def _stationarity_warning(samples: np.ndarray) -> str | None:
+def _stationarity_warnings(samples: np.ndarray) -> list[str]:
     """Flag a drifting chain: first- and second-half means further apart than
-    four combined batch-means standard errors."""
+    four combined batch-means standard errors.  A stack (G, S, m) gets each
+    node's warnings in node order."""
+    if samples.ndim == 3:
+        return [w for node in samples for w in _stationarity_warnings(node)]
     S = samples.shape[0]
     half = S // 2
     a, b = samples[:half], samples[half: 2 * half]
@@ -64,11 +80,11 @@ def _stationarity_warning(samples: np.ndarray) -> str | None:
     se = np.sqrt(_batch_means_se(a) ** 2 + _batch_means_se(b) ** 2)
     worst = float(np.max(gap / np.maximum(se, 1e-300)))
     if worst > 4.0:
-        return (
+        return [
             f"half-chain means differ by {worst:.1f} combined standard errors; "
             "the chain may not have reached stationarity (increase burn_in)"
-        )
-    return None
+        ]
+    return []
 
 
 def estimate_invariant_measure(
@@ -89,6 +105,10 @@ def estimate_invariant_measure(
     picks the exact route when available.  Ergodicity of the frozen chain is
     an assumption; a stationarity diagnostic on the recorded samples appends a
     warning when the chain looks like it is still drifting.
+
+    ``x`` is one state (n,) or a stack (G, n) whose chains run together; node
+    g of a stack uses ``stream.child(g)`` and is bitwise the single-state
+    measure on that stream (see ``EmpiricalMeasure.node``).
     """
     if n_samples < _MIN_SAMPLES:
         raise ValueError(f"n_samples must be >= {_MIN_SAMPLES}, got {n_samples}")
@@ -96,7 +116,9 @@ def estimate_invariant_measure(
         raise ValueError("need stride >= 1, burn_in >= 0, dt > 0")
     if fast_mode not in ("auto", "exact_ou", "euler"):
         raise ValueError(f"unknown fast_mode {fast_mode!r}")
-    x = np.asarray(x, dtype=float).reshape(model.n)
+    x = np.asarray(x, dtype=float)
+    stack = x.ndim == 2
+    x = x.reshape((len(x), model.n) if stack else model.n)
     if stream is None:
         stream = RngStream(0, int(NoiseSource.AVERAGING))
     if fast_mode == "auto":
@@ -105,34 +127,32 @@ def estimate_invariant_measure(
     if fast_mode == "exact_ou":
         if model.ou_fast is None:
             raise ValueError("fast_mode='exact_ou' but the model declares no OU fast part")
-        gen = stream.generator()
-        z = float(model.z0[0])
-        if burn_in > 0:
-            decay, scale = ou_transition(model.ou_fast, burn_in)
-            z = decay * z + scale * gen.standard_normal()
         a, b = ou_transition(model.ou_fast, stride * dt)
-        # exact transitions at the recording spacing: the recursion started at
-        # zero plus the decayed start value z a^k
-        chain = []
-        acc = 0.0
-        for v in (b * gen.standard_normal(n_samples)).tolist():
-            acc = a * acc + v
-            chain.append(acc)
-        samples = (np.asarray(chain) + z * a ** np.arange(1, n_samples + 1)).reshape(-1, 1)
+        chains = []
+        for node_stream in [stream.child(g) for g in range(len(x))] if stack else [stream]:
+            gen = node_stream.generator()
+            z = float(model.z0[0])
+            if burn_in > 0:
+                decay, scale = ou_transition(model.ou_fast, burn_in)
+                z = decay * z + scale * gen.standard_normal()
+            # exact transitions at the recording spacing: the recursion started at
+            # zero plus the decayed start value z a^k
+            chain = []
+            acc = 0.0
+            for v in (b * gen.standard_normal(n_samples)).tolist():
+                acc = a * acc + v
+                chain.append(acc)
+            chains.append((np.asarray(chain) + z * a ** np.arange(1, n_samples + 1)).reshape(-1, 1))
+        samples = np.stack(chains) if stack else chains[0]
     else:
         burn_steps = int(round(burn_in / dt))
         total_steps = burn_steps + n_samples * stride
-        T = total_steps * dt
-        _, Z = simulate_frozen_fast(model, x, model.z0, T, dt, stream)
-        samples = Z[burn_steps + stride:: stride][:n_samples]
+        _, Z = simulate_frozen_fast(model, x, model.z0, total_steps * dt, dt, stream)
+        samples = Z[..., burn_steps + stride:: stride, :][..., :n_samples, :]
 
-    warnings = []
-    note = _stationarity_warning(samples)
-    if note:
-        warnings.append(note)
     return EmpiricalMeasure(
         samples=samples, frozen_x=x, burn_in=burn_in, stride=stride, dt=dt,
-        mode=fast_mode, warnings=warnings,
+        mode=fast_mode, warnings=_stationarity_warnings(samples),
     )
 
 
@@ -182,7 +202,8 @@ def average_coefficients(
 ) -> AveragedPoint:
     """Average b1, sigma1 sigma1^T and h over an empirical invariant measure."""
     x = np.asarray(x, dtype=float).reshape(model.n)
-    if not np.allclose(x, measure.frozen_x, rtol=0.0, atol=1e-12):
+    frozen = measure.frozen_x
+    if x.shape != frozen.shape or not np.allclose(x, frozen, rtol=0.0, atol=1e-12):
         raise ValueError(
             f"measure was built at x={measure.frozen_x}, queried at x={x}"
         )
@@ -256,14 +277,12 @@ class HomogenizedModel:
     l_factor: int
     x0: np.ndarray
     bbar1: object           # (..., n)
-    abar: object            # (..., n, n)
     sigmabar1: object       # (..., n, n)
     hbar: object            # (..., d)
     f1: object | None
     nu1: LevyMeasureSpec
     mode: str
     meta: dict = field(default_factory=dict)
-    vectorized: bool = True
 
 
 def _const_field(value: np.ndarray):
@@ -288,13 +307,13 @@ def build_homogenized(
 ) -> HomogenizedModel:
     """Assemble the reduced slow model from a preset.
 
-    Modes: ``closed_form`` uses the preset's declared averages; ``lattice``
-    estimates averages on a 1-D grid of slow states (each grid point gets its
-    own stream, so points are independent and may be computed in any order)
-    and interpolates linearly, raising on queries outside the covered range —
-    the requested grid is widened by a 10% guard band on each side so paths
-    that drift slightly past the endpoints stay covered; ``on_demand``
-    estimates at each queried point (rounded to 1e-6) and caches the result.
+    Two routes: ``closed_form`` uses the preset's declared averages;
+    ``lattice`` estimates averages on a 1-D grid of slow states and
+    interpolates linearly, raising on queries outside the covered range.  The
+    requested grid is widened by a 10% guard band on each side so paths that
+    drift slightly past the endpoints stay covered.  All grid chains run as
+    one ensemble; node i draws from ``stream.child(i)``, so each node's
+    averages do not depend on the rest of the grid.
     """
     model, obs = preset.model, preset.observation
     if stream is None:
@@ -303,109 +322,66 @@ def build_homogenized(
     if mode == "closed_form":
         cf = preset.closed_form
         if cf is None:
-            raise ValueError(f"preset {preset.name!r} declares no closed-form averages")
-        L = factor_diffusion(cf.abar)
+            raise ValueError(
+                f"preset {preset.name!r} declares no closed-form averages, which "
+                "mode='closed_form' requires"
+            )
         return HomogenizedModel(
             n=model.n, d=obs.d, l_factor=model.n, x0=model.x0.copy(),
-            bbar1=_const_field(cf.bbar1), abar=_const_field(cf.abar),
-            sigmabar1=_const_field(L), hbar=cf.hbar(),
-            f1=model.f1, nu1=model.nu1, mode=mode,
+            bbar1=_const_field(cf.bbar1), sigmabar1=_const_field(factor_diffusion(cf.abar)),
+            hbar=cf.hbar(), f1=model.f1, nu1=model.nu1, mode=mode,
             meta={"source": "closed_form", "preset": preset.name},
         )
 
-    if mode == "lattice":
-        if model.n != 1:
-            raise ValueError("lattice mode supports scalar slow components only; use on_demand")
-        if x_grid is None or len(np.atleast_1d(x_grid)) < 2:
-            raise ValueError("lattice mode needs an x_grid with at least two points")
-        grid = np.sort(np.asarray(x_grid, dtype=float).reshape(-1))
-        span = grid[-1] - grid[0]
-        guard = 0.1 * span
-        grid = np.concatenate([[grid[0] - guard], grid, [grid[-1] + guard]])
-        points = []
-        for i, xi in enumerate(grid):
-            meas = estimate_invariant_measure(
-                model, [xi], burn_in=burn_in, n_samples=n_samples, stride=stride,
-                dt=dt, stream=stream.child(i),
-            )
-            points.append(average_coefficients(model, obs, [xi], meas))
-        b_tab = np.asarray([p.bbar1[0] for p in points])
-        a_tab = np.asarray([p.abar[0, 0] for p in points])
-        h_tab = np.stack([p.hbar for p in points])   # (G, d)
-        lo, hi = grid[0], grid[-1]
-
-        def guard_query(x):
-            xq = np.asarray(x, dtype=float)[..., 0]
-            if np.any(xq < lo) or np.any(xq > hi):
-                worst = float(xq.min() if np.any(xq < lo) else xq.max())
-                raise ExtrapolationError(
-                    f"query x={worst:.6g} outside the covered range [{lo:.6g}, {hi:.6g}]"
-                )
-            return xq
-
-        def bbar1(x):
-            return np.interp(guard_query(x), grid, b_tab)[..., None]
-
-        def abar(x):
-            return np.interp(guard_query(x), grid, a_tab)[..., None, None]
-
-        def sigmabar1(x):
-            return np.sqrt(np.clip(np.interp(guard_query(x), grid, a_tab), 0.0, None))[..., None, None]
-
-        def hbar(x):
-            xq = guard_query(x)
-            cols = [np.interp(xq, grid, h_tab[:, j]) for j in range(h_tab.shape[1])]
-            return np.stack(cols, axis=-1)
-
-        return HomogenizedModel(
-            n=1, d=obs.d, l_factor=1, x0=model.x0.copy(),
-            bbar1=bbar1, abar=abar, sigmabar1=sigmabar1, hbar=hbar,
-            f1=model.f1, nu1=model.nu1, mode=mode,
-            meta={
-                "source": "lattice", "grid": grid.tolist(), "n_samples": n_samples,
-                "burn_in": burn_in, "stride": stride, "dt": dt, "guard_band": float(guard),
-            },
+    if mode != "lattice":
+        raise ValueError(f"unknown homogenization mode {mode!r} (have: closed_form, lattice)")
+    if model.n != 1:
+        raise ValueError(
+            f"lattice mode supports scalar slow components only; preset {preset.name!r} "
+            f"has n={model.n} and needs closed-form averages"
         )
+    if x_grid is None or len(np.atleast_1d(x_grid)) < 2:
+        raise ValueError("lattice mode needs an x_grid with at least two points")
+    grid = np.sort(np.asarray(x_grid, dtype=float).reshape(-1))
+    span = grid[-1] - grid[0]
+    guard = 0.1 * span
+    grid = np.concatenate([[grid[0] - guard], grid, [grid[-1] + guard]])
+    meas = estimate_invariant_measure(
+        model, grid[:, None], burn_in=burn_in, n_samples=n_samples, stride=stride,
+        dt=dt, stream=stream,
+    )
+    points = [average_coefficients(model, obs, [xi], meas.node(i)) for i, xi in enumerate(grid)]
+    b_tab = np.asarray([p.bbar1[0] for p in points])
+    a_tab = np.asarray([p.abar[0, 0] for p in points])
+    h_tab = np.stack([p.hbar for p in points])   # (G, d)
+    lo, hi = grid[0], grid[-1]
 
-    if mode == "on_demand":
-        cache: dict = {}
-        lock = threading.Lock()
-
-        def point_for(xi: np.ndarray) -> AveragedPoint:
-            key = tuple(np.round(np.asarray(xi, dtype=float) / 1e-6).astype(np.int64).tolist())
-            with lock:
-                hit = cache.get(key)
-            if hit is not None:
-                return hit
-            chain_stream = stream
-            for v in key:   # zigzag: 0, -1, 1, -2, ... -> 0, 1, 2, 3, ...
-                chain_stream = chain_stream.child(2 * v if v >= 0 else -2 * v - 1)
-            meas = estimate_invariant_measure(
-                model, xi, burn_in=burn_in, n_samples=n_samples, stride=stride,
-                dt=dt, stream=chain_stream,
+    def guard_query(x):
+        xq = np.asarray(x, dtype=float)[..., 0]
+        if np.any(xq < lo) or np.any(xq > hi):
+            worst = float(xq.min() if np.any(xq < lo) else xq.max())
+            raise ExtrapolationError(
+                f"query x={worst:.6g} outside the covered range [{lo:.6g}, {hi:.6g}]"
             )
-            pt = average_coefficients(model, obs, xi, meas)
-            with lock:
-                cache.setdefault(key, pt)
-            return cache[key]
+        return xq
 
-        def lift(extract):
-            def fn(x):
-                arr = np.asarray(x, dtype=float)
-                flat = arr.reshape(-1, model.n)
-                vals = np.stack([np.asarray(extract(point_for(row))) for row in flat])
-                return vals.reshape(arr.shape[:-1] + vals.shape[1:])
-            return fn
+    def bbar1(x):
+        return np.interp(guard_query(x), grid, b_tab)[..., None]
 
-        return HomogenizedModel(
-            n=model.n, d=obs.d, l_factor=model.n, x0=model.x0.copy(),
-            bbar1=lift(lambda p: p.bbar1),
-            abar=lift(lambda p: p.abar),
-            sigmabar1=lift(lambda p: factor_diffusion(p.abar)),
-            hbar=lift(lambda p: p.hbar),
-            f1=model.f1, nu1=model.nu1, mode=mode,
-            meta={"source": "on_demand", "n_samples": n_samples, "burn_in": burn_in,
-                  "stride": stride, "dt": dt},
-        )
+    def sigmabar1(x):
+        return np.sqrt(np.clip(np.interp(guard_query(x), grid, a_tab), 0.0, None))[..., None, None]
 
-    raise ValueError(f"unknown homogenization mode {mode!r}")
+    def hbar(x):
+        xq = guard_query(x)
+        cols = [np.interp(xq, grid, h_tab[:, j]) for j in range(h_tab.shape[1])]
+        return np.stack(cols, axis=-1)
+
+    return HomogenizedModel(
+        n=1, d=obs.d, l_factor=1, x0=model.x0.copy(),
+        bbar1=bbar1, sigmabar1=sigmabar1, hbar=hbar,
+        f1=model.f1, nu1=model.nu1, mode=mode,
+        meta={
+            "source": "lattice", "grid": grid.tolist(), "n_samples": n_samples,
+            "burn_in": burn_in, "stride": stride, "dt": dt, "guard_band": float(guard),
+        },
+    )

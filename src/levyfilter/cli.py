@@ -301,17 +301,13 @@ def _cmd_average(args) -> int:
     model, obs = preset.model, preset.observation
     if model.n != 1:
         raise ConfigError("--x grids are one-dimensional; use a config preset with n=1", key="x")
+    measure = estimate_invariant_measure(
+        model, np.asarray(xs)[:, None], burn_in=args.burn_in, n_samples=args.samples,
+        stride=args.stride, dt=args.dt, stream=RngStream(args.seed),
+    )
     rows = []
-    warnings: list[str] = []
-    root = RngStream(args.seed)
     for i, xv in enumerate(xs):
-        x = np.asarray([xv])
-        measure = estimate_invariant_measure(
-            model, x, burn_in=args.burn_in, n_samples=args.samples,
-            stride=args.stride, dt=args.dt, stream=root.child(i),
-        )
-        warnings.extend(measure.warnings)
-        pt = average_coefficients(model, obs, x, measure)
+        pt = average_coefficients(model, obs, [xv], measure.node(i))
         row = [xv, pt.bbar1[0], pt.se_bbar1[0]]
         row.extend(float(v) for v in pt.hbar)
         row.extend(float(v) for v in pt.se_hbar)
@@ -323,9 +319,9 @@ def _cmd_average(args) -> int:
               + [f"abar_{i}{j}" for i in range(model.n) for j in range(model.n)])
     _write_csv(out_dir / "averaged.csv", header, rows)
     meta = {
-        "mode": "exact_ou" if model.ou_fast is not None else "euler",
+        "mode": measure.mode,
         "n_samples": args.samples, "burn_in": args.burn_in, "stride": args.stride,
-        "warnings": sorted(set(warnings)),
+        "warnings": sorted(set(measure.warnings)),
     }
     (out_dir / "averaged.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out_dir / 'averaged.csv'} ({len(xs)} states)")
@@ -339,7 +335,7 @@ def _cmd_filter(args) -> int:
     _run_config(
         args, "filter", preset,
         mode=args.mode, T=args.T, dt=args.dt, particles=args.particles,
-        psi=[p.name for p in psis], ess_frac=args.ess_frac, homog_mode=args.homog_mode,
+        psi=[p.name for p in psis], ess_frac=args.ess_frac,
     ).write(out_dir)
     scheme = _scheme(args, preset.model)
     root = RngStream(args.seed)
@@ -348,9 +344,7 @@ def _cmd_filter(args) -> int:
     rec = path.observations()
     summary = {"modes": {}, "truth_terminal": [float(v) for v in path.X[-1]]}
     modes = ["full", "homog"] if args.mode == "both" else [args.mode]
-    hmodel = None
-    if "homog" in modes:
-        hmodel = build_homogenized(preset, mode=args.homog_mode, stream=root.child(2))
+    hmodel = build_homogenized(preset) if "homog" in modes else None
     width = None
     if args.mode == "both":
         from .filtering import FullDynamics
@@ -505,8 +499,6 @@ def build_parser() -> _Parser:
     p.add_argument("--psi", action="append", default=None,
                    help="functional(s): tanh, arctan, indicator(a,b), poly(c0,c1,c2)")
     p.add_argument("--ess-frac", type=float, default=0.5)
-    p.add_argument("--homog-mode", choices=["closed_form", "lattice", "on_demand"],
-                   default="closed_form")
     p.add_argument("--fast-mode", choices=["auto", "exact_ou", "euler"], default="auto")
     p.add_argument("--dt-fast", type=float, default=None)
     p.set_defaults(fn=_cmd_filter)

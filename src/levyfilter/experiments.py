@@ -65,7 +65,6 @@ def signal_convergence_study(
     dt_slow: float = 0.01,
     seed: int = 0,
     hmodel: HomogenizedModel | None = None,
-    homog_mode: str = "closed_form",
 ) -> list[dict]:
     """KS distance between terminal slow laws of the full and reduced models.
 
@@ -74,7 +73,7 @@ def signal_convergence_study(
     across rows.
     """
     if hmodel is None:
-        hmodel = build_homogenized(preset, mode=homog_mode)
+        hmodel = build_homogenized(preset)
     root = RngStream(int(seed))
     rows = []
     for i, eps in enumerate(epsilons):
@@ -115,7 +114,6 @@ def martingale_check(
     dt: float = 0.01,
     seed: int = 0,
     hmodel: HomogenizedModel | None = None,
-    homog_mode: str = "closed_form",
     inverse_runs: int | None = None,
 ) -> MartingaleReport:
     """Monte Carlo check that the likelihood has unit mean.
@@ -129,7 +127,7 @@ def martingale_check(
     peps = with_epsilon(preset, float(epsilon))
     model, obs = peps.model, peps.observation
     if hmodel is None:
-        hmodel = build_homogenized(peps, mode=homog_mode)
+        hmodel = build_homogenized(peps)
     root = RngStream(int(seed))
     scheme = default_scheme(model, dt)
     P = int(n_runs)
@@ -296,7 +294,6 @@ def filter_convergence_study(
     seed: int = 0,
     threads: int = 1,
     hmodel: HomogenizedModel | None = None,
-    homog_mode: str = "closed_form",
 ) -> ConvergenceReport:
     """Coupled comparison of the full filter and the reduced filter.
 
@@ -311,7 +308,7 @@ def filter_convergence_study(
     """
     psis = [p if isinstance(p, PsiSpec) else psi_from_string(p) for p in psis]
     if hmodel is None:
-        hmodel = build_homogenized(preset, mode=homog_mode)
+        hmodel = build_homogenized(preset)
     root = RngStream(int(seed))
     R = int(replications)
     rows = []
@@ -379,10 +376,9 @@ def convergence_study(
     threads: int = 1,
     signal_paths: int = 2000,
     martingale_runs: int = 2000,
-    homog_mode: str = "closed_form",
 ) -> ConvergenceReport:
     """Filter convergence plus signal-law KS and martingale diagnostics per epsilon."""
-    hmodel = build_homogenized(preset, mode=homog_mode)
+    hmodel = build_homogenized(preset)
     report = filter_convergence_study(
         preset, epsilons, replications, n_particles, psis, T, dt=dt,
         ess_frac=ess_frac, seed=seed, threads=threads, hmodel=hmodel,

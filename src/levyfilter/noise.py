@@ -3,9 +3,9 @@
 Every driving noise of every simulated path gets its own stream, addressed by
 an integer id.  Ids are allocated hierarchically: ``RngStream.child(key)``
 shifts the parent id up by 64 bits and packs ``key`` below it, so distinct
-(parent, key) pairs can never collide no matter how deep the derivation goes.  The bit stream behind a
-``(root_seed, stream_id, counter)`` triple is a pure function of those three
-integers; nothing here mutates global numpy state.
+(parent, key) pairs can never collide no matter how deep the derivation goes.
+The bit stream behind a ``(root_seed, stream_id)`` pair is a pure function of
+those two integers; nothing here mutates global numpy state.
 """
 
 from __future__ import annotations
@@ -45,28 +45,26 @@ class NoiseSource(IntEnum):
 
 @dataclass
 class RngStream:
-    """Counter-based handle on a reproducible random sequence.
+    """Handle on a reproducible random sequence, addressed by an integer id.
 
-    ``generator()`` is a pure function of ``(root_seed, stream_id, counter)``
-    and does not advance anything: calling it twice reproduces identical
-    draws.  Derived purposes get their own ``child()`` stream; an owner that
-    needs successive fresh batches draws them from one generator.
+    ``generator()`` is a pure function of ``(root_seed, stream_id)``: PCG64
+    over ``SeedSequence(root_seed, spawn_key=(stream_id, 0))``.  It does not
+    advance anything, so calling it twice reproduces identical draws.
+    Derived purposes get their own ``child()`` stream; an owner that needs
+    successive fresh batches draws them from one generator.
     """
 
     root_seed: int
     stream_id: int = 0
-    counter: int = 0
 
     def __post_init__(self):
         if not 0 <= int(self.root_seed) < _KEY_SPACE:
             raise ValueError(f"root_seed must be a 64-bit unsigned integer, got {self.root_seed}")
         if self.stream_id < 0:
             raise ValueError(f"stream_id must be non-negative, got {self.stream_id}")
-        if self.counter < 0:
-            raise ValueError(f"counter must be non-negative, got {self.counter}")
 
     def generator(self) -> np.random.Generator:
-        seq = np.random.SeedSequence(self.root_seed, spawn_key=(self.stream_id, self.counter))
+        seq = np.random.SeedSequence(self.root_seed, spawn_key=(self.stream_id, 0))
         return np.random.Generator(np.random.PCG64(seq))
 
     def child(self, key: int) -> "RngStream":
@@ -74,7 +72,7 @@ class RngStream:
         key = int(key)
         if not 0 <= key < _KEY_SPACE:
             raise ValueError(f"child key must lie in [0, 2**64), got {key}")
-        return RngStream(self.root_seed, (self.stream_id << _KEY_BITS) | key, 0)
+        return RngStream(self.root_seed, (self.stream_id << _KEY_BITS) | key)
 
 
 # ---------------------------------------------------------------------------

@@ -372,29 +372,43 @@ def simulate_frozen_fast(
     """Fast component at its own timescale with the slow state frozen at x.
 
     Plain Euler with compensated jumps; returns (times, Z) on the fine grid.
+    ``x`` is one state (n,), giving Z of shape (K+1, m), or a stack (G, n) of
+    states advanced together as one ensemble, giving Z of shape (G, K+1, m).
+    Node g of a stack draws from ``stream.child(g)`` and its path Z[g] is the
+    one a single-state call on that stream returns: one state runs as a stack
+    of one, and every operation acts on each node's row alone.
     """
     times = make_grid(T, dt)
     K = len(times) - 1
-    x = np.asarray(x, dtype=float).reshape(model.n)
-    dW = brownian_increments(stream.child(NoiseSource.FAST_BROWNIAN), model.l2, dt, K)
-    events = (
-        sample_poisson_jumps(stream.child(NoiseSource.FAST_JUMPS), model.nu2, T)
-        if model.nu2.total_intensity > 0 else []
-    )
-    ev_step = _bin_events(events, times)
-    Z = np.empty((K + 1, model.m))
-    Z[0] = np.asarray(z_init, dtype=float).reshape(model.m)
+    x = np.asarray(x, dtype=float)
+    stack = x.ndim == 2
+    x = x.reshape(len(x) if stack else 1, model.n)
+    streams = [stream.child(g) for g in range(len(x))] if stack else [stream]
+    dW = np.empty((K, len(x), model.l2))
+    for g, s in enumerate(streams):
+        dW[:, g] = brownian_increments(s.child(NoiseSource.FAST_BROWNIAN), model.l2, dt, K)
     has_jumps = model.f2 is not None and model.nu2.total_intensity > 0
+    kicks: dict = {}   # step -> [(node, mark)] in node, then time order
+    for g, s in enumerate(streams if has_jumps else []):
+        events = sample_poisson_jumps(s.child(NoiseSource.FAST_JUMPS), model.nu2, T)
+        for k, ev in zip(_bin_events(events, times), events):
+            kicks.setdefault(k, []).append((g, ev.mark))
+    # node-major, so every node's path Z[g] has the memory layout of a single
+    # state's and later elementwise math on its samples takes the same numpy loops
+    Z = np.empty((len(x), K + 1, model.m))
+    Z[:, 0] = np.asarray(z_init, dtype=float).reshape(model.m)
     for k in range(K):
-        z = Z[k]
+        z = Z[:, k]
         z_new = fast_euler_substep(model, x, z, dW[k], dt)
         if has_jumps:
-            z_new = z_new - dt * model.nu2.integrate(lambda u: model.f2(x, z, u))
-            for idx in np.nonzero(ev_step == k)[0]:
-                z_new = z_new + model.f2(x, z, events[idx].mark[None, :])[0]
-        Z[k + 1] = z_new
+            # per node, so each node's compensator is its single-state value bitwise
+            for g in range(len(x)):
+                z_new[g] -= dt * model.nu2.integrate(lambda u: model.f2(x[g], z[g], u))
+            for g, mark in kicks.get(k, ()):
+                z_new[g] += model.f2(x[g], z[g], mark[None, :])[0]
+        Z[:, k + 1] = z_new
         _check_finite((z_new,), times[k + 1])
-    return times, Z
+    return times, (Z if stack else Z[0])
 
 
 def simulate_reference_observations(

@@ -163,29 +163,67 @@ def test_build_homogenized_lattice_interpolates(example6):
         hm.bbar1(np.array([[5.0]]))
 
 
-def test_build_homogenized_on_demand_caches(example6):
-    hm = build_homogenized(
-        example6, mode="on_demand", stream=RngStream(13),
-        burn_in=5.0, n_samples=4000, stride=5, dt=0.01,
-    )
-    x = np.array([[0.4]])
-    first = hm.bbar1(x).copy()
-    second = hm.bbar1(x)
-    np.testing.assert_array_equal(first, second)   # cached, not re-estimated
-    assert abs(hm.hbar(x)[0, 0] - math.atan(0.4)) < 0.05
+def test_build_homogenized_has_two_routes(example6):
+    with pytest.raises(ValueError, match="unknown homogenization mode"):
+        build_homogenized(example6, mode="on_demand")
+    cfg = preset_to_config(example6)
+    cfg["model"]["closed_form"] = None
+    with pytest.raises(ValueError, match="closed-form"):
+        build_homogenized(preset_from_config(cfg))
 
 
-def test_on_demand_streams_separate_nearby_negative_points(example6):
-    # x = -1e-6 and -2e-6 round to the keys (-1,) and (-2,), whose CPython
-    # hashes coincide; each key must still get its own chain
-    hm = build_homogenized(
-        example6, mode="on_demand", stream=RngStream(13),
-        burn_in=1.0, n_samples=1000, stride=5, dt=0.01,
-    )
-    a = hm.bbar1(np.array([[-1e-6]]))
-    b = hm.bbar1(np.array([[-2e-6]]))
-    assert not np.array_equal(a, b)
-    np.testing.assert_array_equal(hm.bbar1(np.array([[-1e-6], [-2e-6]])), np.concatenate([a, b]))
+def _without_ou(preset, **model_fields):
+    cfg = copy.deepcopy(preset_to_config(preset))
+    cfg["model"].pop("ou_fast")
+    cfg["model"].update(model_fields)
+    return preset_from_config(cfg)
+
+
+@pytest.fixture(scope="module")
+def route_presets(example6):
+    return {
+        "exact_ou": example6,
+        "euler": _without_ou(example6),
+        # two fast noise columns: the diffusion product sums over them
+        "euler_2d_noise": _without_ou(example6, l2=2, sigma2=[["1.2", "0.4*cos(z[0])"]]),
+        # fast jumps: the frozen chain's compensator and event branch
+        "euler_jumps": _without_ou(
+            example6, f2=["0.5*u[0] - 0.1*z[0]"], nu2={"intensity": 2.0, "marks": "gauss(0,1)"},
+        ),
+    }
+
+
+@pytest.mark.parametrize("route", ["exact_ou", "euler", "euler_2d_noise", "euler_jumps"])
+@settings(max_examples=6, deadline=None)
+@given(
+    xs=hnp.arrays(np.float64, st.tuples(st.integers(1, 4), st.just(1)),
+                  elements=st.floats(-3, 3, allow_nan=False)),
+    seed=st.integers(0, 2**32),
+)
+def test_stacked_nodes_match_single_state_chains(route_presets, route, xs, seed):
+    preset = route_presets[route]
+    model, obs = preset.model, preset.observation
+    stream = RngStream(seed)
+    kw = dict(burn_in=0.5, n_samples=1000, stride=2, dt=0.01)
+    stack = estimate_invariant_measure(model, xs, stream=stream, **kw)
+    warnings = []
+    for g in range(len(xs)):
+        single = estimate_invariant_measure(model, xs[g], stream=stream.child(g), **kw)
+        node = stack.node(g)
+        assert node.mode == single.mode == ("exact_ou" if route == "exact_ou" else "euler")
+        assert node.frozen_x.tobytes() == single.frozen_x.tobytes()
+        assert node.samples.tobytes() == single.samples.tobytes()
+        assert node.warnings == single.warnings
+        warnings += single.warnings
+        got = average_coefficients(model, obs, xs[g], node)
+        want = average_coefficients(model, obs, xs[g], single)
+        for name in ("bbar1", "abar", "hbar", "se_bbar1", "se_hbar"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    assert stack.warnings == warnings
+    if route == "euler_jumps":   # the jumps reach the chain
+        plain = route_presets["euler"].model
+        without = estimate_invariant_measure(plain, xs[0], stream=stream.child(0), **kw)
+        assert not np.array_equal(without.samples, stack.node(0).samples)
 
 
 def test_stationarity_warning_on_transient_chain(example6):

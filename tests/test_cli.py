@@ -188,6 +188,23 @@ def test_validation_failures_exit_nonzero(tmp_path, capsys):
     assert (tmp_path / "o" / "validation.json").exists()  # report still written
 
 
+def test_homog_mode_option_is_gone(tmp_path, capsys):
+    rc = main(["filter", "--mode", "homog", "--homog-mode", "x", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert "--homog-mode" in capsys.readouterr().err
+
+
+def test_homog_filter_without_closed_form_is_a_config_error(tmp_path, capsys):
+    cfg_path = _write_config(tmp_path, lambda c: c["model"].pop("closed_form"))
+    rc = main([
+        "filter", "--config", str(cfg_path), "--mode", "homog", "--T", "0.1", "--dt", "0.02",
+        "--particles", "10", "--out", str(tmp_path / "o"),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "closed-form averages" in err
+
+
 def test_invalid_thread_env_is_a_config_error(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("LEVYFILTER_THREADS", "many")
     rc = main(_converge_args(tmp_path / "t", threads=1))

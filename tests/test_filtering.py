@@ -386,7 +386,6 @@ def _linear_reduced_model(preset):
         l_factor=1,
         x0=model.x0.copy(),
         bbar1=vector_field(["0.0 - 1.0*x[0]"], ("x",)),
-        abar=None,
         sigmabar1=matrix_field([[repr(sigma)]], ("x",)),
         hbar=vector_field(["x[0]"], ("x",)),
         f1=None,

@@ -54,6 +54,15 @@ def test_child_stream_matches_packed_id():
     )
 
 
+@given(root=st.integers(0, 2**64 - 1), stream_id=st.integers(0, 2**130))
+def test_stream_bits_are_pcg64_over_the_spawn_key(root, stream_id):
+    want = np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence(root, spawn_key=(stream_id, 0)))
+    )
+    got = RngStream(root, stream_id).generator()
+    assert np.array_equal(got.standard_normal(6), want.standard_normal(6))
+
+
 @pytest.mark.parametrize(
     "spec,kind,dim",
     [

@@ -33,6 +33,7 @@ from .filtering import (
     psi_from_string,
     resample,
     run_filter,
+    run_filter_batch,
 )
 from .models import (
     PRESETS,
@@ -93,7 +94,7 @@ __all__ = [
     "ModelViolationError", "StiffnessError", "UnsupportedMeasureError",
     "Expr", "matrix_field", "vector_field",
     "FilterOutput", "ParticleEnsemble", "PsiSpec", "init_ensemble",
-    "psi_from_string", "resample", "run_filter",
+    "psi_from_string", "resample", "run_filter", "run_filter_batch",
     "PRESETS", "ClosedFormFacts", "ModelPreset", "ObservationModel", "OuFast",
     "SlowFastModel", "ThinningLaw", "build_example6", "load_config",
     "make_linear_gaussian", "preset_from_config", "preset_to_config",

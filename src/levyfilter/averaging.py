@@ -56,10 +56,6 @@ class EmpiricalMeasure:
             warnings=_stationarity_warnings(self.samples[g]),
         )
 
-    @property
-    def spacing(self) -> float:
-        return self.stride * self.dt
-
     def mean(self) -> np.ndarray:
         return self.samples.mean(axis=0)
 

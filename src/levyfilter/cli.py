@@ -373,8 +373,9 @@ def _cmd_converge(args) -> int:
     out_dir = Path(args.out)
     psis = _psi_list(args)
     epsilons = [float(v) for v in _split_top_level(args.eps)]
-    if not epsilons:
-        raise ConfigError("--eps needs at least one value", key="eps")
+    if len(epsilons) < 2:
+        raise ConfigError("--eps needs at least two values (the plots draw a line over eps)",
+                          key="eps")
     threads = _threads(args)
     _run_config(
         args, "converge", preset,

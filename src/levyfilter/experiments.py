@@ -2,9 +2,12 @@
 diagnostics, a linear-Gaussian oracle, and filter convergence as the
 timescale separation vanishes.
 
-Replicated studies parallelize over replications with a thread pool, but
-every replication derives its own stream from (study seed, epsilon index,
-replication index) and results are gathered by index, so the numbers are
+The filter study runs its replications as the rows of one batched filter
+pass per (epsilon, mode); with several workers the rows split into
+contiguous blocks, one batched pass each, on a thread pool.  Every
+replication derives its own stream from (study seed, epsilon index,
+replication index), a filter row does not depend on the other rows of its
+block, and results are gathered in replication order, so the numbers are
 byte-identical for any worker count.
 """
 
@@ -13,6 +16,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -24,6 +28,7 @@ from .filtering import (
     _log_thinning,
     psi_from_string,
     run_filter,
+    run_filter_batch,
 )
 from .models import ModelPreset, make_linear_gaussian, with_epsilon
 from .noise import RngStream
@@ -282,6 +287,15 @@ class ConvergenceReport:
         return [row[key] for row in self.rows]
 
 
+def _check_replications(replications: int) -> int:
+    R = int(replications)
+    if R < 2:
+        raise ValueError(
+            f"replications must be at least 2 (the gap SE and the KS distance need two), got {R}"
+        )
+    return R
+
+
 def filter_convergence_study(
     preset: ModelPreset,
     epsilons,
@@ -302,47 +316,46 @@ def filter_convergence_study(
     propagation-noise stream (common random numbers: the reduced filter reads
     the same slow-Brownian columns the full filter uses), which strips most
     particle noise out of the terminal gap |pi_full(psi) - pi_homog(psi)|.
+    The replications are the rows of one batched filter pass per epsilon and
+    mode; ``threads`` > 1 splits them into at most that many contiguous
+    blocks, each one batched pass on a thread pool, with identical results.
     Reported per epsilon: the mean coupled gap and its SE per functional, and
     the KS distance between the replication samples of the two terminal
     estimates (a coupling-free, distribution-level comparison).
     """
+    R = _check_replications(replications)
     psis = [p if isinstance(p, PsiSpec) else psi_from_string(p) for p in psis]
     if hmodel is None:
         hmodel = build_homogenized(preset)
     root = RngStream(int(seed))
-    R = int(replications)
+    blocks = np.array_split(np.arange(R), min(max(1, int(threads)), R))
+
+    def run_block(ie: int, peps: ModelPreset, block) -> tuple[np.ndarray, np.ndarray]:
+        scheme = default_scheme(peps.model, dt)
+        rep_streams = [root.child(ie).child(int(r)) for r in block]
+        recs = [
+            simulate_full(peps.model, peps.observation, T, scheme, s.child(0)).observations()
+            for s in rep_streams
+        ]
+        common = dict(
+            preset=peps, n_particles=n_particles, psis=psis,
+            streams=[s.child(1) for s in rep_streams], ess_frac=ess_frac,
+            noise_width=FullDynamics(peps.model, scheme).noise_width,
+        )
+        out_full = run_filter_batch(recs, "full", scheme=scheme, **common)
+        out_homog = run_filter_batch(recs, "homog", hmodel=hmodel, **common)
+        return np.array([o.pi[-1] for o in out_full]), np.array([o.pi[-1] for o in out_homog])
+
     rows = []
     for ie, eps in enumerate(epsilons):
-        peps = with_epsilon(preset, float(eps))
-        scheme = default_scheme(peps.model, dt)
-        width = FullDynamics(peps.model, scheme).noise_width
-
-        def one_rep(r: int, peps=peps, scheme=scheme, width=width, ie=ie):
-            rep_stream = root.child(ie).child(r)
-            path = simulate_full(peps.model, peps.observation, T, scheme, rep_stream.child(0))
-            rec = path.observations()
-            out_full = run_filter(
-                rec, mode="full", preset=peps, n_particles=n_particles, psis=psis,
-                stream=rep_stream.child(1), scheme=scheme, ess_frac=ess_frac,
-                noise_width=width,
-            )
-            out_homog = run_filter(
-                rec, mode="homog", preset=peps, hmodel=hmodel, n_particles=n_particles,
-                psis=psis, stream=rep_stream.child(1), ess_frac=ess_frac,
-                noise_width=width,
-            )
-            return out_full.pi[-1], out_homog.pi[-1]
-
-        full_T = np.empty((R, len(psis)))
-        homog_T = np.empty((R, len(psis)))
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                for r, (pf, ph) in enumerate(pool.map(one_rep, range(R))):
-                    full_T[r], homog_T[r] = pf, ph
+        one_block = partial(run_block, ie, with_epsilon(preset, float(eps)))
+        if len(blocks) > 1:
+            with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
+                results = list(pool.map(one_block, blocks))
         else:
-            for r in range(R):
-                full_T[r], homog_T[r] = one_rep(r)
-
+            results = [one_block(blocks[0])]
+        full_T = np.concatenate([full for full, _ in results])
+        homog_T = np.concatenate([homog for _, homog in results])
         gaps = np.abs(full_T - homog_T)
         rows.append({
             "epsilon": float(eps),
@@ -378,6 +391,7 @@ def convergence_study(
     martingale_runs: int = 2000,
 ) -> ConvergenceReport:
     """Filter convergence plus signal-law KS and martingale diagnostics per epsilon."""
+    _check_replications(replications)
     hmodel = build_homogenized(preset)
     report = filter_convergence_study(
         preset, epsilons, replications, n_particles, psis, T, dt=dt,

@@ -14,10 +14,14 @@ small-region events enter the weights: with the acceptance law constant on
 the complement region the large-jump factor is state-independent and cancels
 from every normalized estimate.
 
-Propagation noise comes from one stream per (run stream, resample
-generation): each step draws the next (N, width) block from it, one row per
-particle in particle order, so the output is independent of how the work is
-scheduled.
+The filter runs R observation records at once on (R, N, .) ensembles, one
+row per record: propagation, the weight update and the estimates are array
+operations over every row, while each row keeps its own observation events,
+resample decisions and noise.  Propagation noise comes from one stream per
+(row's run stream, row's resample generation): each step draws the next
+(N, width) block from it, one line per particle in particle order, so a row's
+output is the single-record filter's, independent of which rows share its
+stack and of how the work is scheduled.
 """
 
 from __future__ import annotations
@@ -102,54 +106,88 @@ def psi_from_string(spec: str) -> PsiSpec:
 
 @dataclass
 class ParticleEnsemble:
-    """State arrays plus the propagation-noise stream that drives them.
+    """State arrays of one or more observation records plus their noise streams.
 
-    Each resample generation draws its noise from one generator, built on
-    first use from the child stream (PARTICLES, resample generation) of the
-    run stream; ``resample`` drops it so the next generation is re-keyed.
-    Successive draws of one generator equal the rows of a single large draw,
-    so step k of a generation gets row k of a (K, N, width) block of standard
-    normals, rows in particle order: values depend only on (run stream,
-    resample generation, step within the generation).
+    Arrays carry the row axes ``rows`` in front of the particle axis: () for
+    one record, (R,) for a stack of R records advanced together.  ``streams``
+    and ``resample_count`` are arrays of shape ``rows`` holding each row's run
+    stream and resample generation.  Each row and resample generation draws
+    its noise from one generator, built on first use from the child stream
+    (PARTICLES, resample generation) of the row's run stream; ``resample``
+    drops it so the row's next generation is re-keyed.  Successive draws of
+    one generator equal the rows of a single large draw, so step k of a
+    generation gets row k of a (K, N, width) block of standard normals, rows
+    in particle order: a row's values depend only on (its run stream, its
+    resample generation, step within the generation), never on the other rows.
     """
 
-    x: np.ndarray                      # (N, n)
-    z: np.ndarray | None               # (N, m) in full mode, None in homog mode
-    log_weights: np.ndarray            # (N,)
+    x: np.ndarray                      # (*rows, N, n)
+    z: np.ndarray | None               # (*rows, N, m) in full mode, None in homog mode
+    log_weights: np.ndarray            # (*rows, N)
     time: float
-    base_stream: RngStream
-    resample_count: int = 0
+    streams: np.ndarray                # (*rows,) RngStream objects
+    resample_count: np.ndarray         # (*rows,) ints
     _noise_width: int = 1
-    _noise: np.random.Generator | None = field(default=None, repr=False)
+    _noise: np.ndarray | None = field(default=None, repr=False)  # (*rows,) generators
+
+    @property
+    def rows(self) -> tuple:
+        return self.log_weights.shape[:-1]
 
     @property
     def n_particles(self) -> int:
-        return self.x.shape[0]
+        return self.log_weights.shape[-1]
 
     def next_noise(self) -> np.ndarray:
-        """(N, width) standard normals for one step, from the generation's stream."""
+        """(*rows, N, width) standard normals for one step, each row from its
+        generation's stream."""
         if self._noise is None:
-            stream = self.base_stream.child(NoiseSource.PARTICLES).child(self.resample_count)
-            self._noise = stream.generator()
-        return self._noise.standard_normal((self.n_particles, self._noise_width))
+            self._noise = np.full(self.rows, None, dtype=object)
+        out = np.empty(self.rows + (self.n_particles, self._noise_width))
+        for i, block in enumerate(out.reshape(-1, self.n_particles, self._noise_width)):
+            gen = self._noise.flat[i]
+            if gen is None:
+                stream = self.streams.flat[i].child(NoiseSource.PARTICLES)
+                gen = stream.child(int(self.resample_count.flat[i])).generator()
+                self._noise.flat[i] = gen
+            gen.standard_normal(out=block)
+        return out
 
 
 def init_ensemble(
     n_particles: int,
     x0: np.ndarray,
     z0: np.ndarray | None,
-    stream: RngStream,
+    stream: RngStream | list[RngStream],
     noise_width: int,
 ) -> ParticleEnsemble:
+    """N particles at (x0, z0) with equal weights.
+
+    ``stream`` is one run stream, or a list of R run streams for a stack of R
+    records whose arrays gain a leading row axis of length R.
+    """
     if n_particles < 1:
         raise ValueError("need at least one particle")
-    x0 = np.asarray(x0, dtype=float)
+    if isinstance(stream, RngStream):
+        streams = np.empty((), dtype=object)
+        streams[()] = stream
+    else:
+        streams = np.empty(len(stream), dtype=object)
+        streams[:] = list(stream)
+        if streams.size == 0:
+            raise ValueError("need at least one run stream")
+    rows = streams.shape
+
+    def tile(v):
+        return np.tile(np.asarray(v, dtype=float), rows + (n_particles, 1))
+
     return ParticleEnsemble(
-        x=np.tile(x0, (n_particles, 1)),
-        z=None if z0 is None else np.tile(np.asarray(z0, dtype=float), (n_particles, 1)),
-        log_weights=np.zeros(n_particles),
+        x=tile(x0),
+        z=None if z0 is None else tile(z0),
+        log_weights=np.zeros(rows + (n_particles,)),
         time=0.0,
-        base_stream=stream,
+        streams=streams,
+        resample_count=np.zeros(rows, dtype=int),
         _noise_width=noise_width,
     )
 
@@ -182,11 +220,11 @@ class FullDynamics:
     def step(self, ens: ParticleEnsemble, dt: float):
         m = self.model
         col = ens.next_noise()
-        dV = col[:, : m.l1] * math.sqrt(dt)
+        dV = col[..., : m.l1] * math.sqrt(dt)
         if self.dt_fast is None:
-            fast_noise = col[:, m.l1: m.l1 + 1]
+            fast_noise = col[..., m.l1: m.l1 + 1]
         else:
-            dW = col[:, m.l1:].reshape(-1, self.scheme.substeps, m.l2)
+            dW = col[..., m.l1:].reshape(col.shape[:-1] + (self.scheme.substeps, m.l2))
             fast_noise = dW * math.sqrt(self.dt_fast / m.epsilon)
         ens.x, ens.z = signal_step(m, self.dt_fast, ens.x, ens.z, dV, fast_noise, dt)
 
@@ -210,7 +248,7 @@ class HomogDynamics:
     def step(self, ens: ParticleEnsemble, dt: float):
         h = self.hmodel
         col = ens.next_noise()
-        dV = col[:, : h.l_factor] * math.sqrt(dt)
+        dV = col[..., : h.l_factor] * math.sqrt(dt)
         ens.x = euler_step(ens.x, h.bbar1(ens.x), h.sigmabar1(ens.x), dV, dt)
 
 
@@ -314,53 +352,61 @@ def _batch_log_weight(
 def estimate(ens: ParticleEnsemble, psis: list[PsiSpec]) -> dict:
     """Normalized estimates, unnormalized mass, and effective sample size.
 
-    pi(psi) is a convex combination of psi values, so it stays inside the
-    functional's declared range; psi identically one yields exactly 1.0
-    because numerator and denominator are then the same float reduction.
+    Each row of the ensemble reduces along its particle axis on its own:
+    ``pi`` has shape (*rows, n_psi), ``log_rho1`` and ``ess`` shape ``rows``
+    (floats for a single record).  pi(psi) is a convex combination of psi
+    values, so it stays inside the functional's declared range; psi
+    identically one yields exactly 1.0 because numerator and denominator are
+    then the same float reduction.
     """
     logw = ens.log_weights
     if not np.all(np.isfinite(logw)):
         raise ModelViolationError("non-finite log-weights in the ensemble")
-    mx = float(logw.max())
+    mx = logw.max(axis=-1, keepdims=True)
     w = np.exp(logw - mx)
-    den = float(np.sum(w))
-    pi = np.empty(len(psis))
+    den = w.sum(axis=-1)
+    pi = np.empty(ens.rows + (len(psis),))
     for i, psi in enumerate(psis):
-        pi[i] = float(np.sum(w * psi(ens.x))) / den
-    log_rho1 = mx + math.log(den / len(w))
-    ess = den * den / float(np.sum(w * w))
-    return {"pi": pi, "log_rho1": log_rho1, "ess": ess}
+        pi[..., i] = (w * psi(ens.x)).sum(axis=-1) / den
+    # math.log per row, as resample uses, so both agree on the mass level bitwise
+    mass = [m + math.log(d / ens.n_particles) for m, d in zip(mx.flat, den.flat)]
+    ess = den * den / (w * w).sum(axis=-1)
+    if not ens.rows:
+        return {"pi": pi, "log_rho1": float(mass[0]), "ess": float(ess)}
+    return {"pi": pi, "log_rho1": np.array(mass), "ess": ess}
 
 
-def resample(ens: ParticleEnsemble) -> ParticleEnsemble:
-    """Systematic resampling; preserves the unnormalized mass exactly.
+def resample(ens: ParticleEnsemble, row: tuple | int = ()) -> ParticleEnsemble:
+    """Systematic resampling of one row; preserves its unnormalized mass exactly.
 
-    Offspring counts of a weight p differ from N p by less than one in either
-    direction.  Survivors keep equal log-weights at the current mass level,
-    and the ensemble is re-keyed to the stream of the new resample
-    generation, so the future noise of survivor copies is independent.
+    ``row`` indexes the row axes (the default () is the whole ensemble of a
+    single record).  Offspring counts of a weight p differ from N p by less
+    than one in either direction.  Survivors keep equal log-weights at the
+    current mass level, and the row is re-keyed to the stream of its new
+    resample generation, so the future noise of survivor copies is
+    independent.  Other rows are untouched.
     """
     N = ens.n_particles
-    logw = ens.log_weights
+    logw = ens.log_weights[row]
     mx = float(logw.max())
     w = np.exp(logw - mx)
     den = float(np.sum(w))
     log_rho1 = mx + math.log(den / N)
     p = w / den
-    offsets_gen = (
-        ens.base_stream.child(NoiseSource.RESAMPLING).child(ens.resample_count).generator()
-    )
+    generation = int(ens.resample_count[row])
+    offsets_gen = ens.streams[row].child(NoiseSource.RESAMPLING).child(generation).generator()
     u0 = offsets_gen.uniform()
     positions = (u0 + np.arange(N)) / N
     cdf = np.cumsum(p)
     cdf[-1] = 1.0  # guard against cumulative roundoff at the top end
     idx = np.searchsorted(cdf, positions, side="left")
-    ens.x = ens.x[idx].copy()
+    ens.x[row] = ens.x[row][idx]
     if ens.z is not None:
-        ens.z = ens.z[idx].copy()
-    ens.log_weights = np.full(N, log_rho1)
-    ens.resample_count += 1
-    ens._noise = None
+        ens.z[row] = ens.z[row][idx]
+    ens.log_weights[row] = log_rho1
+    ens.resample_count[row] = generation + 1
+    if ens._noise is not None:
+        ens._noise[row] = None
     return ens
 
 
@@ -410,15 +456,42 @@ def run_filter(
 ) -> FilterOutput:
     """Run the particle filter along one observation record.
 
+    A stack of one for ``run_filter_batch``, which documents the arguments;
+    the output is a deterministic function of (observations, parameters,
+    stream).
+    """
+    return run_filter_batch(
+        [observations], mode, preset, n_particles, psis, [stream], hmodel=hmodel,
+        scheme=scheme, ess_frac=ess_frac, noise_width=noise_width,
+    )[0]
+
+
+def run_filter_batch(
+    records: list[ObservationRecord],
+    mode: str,
+    preset: ModelPreset,
+    n_particles: int,
+    psis: list,
+    streams: list[RngStream],
+    hmodel: HomogenizedModel | None = None,
+    scheme: StepScheme | None = None,
+    ess_frac: float = 0.5,
+    noise_width: int | None = None,
+) -> list[FilterOutput]:
+    """Run one particle filter per observation record, all records advanced together.
+
+    Record r gets an ensemble row of ``n_particles`` particles driven by its
+    own run stream ``streams[r]``; the rows share only the time grid, so row r
+    of the output is bitwise the filter of record r alone on stream r, and the
+    per-step Python overhead is paid once per step instead of once per record.
     ``mode='full'`` propagates the two-timescale signal; ``mode='homog'``
     propagates the reduced model (``hmodel`` required) and evaluates the
     averaged sensor in the weights.  One propagation step is taken per
-    observation step.  Resampling is triggered after the weight update when
+    observation step.  A row resamples after the weight update when its
     ESS < ess_frac * N.  ``noise_width`` can widen each step's (N, width)
     noise block (one row per particle) beyond what the dynamics consume, which
     lets a full and a reduced filter share their slow-noise columns for
-    coupled comparisons.  Output is a deterministic function of
-    (observations, parameters, stream).
+    coupled comparisons.
     """
     if mode not in ("full", "homog"):
         raise ValueError(f"mode must be 'full' or 'homog', got {mode!r}")
@@ -426,12 +499,18 @@ def run_filter(
         raise ValueError(f"ess_frac must lie in (0, 1], got {ess_frac}")
     if not psis:
         raise ValueError("need at least one test functional")
+    if not records or len(records) != len(streams):
+        raise ValueError(
+            f"need one run stream per record, got {len(records)} records and {len(streams)} streams"
+        )
     psis = [p if isinstance(p, PsiSpec) else psi_from_string(p) for p in psis]
     obs = preset.observation
-    K = observations.steps
-    dt = observations.dt
-    grid_gaps = np.diff(observations.times)
-    if np.max(np.abs(grid_gaps - dt)) > 1e-9 * max(1.0, dt):
+    times = records[0].times
+    if any(not np.array_equal(rec.times, times) for rec in records[1:]):
+        raise ValueError("the observation records must share one time grid")
+    K = records[0].steps
+    dt = records[0].dt
+    if np.max(np.abs(np.diff(times) - dt)) > 1e-9 * max(1.0, dt):
         raise ValueError("observation grid is not uniform")
 
     if mode == "full":
@@ -457,47 +536,57 @@ def run_filter(
         raise ValueError(
             f"noise_width={width} is narrower than the dynamics need ({dynamics.noise_width})"
         )
-    ens = init_ensemble(n_particles, x0, z0, stream, width)
+    R = len(records)
+    ens = init_ensemble(n_particles, x0, z0, list(streams), width)
 
-    small_idx = observations.small_step_index()
-    order = np.argsort(small_idx, kind="stable")
-    small_idx = small_idx[order]
-    ev_times = observations.small_times[order]
-    ev_marks = observations.small_marks[order]
+    # small-region events of step k as (row, times, marks), in record order
+    events: list[list] = [[] for _ in range(K)]
+    for r, rec in enumerate(records):
+        step_of_event = rec.small_step_index()
+        for k in np.flatnonzero(np.bincount(step_of_event, minlength=K)[:K]):
+            mine = step_of_event == k
+            events[k].append((r, rec.small_times[mine], rec.small_marks[mine]))
+    d_bbar = np.stack([rec.bbar_increments for rec in records], axis=1)[:, :, None, :]  # (K, R, 1, d)
+    no_t, no_u = np.zeros(0), np.zeros((0, obs.nu3_small.mark_dim))
 
-    times = observations.times
-    n_psi = len(psis)
-    pi = np.empty((K + 1, n_psi))
-    log_rho1 = np.empty(K + 1)
-    ess_series = np.empty(K + 1)
-    resample_steps: list[int] = []
+    # step-major series, one line per step with a column per row
+    pi = np.empty((K + 1, R, len(psis)))
+    log_rho1 = np.empty((K + 1, R))
+    ess_series = np.empty((K + 1, R))
+    resample_steps: list[list[int]] = [[] for _ in range(R)]
+    threshold = ess_frac * n_particles
 
-    row = estimate(ens, psis)
-    pi[0], log_rho1[0], ess_series[0] = row["pi"], row["log_rho1"], row["ess"]
+    est = estimate(ens, psis)
+    pi[0], log_rho1[0], ess_series[0] = est["pi"], est["log_rho1"], est["ess"]
 
-    lo = 0
     for k in range(K):
         propagate(ens, dynamics, dt)
-        hi = lo
-        while hi < len(small_idx) and small_idx[hi] == k:
-            hi += 1
         if mode == "full":
             h_vals = np.asarray(obs.h(ens.x, ens.z), dtype=float)
         else:
             h_vals = np.asarray(sensor(ens.x), dtype=float)
-        ens.log_weights = ens.log_weights + _batch_log_weight(
-            obs, h_vals, ens.x, observations.bbar_increments[k], dt,
-            float(times[k + 1]), ev_times[lo:hi], ev_marks[lo:hi],
-        )
-        lo = hi
-        row = estimate(ens, psis)
-        pi[k + 1], log_rho1[k + 1], ess_series[k + 1] = row["pi"], row["log_rho1"], row["ess"]
-        if row["ess"] < ess_frac * n_particles and k < K - 1:
-            resample(ens)
-            resample_steps.append(k + 1)
+        t_right = float(times[k + 1])
+        incr = _batch_log_weight(obs, h_vals, ens.x, d_bbar[k], dt, t_right, no_t, no_u)
+        # a row with events sees them charged before its compensator term,
+        # exactly as a single-record kernel call orders the sum
+        for r, ev_t, ev_m in events[k]:
+            incr[r] = _batch_log_weight(
+                obs, h_vals[r], ens.x[r], d_bbar[k, r, 0], dt, t_right, ev_t, ev_m
+            )
+        ens.log_weights += incr
+        est = estimate(ens, psis)
+        pi[k + 1], log_rho1[k + 1], ess_series[k + 1] = est["pi"], est["log_rho1"], est["ess"]
+        if k < K - 1:
+            for r, ess in enumerate(est["ess"].tolist()):
+                if ess < threshold:
+                    resample(ens, r)
+                    resample_steps[r].append(k + 1)
 
-    return FilterOutput(
-        times=times.copy(), psi_names=[p.name for p in psis], pi=pi,
-        log_rho1=log_rho1, ess=ess_series, resample_steps=resample_steps,
-        mode=mode, n_particles=n_particles,
-    )
+    return [
+        FilterOutput(
+            times=times.copy(), psi_names=[p.name for p in psis], pi=pi[:, r].copy(),
+            log_rho1=log_rho1[:, r].copy(), ess=ess_series[:, r].copy(),
+            resample_steps=resample_steps[r], mode=mode, n_particles=n_particles,
+        )
+        for r in range(R)
+    ]

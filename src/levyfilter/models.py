@@ -181,7 +181,6 @@ class ObservationModel:
     nu3_small: LevyMeasureSpec
     nu3_large: LevyMeasureSpec
     h_bound: float | None = None
-    vectorized: bool = True
 
     def __post_init__(self):
         if self.d < 1:

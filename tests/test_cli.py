@@ -126,6 +126,22 @@ def test_converge_is_thread_count_invariant(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+@pytest.mark.parametrize("flag, value, key", [
+    ("--replications", "1", "replications"),
+    ("--replications", "0", "replications"),
+    ("--eps", "0.5", "eps"),
+])
+def test_converge_rejects_a_study_too_small_to_report(tmp_path, capsys, flag, value, key):
+    out = tmp_path / "conv"
+    args = _converge_args(out, threads=1)
+    args[args.index(flag) + 1] = value
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
+    written = {p.name for p in out.iterdir()} if out.exists() else set()
+    assert written <= {"config.json"}
+
+
 def test_config_file_round_trips_through_cli(tmp_path):
     cfg_path = _write_config(tmp_path)
     out = tmp_path / "sim"

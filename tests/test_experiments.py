@@ -211,6 +211,19 @@ def test_filter_convergence_study_thread_invariance():
         assert np.all(np.isfinite(row["se_gap"]))
 
 
+@pytest.mark.parametrize("replications", [1, 0])
+@pytest.mark.parametrize("study", [filter_convergence_study, convergence_study])
+def test_convergence_studies_need_two_replications(study, replications, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the study started work before rejecting its replications")
+
+    monkeypatch.setattr("levyfilter.experiments.build_homogenized", no_work)
+    monkeypatch.setattr("levyfilter.experiments.simulate_full", no_work)
+    with pytest.raises(ValueError, match="replications must be at least 2"):
+        study(PRESETS["example6"](), [0.5, 0.1], replications=replications,
+              n_particles=16, psis=["tanh"], T=0.1, dt=0.02)
+
+
 def test_convergence_study_attaches_diagnostics():
     preset = PRESETS["example6"]()
     report = convergence_study(

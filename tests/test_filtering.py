@@ -2,8 +2,11 @@
 
 import math
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from levyfilter import (
     LevyMeasureSpec,
@@ -24,7 +27,7 @@ from levyfilter import (
     preset_from_config,
     preset_to_config,
 )
-from levyfilter.averaging import HomogenizedModel
+from levyfilter.averaging import HomogenizedModel, build_homogenized
 from levyfilter.filtering import (
     FullDynamics,
     HomogDynamics,
@@ -33,8 +36,10 @@ from levyfilter.filtering import (
     estimate,
     init_ensemble,
     log_weight_increment,
+    propagate,
     psi_from_string,
     resample,
+    run_filter_batch,
 )
 
 
@@ -215,6 +220,31 @@ def test_particle_noise_is_one_draw_per_resample_generation():
     np.testing.assert_array_equal(ens.next_noise(), block1[0])
 
 
+def test_stacked_rows_draw_from_their_own_streams():
+    # row r of a stack reads exactly the noise of a single ensemble on stream r,
+    # and resampling one row re-keys that row only
+    streams = [RngStream(99, 0), RngStream(99, 1), RngStream(7, 3)]
+    stack = init_ensemble(5, np.zeros(1), None, streams, 2)
+    assert stack.rows == (3,) and stack.x.shape == (3, 5, 1)
+    singles = [init_ensemble(5, np.zeros(1), None, s, 2) for s in streams]
+    for _ in range(3):
+        block = stack.next_noise()
+        assert block.shape == (3, 5, 2)
+        for r, single in enumerate(singles):
+            np.testing.assert_array_equal(block[r], single.next_noise())
+    stack.log_weights[1] = np.log(np.arange(1.0, 6.0))
+    singles[1].log_weights = stack.log_weights[1].copy()
+    before = stack.x.copy()
+    resample(stack, 1)
+    resample(singles[1])
+    assert list(stack.resample_count) == [0, 1, 0]
+    np.testing.assert_array_equal(stack.x[[0, 2]], before[[0, 2]])
+    np.testing.assert_array_equal(stack.log_weights[1], singles[1].log_weights)
+    block = stack.next_noise()
+    for r, single in enumerate(singles):
+        np.testing.assert_array_equal(block[r], single.next_noise())
+
+
 def test_systematic_resample_offspring_counts():
     ens = _toy_ensemble(n=4)
     ens.x = np.array([[1.0], [2.0], [3.0], [4.0]])
@@ -368,6 +398,116 @@ def test_run_filter_validation_errors():
         run_filter(obs, "full", preset, 8, ["tanh"], stream, scheme=bad_scheme)
     with pytest.raises(ValueError, match="noise_width"):
         run_filter(obs, "full", preset, 8, ["tanh"], stream, noise_width=1)
+
+
+def test_run_filter_batch_validation_errors():
+    preset, obs = _example6_obs()
+    stream = RngStream(3, 0)
+    with pytest.raises(ValueError, match="one run stream per record"):
+        run_filter_batch([obs, obs], "full", preset, 8, ["tanh"], [stream])
+    with pytest.raises(ValueError, match="one run stream per record"):
+        run_filter_batch([], "full", preset, 8, ["tanh"], [])
+    _, longer = _example6_obs(T=0.5)
+    with pytest.raises(ValueError, match="one time grid"):
+        run_filter_batch([obs, longer], "full", preset, 8, ["tanh"], [stream, stream])
+
+
+# ---------------------------------------------------------------------------
+# batched records
+
+
+_BATCH_PRESET = PRESETS["example6"](small_jump_intensity=25.0)
+_BATCH_HMODEL = build_homogenized(_BATCH_PRESET)
+
+
+def _reference_filter(rec, mode, preset, n, psis, stream, hmodel, ess_frac, width):
+    """The single-record filter as a plain step loop over one (N,) ensemble:
+    every event of a step goes through the weight kernel with that step's
+    Gaussian and compensator terms."""
+    psis = [psi_from_string(p) for p in psis]
+    obs, dt, K = preset.observation, rec.dt, rec.steps
+    if mode == "full":
+        dynamics = FullDynamics(preset.model, default_scheme(preset.model, dt))
+        ens = init_ensemble(n, preset.model.x0, preset.model.z0, stream, width)
+    else:
+        dynamics = HomogDynamics(hmodel)
+        ens = init_ensemble(n, hmodel.x0, None, stream, width)
+    step_of_event = rec.small_step_index()
+    rows, resample_steps = [estimate(ens, psis)], []
+    for k in range(K):
+        propagate(ens, dynamics, dt)
+        h_vals = obs.h(ens.x, ens.z) if mode == "full" else hmodel.hbar(ens.x)
+        mine = step_of_event == k
+        ens.log_weights = ens.log_weights + _batch_log_weight(
+            obs, h_vals, ens.x, rec.bbar_increments[k], dt, float(rec.times[k + 1]),
+            rec.small_times[mine], rec.small_marks[mine],
+        )
+        rows.append(estimate(ens, psis))
+        if rows[-1]["ess"] < ess_frac * n and k < K - 1:
+            resample(ens)
+            resample_steps.append(k + 1)
+    return (
+        np.array([r["pi"] for r in rows]), np.array([r["log_rho1"] for r in rows]),
+        np.array([r["ess"] for r in rows]), resample_steps,
+    )
+
+
+def _batch_against_single_records(n_rows, seed, mode, ess_frac, thinning="const"):
+    """Run ``n_rows`` records as one stack, assert that every row is bitwise the
+    single-record filter on its record and stream (``run_filter`` and the
+    reference loop), and return the outputs."""
+    preset = _BATCH_PRESET
+    if thinning == "logistic":
+        obs = dataclasses.replace(
+            preset.observation, thinning=ThinningLaw("logistic", (0.2, 0.8, 1.5))
+        )
+        preset = dataclasses.replace(preset, observation=obs)
+    records = [
+        simulate_reference_observations(preset.observation, 0.3, 0.02, RngStream(seed, 2 * r))
+        for r in range(n_rows)
+    ]
+    streams = [RngStream(seed, 2 * r + 1) for r in range(n_rows)]
+    kwargs = dict(hmodel=_BATCH_HMODEL, ess_frac=ess_frac, noise_width=2)
+    psis = ["tanh", "poly(0,1,0)"]
+    outs = run_filter_batch(records, mode, preset, 24, psis, streams, **kwargs)
+    assert len(outs) == n_rows
+    for rec, stream, out in zip(records, streams, outs):
+        one = run_filter(rec, mode, preset, 24, psis, stream, **kwargs)
+        np.testing.assert_array_equal(out.pi, one.pi)
+        np.testing.assert_array_equal(out.log_rho1, one.log_rho1)
+        np.testing.assert_array_equal(out.ess, one.ess)
+        assert out.resample_steps == one.resample_steps
+        np.testing.assert_array_equal(out.times, one.times)
+        pi, log_rho1, ess, resample_steps = _reference_filter(
+            rec, mode, preset, 24, psis, stream, _BATCH_HMODEL, ess_frac, 2
+        )
+        np.testing.assert_array_equal(out.pi, pi)
+        np.testing.assert_array_equal(out.log_rho1, log_rho1)
+        np.testing.assert_array_equal(out.ess, ess)
+        assert out.resample_steps == resample_steps
+    return records, outs
+
+
+@settings(max_examples=20)
+@given(
+    n_rows=st.integers(1, 4),
+    seed=st.integers(0, 2**16),
+    mode=st.sampled_from(["full", "homog"]),
+    ess_frac=st.sampled_from([0.5, 0.99]),
+    thinning=st.sampled_from(["const", "logistic"]),
+)
+def test_batched_rows_are_bitwise_single_record_filters(n_rows, seed, mode, ess_frac, thinning):
+    records, _ = _batch_against_single_records(n_rows, seed, mode, ess_frac, thinning)
+    # at 25 small jumps per unit time the rows' events fall at different steps
+    if n_rows > 1:
+        assert len({tuple(np.unique(rec.small_step_index())) for rec in records}) > 1
+
+
+@pytest.mark.parametrize("mode", ["full", "homog"])
+def test_batched_rows_resample_at_their_own_steps(mode):
+    _, outs = _batch_against_single_records(3, 1, mode, 0.99)
+    assert all(out.resample_steps for out in outs)
+    assert len({tuple(out.resample_steps) for out in outs}) == 3
 
 
 # ---------------------------------------------------------------------------

@@ -376,6 +376,9 @@ def _cmd_converge(args) -> int:
     if len(epsilons) < 2:
         raise ConfigError("--eps needs at least two values (the plots draw a line over eps)",
                           key="eps")
+    if args.replications < 2:
+        raise ConfigError("--replications must be at least 2 (the gap SE and the KS distance "
+                          f"need two), got {args.replications}", key="replications")
     threads = _threads(args)
     _run_config(
         args, "converge", preset,
@@ -514,7 +517,8 @@ def build_parser() -> _Parser:
     p.add_argument("--psi", action="append", default=None)
     p.add_argument("--ess-frac", type=float, default=0.5)
     p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (default: 1; env LEVYFILTER_THREADS overrides)")
+                   help="accepted and recorded but unused: the study runs on one thread "
+                        "(env LEVYFILTER_THREADS overrides)")
     p.add_argument("--signal-paths", type=int, default=5000)
     p.add_argument("--martingale-runs", type=int, default=5000)
     p.set_defaults(fn=_cmd_converge)

@@ -3,20 +3,16 @@ diagnostics, a linear-Gaussian oracle, and filter convergence as the
 timescale separation vanishes.
 
 The filter study runs its replications as the rows of one batched filter
-pass per (epsilon, mode); with several workers the rows split into
-contiguous blocks, one batched pass each, on a thread pool.  Every
-replication derives its own stream from (study seed, epsilon index,
-replication index), a filter row does not depend on the other rows of its
-block, and results are gathered in replication order, so the numbers are
-byte-identical for any worker count.
+pass per (epsilon, mode).  Every replication derives its own stream from
+(study seed, epsilon index, replication index) and a filter row does not
+depend on the other rows, so the numbers are a deterministic function of the
+seed.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -317,8 +313,8 @@ def filter_convergence_study(
     the same slow-Brownian columns the full filter uses), which strips most
     particle noise out of the terminal gap |pi_full(psi) - pi_homog(psi)|.
     The replications are the rows of one batched filter pass per epsilon and
-    mode; ``threads`` > 1 splits them into at most that many contiguous
-    blocks, each one batched pass on a thread pool, with identical results.
+    mode.  ``threads`` is accepted for callers that still pass a worker
+    count and has no effect: the study runs on one thread.
     Reported per epsilon: the mean coupled gap and its SE per functional, and
     the KS distance between the replication samples of the two terminal
     estimates (a coupling-free, distribution-level comparison).
@@ -328,11 +324,11 @@ def filter_convergence_study(
     if hmodel is None:
         hmodel = build_homogenized(preset)
     root = RngStream(int(seed))
-    blocks = np.array_split(np.arange(R), min(max(1, int(threads)), R))
-
-    def run_block(ie: int, peps: ModelPreset, block) -> tuple[np.ndarray, np.ndarray]:
+    rows = []
+    for ie, eps in enumerate(epsilons):
+        peps = with_epsilon(preset, float(eps))
         scheme = default_scheme(peps.model, dt)
-        rep_streams = [root.child(ie).child(int(r)) for r in block]
+        rep_streams = [root.child(ie).child(r) for r in range(R)]
         recs = [
             simulate_full(peps.model, peps.observation, T, scheme, s.child(0)).observations()
             for s in rep_streams
@@ -344,18 +340,8 @@ def filter_convergence_study(
         )
         out_full = run_filter_batch(recs, "full", scheme=scheme, **common)
         out_homog = run_filter_batch(recs, "homog", hmodel=hmodel, **common)
-        return np.array([o.pi[-1] for o in out_full]), np.array([o.pi[-1] for o in out_homog])
-
-    rows = []
-    for ie, eps in enumerate(epsilons):
-        one_block = partial(run_block, ie, with_epsilon(preset, float(eps)))
-        if len(blocks) > 1:
-            with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
-                results = list(pool.map(one_block, blocks))
-        else:
-            results = [one_block(blocks[0])]
-        full_T = np.concatenate([full for full, _ in results])
-        homog_T = np.concatenate([homog for _, homog in results])
+        full_T = np.array([o.pi[-1] for o in out_full])
+        homog_T = np.array([o.pi[-1] for o in out_homog])
         gaps = np.abs(full_T - homog_T)
         rows.append({
             "epsilon": float(eps),

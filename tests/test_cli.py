@@ -137,7 +137,7 @@ def test_converge_rejects_a_study_too_small_to_report(tmp_path, capsys, flag, va
     args[args.index(flag) + 1] = value
     assert main(args) == 1
     err = capsys.readouterr().err
-    assert err.startswith("config error:") and key in err
+    assert err.startswith("config error:") and f"(key: {key})" in err
     written = {p.name for p in out.iterdir()} if out.exists() else set()
     assert written <= {"config.json"}
 

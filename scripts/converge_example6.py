@@ -2,8 +2,8 @@
 
 Runs the coupled full-vs-reduced particle filter comparison over a sweep of
 timescale parameters and prints the terminal-gap table.  With --full the run
-uses the headline study size (200 replications, 2000 particles, ~1-2 min on a
-few cores); the default is a quick desk-scale pass.
+uses the headline study size (200 replications, 2000 particles); the default
+is a quick desk-scale pass.
 
     python3 scripts/converge_example6.py [--full] [--out DIR]
 """
@@ -21,7 +21,6 @@ def run(args):
     report = filter_convergence_study(
         preset, [0.5, 0.1, 0.02], replications=reps, n_particles=particles,
         psis=["tanh"], T=1.0, dt=0.01, seed=args.seed,
-        threads=args.threads or 1,
     )
     print(f"replications={reps} particles={particles} psi=tanh T=1")
     print(f"{'eps':>6} {'mean gap':>10} {'SE':>9} {'KS(pi)':>7}")
@@ -47,6 +46,5 @@ if __name__ == "__main__":
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--full", action="store_true", help="headline study size")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--threads", type=int, default=None)
     ap.add_argument("--out", default=None, help="write an SVG of the gap curve here")
     run(ap.parse_args())

@@ -517,7 +517,7 @@ def build_parser() -> _Parser:
     p.add_argument("--psi", action="append", default=None)
     p.add_argument("--ess-frac", type=float, default=0.5)
     p.add_argument("--threads", type=int, default=None,
-                   help="accepted and recorded but unused: the study runs on one thread "
+                   help="accepted but unused: the study runs on one thread "
                         "(env LEVYFILTER_THREADS overrides)")
     p.add_argument("--signal-paths", type=int, default=5000)
     p.add_argument("--martingale-runs", type=int, default=5000)

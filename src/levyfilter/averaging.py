@@ -91,15 +91,15 @@ def estimate_invariant_measure(
     stride: int = 50,
     dt: float = 0.01,
     stream: RngStream | None = None,
-    fast_mode: str = "auto",
 ) -> EmpiricalMeasure:
     """Sample the invariant law of the fast component with the slow state frozen at x.
 
-    ``fast_mode='exact_ou'`` uses the exact Gaussian transition of a declared
-    OU fast part (no discretization bias); ``'euler'`` runs the frozen chain
-    at its natural timescale and records every ``stride``-th state.  ``'auto'``
-    picks the exact route when available.  Ergodicity of the frozen chain is
-    an assumption; a stationarity diagnostic on the recorded samples appends a
+    The route follows the model: one that declares an OU fast part
+    (``model.ou_fast``) uses its exact Gaussian transition, with no
+    discretization bias (``mode='exact_ou'``); any other runs the frozen chain
+    by Euler steps at its natural timescale and records every ``stride``-th
+    state (``mode='euler'``).  Ergodicity of the frozen chain is an
+    assumption; a stationarity diagnostic on the recorded samples appends a
     warning when the chain looks like it is still drifting.
 
     ``x`` is one state (n,) or a stack (G, n) whose chains run together; node
@@ -110,19 +110,14 @@ def estimate_invariant_measure(
         raise ValueError(f"n_samples must be >= {_MIN_SAMPLES}, got {n_samples}")
     if stride < 1 or not burn_in >= 0 or not dt > 0:
         raise ValueError("need stride >= 1, burn_in >= 0, dt > 0")
-    if fast_mode not in ("auto", "exact_ou", "euler"):
-        raise ValueError(f"unknown fast_mode {fast_mode!r}")
     x = np.asarray(x, dtype=float)
     stack = x.ndim == 2
     x = x.reshape((len(x), model.n) if stack else model.n)
     if stream is None:
         stream = RngStream(0, int(NoiseSource.AVERAGING))
-    if fast_mode == "auto":
-        fast_mode = "exact_ou" if model.ou_fast is not None else "euler"
+    mode = "euler" if model.ou_fast is None else "exact_ou"
 
-    if fast_mode == "exact_ou":
-        if model.ou_fast is None:
-            raise ValueError("fast_mode='exact_ou' but the model declares no OU fast part")
+    if mode == "exact_ou":
         a, b = ou_transition(model.ou_fast, stride * dt)
         chains = []
         for node_stream in [stream.child(g) for g in range(len(x))] if stack else [stream]:
@@ -148,7 +143,7 @@ def estimate_invariant_measure(
 
     return EmpiricalMeasure(
         samples=samples, frozen_x=x, burn_in=burn_in, stride=stride, dt=dt,
-        mode=fast_mode, warnings=_stationarity_warnings(samples),
+        mode=mode, warnings=_stationarity_warnings(samples),
     )
 
 

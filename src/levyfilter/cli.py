@@ -29,7 +29,7 @@ from .errors import (
     UnsupportedMeasureError,
 )
 from .experiments import convergence_study, default_scheme
-from .filtering import psi_from_string, run_filter
+from .filtering import full_noise_width, psi_from_string, run_filter
 from .models import (
     PRESETS,
     ModelPreset,
@@ -345,10 +345,9 @@ def _cmd_filter(args) -> int:
     summary = {"modes": {}, "truth_terminal": [float(v) for v in path.X[-1]]}
     modes = ["full", "homog"] if args.mode == "both" else [args.mode]
     hmodel = build_homogenized(preset) if "homog" in modes else None
-    width = None
-    if args.mode == "both":
-        from .filtering import FullDynamics
-        width = FullDynamics(preset.model, scheme).noise_width
+    # the full filter's width in every mode, so the homog filter reads the same
+    # noise columns whether or not the full filter runs beside it
+    width = full_noise_width(preset.model, scheme)
     for mode in modes:
         out = run_filter(
             rec, mode=mode, preset=preset, n_particles=args.particles, psis=psis,
@@ -376,9 +375,14 @@ def _cmd_converge(args) -> int:
     if len(epsilons) < 2:
         raise ConfigError("--eps needs at least two values (the plots draw a line over eps)",
                           key="eps")
+    if not all(e > 0 for e in epsilons):
+        raise ConfigError(f"--eps values must be > 0, got {epsilons}", key="eps")
     if args.replications < 2:
         raise ConfigError("--replications must be at least 2 (the gap SE and the KS distance "
                           f"need two), got {args.replications}", key="replications")
+    if args.martingale_runs < 2:
+        raise ConfigError("--martingale-runs must be at least 2 (the martingale SE needs two), "
+                          f"got {args.martingale_runs}", key="martingale_runs")
     threads = _threads(args)
     _run_config(
         args, "converge", preset,

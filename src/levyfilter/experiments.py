@@ -18,10 +18,10 @@ import numpy as np
 
 from .averaging import HomogenizedModel, build_homogenized
 from .filtering import (
-    FullDynamics,
     PsiSpec,
     _batch_log_weight,
     _log_thinning,
+    full_noise_width,
     psi_from_string,
     run_filter,
     run_filter_batch,
@@ -123,15 +123,17 @@ def martingale_check(
     (independent Brownian increments, unthinned jump events); the likelihood
     of each run should average to one.  Inverse route: paths simulated under
     the physical law carry E[1/likelihood] = 1.  Reported standard errors are
-    plain ensemble SEs.
+    plain ensemble SEs, so each route needs at least two runs:
+    ``inverse_runs`` is 0 (route off) or at least 2.
     """
+    P = _at_least_two("n_runs", n_runs)
+    inverse_runs = 0 if not inverse_runs else _at_least_two("inverse_runs", inverse_runs)
     peps = with_epsilon(preset, float(epsilon))
     model, obs = peps.model, peps.observation
     if hmodel is None:
         hmodel = build_homogenized(peps)
     root = RngStream(int(seed))
     scheme = default_scheme(model, dt)
-    P = int(n_runs)
 
     times, HX, HZ = simulate_signal_ensemble(model, T, scheme, P, root.child(0), keep_history=True)
     K = len(times) - 1
@@ -172,8 +174,6 @@ def martingale_check(
     se_forward_homog = float(lik0.std(ddof=1) / math.sqrt(P))
     max_rho0_inverse = float(np.exp(-logl0.min()))
 
-    if inverse_runs is None:
-        inverse_runs = 0
     inv_vals = np.empty(inverse_runs)
     for r in range(inverse_runs):
         path = simulate_full(model, obs, T, scheme, root.child(4).child(r))
@@ -283,13 +283,21 @@ class ConvergenceReport:
         return [row[key] for row in self.rows]
 
 
-def _check_replications(replications: int) -> int:
-    R = int(replications)
-    if R < 2:
-        raise ValueError(
-            f"replications must be at least 2 (the gap SE and the KS distance need two), got {R}"
-        )
-    return R
+def _at_least_two(name: str, count) -> int:
+    """``count`` as an int, checked to be at least 2: a standard error (and a
+    KS distance) needs two samples."""
+    n = int(count)
+    if n < 2:
+        raise ValueError(f"{name} must be at least 2 (a standard error needs two), got {n}")
+    return n
+
+
+def _check_epsilons(epsilons) -> list[float]:
+    eps = [float(e) for e in epsilons]
+    bad = [e for e in eps if not e > 0]
+    if bad:
+        raise ValueError(f"every epsilon must be > 0, got {bad}")
+    return eps
 
 
 def filter_convergence_study(
@@ -319,7 +327,8 @@ def filter_convergence_study(
     the KS distance between the replication samples of the two terminal
     estimates (a coupling-free, distribution-level comparison).
     """
-    R = _check_replications(replications)
+    R = _at_least_two("replications", replications)
+    epsilons = _check_epsilons(epsilons)
     psis = [p if isinstance(p, PsiSpec) else psi_from_string(p) for p in psis]
     if hmodel is None:
         hmodel = build_homogenized(preset)
@@ -336,7 +345,7 @@ def filter_convergence_study(
         common = dict(
             preset=peps, n_particles=n_particles, psis=psis,
             streams=[s.child(1) for s in rep_streams], ess_frac=ess_frac,
-            noise_width=FullDynamics(peps.model, scheme).noise_width,
+            noise_width=full_noise_width(peps.model, scheme),
         )
         out_full = run_filter_batch(recs, "full", scheme=scheme, **common)
         out_homog = run_filter_batch(recs, "homog", hmodel=hmodel, **common)
@@ -352,7 +361,7 @@ def filter_convergence_study(
             ]),
         })
     return ConvergenceReport(
-        epsilons=[float(e) for e in epsilons],
+        epsilons=epsilons,
         psi_names=[p.name for p in psis],
         rows=rows,
         meta={
@@ -377,7 +386,9 @@ def convergence_study(
     martingale_runs: int = 2000,
 ) -> ConvergenceReport:
     """Filter convergence plus signal-law KS and martingale diagnostics per epsilon."""
-    _check_replications(replications)
+    _at_least_two("replications", replications)
+    _at_least_two("martingale_runs", martingale_runs)
+    _check_epsilons(epsilons)
     hmodel = build_homogenized(preset)
     report = filter_convergence_study(
         preset, epsilons, replications, n_particles, psis, T, dt=dt,

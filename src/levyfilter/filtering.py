@@ -35,7 +35,7 @@ import numpy as np
 
 from .averaging import HomogenizedModel
 from .errors import ModelViolationError
-from .models import ModelPreset, ObservationModel, SlowFastModel, ThinningLaw, check_thinning
+from .models import ModelPreset, ObservationModel, SlowFastModel, check_thinning
 from .noise import NoiseSource, RngStream
 from .sde import (
     ObservationRecord,
@@ -196,6 +196,19 @@ def init_ensemble(
 # dynamics
 
 
+def full_noise_width(model: SlowFastModel, scheme: StepScheme) -> int:
+    """Noise columns per particle and step of the full filter under ``scheme``.
+
+    The l1 slow Brownian columns come first, then one standard normal for an
+    exact OU transition or substeps x l2 Euler increments of the fast part.
+    A reduced filter run at this width reads the same slow columns, which is
+    how the full and reduced filters share common random numbers.
+    """
+    if scheme.fast_mode == "exact_ou":
+        return model.l1 + 1
+    return model.l1 + scheme.substeps * model.l2
+
+
 @dataclass
 class FullDynamics:
     """Signal dynamics of the two-timescale model, one coarse step at a time."""
@@ -212,10 +225,7 @@ class FullDynamics:
 
     @property
     def noise_width(self) -> int:
-        m = self.model
-        if self.dt_fast is None:
-            return m.l1 + 1
-        return m.l1 + self.scheme.substeps * m.l2
+        return full_noise_width(self.model, self.scheme)
 
     def step(self, ens: ParticleEnsemble, dt: float):
         m = self.model
@@ -269,42 +279,6 @@ def propagate(ens: ParticleEnsemble, dynamics, dt: float) -> ParticleEnsemble:
 
 # ---------------------------------------------------------------------------
 # weights
-
-
-def log_weight_increment(
-    h_value,
-    d_bbar,
-    dt: float,
-    event_times,
-    event_marks,
-    thinning,
-    x,
-    t: float,
-    nu3_small,
-) -> float:
-    """Reference implementation of the one-step log-weight for a single state.
-
-    ``h_value`` is the sensor at the step's right endpoint, ``d_bbar`` the
-    increment of the h-shifted observation Brownian part over the step, and
-    the events are the small-region observation jumps inside the step.
-    """
-    h = np.asarray(h_value, dtype=float).reshape(-1)
-    db = np.asarray(d_bbar, dtype=float).reshape(-1)
-    if h.shape != db.shape:
-        raise ValueError(f"h has shape {h.shape} but the increment has shape {db.shape}")
-    out = float(h @ db) - 0.5 * dt * float(h @ h)
-    x = np.asarray(x, dtype=float)
-    for tj, uj in zip(event_times, event_marks):
-        lam = np.asarray(thinning(tj, x, np.asarray(uj, dtype=float).reshape(1, -1)))
-        out += math.log(float(check_thinning(lam.reshape(-1)[0])))
-    intensity = nu3_small.total_intensity
-    if intensity > 0:
-        if isinstance(thinning, ThinningLaw) and thinning.kind == "const":
-            out += dt * intensity * (1.0 - thinning.params[0])
-        else:
-            comp = nu3_small.integrate(lambda u: 1.0 - thinning(t, x, u))
-            out += dt * float(comp)
-    return out
 
 
 def _log_thinning(obs: ObservationModel, t, x, u) -> np.ndarray:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import copy
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,10 +37,6 @@ class OuFast:
 
     def step_std(self, s: float) -> float:
         return self.sigma * math.sqrt((1.0 - math.exp(-2.0 * self.rate * s)) / (2.0 * self.rate))
-
-    @property
-    def stationary_std(self) -> float:
-        return self.sigma / math.sqrt(2.0 * self.rate)
 
 
 @dataclass(frozen=True)
@@ -121,8 +117,7 @@ class SlowFastModel:
     """Coefficients and noise measures of the two-timescale signal.
 
     Coefficient callbacks take arrays whose last axis is the coordinate axis
-    and broadcast over leading batch axes (all built-ins do; set
-    ``vectorized=False`` for hand-written callbacks that cannot).
+    and broadcast over leading batch axes.
     """
 
     n: int
@@ -142,7 +137,6 @@ class SlowFastModel:
     nu2: LevyMeasureSpec
     bounds: dict | None = None
     ou_fast: OuFast | None = None
-    vectorized: bool = True
 
     def __post_init__(self):
         if min(self.n, self.m, self.l1, self.l2) < 1:
@@ -205,8 +199,6 @@ class ClosedFormFacts:
     bbar1: np.ndarray           # (n,)
     abar: np.ndarray            # (n, n) averaged sigma1 sigma1^T
     hbar_exprs: tuple           # averaged sensor, expressions in x
-    invariant_mean: np.ndarray  # (m,)
-    invariant_cov: np.ndarray   # (m, m)
 
     def hbar(self):
         return vector_field(list(self.hbar_exprs), ("x",))
@@ -219,7 +211,6 @@ class ModelPreset:
     observation: ObservationModel
     closed_form: ClosedFormFacts | None
     config: dict
-    run_defaults: dict = field(default_factory=dict)
 
 
 def _probe_shape(name: str, value, expected: tuple):
@@ -238,13 +229,10 @@ _MODEL_KEYS = {
     "nu1", "nu2", "bounds", "ou_fast", "closed_form",
 }
 _OBS_KEYS = {"d", "h", "h_bound", "f3", "g3", "lambda", "nu3_small", "nu3_large"}
-_RUN_KEYS = {
-    "T", "dt", "dt_fast", "fast_mode", "particles", "replications",
-    "ess_frac", "seed", "eps", "psi", "threads",
-}
 _MEASURE_KEYS = {"intensity", "marks"}
-_BOUND_KEYS = {"L1", "L2", "L3"}
-_CLOSED_FORM_KEYS = {"bbar1", "abar", "hbar", "invariant_mean", "invariant_cov"}
+_BOUND_KEYS = {"L1", "L2"}
+_OU_KEYS = {"rate", "sigma"}
+_CLOSED_FORM_KEYS = {"bbar1", "abar", "hbar"}
 
 
 def _reject_unknown(doc: dict, allowed: set, where: str):
@@ -253,21 +241,24 @@ def _reject_unknown(doc: dict, allowed: set, where: str):
         raise ConfigError(f"unknown key(s) {unknown} in {where}", key=unknown[0])
 
 
+def _require(doc: dict, required: set, where: str):
+    missing = sorted(required - set(doc))
+    if missing:
+        raise ConfigError(f"{where} section is missing {missing}", key=missing[0])
+
+
 def _measure_from_dict(doc: dict, region: str, where: str) -> LevyMeasureSpec:
     if not isinstance(doc, dict):
         raise ConfigError(f"{where} must be an object with intensity/marks")
     _reject_unknown(doc, _MEASURE_KEYS, where)
-    if "intensity" not in doc or "marks" not in doc:
-        raise ConfigError(f"{where} needs both 'intensity' and 'marks'")
+    _require(doc, _MEASURE_KEYS, where)
     return LevyMeasureSpec(float(doc["intensity"]), MarkSampler.parse(doc["marks"]), region)
 
 
 def model_from_dict(doc: dict) -> SlowFastModel:
     _reject_unknown(doc, _MODEL_KEYS, "model")
-    required = {"n", "m", "l1", "l2", "epsilon", "x0", "z0", "b1", "sigma1", "b2", "sigma2"}
-    missing = sorted(required - set(doc))
-    if missing:
-        raise ConfigError(f"model section is missing {missing}", key=missing[0])
+    _require(doc, {"n", "m", "l1", "l2", "epsilon", "x0", "z0", "b1", "sigma1", "b2", "sigma2"},
+             "model")
     nu1 = _measure_from_dict(doc["nu1"], "U1", "model.nu1") if doc.get("nu1") else null_measure("U1")
     nu2 = _measure_from_dict(doc["nu2"], "U2", "model.nu2") if doc.get("nu2") else null_measure("U2")
     f1 = vector_field(doc["f1"], ("x", "u")) if doc.get("f1") else None
@@ -278,7 +269,8 @@ def model_from_dict(doc: dict) -> SlowFastModel:
         bounds = {k: float(v) for k, v in bounds.items()}
     ou = doc.get("ou_fast")
     if ou is not None:
-        _reject_unknown(ou, {"rate", "sigma"}, "model.ou_fast")
+        _reject_unknown(ou, _OU_KEYS, "model.ou_fast")
+        _require(ou, _OU_KEYS, "model.ou_fast")
         ou = OuFast(float(ou["rate"]), float(ou["sigma"]))
     try:
         return SlowFastModel(
@@ -292,15 +284,14 @@ def model_from_dict(doc: dict) -> SlowFastModel:
             f1=f1, f2=f2, nu1=nu1, nu2=nu2, bounds=bounds, ou_fast=ou,
         )
     except ValueError as exc:
-        raise ConfigError(f"invalid model section: {exc}") from exc
+        # a ConfigError from a nested section keeps the key it names
+        raise ConfigError(f"invalid model section: {exc}",
+                          key=getattr(exc, "key", None)) from exc
 
 
 def observation_from_dict(doc: dict) -> ObservationModel:
     _reject_unknown(doc, _OBS_KEYS, "observation")
-    required = {"d", "h", "f3", "g3", "lambda", "nu3_small", "nu3_large"}
-    missing = sorted(required - set(doc))
-    if missing:
-        raise ConfigError(f"observation section is missing {missing}", key=missing[0])
+    _require(doc, _OBS_KEYS - {"h_bound"}, "observation")
     h_bound = doc.get("h_bound")
     try:
         return ObservationModel(
@@ -314,17 +305,18 @@ def observation_from_dict(doc: dict) -> ObservationModel:
             h_bound=None if h_bound is None else float(h_bound),
         )
     except ValueError as exc:
-        raise ConfigError(f"invalid observation section: {exc}") from exc
+        # a ConfigError from a nested section keeps the key it names
+        raise ConfigError(f"invalid observation section: {exc}",
+                          key=getattr(exc, "key", None)) from exc
 
 
 def _closed_form_from_dict(doc: dict) -> ClosedFormFacts:
     _reject_unknown(doc, _CLOSED_FORM_KEYS, "model.closed_form")
+    _require(doc, _CLOSED_FORM_KEYS, "model.closed_form")
     return ClosedFormFacts(
         bbar1=np.asarray(doc["bbar1"], dtype=float),
         abar=np.asarray(doc["abar"], dtype=float),
         hbar_exprs=tuple(doc["hbar"]),
-        invariant_mean=np.asarray(doc["invariant_mean"], dtype=float),
-        invariant_cov=np.asarray(doc["invariant_cov"], dtype=float),
     )
 
 
@@ -332,14 +324,10 @@ def preset_from_config(cfg: dict) -> ModelPreset:
     """Build a preset from a parsed config document; unknown keys are rejected."""
     if not isinstance(cfg, dict):
         raise ConfigError("config document must be a JSON object")
-    _reject_unknown(cfg, {"model", "observation", "run"}, "config")
+    _reject_unknown(cfg, {"model", "observation"}, "config")
     for section in ("model", "observation"):
         if section not in cfg or not isinstance(cfg[section], dict):
             raise ConfigError(f"config needs a {section!r} object", key=section)
-    run = cfg.get("run", {})
-    if not isinstance(run, dict):
-        raise ConfigError("run section must be an object", key="run")
-    _reject_unknown(run, _RUN_KEYS, "run")
     model = model_from_dict(cfg["model"])
     observation = observation_from_dict(cfg["observation"])
     cf_doc = cfg["model"].get("closed_form")
@@ -347,7 +335,7 @@ def preset_from_config(cfg: dict) -> ModelPreset:
     name = cfg["model"].get("name", "custom")
     return ModelPreset(
         name=name, model=model, observation=observation, closed_form=closed,
-        config=copy.deepcopy(cfg), run_defaults=copy.deepcopy(run),
+        config=copy.deepcopy(cfg),
     )
 
 
@@ -409,14 +397,12 @@ def build_example6(
             "sigma2": [[repr(float(sigma2))]],
             "f1": None, "f2": None,
             "nu1": None, "nu2": None,
-            "bounds": {"L1": 1.0, "L2": 1.0 + sigma1 ** 2, "L3": math.pi / 2.0},
+            "bounds": {"L1": 1.0, "L2": 1.0 + sigma1 ** 2},
             "ou_fast": {"rate": 1.0, "sigma": float(sigma2)},
             "closed_form": {
                 "bbar1": [0.0],
                 "abar": [[float(sigma1) ** 2]],
                 "hbar": ["arctan(x[0])"],
-                "invariant_mean": [0.0],
-                "invariant_cov": [[float(sigma2) ** 2 / 2.0]],
             },
         },
         "observation": {
@@ -533,8 +519,9 @@ def validate_assumptions(
 
     Lipschitz and growth conditions are probed on ``sample_count`` random
     state pairs drawn from N(0, scale^2); jump contributions enter through
-    the mark quadrature of each measure.  Checks that need declared bound
-    constants are skipped with a warning when the model declares none.
+    the mark quadrature of each measure, against ``model.bounds`` L1 and
+    L2; the sensor is checked against ``observation.h_bound``.  A check whose
+    constant is not declared is skipped with a warning.
     Nothing is ever altered: the report only describes what was found.
     """
     model, obs = preset.model, preset.observation
@@ -593,10 +580,9 @@ def validate_assumptions(
     hv = np.asarray(obs.h(ex, ez), dtype=float)
     hmax = float(np.max(np.linalg.norm(hv, axis=-1)))
     if obs.h_bound is not None:
-        declared = obs.h_bound if "L3" not in bounds else min(obs.h_bound, bounds["L3"])
         entries.append(CheckResult(
-            "sensor_bounded", bool(hmax <= declared * (1 + 1e-9)), hmax, declared,
-            f"max sampled |h| {hmax:.6g} vs declared bound {declared:.6g}"))
+            "sensor_bounded", bool(hmax <= obs.h_bound * (1 + 1e-9)), hmax, obs.h_bound,
+            f"max sampled |h| {hmax:.6g} vs declared bound {obs.h_bound:.6g}"))
     else:
         warnings.append("no sensor bound declared; boundedness check skipped")
 

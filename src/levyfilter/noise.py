@@ -131,9 +131,6 @@ class MarkSampler:
     def dim(self) -> int:
         return len(self.params) if self.kind == "point" else 1
 
-    def spec_string(self) -> str:
-        return f"{self.kind}({','.join(repr(float(p)) for p in self.params)})"
-
     def sample(self, gen: np.random.Generator, count: int) -> np.ndarray:
         """Draw ``count`` marks, shape (count, dim)."""
         if count < 0:

@@ -453,13 +453,11 @@ def simulate_signal_ensemble(
 ):
     """Many independent signal paths advanced together (no observation).
 
-    Requires vectorized coefficients and a jump-free slow/fast pair; draws are
-    batch-indexed per step, so the ensemble is reproducible as a whole.
+    Requires a jump-free slow/fast pair; draws are batch-indexed per step, so
+    the ensemble is reproducible as a whole.
     Returns (times, X) with X of shape (K+1, P, n) when keep_history else
     (P, n) terminal states, plus the matching Z array.
     """
-    if not model.vectorized:
-        raise ValueError("ensemble simulation needs vectorized coefficients")
     if model.nu1.total_intensity > 0 or model.nu2.total_intensity > 0:
         raise ValueError("ensemble simulation supports jump-free signals only")
     times = make_grid(T, scheme.dt_slow)

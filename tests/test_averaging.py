@@ -226,12 +226,13 @@ def test_stacked_nodes_match_single_state_chains(route_presets, route, xs, seed)
         assert not np.array_equal(without.samples, stack.node(0).samples)
 
 
-def test_stationarity_warning_on_transient_chain(example6):
+def test_stationarity_warning_on_transient_chain(route_presets):
     # skipping burn-in from a displaced start leaves a visible trend
     meas = estimate_invariant_measure(
-        example6.model, np.array([0.0]), burn_in=0.0, n_samples=2000,
-        stride=1, dt=0.001, stream=RngStream(17), fast_mode="euler",
+        route_presets["euler"].model, np.array([0.0]), burn_in=0.0, n_samples=2000,
+        stride=1, dt=0.001, stream=RngStream(17),
     )
+    assert meas.mode == "euler"
     # half-chain diagnostic may or may not fire here; the API contract is
     # just that warnings is a list of strings
     assert isinstance(meas.warnings, list)

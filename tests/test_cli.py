@@ -78,6 +78,29 @@ def test_filter_both_modes_share_the_observation(tmp_path):
     np.testing.assert_array_equal(full[:, 0], homog[:, 0])
 
 
+def test_filter_homog_alone_matches_homog_beside_full(tmp_path):
+    common = ["filter", "--T", "0.2", "--dt", "0.02", "--particles", "50", "--seed", "4"]
+    assert main(common + ["--mode", "both", "--out", str(tmp_path / "both")]) == 0
+    assert main(common + ["--mode", "homog", "--out", str(tmp_path / "homog")]) == 0
+    for name in ("filter_homog.csv", "path.csv"):
+        assert (tmp_path / "both" / name).read_bytes() == (tmp_path / "homog" / name).read_bytes()
+
+
+def test_filter_homog_runs_on_a_model_with_fast_jumps(tmp_path):
+    def fast_jumps(cfg):
+        del cfg["model"]["ou_fast"]
+        cfg["model"]["f2"] = ["0.5*u[0]"]
+        cfg["model"]["nu2"] = {"intensity": 2.0, "marks": "gauss(0,1)"}
+
+    cfg_path = _write_config(tmp_path, fast_jumps)
+    rc = main([
+        "filter", "--config", str(cfg_path), "--mode", "homog", "--T", "0.1", "--dt", "0.02",
+        "--particles", "20", "--out", str(tmp_path / "o"),
+    ])
+    assert rc == 0
+    assert (tmp_path / "o" / "filter_homog.csv").exists()
+
+
 def test_validate_passes_on_preset(tmp_path):
     out = tmp_path / "val"
     rc = main(["validate", "--samples", "150", "--out", str(out)])
@@ -130,6 +153,9 @@ def test_converge_is_thread_count_invariant(tmp_path):
     ("--replications", "1", "replications"),
     ("--replications", "0", "replications"),
     ("--eps", "0.5", "eps"),
+    ("--eps", "0.5,0", "eps"),
+    ("--eps", "0.5,-0.1", "eps"),
+    ("--martingale-runs", "1", "martingale_runs"),
 ])
 def test_converge_rejects_a_study_too_small_to_report(tmp_path, capsys, flag, value, key):
     out = tmp_path / "conv"
@@ -173,6 +199,14 @@ def test_unknown_config_key_names_the_key(tmp_path, capsys):
     rc = main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
     assert rc == 1
     assert "bogus_knob" in capsys.readouterr().err
+
+
+def test_missing_config_key_is_named(tmp_path, capsys):
+    cfg_path = _write_config(tmp_path, lambda c: c["model"]["ou_fast"].pop("sigma"))
+    rc = main(["validate", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "(key: sigma)" in err
 
 
 def test_broken_json_config(tmp_path, capsys):

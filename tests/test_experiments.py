@@ -224,6 +224,37 @@ def test_convergence_studies_need_two_replications(study, replications, monkeypa
               n_particles=16, psis=["tanh"], T=0.1, dt=0.02)
 
 
+@pytest.mark.parametrize("study, epsilons, kwargs, match", [
+    (filter_convergence_study, [0.5, 0.0], {}, "epsilon must be > 0"),
+    (convergence_study, [0.5, -0.1], {}, "epsilon must be > 0"),
+    (convergence_study, [0.5, 0.1], {"martingale_runs": 1}, "martingale_runs must be at least 2"),
+])
+def test_convergence_studies_check_inputs_up_front(study, epsilons, kwargs, match, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the study started work before checking its inputs")
+
+    monkeypatch.setattr("levyfilter.experiments.build_homogenized", no_work)
+    monkeypatch.setattr("levyfilter.experiments.simulate_full", no_work)
+    with pytest.raises(ValueError, match=match):
+        study(PRESETS["example6"](), epsilons, replications=2,
+              n_particles=16, psis=["tanh"], T=0.1, dt=0.02, **kwargs)
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"n_runs": 1}, "n_runs"),
+    ({"n_runs": 100, "inverse_runs": 1}, "inverse_runs"),
+    ({"n_runs": 100, "inverse_runs": -3}, "inverse_runs"),
+])
+def test_martingale_check_needs_two_runs_per_route(kwargs, name, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the check started work before rejecting its run counts")
+
+    monkeypatch.setattr("levyfilter.experiments.build_homogenized", no_work)
+    monkeypatch.setattr("levyfilter.experiments.simulate_signal_ensemble", no_work)
+    with pytest.raises(ValueError, match=f"{name} must be at least 2"):
+        martingale_check(PRESETS["example6"](), epsilon=0.5, T=0.1, dt=0.02, **kwargs)
+
+
 def test_convergence_study_attaches_diagnostics():
     preset = PRESETS["example6"]()
     report = convergence_study(

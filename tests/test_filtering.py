@@ -35,12 +35,12 @@ from levyfilter.filtering import (
     _log_thinning,
     estimate,
     init_ensemble,
-    log_weight_increment,
     propagate,
     psi_from_string,
     resample,
     run_filter_batch,
 )
+from levyfilter.models import check_thinning
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +84,43 @@ def test_psi_rejects_malformed_specs(bad):
 
 # ---------------------------------------------------------------------------
 # one-step log-weights
+
+
+def log_weight_increment(
+    h_value,
+    d_bbar,
+    dt: float,
+    event_times,
+    event_marks,
+    thinning,
+    x,
+    t: float,
+    nu3_small,
+) -> float:
+    """Reference one-step log-weight of a single state, term by term, for
+    ``_batch_log_weight`` to be checked against.
+
+    ``h_value`` is the sensor at the step's right endpoint, ``d_bbar`` the
+    increment of the h-shifted observation Brownian part over the step, and
+    the events are the small-region observation jumps inside the step.
+    """
+    h = np.asarray(h_value, dtype=float).reshape(-1)
+    db = np.asarray(d_bbar, dtype=float).reshape(-1)
+    if h.shape != db.shape:
+        raise ValueError(f"h has shape {h.shape} but the increment has shape {db.shape}")
+    out = float(h @ db) - 0.5 * dt * float(h @ h)
+    x = np.asarray(x, dtype=float)
+    for tj, uj in zip(event_times, event_marks):
+        lam = np.asarray(thinning(tj, x, np.asarray(uj, dtype=float).reshape(1, -1)))
+        out += math.log(float(check_thinning(lam.reshape(-1)[0])))
+    intensity = nu3_small.total_intensity
+    if intensity > 0:
+        if isinstance(thinning, ThinningLaw) and thinning.kind == "const":
+            out += dt * intensity * (1.0 - thinning.params[0])
+        else:
+            comp = nu3_small.integrate(lambda u: 1.0 - thinning(t, x, u))
+            out += dt * float(comp)
+    return out
 
 
 def test_log_weight_jump_terms_closed_form():

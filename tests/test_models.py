@@ -29,6 +29,12 @@ def test_example6_config_round_trip():
     assert preset_to_config(rebuilt) == cfg
 
 
+def _section(cfg: dict, path: tuple) -> dict:
+    for part in path:
+        cfg = cfg[part]
+    return cfg
+
+
 def test_config_rejects_unknown_keys():
     cfg = preset_to_config(build_example6())
     bad = copy.deepcopy(cfg)
@@ -41,6 +47,39 @@ def test_config_rejects_unknown_keys():
     bad["typo_section"] = {}
     with pytest.raises(ConfigError):
         preset_from_config(bad)
+
+    # settings that no code read are gone, and a config carrying one is refused
+    removed = [
+        ((), "run", {"particles": 7, "seed": 3}),
+        (("model", "closed_form"), "invariant_mean", [0.0]),
+        (("model", "closed_form"), "invariant_cov", [[1.0]]),
+        (("model", "bounds"), "L3", 0.1),
+    ]
+    for path, key, value in removed:
+        bad = copy.deepcopy(cfg)
+        _section(bad, path)[key] = value
+        with pytest.raises(ConfigError) as exc:
+            preset_from_config(bad)
+        assert exc.value.key == key and key in str(exc.value)
+
+
+@pytest.mark.parametrize("path, key", [
+    (("model",), "sigma2"),
+    (("model", "ou_fast"), "rate"),
+    (("model", "ou_fast"), "sigma"),
+    (("model", "closed_form"), "bbar1"),
+    (("model", "closed_form"), "abar"),
+    (("model", "closed_form"), "hbar"),
+    (("observation",), "lambda"),
+    (("observation", "nu3_small"), "marks"),
+    (("observation", "nu3_large"), "intensity"),
+])
+def test_config_errors_name_the_missing_key(path, key):
+    cfg = copy.deepcopy(preset_to_config(build_example6()))
+    del _section(cfg, path)[key]
+    with pytest.raises(ConfigError) as exc:
+        preset_from_config(cfg)
+    assert exc.value.key == key and key in str(exc.value)
 
 
 def test_load_config_round_trip(tmp_path):
@@ -69,7 +108,6 @@ def test_with_epsilon_rebuilds_without_mutating():
 def test_ou_fast_closed_forms():
     ou = OuFast(rate=1.0, sigma=math.sqrt(2.0))
     assert ou.decay(math.log(2.0)) == pytest.approx(0.5)
-    assert ou.stationary_std == pytest.approx(1.0)
     # transition variance sigma^2 (1 - exp(-2 r s)) / (2 r) at s = ln 2
     assert ou.step_std(math.log(2.0)) ** 2 == pytest.approx(0.75)
 

@@ -346,15 +346,14 @@ def _cmd_filter(args) -> int:
     modes = ["full", "homog"] if args.mode == "both" else [args.mode]
     hmodel = build_homogenized(preset) if "homog" in modes else None
     # the full filter's width in every mode, so the homog filter reads the same
-    # noise columns whether or not the full filter runs beside it
-    width = full_noise_width(preset.model, scheme)
-    for mode in modes:
-        out = run_filter(
-            rec, mode=mode, preset=preset, n_particles=args.particles, psis=psis,
-            stream=root.child(1), hmodel=hmodel,
-            scheme=scheme if mode == "full" else None,
-            ess_frac=args.ess_frac, noise_width=width,
-        )
+    # noise columns whether or not the full filter runs beside it; "both" is
+    # one coupled pass
+    outs = run_filter(
+        rec, mode=args.mode, preset=preset, n_particles=args.particles, psis=psis,
+        stream=root.child(1), hmodel=hmodel, scheme=scheme, ess_frac=args.ess_frac,
+        noise_width=full_noise_width(preset.model, scheme),
+    )
+    for mode, out in zip(modes, outs if args.mode == "both" else [outs]):
         out.to_csv(out_dir / f"filter_{mode}.csv")
         summary["modes"][mode] = {
             "pi_terminal": {p.name: float(v) for p, v in zip(psis, out.pi[-1])},
@@ -380,6 +379,9 @@ def _cmd_converge(args) -> int:
     if args.replications < 2:
         raise ConfigError("--replications must be at least 2 (the gap SE and the KS distance "
                           f"need two), got {args.replications}", key="replications")
+    if args.signal_paths < 2:
+        raise ConfigError("--signal-paths must be at least 2 (the signal KS distance needs two), "
+                          f"got {args.signal_paths}", key="signal_paths")
     if args.martingale_runs < 2:
         raise ConfigError("--martingale-runs must be at least 2 (the martingale SE needs two), "
                           f"got {args.martingale_runs}", key="martingale_runs")

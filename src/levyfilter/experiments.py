@@ -2,8 +2,8 @@
 diagnostics, a linear-Gaussian oracle, and filter convergence as the
 timescale separation vanishes.
 
-The filter study runs its replications as the rows of one batched filter
-pass per (epsilon, mode).  Every replication derives its own stream from
+The filter study simulates its replications' paths as one stack and runs
+them as the rows of one coupled full/reduced filter pass per epsilon.  Every replication derives its own stream from
 (study seed, epsilon index, replication index) and a filter row does not
 depend on the other rows, so the numbers are a deterministic function of the
 seed.
@@ -21,7 +21,6 @@ from .filtering import (
     PsiSpec,
     _batch_log_weight,
     _log_thinning,
-    full_noise_width,
     psi_from_string,
     run_filter,
     run_filter_batch,
@@ -73,6 +72,7 @@ def signal_convergence_study(
     ensemble is resampled per epsilon so sampling noise does not correlate
     across rows.
     """
+    n_paths = _at_least_two("n_paths", n_paths)
     if hmodel is None:
         hmodel = build_homogenized(preset)
     root = RngStream(int(seed))
@@ -174,9 +174,12 @@ def martingale_check(
     se_forward_homog = float(lik0.std(ddof=1) / math.sqrt(P))
     max_rho0_inverse = float(np.exp(-logl0.min()))
 
+    paths = (
+        simulate_full(model, obs, T, scheme, [root.child(4).child(r) for r in range(inverse_runs)])
+        if inverse_runs else []
+    )
     inv_vals = np.empty(inverse_runs)
-    for r in range(inverse_runs):
-        path = simulate_full(model, obs, T, scheme, root.child(4).child(r))
+    for r, path in enumerate(paths):
         rec = path.observations()
         xr = path.X[1:]
         hser = np.asarray(obs.h(xr, path.Z[1:]), dtype=float)
@@ -320,8 +323,9 @@ def filter_convergence_study(
     propagation-noise stream (common random numbers: the reduced filter reads
     the same slow-Brownian columns the full filter uses), which strips most
     particle noise out of the terminal gap |pi_full(psi) - pi_homog(psi)|.
-    The replications are the rows of one batched filter pass per epsilon and
-    mode.  ``threads`` is accepted for callers that still pass a worker
+    Per epsilon, one ``simulate_full`` call advances every replication's path
+    and one coupled filter pass runs both filters with the replications as its
+    rows.  ``threads`` is accepted for callers that still pass a worker
     count and has no effect: the study runs on one thread.
     Reported per epsilon: the mean coupled gap and its SE per functional, and
     the KS distance between the replication samples of the two terminal
@@ -338,17 +342,11 @@ def filter_convergence_study(
         peps = with_epsilon(preset, float(eps))
         scheme = default_scheme(peps.model, dt)
         rep_streams = [root.child(ie).child(r) for r in range(R)]
-        recs = [
-            simulate_full(peps.model, peps.observation, T, scheme, s.child(0)).observations()
-            for s in rep_streams
-        ]
-        common = dict(
-            preset=peps, n_particles=n_particles, psis=psis,
-            streams=[s.child(1) for s in rep_streams], ess_frac=ess_frac,
-            noise_width=full_noise_width(peps.model, scheme),
+        paths = simulate_full(peps.model, peps.observation, T, scheme, [s.child(0) for s in rep_streams])
+        out_full, out_homog = run_filter_batch(
+            [path.observations() for path in paths], "both", peps, n_particles, psis,
+            [s.child(1) for s in rep_streams], hmodel=hmodel, scheme=scheme, ess_frac=ess_frac,
         )
-        out_full = run_filter_batch(recs, "full", scheme=scheme, **common)
-        out_homog = run_filter_batch(recs, "homog", hmodel=hmodel, **common)
         full_T = np.array([o.pi[-1] for o in out_full])
         homog_T = np.array([o.pi[-1] for o in out_homog])
         gaps = np.abs(full_T - homog_T)
@@ -387,6 +385,7 @@ def convergence_study(
 ) -> ConvergenceReport:
     """Filter convergence plus signal-law KS and martingale diagnostics per epsilon."""
     _at_least_two("replications", replications)
+    _at_least_two("signal_paths", signal_paths)
     _at_least_two("martingale_runs", martingale_runs)
     _check_epsilons(epsilons)
     hmodel = build_homogenized(preset)

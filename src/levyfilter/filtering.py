@@ -128,7 +128,10 @@ class ParticleEnsemble:
     streams: np.ndarray                # (*rows,) RngStream objects
     resample_count: np.ndarray         # (*rows,) ints
     _noise_width: int = 1
-    _noise: np.ndarray | None = field(default=None, repr=False)  # (*rows,) generators
+    _noise: list = field(init=False, repr=False)   # generator per row, rows flattened
+
+    def __post_init__(self):
+        self._noise = [None] * self.streams.size
 
     @property
     def rows(self) -> tuple:
@@ -138,19 +141,35 @@ class ParticleEnsemble:
     def n_particles(self) -> int:
         return self.log_weights.shape[-1]
 
-    def next_noise(self) -> np.ndarray:
+    def next_noise(self, partner: tuple | None = None) -> np.ndarray:
         """(*rows, N, width) standard normals for one step, each row from its
-        generation's stream."""
-        if self._noise is None:
-            self._noise = np.full(self.rows, None, dtype=object)
-        out = np.empty(self.rows + (self.n_particles, self._noise_width))
-        for i, block in enumerate(out.reshape(-1, self.n_particles, self._noise_width)):
-            gen = self._noise.flat[i]
+        generation's stream.  The block is read-only.
+
+        ``partner`` is (generators, block) of an ensemble on the same run
+        streams and width that drew this step already.  A row holding the
+        partner row's generator object shares that row's generation and
+        position, so it takes the partner's row instead of drawing again.
+        """
+        N, width = self.n_particles, self._noise_width
+        gens = self._noise
+        shared = [False] * len(gens)
+        if partner is not None:
+            partner_gens, partner_block = partner
+            shared = [g is p for g, p in zip(gens, partner_gens)]
+            if all(shared):
+                return partner_block
+            partner_rows = partner_block.reshape(-1, N, width)
+        out = np.empty(self.rows + (N, width))
+        for i, block in enumerate(out.reshape(-1, N, width)):
+            if shared[i]:
+                block[...] = partner_rows[i]
+                continue
+            gen = gens[i]
             if gen is None:
                 stream = self.streams.flat[i].child(NoiseSource.PARTICLES)
-                gen = stream.child(int(self.resample_count.flat[i])).generator()
-                self._noise.flat[i] = gen
+                gen = gens[i] = stream.child(int(self.resample_count.flat[i])).generator()
             gen.standard_normal(out=block)
+        out.flags.writeable = False
         return out
 
 
@@ -227,9 +246,8 @@ class FullDynamics:
     def noise_width(self) -> int:
         return full_noise_width(self.model, self.scheme)
 
-    def step(self, ens: ParticleEnsemble, dt: float):
+    def step(self, ens: ParticleEnsemble, col: np.ndarray, dt: float):
         m = self.model
-        col = ens.next_noise()
         dV = col[..., : m.l1] * math.sqrt(dt)
         if self.dt_fast is None:
             fast_noise = col[..., m.l1: m.l1 + 1]
@@ -255,22 +273,22 @@ class HomogDynamics:
     def noise_width(self) -> int:
         return self.hmodel.l_factor
 
-    def step(self, ens: ParticleEnsemble, dt: float):
+    def step(self, ens: ParticleEnsemble, col: np.ndarray, dt: float):
         h = self.hmodel
-        col = ens.next_noise()
         dV = col[..., : h.l_factor] * math.sqrt(dt)
         ens.x = euler_step(ens.x, h.bbar1(ens.x), h.sigmabar1(ens.x), dV, dt)
 
 
-def propagate(ens: ParticleEnsemble, dynamics, dt: float) -> ParticleEnsemble:
+def propagate(ens: ParticleEnsemble, dynamics, dt: float, noise: np.ndarray) -> ParticleEnsemble:
     """Advance every particle by one step of the signal dynamics (in place).
 
-    Propagation never touches the weights: under the reference law the
-    observation carries no drift information into the signal itself.
+    ``noise`` is the step's block from ``ens.next_noise``.  Propagation never
+    touches the weights: under the reference law the observation carries no
+    drift information into the signal itself.
     """
     if not dt > 0:
         raise ValueError(f"dt must be > 0, got {dt}")
-    dynamics.step(ens, dt)
+    dynamics.step(ens, noise, dt)
     ens.time += dt
     if not np.all(np.isfinite(ens.x)):
         raise ModelViolationError(f"particle states became non-finite at t={ens.time:.6g}")
@@ -342,11 +360,12 @@ def estimate(ens: ParticleEnsemble, psis: list[PsiSpec]) -> dict:
     pi = np.empty(ens.rows + (len(psis),))
     for i, psi in enumerate(psis):
         pi[..., i] = (w * psi(ens.x)).sum(axis=-1) / den
-    # math.log per row, as resample uses, so both agree on the mass level bitwise
-    mass = [m + math.log(d / ens.n_particles) for m, d in zip(mx.flat, den.flat)]
     ess = den * den / (w * w).sum(axis=-1)
+    # math.log per row, as resample uses, so both agree on the mass level bitwise
+    N = ens.n_particles
     if not ens.rows:
-        return {"pi": pi, "log_rho1": float(mass[0]), "ess": float(ess)}
+        return {"pi": pi, "log_rho1": float(mx[0]) + math.log(float(den) / N), "ess": float(ess)}
+    mass = [m + math.log(d / N) for m, d in zip(mx.flat, den.flat)]
     return {"pi": pi, "log_rho1": np.array(mass), "ess": ess}
 
 
@@ -379,8 +398,8 @@ def resample(ens: ParticleEnsemble, row: tuple | int = ()) -> ParticleEnsemble:
         ens.z[row] = ens.z[row][idx]
     ens.log_weights[row] = log_rho1
     ens.resample_count[row] = generation + 1
-    if ens._noise is not None:
-        ens._noise[row] = None
+    # drop the row's generator; ``_noise`` holds the rows flattened
+    ens._noise[int(np.arange(len(ens._noise)).reshape(ens.rows)[row])] = None
     return ens
 
 
@@ -427,17 +446,56 @@ def run_filter(
     scheme: StepScheme | None = None,
     ess_frac: float = 0.5,
     noise_width: int | None = None,
-) -> FilterOutput:
+) -> FilterOutput | tuple[FilterOutput, FilterOutput]:
     """Run the particle filter along one observation record.
 
     A stack of one for ``run_filter_batch``, which documents the arguments;
-    the output is a deterministic function of (observations, parameters,
-    stream).
+    ``mode='both'`` returns the (full, homog) pair.  The output is a
+    deterministic function of (observations, parameters, stream).
     """
-    return run_filter_batch(
+    out = run_filter_batch(
         [observations], mode, preset, n_particles, psis, [stream], hmodel=hmodel,
         scheme=scheme, ess_frac=ess_frac, noise_width=noise_width,
-    )[0]
+    )
+    return (out[0][0], out[1][0]) if mode == "both" else out[0]
+
+
+@dataclass
+class _ModeRun:
+    """One filter mode inside ``run_filter_batch``: its ensemble and its series."""
+
+    mode: str
+    dynamics: object
+    sensor: object               # ensemble -> (*rows, N, d) sensor values
+    ens: ParticleEnsemble
+    pi: np.ndarray               # (K+1, R, n_psi), one line per step, a column per row
+    log_rho1: np.ndarray         # (K+1, R)
+    ess: np.ndarray              # (K+1, R)
+    resample_steps: list         # per row
+
+    def record(self, k: int, psis: list) -> np.ndarray:
+        est = estimate(self.ens, psis)
+        self.pi[k], self.log_rho1[k], self.ess[k] = est["pi"], est["log_rho1"], est["ess"]
+        return est["ess"]
+
+
+def _coupled_noise(full: ParticleEnsemble, homog: ParticleEnsemble) -> tuple:
+    """One step's noise blocks of a full and a reduced ensemble on the same run
+    streams and width.
+
+    A row of the two draws once while both are in the same resample generation
+    and that generation began at the same step: the homog row then holds the
+    full row's generator object and reads the full row's block.  A mode that
+    resamples drops only its own reference, so the other keeps drawing from
+    the shared generator, which is already where its own draws would be.
+    """
+    fresh = [g is None for g in full._noise]     # rows whose full generation begins now
+    full_block = full.next_noise()
+    counts_h, counts_f = homog.resample_count.flat, full.resample_count.flat
+    for i, gen in enumerate(homog._noise):
+        if gen is None and fresh[i] and counts_h[i] == counts_f[i]:
+            homog._noise[i] = full._noise[i]
+    return full_block, homog.next_noise(partner=(full._noise, full_block))
 
 
 def run_filter_batch(
@@ -451,7 +509,7 @@ def run_filter_batch(
     scheme: StepScheme | None = None,
     ess_frac: float = 0.5,
     noise_width: int | None = None,
-) -> list[FilterOutput]:
+) -> list[FilterOutput] | tuple[list[FilterOutput], list[FilterOutput]]:
     """Run one particle filter per observation record, all records advanced together.
 
     Record r gets an ensemble row of ``n_particles`` particles driven by its
@@ -466,9 +524,15 @@ def run_filter_batch(
     noise block (one row per particle) beyond what the dynamics consume, which
     lets a full and a reduced filter share their slow-noise columns for
     coupled comparisons.
+
+    ``mode='both'`` runs the full and the reduced filter in one step loop at
+    the wider of their two widths and returns (full outputs, homog outputs),
+    each bitwise what the single-mode call at that width returns.  Both modes
+    draw their step's noise before either updates its weights or resamples,
+    and a row whose two modes resampled at the same steps draws its block once.
     """
-    if mode not in ("full", "homog"):
-        raise ValueError(f"mode must be 'full' or 'homog', got {mode!r}")
+    if mode not in ("full", "homog", "both"):
+        raise ValueError(f"mode must be 'full', 'homog' or 'both', got {mode!r}")
     if not 0.0 < ess_frac <= 1.0:
         raise ValueError(f"ess_frac must lie in (0, 1], got {ess_frac}")
     if not psis:
@@ -487,7 +551,9 @@ def run_filter_batch(
     if np.max(np.abs(np.diff(times) - dt)) > 1e-9 * max(1.0, dt):
         raise ValueError("observation grid is not uniform")
 
-    if mode == "full":
+    modes = ("full", "homog") if mode == "both" else (mode,)
+    setups = []   # (mode, dynamics, x0, z0, sensor)
+    if "full" in modes:
         model = preset.model
         if scheme is None:
             scheme = default_scheme(model, dt)
@@ -495,23 +561,32 @@ def run_filter_batch(
             raise ValueError(
                 f"scheme dt_slow={scheme.dt_slow} must match the observation spacing {dt}"
             )
-        dynamics = FullDynamics(model, scheme)
-        x0, z0 = model.x0, model.z0
-        sensor = None
-    else:
+        setups.append((
+            "full", FullDynamics(model, scheme), model.x0, model.z0,
+            lambda ens: np.asarray(obs.h(ens.x, ens.z), dtype=float),
+        ))
+    if "homog" in modes:
         if hmodel is None:
             raise ValueError("homog mode needs a homogenized model")
-        dynamics = HomogDynamics(hmodel)
-        x0, z0 = hmodel.x0, None
-        sensor = hmodel.hbar
+        setups.append((
+            "homog", HomogDynamics(hmodel), hmodel.x0, None,
+            lambda ens: np.asarray(hmodel.hbar(ens.x), dtype=float),
+        ))
 
-    width = dynamics.noise_width if noise_width is None else int(noise_width)
-    if width < dynamics.noise_width:
-        raise ValueError(
-            f"noise_width={width} is narrower than the dynamics need ({dynamics.noise_width})"
-        )
+    need = max(dynamics.noise_width for _, dynamics, _, _, _ in setups)
+    width = need if noise_width is None else int(noise_width)
+    if width < need:
+        raise ValueError(f"noise_width={width} is narrower than the dynamics need ({need})")
     R = len(records)
-    ens = init_ensemble(n_particles, x0, z0, list(streams), width)
+    runs = [
+        _ModeRun(
+            mode=name, dynamics=dynamics, sensor=sensor,
+            ens=init_ensemble(n_particles, x0, z0, list(streams), width),
+            pi=np.empty((K + 1, R, len(psis))), log_rho1=np.empty((K + 1, R)),
+            ess=np.empty((K + 1, R)), resample_steps=[[] for _ in range(R)],
+        )
+        for name, dynamics, x0, z0, sensor in setups
+    ]
 
     # small-region events of step k as (row, times, marks), in record order
     events: list[list] = [[] for _ in range(K)]
@@ -522,45 +597,44 @@ def run_filter_batch(
             events[k].append((r, rec.small_times[mine], rec.small_marks[mine]))
     d_bbar = np.stack([rec.bbar_increments for rec in records], axis=1)[:, :, None, :]  # (K, R, 1, d)
     no_t, no_u = np.zeros(0), np.zeros((0, obs.nu3_small.mark_dim))
-
-    # step-major series, one line per step with a column per row
-    pi = np.empty((K + 1, R, len(psis)))
-    log_rho1 = np.empty((K + 1, R))
-    ess_series = np.empty((K + 1, R))
-    resample_steps: list[list[int]] = [[] for _ in range(R)]
     threshold = ess_frac * n_particles
 
-    est = estimate(ens, psis)
-    pi[0], log_rho1[0], ess_series[0] = est["pi"], est["log_rho1"], est["ess"]
-
+    for run in runs:
+        run.record(0, psis)
     for k in range(K):
-        propagate(ens, dynamics, dt)
-        if mode == "full":
-            h_vals = np.asarray(obs.h(ens.x, ens.z), dtype=float)
+        if len(runs) == 2:
+            blocks = _coupled_noise(runs[0].ens, runs[1].ens)
         else:
-            h_vals = np.asarray(sensor(ens.x), dtype=float)
+            blocks = (runs[0].ens.next_noise(),)
         t_right = float(times[k + 1])
-        incr = _batch_log_weight(obs, h_vals, ens.x, d_bbar[k], dt, t_right, no_t, no_u)
-        # a row with events sees them charged before its compensator term,
-        # exactly as a single-record kernel call orders the sum
-        for r, ev_t, ev_m in events[k]:
-            incr[r] = _batch_log_weight(
-                obs, h_vals[r], ens.x[r], d_bbar[k, r, 0], dt, t_right, ev_t, ev_m
-            )
-        ens.log_weights += incr
-        est = estimate(ens, psis)
-        pi[k + 1], log_rho1[k + 1], ess_series[k + 1] = est["pi"], est["log_rho1"], est["ess"]
-        if k < K - 1:
-            for r, ess in enumerate(est["ess"].tolist()):
-                if ess < threshold:
-                    resample(ens, r)
-                    resample_steps[r].append(k + 1)
+        for run, noise in zip(runs, blocks):
+            ens = run.ens
+            propagate(ens, run.dynamics, dt, noise)
+            h_vals = run.sensor(ens)
+            incr = _batch_log_weight(obs, h_vals, ens.x, d_bbar[k], dt, t_right, no_t, no_u)
+            # a row with events sees them charged before its compensator term,
+            # exactly as a single-record kernel call orders the sum
+            for r, ev_t, ev_m in events[k]:
+                incr[r] = _batch_log_weight(
+                    obs, h_vals[r], ens.x[r], d_bbar[k, r, 0], dt, t_right, ev_t, ev_m
+                )
+            ens.log_weights += incr
+            ess = run.record(k + 1, psis)
+            if k < K - 1:
+                for r, row_ess in enumerate(ess.tolist()):
+                    if row_ess < threshold:
+                        resample(ens, r)
+                        run.resample_steps[r].append(k + 1)
 
-    return [
-        FilterOutput(
-            times=times.copy(), psi_names=[p.name for p in psis], pi=pi[:, r].copy(),
-            log_rho1=log_rho1[:, r].copy(), ess=ess_series[:, r].copy(),
-            resample_steps=resample_steps[r], mode=mode, n_particles=n_particles,
-        )
-        for r in range(R)
+    outputs = [
+        [
+            FilterOutput(
+                times=times.copy(), psi_names=[p.name for p in psis], pi=run.pi[:, r].copy(),
+                log_rho1=run.log_rho1[:, r].copy(), ess=run.ess[:, r].copy(),
+                resample_steps=run.resample_steps[r], mode=run.mode, n_particles=n_particles,
+            )
+            for r in range(R)
+        ]
+        for run in runs
     ]
+    return tuple(outputs) if mode == "both" else outputs[0]

@@ -247,9 +247,17 @@ def _require(doc: dict, required: set, where: str):
         raise ConfigError(f"{where} section is missing {missing}", key=missing[0])
 
 
-def _measure_from_dict(doc: dict, region: str, where: str) -> LevyMeasureSpec:
+def _object(doc, where: str) -> dict:
+    """``doc`` checked to be a JSON object; ``where`` is its dotted path, whose
+    last part keys the error."""
     if not isinstance(doc, dict):
-        raise ConfigError(f"{where} must be an object with intensity/marks")
+        raise ConfigError(f"{where} must be an object, got {type(doc).__name__}",
+                          key=where.rsplit(".", 1)[-1])
+    return doc
+
+
+def _measure_from_dict(doc: dict, region: str, where: str) -> LevyMeasureSpec:
+    _object(doc, where)
     _reject_unknown(doc, _MEASURE_KEYS, where)
     _require(doc, _MEASURE_KEYS, where)
     return LevyMeasureSpec(float(doc["intensity"]), MarkSampler.parse(doc["marks"]), region)
@@ -265,11 +273,11 @@ def model_from_dict(doc: dict) -> SlowFastModel:
     f2 = vector_field(doc["f2"], ("x", "z", "u")) if doc.get("f2") else None
     bounds = doc.get("bounds")
     if bounds is not None:
-        _reject_unknown(bounds, _BOUND_KEYS, "model.bounds")
+        _reject_unknown(_object(bounds, "model.bounds"), _BOUND_KEYS, "model.bounds")
         bounds = {k: float(v) for k, v in bounds.items()}
     ou = doc.get("ou_fast")
     if ou is not None:
-        _reject_unknown(ou, _OU_KEYS, "model.ou_fast")
+        _reject_unknown(_object(ou, "model.ou_fast"), _OU_KEYS, "model.ou_fast")
         _require(ou, _OU_KEYS, "model.ou_fast")
         ou = OuFast(float(ou["rate"]), float(ou["sigma"]))
     try:
@@ -299,7 +307,7 @@ def observation_from_dict(doc: dict) -> ObservationModel:
             h=vector_field(doc["h"], ("x", "z")),
             f3=vector_field(doc["f3"], ("t", "u")),
             g3=vector_field(doc["g3"], ("t", "u")),
-            thinning=ThinningLaw.from_dict(doc["lambda"]),
+            thinning=ThinningLaw.from_dict(_object(doc["lambda"], "observation.lambda")),
             nu3_small=_measure_from_dict(doc["nu3_small"], "U3", "observation.nu3_small"),
             nu3_large=_measure_from_dict(doc["nu3_large"], "U3_complement", "observation.nu3_large"),
             h_bound=None if h_bound is None else float(h_bound),
@@ -311,7 +319,7 @@ def observation_from_dict(doc: dict) -> ObservationModel:
 
 
 def _closed_form_from_dict(doc: dict) -> ClosedFormFacts:
-    _reject_unknown(doc, _CLOSED_FORM_KEYS, "model.closed_form")
+    _reject_unknown(_object(doc, "model.closed_form"), _CLOSED_FORM_KEYS, "model.closed_form")
     _require(doc, _CLOSED_FORM_KEYS, "model.closed_form")
     return ClosedFormFacts(
         bbar1=np.asarray(doc["bbar1"], dtype=float),

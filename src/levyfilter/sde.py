@@ -186,8 +186,6 @@ def euler_step(x, drift, diffusion, dV, dt: float):
     substep all take it, so the slow and reduced steps agree operation for
     operation when their coefficients do.
     """
-    if np.ndim(diffusion) == 2:   # one path: matmul is the fastest form; batches: einsum
-        return x + drift * dt + diffusion @ dV
     return x + drift * dt + np.einsum("...nl,...l->...n", diffusion, dV)
 
 
@@ -224,141 +222,183 @@ def signal_step(model: SlowFastModel, dt_fast: float | None, x, z, dV, fast_nois
     return x_new, z
 
 
+def _path_draws(
+    model: SlowFastModel,
+    obs: ObservationModel,
+    T: float,
+    K: int,
+    scheme: StepScheme,
+    dt_fast: float | None,
+    stream: RngStream,
+) -> dict:
+    """Every random input of one path, each noise from its own child stream of
+    ``stream`` keyed by ``NoiseSource``."""
+    dt, eps = scheme.dt_slow, model.epsilon
+    fast = stream.child(NoiseSource.FAST_BROWNIAN)
+    if dt_fast is None:
+        fast_noise = fast.generator().normal(size=(K, 1))
+    else:
+        fast_noise = brownian_increments(fast, model.l2, dt_fast / eps, K * scheme.substeps)
+
+    def events(source, spec, rate_scale=1.0):
+        if spec.total_intensity > 0:
+            return sample_poisson_jumps(stream.child(source), spec, T, rate_scale=rate_scale)
+        return []
+
+    small = events(NoiseSource.OBS_JUMPS_SMALL, obs.nu3_small)
+    large = events(NoiseSource.OBS_JUMPS_LARGE, obs.nu3_large)
+    thin_gen = stream.child(NoiseSource.THINNING).generator()
+    small_u = thin_gen.uniform(size=len(small))
+    large_u = thin_gen.uniform(size=len(large))
+    return {
+        "dV": brownian_increments(stream.child(NoiseSource.SLOW_BROWNIAN), model.l1, dt, K),
+        "dB": brownian_increments(stream.child(NoiseSource.OBS_BROWNIAN), obs.d, dt, K),
+        "fast_noise": fast_noise,
+        "slow": events(NoiseSource.SLOW_JUMPS, model.nu1),
+        "fast": events(NoiseSource.FAST_JUMPS, model.nu2, 1.0 / eps),
+        # (base events, acceptance uniforms, jump shape): small region first
+        "obs": ((small, small_u, obs.f3), (large, large_u, obs.g3)),
+    }
+
+
 def simulate_full(
     model: SlowFastModel,
     obs: ObservationModel,
     T: float,
     scheme: StepScheme,
-    stream: RngStream,
-) -> JointPath:
-    """One trajectory of the coupled system (slow, fast, observation).
+    stream: RngStream | list[RngStream],
+) -> JointPath | list[JointPath]:
+    """Trajectories of the coupled system (slow, fast, observation).
 
-    Each driving noise uses its own child stream of ``stream`` keyed by
-    ``NoiseSource``, so refining one source never perturbs another.
+    ``stream`` is one stream, giving one ``JointPath``, or a list of R streams,
+    giving R paths advanced together by one time loop over (R, .) arrays.
+    Each driving noise of path r uses its own child stream of ``stream[r]``
+    keyed by ``NoiseSource``, so refining one source never perturbs another,
+    and path r is bitwise the single-stream call on ``stream[r]``: one stream
+    runs as a stack of one, the coefficients are evaluated over the stack, and
+    jump events, their thinning and every compensator that reads the state are
+    evaluated per path.
     """
+    single = isinstance(stream, RngStream)
+    streams = [stream] if single else list(stream)
+    if not streams:
+        raise ValueError("need at least one stream")
     times = make_grid(T, scheme.dt_slow)
     K = len(times) - 1
+    R = len(streams)
     dt = scheme.dt_slow
     eps = model.epsilon
     dt_fast = _fast_scheme_params(model, scheme)
     n, m, d = model.n, model.m, obs.d
 
-    dV = brownian_increments(stream.child(NoiseSource.SLOW_BROWNIAN), model.l1, dt, K)
-    dB = brownian_increments(stream.child(NoiseSource.OBS_BROWNIAN), d, dt, K)
+    draws = [_path_draws(model, obs, T, K, scheme, dt_fast, s) for s in streams]
+    dV, dB, fast_noise = (np.stack([p[key] for p in draws], axis=1)
+                          for key in ("dV", "dB", "fast_noise"))
     if dt_fast is None:
         decay, scale = ou_transition(model.ou_fast, dt / eps)
-        xi = stream.child(NoiseSource.FAST_BROWNIAN).generator().normal(size=(K, 1))
     else:
-        substeps = int(round(dt / dt_fast))
+        substeps = scheme.substeps
         ds = dt_fast / eps
-        dW = brownian_increments(
-            stream.child(NoiseSource.FAST_BROWNIAN), model.l2, ds, K * substeps
-        )
 
-    slow_events = (
-        sample_poisson_jumps(stream.child(NoiseSource.SLOW_JUMPS), model.nu1, T)
-        if model.nu1.total_intensity > 0 else []
-    )
-    fast_events = (
-        sample_poisson_jumps(stream.child(NoiseSource.FAST_JUMPS), model.nu2, T, rate_scale=1.0 / eps)
-        if model.nu2.total_intensity > 0 else []
-    )
-    small_base = (
-        sample_poisson_jumps(stream.child(NoiseSource.OBS_JUMPS_SMALL), obs.nu3_small, T)
-        if obs.nu3_small.total_intensity > 0 else []
-    )
-    large_base = (
-        sample_poisson_jumps(stream.child(NoiseSource.OBS_JUMPS_LARGE), obs.nu3_large, T)
-        if obs.nu3_large.total_intensity > 0 else []
-    )
-    thin_gen = stream.child(NoiseSource.THINNING).generator()
-    small_u = thin_gen.uniform(size=len(small_base))
-    large_u = thin_gen.uniform(size=len(large_base))
+    # events by step, each step's list in path order; within a path slow and
+    # fast events keep time order, observation events small region then large
+    slow_at: dict = {}
+    fast_at: dict = {}
+    obs_at: dict = {}
+    obs_out = [([], []) for _ in range(R)]   # per path: (small, large) with acceptance
+    for r, p in enumerate(draws):
+        for k, ev in zip(_bin_events(p["slow"], times).tolist(), p["slow"]):
+            slow_at.setdefault(k, []).append((r, ev.mark))
+        for k, ev in zip(_bin_events(p["fast"], times).tolist(), p["fast"]):
+            fast_at.setdefault(k, []).append((r, ev.time, ev.mark))
+        for (base, uniforms, shape), out in zip(p["obs"], obs_out[r]):
+            for k, ev, u in zip(_bin_events(base, times).tolist(), base, uniforms):
+                obs_at.setdefault(k, []).append((r, ev, u, shape, out))
+    slow_comp = model.f1 is not None and model.nu1.total_intensity > 0
+    fast_comp = model.f2 is not None and model.nu2.total_intensity > 0
 
-    slow_step = _bin_events(slow_events, times)
-    fast_step = _bin_events(fast_events, times)
-    small_out: list[JumpEvent] = []
-    large_out: list[JumpEvent] = []
-    # (base events, acceptance uniforms, owning step, accepted record, jump shape)
-    obs_jumps = (
-        (small_base, small_u, _bin_events(small_base, times), small_out, obs.f3),
-        (large_base, large_u, _bin_events(large_base, times), large_out, obs.g3),
-    )
+    def obs_comp(t, x):
+        return obs.nu3_small.integrate(lambda u: obs.f3(t, u) * obs.thinning(t, x, u)[..., None])
 
-    X = np.empty((K + 1, n)); X[0] = model.x0
-    Z = np.empty((K + 1, m)); Z[0] = model.z0
-    Y = np.zeros((K + 1, d))
-    bbar = np.empty((K, d))
-    x_jumps = np.zeros((K, n))
-    y_jumps = np.zeros((K, d))
+    # path-major, so each path's arrays are contiguous, laid out as a single path's
+    X = np.empty((R, K + 1, n)); X[:, 0] = model.x0
+    Z = np.empty((R, K + 1, m)); Z[:, 0] = model.z0
+    Y = np.zeros((R, K + 1, d))
+    bbar = np.empty((R, K, d))
+    x_jumps = np.zeros((R, K, n))
+    y_jumps = np.zeros((R, K, d))
+    x, z, y = X[:, 0].copy(), Z[:, 0].copy(), Y[:, 0].copy()
 
     for k in range(K):
-        t, x, z = times[k], X[k], Z[k]
+        t = times[k]
 
         # slow component: Euler with compensated jumps, state frozen at t_k
         x_new = euler_step(x, model.b1(x, z), model.sigma1(x, z), dV[k], dt)
-        for idx in np.nonzero(slow_step == k)[0]:
-            jump = model.f1(x, slow_events[idx].mark[None, :])[0]
-            x_new = x_new + jump
-            x_jumps[k] += jump
-        if model.f1 is not None and model.nu1.total_intensity > 0:
-            x_new = x_new - dt * model.nu1.integrate(lambda u: model.f1(x, u))
+        for r, mark in slow_at.get(k, ()):
+            jump = model.f1(x[r], mark[None, :])[0]
+            x_new[r] = x_new[r] + jump
+            x_jumps[r, k] += jump
+        if slow_comp:
+            for r in range(R):
+                x_new[r] = x_new[r] - dt * model.nu1.integrate(lambda u: model.f1(x[r], u))
 
         # observation: continuous part plus thinned jumps, left-limit state
-        hv = obs.h(x, z)
-        bbar[k] = dB[k] + hv * dt
-        y_new = Y[k] + bbar[k]
-        for base, uniforms, owner, out, shape in obs_jumps:
-            for idx in np.nonzero(owner == k)[0]:
-                ev = base[idx]
-                lam = float(check_thinning(obs.thinning(ev.time, x, ev.mark)))
-                accepted = bool(uniforms[idx] < lam)
-                out.append(JumpEvent(ev.time, ev.mark, accepted))
-                if accepted:
-                    jump = shape(ev.time, ev.mark[None, :])[0]
-                    y_new = y_new + jump
-                    y_jumps[k] += jump
+        bbar[:, k] = dB[k] + obs.h(x, z) * dt
+        y_new = y + bbar[:, k]
+        for r, ev, u, shape, out in obs_at.get(k, ()):
+            lam = float(check_thinning(obs.thinning(ev.time, x[r], ev.mark)))
+            accepted = bool(u < lam)
+            out.append(JumpEvent(ev.time, ev.mark, accepted))
+            if accepted:
+                jump = shape(ev.time, ev.mark[None, :])[0]
+                y_new[r] = y_new[r] + jump
+                y_jumps[r, k] += jump
         if obs.nu3_small.total_intensity > 0:
-            comp = obs.nu3_small.integrate(
-                lambda u: obs.f3(t, u) * obs.thinning(t, x, u)[..., None]
-            )
-            y_new = y_new - dt * comp
+            if obs.thinning.kind == "const":   # does not read the state: once per step
+                y_new = y_new - dt * obs_comp(t, x[0])
+            else:
+                for r in range(R):
+                    y_new[r] = y_new[r] - dt * obs_comp(t, x[r])
 
         # fast component across the coarse step, slow state frozen at t_k
         if dt_fast is None:
-            z_new = decay * z + scale * xi[k]
+            z_new = decay * z + scale * fast_noise[k]
         else:
             z_new = z
-            base = k * substeps
-            in_step = np.nonzero(fast_step == k)[0]
+            kicks = fast_at.get(k, ())
             for j in range(substeps):
                 sub_lo = t + j * dt_fast
                 sub_hi = sub_lo + dt_fast
-                z_sub = fast_euler_substep(model, x, z_new, dW[base + j], ds)
-                if model.f2 is not None and model.nu2.total_intensity > 0:
-                    z_sub = z_sub - ds * model.nu2.integrate(
-                        lambda u: model.f2(x, z_new, u)
-                    )
-                for idx in in_step:
-                    ev_t = fast_events[idx].time
+                z_sub = fast_euler_substep(model, x, z_new, fast_noise[k * substeps + j], ds)
+                if fast_comp:
+                    for r in range(R):
+                        z_sub[r] = z_sub[r] - ds * model.nu2.integrate(
+                            lambda u: model.f2(x[r], z_new[r], u)
+                        )
+                for r, ev_t, mark in kicks:
                     if sub_lo < ev_t <= sub_hi:
-                        z_sub = z_sub + model.f2(x, z_new, fast_events[idx].mark[None, :])[0]
+                        z_sub[r] = z_sub[r] + model.f2(x[r], z_new[r], mark[None, :])[0]
                 z_new = z_sub
 
-        X[k + 1] = x_new
-        Z[k + 1] = z_new
-        Y[k + 1] = y_new
+        X[:, k + 1] = x_new
+        Z[:, k + 1] = z_new
+        Y[:, k + 1] = y_new
         _check_finite((x_new, z_new, y_new), times[k + 1])
+        x, z, y = x_new, z_new, y_new
 
-    return JointPath(
-        times=times, X=X, Z=Z, Y=Y, bbar_increments=bbar,
-        x_jump_totals=x_jumps, y_jump_totals=y_jumps,
-        events={
-            "slow": slow_events, "fast": fast_events,
-            "obs_small": small_out, "obs_large": large_out,
-        },
-        epsilon=eps,
-    )
+    paths = [
+        JointPath(
+            times=times, X=X[r], Z=Z[r], Y=Y[r], bbar_increments=bbar[r],
+            x_jump_totals=x_jumps[r], y_jump_totals=y_jumps[r],
+            events={
+                "slow": p["slow"], "fast": p["fast"],
+                "obs_small": obs_out[r][0], "obs_large": obs_out[r][1],
+            },
+            epsilon=eps,
+        )
+        for r, p in enumerate(draws)
+    ]
+    return paths[0] if single else paths
 
 
 def simulate_frozen_fast(

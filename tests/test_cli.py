@@ -168,6 +168,21 @@ def test_converge_rejects_a_study_too_small_to_report(tmp_path, capsys, flag, va
     assert written <= {"config.json"}
 
 
+@pytest.mark.parametrize("value", ["0", "1"])
+def test_converge_checks_signal_paths_before_any_work(tmp_path, capsys, monkeypatch, value):
+    def no_work(*args, **kwargs):
+        raise AssertionError("converge started the study before checking --signal-paths")
+
+    monkeypatch.setattr("levyfilter.cli.convergence_study", no_work)
+    out = tmp_path / "conv"
+    args = _converge_args(out, threads=1)
+    args[args.index("--signal-paths") + 1] = value
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "(key: signal_paths)" in err
+    assert not out.exists()
+
+
 def test_config_file_round_trips_through_cli(tmp_path):
     cfg_path = _write_config(tmp_path)
     out = tmp_path / "sim"
@@ -207,6 +222,14 @@ def test_missing_config_key_is_named(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "(key: sigma)" in err
+
+
+def test_non_object_config_section_is_a_keyed_config_error(tmp_path, capsys):
+    cfg_path = _write_config(tmp_path, lambda c: c["observation"].__setitem__("lambda", 0.6))
+    rc = main(["validate", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "(key: lambda)" in err
 
 
 def test_broken_json_config(tmp_path, capsys):

@@ -228,6 +228,8 @@ def test_convergence_studies_need_two_replications(study, replications, monkeypa
     (filter_convergence_study, [0.5, 0.0], {}, "epsilon must be > 0"),
     (convergence_study, [0.5, -0.1], {}, "epsilon must be > 0"),
     (convergence_study, [0.5, 0.1], {"martingale_runs": 1}, "martingale_runs must be at least 2"),
+    (convergence_study, [0.5, 0.1], {"signal_paths": 0}, "signal_paths must be at least 2"),
+    (convergence_study, [0.5, 0.1], {"signal_paths": 1}, "signal_paths must be at least 2"),
 ])
 def test_convergence_studies_check_inputs_up_front(study, epsilons, kwargs, match, monkeypatch):
     def no_work(*args, **kwargs):

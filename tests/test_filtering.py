@@ -472,7 +472,7 @@ def _reference_filter(rec, mode, preset, n, psis, stream, hmodel, ess_frac, widt
     step_of_event = rec.small_step_index()
     rows, resample_steps = [estimate(ens, psis)], []
     for k in range(K):
-        propagate(ens, dynamics, dt)
+        propagate(ens, dynamics, dt, ens.next_noise())
         h_vals = obs.h(ens.x, ens.z) if mode == "full" else hmodel.hbar(ens.x)
         mine = step_of_event == k
         ens.log_weights = ens.log_weights + _batch_log_weight(
@@ -545,6 +545,56 @@ def test_batched_rows_resample_at_their_own_steps(mode):
     _, outs = _batch_against_single_records(3, 1, mode, 0.99)
     assert all(out.resample_steps for out in outs)
     assert len({tuple(out.resample_steps) for out in outs}) == 3
+
+
+@pytest.mark.parametrize("ess_frac", [0.5, 0.97, 0.99, 1.0])
+def test_coupled_pass_is_bitwise_two_single_mode_passes(ess_frac):
+    # one step loop for both modes; rows whose modes resample at different
+    # steps stop sharing their noise draw and must still match
+    preset = _BATCH_PRESET
+    records = [
+        simulate_reference_observations(preset.observation, 1.0, 0.02, RngStream(8, 2 * r))
+        for r in range(5)
+    ]
+    streams = [RngStream(8, 2 * r + 1) for r in range(5)]
+    psis = ["tanh", "poly(0,1,0)"]
+    kwargs = dict(hmodel=_BATCH_HMODEL, ess_frac=ess_frac, noise_width=2)
+    full, homog = run_filter_batch(records, "both", preset, 24, psis, streams, **kwargs)
+    for mode, coupled in (("full", full), ("homog", homog)):
+        alone = run_filter_batch(records, mode, preset, 24, psis, streams, **kwargs)
+        for a, b in zip(coupled, alone):
+            assert a.mode == b.mode == mode
+            np.testing.assert_array_equal(a.pi, b.pi)
+            np.testing.assert_array_equal(a.log_rho1, b.log_rho1)
+            np.testing.assert_array_equal(a.ess, b.ess)
+            assert a.resample_steps == b.resample_steps
+    if ess_frac in (0.97, 0.99):
+        assert any(f.resample_steps != h.resample_steps for f, h in zip(full, homog))
+    # the single-record form returns the same pair
+    one_full, one_homog = run_filter(records[1], "both", preset, 24, psis, streams[1], **kwargs)
+    np.testing.assert_array_equal(one_full.pi, full[1].pi)
+    np.testing.assert_array_equal(one_homog.pi, homog[1].pi)
+
+
+def test_coupled_pass_draws_a_shared_block_once():
+    # with no resampling both modes stay in generation 0 from step 0, so the
+    # reduced ensemble reads the full ensemble's block without drawing
+    preset, obs = _example6_obs()
+    full = init_ensemble(6, preset.model.x0, preset.model.z0, [RngStream(1, 0)], 2)
+    homog = init_ensemble(6, preset.model.x0, None, [RngStream(1, 0)], 2)
+    from levyfilter.filtering import _coupled_noise
+
+    block_f, block_h = _coupled_noise(full, homog)
+    assert block_h is block_f and not block_f.flags.writeable
+    assert homog._noise[0] is full._noise[0]
+    # after the full row resamples, the reduced row keeps the generator, which
+    # is where a reduced ensemble drawing on its own would be
+    resample(full, 0)
+    block_f, block_h = _coupled_noise(full, homog)
+    assert homog._noise[0] is not full._noise[0]
+    single = init_ensemble(6, preset.model.x0, None, [RngStream(1, 0)], 2)
+    single.next_noise()
+    np.testing.assert_array_equal(block_h, single.next_noise())
 
 
 # ---------------------------------------------------------------------------

@@ -82,6 +82,23 @@ def test_config_errors_name_the_missing_key(path, key):
     assert exc.value.key == key and key in str(exc.value)
 
 
+@pytest.mark.parametrize("path, key, value", [
+    (("observation",), "lambda", 0.6),
+    (("observation",), "lambda", ["const", 0.6]),
+    (("model",), "bounds", 1.0),
+    (("model",), "bounds", "L1"),
+    (("model",), "ou_fast", [1.0, 1.4]),
+    (("model",), "closed_form", 3),
+    (("observation",), "nu3_small", "uniform(-1,1)"),
+])
+def test_config_sections_that_are_not_objects_name_the_key(path, key, value):
+    cfg = copy.deepcopy(preset_to_config(build_example6()))
+    _section(cfg, path)[key] = value
+    with pytest.raises(ConfigError) as exc:
+        preset_from_config(cfg)
+    assert exc.value.key == key and "must be an object" in str(exc.value)
+
+
 def test_load_config_round_trip(tmp_path):
     cfg = preset_to_config(build_example6())
     path = tmp_path / "model.json"

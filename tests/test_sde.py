@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from levyfilter.errors import StiffnessError
 from levyfilter.models import build_example6, make_linear_gaussian, preset_from_config, preset_to_config
@@ -10,6 +11,8 @@ from levyfilter.noise import RngStream
 from levyfilter.sde import (
     ObservationRecord,
     StepScheme,
+    default_scheme,
+    euler_scheme,
     make_grid,
     simulate_full,
     simulate_homogenized_ensemble,
@@ -109,11 +112,10 @@ def test_compensated_slow_jumps_are_mean_zero():
     cfg["model"]["nu1"] = {"intensity": 2.0, "marks": "uniform(-1,1)"}
     preset = preset_from_config(cfg)
     scheme = StepScheme(dt_slow=0.01, fast_mode="exact_ou")
-    xs = []
-    for seed in range(400):
-        path = simulate_full(preset.model, preset.observation, 1.0, scheme, RngStream(seed))
-        xs.append(path.X[-1, 0])
-    xs = np.asarray(xs)
+    paths = simulate_full(
+        preset.model, preset.observation, 1.0, scheme, [RngStream(seed) for seed in range(400)]
+    )
+    xs = np.asarray([path.X[-1, 0] for path in paths])
     # mean 0 (compensation), variance T * intensity * E[u^2] = 2/3
     se = xs.std(ddof=1) / math.sqrt(len(xs))
     assert abs(xs.mean()) < 3 * se
@@ -204,3 +206,71 @@ def test_path_csv_round_trip(tmp_path):
     assert data.shape == (6,)
     np.testing.assert_allclose(data["x_0"], path.X[:, 0], rtol=0, atol=0)
     np.testing.assert_allclose(data["t"], path.times)
+
+
+# ---------------------------------------------------------------------------
+# stacked paths
+
+
+def _stack_case(name):
+    """(preset, scheme) of one route through ``simulate_full``."""
+    cfg = preset_to_config(build_example6())
+    model, obs = cfg["model"], cfg["observation"]
+    euler = False
+    if name == "euler":
+        del model["ou_fast"]
+        model["epsilon"] = 0.05
+        euler = True
+    elif name == "logistic_thinning":
+        obs["lambda"] = {"kind": "logistic", "low": 0.2, "high": 0.8, "slope": 1.5}
+        obs["nu3_small"]["intensity"] = 20.0
+        obs["nu3_large"]["intensity"] = 10.0
+    elif name == "slow_jumps":
+        model["f1"] = ["0.5*u[0]*cos(x[0])"]
+        model["nu1"] = {"intensity": 5.0, "marks": "uniform(-1,1)"}
+    elif name == "fast_jumps":
+        del model["ou_fast"]
+        model["f2"] = ["0.3*u[0] - 0.1*z[0]"]
+        model["nu2"] = {"intensity": 2.0, "marks": "gauss(0,1)"}
+        euler = True
+    elif name == "l1_2":
+        model["l1"] = 2
+        model["sigma1"] = [["1.0", "0.3*cos(x[0])"]]
+    preset = preset_from_config(cfg)
+    scheme = euler_scheme(preset.model, 0.02) if euler else default_scheme(preset.model, 0.02)
+    return preset, scheme
+
+
+_STACK_CASES = ["exact_ou", "euler", "logistic_thinning", "slow_jumps", "fast_jumps", "l1_2"]
+_STACK_PRESETS = {name: _stack_case(name) for name in _STACK_CASES}
+
+
+def _event_tuples(path):
+    return {
+        key: [(ev.time, ev.mark.tobytes(), ev.accepted) for ev in events]
+        for key, events in path.events.items()
+    }
+
+
+@settings(max_examples=20, deadline=None)
+@given(rows=st.integers(1, 4), seed=st.integers(0, 2**16), case=st.sampled_from(_STACK_CASES))
+def test_stacked_paths_are_bitwise_single_paths(rows, seed, case):
+    preset, scheme = _STACK_PRESETS[case]
+    streams = [RngStream(seed, r) for r in range(rows)]
+    stack = simulate_full(preset.model, preset.observation, 0.6, scheme, streams)
+    assert isinstance(stack, list) and len(stack) == rows
+    for stream, path in zip(streams, stack):
+        one = simulate_full(preset.model, preset.observation, 0.6, scheme, stream)
+        for name in ("times", "X", "Z", "Y", "bbar_increments", "x_jump_totals", "y_jump_totals"):
+            np.testing.assert_array_equal(getattr(path, name), getattr(one, name), err_msg=name)
+        assert _event_tuples(path) == _event_tuples(one)
+        a, b = path.observations(), one.observations()
+        for name in ("times", "bbar_increments", "small_times", "small_marks",
+                     "large_times", "large_marks", "Y"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
+
+
+def test_simulate_full_needs_a_stream():
+    preset = build_example6()
+    with pytest.raises(ValueError, match="at least one stream"):
+        simulate_full(preset.model, preset.observation, 0.1, default_scheme(preset.model, 0.02), [])

@@ -3,10 +3,10 @@ diagnostics, a linear-Gaussian oracle, and filter convergence as the
 timescale separation vanishes.
 
 The filter study simulates its replications' paths as one stack and runs
-them as the rows of one coupled full/reduced filter pass per epsilon.  Every replication derives its own stream from
-(study seed, epsilon index, replication index) and a filter row does not
-depend on the other rows, so the numbers are a deterministic function of the
-seed.
+them as the rows of one coupled full/reduced filter pass per epsilon.  Every
+replication derives its own stream from (study seed, epsilon index,
+replication index), and neither a path nor a filter row depends on the other
+rows, so the numbers are a deterministic function of the seed.
 """
 
 from __future__ import annotations
@@ -342,7 +342,9 @@ def filter_convergence_study(
         peps = with_epsilon(preset, float(eps))
         scheme = default_scheme(peps.model, dt)
         rep_streams = [root.child(ie).child(r) for r in range(R)]
-        paths = simulate_full(peps.model, peps.observation, T, scheme, [s.child(0) for s in rep_streams])
+        paths = simulate_full(
+            peps.model, peps.observation, T, scheme, [s.child(0) for s in rep_streams]
+        )
         out_full, out_homog = run_filter_batch(
             [path.observations() for path in paths], "both", peps, n_particles, psis,
             [s.child(1) for s in rep_streams], hmodel=hmodel, scheme=scheme, ess_frac=ess_frac,

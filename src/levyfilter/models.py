@@ -87,16 +87,16 @@ class ThinningLaw:
 
     @staticmethod
     def from_dict(doc: dict) -> "ThinningLaw":
-        keys = set(doc)
-        if doc.get("kind") == "const":
-            if keys != {"kind", "value"}:
-                raise ConfigError(f"const thinning takes exactly 'value', got {sorted(keys)}")
-            return ThinningLaw("const", (float(doc["value"]),))
-        if doc.get("kind") == "logistic":
-            if keys != {"kind", "low", "high", "slope"}:
-                raise ConfigError(f"logistic thinning takes low/high/slope, got {sorted(keys)}")
-            return ThinningLaw("logistic", (float(doc["low"]), float(doc["high"]), float(doc["slope"])))
-        raise ConfigError(f"unknown thinning kind {doc.get('kind')!r}")
+        kind = doc.get("kind")
+        params = {"const": ("value",), "logistic": ("low", "high", "slope")}.get(
+            kind if isinstance(kind, str) else None
+        )
+        if params is None:
+            raise ConfigError(f"unknown thinning kind {kind!r}", key="kind")
+        where = f"observation.lambda ({kind})"
+        _reject_unknown(doc, {"kind", *params}, where)
+        _require(doc, set(params), where)
+        return ThinningLaw(kind, tuple(float(doc[k]) for k in params))
 
 
 def check_thinning(lam):

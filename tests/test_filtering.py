@@ -32,6 +32,7 @@ from levyfilter.filtering import (
     FullDynamics,
     HomogDynamics,
     _batch_log_weight,
+    _coupled_noise,
     _log_thinning,
     estimate,
     init_ensemble,
@@ -579,11 +580,9 @@ def test_coupled_pass_is_bitwise_two_single_mode_passes(ess_frac):
 def test_coupled_pass_draws_a_shared_block_once():
     # with no resampling both modes stay in generation 0 from step 0, so the
     # reduced ensemble reads the full ensemble's block without drawing
-    preset, obs = _example6_obs()
+    preset = PRESETS["example6"]()
     full = init_ensemble(6, preset.model.x0, preset.model.z0, [RngStream(1, 0)], 2)
     homog = init_ensemble(6, preset.model.x0, None, [RngStream(1, 0)], 2)
-    from levyfilter.filtering import _coupled_noise
-
     block_f, block_h = _coupled_noise(full, homog)
     assert block_h is block_f and not block_f.flags.writeable
     assert homog._noise[0] is full._noise[0]

@@ -71,6 +71,8 @@ def test_config_rejects_unknown_keys():
     (("model", "closed_form"), "abar"),
     (("model", "closed_form"), "hbar"),
     (("observation",), "lambda"),
+    (("observation", "lambda"), "value"),
+    (("observation", "lambda"), "kind"),
     (("observation", "nu3_small"), "marks"),
     (("observation", "nu3_large"), "intensity"),
 ])

@@ -71,10 +71,10 @@ def test_config_rejects_unknown_keys():
     (("model", "closed_form"), "abar"),
     (("model", "closed_form"), "hbar"),
     (("observation",), "lambda"),
-    (("observation", "lambda"), "value"),
-    (("observation", "lambda"), "kind"),
     (("observation", "nu3_small"), "marks"),
     (("observation", "nu3_large"), "intensity"),
+    (("observation", "lambda"), "value"),
+    (("observation", "lambda"), "kind"),
 ])
 def test_config_errors_name_the_missing_key(path, key):
     cfg = copy.deepcopy(preset_to_config(build_example6()))

@@ -4,8 +4,12 @@ The reduced slow model replaces (b1, sigma1 sigma1^T, h) by their averages
 against the invariant law of the frozen-x fast component.  There are two
 routes to those averages: the preset's closed-form values, or Monte Carlo on
 a lattice of frozen slow states whose chains advance together as one
-ensemble.  Standard errors use batch means, which stay honest for the
-correlated samples a single chain produces.
+ensemble.  On the exact-OU route each frozen state has one chain; on the
+Euler route it has ``FROZEN_REPLICAS`` independent replica chains, each with
+its own burn-in, whose recorded states are concatenated replica by replica
+(the micro-solver ensemble of the heterogeneous multiscale method).
+Standard errors use batch means, which stay honest for the correlated
+samples a chain produces.
 """
 
 from __future__ import annotations
@@ -19,20 +23,22 @@ from .errors import ExtrapolationError
 from .exprs import vector_field
 from .models import ModelPreset, ObservationModel, SlowFastModel
 from .noise import LevyMeasureSpec, NoiseSource, RngStream
-from .sde import ou_transition, simulate_frozen_fast
+from .sde import FROZEN_REPLICAS, ou_transition, simulate_frozen_fast
 
-_MIN_SAMPLES = 1000
+MIN_SAMPLES = 1000
 _BATCHES = 64
 
 
 @dataclass
 class EmpiricalMeasure:
-    """Thinned samples of the frozen-x fast chain after burn-in.
+    """Thinned samples of the frozen-x fast chains after burn-in.
 
-    A stack of G frozen states carries a leading node axis; ``node(g)`` is
-    node g's own measure and ``warnings`` lists every node's in node order.
-    ``mean()`` and ``cov()`` describe one state's measure: take ``node(g)``
-    of a stack first.
+    The S samples of one state are ``replicas`` chains concatenated replica by
+    replica: replica c holds rows [c L, (c + 1) L) with L = ceil(S /
+    replicas), the last one cut to fit.  A stack of G frozen states carries a
+    leading node axis; ``node(g)`` is node g's own measure and ``warnings``
+    lists every node's in node order.  ``mean()`` and ``cov()`` describe one
+    state's measure: take ``node(g)`` of a stack first.
     """
 
     samples: np.ndarray        # (S, m), or (G, S, m) for a stack
@@ -44,16 +50,21 @@ class EmpiricalMeasure:
     warnings: list = field(default_factory=list)
 
     def __post_init__(self):
-        if self.samples.shape[-2] < _MIN_SAMPLES:
+        if self.samples.shape[-2] < MIN_SAMPLES:
             raise ValueError(
-                f"need at least {_MIN_SAMPLES} samples, got {self.samples.shape[-2]}"
+                f"need at least {MIN_SAMPLES} samples, got {self.samples.shape[-2]}"
             )
+
+    @property
+    def replicas(self) -> int:
+        """Independent chains behind each state's samples (1 on the exact-OU route)."""
+        return 1 if self.mode == "exact_ou" else FROZEN_REPLICAS
 
     def node(self, g: int) -> "EmpiricalMeasure":
         """Node g of a stack: the measure of that frozen state alone."""
         return replace(
             self, samples=self.samples[g], frozen_x=self.frozen_x[g],
-            warnings=_stationarity_warnings(self.samples[g]),
+            warnings=_stationarity_warnings(self.samples[g], self.replicas),
         )
 
     def mean(self) -> np.ndarray:
@@ -63,15 +74,18 @@ class EmpiricalMeasure:
         return np.cov(self.samples.T).reshape(self.samples.shape[1], self.samples.shape[1])
 
 
-def _stationarity_warnings(samples: np.ndarray) -> list[str]:
-    """Flag a drifting chain: first- and second-half means further apart than
-    four combined batch-means standard errors.  A stack (G, S, m) gets each
-    node's warnings in node order."""
+def _stationarity_warnings(samples: np.ndarray, replicas: int) -> list[str]:
+    """Flag drifting chains: the pooled first halves of every replica and their
+    pooled second halves have means further apart than four combined
+    batch-means standard errors.  Pooling per replica catches a transient that
+    all replicas share, which halving the concatenation would miss.  A stack
+    (G, S, m) gets each node's warnings in node order."""
     if samples.ndim == 3:
-        return [w for node in samples for w in _stationarity_warnings(node)]
-    S = samples.shape[0]
-    half = S // 2
-    a, b = samples[:half], samples[half: 2 * half]
+        return [w for node in samples for w in _stationarity_warnings(node, replicas)]
+    length = -(-samples.shape[0] // replicas)
+    chains = [samples[i: i + length] for i in range(0, samples.shape[0], length)]
+    a = np.concatenate([c[: len(c) // 2] for c in chains])
+    b = np.concatenate([c[len(c) // 2: 2 * (len(c) // 2)] for c in chains])
     gap = np.abs(a.mean(axis=0) - b.mean(axis=0))
     se = np.sqrt(_batch_means_se(a) ** 2 + _batch_means_se(b) ** 2)
     worst = float(np.max(gap / np.maximum(se, 1e-300)))
@@ -95,19 +109,25 @@ def estimate_invariant_measure(
     """Sample the invariant law of the fast component with the slow state frozen at x.
 
     The route follows the model: one that declares an OU fast part
-    (``model.ou_fast``) uses its exact Gaussian transition, with no
-    discretization bias (``mode='exact_ou'``); any other runs the frozen chain
-    by Euler steps at its natural timescale and records every ``stride``-th
-    state (``mode='euler'``).  Ergodicity of the frozen chain is an
-    assumption; a stationarity diagnostic on the recorded samples appends a
-    warning when the chain looks like it is still drifting.
+    (``model.ou_fast``) runs one chain by its exact Gaussian transition at the
+    recording spacing, with no discretization bias (``mode='exact_ou'``).
+    Any other runs ``FROZEN_REPLICAS`` = C independent replicas by Euler steps
+    at the fast timescale (``mode='euler'``, ``sde.simulate_frozen_fast``):
+    each replica burns in for ``burn_in``, then records every ``stride``-th
+    state, ceil(n_samples / C) of them, and the samples are the replicas'
+    records concatenated replica by replica, cut to exactly ``n_samples``.
+    Ergodicity of the frozen chain is an assumption; a stationarity
+    diagnostic on the recorded samples appends a warning when the chains look
+    like they are still drifting.
 
     ``x`` is one state (n,) or a stack (G, n) whose chains run together; node
     g of a stack uses ``stream.child(g)`` and is bitwise the single-state
-    measure on that stream (see ``EmpiricalMeasure.node``).
+    measure on that stream (see ``EmpiricalMeasure.node``).  A single state's
+    replica c uses ``stream.child(c)``, so replica c of node g uses
+    ``stream.child(g).child(c)``.
     """
-    if n_samples < _MIN_SAMPLES:
-        raise ValueError(f"n_samples must be >= {_MIN_SAMPLES}, got {n_samples}")
+    if n_samples < MIN_SAMPLES:
+        raise ValueError(f"n_samples must be >= {MIN_SAMPLES}, got {n_samples}")
     if stride < 1 or not burn_in >= 0 or not dt > 0:
         raise ValueError("need stride >= 1, burn_in >= 0, dt > 0")
     x = np.asarray(x, dtype=float)
@@ -137,14 +157,17 @@ def estimate_invariant_measure(
         samples = np.stack(chains) if stack else chains[0]
     else:
         burn_steps = int(round(burn_in / dt))
-        total_steps = burn_steps + n_samples * stride
-        _, Z = simulate_frozen_fast(model, x, model.z0, total_steps * dt, dt, stream)
-        samples = Z[..., burn_steps + stride:: stride, :][..., :n_samples, :]
+        per_replica = -(-n_samples // FROZEN_REPLICAS)
+        record = range(burn_steps + stride, burn_steps + per_replica * stride + 1, stride)
+        _, Z = simulate_frozen_fast(model, x, model.z0, record, dt, stream)
+        # (..., C, S/C, m) -> (..., C S/C, m), replica by replica
+        samples = Z.reshape(Z.shape[:-3] + (-1, model.m))[..., :n_samples, :]
 
-    return EmpiricalMeasure(
-        samples=samples, frozen_x=x, burn_in=burn_in, stride=stride, dt=dt,
-        mode=mode, warnings=_stationarity_warnings(samples),
+    measure = EmpiricalMeasure(
+        samples=samples, frozen_x=x, burn_in=burn_in, stride=stride, dt=dt, mode=mode,
     )
+    measure.warnings = _stationarity_warnings(samples, measure.replicas)
+    return measure
 
 
 @dataclass

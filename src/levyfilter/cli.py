@@ -19,7 +19,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .averaging import build_homogenized
+from .averaging import (
+    MIN_SAMPLES,
+    average_coefficients,
+    build_homogenized,
+    estimate_invariant_measure,
+)
 from .errors import (
     ConfigError,
     ExtrapolationError,
@@ -40,7 +45,6 @@ from .models import (
 )
 from .noise import RngStream
 from .sde import StepScheme, euler_scheme, simulate_full
-from .averaging import average_coefficients, estimate_invariant_measure
 
 
 class UsageError(Exception):
@@ -294,13 +298,22 @@ def _cmd_average(args) -> int:
     preset = _load_preset(args)
     out_dir = Path(args.out)
     xs = [float(v) for v in _split_top_level(args.x)]
+    model, obs = preset.model, preset.observation
+    if model.n != 1:
+        raise ConfigError("--x grids are one-dimensional; use a config preset with n=1", key="x")
+    if args.samples < MIN_SAMPLES:
+        raise ConfigError(f"--samples must be at least {MIN_SAMPLES}, got {args.samples}",
+                          key="samples")
+    if args.stride < 1:
+        raise ConfigError(f"--stride must be at least 1, got {args.stride}", key="stride")
+    if not args.dt > 0:
+        raise ConfigError(f"--dt must be > 0, got {args.dt}", key="dt")
+    if not args.burn_in >= 0:
+        raise ConfigError(f"--burn-in must be >= 0, got {args.burn_in}", key="burn_in")
     _run_config(
         args, "average", preset,
         x=xs, burn_in=args.burn_in, samples=args.samples, stride=args.stride, dt=args.dt,
     ).write(out_dir)
-    model, obs = preset.model, preset.observation
-    if model.n != 1:
-        raise ConfigError("--x grids are one-dimensional; use a config preset with n=1", key="x")
     measure = estimate_invariant_measure(
         model, np.asarray(xs)[:, None], burn_in=args.burn_in, n_samples=args.samples,
         stride=args.stride, dt=args.dt, stream=RngStream(args.seed),
@@ -319,7 +332,7 @@ def _cmd_average(args) -> int:
               + [f"abar_{i}{j}" for i in range(model.n) for j in range(model.n)])
     _write_csv(out_dir / "averaged.csv", header, rows)
     meta = {
-        "mode": measure.mode,
+        "mode": measure.mode, "replicas": measure.replicas,
         "n_samples": args.samples, "burn_in": args.burn_in, "stride": args.stride,
         "warnings": sorted(set(measure.warnings)),
     }

@@ -256,11 +256,27 @@ def _object(doc, where: str) -> dict:
     return doc
 
 
+def _parse(doc: dict, key: str, where: str, parse=float):
+    """``parse(doc[key])``; a value it rejects is a ConfigError naming ``key``."""
+    try:
+        return parse(doc[key])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {where}.{key} {doc[key]!r}: {exc}", key=key) from exc
+
+
+def _positive(value) -> float:
+    value = float(value)
+    if not value > 0:
+        raise ValueError("must be > 0")
+    return value
+
+
 def _measure_from_dict(doc: dict, region: str, where: str) -> LevyMeasureSpec:
     _object(doc, where)
     _reject_unknown(doc, _MEASURE_KEYS, where)
     _require(doc, _MEASURE_KEYS, where)
-    return LevyMeasureSpec(float(doc["intensity"]), MarkSampler.parse(doc["marks"]), region)
+    marks = _parse(doc, "marks", where, MarkSampler.parse)
+    return _parse(doc, "intensity", where, lambda v: LevyMeasureSpec(float(v), marks, region))
 
 
 def model_from_dict(doc: dict) -> SlowFastModel:
@@ -274,12 +290,12 @@ def model_from_dict(doc: dict) -> SlowFastModel:
     bounds = doc.get("bounds")
     if bounds is not None:
         _reject_unknown(_object(bounds, "model.bounds"), _BOUND_KEYS, "model.bounds")
-        bounds = {k: float(v) for k, v in bounds.items()}
+        bounds = {k: _parse(bounds, k, "model.bounds") for k in bounds}
     ou = doc.get("ou_fast")
     if ou is not None:
         _reject_unknown(_object(ou, "model.ou_fast"), _OU_KEYS, "model.ou_fast")
         _require(ou, _OU_KEYS, "model.ou_fast")
-        ou = OuFast(float(ou["rate"]), float(ou["sigma"]))
+        ou = OuFast(*(_parse(ou, key, "model.ou_fast", _positive) for key in ("rate", "sigma")))
     try:
         return SlowFastModel(
             n=int(doc["n"]), m=int(doc["m"]), l1=int(doc["l1"]), l2=int(doc["l2"]),

@@ -22,6 +22,12 @@ from .models import ObservationModel, OuFast, SlowFastModel, check_thinning
 from .noise import JumpEvent, NoiseSource, RngStream, brownian_increments, sample_poisson_jumps
 
 _GRID_RTOL = 1e-9
+# independent chains per frozen slow state in simulate_frozen_fast: the cost of
+# an Euler step is flat in the number of rows, so C replicas of n/C recorded
+# states take about 1/C of the wall time of one chain of n
+FROZEN_REPLICAS = 16
+# byte budget of one chunk of frozen-chain Brownian increments, all rows together
+_FROZEN_CHUNK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -401,54 +407,90 @@ def simulate_full(
     return paths[0] if single else paths
 
 
+def _fine_step_of(event_times, dt: float) -> np.ndarray:
+    """Index k of the fine step (k dt, (k+1) dt] owning each event time: what
+    ``_bin_events`` finds on the grid dt * arange(K + 1), without building it."""
+    ts = np.asarray(event_times, dtype=float)
+    j = np.ceil(ts / dt)
+    j[dt * j < ts] += 1                # the division rounded down across a node
+    j[dt * (j - 1) >= ts] -= 1         # ... or up
+    return j.astype(int) - 1
+
+
 def simulate_frozen_fast(
     model: SlowFastModel,
     x: np.ndarray,
     z_init: np.ndarray,
-    T: float,
+    steps,
     dt: float,
     stream: RngStream,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Fast component at its own timescale with the slow state frozen at x.
+    """Replica chains of the fast component at its own timescale, slow state frozen at x.
 
-    Plain Euler with compensated jumps; returns (times, Z) on the fine grid.
-    ``x`` is one state (n,), giving Z of shape (K+1, m), or a stack (G, n) of
-    states advanced together as one ensemble, giving Z of shape (G, K+1, m).
-    Node g of a stack draws from ``stream.child(g)`` and its path Z[g] is the
-    one a single-state call on that stream returns: one state runs as a stack
-    of one, and every operation acts on each node's row alone.
+    Plain Euler with compensated jumps.  Every frozen state runs as
+    ``FROZEN_REPLICAS`` independent chains from ``z_init``, stacked as extra
+    rows of one ensemble; replica c draws from ``stream.child(c)``.  ``steps``
+    lists the fine-step indices (strictly increasing, from 1) whose states are
+    kept, and every chain runs to the last of them.  Returns (times, Z): the
+    kept times ``dt * steps`` and the kept states, Z of shape (C, S, m) for
+    one state x (n,), or (G, C, S, m) for a stack (G, n) of states.  Node g of
+    a stack draws from ``stream.child(g)`` and Z[g] is what a single-state
+    call on that stream returns: every operation acts on each row alone.
+
+    The chains are streamed: each row draws its Brownian increments from its
+    own generator in chunks of at most ``_FROZEN_CHUNK_BYTES`` for all rows
+    together (successive draws equal one large draw, so the chunk size never
+    changes a bit), and only the kept states are stored.  Memory is
+    O(rows x S x m) plus the chunk, whatever the chain length.
     """
-    times = make_grid(T, dt)
-    K = len(times) - 1
+    keep = [int(k) for k in np.asarray(steps).reshape(-1)]
+    if not keep or keep[0] < 1 or any(b <= a for a, b in zip(keep, keep[1:])):
+        raise ValueError("steps must be strictly increasing fine-step indices >= 1")
+    if not dt > 0:
+        raise ValueError(f"dt must be > 0, got {dt}")
+    K = keep[-1]
     x = np.asarray(x, dtype=float)
     stack = x.ndim == 2
     x = x.reshape(len(x) if stack else 1, model.n)
-    streams = [stream.child(g) for g in range(len(x))] if stack else [stream]
-    dW = np.empty((K, len(x), model.l2))
-    for g, s in enumerate(streams):
-        dW[:, g] = brownian_increments(s.child(NoiseSource.FAST_BROWNIAN), model.l2, dt, K)
+    C = FROZEN_REPLICAS
+    node_streams = [stream.child(g) for g in range(len(x))] if stack else [stream]
+    row_streams = [s.child(c) for s in node_streams for c in range(C)]
+    rows = np.repeat(x, C, axis=0)     # row g C + c is replica c of node g
+    R, m, l2 = len(rows), model.m, model.l2
+    gens = [s.child(NoiseSource.FAST_BROWNIAN).generator() for s in row_streams]
     has_jumps = model.f2 is not None and model.nu2.total_intensity > 0
-    kicks: dict = {}   # step -> [(node, mark)] in node, then time order
-    for g, s in enumerate(streams if has_jumps else []):
-        events = sample_poisson_jumps(s.child(NoiseSource.FAST_JUMPS), model.nu2, T)
-        for k, ev in zip(_bin_events(events, times), events):
-            kicks.setdefault(k, []).append((g, ev.mark))
-    # node-major, so every node's path Z[g] has the memory layout of a single
-    # state's and later elementwise math on its samples takes the same numpy loops
-    Z = np.empty((len(x), K + 1, model.m))
-    Z[:, 0] = np.asarray(z_init, dtype=float).reshape(model.m)
-    for k in range(K):
-        z = Z[:, k]
-        z_new = fast_euler_substep(model, x, z, dW[k], dt)
-        if has_jumps:
-            # per node, so each node's compensator is its single-state value bitwise
-            for g in range(len(x)):
-                z_new[g] -= dt * model.nu2.integrate(lambda u: model.f2(x[g], z[g], u))
-            for g, mark in kicks.get(k, ()):
-                z_new[g] += model.f2(x[g], z[g], mark[None, :])[0]
-        Z[:, k + 1] = z_new
-        _check_finite((z_new,), times[k + 1])
-    return times, (Z if stack else Z[0])
+    kicks: dict = {}   # step -> [(row, mark)] in row, then time order
+    for r, s in enumerate(row_streams if has_jumps else []):
+        events = sample_poisson_jumps(s.child(NoiseSource.FAST_JUMPS), model.nu2, dt * K)
+        for k, ev in zip(_fine_step_of([e.time for e in events], dt).tolist(), events):
+            kicks.setdefault(k, []).append((r, ev.mark))
+
+    Z = np.empty((R, len(keep), m))
+    z = np.empty((R, m))
+    z[:] = np.asarray(z_init, dtype=float).reshape(m)
+    chunk = max(1, _FROZEN_CHUNK_BYTES // (8 * R * l2))
+    sqdt = math.sqrt(dt)
+    i = 0
+    for k0 in range(0, K, chunk):
+        width = min(chunk, K - k0)
+        dW = np.empty((width, R, l2))
+        for r, gen in enumerate(gens):
+            dW[:, r] = gen.normal(0.0, sqdt, size=(width, l2))
+        for k in range(k0, k0 + width):
+            z_new = fast_euler_substep(model, rows, z, dW[k - k0], dt)
+            if has_jumps:
+                # per row, so each row's compensator is its single-row value bitwise
+                for r in range(R):
+                    z_new[r] -= dt * model.nu2.integrate(lambda u: model.f2(rows[r], z[r], u))
+                for r, mark in kicks.get(k, ()):
+                    z_new[r] += model.f2(rows[r], z[r], mark[None, :])[0]
+            _check_finite((z_new,), dt * (k + 1))
+            z = z_new
+            if k + 1 == keep[i]:
+                Z[:, i] = z
+                i += 1
+    Z = Z.reshape((len(x), C) + Z.shape[1:])
+    return dt * np.asarray(keep, dtype=float), (Z if stack else Z[0])
 
 
 def simulate_reference_observations(

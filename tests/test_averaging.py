@@ -1,5 +1,6 @@
 import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from levyfilter import sde
 from levyfilter.averaging import (
     EmpiricalMeasure,
     average_coefficients,
@@ -16,7 +18,8 @@ from levyfilter.averaging import (
 )
 from levyfilter.errors import ExtrapolationError
 from levyfilter.models import build_example6, preset_from_config, preset_to_config
-from levyfilter.noise import RngStream
+from levyfilter.noise import NoiseSource, RngStream, sample_poisson_jumps
+from levyfilter.sde import FROZEN_REPLICAS, _bin_events, fast_euler_substep, make_grid
 
 
 @pytest.fixture(scope="module")
@@ -193,6 +196,34 @@ def route_presets(example6):
     }
 
 
+def _replica_chain(model, x, stream, burn_in, n_samples, stride, dt):
+    """The states one Euler replica records, from a standalone one-row chain on
+    ``stream``: its own increments drawn at once, its own jump events binned
+    on the full fine grid."""
+    burn = int(round(burn_in / dt))
+    K = burn + -(-n_samples // FROZEN_REPLICAS) * stride
+    dW = stream.child(NoiseSource.FAST_BROWNIAN).generator().normal(
+        0.0, math.sqrt(dt), size=(K, model.l2))
+    kicks = {}
+    if model.f2 is not None:
+        events = sample_poisson_jumps(stream.child(NoiseSource.FAST_JUMPS), model.nu2, dt * K)
+        for k, ev in zip(_bin_events(events, make_grid(dt * K, dt)).tolist(), events):
+            kicks.setdefault(k, []).append(ev.mark)
+    x = np.asarray(x, dtype=float).reshape(1, model.n)
+    z = model.z0.reshape(1, model.m).copy()
+    kept = []
+    for k in range(K):
+        z_new = fast_euler_substep(model, x, z, dW[k: k + 1], dt)
+        if model.f2 is not None:
+            z_new[0] -= dt * model.nu2.integrate(lambda u: model.f2(x[0], z[0], u))
+            for mark in kicks.get(k, ()):
+                z_new[0] += model.f2(x[0], z[0], mark[None, :])[0]
+        z = z_new
+        if k + 1 > burn and (k + 1 - burn) % stride == 0:
+            kept.append(z[0])
+    return np.array(kept)
+
+
 @pytest.mark.parametrize("route", ["exact_ou", "euler", "euler_2d_noise", "euler_jumps"])
 @settings(max_examples=6, deadline=None)
 @given(
@@ -206,6 +237,8 @@ def test_stacked_nodes_match_single_state_chains(route_presets, route, xs, seed)
     stream = RngStream(seed)
     kw = dict(burn_in=0.5, n_samples=1000, stride=2, dt=0.01)
     stack = estimate_invariant_measure(model, xs, stream=stream, **kw)
+    assert stack.replicas == (1 if route == "exact_ou" else FROZEN_REPLICAS)
+    length = -(-kw["n_samples"] // stack.replicas)
     warnings = []
     for g in range(len(xs)):
         single = estimate_invariant_measure(model, xs[g], stream=stream.child(g), **kw)
@@ -219,6 +252,14 @@ def test_stacked_nodes_match_single_state_chains(route_presets, route, xs, seed)
         want = average_coefficients(model, obs, xs[g], single)
         for name in ("bbar1", "abar", "hbar", "se_bbar1", "se_hbar"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        if route != "exact_ou":
+            # replica c of node g fills its block of the samples, the last one
+            # cut to fit, and is the one-row chain on stream.child(g).child(c)
+            for c in (0, stack.replicas // 2, stack.replicas - 1):
+                block = node.samples[c * length: (c + 1) * length]
+                assert len(block) == min(length, kw["n_samples"] - c * length)
+                ref = _replica_chain(model, xs[g], stream.child(g).child(c), **kw)
+                assert block.tobytes() == ref[: len(block)].tobytes()
     assert stack.warnings == warnings
     if route == "euler_jumps":   # the jumps reach the chain
         plain = route_presets["euler"].model
@@ -226,13 +267,45 @@ def test_stacked_nodes_match_single_state_chains(route_presets, route, xs, seed)
         assert not np.array_equal(without.samples, stack.node(0).samples)
 
 
-def test_stationarity_warning_on_transient_chain(route_presets):
-    # skipping burn-in from a displaced start leaves a visible trend
-    meas = estimate_invariant_measure(
-        route_presets["euler"].model, np.array([0.0]), burn_in=0.0, n_samples=2000,
-        stride=1, dt=0.001, stream=RngStream(17),
-    )
+@pytest.mark.parametrize("route", ["euler_2d_noise", "euler_jumps"])
+@pytest.mark.parametrize("steps_per_chunk", [1, 7])
+def test_chunked_noise_gives_the_same_samples(route_presets, monkeypatch, route, steps_per_chunk):
+    model = route_presets[route].model
+    xs = np.array([[-1.0], [0.5]])
+    kw = dict(burn_in=0.3, n_samples=1000, stride=3, dt=0.01, stream=RngStream(23))
+    whole = estimate_invariant_measure(model, xs, **kw)
+    rows = len(xs) * FROZEN_REPLICAS
+    monkeypatch.setattr(sde, "_FROZEN_CHUNK_BYTES", steps_per_chunk * rows * model.l2 * 8)
+    chunked = estimate_invariant_measure(model, xs, **kw)
+    assert chunked.samples.tobytes() == whole.samples.tobytes()
+
+
+def test_euler_chain_memory_does_not_grow_with_its_length(route_presets):
+    model = route_presets["euler"].model
+    xs = np.array([[-1.0], [1.0]])
+    kw = dict(burn_in=0.5, n_samples=1000, stride=475, dt=0.01, stream=RngStream(29))
+    steps = int(round(kw["burn_in"] / kw["dt"])) + -(-kw["n_samples"] // FROZEN_REPLICAS) * kw["stride"]
+    assert steps > 29_000
+    # what keeping every node's whole path and noise would hold
+    unstreamed = len(xs) * FROZEN_REPLICAS * steps * (model.m + model.l2) * 8
+    tracemalloc.start()
+    try:
+        meas = estimate_invariant_measure(model, xs, **kw)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert meas.samples.shape == (2, 1000, 1)
+    assert peak < unstreamed / 10
+
+
+def test_stationarity_warning_on_transient_chain():
+    # a fast start far from the invariant law: every replica drifts down from
+    # z0 = 5, which the pooled first halves and second halves of the replicas
+    # show; the two halves of the replica-major concatenation would not
+    transient = _without_ou(build_example6(z0=5.0)).model
+    kw = dict(n_samples=1000, stride=10, dt=0.01, stream=RngStream(17))
+    meas = estimate_invariant_measure(transient, np.array([0.0]), burn_in=0.0, **kw)
     assert meas.mode == "euler"
-    # half-chain diagnostic may or may not fire here; the API contract is
-    # just that warnings is a list of strings
-    assert isinstance(meas.warnings, list)
+    assert len(meas.warnings) == 1 and "stationarity" in meas.warnings[0]
+    burnt_in = estimate_invariant_measure(transient, np.array([0.0]), burn_in=5.0, **kw)
+    assert burnt_in.warnings == []

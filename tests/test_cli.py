@@ -11,6 +11,7 @@ import pytest
 
 from levyfilter import PRESETS, preset_to_config
 from levyfilter.cli import _split_top_level, _threads, build_parser, emit_svg, main
+from levyfilter.sde import FROZEN_REPLICAS
 
 
 @pytest.fixture(autouse=True)
@@ -59,7 +60,34 @@ def test_average_writes_table(tmp_path):
     assert data.shape[0] == 1 and data[0, 0] == 0.3
     meta = json.loads((out / "averaged.json").read_text())
     assert meta["mode"] == "exact_ou"
+    assert meta["replicas"] == 1
     assert meta["n_samples"] == 2000
+
+
+def test_average_records_the_euler_replicas(tmp_path):
+    cfg_path = _write_config(tmp_path, lambda c: c["model"].pop("ou_fast"))
+    out = tmp_path / "avg"
+    assert main([
+        "average", "--config", str(cfg_path), "--samples", "1000", "--burn-in", "0.5",
+        "--stride", "2", "--x", "0.3,-0.3", "--out", str(out),
+    ]) == 0
+    meta = json.loads((out / "averaged.json").read_text())
+    assert meta["mode"] == "euler"
+    assert meta["replicas"] == FROZEN_REPLICAS
+
+
+@pytest.mark.parametrize("flag, value, key", [
+    ("--samples", "10", "samples"),
+    ("--stride", "0", "stride"),
+    ("--dt", "0", "dt"),
+    ("--burn-in", "-1", "burn_in"),
+])
+def test_average_checks_its_inputs_before_writing(tmp_path, capsys, flag, value, key):
+    out = tmp_path / "avg"
+    assert main(["average", "--samples", "2000", "--x", "0.3", flag, value, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"(key: {key})" in err
+    assert not out.exists()
 
 
 def test_filter_both_modes_share_the_observation(tmp_path):

@@ -75,10 +75,27 @@ def test_config_rejects_unknown_keys():
     (("observation", "nu3_large"), "intensity"),
     (("observation", "lambda"), "value"),
     (("observation", "lambda"), "kind"),
+    # "key=value": the key is present but its value is malformed
+    (("model", "nu1"), "intensity=abc"),
+    (("model", "nu1"), "marks=weird(1)"),
+    (("model", "nu2"), "intensity=-1"),
+    (("model", "nu2"), "marks=gauss(0)"),
+    (("model", "bounds"), "L1=big"),
+    (("model", "bounds"), "L2=[]"),
+    (("model", "ou_fast"), "rate=fast"),
+    (("model", "ou_fast"), "sigma=-1"),
+    (("observation", "nu3_small"), "intensity=abc"),
 ])
 def test_config_errors_name_the_missing_key(path, key):
     cfg = copy.deepcopy(preset_to_config(build_example6()))
-    del _section(cfg, path)[key]
+    key, malformed, value = key.partition("=")
+    *parents, name = path
+    if _section(cfg, tuple(parents))[name] is None:   # example6 declares no nu1, nu2
+        _section(cfg, tuple(parents))[name] = {"intensity": 1.0, "marks": "gauss(0,1)"}
+    if malformed:
+        _section(cfg, path)[key] = value
+    else:
+        del _section(cfg, path)[key]
     with pytest.raises(ConfigError) as exc:
         preset_from_config(cfg)
     assert exc.value.key == key and key in str(exc.value)

@@ -8,8 +8,8 @@ ensemble.  On the exact-OU route each frozen state has one chain; on the
 Euler route it has ``FROZEN_REPLICAS`` independent replica chains, each with
 its own burn-in, whose recorded states are concatenated replica by replica
 (the micro-solver ensemble of the heterogeneous multiscale method).
-Standard errors use batch means, which stay honest for the correlated
-samples a chain produces.
+Standard errors come from the spread of the independent replica means on the
+Euler route and from batch means of the one chain on the exact-OU route.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ExtrapolationError
-from .exprs import vector_field
 from .models import ModelPreset, ObservationModel, SlowFastModel
 from .noise import LevyMeasureSpec, NoiseSource, RngStream
 from .sde import FROZEN_REPLICAS, ou_transition, simulate_frozen_fast
@@ -178,7 +177,7 @@ class AveragedPoint:
     bbar1: np.ndarray       # (n,)
     abar: np.ndarray        # (n, n)
     hbar: np.ndarray        # (d,)
-    se_bbar1: np.ndarray    # (n,) batch-means standard error
+    se_bbar1: np.ndarray    # (n,) standard error, see _mean_se
     se_hbar: np.ndarray     # (d,)
     n_samples: int
 
@@ -193,6 +192,19 @@ def _batch_means_se(values: np.ndarray) -> np.ndarray:
     # exactly zero (std's internal mean-of-means rounds otherwise)
     centered = means - means[0]
     return centered.std(axis=0, ddof=1) / math.sqrt(nb)
+
+
+def _mean_se(values: np.ndarray, replicas: int) -> np.ndarray:
+    """SE of the mean of C = ``replicas`` independent chains concatenated (the
+    last one cut): the count-weighted spread of the replica means over C - 1,
+    taken about the first sample so a constant sequence reports exactly zero."""
+    if replicas == 1:
+        return _batch_means_se(values)
+    starts = np.arange(0, len(values), -(-len(values) // replicas))
+    weights = np.diff(np.append(starts, len(values)))[:, None] / len(values)
+    means = np.add.reduceat(values - values[0], starts, axis=0) / (weights * len(values))
+    spread = (weights * (means - (weights * means).sum(axis=0)) ** 2).sum(axis=0)
+    return np.sqrt(spread / (len(starts) - 1))
 
 
 def _pivot_mean(samples: np.ndarray) -> np.ndarray:
@@ -234,8 +246,8 @@ def average_coefficients(
         bbar1=_pivot_mean(b_samples),
         abar=0.5 * (abar + abar.T),
         hbar=_pivot_mean(h_samples),
-        se_bbar1=_batch_means_se(b_samples),
-        se_hbar=_batch_means_se(h_samples),
+        se_bbar1=_mean_se(b_samples, measure.replicas),
+        se_hbar=_mean_se(h_samples, measure.replicas),
         n_samples=S,
     )
 

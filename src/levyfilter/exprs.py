@@ -2,9 +2,14 @@
 
 Grammar: +, -, *, / over floating literals, the variables t, x[i], z[j], u[k],
 the constants pi and e, and the unary functions sin, cos, exp, arctan, tanh.
-Expressions are parsed with the ast module against a strict whitelist and then
-evaluated through numpy, so a compiled expression broadcasts over any leading
-batch axes of its array arguments (the trailing axis is the coordinate axis).
+Expressions are parsed with the ast module against a strict whitelist.  Each
+coefficient field compiles once into straight-line numpy that allocates the
+(..., k) or (..., r, c) output and writes every component into its slot,
+reading x[i] as x[..., i]: it broadcasts over the leading batch axes of its
+arguments (``t`` has no coordinate axis).  Variable-free parts are evaluated
+once at compile time, so a constant component is only filled.  The code keeps
+the source's ufuncs, operand order and literals, so it is bitwise the
+expression evaluated as written.
 """
 
 from __future__ import annotations
@@ -23,22 +28,8 @@ _BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div)
 _UNARYOPS = (ast.USub, ast.UAdd)
 
 
-class _CoordView:
-    """Presents array[..., i] under plain integer indexing for eval."""
-
-    __slots__ = ("arr",)
-
-    def __init__(self, arr):
-        self.arr = np.asarray(arr, dtype=float)
-
-    def __getitem__(self, index):
-        return self.arr[..., index]
-
-
 def _validate(node: ast.AST, source: str) -> None:
-    if isinstance(node, ast.Expression):
-        _validate(node.body, source)
-    elif isinstance(node, ast.BinOp) and isinstance(node.op, _BINOPS):
+    if isinstance(node, ast.BinOp) and isinstance(node.op, _BINOPS):
         _validate(node.left, source)
         _validate(node.right, source)
     elif isinstance(node, ast.UnaryOp) and isinstance(node.op, _UNARYOPS):
@@ -65,102 +56,98 @@ def _validate(node: ast.AST, source: str) -> None:
         raise ConfigError(f"disallowed construct {type(node).__name__} in expression {source!r}")
 
 
+def _parse(source: str) -> ast.expr:
+    """The validated expression tree of ``source``."""
+    if not isinstance(source, str):
+        raise ConfigError(f"expression must be a string, got {type(source).__name__}")
+    try:
+        tree = ast.parse(source, mode="eval")
+    except SyntaxError as exc:
+        raise ConfigError(f"unparseable expression {source!r}: {exc}") from exc
+    _validate(tree.body, source)
+    return tree.body
+
+
+def _variables(node: ast.AST) -> frozenset:
+    return frozenset(n.id for n in ast.walk(node) if isinstance(n, ast.Name)) & set(_VARS)
+
+
+class _Lower(ast.NodeTransformer):
+    """A validated tree as generated code: x[i] reads x[..., i], and each
+    variable-free operation is evaluated now into a constant of ``namespace``."""
+
+    def __init__(self, source: str, namespace: dict):
+        self.source, self.namespace = source, namespace
+
+    def visit(self, node):
+        if isinstance(node, (ast.BinOp, ast.UnaryOp, ast.Call)) and not _variables(node):
+            part, name = ast.unparse(node), f"_k{len(self.namespace)}"
+            try:
+                self.namespace[name] = eval(part, self.namespace)  # noqa: S307 - whitelisted AST
+            except (ArithmeticError, TypeError) as exc:
+                raise ConfigError(f"{part!r} in expression {self.source!r}: {exc}") from exc
+            return ast.Name(name)
+        return super().visit(node)
+
+    def visit_Subscript(self, node):
+        return ast.Subscript(node.value, ast.Tuple([ast.Constant(...), node.slice]))
+
+
+def _compile(sources: list[str], argnames: tuple[str, ...], tail: tuple):
+    """fn(*argnames) -> (batch + tail), component i of ``sources`` (C order)
+    written to the i-th index of ``tail``."""
+    trees = [_parse(src) for src in sources]
+    used = frozenset().union(*map(_variables, trees))
+    if not used <= set(argnames) <= set(_VARS):
+        raise ConfigError(f"{sources} use {sorted(used)}, not within {argnames} of {_VARS}")
+    namespace = {"__builtins__": {}, "_asarray": np.asarray, "_empty": np.empty, "_float": float,
+                 "_broadcast_shapes": np.broadcast_shapes, **_FUNCS, **_CONSTS}
+    lines = [f"def field({', '.join(argnames)}):"]
+    for a in argnames:
+        coord = a in used and a != "t"
+        if coord:
+            lines.append(f"    {a} = _asarray({a}, dtype=_float)")
+        array = a if coord else f"_asarray({a})"
+        lines.append(f"    _{a} = {array}.shape{'' if a == 't' else '[:-1]'}")
+    shapes = [f"_{a}" for a in argnames] or ["()"]
+    lines += [f"    batch = {shapes[0]} if {' == '.join(shapes)} "
+              f"else _broadcast_shapes({', '.join(shapes)})",
+              f"    out = _empty(batch + {tail!r})"]
+    for index, src, tree in zip(np.ndindex(tail), sources, trees):
+        slot = ", ".join(["...", *map(str, index)])
+        lines.append(f"    out[{slot}] = {ast.unparse(_Lower(src, namespace).visit(tree))}")
+    code = compile("\n".join(lines + ["    return out"]), f"<field {sources!r}>", "exec")
+    exec(code, namespace)  # noqa: S102 - whitelisted AST
+    return namespace["field"]
+
+
 class Expr:
     """A validated, compiled coefficient expression.
 
     Call with keyword arrays, e.g. ``expr(x=x, z=z, t=0.3)``; variables the
-    expression does not mention may be omitted.
-    """
+    expression does not mention may be omitted.  Returns a float array over
+    the batch axes of the variables it uses."""
 
     def __init__(self, source: str):
-        if not isinstance(source, str):
-            raise ConfigError(f"expression must be a string, got {type(source).__name__}")
         self.source = source
-        try:
-            tree = ast.parse(source, mode="eval")
-        except SyntaxError as exc:
-            raise ConfigError(f"unparseable expression {source!r}: {exc}") from exc
-        _validate(tree, source)
-        self._code = compile(tree, f"<expr {source!r}>", "eval")
-        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-        self.variables = frozenset(names & set(_VARS))
+        self.variables = _variables(_parse(source))
+        self._argnames = tuple(v for v in _VARS if v in self.variables)
+        self._fn = _compile([source], self._argnames, ())
 
     def __call__(self, *, t=None, x=None, z=None, u=None):
-        scope = dict(_FUNCS)
-        scope.update(_CONSTS)
-        if t is not None:
-            scope["t"] = t
-        if x is not None:
-            scope["x"] = _CoordView(x)
-        if z is not None:
-            scope["z"] = _CoordView(z)
-        if u is not None:
-            scope["u"] = _CoordView(u)
-        missing = self.variables - set(k for k in ("t", "x", "z", "u") if scope.get(k) is not None)
-        if missing:
-            raise ValueError(f"expression {self.source!r} needs {sorted(missing)}")
-        return eval(self._code, {"__builtins__": {}}, scope)  # noqa: S307 - whitelisted AST
-
-    def __repr__(self):
-        return f"Expr({self.source!r})"
-
-
-def _batch_shape(kwargs) -> tuple:
-    """Common leading-axes shape of the call arguments (t has no coord axis)."""
-    shapes = []
-    for name, val in kwargs.items():
-        if val is None:
-            continue
-        arr = np.asarray(val)
-        shapes.append(arr.shape if name == "t" else arr.shape[:-1])
-    return np.broadcast_shapes(*shapes) if shapes else ()
+        args = {"t": t, "x": x, "z": z, "u": u}
+        if missing := sorted(v for v in self._argnames if args[v] is None):
+            raise ValueError(f"expression {self.source!r} needs {missing}")
+        return self._fn(*(args[v] for v in self._argnames))
 
 
 def vector_field(components: list[str], argnames: tuple[str, ...]):
     """Compile a list of component expressions into fn(*arrays) -> (..., len)."""
-    exprs = [Expr(src) for src in components]
-    for expr in exprs:
-        extra = expr.variables - set(argnames)
-        if extra:
-            raise ConfigError(
-                f"expression {expr.source!r} uses {sorted(extra)} but only {argnames} are available"
-            )
-
-    def fn(*args):
-        kwargs = dict(zip(argnames, args))
-        batch = _batch_shape(kwargs)
-        parts = [
-            np.broadcast_to(np.asarray(e(**kwargs), dtype=float), batch) for e in exprs
-        ]
-        return np.stack(parts, axis=-1)
-
-    fn.sources = list(components)
-    fn.argnames = argnames
-    return fn
+    return _compile(list(components), argnames, (len(components),))
 
 
 def matrix_field(rows: list[list[str]], argnames: tuple[str, ...]):
     """Compile a nested list of expressions into fn(*arrays) -> (..., r, c)."""
     if not rows or any(len(r) != len(rows[0]) for r in rows):
         raise ConfigError("matrix coefficient must be a non-empty rectangular list of lists")
-    exprs = [[Expr(src) for src in row] for row in rows]
-    for row in exprs:
-        for expr in row:
-            extra = expr.variables - set(argnames)
-            if extra:
-                raise ConfigError(
-                    f"expression {expr.source!r} uses {sorted(extra)} but only {argnames} are available"
-                )
-
-    def fn(*args):
-        kwargs = dict(zip(argnames, args))
-        batch = _batch_shape(kwargs)
-        out = np.empty(batch + (len(rows), len(rows[0])), dtype=float)
-        for i, row in enumerate(exprs):
-            for j, e in enumerate(row):
-                out[..., i, j] = np.asarray(e(**kwargs), dtype=float)
-        return out
-
-    fn.sources = [list(row) for row in rows]
-    fn.argnames = argnames
-    return fn
+    return _compile([src for row in rows for src in row], argnames, (len(rows), len(rows[0])))

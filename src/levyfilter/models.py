@@ -285,8 +285,10 @@ def model_from_dict(doc: dict) -> SlowFastModel:
              "model")
     nu1 = _measure_from_dict(doc["nu1"], "U1", "model.nu1") if doc.get("nu1") else null_measure("U1")
     nu2 = _measure_from_dict(doc["nu2"], "U2", "model.nu2") if doc.get("nu2") else null_measure("U2")
-    f1 = vector_field(doc["f1"], ("x", "u")) if doc.get("f1") else None
-    f2 = vector_field(doc["f2"], ("x", "z", "u")) if doc.get("f2") else None
+    f1 = (_parse(doc, "f1", "model", lambda v: vector_field(v, ("x", "u")))
+          if doc.get("f1") else None)
+    f2 = (_parse(doc, "f2", "model", lambda v: vector_field(v, ("x", "z", "u")))
+          if doc.get("f2") else None)
     bounds = doc.get("bounds")
     if bounds is not None:
         _reject_unknown(_object(bounds, "model.bounds"), _BOUND_KEYS, "model.bounds")
@@ -301,10 +303,10 @@ def model_from_dict(doc: dict) -> SlowFastModel:
             n=int(doc["n"]), m=int(doc["m"]), l1=int(doc["l1"]), l2=int(doc["l2"]),
             epsilon=float(doc["epsilon"]),
             x0=np.asarray(doc["x0"], dtype=float), z0=np.asarray(doc["z0"], dtype=float),
-            b1=vector_field(doc["b1"], ("x", "z")),
-            sigma1=matrix_field(doc["sigma1"], ("x", "z")),
-            b2=vector_field(doc["b2"], ("x", "z")),
-            sigma2=matrix_field(doc["sigma2"], ("x", "z")),
+            b1=_parse(doc, "b1", "model", lambda v: vector_field(v, ("x", "z"))),
+            sigma1=_parse(doc, "sigma1", "model", lambda v: matrix_field(v, ("x", "z"))),
+            b2=_parse(doc, "b2", "model", lambda v: vector_field(v, ("x", "z"))),
+            sigma2=_parse(doc, "sigma2", "model", lambda v: matrix_field(v, ("x", "z"))),
             f1=f1, f2=f2, nu1=nu1, nu2=nu2, bounds=bounds, ou_fast=ou,
         )
     except ValueError as exc:
@@ -320,9 +322,9 @@ def observation_from_dict(doc: dict) -> ObservationModel:
     try:
         return ObservationModel(
             d=int(doc["d"]),
-            h=vector_field(doc["h"], ("x", "z")),
-            f3=vector_field(doc["f3"], ("t", "u")),
-            g3=vector_field(doc["g3"], ("t", "u")),
+            h=_parse(doc, "h", "observation", lambda v: vector_field(v, ("x", "z"))),
+            f3=_parse(doc, "f3", "observation", lambda v: vector_field(v, ("t", "u"))),
+            g3=_parse(doc, "g3", "observation", lambda v: vector_field(v, ("t", "u"))),
             thinning=ThinningLaw.from_dict(_object(doc["lambda"], "observation.lambda")),
             nu3_small=_measure_from_dict(doc["nu3_small"], "U3", "observation.nu3_small"),
             nu3_large=_measure_from_dict(doc["nu3_large"], "U3_complement", "observation.nu3_large"),
@@ -565,10 +567,8 @@ def validate_assumptions(
     bounds = model.bounds or {}
 
     def lip_stat():
-        ratios = _pairwise_lipschitz(model.b1, (ex, ez), (ex2, ez2), dist)
-        ratios = np.maximum(ratios, _pairwise_lipschitz(model.sigma1, (ex, ez), (ex2, ez2), dist))
-        ratios = np.maximum(ratios, _pairwise_lipschitz(model.b2, (ex, ez), (ex2, ez2), dist))
-        ratios = np.maximum(ratios, _pairwise_lipschitz(model.sigma2, (ex, ez), (ex2, ez2), dist))
+        ratios = np.max([_pairwise_lipschitz(fn, (ex, ez), (ex2, ez2), dist)
+                         for fn in (model.b1, model.sigma1, model.b2, model.sigma2)], axis=0)
         if model.f1 is not None and model.nu1.total_intensity > 0:
             def jump_gap(u):
                 va = model.f1(ex[:, None, :], u)

@@ -100,6 +100,28 @@ def test_averaged_se_shrinks_with_samples(example6):
     assert 1.4 < ratio < 2.9
 
 
+def test_euler_route_se_is_the_spread_of_the_replica_means(example6):
+    cfg = copy.deepcopy(preset_to_config(example6))
+    cfg["model"].pop("ou_fast")
+    preset = preset_from_config(cfg)
+    x = np.array([0.7])
+    meas = estimate_invariant_measure(
+        preset.model, x, burn_in=5.0, n_samples=1000, stride=10, dt=0.01, stream=RngStream(4),
+    )
+    pt = average_coefficients(preset.model, preset.observation, x, meas)
+    # 15 replicas of 63 recorded states and the last one cut to 55, weighted by count
+    b = np.sin(meas.samples[:, 0])
+    blocks = [b[i: i + 63] for i in range(0, 1000, 63)]
+    counts = np.array([len(blk) for blk in blocks])
+    assert len(blocks) == FROZEN_REPLICAS and counts[-1] == 55
+    means = np.array([blk.mean() for blk in blocks])
+    grand = np.average(means, weights=counts)
+    expected = math.sqrt(np.sum(counts * (means - grand) ** 2) / (15 * 1000))
+    assert pt.se_bbar1[0] == pytest.approx(expected, rel=1e-10)
+    # a sensor that ignores the fast variable has exactly zero error, cut replica included
+    assert pt.se_hbar[0] == 0.0
+
+
 def test_average_coefficients_requires_matching_state(example6):
     meas = estimate_invariant_measure(
         example6.model, np.array([0.0]), n_samples=2000, stream=RngStream(7)

@@ -260,6 +260,14 @@ def test_non_object_config_section_is_a_keyed_config_error(tmp_path, capsys):
     assert err.startswith("config error:") and "(key: lambda)" in err
 
 
+def test_failing_constant_expression_exits_with_a_keyed_config_error(tmp_path, capsys):
+    cfg_path = _write_config(tmp_path, lambda c: c["model"].__setitem__("b1", ["1/0"]))
+    rc = main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "(key: b1)" in err and "Traceback" not in err
+
+
 def test_broken_json_config(tmp_path, capsys):
     cfg_path = tmp_path / "broken.json"
     cfg_path.write_text("{not json")

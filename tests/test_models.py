@@ -118,6 +118,21 @@ def test_config_sections_that_are_not_objects_name_the_key(path, key, value):
     assert exc.value.key == key and "must be an object" in str(exc.value)
 
 
+@pytest.mark.parametrize("section, key, sources", [
+    ("model", "b1", ["1/0"]),
+    ("model", "b2", ["-z[0] + 1/(1-1)"]),
+    ("model", "sigma1", [["1.0 / (2 - 2.0)"]]),
+    ("observation", "f3", ["u[0] * (1 / 0)"]),
+])
+def test_failing_constant_expression_is_a_keyed_config_error(section, key, sources):
+    cfg = copy.deepcopy(preset_to_config(build_example6()))
+    cfg[section][key] = sources
+    with pytest.raises(ConfigError) as exc:
+        preset_from_config(cfg)
+    assert exc.value.key == key and "division by zero" in str(exc.value)
+    assert repr(sources[0][0] if key == "sigma1" else sources[0]) in str(exc.value)
+
+
 def test_load_config_round_trip(tmp_path):
     cfg = preset_to_config(build_example6())
     path = tmp_path / "model.json"

@@ -355,7 +355,7 @@ def build_homogenized(
         return HomogenizedModel(
             n=model.n, d=obs.d, l_factor=model.n, x0=model.x0.copy(),
             bbar1=_const_field(cf.bbar1), sigmabar1=_const_field(factor_diffusion(cf.abar)),
-            hbar=cf.hbar(), f1=model.f1, nu1=model.nu1, mode=mode,
+            hbar=cf.hbar, f1=model.f1, nu1=model.nu1, mode=mode,
             meta={"source": "closed_form", "preset": preset.name},
         )
 

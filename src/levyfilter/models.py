@@ -198,10 +198,7 @@ class ClosedFormFacts:
 
     bbar1: np.ndarray           # (n,)
     abar: np.ndarray            # (n, n) averaged sigma1 sigma1^T
-    hbar_exprs: tuple           # averaged sensor, expressions in x
-
-    def hbar(self):
-        return vector_field(list(self.hbar_exprs), ("x",))
+    hbar: object                # x -> (..., d), the averaged sensor
 
 
 @dataclass
@@ -342,7 +339,7 @@ def _closed_form_from_dict(doc: dict) -> ClosedFormFacts:
     return ClosedFormFacts(
         bbar1=np.asarray(doc["bbar1"], dtype=float),
         abar=np.asarray(doc["abar"], dtype=float),
-        hbar_exprs=tuple(doc["hbar"]),
+        hbar=_parse(doc, "hbar", "model.closed_form", lambda v: vector_field(v, ("x",))),
     )
 
 

@@ -256,7 +256,7 @@ def test_preset_fields_are_bitwise_the_reference_on_a_stack(name):
         (obs.g3, cfg["observation"]["g3"], ("t", "u"), (0.3, u)),
     ]
     if preset.closed_form is not None:
-        fields.append((preset.closed_form.hbar(), cfg["model"]["closed_form"]["hbar"], ("x",), (x,)))
+        fields.append((preset.closed_form.hbar, cfg["model"]["closed_form"]["hbar"], ("x",), (x,)))
     for field, sources, argnames, args in fields:
         nested = isinstance(sources[0], list)
         reference = (_reference_matrix_field if nested else _reference_vector_field)(sources, argnames)

@@ -118,15 +118,16 @@ def test_config_sections_that_are_not_objects_name_the_key(path, key, value):
     assert exc.value.key == key and "must be an object" in str(exc.value)
 
 
-@pytest.mark.parametrize("section, key, sources", [
-    ("model", "b1", ["1/0"]),
-    ("model", "b2", ["-z[0] + 1/(1-1)"]),
-    ("model", "sigma1", [["1.0 / (2 - 2.0)"]]),
-    ("observation", "f3", ["u[0] * (1 / 0)"]),
+@pytest.mark.parametrize("path, key, sources", [
+    (("model",), "b1", ["1/0"]),
+    (("model",), "b2", ["-z[0] + 1/(1-1)"]),
+    (("model",), "sigma1", [["1.0 / (2 - 2.0)"]]),
+    (("observation",), "f3", ["u[0] * (1 / 0)"]),
+    (("model", "closed_form"), "hbar", ["arctan(x[0]) + 1 / (1 - 1)"]),
 ])
-def test_failing_constant_expression_is_a_keyed_config_error(section, key, sources):
+def test_failing_constant_expression_is_a_keyed_config_error(path, key, sources):
     cfg = copy.deepcopy(preset_to_config(build_example6()))
-    cfg[section][key] = sources
+    _section(cfg, path)[key] = sources
     with pytest.raises(ConfigError) as exc:
         preset_from_config(cfg)
     assert exc.value.key == key and "division by zero" in str(exc.value)

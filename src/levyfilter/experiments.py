@@ -6,7 +6,8 @@ The filter study simulates its replications' paths as one stack and runs
 them as the rows of one coupled full/reduced filter pass per epsilon.  Every
 replication derives its own stream from (study seed, epsilon index,
 replication index), and neither a path nor a filter row depends on the other
-rows, so the numbers are a deterministic function of the seed.
+rows, so the numbers are a deterministic function of the seed.  The martingale
+check streams in O(runs) memory and computes its reduced-model reference once.
 """
 
 from __future__ import annotations
@@ -30,6 +31,9 @@ from .noise import RngStream
 from .sde import (
     StepScheme,
     default_scheme,
+    homogenized_ensemble_steps,
+    make_grid,
+    signal_ensemble_steps,
     simulate_full,
     simulate_homogenized_ensemble,
     simulate_signal_ensemble,
@@ -109,14 +113,14 @@ class MartingaleReport:
 
 def martingale_check(
     preset: ModelPreset,
-    epsilon: float,
+    epsilon: float | list[float],
     n_runs: int,
     T: float,
     dt: float = 0.01,
     seed: int = 0,
     hmodel: HomogenizedModel | None = None,
     inverse_runs: int | None = None,
-) -> MartingaleReport:
+) -> MartingaleReport | list[MartingaleReport]:
     """Monte Carlo check that the likelihood has unit mean.
 
     Forward route: signal ensembles and synthetic reference-law observations
@@ -125,82 +129,85 @@ def martingale_check(
     the physical law carry E[1/likelihood] = 1.  Reported standard errors are
     plain ensemble SEs, so each route needs at least two runs:
     ``inverse_runs`` is 0 (route off) or at least 2.
+
+    ``epsilon`` is one value or a list (one report each, bitwise the single
+    call) sharing the epsilon-free reduced-model reference.  The forward route
+    streams, so memory is O(n_runs + events) whatever the number of steps.
     """
     P = _at_least_two("n_runs", n_runs)
     inverse_runs = 0 if not inverse_runs else _at_least_two("inverse_runs", inverse_runs)
-    peps = with_epsilon(preset, float(epsilon))
-    model, obs = peps.model, peps.observation
+    single = np.ndim(epsilon) == 0
+    presets = [with_epsilon(preset, e) for e in ([epsilon] if single else epsilon)]
+    schemes = [default_scheme(p.model, dt) for p in presets]
+    obs = preset.observation
     if hmodel is None:
-        hmodel = build_homogenized(peps)
+        hmodel = build_homogenized(preset)
     root = RngStream(int(seed))
-    scheme = default_scheme(model, dt)
+    times = make_grid(T, dt)
 
-    times, HX, HZ = simulate_signal_ensemble(model, T, scheme, P, root.child(0), keep_history=True)
-    K = len(times) - 1
+    # reference-law events, each charged to its own run at its step's right
+    # endpoint: sampled up front, their log-thinning filled in step by step
+    gen_ev = root.child(3).generator()
+    counts = gen_ev.poisson(obs.nu3_small.total_intensity * T, size=P)
+    ev_times = gen_ev.uniform(0.0, T, size=int(counts.sum()))
+    ev_marks = obs.nu3_small.mark_sampler.sample(gen_ev, len(ev_times))
+    run_id = np.repeat(np.arange(P), counts)
+    step = np.searchsorted(times[1:], ev_times, side="left")
+
+    # row 0 is the reduced model with its averaged sensor, row 1 + e the full
+    # model at epsilon e; all read the same reference increments
+    reduced = homogenized_ensemble_steps(hmodel, T, dt, P, root.child(2))
+    full = [signal_ensemble_steps(p.model, T, s, P, root.child(0)) for p, s in zip(presets, schemes)]
+    ensembles = zip(((X, hmodel.hbar(X)) for _, X in reduced),
+                    *(((X, obs.h(X, Z)) for _, X, Z in steps) for steps in full))
+    next(ensembles)   # the common start
     gen_obs = root.child(1).generator()
-    dbar = gen_obs.standard_normal((K, P, obs.d)) * math.sqrt(dt)
-    _, HX0 = simulate_homogenized_ensemble(hmodel, T, dt, P, root.child(2), keep_history=True)
-
     # Gaussian and compensator terms one step at a time, so state-dependent
     # thinning never holds more than a (P, quadrature nodes) block
     no_t, no_u = np.zeros(0), np.zeros((0, obs.nu3_small.mark_dim))
-    logl = np.zeros(P)
-    logl0 = np.zeros(P)
-    for k in range(K):
+    logl = np.zeros((1 + len(presets), P))
+    thin = np.empty((1 + len(presets), len(ev_times)))
+    for k, states in enumerate(ensembles):
         t = float(times[k + 1])
-        hv = np.asarray(obs.h(HX[k + 1], HZ[k + 1]), dtype=float)
-        logl += _batch_log_weight(obs, hv, HX[k + 1], dbar[k], dt, t, no_t, no_u)
-        hv0 = np.asarray(hmodel.hbar(HX0[k + 1]), dtype=float)
-        logl0 += _batch_log_weight(obs, hv0, HX0[k + 1], dbar[k], dt, t, no_t, no_u)
-
-    intensity = obs.nu3_small.total_intensity
-    if intensity > 0:
-        # reference-law events, each charged to its own run at its step's right endpoint
-        gen_ev = root.child(3).generator()
-        counts = gen_ev.poisson(intensity * T, size=P)
-        M = int(counts.sum())
-        ev_times = gen_ev.uniform(0.0, T, size=M)
-        ev_marks = obs.nu3_small.mark_sampler.sample(gen_ev, M)
-        run_id = np.repeat(np.arange(P), counts)
-        step = np.searchsorted(times[1:], ev_times, side="left")
-        np.add.at(logl, run_id, _log_thinning(obs, ev_times, HX[step + 1, run_id, :], ev_marks))
-        np.add.at(logl0, run_id, _log_thinning(obs, ev_times, HX0[step + 1, run_id, :], ev_marks))
-
+        dbar = gen_obs.standard_normal((P, obs.d)) * math.sqrt(dt)
+        ev = np.flatnonzero(step == k)
+        for row, (X, hv) in enumerate(states):
+            hv = np.asarray(hv, dtype=float)
+            logl[row] += _batch_log_weight(obs, hv, X, dbar, dt, t, no_t, no_u)
+            thin[row, ev] = _log_thinning(obs, ev_times[ev], X[run_id[ev]], ev_marks[ev])
+    for row, row_thin in zip(logl, thin):
+        np.add.at(row, run_id, row_thin)
     lik = np.exp(logl)
-    lik0 = np.exp(logl0)
-    mean_forward = float(lik.mean())
-    se_forward = float(lik.std(ddof=1) / math.sqrt(P))
-    mean_forward_homog = float(lik0.mean())
-    se_forward_homog = float(lik0.std(ddof=1) / math.sqrt(P))
-    max_rho0_inverse = float(np.exp(-logl0.min()))
-
-    paths = (
-        simulate_full(model, obs, T, scheme, [root.child(4).child(r) for r in range(inverse_runs)])
-        if inverse_runs else []
-    )
-    inv_vals = np.empty(inverse_runs)
-    for r, path in enumerate(paths):
-        rec = path.observations()
-        xr = path.X[1:]
-        hser = np.asarray(obs.h(xr, path.Z[1:]), dtype=float)
-        ll = _batch_log_weight(
-            obs, hser, xr, rec.bbar_increments, dt, rec.times[1:], no_t, no_u
-        )
-        idx = rec.small_step_index()
-        np.add.at(ll, idx, _log_thinning(obs, rec.small_times, xr[idx], rec.small_marks))
-        inv_vals[r] = math.exp(-float(np.sum(ll)))
-    mean_inverse = float(inv_vals.mean()) if inverse_runs else math.nan
-    se_inverse = (
-        float(inv_vals.std(ddof=1) / math.sqrt(inverse_runs)) if inverse_runs else math.nan
+    reduced_fields = dict(
+        mean_forward_homog=float(lik[0].mean()),
+        se_forward_homog=float(lik[0].std(ddof=1) / math.sqrt(P)),
+        max_rho0_inverse=float(np.exp(-logl[0].min())),
     )
 
-    return MartingaleReport(
-        epsilon=float(epsilon), n_runs=P,
-        mean_forward=mean_forward, se_forward=se_forward,
-        mean_forward_homog=mean_forward_homog, se_forward_homog=se_forward_homog,
-        max_rho0_inverse=max_rho0_inverse,
-        inverse_runs=inverse_runs, mean_inverse=mean_inverse, se_inverse=se_inverse,
-    )
+    reports = []
+    for peps, scheme, lik_full in zip(presets, schemes, lik[1:]):
+        inv = np.empty(inverse_runs)
+        paths = simulate_full(
+            peps.model, obs, T, scheme, [root.child(4).child(r) for r in range(inverse_runs)]
+        ) if inverse_runs else []
+        for r, path in enumerate(paths):
+            rec = path.observations()
+            xr = path.X[1:]
+            hser = np.asarray(obs.h(xr, path.Z[1:]), dtype=float)
+            ll = _batch_log_weight(obs, hser, xr, rec.bbar_increments, dt, rec.times[1:], no_t, no_u)
+            idx = rec.small_step_index()
+            np.add.at(ll, idx, _log_thinning(obs, rec.small_times, xr[idx], rec.small_marks))
+            inv[r] = math.exp(-float(np.sum(ll)))
+        reports.append(MartingaleReport(
+            epsilon=peps.model.epsilon, n_runs=P,
+            mean_forward=float(lik_full.mean()),
+            se_forward=float(lik_full.std(ddof=1) / math.sqrt(P)),
+            **reduced_fields,
+            inverse_runs=inverse_runs,
+            mean_inverse=float(inv.mean()) if inverse_runs else math.nan,
+            se_inverse=float(inv.std(ddof=1) / math.sqrt(inverse_runs)) if inverse_runs else math.nan,
+        ))
+    return reports[0] if single else reports
 
 
 # ---------------------------------------------------------------------------
@@ -400,10 +407,10 @@ def convergence_study(
     )
     for row, srow in zip(report.rows, signal_rows):
         row["ks_signal"] = srow["ks"]
-    for row, eps in zip(report.rows, report.epsilons):
-        mart = martingale_check(
-            preset, eps, martingale_runs, T, dt=dt, seed=seed + 2, hmodel=hmodel,
-        )
+    marts = martingale_check(
+        preset, report.epsilons, martingale_runs, T, dt=dt, seed=seed + 2, hmodel=hmodel,
+    )
+    for row, mart in zip(report.rows, marts):
         row["martingale_mean"] = mart.mean_forward
         row["martingale_se"] = mart.se_forward
         row["max_rho0_inverse"] = mart.max_rho0_inverse

@@ -12,7 +12,7 @@ from __future__ import annotations
 import copy
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -376,10 +376,16 @@ def load_config(path) -> ModelPreset:
 
 
 def with_epsilon(preset: ModelPreset, epsilon: float) -> ModelPreset:
-    """Same preset at a different timescale separation."""
+    """Same preset at a different timescale separation; the compiled fields,
+    observation model and closed form are shared, never mutated."""
+    epsilon = float(epsilon)
+    try:
+        model = replace(preset.model, epsilon=epsilon)
+    except ValueError as exc:
+        raise ConfigError(f"invalid model section: {exc}", key="epsilon") from exc
     cfg = copy.deepcopy(preset.config)
-    cfg["model"]["epsilon"] = float(epsilon)
-    return preset_from_config(cfg)
+    cfg["model"]["epsilon"] = epsilon
+    return replace(preset, model=model, config=cfg)
 
 
 # ---------------------------------------------------------------------------

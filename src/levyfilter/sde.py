@@ -525,25 +525,19 @@ def simulate_reference_observations(
 # vectorized ensembles (law-level sampling for the studies)
 
 
-def simulate_signal_ensemble(
-    model: SlowFastModel,
-    T: float,
-    scheme: StepScheme,
-    n_paths: int,
-    stream: RngStream,
-    keep_history: bool = False,
+def signal_ensemble_steps(
+    model: SlowFastModel, T: float, scheme: StepScheme, n_paths: int, stream: RngStream
 ):
-    """Many independent signal paths advanced together (no observation).
+    """Many independent signal paths advanced together (no observation), one
+    step at a time: yields (t, X, Z), X (P, n) and Z (P, m), at every grid
+    time, the start included; a yielded state is never overwritten.
 
     Requires a jump-free slow/fast pair; draws are batch-indexed per step, so
     the ensemble is reproducible as a whole.
-    Returns (times, X) with X of shape (K+1, P, n) when keep_history else
-    (P, n) terminal states, plus the matching Z array.
     """
     if model.nu1.total_intensity > 0 or model.nu2.total_intensity > 0:
         raise ValueError("ensemble simulation supports jump-free signals only")
     times = make_grid(T, scheme.dt_slow)
-    K = len(times) - 1
     dt = scheme.dt_slow
     dt_fast = _fast_scheme_params(model, scheme)
     P = int(n_paths)
@@ -552,14 +546,10 @@ def simulate_signal_ensemble(
     gen_w = stream.child(NoiseSource.FAST_BROWNIAN).generator()
     X = np.broadcast_to(model.x0, (P, model.n)).copy()
     Z = np.broadcast_to(model.z0, (P, model.m)).copy()
-    hist_x = np.empty((K + 1, P, model.n)) if keep_history else None
-    hist_z = np.empty((K + 1, P, model.m)) if keep_history else None
-    if keep_history:
-        hist_x[0], hist_z[0] = X, Z
-
+    yield times[0], X, Z
     substeps = scheme.substeps
     sqdt = math.sqrt(dt)
-    for k in range(K):
+    for t in times[1:]:
         dV = gen_v.normal(0.0, sqdt, size=(P, model.l1))
         if dt_fast is None:
             fast_noise = gen_w.normal(size=(P, 1))
@@ -567,39 +557,39 @@ def simulate_signal_ensemble(
             dW = gen_w.normal(0.0, math.sqrt(dt_fast / model.epsilon), size=(substeps, P, model.l2))
             fast_noise = np.moveaxis(dW, 0, -2)
         X, Z = signal_step(model, dt_fast, X, Z, dV, fast_noise, dt)
-        if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Z))):
-            raise IntegrationFailureError(
-                f"ensemble state became non-finite at t={times[k + 1]:.6g}", time=times[k + 1]
-            )
-        if keep_history:
-            hist_x[k + 1], hist_z[k + 1] = X, Z
-    if keep_history:
-        return times, hist_x, hist_z
-    return times, X, Z
+        _check_finite((X, Z), t)
+        yield t, X, Z
 
 
-def simulate_homogenized_ensemble(
-    hmodel, T: float, dt: float, n_paths: int, stream: RngStream, keep_history: bool = False
-):
-    """Many independent reduced-model paths advanced together (jump-free)."""
+def homogenized_ensemble_steps(hmodel, T: float, dt: float, n_paths: int, stream: RngStream):
+    """Many independent reduced-model paths advanced together (jump-free), one
+    step at a time: yields (t, X) at every grid time, the start included."""
     if hmodel.nu1.total_intensity > 0:
         raise ValueError("ensemble simulation supports jump-free signals only")
     times = make_grid(T, dt)
-    K = len(times) - 1
     P = int(n_paths)
     gen_v = stream.child(NoiseSource.HOMOG_BROWNIAN).generator()
     X = np.broadcast_to(hmodel.x0, (P, hmodel.n)).copy()
-    hist = np.empty((K + 1, P, hmodel.n)) if keep_history else None
-    if keep_history:
-        hist[0] = X
+    yield times[0], X
     sqdt = math.sqrt(dt)
-    for k in range(K):
+    for t in times[1:]:
         dV = gen_v.normal(0.0, sqdt, size=(P, hmodel.l_factor))
         X = euler_step(X, hmodel.bbar1(X), hmodel.sigmabar1(X), dV, dt)
-        if not np.all(np.isfinite(X)):
-            raise IntegrationFailureError(
-                f"ensemble state became non-finite at t={times[k + 1]:.6g}", time=times[k + 1]
-            )
-        if keep_history:
-            hist[k + 1] = X
-    return (times, hist) if keep_history else (times, X)
+        _check_finite((X,), t)
+        yield t, X
+
+
+def simulate_signal_ensemble(
+    model: SlowFastModel, T: float, scheme: StepScheme, n_paths: int, stream: RngStream
+):
+    """Terminal states of ``signal_ensemble_steps``: (times, X, Z) with X (P, n), Z (P, m)."""
+    for _, X, Z in signal_ensemble_steps(model, T, scheme, n_paths, stream):
+        pass
+    return make_grid(T, scheme.dt_slow), X, Z
+
+
+def simulate_homogenized_ensemble(hmodel, T: float, dt: float, n_paths: int, stream: RngStream):
+    """Terminal states of ``homogenized_ensemble_steps``: (times, X) with X (P, n)."""
+    for _, X in homogenized_ensemble_steps(hmodel, T, dt, n_paths, stream):
+        pass
+    return make_grid(T, dt), X

@@ -3,6 +3,7 @@ identities, and thread-count invariance of the convergence study."""
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from levyfilter import (
     signal_convergence_study,
     strictly_decreasing,
 )
+from levyfilter.averaging import build_homogenized
 from levyfilter.filtering import _batch_log_weight, _log_thinning
 from levyfilter.sde import ObservationRecord
 
@@ -181,6 +183,48 @@ def test_martingale_check_forward_and_inverse():
     assert math.isfinite(rep.max_rho0_inverse)
 
 
+def _hex_fields(report):
+    return {k: float(v).hex() if isinstance(v, float) else v
+            for k, v in dataclasses.asdict(report).items()}
+
+
+def test_martingale_check_list_equals_single_calls():
+    # the shared reduced-model reference and the lockstep pass change no bit
+    preset = PRESETS["example6"]()
+    kw = dict(n_runs=300, T=0.3, dt=0.02, seed=5, inverse_runs=8)
+    epsilons = [0.5, 0.1, 0.02]
+    reports = martingale_check(preset, epsilons, **kw)
+    assert [r.epsilon for r in reports] == epsilons
+    for eps, rep in zip(epsilons, reports):
+        assert _hex_fields(rep) == _hex_fields(martingale_check(preset, eps, **kw))
+    # a route that is off reports NaNs, compared by their hex form too
+    off = martingale_check(preset, epsilons[:2], **{**kw, "inverse_runs": 0})
+    assert math.isnan(off[0].mean_inverse)
+    assert [_hex_fields(r) for r in off] == [
+        _hex_fields(martingale_check(preset, eps, **{**kw, "inverse_runs": 0}))
+        for eps in epsilons[:2]
+    ]
+    assert martingale_check(preset, [], **kw) == []
+
+
+def test_martingale_check_memory_does_not_grow_with_the_steps():
+    preset = PRESETS["example6"]()
+    P, T, dt = 2000, 1.0, 0.01
+    K = int(round(T / dt))
+    obs_d = preset.observation.d
+    # what keeping the (K+1, P) ensemble histories and the (K, P, d) increments held
+    histories = ((K + 1) * P * (2 * preset.model.n + preset.model.m) + K * P * obs_d) * 8
+    hmodel = build_homogenized(preset)
+    tracemalloc.start()
+    try:
+        rep = martingale_check(preset, 0.1, P, T, dt=dt, seed=1, hmodel=hmodel)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(rep.mean_forward)
+    assert peak < histories / 10
+
+
 def test_signal_convergence_study_rows():
     preset = PRESETS["example6"]()
     rows = signal_convergence_study(preset, [0.5, 0.1], n_paths=2000, T=0.5, dt_slow=0.02)
@@ -253,6 +297,7 @@ def test_martingale_check_needs_two_runs_per_route(kwargs, name, monkeypatch):
 
     monkeypatch.setattr("levyfilter.experiments.build_homogenized", no_work)
     monkeypatch.setattr("levyfilter.experiments.simulate_signal_ensemble", no_work)
+    monkeypatch.setattr("levyfilter.experiments.signal_ensemble_steps", no_work)
     with pytest.raises(ValueError, match=f"{name} must be at least 2"):
         martingale_check(PRESETS["example6"](), epsilon=0.5, T=0.1, dt=0.02, **kwargs)
 

@@ -151,10 +151,22 @@ def test_with_epsilon_rebuilds_without_mutating():
     out = with_epsilon(preset, 0.02)
     assert out.model.epsilon == 0.02
     assert preset.model.epsilon == 0.1
+    # the rebuilt config records the new epsilon; the original keeps its own
+    assert out.config["model"]["epsilon"] == 0.02
+    assert preset.config["model"]["epsilon"] == 0.1
+    # compiled fields, the observation model and the closed form are reused
+    for name in ("b1", "sigma1", "b2", "sigma2", "f1", "f2", "nu1", "nu2", "ou_fast"):
+        assert getattr(out.model, name) is getattr(preset.model, name)
+    assert out.observation is preset.observation
+    assert out.closed_form is preset.closed_form
     # coefficients still evaluate after the rebuild
     x = np.zeros((2, 1))
     z = np.ones((2, 1))
     np.testing.assert_allclose(out.model.b1(x, z), np.sin(np.ones((2, 1))))
+    for bad in (0.0, -1.0, float("nan")):
+        with pytest.raises(ConfigError, match="epsilon must be > 0"):
+            with_epsilon(preset, bad)
+    assert preset.model.epsilon == 0.1
 
 
 def test_ou_fast_closed_forms():

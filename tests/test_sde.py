@@ -13,6 +13,7 @@ from levyfilter.sde import (
     StepScheme,
     default_scheme,
     euler_scheme,
+    homogenized_ensemble_steps,
     make_grid,
     simulate_full,
     simulate_homogenized_ensemble,
@@ -190,10 +191,15 @@ def test_simulate_homogenized_reduced_dimensions():
     from levyfilter.averaging import build_homogenized
 
     hmodel = build_homogenized(build_example6(), mode="closed_form")
-    times, X = simulate_homogenized_ensemble(hmodel, 1.0, 0.01, 3, RngStream(5), keep_history=True)
-    assert times.shape == (101,)
-    assert X.shape == (101, 3, 1)   # slow state only: no fast or observation part
-    np.testing.assert_array_equal(X[0], np.broadcast_to(hmodel.x0, (3, 1)))
+    steps = list(homogenized_ensemble_steps(hmodel, 1.0, 0.01, 3, RngStream(5)))
+    assert len(steps) == 101
+    for _, X in steps:
+        assert X.shape == (3, 1)   # slow state only: no fast or observation part
+    np.testing.assert_array_equal(steps[0][1], np.broadcast_to(hmodel.x0, (3, 1)))
+    # the simulator returns the iterator's last state
+    times, XT = simulate_homogenized_ensemble(hmodel, 1.0, 0.01, 3, RngStream(5))
+    np.testing.assert_array_equal(times, [t for t, _ in steps])
+    np.testing.assert_array_equal(XT, steps[-1][1])
 
 
 def test_path_csv_round_trip(tmp_path):

@@ -7,7 +7,7 @@ them as the rows of one coupled full/reduced filter pass per epsilon.  Every
 replication derives its own stream from (study seed, epsilon index,
 replication index), and neither a path nor a filter row depends on the other
 rows, so the numbers are a deterministic function of the seed.  The martingale
-check streams in O(runs) memory and computes its reduced-model reference once.
+check streams (no per-step history) and computes its reduced-model reference once.
 """
 
 from __future__ import annotations

@@ -30,6 +30,7 @@ from .models import ModelPreset, make_linear_gaussian, with_epsilon
 from .noise import RngStream
 from .sde import (
     StepScheme,
+    _bin_events,
     default_scheme,
     homogenized_ensemble_steps,
     make_grid,
@@ -152,7 +153,7 @@ def martingale_check(
     ev_times = gen_ev.uniform(0.0, T, size=int(counts.sum()))
     ev_marks = obs.nu3_small.mark_sampler.sample(gen_ev, len(ev_times))
     run_id = np.repeat(np.arange(P), counts)
-    step = np.searchsorted(times[1:], ev_times, side="left")
+    step = _bin_events(ev_times, times)
 
     # row 0 is the reduced model with its averaged sensor, row 1 + e the full
     # model at epsilon e; all read the same reference increments
@@ -288,9 +289,6 @@ class ConvergenceReport:
     psi_names: list
     rows: list                  # one dict per epsilon
     meta: dict = field(default_factory=dict)
-
-    def column(self, key: str):
-        return [row[key] for row in self.rows]
 
 
 def _at_least_two(name: str, count) -> int:

@@ -150,10 +150,18 @@ class MarkSampler:
         return _quadrature_rule(self.kind, self.params)
 
     def expectation(self, fn) -> np.ndarray | float:
-        """E[fn(U)] where fn maps (Q, dim) mark arrays to (Q, ...) values."""
+        """E[fn(U)] where fn maps (Q, dim) mark arrays to (Q,) values or to
+        (..., Q, k) fields, the node axis second to last.
+
+        A weighted sum over the node axis, which reduces each leading row on
+        its own: row r of a stacked (R, Q, k) field is bitwise its own (Q, k)
+        call (``np.tensordot``, or a leading node axis, is not).
+        """
         nodes, weights = self.quadrature()
         vals = np.asarray(fn(nodes), dtype=float)
-        return np.tensordot(weights, vals, axes=(0, 0))
+        if vals.ndim == 1:
+            return (vals * weights).sum()
+        return (vals * weights[:, None]).sum(axis=-2)
 
 
 @lru_cache(maxsize=64)
@@ -248,16 +256,19 @@ def sample_poisson_jumps(
     """Events of a Poisson random measure with intensity rate_scale * ν on (0, horizon].
 
     The count, the sorted event times and the marks are drawn from a single
-    generator in a fixed order, so the result is reproducible from the stream.
-    rate_scale carries the 1/epsilon acceleration of fast-component jumps.
+    generator in a fixed order, so the result is reproducible from the stream;
+    a measure without mass draws nothing.  rate_scale carries the 1/epsilon
+    acceleration of fast-component jumps.
     """
     if not horizon > 0:
         raise ValueError(f"horizon must be > 0, got {horizon}")
     if not rate_scale > 0:
         raise ValueError(f"rate_scale must be > 0, got {rate_scale}")
-    gen = stream.generator()
     mean_count = spec.total_intensity * rate_scale * horizon
-    count = int(gen.poisson(mean_count)) if mean_count > 0 else 0
+    if mean_count == 0:
+        return []
+    gen = stream.generator()
+    count = int(gen.poisson(mean_count))
     if count == 0:
         return []
     # 1 - U(0,1) lands in (0, 1], keeping event times strictly positive

@@ -103,7 +103,7 @@ class ObservationRecord:
 
     def small_step_index(self) -> np.ndarray:
         """Step k owning each small-region event (events in (t_k, t_{k+1}])."""
-        return np.searchsorted(self.times[1:], self.small_times, side="left")
+        return _bin_events(self.small_times, self.times)
 
 
 @dataclass
@@ -155,12 +155,29 @@ class JointPath:
             fh.write(",".join("%.17g" % v for v in row) + "\n")
 
 
-def _bin_events(events: list, times: np.ndarray) -> np.ndarray:
-    """Index of the step (t_k, t_{k+1}] owning each event."""
-    if not events:
-        return np.zeros(0, dtype=int)
-    ts = np.asarray([e.time for e in events])
-    return np.searchsorted(times[1:], ts, side="left")
+def _bin_events(event_times, times: np.ndarray) -> np.ndarray:
+    """Index k of the step (t_k, t_{k+1}] of the grid ``times`` owning each
+    event time; a time past the last node (the grid may end an ulp short of
+    its horizon) belongs to the last step."""
+    ts = np.asarray(event_times, dtype=float)
+    return np.minimum(np.searchsorted(times[1:], ts, side="left"), len(times) - 2)
+
+
+def _kicks_by_step(event_lists, T: float, dt: float) -> dict:
+    """The jumps of R rows by step of the grid ``make_grid(T, dt)``, row r
+    jumping at the events ``event_lists[r]``: {k: (rows, marks)} with rows in
+    row order and each row's events in time order; steps without events are
+    absent."""
+    if not any(event_lists):
+        return {}
+    grid = make_grid(T, dt)
+    at: dict = {}
+    for r, events in enumerate(event_lists):
+        for k, ev in zip(_bin_events([e.time for e in events], grid).tolist(), events):
+            rows, marks = at.setdefault(k, ([], []))
+            rows.append(r)
+            marks.append(ev.mark)
+    return {k: (np.asarray(rows), np.stack(marks)) for k, (rows, marks) in at.items()}
 
 
 def _check_finite(arrays, t: float):
@@ -195,13 +212,24 @@ def euler_step(x, drift, diffusion, dV, dt: float):
     return x + drift * dt + np.einsum("...nl,...l->...n", diffusion, dV)
 
 
-def fast_euler_substep(model: SlowFastModel, x, z, dW, ds: float):
-    """One jump-free Euler substep of the fast component, slow state frozen at x.
+def fast_euler_substep(model: SlowFastModel, x, z, dW, ds: float, kicks=None):
+    """One Euler substep of the fast component with compensated jumps, slow
+    state frozen at x, batched over leading axes.
 
     ``ds`` is the substep in fast time (dt/epsilon on the slow clock) and
-    ``dW`` the fast-time Brownian increment, of variance ds.
+    ``dW`` the fast-time Brownian increment, of variance ds.  The nu2
+    compensator is one quadrature over the whole stack.  ``kicks`` is None or
+    (rows, marks): row ``rows[i]`` jumps by f2 at mark ``marks[i]``, rows
+    indexing the leading axis, added in event order; every term reads the
+    substep's left state.
     """
-    return euler_step(z, model.b2(x, z), model.sigma2(x, z), dW, ds)
+    z_new = euler_step(z, model.b2(x, z), model.sigma2(x, z), dW, ds)
+    if model.nu2.total_intensity > 0:
+        z_new -= ds * model.nu2.integrate(lambda u: model.f2(x[..., None, :], z[..., None, :], u))
+    if kicks is not None:
+        rows, marks = kicks
+        np.add.at(z_new, rows, model.f2(x[rows], z[rows], marks))
+    return z_new
 
 
 def ou_transition(ou: OuFast, s: float) -> tuple[float, float]:
@@ -210,21 +238,31 @@ def ou_transition(ou: OuFast, s: float) -> tuple[float, float]:
     return ou.decay(s), ou.step_std(s)
 
 
-def signal_step(model: SlowFastModel, dt_fast: float | None, x, z, dV, fast_noise, dt: float):
-    """One coarse step of the jump-free slow/fast pair, batched over leading axes.
+def signal_step(model: SlowFastModel, dt_fast: float | None, x, z, dV, fast_noise, dt: float,
+                slow_kicks=None, fast_kicks=None):
+    """One coarse step of the slow/fast pair, batched over leading axes.
 
-    The slow Euler step and every fast substep read the slow state at the
-    start of the step.  ``fast_noise`` holds (..., 1) standard normals for the
-    exact OU transition (``dt_fast`` None) or the (..., substeps, l2)
-    fast-time Brownian increments of the Euler substeps, of variance
-    dt_fast/epsilon.  Returns (x_new, z_new).
+    The slow Euler step, its jumps and its nu1 compensator, and every fast
+    substep read the slow state at the start of the step.  ``fast_noise``
+    holds (..., 1) standard normals for the exact OU transition (``dt_fast``
+    None) or the (..., substeps, l2) fast-time Brownian increments of the
+    Euler substeps, of variance dt_fast/epsilon.  ``slow_kicks`` is None or
+    the (rows, marks) of the slow jumps in the step, ``fast_kicks`` None or
+    one such entry per substep (see ``fast_euler_substep``).  Returns
+    (x_new, z_new); x and z are not modified.
     """
     x_new = euler_step(x, model.b1(x, z), model.sigma1(x, z), dV, dt)
+    if slow_kicks is not None:
+        rows, marks = slow_kicks
+        np.add.at(x_new, rows, model.f1(x[rows], marks))
+    if model.nu1.total_intensity > 0:
+        x_new -= dt * model.nu1.integrate(lambda u: model.f1(x[..., None, :], u))
     if dt_fast is None:
         decay, scale = ou_transition(model.ou_fast, dt / model.epsilon)
         return x_new, decay * z + scale * fast_noise
     for j in range(fast_noise.shape[-2]):
-        z = fast_euler_substep(model, x, z, fast_noise[..., j, :], dt_fast / model.epsilon)
+        z = fast_euler_substep(model, x, z, fast_noise[..., j, :], dt_fast / model.epsilon,
+                               None if fast_kicks is None else fast_kicks[j])
     return x_new, z
 
 
@@ -245,11 +283,10 @@ def _path_draws(
         fast_noise = fast.generator().normal(size=(K, 1))
     else:
         fast_noise = brownian_increments(fast, model.l2, dt_fast / eps, K * scheme.substeps)
+        fast_noise = fast_noise.reshape(K, scheme.substeps, model.l2)
 
     def events(source, spec, rate_scale=1.0):
-        if spec.total_intensity > 0:
-            return sample_poisson_jumps(stream.child(source), spec, T, rate_scale=rate_scale)
-        return []
+        return sample_poisson_jumps(stream.child(source), spec, T, rate_scale=rate_scale)
 
     small = events(NoiseSource.OBS_JUMPS_SMALL, obs.nu3_small)
     large = events(NoiseSource.OBS_JUMPS_LARGE, obs.nu3_large)
@@ -281,9 +318,10 @@ def simulate_full(
     Each driving noise of path r uses its own child stream of ``stream[r]``
     keyed by ``NoiseSource``, so refining one source never perturbs another,
     and path r is bitwise the single-stream call on ``stream[r]``: one stream
-    runs as a stack of one, the coefficients are evaluated over the stack, and
-    jump events, their thinning and every compensator that reads the state are
-    evaluated per path.
+    runs as a stack of one, the signal advances by ``signal_step``, whose
+    coefficients and compensators act on each row alone, and observation
+    events are thinned per path.  Slow events are binned on the coarse grid,
+    fast events on the fine grid ``make_grid(T, dt_fast)``.
     """
     single = isinstance(stream, RngStream)
     streams = [stream] if single else list(stream)
@@ -300,31 +338,17 @@ def simulate_full(
     draws = [_path_draws(model, obs, T, K, scheme, dt_fast, s) for s in streams]
     dV, dB, fast_noise = (np.stack([p[key] for p in draws], axis=1)
                           for key in ("dV", "dB", "fast_noise"))
-    if dt_fast is None:
-        decay, scale = ou_transition(model.ou_fast, dt / eps)
-    else:
-        substeps = scheme.substeps
-        ds = dt_fast / eps
-
-    # events by step, each step's list in path order; within a path slow and
-    # fast events keep time order, observation events small region then large
-    slow_at: dict = {}
-    fast_at: dict = {}
+    slow_at = _kicks_by_step([p["slow"] for p in draws], T, dt)
+    fast_at = _kicks_by_step([p["fast"] for p in draws], T, dt_fast)   # none on the OU route
+    substeps = scheme.substeps
+    # observation events by step in path order, small region then large
     obs_at: dict = {}
     obs_out = [([], []) for _ in range(R)]   # per path: (small, large) with acceptance
     for r, p in enumerate(draws):
-        for k, ev in zip(_bin_events(p["slow"], times).tolist(), p["slow"]):
-            slow_at.setdefault(k, []).append((r, ev.mark))
-        for k, ev in zip(_bin_events(p["fast"], times).tolist(), p["fast"]):
-            fast_at.setdefault(k, []).append((r, ev.time, ev.mark))
         for (base, uniforms, shape), out in zip(p["obs"], obs_out[r]):
-            for k, ev, u in zip(_bin_events(base, times).tolist(), base, uniforms):
+            steps = _bin_events([e.time for e in base], times).tolist()
+            for k, ev, u in zip(steps, base, uniforms):
                 obs_at.setdefault(k, []).append((r, ev, u, shape, out))
-    slow_comp = model.f1 is not None and model.nu1.total_intensity > 0
-    fast_comp = model.f2 is not None and model.nu2.total_intensity > 0
-
-    def obs_comp(t, x):
-        return obs.nu3_small.integrate(lambda u: obs.f3(t, u) * obs.thinning(t, x, u)[..., None])
 
     # path-major, so each path's arrays are contiguous, laid out as a single path's
     X = np.empty((R, K + 1, n)); X[:, 0] = model.x0
@@ -337,16 +361,12 @@ def simulate_full(
 
     for k in range(K):
         t = times[k]
-
-        # slow component: Euler with compensated jumps, state frozen at t_k
-        x_new = euler_step(x, model.b1(x, z), model.sigma1(x, z), dV[k], dt)
-        for r, mark in slow_at.get(k, ()):
-            jump = model.f1(x[r], mark[None, :])[0]
-            x_new[r] = x_new[r] + jump
-            x_jumps[r, k] += jump
-        if slow_comp:
-            for r in range(R):
-                x_new[r] = x_new[r] - dt * model.nu1.integrate(lambda u: model.f1(x[r], u))
+        fast_kicks = [fast_at.get(k * substeps + j) for j in range(substeps)]
+        x_new, z_new = signal_step(model, dt_fast, x, z, dV[k], fast_noise[k], dt,
+                                   slow_at.get(k), fast_kicks)
+        if k in slow_at:
+            rows, marks = slow_at[k]
+            np.add.at(x_jumps[:, k], rows, model.f1(x[rows], marks))
 
         # observation: continuous part plus thinned jumps, left-limit state
         bbar[:, k] = dB[k] + obs.h(x, z) * dt
@@ -360,31 +380,8 @@ def simulate_full(
                 y_new[r] = y_new[r] + jump
                 y_jumps[r, k] += jump
         if obs.nu3_small.total_intensity > 0:
-            if obs.thinning.kind == "const":   # does not read the state: once per step
-                y_new = y_new - dt * obs_comp(t, x[0])
-            else:
-                for r in range(R):
-                    y_new[r] = y_new[r] - dt * obs_comp(t, x[r])
-
-        # fast component across the coarse step, slow state frozen at t_k
-        if dt_fast is None:
-            z_new = decay * z + scale * fast_noise[k]
-        else:
-            z_new = z
-            kicks = fast_at.get(k, ())
-            for j in range(substeps):
-                sub_lo = t + j * dt_fast
-                sub_hi = sub_lo + dt_fast
-                z_sub = fast_euler_substep(model, x, z_new, fast_noise[k * substeps + j], ds)
-                if fast_comp:
-                    for r in range(R):
-                        z_sub[r] = z_sub[r] - ds * model.nu2.integrate(
-                            lambda u: model.f2(x[r], z_new[r], u)
-                        )
-                for r, ev_t, mark in kicks:
-                    if sub_lo < ev_t <= sub_hi:
-                        z_sub[r] = z_sub[r] + model.f2(x[r], z_new[r], mark[None, :])[0]
-                z_new = z_sub
+            y_new -= dt * obs.nu3_small.integrate(
+                lambda u: obs.f3(t, u) * obs.thinning(t, x[:, None, :], u)[..., None])
 
         X[:, k + 1] = x_new
         Z[:, k + 1] = z_new
@@ -405,16 +402,6 @@ def simulate_full(
         for r, p in enumerate(draws)
     ]
     return paths[0] if single else paths
-
-
-def _fine_step_of(event_times, dt: float) -> np.ndarray:
-    """Index k of the fine step (k dt, (k+1) dt] owning each event time: what
-    ``_bin_events`` finds on the grid dt * arange(K + 1), without building it."""
-    ts = np.asarray(event_times, dtype=float)
-    j = np.ceil(ts / dt)
-    j[dt * j < ts] += 1                # the division rounded down across a node
-    j[dt * (j - 1) >= ts] -= 1         # ... or up
-    return j.astype(int) - 1
 
 
 def simulate_frozen_fast(
@@ -458,12 +445,9 @@ def simulate_frozen_fast(
     rows = np.repeat(x, C, axis=0)     # row g C + c is replica c of node g
     R, m, l2 = len(rows), model.m, model.l2
     gens = [s.child(NoiseSource.FAST_BROWNIAN).generator() for s in row_streams]
-    has_jumps = model.f2 is not None and model.nu2.total_intensity > 0
-    kicks: dict = {}   # step -> [(row, mark)] in row, then time order
-    for r, s in enumerate(row_streams if has_jumps else []):
-        events = sample_poisson_jumps(s.child(NoiseSource.FAST_JUMPS), model.nu2, dt * K)
-        for k, ev in zip(_fine_step_of([e.time for e in events], dt).tolist(), events):
-            kicks.setdefault(k, []).append((r, ev.mark))
+    events = [sample_poisson_jumps(s.child(NoiseSource.FAST_JUMPS), model.nu2, dt * K)
+              for s in row_streams]
+    kicks = _kicks_by_step(events, dt * K, dt)
 
     Z = np.empty((R, len(keep), m))
     z = np.empty((R, m))
@@ -477,13 +461,7 @@ def simulate_frozen_fast(
         for r, gen in enumerate(gens):
             dW[:, r] = gen.normal(0.0, sqdt, size=(width, l2))
         for k in range(k0, k0 + width):
-            z_new = fast_euler_substep(model, rows, z, dW[k - k0], dt)
-            if has_jumps:
-                # per row, so each row's compensator is its single-row value bitwise
-                for r in range(R):
-                    z_new[r] -= dt * model.nu2.integrate(lambda u: model.f2(rows[r], z[r], u))
-                for r, mark in kicks.get(k, ()):
-                    z_new[r] += model.f2(rows[r], z[r], mark[None, :])[0]
+            z_new = fast_euler_substep(model, rows, z, dW[k - k0], dt, kicks.get(k))
             _check_finite((z_new,), dt * (k + 1))
             z = z_new
             if k + 1 == keep[i]:
@@ -502,14 +480,8 @@ def simulate_reference_observations(
     times = make_grid(T, dt)
     K = len(times) - 1
     bbar = brownian_increments(stream.child(NoiseSource.OBS_BROWNIAN), obs.d, dt, K)
-    small = (
-        sample_poisson_jumps(stream.child(NoiseSource.OBS_JUMPS_SMALL), obs.nu3_small, T)
-        if obs.nu3_small.total_intensity > 0 else []
-    )
-    large = (
-        sample_poisson_jumps(stream.child(NoiseSource.OBS_JUMPS_LARGE), obs.nu3_large, T)
-        if obs.nu3_large.total_intensity > 0 else []
-    )
+    small = sample_poisson_jumps(stream.child(NoiseSource.OBS_JUMPS_SMALL), obs.nu3_small, T)
+    large = sample_poisson_jumps(stream.child(NoiseSource.OBS_JUMPS_LARGE), obs.nu3_large, T)
     return ObservationRecord(
         times=times,
         bbar_increments=bbar,

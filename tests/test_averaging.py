@@ -19,7 +19,7 @@ from levyfilter.averaging import (
 from levyfilter.errors import ExtrapolationError
 from levyfilter.models import build_example6, preset_from_config, preset_to_config
 from levyfilter.noise import NoiseSource, RngStream, sample_poisson_jumps
-from levyfilter.sde import FROZEN_REPLICAS, _bin_events, fast_euler_substep, make_grid
+from levyfilter.sde import FROZEN_REPLICAS, _bin_events, euler_step, make_grid
 
 
 @pytest.fixture(scope="module")
@@ -229,13 +229,14 @@ def _replica_chain(model, x, stream, burn_in, n_samples, stride, dt):
     kicks = {}
     if model.f2 is not None:
         events = sample_poisson_jumps(stream.child(NoiseSource.FAST_JUMPS), model.nu2, dt * K)
-        for k, ev in zip(_bin_events(events, make_grid(dt * K, dt)).tolist(), events):
+        steps = _bin_events([e.time for e in events], make_grid(dt * K, dt))
+        for k, ev in zip(steps.tolist(), events):
             kicks.setdefault(k, []).append(ev.mark)
     x = np.asarray(x, dtype=float).reshape(1, model.n)
     z = model.z0.reshape(1, model.m).copy()
     kept = []
     for k in range(K):
-        z_new = fast_euler_substep(model, x, z, dW[k: k + 1], dt)
+        z_new = euler_step(z, model.b2(x, z), model.sigma2(x, z), dW[k: k + 1], dt)
         if model.f2 is not None:
             z_new[0] -= dt * model.nu2.integrate(lambda u: model.f2(x[0], z[0], u))
             for mark in kicks.get(k, ()):

@@ -313,4 +313,4 @@ def test_convergence_study_attaches_diagnostics():
                         "martingale_mean", "martingale_se"}
     assert 0.0 <= row["ks_signal"] <= 1.0
     assert report.meta["replications"] == 3
-    assert report.column("epsilon") == [0.5]
+    assert report.epsilons == [0.5]

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levyfilter.errors import UnsupportedMeasureError
@@ -117,6 +117,26 @@ def test_quadrature_weights_normalized(lo, width):
     nodes, weights = ms.quadrature()
     assert abs(weights.sum() - 1.0) < 1e-12
     assert nodes.min() >= lo - 1e-9 and nodes.max() <= lo + width + 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    marks=st.sampled_from(["uniform(-1,2)", "gauss(0.3,1.7)", "exp(1.5)", "point(0.5,-2)"]),
+    rows=st.integers(1, 6),
+    k=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_quadrature_rows_are_bitwise_single_rows(marks, rows, k, seed):
+    # a compensator over a stack of states is, row for row, the one-state value
+    spec = LevyMeasureSpec(2.5, MarkSampler.parse(marks), "U1")
+    n_nodes = len(spec.mark_sampler.quadrature()[1])
+    coef = np.random.default_rng(seed).standard_normal((rows, n_nodes, k))
+    stack = spec.integrate(lambda u: np.cos(u[..., :1]) * coef)
+    assert stack.shape == (rows, k)
+    for r in range(rows):
+        one = spec.integrate(lambda u: np.cos(u[..., :1]) * coef[r])
+        assert one.shape == (k,)
+        assert stack[r].tobytes() == one.tobytes()
 
 
 def test_levy_measure_integrate_and_guards():

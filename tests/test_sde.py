@@ -88,6 +88,11 @@ def test_small_step_index_half_open_convention():
         large_marks=np.zeros((0, 1)),
     )
     np.testing.assert_array_equal(rec.small_step_index(), [0, 0, 1, 2])
+    # dt * K rounds below T on this grid: an event in (t_K, T] is the last step's
+    rec.times = make_grid(0.1, 0.01 / 15)
+    rec.small_times = np.array([0.1])
+    assert rec.times[-1] < 0.1
+    np.testing.assert_array_equal(rec.small_step_index(), [149])
 
 
 def test_ou_fast_exact_transition_statistics():
@@ -219,27 +224,26 @@ def test_path_csv_round_trip(tmp_path):
 
 
 def _stack_case(name):
-    """(preset, scheme) of one route through ``simulate_full``."""
+    """(preset, scheme) of one route through ``simulate_full``; ``all_jumps``
+    combines the slow-jump, fast-jump and logistic-thinning routes."""
     cfg = preset_to_config(build_example6())
     model, obs = cfg["model"], cfg["observation"]
-    euler = False
-    if name == "euler":
+    euler = name in ("euler", "fast_jumps", "all_jumps")
+    if euler:
         del model["ou_fast"]
+    if name == "euler":
         model["epsilon"] = 0.05
-        euler = True
-    elif name == "logistic_thinning":
+    if name in ("logistic_thinning", "all_jumps"):
         obs["lambda"] = {"kind": "logistic", "low": 0.2, "high": 0.8, "slope": 1.5}
         obs["nu3_small"]["intensity"] = 20.0
         obs["nu3_large"]["intensity"] = 10.0
-    elif name == "slow_jumps":
+    if name in ("slow_jumps", "all_jumps"):
         model["f1"] = ["0.5*u[0]*cos(x[0])"]
         model["nu1"] = {"intensity": 5.0, "marks": "uniform(-1,1)"}
-    elif name == "fast_jumps":
-        del model["ou_fast"]
+    if name in ("fast_jumps", "all_jumps"):
         model["f2"] = ["0.3*u[0] - 0.1*z[0]"]
         model["nu2"] = {"intensity": 2.0, "marks": "gauss(0,1)"}
-        euler = True
-    elif name == "l1_2":
+    if name == "l1_2":
         model["l1"] = 2
         model["sigma1"] = [["1.0", "0.3*cos(x[0])"]]
     preset = preset_from_config(cfg)
@@ -247,7 +251,8 @@ def _stack_case(name):
     return preset, scheme
 
 
-_STACK_CASES = ["exact_ou", "euler", "logistic_thinning", "slow_jumps", "fast_jumps", "l1_2"]
+_STACK_CASES = ["exact_ou", "euler", "logistic_thinning", "slow_jumps", "fast_jumps", "all_jumps",
+                "l1_2"]
 _STACK_PRESETS = {name: _stack_case(name) for name in _STACK_CASES}
 
 
@@ -274,6 +279,24 @@ def test_stacked_paths_are_bitwise_single_paths(rows, seed, case):
         for name in ("times", "bbar_increments", "small_times", "small_marks",
                      "large_times", "large_marks", "Y"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
+
+
+@pytest.mark.parametrize(("eps", "dt"), [(0.02, 0.01), (0.03, 0.02), (0.07, 0.02)])
+def test_every_fast_jump_is_applied_once(eps, dt):
+    # unit fast jumps and nothing else: Z_T = N - (nu2 mass) T / eps exactly,
+    # however the substeps of a coarse step round against its end
+    cfg = preset_to_config(build_example6())
+    model = cfg["model"]
+    del model["ou_fast"]
+    model.update(epsilon=eps, z0=[0.0], b2=["0.0"], sigma2=[["0.0"]], f2=["1.0"],
+                 nu2={"intensity": 3.0, "marks": "uniform(0,1)"})
+    preset = preset_from_config(cfg)
+    scheme = euler_scheme(preset.model, dt)
+    paths = simulate_full(preset.model, preset.observation, 1.0, scheme,
+                          [RngStream(seed) for seed in range(4)])
+    for path in paths:
+        assert len(path.events["fast"]) > 0
+        assert abs(path.Z[-1, 0] + 3.0 / eps - len(path.events["fast"])) < 1e-9
 
 
 def test_simulate_full_needs_a_stream():

@@ -52,7 +52,7 @@ from .models import (
     with_epsilon,
 )
 from .noise import (
-    JumpEvent,
+    JumpRecord,
     LevyMeasureSpec,
     MarkSampler,
     NoiseSource,
@@ -99,7 +99,7 @@ __all__ = [
     "SlowFastModel", "ThinningLaw", "build_example6", "load_config",
     "make_linear_gaussian", "preset_from_config", "preset_to_config",
     "validate_assumptions", "with_epsilon",
-    "JumpEvent", "LevyMeasureSpec", "MarkSampler", "NoiseSource", "RngStream",
+    "JumpRecord", "LevyMeasureSpec", "MarkSampler", "NoiseSource", "RngStream",
     "brownian_increments", "null_measure", "sample_poisson_jumps",
     "JointPath", "ObservationRecord", "StepScheme", "make_grid", "simulate_full",
     "simulate_reference_observations", "simulate_signal_ensemble",

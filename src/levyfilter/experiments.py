@@ -21,7 +21,6 @@ from .averaging import HomogenizedModel, build_homogenized
 from .filtering import (
     PsiSpec,
     _batch_log_weight,
-    _log_thinning,
     psi_from_string,
     run_filter,
     run_filter_batch,
@@ -30,7 +29,7 @@ from .models import ModelPreset, make_linear_gaussian, with_epsilon
 from .noise import RngStream
 from .sde import (
     StepScheme,
-    _bin_events,
+    _events_by_step,
     default_scheme,
     homogenized_ensemble_steps,
     make_grid,
@@ -146,14 +145,13 @@ def martingale_check(
     root = RngStream(int(seed))
     times = make_grid(T, dt)
 
-    # reference-law events, each charged to its own run at its step's right
-    # endpoint: sampled up front, their log-thinning filled in step by step
+    # reference-law events of every run, charged to their run by the weight
+    # kernel at their step's right endpoint
     gen_ev = root.child(3).generator()
     counts = gen_ev.poisson(obs.nu3_small.total_intensity * T, size=P)
     ev_times = gen_ev.uniform(0.0, T, size=int(counts.sum()))
     ev_marks = obs.nu3_small.mark_sampler.sample(gen_ev, len(ev_times))
-    run_id = np.repeat(np.arange(P), counts)
-    step = _bin_events(ev_times, times)
+    events = _events_by_step(times, np.repeat(np.arange(P), counts), ev_times, ev_marks)
 
     # row 0 is the reduced model with its averaged sensor, row 1 + e the full
     # model at epsilon e; all read the same reference increments
@@ -163,21 +161,15 @@ def martingale_check(
                     *(((X, obs.h(X, Z)) for _, X, Z in steps) for steps in full))
     next(ensembles)   # the common start
     gen_obs = root.child(1).generator()
-    # Gaussian and compensator terms one step at a time, so state-dependent
-    # thinning never holds more than a (P, quadrature nodes) block
-    no_t, no_u = np.zeros(0), np.zeros((0, obs.nu3_small.mark_dim))
+    # one step at a time, so state-dependent thinning never holds more than a
+    # (P, quadrature nodes) block
     logl = np.zeros((1 + len(presets), P))
-    thin = np.empty((1 + len(presets), len(ev_times)))
     for k, states in enumerate(ensembles):
         t = float(times[k + 1])
         dbar = gen_obs.standard_normal((P, obs.d)) * math.sqrt(dt)
-        ev = np.flatnonzero(step == k)
         for row, (X, hv) in enumerate(states):
             hv = np.asarray(hv, dtype=float)
-            logl[row] += _batch_log_weight(obs, hv, X, dbar, dt, t, no_t, no_u)
-            thin[row, ev] = _log_thinning(obs, ev_times[ev], X[run_id[ev]], ev_marks[ev])
-    for row, row_thin in zip(logl, thin):
-        np.add.at(row, run_id, row_thin)
+            logl[row] += _batch_log_weight(obs, hv, X, dbar, dt, t, events.get(k, ()))
     lik = np.exp(logl)
     reduced_fields = dict(
         mean_forward_homog=float(lik[0].mean()),
@@ -195,9 +187,8 @@ def martingale_check(
             rec = path.observations()
             xr = path.X[1:]
             hser = np.asarray(obs.h(xr, path.Z[1:]), dtype=float)
-            ll = _batch_log_weight(obs, hser, xr, rec.bbar_increments, dt, rec.times[1:], no_t, no_u)
-            idx = rec.small_step_index()
-            np.add.at(ll, idx, _log_thinning(obs, rec.small_times, xr[idx], rec.small_marks))
+            on_steps = (rec.small_step_index(), rec.small_times, rec.small_marks)
+            ll = _batch_log_weight(obs, hser, xr, rec.bbar_increments, dt, rec.times[1:], on_steps)
             inv[r] = math.exp(-float(np.sum(ll)))
         reports.append(MartingaleReport(
             epsilon=peps.model.epsilon, n_runs=P,

@@ -12,7 +12,10 @@ with states taken at the right endpoint of each step, which makes the
 unnormalized mass a mean-one discrete-time martingale exactly.  Only
 small-region events enter the weights: with the acceptance law constant on
 the complement region the large-jump factor is state-independent and cancels
-from every normalized estimate.
+from every normalized estimate.  One kernel, ``_batch_log_weight``, computes
+this increment for the filter and for both routes of the likelihood-martingale
+check; it charges a step's events, stacked as (rows, times, marks), before
+the compensator.
 
 The filter runs R observation records at once on (R, N, .) ensembles, one
 row per record: propagation, the weight update and the estimates are array
@@ -40,7 +43,9 @@ from .noise import NoiseSource, RngStream
 from .sde import (
     ObservationRecord,
     StepScheme,
+    _events_by_step,
     _fast_scheme_params,
+    _stack_events,
     default_scheme,
     euler_step,
     signal_step,
@@ -299,31 +304,32 @@ def propagate(ens: ParticleEnsemble, dynamics, dt: float, noise: np.ndarray) -> 
 # weights
 
 
-def _log_thinning(obs: ObservationModel, t, x, u) -> np.ndarray:
-    """log lambda(t, x, u) at observation events, checked to lie in (0, 1)."""
-    return np.log(check_thinning(obs.thinning(t, x, u)))
-
-
 def _batch_log_weight(
     obs: ObservationModel,
-    h_vals: np.ndarray,          # (..., d) sensor at right endpoints
-    x_right: np.ndarray,         # (..., n) state at right endpoints
-    d_bbar: np.ndarray,          # (..., d)
+    h_vals: np.ndarray,          # (R, ..., d) sensor at right endpoints
+    x_right: np.ndarray,         # (R, ..., n) state at right endpoints
+    d_bbar: np.ndarray,          # (R, ..., d)
     dt: float,
-    t_right,                     # scalar or (...) right-endpoint times
-    event_times: np.ndarray,
-    event_marks: np.ndarray,
+    t_right,                     # scalar or (R, ...) right-endpoint times
+    events,                      # () or a stack (rows, times, marks)
 ) -> np.ndarray:
-    """One-step log-weights, broadcast over the leading axes of the states.
+    """One-step log-weights of R rows, broadcast over the states of each row.
 
-    The Gaussian and compensator terms are per row.  Each event in
-    ``event_times``/``event_marks`` is charged to every row, as in the filter,
-    where all particles saw it; callers whose events belong to single rows
-    pass none here and add ``_log_thinning`` at those rows themselves.
+    The one implementation of the Girsanov log-weight: the filter calls it
+    with its records as rows, the forward martingale check with its runs and
+    the inverse check with the steps of one path.  ``events`` is () or a
+    stack (rows, times, marks): event i adds log lambda at its mark to every
+    state of row ``rows[i]``, in stack order, after the Gaussian term and
+    before the compensator.
     """
     incr = np.sum(h_vals * d_bbar, axis=-1) - 0.5 * dt * np.sum(h_vals * h_vals, axis=-1)
-    for tj, uj in zip(event_times, event_marks):
-        incr = incr + _log_thinning(obs, tj, x_right, uj[None, :])
+    if len(events):
+        rows, ev_t, ev_u = events
+        x = x_right[rows]
+        pad = (1,) * (x.ndim - 2)     # the state axes of a row
+        lam = obs.thinning(ev_t.reshape(ev_t.shape + pad), x,
+                           ev_u.reshape(ev_u.shape[:1] + pad + ev_u.shape[1:]))
+        np.add.at(incr, rows, np.log(check_thinning(lam)))
     intensity = obs.nu3_small.total_intensity
     if intensity > 0:
         thinning = obs.thinning
@@ -588,15 +594,10 @@ def run_filter_batch(
         for name, dynamics, x0, z0, sensor in setups
     ]
 
-    # small-region events of step k as (row, times, marks), in record order
-    events: list[list] = [[] for _ in range(K)]
-    for r, rec in enumerate(records):
-        step_of_event = rec.small_step_index()
-        for k in np.flatnonzero(np.bincount(step_of_event, minlength=K)[:K]):
-            mine = step_of_event == k
-            events[k].append((r, rec.small_times[mine], rec.small_marks[mine]))
+    # small-region events by step, stacked over the records
+    events = _events_by_step(times, *_stack_events(
+        [rec.small_times for rec in records], [rec.small_marks for rec in records]))
     d_bbar = np.stack([rec.bbar_increments for rec in records], axis=1)[:, :, None, :]  # (K, R, 1, d)
-    no_t, no_u = np.zeros(0), np.zeros((0, obs.nu3_small.mark_dim))
     threshold = ess_frac * n_particles
 
     for run in runs:
@@ -610,15 +611,8 @@ def run_filter_batch(
         for run, noise in zip(runs, blocks):
             ens = run.ens
             propagate(ens, run.dynamics, dt, noise)
-            h_vals = run.sensor(ens)
-            incr = _batch_log_weight(obs, h_vals, ens.x, d_bbar[k], dt, t_right, no_t, no_u)
-            # a row with events sees them charged before its compensator term,
-            # exactly as a single-record kernel call orders the sum
-            for r, ev_t, ev_m in events[k]:
-                incr[r] = _batch_log_weight(
-                    obs, h_vals[r], ens.x[r], d_bbar[k, r, 0], dt, t_right, ev_t, ev_m
-                )
-            ens.log_weights += incr
+            ens.log_weights += _batch_log_weight(
+                obs, run.sensor(ens), ens.x, d_bbar[k], dt, t_right, events.get(k, ()))
             ess = run.record(k + 1, psis)
             if k < K - 1:
                 for r, row_ess in enumerate(ess.tolist()):

@@ -224,11 +224,19 @@ def null_measure(region_label: str, dim: int = 1) -> LevyMeasureSpec:
 # path-level sampling
 
 
-@dataclass(frozen=True)
-class JumpEvent:
-    time: float
-    mark: np.ndarray
-    accepted: bool = True
+@dataclass(frozen=True, eq=False)
+class JumpRecord:
+    """The events of one path as arrays in time order; len() is their count.
+
+    ``accepted`` is all True as sampled; thinning marks the rejected events.
+    """
+
+    times: np.ndarray       # (M,)
+    marks: np.ndarray       # (M, k)
+    accepted: np.ndarray    # (M,) bool
+
+    def __len__(self) -> int:
+        return len(self.times)
 
 
 def brownian_increments(stream: RngStream, dim: int, dt: float, count: int) -> np.ndarray:
@@ -252,7 +260,7 @@ def sample_poisson_jumps(
     spec: LevyMeasureSpec,
     horizon: float,
     rate_scale: float = 1.0,
-) -> list[JumpEvent]:
+) -> JumpRecord:
     """Events of a Poisson random measure with intensity rate_scale * ν on (0, horizon].
 
     The count, the sorted event times and the marks are drawn from a single
@@ -266,12 +274,9 @@ def sample_poisson_jumps(
         raise ValueError(f"rate_scale must be > 0, got {rate_scale}")
     mean_count = spec.total_intensity * rate_scale * horizon
     if mean_count == 0:
-        return []
+        return JumpRecord(np.zeros(0), np.zeros((0, spec.mark_dim)), np.ones(0, dtype=bool))
     gen = stream.generator()
     count = int(gen.poisson(mean_count))
-    if count == 0:
-        return []
     # 1 - U(0,1) lands in (0, 1], keeping event times strictly positive
     times = np.sort(horizon * (1.0 - gen.uniform(size=count)))
-    marks = spec.mark_sampler.sample(gen, count)
-    return [JumpEvent(float(t), marks[i].copy()) for i, t in enumerate(times)]
+    return JumpRecord(times, spec.mark_sampler.sample(gen, count), np.ones(count, dtype=bool))

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import IntegrationFailureError, StiffnessError
 from .models import ObservationModel, OuFast, SlowFastModel, check_thinning
-from .noise import JumpEvent, NoiseSource, RngStream, brownian_increments, sample_poisson_jumps
+from .noise import NoiseSource, RngStream, brownian_increments, sample_poisson_jumps
 
 _GRID_RTOL = 1e-9
 # independent chains per frozen slow state in simulate_frozen_fast: the cost of
@@ -125,17 +125,14 @@ class JointPath:
     epsilon: float | None
 
     def observations(self) -> ObservationRecord:
-        small = [e for e in self.events.get("obs_small", []) if e.accepted]
-        large = [e for e in self.events.get("obs_large", []) if e.accepted]
-        k3s = small[0].mark.shape[0] if small else 1
-        k3l = large[0].mark.shape[0] if large else 1
+        small, large = self.events["obs_small"], self.events["obs_large"]
         return ObservationRecord(
             times=self.times,
             bbar_increments=self.bbar_increments,
-            small_times=np.asarray([e.time for e in small], dtype=float),
-            small_marks=(np.stack([e.mark for e in small]) if small else np.zeros((0, k3s))),
-            large_times=np.asarray([e.time for e in large], dtype=float),
-            large_marks=(np.stack([e.mark for e in large]) if large else np.zeros((0, k3l))),
+            small_times=small.times[small.accepted],
+            small_marks=small.marks[small.accepted],
+            large_times=large.times[large.accepted],
+            large_marks=large.marks[large.accepted],
             Y=self.Y if self.Y.shape[1] else None,
         )
 
@@ -159,25 +156,34 @@ def _bin_events(event_times, times: np.ndarray) -> np.ndarray:
     """Index k of the step (t_k, t_{k+1}] of the grid ``times`` owning each
     event time; a time past the last node (the grid may end an ulp short of
     its horizon) belongs to the last step."""
-    ts = np.asarray(event_times, dtype=float)
-    return np.minimum(np.searchsorted(times[1:], ts, side="left"), len(times) - 2)
+    return np.minimum(np.searchsorted(times[1:], event_times, side="left"), len(times) - 2)
 
 
-def _kicks_by_step(event_lists, T: float, dt: float) -> dict:
-    """The jumps of R rows by step of the grid ``make_grid(T, dt)``, row r
-    jumping at the events ``event_lists[r]``: {k: (rows, marks)} with rows in
-    row order and each row's events in time order; steps without events are
-    absent."""
-    if not any(event_lists):
-        return {}
-    grid = make_grid(T, dt)
-    at: dict = {}
-    for r, events in enumerate(event_lists):
-        for k, ev in zip(_bin_events([e.time for e in events], grid).tolist(), events):
-            rows, marks = at.setdefault(k, ([], []))
-            rows.append(r)
-            marks.append(ev.mark)
-    return {k: (np.asarray(rows), np.stack(marks)) for k, (rows, marks) in at.items()}
+def _stack_events(times: list, marks: list) -> tuple:
+    """The events of R rows, row r's at ``times[r]`` with ``marks[r]``, as one
+    stack (rows, times, marks) in row order."""
+    rows = np.repeat(np.arange(len(times)), [len(t) for t in times])
+    return rows, np.concatenate(times), np.concatenate(marks)
+
+
+def _events_by_step(grid: np.ndarray, rows, times, *payload) -> dict:
+    """A stack of events (rows, times, *payload) by step of ``grid``:
+    {k: (rows, times, *payload)} in stack order within each step, so every
+    row's events keep their order; steps without events are absent."""
+    steps = _bin_events(times, grid)
+    order = np.argsort(steps, kind="stable")
+    steps, stack = steps[order], [a[order] for a in (rows, times, *payload)]
+    cuts = (np.flatnonzero(np.diff(steps)) + 1).tolist()
+    return {int(steps[a]): tuple(s[a:b] for s in stack)
+            for a, b in zip([0, *cuts], [*cuts, len(steps)]) if b > a}
+
+
+def _kicks_by_step(records, T: float, dt: float) -> dict:
+    """The jumps of R rows, row r jumping at the events ``records[r]``, by
+    step of the grid ``make_grid(T, dt)``: {k: (rows, times, marks)}.  No
+    events build no grid (the exact-OU route has no fine one)."""
+    rows, times, marks = _stack_events([r.times for r in records], [r.marks for r in records])
+    return _events_by_step(make_grid(T, dt), rows, times, marks) if len(times) else {}
 
 
 def _check_finite(arrays, t: float):
@@ -219,15 +225,15 @@ def fast_euler_substep(model: SlowFastModel, x, z, dW, ds: float, kicks=None):
     ``ds`` is the substep in fast time (dt/epsilon on the slow clock) and
     ``dW`` the fast-time Brownian increment, of variance ds.  The nu2
     compensator is one quadrature over the whole stack.  ``kicks`` is None or
-    (rows, marks): row ``rows[i]`` jumps by f2 at mark ``marks[i]``, rows
-    indexing the leading axis, added in event order; every term reads the
-    substep's left state.
+    a stack (rows, times, marks): row ``rows[i]`` jumps by f2 at mark
+    ``marks[i]``, rows indexing the leading axis, added in event order; every
+    term reads the substep's left state.
     """
     z_new = euler_step(z, model.b2(x, z), model.sigma2(x, z), dW, ds)
     if model.nu2.total_intensity > 0:
         z_new -= ds * model.nu2.integrate(lambda u: model.f2(x[..., None, :], z[..., None, :], u))
     if kicks is not None:
-        rows, marks = kicks
+        rows, _, marks = kicks
         np.add.at(z_new, rows, model.f2(x[rows], z[rows], marks))
     return z_new
 
@@ -247,13 +253,14 @@ def signal_step(model: SlowFastModel, dt_fast: float | None, x, z, dV, fast_nois
     holds (..., 1) standard normals for the exact OU transition (``dt_fast``
     None) or the (..., substeps, l2) fast-time Brownian increments of the
     Euler substeps, of variance dt_fast/epsilon.  ``slow_kicks`` is None or
-    the (rows, marks) of the slow jumps in the step, ``fast_kicks`` None or
-    one such entry per substep (see ``fast_euler_substep``).  Returns
-    (x_new, z_new); x and z are not modified.
+    the stack (rows, times, marks) of the slow jumps in the step,
+    ``fast_kicks`` None or one such stack per substep (see
+    ``fast_euler_substep``).  Returns (x_new, z_new); x and z are not
+    modified.
     """
     x_new = euler_step(x, model.b1(x, z), model.sigma1(x, z), dV, dt)
     if slow_kicks is not None:
-        rows, marks = slow_kicks
+        rows, _, marks = slow_kicks
         np.add.at(x_new, rows, model.f1(x[rows], marks))
     if model.nu1.total_intensity > 0:
         x_new -= dt * model.nu1.integrate(lambda u: model.f1(x[..., None, :], u))
@@ -291,16 +298,16 @@ def _path_draws(
     small = events(NoiseSource.OBS_JUMPS_SMALL, obs.nu3_small)
     large = events(NoiseSource.OBS_JUMPS_LARGE, obs.nu3_large)
     thin_gen = stream.child(NoiseSource.THINNING).generator()
-    small_u = thin_gen.uniform(size=len(small))
-    large_u = thin_gen.uniform(size=len(large))
     return {
         "dV": brownian_increments(stream.child(NoiseSource.SLOW_BROWNIAN), model.l1, dt, K),
         "dB": brownian_increments(stream.child(NoiseSource.OBS_BROWNIAN), obs.d, dt, K),
         "fast_noise": fast_noise,
         "slow": events(NoiseSource.SLOW_JUMPS, model.nu1),
         "fast": events(NoiseSource.FAST_JUMPS, model.nu2, 1.0 / eps),
-        # (base events, acceptance uniforms, jump shape): small region first
-        "obs": ((small, small_u, obs.f3), (large, large_u, obs.g3)),
+        "obs_small": small, "obs_large": large,
+        # acceptance uniforms, one per base event, drawn small region first
+        "u_obs_small": thin_gen.uniform(size=len(small)),
+        "u_obs_large": thin_gen.uniform(size=len(large)),
     }
 
 
@@ -319,9 +326,10 @@ def simulate_full(
     keyed by ``NoiseSource``, so refining one source never perturbs another,
     and path r is bitwise the single-stream call on ``stream[r]``: one stream
     runs as a stack of one, the signal advances by ``signal_step``, whose
-    coefficients and compensators act on each row alone, and observation
-    events are thinned per path.  Slow events are binned on the coarse grid,
-    fast events on the fine grid ``make_grid(T, dt_fast)``.
+    coefficients and compensators act on each row alone, and each step thins
+    the observation events of every path by one call per region, small then
+    large, at the left-limit states.  Slow events are binned on the coarse
+    grid, fast events on the fine grid ``make_grid(T, dt_fast)``.
     """
     single = isinstance(stream, RngStream)
     streams = [stream] if single else list(stream)
@@ -341,14 +349,14 @@ def simulate_full(
     slow_at = _kicks_by_step([p["slow"] for p in draws], T, dt)
     fast_at = _kicks_by_step([p["fast"] for p in draws], T, dt_fast)   # none on the OU route
     substeps = scheme.substeps
-    # observation events by step in path order, small region then large
-    obs_at: dict = {}
-    obs_out = [([], []) for _ in range(R)]   # per path: (small, large) with acceptance
-    for r, p in enumerate(draws):
-        for (base, uniforms, shape), out in zip(p["obs"], obs_out[r]):
-            steps = _bin_events([e.time for e in base], times).tolist()
-            for k, ev, u in zip(steps, base, uniforms):
-                obs_at.setdefault(k, []).append((r, ev, u, shape, out))
+    # per region, small then large: (key, jump shape, acceptance of the stacked
+    # events, the events by step with their uniforms and stack positions)
+    regions = []
+    for key, shape in (("obs_small", obs.f3), ("obs_large", obs.g3)):
+        rows, ev_t, ev_u = _stack_events([p[key].times for p in draws], [p[key].marks for p in draws])
+        uniforms = np.concatenate([p["u_" + key] for p in draws])
+        at = _events_by_step(times, rows, ev_t, ev_u, uniforms, np.arange(len(ev_t)))
+        regions.append((key, shape, np.zeros(len(ev_t), dtype=bool), at))
 
     # path-major, so each path's arrays are contiguous, laid out as a single path's
     X = np.empty((R, K + 1, n)); X[:, 0] = model.x0
@@ -365,20 +373,20 @@ def simulate_full(
         x_new, z_new = signal_step(model, dt_fast, x, z, dV[k], fast_noise[k], dt,
                                    slow_at.get(k), fast_kicks)
         if k in slow_at:
-            rows, marks = slow_at[k]
+            rows, _, marks = slow_at[k]
             np.add.at(x_jumps[:, k], rows, model.f1(x[rows], marks))
 
         # observation: continuous part plus thinned jumps, left-limit state
         bbar[:, k] = dB[k] + obs.h(x, z) * dt
         y_new = y + bbar[:, k]
-        for r, ev, u, shape, out in obs_at.get(k, ()):
-            lam = float(check_thinning(obs.thinning(ev.time, x[r], ev.mark)))
-            accepted = bool(u < lam)
-            out.append(JumpEvent(ev.time, ev.mark, accepted))
-            if accepted:
-                jump = shape(ev.time, ev.mark[None, :])[0]
-                y_new[r] = y_new[r] + jump
-                y_jumps[r, k] += jump
+        for _, shape, accepted, at in regions:
+            if k in at:
+                rows, ev_t, ev_u, uniforms, where = at[k]
+                acc = uniforms < check_thinning(obs.thinning(ev_t, x[rows], ev_u))
+                accepted[where] = acc
+                jumps = shape(ev_t[acc], ev_u[acc])
+                np.add.at(y_new, rows[acc], jumps)
+                np.add.at(y_jumps[:, k], rows[acc], jumps)
         if obs.nu3_small.total_intensity > 0:
             y_new -= dt * obs.nu3_small.integrate(
                 lambda u: obs.f3(t, u) * obs.thinning(t, x[:, None, :], u)[..., None])
@@ -389,14 +397,15 @@ def simulate_full(
         _check_finite((x_new, z_new, y_new), times[k + 1])
         x, z, y = x_new, z_new, y_new
 
+    for key, _, accepted, _ in regions:
+        cuts = np.cumsum([len(p[key]) for p in draws])[:-1]
+        for p, acc in zip(draws, np.split(accepted, cuts)):
+            p[key] = replace(p[key], accepted=acc)
     paths = [
         JointPath(
             times=times, X=X[r], Z=Z[r], Y=Y[r], bbar_increments=bbar[r],
             x_jump_totals=x_jumps[r], y_jump_totals=y_jumps[r],
-            events={
-                "slow": p["slow"], "fast": p["fast"],
-                "obs_small": obs_out[r][0], "obs_large": obs_out[r][1],
-            },
+            events={key: p[key] for key in ("slow", "fast", "obs_small", "obs_large")},
             epsilon=eps,
         )
         for r, p in enumerate(draws)
@@ -485,10 +494,10 @@ def simulate_reference_observations(
     return ObservationRecord(
         times=times,
         bbar_increments=bbar,
-        small_times=np.asarray([e.time for e in small], dtype=float),
-        small_marks=(np.stack([e.mark for e in small]) if small else np.zeros((0, obs.nu3_small.mark_dim))),
-        large_times=np.asarray([e.time for e in large], dtype=float),
-        large_marks=(np.stack([e.mark for e in large]) if large else np.zeros((0, obs.nu3_large.mark_dim))),
+        small_times=small.times,
+        small_marks=small.marks,
+        large_times=large.times,
+        large_marks=large.marks,
         Y=None,
     )
 

@@ -229,9 +229,9 @@ def _replica_chain(model, x, stream, burn_in, n_samples, stride, dt):
     kicks = {}
     if model.f2 is not None:
         events = sample_poisson_jumps(stream.child(NoiseSource.FAST_JUMPS), model.nu2, dt * K)
-        steps = _bin_events([e.time for e in events], make_grid(dt * K, dt))
-        for k, ev in zip(steps.tolist(), events):
-            kicks.setdefault(k, []).append(ev.mark)
+        steps = _bin_events(events.times, make_grid(dt * K, dt))
+        for k, mark in zip(steps.tolist(), events.marks):
+            kicks.setdefault(k, []).append(mark)
     x = np.asarray(x, dtype=float).reshape(1, model.n)
     z = model.z0.reshape(1, model.m).copy()
     kept = []

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from levyfilter import PRESETS, preset_to_config
+from levyfilter import RngStream
 from levyfilter.cli import _split_top_level, _threads, build_parser, emit_svg, main
-from levyfilter.sde import FROZEN_REPLICAS
+from levyfilter.sde import FROZEN_REPLICAS, default_scheme, simulate_full
 
 
 @pytest.fixture(autouse=True)
@@ -43,6 +44,20 @@ def test_simulate_writes_path_and_summary(tmp_path):
     assert summary["epsilon"] == 0.1
     data = np.loadtxt(out / "path.csv", delimiter=",", skiprows=1)
     assert data.shape[0] == 11
+    # event counts per kind, and accepted counts from the acceptance flags,
+    # on a horizon long enough for observation events
+    rc = main(["simulate", "--T", "8", "--dt", "0.05", "--seed", "3", "--out", str(out)])
+    assert rc == 0
+    summary = json.loads((out / "summary.json").read_text())
+    preset = PRESETS["example6"]()
+    path = simulate_full(preset.model, preset.observation, 8.0,
+                         default_scheme(preset.model, 0.05), RngStream(3))
+    events = path.events
+    assert summary["events"] == {key: events[key].times.size
+                                 for key in ("slow", "fast", "obs_small", "obs_large")}
+    assert summary["events"]["obs_small"] > 0 and summary["events"]["obs_large"] > 0
+    assert summary["accepted_small_obs_jumps"] == int(events["obs_small"].accepted.sum())
+    assert summary["accepted_large_obs_jumps"] == int(events["obs_large"].accepted.sum())
 
 
 def test_average_writes_table(tmp_path):

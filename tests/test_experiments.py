@@ -24,7 +24,7 @@ from levyfilter import (
     strictly_decreasing,
 )
 from levyfilter.averaging import build_homogenized
-from levyfilter.filtering import _batch_log_weight, _log_thinning
+from levyfilter.filtering import _batch_log_weight
 from levyfilter.sde import ObservationRecord
 
 
@@ -131,12 +131,10 @@ def _record_with_one_event(T=0.25, dt=0.05, t_event=0.12, mark=0.3):
 def _path_log_likelihood(obs, record, h_series, x_series):
     """Inverse-route use of the weight kernel: one row per step, each event
     charged to the step that owns it, summed along the path."""
-    no_t, no_u = np.zeros(0), np.zeros((0, record.small_marks.shape[1]))
+    events = (record.small_step_index(), record.small_times, record.small_marks)
     rows = _batch_log_weight(
-        obs, h_series, x_series, record.bbar_increments, record.dt, record.times[1:], no_t, no_u
+        obs, h_series, x_series, record.bbar_increments, record.dt, record.times[1:], events
     )
-    idx = record.small_step_index()
-    np.add.at(rows, idx, _log_thinning(obs, record.small_times, x_series[idx], record.small_marks))
     return float(np.sum(rows))
 
 

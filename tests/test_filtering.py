@@ -33,7 +33,6 @@ from levyfilter.filtering import (
     HomogDynamics,
     _batch_log_weight,
     _coupled_noise,
-    _log_thinning,
     estimate,
     init_ensemble,
     propagate,
@@ -191,9 +190,10 @@ def _batch_vs_scalar(obs, n_events, seed):
             obs.thinning, x_right[i], t_right, obs.nu3_small,
         )
 
-    # filter: one observation increment, every event charged to every particle
-    batch = _batch_log_weight(obs, h_vals, x_right, d_bbar, dt, dt, ev_t, ev_u)
+    # filter: one record of N particles, every event charged to every particle
     every = np.arange(n_events)
+    batch = _batch_log_weight(obs, h_vals[None], x_right[None], d_bbar, dt, dt,
+                              (np.zeros(n_events, dtype=int), ev_t, ev_u))[0]
     scalar = np.array([reference(i, d_bbar, dt, every) for i in range(N)])
     np.testing.assert_allclose(batch, scalar, rtol=1e-12)
 
@@ -201,11 +201,9 @@ def _batch_vs_scalar(obs, n_events, seed):
     # (per-run in a forward martingale step, per-step on an inverse path)
     row_bbar = rng.normal(size=(N, d)) * 0.1
     owner = rng.integers(0, N, size=n_events)
-    no_t, no_u = ev_t[:0], ev_u[:0]
     t_steps = dt * np.arange(1, N + 1)
     for t_right in (dt, t_steps):
-        rows = _batch_log_weight(obs, h_vals, x_right, row_bbar, dt, t_right, no_t, no_u)
-        np.add.at(rows, owner, _log_thinning(obs, ev_t, x_right[owner], ev_u))
+        rows = _batch_log_weight(obs, h_vals, x_right, row_bbar, dt, t_right, (owner, ev_t, ev_u))
         scalar = np.array([
             reference(i, row_bbar[i], np.broadcast_to(t_right, N)[i], owner == i)
             for i in range(N)
@@ -460,8 +458,8 @@ _BATCH_HMODEL = build_homogenized(_BATCH_PRESET)
 
 def _reference_filter(rec, mode, preset, n, psis, stream, hmodel, ess_frac, width):
     """The single-record filter as a plain step loop over one (N,) ensemble:
-    every event of a step goes through the weight kernel with that step's
-    Gaussian and compensator terms."""
+    every event of a step goes through the weight kernel, as a stack of one
+    row, with that step's Gaussian and compensator terms."""
     psis = [psi_from_string(p) for p in psis]
     obs, dt, K = preset.observation, rec.dt, rec.steps
     if mode == "full":
@@ -476,10 +474,11 @@ def _reference_filter(rec, mode, preset, n, psis, stream, hmodel, ess_frac, widt
         propagate(ens, dynamics, dt, ens.next_noise())
         h_vals = obs.h(ens.x, ens.z) if mode == "full" else hmodel.hbar(ens.x)
         mine = step_of_event == k
+        events = (np.zeros(mine.sum(), dtype=int), rec.small_times[mine], rec.small_marks[mine])
         ens.log_weights = ens.log_weights + _batch_log_weight(
-            obs, h_vals, ens.x, rec.bbar_increments[k], dt, float(rec.times[k + 1]),
-            rec.small_times[mine], rec.small_marks[mine],
-        )
+            obs, h_vals[None], ens.x[None], rec.bbar_increments[k], dt, float(rec.times[k + 1]),
+            events,
+        )[0]
         rows.append(estimate(ens, psis))
         if rows[-1]["ess"] < ess_frac * n and k < K - 1:
             resample(ens)

@@ -152,12 +152,13 @@ def test_levy_measure_integrate_and_guards():
 def test_sample_poisson_jumps_basics():
     spec = LevyMeasureSpec(3.0, MarkSampler.parse("uniform(-1,1)"), "U1")
     events = sample_poisson_jumps(RngStream(4), spec, horizon=2.0)
-    times = [ev.time for ev in events]
+    times = events.times.tolist()
     assert times == sorted(times)
     assert all(0 < t <= 2.0 for t in times)
+    assert events.marks.shape == (len(times), 1) and events.accepted.all()
     again = sample_poisson_jumps(RngStream(4), spec, horizon=2.0)
-    assert [ev.time for ev in again] == times
-    assert sample_poisson_jumps(RngStream(4), null_measure("U1"), 2.0) == []
+    assert again.times.tolist() == times
+    assert len(sample_poisson_jumps(RngStream(4), null_measure("U1"), 2.0)) == 0
 
 
 def test_sample_poisson_jumps_rate_scaling():

@@ -164,8 +164,8 @@ def test_simulate_full_thinning_acceptance_rate():
                             large_jump_intensity=200.0)
     scheme = StepScheme(dt_slow=0.01, fast_mode="exact_ou")
     path = simulate_full(preset.model, preset.observation, 1.0, scheme, RngStream(3))
-    events = path.events["obs_small"] + path.events["obs_large"]
-    frac = sum(ev.accepted for ev in events) / len(events)
+    events = np.concatenate([path.events["obs_small"].accepted, path.events["obs_large"].accepted])
+    frac = sum(events) / len(events)
     assert len(events) > 300
     assert abs(frac - 0.3) < 0.1
 
@@ -225,7 +225,9 @@ def test_path_csv_round_trip(tmp_path):
 
 def _stack_case(name):
     """(preset, scheme) of one route through ``simulate_full``; ``all_jumps``
-    combines the slow-jump, fast-jump and logistic-thinning routes."""
+    combines the slow-jump, fast-jump and logistic-thinning routes, and
+    ``dense_obs_jumps`` thins several events of one path per step in both
+    observation regions."""
     cfg = preset_to_config(build_example6())
     model, obs = cfg["model"], cfg["observation"]
     euler = name in ("euler", "fast_jumps", "all_jumps")
@@ -233,10 +235,10 @@ def _stack_case(name):
         del model["ou_fast"]
     if name == "euler":
         model["epsilon"] = 0.05
-    if name in ("logistic_thinning", "all_jumps"):
+    if name in ("logistic_thinning", "all_jumps", "dense_obs_jumps"):
         obs["lambda"] = {"kind": "logistic", "low": 0.2, "high": 0.8, "slope": 1.5}
-        obs["nu3_small"]["intensity"] = 20.0
-        obs["nu3_large"]["intensity"] = 10.0
+        obs["nu3_small"]["intensity"] = 100.0 if name == "dense_obs_jumps" else 20.0
+        obs["nu3_large"]["intensity"] = 100.0 if name == "dense_obs_jumps" else 10.0
     if name in ("slow_jumps", "all_jumps"):
         model["f1"] = ["0.5*u[0]*cos(x[0])"]
         model["nu1"] = {"intensity": 5.0, "marks": "uniform(-1,1)"}
@@ -252,14 +254,14 @@ def _stack_case(name):
 
 
 _STACK_CASES = ["exact_ou", "euler", "logistic_thinning", "slow_jumps", "fast_jumps", "all_jumps",
-                "l1_2"]
+                "l1_2", "dense_obs_jumps"]
 _STACK_PRESETS = {name: _stack_case(name) for name in _STACK_CASES}
 
 
 def _event_tuples(path):
     return {
-        key: [(ev.time, ev.mark.tobytes(), ev.accepted) for ev in events]
-        for key, events in path.events.items()
+        key: (ev.times.tobytes(), ev.marks.shape, ev.marks.tobytes(), ev.accepted.tobytes())
+        for key, ev in path.events.items()
     }
 
 
@@ -297,6 +299,19 @@ def test_every_fast_jump_is_applied_once(eps, dt):
     for path in paths:
         assert len(path.events["fast"]) > 0
         assert abs(path.Z[-1, 0] + 3.0 / eps - len(path.events["fast"])) < 1e-9
+
+
+def test_observations_keep_the_mark_width_without_events():
+    # no small-region event: the record's marks keep the measure's width, as
+    # the reference-law record's do
+    cfg = preset_to_config(build_example6())
+    cfg["observation"]["f3"] = ["u[0] + u[1]"]
+    cfg["observation"]["nu3_small"] = {"intensity": 0.0, "marks": "point(0.1,0.2)"}
+    preset = preset_from_config(cfg)
+    path = simulate_full(preset.model, preset.observation, 0.2,
+                         default_scheme(preset.model, 0.02), RngStream(1))
+    ref = simulate_reference_observations(preset.observation, 0.2, 0.02, RngStream(1))
+    assert path.observations().small_marks.shape == ref.small_marks.shape == (0, 2)
 
 
 def test_simulate_full_needs_a_stream():

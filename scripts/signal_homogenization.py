@@ -1,8 +1,9 @@
 """Weak convergence of the slow signal toward its reduced model.
 
-Simulates ensembles of the two-timescale signal at several epsilon values and
-compares the terminal law of the slow component against the reduced model via
-the two-sample KS statistic.  The distances should shrink as epsilon does.
+Simulates ensembles of the two-timescale signal at several epsilon values,
+all reading the same noises, and compares the terminal law of the slow
+component against one reduced-model ensemble via the two-sample KS
+statistic.  The distances should shrink as epsilon does.
 
     python3 scripts/signal_homogenization.py [--paths N] [--eps 0.5,0.1,0.02]
 """

@@ -538,8 +538,10 @@ def build_parser() -> _Parser:
     p.add_argument("--threads", type=int, default=None,
                    help="accepted but unused: the study runs on one thread "
                         "(env LEVYFILTER_THREADS overrides)")
-    p.add_argument("--signal-paths", type=int, default=5000)
-    p.add_argument("--martingale-runs", type=int, default=5000)
+    p.add_argument("--signal-paths", type=int, default=5000,
+                   help="rows of the shared law pass that the signal KS compares")
+    p.add_argument("--martingale-runs", type=int, default=5000,
+                   help="rows of the shared law pass that the likelihood check charges")
     p.set_defaults(fn=_cmd_converge)
 
     p = sub.add_parser("validate", help="check model assumptions on a preset or config")

@@ -6,8 +6,8 @@ The filter study simulates its replications' paths as one stack and runs
 them as the rows of one coupled full/reduced filter pass per epsilon.  Every
 replication derives its own stream from (study seed, epsilon index,
 replication index), and neither a path nor a filter row depends on the other
-rows, so the numbers are a deterministic function of the seed.  The martingale
-check streams (no per-step history) and computes its reduced-model reference once.
+rows, so the numbers are a deterministic function of the seed.  The signal
+KS and the martingale check share one streamed pass over the law ensembles.
 """
 
 from __future__ import annotations
@@ -35,8 +35,6 @@ from .sde import (
     make_grid,
     signal_ensemble_steps,
     simulate_full,
-    simulate_homogenized_ensemble,
-    simulate_signal_ensemble,
 )
 
 
@@ -70,27 +68,64 @@ def signal_convergence_study(
     seed: int = 0,
     hmodel: HomogenizedModel | None = None,
 ) -> list[dict]:
-    """KS distance between terminal slow laws of the full and reduced models.
-
-    Each epsilon gets independent ensembles of both laws; the reduced-model
-    ensemble is resampled per epsilon so sampling noise does not correlate
-    across rows.
-    """
+    """KS distance between terminal slow laws of the full and reduced models:
+    ``_law_pass`` on ``RngStream(seed)``, so every epsilon's ensemble reads the
+    same noises and is compared with one reduced-model ensemble.  Every
+    epsilon is checked before any ensemble runs."""
     n_paths = _at_least_two("n_paths", n_paths)
+    presets = [with_epsilon(preset, float(eps)) for eps in epsilons]
     if hmodel is None:
         hmodel = build_homogenized(preset)
-    root = RngStream(int(seed))
-    rows = []
-    for i, eps in enumerate(epsilons):
-        meps = with_epsilon(preset, float(eps)).model
-        scheme = default_scheme(meps, dt_slow)
-        _, XT, _ = simulate_signal_ensemble(meps, T, scheme, n_paths, root.child(2 * i))
-        _, X0 = simulate_homogenized_ensemble(hmodel, T, dt_slow, n_paths, root.child(2 * i + 1))
-        ks = max(
-            ks_statistic(XT[:, j], X0[:, j]) for j in range(XT.shape[1])
-        )
-        rows.append({"epsilon": float(eps), "ks": ks, "n_paths": int(n_paths), "T": float(T)})
-    return rows
+    ks, _ = _law_pass(preset, hmodel, presets, T, dt_slow, RngStream(int(seed)), ks_paths=n_paths)
+    return [{"epsilon": p.model.epsilon, "ks": k, "n_paths": n_paths, "T": float(T)}
+            for p, k in zip(presets, ks)]
+
+
+def _law_pass(preset, hmodel, presets, T, dt, root, ks_paths: int = 0, runs: int = 0):
+    """The reduced ensemble of ``hmodel`` (``root.child(2)``) and the full
+    ensembles of ``presets``, ``preset`` at E epsilons (all on ``root.child(0)``),
+    advanced in lockstep with max(ks_paths, runs) rows each.  Returns (ks,
+    logl): ``ks[e]`` is the KS distance (max over coordinates) between the
+    terminal slow states of the first ``ks_paths`` rows of ``presets[e]`` and
+    of the reduced model; ``logl`` (1 + E, runs) the log-likelihoods of the
+    first ``runs`` rows under ``preset``'s reference-law observations
+    (``child(1)`` increments, ``child(3)`` unthinned events), row 0 with the
+    averaged sensor.  No KS paths compute no KS; no runs draw nothing for
+    the observations and evaluate no sensor."""
+    P, obs = max(ks_paths, runs), preset.observation
+    reduced = homogenized_ensemble_steps(hmodel, T, dt, P, root.child(2))
+    full = [signal_ensemble_steps(p.model, T, default_scheme(p.model, dt), P, root.child(0))
+            for p in presets]
+    logl = np.zeros((1 + len(presets), runs))
+    if runs:
+        # reference-law events of every run, charged to their run by the weight
+        # kernel at their step's right endpoint
+        gen_ev = root.child(3).generator()
+        counts = gen_ev.poisson(obs.nu3_small.total_intensity * T, size=runs)
+        ev_times = gen_ev.uniform(0.0, T, size=int(counts.sum()))
+        ev_marks = obs.nu3_small.mark_sampler.sample(gen_ev, len(ev_times))
+        events = _events_by_step(make_grid(T, dt), np.repeat(np.arange(runs), counts),
+                                 ev_times, ev_marks)
+        gen_obs = root.child(1).generator()
+    # one step at a time, so state-dependent thinning never holds more than a
+    # (runs, quadrature nodes) block
+    for k, ((t, X0), *fulls) in enumerate(zip(reduced, *full)):
+        if k == 0 or not runs:   # the common start carries no increment
+            continue
+        dbar = gen_obs.standard_normal((runs, obs.d)) * math.sqrt(dt)
+        states = [(X0[:runs], hmodel.hbar(X0[:runs]))]
+        states += [(X[:runs], obs.h(X[:runs], Z[:runs])) for _, X, Z in fulls]
+        for row, (X, hv) in enumerate(states):
+            hv = np.asarray(hv, dtype=float)
+            logl[row] += _batch_log_weight(obs, hv, X, dbar, dt, float(t), events.get(k - 1, ()))
+    ks = [max(ks_statistic(X[:ks_paths, j], X0[:ks_paths, j]) for j in range(X0.shape[1]))
+          for _, X, _ in fulls] if ks_paths else []
+    return ks, logl
+
+
+def _mean_se(x) -> tuple[float, float]:
+    """Sample mean and its plain standard error."""
+    return float(x.mean()), float(x.std(ddof=1) / math.sqrt(len(x)))
 
 
 # ---------------------------------------------------------------------------
@@ -132,56 +167,27 @@ def martingale_check(
 
     ``epsilon`` is one value or a list (one report each, bitwise the single
     call) sharing the epsilon-free reduced-model reference.  The forward route
-    streams, so memory is O(n_runs + events) whatever the number of steps.
+    is ``_law_pass`` with no KS paths: it streams, so memory is
+    O(n_runs + events) whatever the number of steps.
     """
     P = _at_least_two("n_runs", n_runs)
     inverse_runs = 0 if not inverse_runs else _at_least_two("inverse_runs", inverse_runs)
     single = np.ndim(epsilon) == 0
     presets = [with_epsilon(preset, e) for e in ([epsilon] if single else epsilon)]
-    schemes = [default_scheme(p.model, dt) for p in presets]
     obs = preset.observation
     if hmodel is None:
         hmodel = build_homogenized(preset)
     root = RngStream(int(seed))
-    times = make_grid(T, dt)
-
-    # reference-law events of every run, charged to their run by the weight
-    # kernel at their step's right endpoint
-    gen_ev = root.child(3).generator()
-    counts = gen_ev.poisson(obs.nu3_small.total_intensity * T, size=P)
-    ev_times = gen_ev.uniform(0.0, T, size=int(counts.sum()))
-    ev_marks = obs.nu3_small.mark_sampler.sample(gen_ev, len(ev_times))
-    events = _events_by_step(times, np.repeat(np.arange(P), counts), ev_times, ev_marks)
-
-    # row 0 is the reduced model with its averaged sensor, row 1 + e the full
-    # model at epsilon e; all read the same reference increments
-    reduced = homogenized_ensemble_steps(hmodel, T, dt, P, root.child(2))
-    full = [signal_ensemble_steps(p.model, T, s, P, root.child(0)) for p, s in zip(presets, schemes)]
-    ensembles = zip(((X, hmodel.hbar(X)) for _, X in reduced),
-                    *(((X, obs.h(X, Z)) for _, X, Z in steps) for steps in full))
-    next(ensembles)   # the common start
-    gen_obs = root.child(1).generator()
-    # one step at a time, so state-dependent thinning never holds more than a
-    # (P, quadrature nodes) block
-    logl = np.zeros((1 + len(presets), P))
-    for k, states in enumerate(ensembles):
-        t = float(times[k + 1])
-        dbar = gen_obs.standard_normal((P, obs.d)) * math.sqrt(dt)
-        for row, (X, hv) in enumerate(states):
-            hv = np.asarray(hv, dtype=float)
-            logl[row] += _batch_log_weight(obs, hv, X, dbar, dt, t, events.get(k, ()))
+    _, logl = _law_pass(preset, hmodel, presets, T, dt, root, runs=P)
     lik = np.exp(logl)
-    reduced_fields = dict(
-        mean_forward_homog=float(lik[0].mean()),
-        se_forward_homog=float(lik[0].std(ddof=1) / math.sqrt(P)),
-        max_rho0_inverse=float(np.exp(-logl[0].min())),
-    )
+    homog = (*_mean_se(lik[0]), float(np.exp(-logl[0].min())))   # reduced-model fields
 
     reports = []
-    for peps, scheme, lik_full in zip(presets, schemes, lik[1:]):
+    for peps, lik_full in zip(presets, lik[1:]):
         inv = np.empty(inverse_runs)
         paths = simulate_full(
-            peps.model, obs, T, scheme, [root.child(4).child(r) for r in range(inverse_runs)]
+            peps.model, obs, T, default_scheme(peps.model, dt),
+            [root.child(4).child(r) for r in range(inverse_runs)],
         ) if inverse_runs else []
         for r, path in enumerate(paths):
             rec = path.observations()
@@ -191,14 +197,8 @@ def martingale_check(
             ll = _batch_log_weight(obs, hser, xr, rec.bbar_increments, dt, rec.times[1:], on_steps)
             inv[r] = math.exp(-float(np.sum(ll)))
         reports.append(MartingaleReport(
-            epsilon=peps.model.epsilon, n_runs=P,
-            mean_forward=float(lik_full.mean()),
-            se_forward=float(lik_full.std(ddof=1) / math.sqrt(P)),
-            **reduced_fields,
-            inverse_runs=inverse_runs,
-            mean_inverse=float(inv.mean()) if inverse_runs else math.nan,
-            se_inverse=float(inv.std(ddof=1) / math.sqrt(inverse_runs)) if inverse_runs else math.nan,
-        ))
+            peps.model.epsilon, P, *_mean_se(lik_full), *homog, inverse_runs,
+            *(_mean_se(inv) if inverse_runs else (math.nan, math.nan))))
     return reports[0] if single else reports
 
 
@@ -381,29 +381,27 @@ def convergence_study(
     signal_paths: int = 2000,
     martingale_runs: int = 2000,
 ) -> ConvergenceReport:
-    """Filter convergence plus signal-law KS and martingale diagnostics per epsilon."""
+    """Filter convergence plus signal-law KS and martingale diagnostics per epsilon.
+
+    The diagnostics share one ``_law_pass`` on ``RngStream(seed + 2)``: the
+    martingale fields are ``martingale_check(seed=seed + 2)`` bitwise while
+    ``signal_paths <= martingale_runs``, and ``ks_signal`` is
+    ``signal_convergence_study(seed=seed + 2)`` when the counts are equal."""
     _at_least_two("replications", replications)
-    _at_least_two("signal_paths", signal_paths)
-    _at_least_two("martingale_runs", martingale_runs)
+    signal_paths = _at_least_two("signal_paths", signal_paths)
+    martingale_runs = _at_least_two("martingale_runs", martingale_runs)
     _check_epsilons(epsilons)
     hmodel = build_homogenized(preset)
     report = filter_convergence_study(
         preset, epsilons, replications, n_particles, psis, T, dt=dt,
         ess_frac=ess_frac, seed=seed, threads=threads, hmodel=hmodel,
     )
-    signal_rows = signal_convergence_study(
-        preset, epsilons, signal_paths, T, dt_slow=dt, seed=seed + 1, hmodel=hmodel,
-    )
-    for row, srow in zip(report.rows, signal_rows):
-        row["ks_signal"] = srow["ks"]
-    marts = martingale_check(
-        preset, report.epsilons, martingale_runs, T, dt=dt, seed=seed + 2, hmodel=hmodel,
-    )
-    for row, mart in zip(report.rows, marts):
-        row["martingale_mean"] = mart.mean_forward
-        row["martingale_se"] = mart.se_forward
-        row["max_rho0_inverse"] = mart.max_rho0_inverse
-    report.meta.update({
-        "signal_paths": int(signal_paths), "martingale_runs": int(martingale_runs),
-    })
+    presets = [with_epsilon(preset, eps) for eps in report.epsilons]
+    ks, logl = _law_pass(preset, hmodel, presets, T, dt, RngStream(int(seed) + 2),
+                         ks_paths=signal_paths, runs=martingale_runs)
+    for row, ks_signal, lik_full in zip(report.rows, ks, np.exp(logl[1:])):
+        row["ks_signal"] = ks_signal
+        row["martingale_mean"], row["martingale_se"] = _mean_se(lik_full)
+        row["max_rho0_inverse"] = float(np.exp(-logl[0].min()))
+    report.meta.update({"signal_paths": signal_paths, "martingale_runs": martingale_runs})
     return report

@@ -23,7 +23,9 @@ from levyfilter import (
     signal_convergence_study,
     strictly_decreasing,
 )
+from levyfilter import experiments, sde
 from levyfilter.averaging import build_homogenized
+from levyfilter.errors import ConfigError
 from levyfilter.filtering import _batch_log_weight
 from levyfilter.sde import ObservationRecord
 
@@ -294,7 +296,7 @@ def test_martingale_check_needs_two_runs_per_route(kwargs, name, monkeypatch):
         raise AssertionError("the check started work before rejecting its run counts")
 
     monkeypatch.setattr("levyfilter.experiments.build_homogenized", no_work)
-    monkeypatch.setattr("levyfilter.experiments.simulate_signal_ensemble", no_work)
+    monkeypatch.setattr("levyfilter.experiments.homogenized_ensemble_steps", no_work)
     monkeypatch.setattr("levyfilter.experiments.signal_ensemble_steps", no_work)
     with pytest.raises(ValueError, match=f"{name} must be at least 2"):
         martingale_check(PRESETS["example6"](), epsilon=0.5, T=0.1, dt=0.02, **kwargs)
@@ -312,3 +314,70 @@ def test_convergence_study_attaches_diagnostics():
     assert 0.0 <= row["ks_signal"] <= 1.0
     assert report.meta["replications"] == 3
     assert report.epsilons == [0.5]
+
+
+@pytest.mark.parametrize("epsilons", [[0.5, 0.0], [0.5, math.nan], [0.5, -1.0]])
+def test_signal_convergence_study_checks_every_epsilon_first(epsilons, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the study ran an ensemble before checking every epsilon")
+
+    for module in (experiments, sde):
+        monkeypatch.setattr(module, "signal_ensemble_steps", no_work)
+        monkeypatch.setattr(module, "homogenized_ensemble_steps", no_work)
+    monkeypatch.setattr(experiments, "build_homogenized", no_work)
+    with pytest.raises(ConfigError) as info:
+        signal_convergence_study(PRESETS["example6"](), epsilons, n_paths=50, T=0.1, dt_slow=0.02)
+    assert info.value.key == "epsilon"
+
+
+def test_convergence_study_runs_each_ensemble_once(monkeypatch):
+    calls = {"signal_ensemble_steps": 0, "homogenized_ensemble_steps": 0}
+    for name in calls:
+        def spy(*args, _fn=getattr(sde, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for module in (experiments, sde):
+            monkeypatch.setattr(module, name, spy)
+    epsilons = [0.5, 0.1, 0.02]
+    convergence_study(
+        PRESETS["example6"](), epsilons, replications=2, n_particles=16, psis=["tanh"],
+        T=0.1, dt=0.02, seed=3, signal_paths=60, martingale_runs=40,
+    )
+    assert calls == {"signal_ensemble_steps": len(epsilons), "homogenized_ensemble_steps": 1}
+
+
+def _diagnostics(row):
+    return {k: float(row[k]).hex()
+            for k in ("ks_signal", "martingale_mean", "martingale_se", "max_rho0_inverse")}
+
+
+def test_convergence_study_diagnostics_match_the_wrappers():
+    preset = PRESETS["example6"]()
+    epsilons, T, dt, seed, n = [0.5, 0.1, 0.02], 0.3, 0.02, 4, 300
+
+    def study(signal_paths, martingale_runs):
+        report = convergence_study(
+            preset, epsilons, replications=2, n_particles=16, psis=["tanh"], T=T, dt=dt,
+            seed=seed, signal_paths=signal_paths, martingale_runs=martingale_runs,
+        )
+        return [_diagnostics(row) for row in report.rows]
+
+    marts = martingale_check(preset, epsilons, n, T, dt=dt, seed=seed + 2)
+    signal = signal_convergence_study(preset, epsilons, n, T, dt_slow=dt, seed=seed + 2)
+    equal = study(n, n)
+    assert equal == [
+        _diagnostics({"ks_signal": s["ks"], "martingale_mean": m.mean_forward,
+                      "martingale_se": m.se_forward, "max_rho0_inverse": m.max_rho0_inverse})
+        for s, m in zip(signal, marts)
+    ]
+    # fewer KS paths than runs: the likelihood rows are the same ensembles
+    fewer = study(n // 2, n)
+    assert [{k: v for k, v in row.items() if k != "ks_signal"} for row in fewer] == [
+        {k: v for k, v in row.items() if k != "ks_signal"} for row in equal
+    ]
+    # more KS paths than runs: a larger ensemble, every field still sound
+    for row in study(2 * n, n):
+        values = {k: float.fromhex(v) for k, v in row.items()}
+        assert all(math.isfinite(v) for v in values.values())
+        assert 0.0 <= values["ks_signal"] <= 1.0

@@ -2,12 +2,13 @@
 diagnostics, a linear-Gaussian oracle, and filter convergence as the
 timescale separation vanishes.
 
-The filter study simulates its replications' paths as one stack and runs
-them as the rows of one coupled full/reduced filter pass per epsilon.  Every
-replication derives its own stream from (study seed, epsilon index,
-replication index), and neither a path nor a filter row depends on the other
-rows, so the numbers are a deterministic function of the seed.  The signal
-KS and the martingale check share one streamed pass over the law ensembles.
+The filter study simulates each epsilon's replication paths as one stack,
+path r of epsilon e on the stream (study seed, e, r), and runs every
+epsilon's full and reduced filters in one lockstep pass whose row r reads
+the particle stream (study seed, 0, r) at every epsilon: common random
+numbers across epsilon.  No path or filter row depends on the other rows,
+so the numbers are a deterministic function of the seed.  The signal KS and
+the martingale check share one streamed pass over the law ensembles.
 """
 
 from __future__ import annotations
@@ -21,19 +22,19 @@ from .averaging import HomogenizedModel, build_homogenized
 from .filtering import (
     PsiSpec,
     _batch_log_weight,
+    _filter_pass,
     psi_from_string,
     run_filter,
-    run_filter_batch,
 )
 from .models import ModelPreset, make_linear_gaussian, with_epsilon
 from .noise import RngStream
 from .sde import (
     StepScheme,
     _events_by_step,
+    _signal_ensembles,
     default_scheme,
     homogenized_ensemble_steps,
     make_grid,
-    signal_ensemble_steps,
     simulate_full,
 )
 
@@ -94,8 +95,8 @@ def _law_pass(preset, hmodel, presets, T, dt, root, ks_paths: int = 0, runs: int
     the observations and evaluate no sensor."""
     P, obs = max(ks_paths, runs), preset.observation
     reduced = homogenized_ensemble_steps(hmodel, T, dt, P, root.child(2))
-    full = [signal_ensemble_steps(p.model, T, default_scheme(p.model, dt), P, root.child(0))
-            for p in presets]
+    full = _signal_ensembles([p.model for p in presets],
+                             [default_scheme(p.model, dt) for p in presets], T, P, root.child(0))
     logl = np.zeros((1 + len(presets), runs))
     if runs:
         # reference-law events of every run, charged to their run by the weight
@@ -320,9 +321,12 @@ def filter_convergence_study(
     the same slow-Brownian columns the full filter uses), which strips most
     particle noise out of the terminal gap |pi_full(psi) - pi_homog(psi)|.
     Per epsilon, one ``simulate_full`` call advances every replication's path
-    and one coupled filter pass runs both filters with the replications as its
-    rows.  ``threads`` is accepted for callers that still pass a worker
-    count and has no effect: the study runs on one thread.
+    (``child(e).child(r).child(0)``); then one ``_filter_pass`` runs the 2E
+    filters with the replications as rows, row r reading
+    ``child(0).child(r).child(1)`` at every epsilon and the widest epsilon's
+    noise width, so a step's block is drawn once per replication and key and
+    shared by every epsilon and both filters.  ``threads`` is accepted for
+    callers that still pass a worker count and has no effect.
     Reported per epsilon: the mean coupled gap and its SE per functional, and
     the KS distance between the replication samples of the two terminal
     estimates (a coupling-free, distribution-level comparison).
@@ -333,23 +337,23 @@ def filter_convergence_study(
     if hmodel is None:
         hmodel = build_homogenized(preset)
     root = RngStream(int(seed))
+    presets = [with_epsilon(preset, eps) for eps in epsilons]
+    schemes = [default_scheme(p.model, dt) for p in presets]
+    cases = []
+    for ie, (peps, scheme) in enumerate(zip(presets, schemes)):
+        paths = simulate_full(peps.model, peps.observation, T, scheme,
+                              [root.child(ie).child(r).child(0) for r in range(R)])
+        records = [path.observations() for path in paths]
+        cases += [(records, mode, peps, hmodel, scheme) for mode in ("full", "homog")]
+    outs = _filter_pass(cases, n_particles, psis, [root.child(0).child(r).child(1) for r in range(R)],
+                        ess_frac)
     rows = []
-    for ie, eps in enumerate(epsilons):
-        peps = with_epsilon(preset, float(eps))
-        scheme = default_scheme(peps.model, dt)
-        rep_streams = [root.child(ie).child(r) for r in range(R)]
-        paths = simulate_full(
-            peps.model, peps.observation, T, scheme, [s.child(0) for s in rep_streams]
-        )
-        out_full, out_homog = run_filter_batch(
-            [path.observations() for path in paths], "both", peps, n_particles, psis,
-            [s.child(1) for s in rep_streams], hmodel=hmodel, scheme=scheme, ess_frac=ess_frac,
-        )
+    for eps, out_full, out_homog in zip(epsilons, outs[0::2], outs[1::2]):
         full_T = np.array([o.pi[-1] for o in out_full])
         homog_T = np.array([o.pi[-1] for o in out_homog])
         gaps = np.abs(full_T - homog_T)
         rows.append({
-            "epsilon": float(eps),
+            "epsilon": eps,
             "mean_gap": gaps.mean(axis=0),
             "se_gap": gaps.std(axis=0, ddof=1) / math.sqrt(R),
             "ks_pi": np.asarray([

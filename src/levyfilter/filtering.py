@@ -114,16 +114,18 @@ class ParticleEnsemble:
     """State arrays of one or more observation records plus their noise streams.
 
     Arrays carry the row axes ``rows`` in front of the particle axis: () for
-    one record, (R,) for a stack of R records advanced together.  ``streams``
-    and ``resample_count`` are arrays of shape ``rows`` holding each row's run
-    stream and resample generation.  Each row and resample generation draws
-    its noise from one generator, built on first use from the child stream
+    one record, (R,) for a stack of R records advanced together.  ``streams``,
+    ``resample_count`` and ``generation_start`` are arrays of shape ``rows``
+    holding each row's run stream, resample generation and the step at which
+    that generation began.  Each row and resample generation draws its noise
+    from one generator, built on first use from the child stream
     (PARTICLES, resample generation) of the row's run stream; ``resample``
     drops it so the row's next generation is re-keyed.  Successive draws of
     one generator equal the rows of a single large draw, so step k of a
     generation gets row k of a (K, N, width) block of standard normals, rows
-    in particle order: a row's values depend only on (its run stream, its
-    resample generation, step within the generation), never on the other rows.
+    in particle order: a row's block is a function of its key (run stream,
+    resample generation, generation start) and the step, never of the other
+    rows.
     """
 
     x: np.ndarray                      # (*rows, N, n)
@@ -132,7 +134,9 @@ class ParticleEnsemble:
     time: float
     streams: np.ndarray                # (*rows,) RngStream objects
     resample_count: np.ndarray         # (*rows,) ints
+    generation_start: np.ndarray       # (*rows,) ints, steps drawn before the generation
     _noise_width: int = 1
+    _steps: int = 0                    # steps drawn so far
     _noise: list = field(init=False, repr=False)   # generator per row, rows flattened
 
     def __post_init__(self):
@@ -146,34 +150,37 @@ class ParticleEnsemble:
     def n_particles(self) -> int:
         return self.log_weights.shape[-1]
 
-    def next_noise(self, partner: tuple | None = None) -> np.ndarray:
+    def next_noise(self, cache: dict | None = None) -> np.ndarray:
         """(*rows, N, width) standard normals for one step, each row from its
         generation's stream.  The block is read-only.
 
-        ``partner`` is (generators, block) of an ensemble on the same run
-        streams and width that drew this step already.  A row holding the
-        partner row's generator object shares that row's generation and
-        position, so it takes the partner's row instead of drawing again.
+        ``cache`` is one step's dict shared by the ensembles of a pass, all on
+        the same N and width: it maps a row key to (generator, block, row) of
+        the first row that drew it.  A row whose key is there adopts that
+        generator and reads that row instead of drawing; an ensemble whose
+        rows all read one block's rows in order returns that block itself.
         """
         N, width = self.n_particles, self._noise_width
-        gens = self._noise
-        shared = [False] * len(gens)
-        if partner is not None:
-            partner_gens, partner_block = partner
-            shared = [g is p for g, p in zip(gens, partner_gens)]
-            if all(shared):
-                return partner_block
-            partner_rows = partner_block.reshape(-1, N, width)
-        out = np.empty(self.rows + (N, width))
-        for i, block in enumerate(out.reshape(-1, N, width)):
-            if shared[i]:
-                block[...] = partner_rows[i]
+        cache = {} if cache is None else cache
+        gens, out, hits = self._noise, np.empty(self.rows + (N, width)), []
+        rows = out.reshape(-1, N, width)
+        keys = zip(self.streams.flat, self.resample_count.flat, self.generation_start.flat)
+        for i, (stream, generation, start) in enumerate(keys):
+            key = (stream.root_seed, stream.stream_id, int(generation), int(start))
+            if key in cache:
+                gens[i], block, j = cache[key]
+                hits.append((i, block, j))
                 continue
-            gen = gens[i]
-            if gen is None:
-                stream = self.streams.flat[i].child(NoiseSource.PARTICLES)
-                gen = gens[i] = stream.child(int(self.resample_count.flat[i])).generator()
-            gen.standard_normal(out=block)
+            if gens[i] is None:
+                gens[i] = stream.child(NoiseSource.PARTICLES).child(int(generation)).generator()
+            gens[i].standard_normal(out=rows[i])
+            cache[key] = (gens[i], out, i)
+        self._steps += 1
+        if len(hits) == len(gens) and hits[0][1].shape == out.shape and all(
+                b is hits[0][1] and i == j for i, b, j in hits):
+            return hits[0][1]
+        for i, block, j in hits:
+            rows[i] = block.reshape(-1, N, width)[j]
         out.flags.writeable = False
         return out
 
@@ -212,6 +219,7 @@ def init_ensemble(
         time=0.0,
         streams=streams,
         resample_count=np.zeros(rows, dtype=int),
+        generation_start=np.zeros(rows, dtype=int),
         _noise_width=noise_width,
     )
 
@@ -257,7 +265,8 @@ class FullDynamics:
         if self.dt_fast is None:
             fast_noise = col[..., m.l1: m.l1 + 1]
         else:
-            dW = col[..., m.l1:].reshape(col.shape[:-1] + (self.scheme.substeps, m.l2))
+            fast = col[..., m.l1: self.noise_width]     # a wider block's extra columns unread
+            dW = fast.reshape(col.shape[:-1] + (self.scheme.substeps, m.l2))
             fast_noise = dW * math.sqrt(self.dt_fast / m.epsilon)
         ens.x, ens.z = signal_step(m, self.dt_fast, ens.x, ens.z, dV, fast_noise, dt)
 
@@ -322,7 +331,9 @@ def _batch_log_weight(
     state of row ``rows[i]``, in stack order, after the Gaussian term and
     before the compensator.
     """
-    incr = np.sum(h_vals * d_bbar, axis=-1) - 0.5 * dt * np.sum(h_vals * h_vals, axis=-1)
+    # d = 1 skips the reductions: a sum over one term is that term
+    total = (lambda a: a[..., 0]) if h_vals.shape[-1] == 1 else (lambda a: np.sum(a, axis=-1))
+    incr = total(h_vals * d_bbar) - 0.5 * dt * total(h_vals * h_vals)
     if len(events):
         rows, ev_t, ev_u = events
         x = x_right[rows]
@@ -361,12 +372,13 @@ def estimate(ens: ParticleEnsemble, psis: list[PsiSpec]) -> dict:
     if not np.all(np.isfinite(logw)):
         raise ModelViolationError("non-finite log-weights in the ensemble")
     mx = logw.max(axis=-1, keepdims=True)
-    w = np.exp(logw - mx)
+    w = np.subtract(logw, mx)
+    np.exp(w, out=w)
     den = w.sum(axis=-1)
     pi = np.empty(ens.rows + (len(psis),))
     for i, psi in enumerate(psis):
         pi[..., i] = (w * psi(ens.x)).sum(axis=-1) / den
-    ess = den * den / (w * w).sum(axis=-1)
+    ess = den * den / np.multiply(w, w, out=w).sum(axis=-1)
     # math.log per row, as resample uses, so both agree on the mass level bitwise
     N = ens.n_particles
     if not ens.rows:
@@ -385,6 +397,8 @@ def resample(ens: ParticleEnsemble, row: tuple | int = ()) -> ParticleEnsemble:
     resample generation, so the future noise of survivor copies is
     independent.  Other rows are untouched.
     """
+    if np.ndim(ens.resample_count[row]) != 0:
+        raise ValueError(f"resample takes one row of the row axes {ens.rows}, got row={row!r}")
     N = ens.n_particles
     logw = ens.log_weights[row]
     mx = float(logw.max())
@@ -404,6 +418,7 @@ def resample(ens: ParticleEnsemble, row: tuple | int = ()) -> ParticleEnsemble:
         ens.z[row] = ens.z[row][idx]
     ens.log_weights[row] = log_rho1
     ens.resample_count[row] = generation + 1
+    ens.generation_start[row] = ens._steps
     # drop the row's generator; ``_noise`` holds the rows flattened
     ens._noise[int(np.arange(len(ens._noise)).reshape(ens.rows)[row])] = None
     return ens
@@ -468,11 +483,14 @@ def run_filter(
 
 @dataclass
 class _ModeRun:
-    """One filter mode inside ``run_filter_batch``: its ensemble and its series."""
+    """One filter of a pass: a mode on one set of records, its ensemble and its series."""
 
     mode: str
     dynamics: object
     sensor: object               # ensemble -> (*rows, N, d) sensor values
+    obs: ObservationModel
+    events: dict                 # small-region events by step, stacked over the records
+    d_bbar: np.ndarray           # (K, R, 1, d)
     ens: ParticleEnsemble
     pi: np.ndarray               # (K+1, R, n_psi), one line per step, a column per row
     log_rho1: np.ndarray         # (K+1, R)
@@ -484,24 +502,30 @@ class _ModeRun:
         self.pi[k], self.log_rho1[k], self.ess[k] = est["pi"], est["log_rho1"], est["ess"]
         return est["ess"]
 
+    def outputs(self, times: np.ndarray, psis: list) -> list[FilterOutput]:
+        return [FilterOutput(
+            times=times.copy(), psi_names=[p.name for p in psis], pi=self.pi[:, r].copy(),
+            log_rho1=self.log_rho1[:, r].copy(), ess=self.ess[:, r].copy(),
+            resample_steps=steps, mode=self.mode, n_particles=self.ens.n_particles,
+        ) for r, steps in enumerate(self.resample_steps)]
 
-def _coupled_noise(full: ParticleEnsemble, homog: ParticleEnsemble) -> tuple:
-    """One step's noise blocks of a full and a reduced ensemble on the same run
-    streams and width.
 
-    A row of the two draws once while both are in the same resample generation
-    and that generation began at the same step: the homog row then holds the
-    full row's generator object and reads the full row's block.  A mode that
-    resamples drops only its own reference, so the other keeps drawing from
-    the shared generator, which is already where its own draws would be.
-    """
-    fresh = [g is None for g in full._noise]     # rows whose full generation begins now
-    full_block = full.next_noise()
-    counts_h, counts_f = homog.resample_count.flat, full.resample_count.flat
-    for i, gen in enumerate(homog._noise):
-        if gen is None and fresh[i] and counts_h[i] == counts_f[i]:
-            homog._noise[i] = full._noise[i]
-    return full_block, homog.next_noise(partner=(full._noise, full_block))
+def _mode_setup(mode: str, preset: ModelPreset, hmodel, scheme, dt: float) -> tuple:
+    """(dynamics, x0, z0, sensor) of one filter mode on observations spaced ``dt``."""
+    obs = preset.observation
+    if mode == "full":
+        model = preset.model
+        if scheme is None:
+            scheme = default_scheme(model, dt)
+        if abs(scheme.dt_slow - dt) > 1e-9 * max(1.0, dt):
+            raise ValueError(
+                f"scheme dt_slow={scheme.dt_slow} must match the observation spacing {dt}")
+        return (FullDynamics(model, scheme), model.x0, model.z0,
+                lambda ens: np.asarray(obs.h(ens.x, ens.z), dtype=float))
+    if hmodel is None:
+        raise ValueError("homog mode needs a homogenized model")
+    return (HomogDynamics(hmodel), hmodel.x0, None,
+            lambda ens: np.asarray(hmodel.hbar(ens.x), dtype=float))
 
 
 def run_filter_batch(
@@ -533,102 +557,79 @@ def run_filter_batch(
 
     ``mode='both'`` runs the full and the reduced filter in one step loop at
     the wider of their two widths and returns (full outputs, homog outputs),
-    each bitwise what the single-mode call at that width returns.  Both modes
-    draw their step's noise before either updates its weights or resamples,
-    and a row whose two modes resampled at the same steps draws its block once.
+    each bitwise what the single-mode call at that width returns; a row whose
+    two modes are in the same resample generation, begun at the same step,
+    draws its block once.  Every mode is a one-case or two-case call of
+    ``_filter_pass``.
     """
     if mode not in ("full", "homog", "both"):
         raise ValueError(f"mode must be 'full', 'homog' or 'both', got {mode!r}")
+    modes = ("full", "homog") if mode == "both" else (mode,)
+    outs = _filter_pass([(records, m, preset, hmodel, scheme) for m in modes],
+                        n_particles, psis, streams, ess_frac, noise_width)
+    return tuple(outs) if mode == "both" else outs[0]
+
+
+def _filter_pass(cases, n_particles, psis, streams, ess_frac=0.5, noise_width=None) -> list:
+    """One filter per case, all advanced in one step loop on the run streams
+    ``streams``; returns one list of ``FilterOutput`` per case.
+
+    A case is (records, mode, preset, hmodel, scheme), mode 'full' or
+    'homog', with ``records[r]`` on ``streams[r]`` and one time grid for all.
+    Every ensemble draws blocks at the widest case's width (or
+    ``noise_width``) through one cache per step, so a key's block is drawn
+    once and a case's outputs are bitwise the case run alone at that width.
+    """
     if not 0.0 < ess_frac <= 1.0:
         raise ValueError(f"ess_frac must lie in (0, 1], got {ess_frac}")
     if not psis:
         raise ValueError("need at least one test functional")
-    if not records or len(records) != len(streams):
-        raise ValueError(
-            f"need one run stream per record, got {len(records)} records and {len(streams)} streams"
-        )
+    R = len(streams)
+    for records, *_ in cases:
+        if not records or len(records) != R:
+            raise ValueError(
+                f"need one run stream per record, got {len(records)} records and {R} streams")
     psis = [p if isinstance(p, PsiSpec) else psi_from_string(p) for p in psis]
-    obs = preset.observation
-    times = records[0].times
-    if any(not np.array_equal(rec.times, times) for rec in records[1:]):
+    first = cases[0][0][0]
+    times, K, dt = first.times, first.steps, first.dt
+    if any(not np.array_equal(rec.times, times) for records, *_ in cases for rec in records):
         raise ValueError("the observation records must share one time grid")
-    K = records[0].steps
-    dt = records[0].dt
     if np.max(np.abs(np.diff(times) - dt)) > 1e-9 * max(1.0, dt):
         raise ValueError("observation grid is not uniform")
 
-    modes = ("full", "homog") if mode == "both" else (mode,)
-    setups = []   # (mode, dynamics, x0, z0, sensor)
-    if "full" in modes:
-        model = preset.model
-        if scheme is None:
-            scheme = default_scheme(model, dt)
-        if abs(scheme.dt_slow - dt) > 1e-9 * max(1.0, dt):
-            raise ValueError(
-                f"scheme dt_slow={scheme.dt_slow} must match the observation spacing {dt}"
-            )
-        setups.append((
-            "full", FullDynamics(model, scheme), model.x0, model.z0,
-            lambda ens: np.asarray(obs.h(ens.x, ens.z), dtype=float),
-        ))
-    if "homog" in modes:
-        if hmodel is None:
-            raise ValueError("homog mode needs a homogenized model")
-        setups.append((
-            "homog", HomogDynamics(hmodel), hmodel.x0, None,
-            lambda ens: np.asarray(hmodel.hbar(ens.x), dtype=float),
-        ))
-
-    need = max(dynamics.noise_width for _, dynamics, _, _, _ in setups)
+    setups = [_mode_setup(mode, preset, hmodel, scheme, dt)
+              for _, mode, preset, hmodel, scheme in cases]
+    need = max(dynamics.noise_width for dynamics, *_ in setups)
     width = need if noise_width is None else int(noise_width)
     if width < need:
         raise ValueError(f"noise_width={width} is narrower than the dynamics need ({need})")
-    R = len(records)
     runs = [
         _ModeRun(
-            mode=name, dynamics=dynamics, sensor=sensor,
+            mode=mode, dynamics=dynamics, sensor=sensor, obs=preset.observation,
+            events=_events_by_step(times, *_stack_events(
+                [rec.small_times for rec in records], [rec.small_marks for rec in records])),
+            d_bbar=np.stack([rec.bbar_increments for rec in records], axis=1)[:, :, None, :],
             ens=init_ensemble(n_particles, x0, z0, list(streams), width),
             pi=np.empty((K + 1, R, len(psis))), log_rho1=np.empty((K + 1, R)),
             ess=np.empty((K + 1, R)), resample_steps=[[] for _ in range(R)],
         )
-        for name, dynamics, x0, z0, sensor in setups
+        for (records, mode, preset, _, _), (dynamics, x0, z0, sensor) in zip(cases, setups)
     ]
-
-    # small-region events by step, stacked over the records
-    events = _events_by_step(times, *_stack_events(
-        [rec.small_times for rec in records], [rec.small_marks for rec in records]))
-    d_bbar = np.stack([rec.bbar_increments for rec in records], axis=1)[:, :, None, :]  # (K, R, 1, d)
     threshold = ess_frac * n_particles
 
     for run in runs:
         run.record(0, psis)
     for k in range(K):
-        if len(runs) == 2:
-            blocks = _coupled_noise(runs[0].ens, runs[1].ens)
-        else:
-            blocks = (runs[0].ens.next_noise(),)
-        t_right = float(times[k + 1])
-        for run, noise in zip(runs, blocks):
+        cache, t_right = {}, float(times[k + 1])
+        for run in runs:
             ens = run.ens
-            propagate(ens, run.dynamics, dt, noise)
+            propagate(ens, run.dynamics, dt, ens.next_noise(cache))
             ens.log_weights += _batch_log_weight(
-                obs, run.sensor(ens), ens.x, d_bbar[k], dt, t_right, events.get(k, ()))
+                run.obs, run.sensor(ens), ens.x, run.d_bbar[k], dt, t_right, run.events.get(k, ()))
             ess = run.record(k + 1, psis)
             if k < K - 1:
                 for r, row_ess in enumerate(ess.tolist()):
                     if row_ess < threshold:
                         resample(ens, r)
                         run.resample_steps[r].append(k + 1)
-
-    outputs = [
-        [
-            FilterOutput(
-                times=times.copy(), psi_names=[p.name for p in psis], pi=run.pi[:, r].copy(),
-                log_rho1=run.log_rho1[:, r].copy(), ess=run.ess[:, r].copy(),
-                resample_steps=run.resample_steps[r], mode=run.mode, n_particles=n_particles,
-            )
-            for r in range(R)
-        ]
-        for run in runs
-    ]
-    return tuple(outputs) if mode == "both" else outputs[0]
+    return [run.outputs(times, psis) for run in runs]

@@ -213,8 +213,13 @@ def euler_step(x, drift, diffusion, dV, dt: float):
     ``diffusion`` has shape (..., n, l) and ``dV`` shape (..., l).  The slow
     step of the full model, the step of the reduced model and the fast
     substep all take it, so the slow and reduced steps agree operation for
-    operation when their coefficients do.
+    operation when their coefficients do.  One noise column takes a plain
+    product, which is the einsum's one-term sum.
     """
+    if dV.shape[-1] == 1:
+        out = x + drift * dt
+        out += diffusion[..., 0] * dV     # in place: one state-sized temporary fewer
+        return out
     return x + drift * dt + np.einsum("...nl,...l->...n", diffusion, dV)
 
 
@@ -516,27 +521,57 @@ def signal_ensemble_steps(
     Requires a jump-free slow/fast pair; draws are batch-indexed per step, so
     the ensemble is reproducible as a whole.
     """
+    return _signal_ensembles([model], [scheme], T, n_paths, stream)[0]
+
+
+def _signal_ensembles(models, schemes, T: float, n_paths: int, stream: RngStream) -> list:
+    """``signal_ensemble_steps`` of every (model, scheme) on ``stream``, read
+    in lockstep: one slow draw stream serves every ensemble and one fast draw
+    stream every ensemble of the same per-step fast shape (exact OU: (P, 1);
+    Euler: (substeps, P, l2)), so each ensemble is bitwise its own call."""
+    P = int(n_paths)
+    shapes = [((P, m.l1), (P, 1) if s.fast_mode == "exact_ou" else (s.substeps, P, m.l2))
+              for m, s in zip(models, schemes)]
+    draws = {}
+    for i, source in enumerate((NoiseSource.SLOW_BROWNIAN, NoiseSource.FAST_BROWNIAN)):
+        wanted = [sh[i] for sh in shapes]
+        for shape in dict.fromkeys(wanted):
+            draws[source, shape] = _normal_blocks(stream.child(source), shape, wanted.count(shape))
+    return [_signal_ensemble(m, T, s, P, draws[NoiseSource.SLOW_BROWNIAN, v],
+                             draws[NoiseSource.FAST_BROWNIAN, f])
+            for m, s, (v, f) in zip(models, schemes, shapes)]
+
+
+def _normal_blocks(stream: RngStream, shape: tuple, readers: int):
+    """Standard normal blocks of ``shape`` from one generator of ``stream``,
+    each yielded ``readers`` times in a row: readers that advance in lockstep,
+    one block each per step, all read one draw."""
+    gen = stream.generator()
+    while True:
+        yield from [gen.standard_normal(shape)] * readers
+
+
+def _signal_ensemble(model: SlowFastModel, T: float, scheme: StepScheme, n_paths: int,
+                     slow, fast):
+    """``signal_ensemble_steps`` driven by the per-step standard normal blocks
+    ``slow`` and ``fast``, scaled here: sigma times a standard normal is
+    ``normal(0, sigma)`` bit for bit."""
     if model.nu1.total_intensity > 0 or model.nu2.total_intensity > 0:
         raise ValueError("ensemble simulation supports jump-free signals only")
     times = make_grid(T, scheme.dt_slow)
     dt = scheme.dt_slow
     dt_fast = _fast_scheme_params(model, scheme)
     P = int(n_paths)
-
-    gen_v = stream.child(NoiseSource.SLOW_BROWNIAN).generator()
-    gen_w = stream.child(NoiseSource.FAST_BROWNIAN).generator()
     X = np.broadcast_to(model.x0, (P, model.n)).copy()
     Z = np.broadcast_to(model.z0, (P, model.m)).copy()
     yield times[0], X, Z
-    substeps = scheme.substeps
     sqdt = math.sqrt(dt)
-    for t in times[1:]:
-        dV = gen_v.normal(0.0, sqdt, size=(P, model.l1))
+    for t, slow_normals, fast_normals in zip(times[1:], slow, fast):
+        dV = sqdt * slow_normals
         if dt_fast is None:
-            fast_noise = gen_w.normal(size=(P, 1))
+            fast_noise = fast_normals
         else:
-            dW = gen_w.normal(0.0, math.sqrt(dt_fast / model.epsilon), size=(substeps, P, model.l2))
-            fast_noise = np.moveaxis(dW, 0, -2)
+            fast_noise = np.moveaxis(math.sqrt(dt_fast / model.epsilon) * fast_normals, 0, -2)
         X, Z = signal_step(model, dt_fast, X, Z, dV, fast_noise, dt)
         _check_finite((X, Z), t)
         yield t, X, Z

@@ -11,7 +11,13 @@ from hypothesis import given, strategies as st
 
 from levyfilter import (
     PRESETS,
+    NoiseSource,
     RngStream,
+    preset_from_config,
+    preset_to_config,
+    run_filter,
+    simulate_full,
+    with_epsilon,
     make_grid,
     martingale_check,
     convergence_study,
@@ -26,7 +32,7 @@ from levyfilter import (
 from levyfilter import experiments, sde
 from levyfilter.averaging import build_homogenized
 from levyfilter.errors import ConfigError
-from levyfilter.filtering import _batch_log_weight
+from levyfilter.filtering import FullDynamics, ParticleEnsemble, _batch_log_weight, run_filter_batch
 from levyfilter.sde import ObservationRecord
 
 
@@ -297,7 +303,7 @@ def test_martingale_check_needs_two_runs_per_route(kwargs, name, monkeypatch):
 
     monkeypatch.setattr("levyfilter.experiments.build_homogenized", no_work)
     monkeypatch.setattr("levyfilter.experiments.homogenized_ensemble_steps", no_work)
-    monkeypatch.setattr("levyfilter.experiments.signal_ensemble_steps", no_work)
+    monkeypatch.setattr("levyfilter.experiments._signal_ensembles", no_work)
     with pytest.raises(ValueError, match=f"{name} must be at least 2"):
         martingale_check(PRESETS["example6"](), epsilon=0.5, T=0.1, dt=0.02, **kwargs)
 
@@ -322,7 +328,7 @@ def test_signal_convergence_study_checks_every_epsilon_first(epsilons, monkeypat
         raise AssertionError("the study ran an ensemble before checking every epsilon")
 
     for module in (experiments, sde):
-        monkeypatch.setattr(module, "signal_ensemble_steps", no_work)
+        monkeypatch.setattr(module, "_signal_ensembles", no_work)
         monkeypatch.setattr(module, "homogenized_ensemble_steps", no_work)
     monkeypatch.setattr(experiments, "build_homogenized", no_work)
     with pytest.raises(ConfigError) as info:
@@ -330,21 +336,181 @@ def test_signal_convergence_study_checks_every_epsilon_first(epsilons, monkeypat
     assert info.value.key == "epsilon"
 
 
+def _count_draw_streams(monkeypatch) -> list:
+    """The (shape, readers) of every draw stream the signal ensembles open."""
+    opened = []
+
+    def blocks(stream, shape, readers, _fn=sde._normal_blocks):
+        opened.append((shape, readers))
+        return _fn(stream, shape, readers)
+
+    monkeypatch.setattr(sde, "_normal_blocks", blocks)
+    return opened
+
+
 def test_convergence_study_runs_each_ensemble_once(monkeypatch):
-    calls = {"signal_ensemble_steps": 0, "homogenized_ensemble_steps": 0}
-    for name in calls:
-        def spy(*args, _fn=getattr(sde, name), _name=name, **kwargs):
+    # E full ensembles and one reduced ensemble; the full ones read one draw
+    # stream per noise: the slow draws and, on the exact-OU route, the fast
+    calls = {"_signal_ensemble": 0, "homogenized_ensemble_steps": 0}
+    for module, name in ((sde, "_signal_ensemble"), (experiments, "homogenized_ensemble_steps")):
+        def spy(*args, _fn=getattr(module, name), _name=name, **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
 
-        for module in (experiments, sde):
-            monkeypatch.setattr(module, name, spy)
+        monkeypatch.setattr(module, name, spy)
+    opened = _count_draw_streams(monkeypatch)
     epsilons = [0.5, 0.1, 0.02]
     convergence_study(
         PRESETS["example6"](), epsilons, replications=2, n_particles=16, psis=["tanh"],
         T=0.1, dt=0.02, seed=3, signal_paths=60, martingale_runs=40,
     )
-    assert calls == {"signal_ensemble_steps": len(epsilons), "homogenized_ensemble_steps": 1}
+    assert calls == {"_signal_ensemble": len(epsilons), "homogenized_ensemble_steps": 1}
+    assert opened == [((60, 1), 3), ((60, 1), 3)]
+
+
+def _euler_example6():
+    cfg = preset_to_config(PRESETS["example6"]())
+    del cfg["model"]["ou_fast"]
+    return preset_from_config(cfg)
+
+
+def test_law_ensembles_share_one_draw_stream_per_shape(monkeypatch):
+    # Euler route at dt = 0.01: eps 0.05 takes 2 substeps, 0.03 and 0.028 take
+    # 4, so the fast draws form two shape groups; every ensemble is bitwise the
+    # one it runs alone
+    opened = _count_draw_streams(monkeypatch)
+    preset, dt, T, P = _euler_example6(), 0.01, 0.05, 30
+    models = [with_epsilon(preset, e).model for e in (0.05, 0.03, 0.028)]
+    schemes = [default_scheme(m, dt) for m in models]
+    stream = RngStream(9, 4)
+    shared = sde._signal_ensembles(models, schemes, T, P, stream)
+    assert opened == [((P, 1), 3), ((2, P, 1), 1), ((4, P, 1), 2)]
+    monkeypatch.undo()
+    alone = [sde.signal_ensemble_steps(m, T, s, P, stream) for m, s in zip(models, schemes)]
+    for steps in zip(*shared, *alone):
+        for (t, X, Z), (t1, X1, Z1) in zip(steps[:3], steps[3:]):
+            assert t == t1
+            np.testing.assert_array_equal(X, X1)
+            np.testing.assert_array_equal(Z, Z1)
+    assert sde._signal_ensembles([], [], T, P, stream) == []
+
+
+def _hexes(a):
+    return [float(v).hex() for v in np.ravel(a)]
+
+
+def _study_and_its_outputs(monkeypatch, preset, epsilons, **kwargs):
+    """filter_convergence_study with the outputs of its filter pass kept."""
+    kept = []
+
+    def keep(*args, _fn=experiments._filter_pass, **kw):
+        kept.append(_fn(*args, **kw))
+        return kept[-1]
+
+    monkeypatch.setattr(experiments, "_filter_pass", keep)
+    report = filter_convergence_study(preset, epsilons, **kwargs)
+    assert len(kept) == 1
+    return report, kept[0]
+
+
+@pytest.mark.parametrize("route, epsilons, ess_frac", [
+    ("exact_ou", [0.5, 0.1, 0.02], 0.5),
+    ("exact_ou", [0.5, 0.1, 0.02], 0.999),
+    ("euler", [0.05, 0.03, 0.02], 0.999),
+])
+def test_filter_study_is_one_coupled_pass_per_epsilon_on_shared_streams(
+        route, epsilons, ess_frac, monkeypatch):
+    # every epsilon's filters read replication r's particle stream
+    # child(0).child(r).child(1) at the widest epsilon's noise width, so each
+    # epsilon's outputs are its coupled pass alone on those streams
+    preset = PRESETS["example6"]() if route == "exact_ou" else _euler_example6()
+    R, N, T, dt, seed, psis = 3, 16, 0.2, 0.02, 3, ["tanh", "arctan"]
+    report, outs = _study_and_its_outputs(
+        monkeypatch, preset, epsilons, replications=R, n_particles=N, psis=psis, T=T, dt=dt,
+        ess_frac=ess_frac, seed=seed)
+    root, hmodel = RngStream(seed), build_homogenized(preset)
+    presets = [with_epsilon(preset, e) for e in epsilons]
+    width = max(FullDynamics(p.model, default_scheme(p.model, dt)).noise_width for p in presets)
+    streams = [root.child(0).child(r).child(1) for r in range(R)]
+    for ie, (peps, row) in enumerate(zip(presets, report.rows)):
+        scheme = default_scheme(peps.model, dt)
+        paths = simulate_full(peps.model, peps.observation, T, scheme,
+                              [root.child(ie).child(r).child(0) for r in range(R)])
+        full, homog = run_filter_batch(
+            [p.observations() for p in paths], "both", peps, N, psis, streams, hmodel=hmodel,
+            scheme=scheme, ess_frac=ess_frac, noise_width=width)
+        for got, want in zip(outs[2 * ie] + outs[2 * ie + 1], full + homog):
+            assert got.mode == want.mode
+            assert _hexes(got.pi) == _hexes(want.pi)
+            assert _hexes(got.log_rho1) == _hexes(want.log_rho1)
+            assert got.resample_steps == want.resample_steps
+        gaps = np.abs(np.array([o.pi[-1] for o in full]) - np.array([o.pi[-1] for o in homog]))
+        assert _hexes(row["mean_gap"]) == _hexes(gaps.mean(axis=0))
+        assert _hexes(row["se_gap"]) == _hexes(gaps.std(axis=0, ddof=1) / math.sqrt(R))
+
+
+class _CountingGenerator:
+    """A particle generator whose block draws are counted."""
+
+    def __init__(self, gen, draws):
+        self.gen, self.draws = gen, draws
+
+    def standard_normal(self, *args, **kwargs):
+        self.draws.append(1)
+        return self.gen.standard_normal(*args, **kwargs)
+
+
+@pytest.mark.parametrize("ess_frac", [1e-9, 0.999, 1.0])
+def test_filter_study_draws_each_particle_key_once(ess_frac, monkeypatch):
+    # particle streams are keyed (run stream, generation, generation start):
+    # without resampling a 3-epsilon study of R rows builds R particle
+    # generators, not 3R, and draws R blocks per step; rows whose keys diverge
+    # draw their own blocks and stay bitwise single-record filters
+    built, draws, caches = [], [], []
+    generator = RngStream.generator
+
+    def spy_generator(stream):
+        gen = generator(stream)
+        if (stream.stream_id >> 64) % (1 << 64) != NoiseSource.PARTICLES:
+            return gen
+        built.append(stream)
+        return _CountingGenerator(gen, draws)
+
+    next_noise = ParticleEnsemble.next_noise
+
+    def spy_noise(self, cache=None):
+        if not caches or caches[-1] is not cache:
+            caches.append(cache)
+        return next_noise(self, cache)
+
+    monkeypatch.setattr(RngStream, "generator", spy_generator)
+    monkeypatch.setattr(ParticleEnsemble, "next_noise", spy_noise)
+    preset, epsilons = PRESETS["example6"](), [0.5, 0.1, 0.02]
+    R, N, T, dt, seed = 3, 16, 0.2, 0.02, 3
+    _, outs = _study_and_its_outputs(
+        monkeypatch, preset, epsilons, replications=R, n_particles=N, psis=["tanh"], T=T,
+        dt=dt, ess_frac=ess_frac, seed=seed)
+    K = int(round(T / dt))
+    assert len(caches) == K
+    assert len(draws) == sum(len(c) for c in caches)
+    assert len(built) == len(set().union(*caches))
+    if ess_frac < 0.5:
+        assert len(built) == R and [len(c) for c in caches] == [R] * K
+        assert all(not o.resample_steps for case in outs for o in case)
+    elif ess_frac < 1.0:
+        assert max(len(c) for c in caches) > R
+    monkeypatch.undo()
+    root, hmodel = RngStream(seed), build_homogenized(preset)
+    for ie, eps in enumerate(epsilons):
+        peps = with_epsilon(preset, eps)
+        for r in range(R):
+            path = simulate_full(peps.model, peps.observation, T, default_scheme(peps.model, dt),
+                                 root.child(ie).child(r).child(0))
+            pair = run_filter(path.observations(), "both", peps, N, ["tanh"],
+                              root.child(0).child(r).child(1), hmodel=hmodel, ess_frac=ess_frac)
+            for got, want in zip((outs[2 * ie][r], outs[2 * ie + 1][r]), pair):
+                assert _hexes(got.pi) == _hexes(want.pi)
+                assert got.resample_steps == want.resample_steps
 
 
 def _diagnostics(row):

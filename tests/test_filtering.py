@@ -32,7 +32,6 @@ from levyfilter.filtering import (
     FullDynamics,
     HomogDynamics,
     _batch_log_weight,
-    _coupled_noise,
     estimate,
     init_ensemble,
     propagate,
@@ -41,6 +40,7 @@ from levyfilter.filtering import (
     run_filter_batch,
 )
 from levyfilter.models import check_thinning
+from levyfilter.sde import euler_step
 
 
 # ---------------------------------------------------------------------------
@@ -576,23 +576,81 @@ def test_coupled_pass_is_bitwise_two_single_mode_passes(ess_frac):
     np.testing.assert_array_equal(one_homog.pi, homog[1].pi)
 
 
-def test_coupled_pass_draws_a_shared_block_once():
-    # with no resampling both modes stay in generation 0 from step 0, so the
-    # reduced ensemble reads the full ensemble's block without drawing
+def test_coupled_pass_draws_a_shared_block_once(monkeypatch):
+    # with no resampling both modes stay in generation 0 from step 0, so their
+    # rows hold one key: the reduced ensemble reads the full ensemble's block
+    # and adopts its generator, and the pass builds one generator for the row
+    built = []
+    generator = RngStream.generator
+    monkeypatch.setattr(RngStream, "generator", lambda s: built.append(s) or generator(s))
     preset = PRESETS["example6"]()
     full = init_ensemble(6, preset.model.x0, preset.model.z0, [RngStream(1, 0)], 2)
     homog = init_ensemble(6, preset.model.x0, None, [RngStream(1, 0)], 2)
-    block_f, block_h = _coupled_noise(full, homog)
-    assert block_h is block_f and not block_f.flags.writeable
-    assert homog._noise[0] is full._noise[0]
-    # after the full row resamples, the reduced row keeps the generator, which
-    # is where a reduced ensemble drawing on its own would be
+    for _ in range(2):
+        cache = {}
+        block_f = full.next_noise(cache)
+        block_h = homog.next_noise(cache)
+        assert block_h is block_f and not block_f.flags.writeable
+        assert len(cache) == 1 and homog._noise[0] is full._noise[0]
+    assert len(built) == 1
+    # after the full row resamples its key changes: each row draws its own
+    # block, and the reduced row keeps the generator, which is where a reduced
+    # ensemble drawing on its own would be
     resample(full, 0)
-    block_f, block_h = _coupled_noise(full, homog)
-    assert homog._noise[0] is not full._noise[0]
+    assert full.generation_start[0] == 2
+    cache = {}
+    block_f, block_h = full.next_noise(cache), homog.next_noise(cache)
+    assert len(cache) == 2 and homog._noise[0] is not full._noise[0]
     single = init_ensemble(6, preset.model.x0, None, [RngStream(1, 0)], 2)
-    single.next_noise()
+    for _ in range(2):
+        single.next_noise()
     np.testing.assert_array_equal(block_h, single.next_noise())
+    resampled = init_ensemble(6, preset.model.x0, None, [RngStream(1, 0)], 2)
+    resampled.resample_count[()] = 1
+    np.testing.assert_array_equal(block_f, resampled.next_noise())
+
+
+def test_resample_of_a_stack_needs_a_row():
+    stack = init_ensemble(4, np.zeros(1), None, [RngStream(5, r) for r in range(3)], 1)
+    before = stack.x.copy()
+    with pytest.raises(ValueError, match=r"row axes \(3,\)"):
+        resample(stack)
+    np.testing.assert_array_equal(stack.x, before)
+    assert list(stack.resample_count) == [0, 0, 0]
+    resample(stack, 2)
+    assert list(stack.resample_count) == [0, 0, 1]
+
+
+_finite = st.floats(-1e3, 1e3, allow_nan=False, width=64)
+
+
+@settings(max_examples=50)
+@given(rows=st.integers(1, 5), n=st.integers(1, 3), data=st.data())
+def test_one_column_paths_are_the_general_reductions(rows, n, data):
+    # euler_step with one noise column and the Gaussian log-weight with d = 1
+    # take plain products; they equal the einsum and the sums over a length-1 axis
+    def arr(shape):
+        return np.array(data.draw(st.lists(_finite, min_size=int(np.prod(shape)),
+                                           max_size=int(np.prod(shape)))),
+                        dtype=float).reshape(shape)
+
+    x, drift, diffusion, dV = arr((rows, n)), arr((rows, n)), arr((rows, n, 1)), arr((rows, 1))
+    dt = data.draw(st.floats(1e-4, 1.0))
+    np.testing.assert_array_equal(
+        euler_step(x, drift, diffusion, dV, dt),
+        x + drift * dt + np.einsum("...nl,...l->...n", diffusion, dV),
+    )
+    # a shared diffusion matrix broadcasts over the rows as the einsum does
+    np.testing.assert_array_equal(
+        euler_step(x, drift, diffusion[0], dV, dt),
+        x + drift * dt + np.einsum("...nl,...l->...n", diffusion[0], dV),
+    )
+    obs = make_linear_gaussian().observation       # no observation jumps
+    h_vals, d_bbar = arr((rows, 4, 1)), arr((rows, 1, 1))
+    np.testing.assert_array_equal(
+        _batch_log_weight(obs, h_vals, x, d_bbar, dt, 1.0, ()),
+        np.sum(h_vals * d_bbar, axis=-1) - 0.5 * dt * np.sum(h_vals * h_vals, axis=-1),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -33,8 +33,8 @@ from .errors import (
     StiffnessError,
     UnsupportedMeasureError,
 )
-from .experiments import convergence_study, default_scheme
-from .filtering import full_noise_width, psi_from_string, run_filter
+from .experiments import _at_least_two, _check_epsilons, convergence_study, default_scheme
+from .filtering import psi_from_string, run_filter
 from .models import (
     PRESETS,
     ModelPreset,
@@ -221,10 +221,15 @@ def _split_top_level(text: str) -> list[str]:
 
 
 def _psi_list(args) -> list:
+    """The --psi functionals, none repeated (its columns would be written twice)."""
     specs = []
     for chunk in args.psi or ["tanh"]:
         specs.extend(_split_top_level(chunk))
-    return [psi_from_string(s) for s in specs]
+    psis = [psi_from_string(s) for s in specs]
+    names = [p.name for p in psis]
+    if len(set(names)) < len(names):
+        raise ConfigError(f"--psi names a functional twice: {names}", key="psi")
+    return psis
 
 
 def _threads(args) -> int:
@@ -358,13 +363,10 @@ def _cmd_filter(args) -> int:
     summary = {"modes": {}, "truth_terminal": [float(v) for v in path.X[-1]]}
     modes = ["full", "homog"] if args.mode == "both" else [args.mode]
     hmodel = build_homogenized(preset) if "homog" in modes else None
-    # the full filter's width in every mode, so the homog filter reads the same
-    # noise columns whether or not the full filter runs beside it; "both" is
-    # one coupled pass
+    # "both" is one coupled pass; the homog filter's output is the same alone
     outs = run_filter(
         rec, mode=args.mode, preset=preset, n_particles=args.particles, psis=psis,
         stream=root.child(1), hmodel=hmodel, scheme=scheme, ess_frac=args.ess_frac,
-        noise_width=full_noise_width(preset.model, scheme),
     )
     for mode, out in zip(modes, outs if args.mode == "both" else [outs]):
         out.to_csv(out_dir / f"filter_{mode}.csv")
@@ -383,21 +385,12 @@ def _cmd_converge(args) -> int:
     preset = _load_preset(args)
     out_dir = Path(args.out)
     psis = _psi_list(args)
-    epsilons = [float(v) for v in _split_top_level(args.eps)]
+    epsilons = _check_epsilons(_split_top_level(args.eps))
     if len(epsilons) < 2:
         raise ConfigError("--eps needs at least two values (the plots draw a line over eps)",
                           key="eps")
-    if not all(e > 0 for e in epsilons):
-        raise ConfigError(f"--eps values must be > 0, got {epsilons}", key="eps")
-    if args.replications < 2:
-        raise ConfigError("--replications must be at least 2 (the gap SE and the KS distance "
-                          f"need two), got {args.replications}", key="replications")
-    if args.signal_paths < 2:
-        raise ConfigError("--signal-paths must be at least 2 (the signal KS distance needs two), "
-                          f"got {args.signal_paths}", key="signal_paths")
-    if args.martingale_runs < 2:
-        raise ConfigError("--martingale-runs must be at least 2 (the martingale SE needs two), "
-                          f"got {args.martingale_runs}", key="martingale_runs")
+    for name in ("replications", "signal_paths", "martingale_runs"):
+        _at_least_two(name, getattr(args, name))
     threads = _threads(args)
     _run_config(
         args, "converge", preset,

@@ -8,7 +8,8 @@ epsilon's full and reduced filters in one lockstep pass whose row r reads
 the particle stream (study seed, 0, r) at every epsilon: common random
 numbers across epsilon.  No path or filter row depends on the other rows,
 so the numbers are a deterministic function of the seed.  The signal KS and
-the martingale check share one streamed pass over the law ensembles.
+the martingale check share one streamed pass over the law ensembles, which
+step through the filter's dynamics objects.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .averaging import HomogenizedModel, build_homogenized
+from .errors import ConfigError
 from .filtering import (
     PsiSpec,
     _batch_log_weight,
@@ -31,9 +33,10 @@ from .noise import RngStream
 from .sde import (
     StepScheme,
     _events_by_step,
-    _signal_ensembles,
+    _homogenized_law,
+    _law_steps,
+    _signal_law,
     default_scheme,
-    homogenized_ensemble_steps,
     make_grid,
     simulate_full,
 )
@@ -94,9 +97,8 @@ def _law_pass(preset, hmodel, presets, T, dt, root, ks_paths: int = 0, runs: int
     averaged sensor.  No KS paths compute no KS; no runs draw nothing for
     the observations and evaluate no sensor."""
     P, obs = max(ks_paths, runs), preset.observation
-    reduced = homogenized_ensemble_steps(hmodel, T, dt, P, root.child(2))
-    full = _signal_ensembles([p.model for p in presets],
-                             [default_scheme(p.model, dt) for p in presets], T, P, root.child(0))
+    laws = [_homogenized_law(hmodel, root.child(2))]
+    laws += [_signal_law(p.model, default_scheme(p.model, dt), root.child(0)) for p in presets]
     logl = np.zeros((1 + len(presets), runs))
     if runs:
         # reference-law events of every run, charged to their run by the weight
@@ -110,17 +112,17 @@ def _law_pass(preset, hmodel, presets, T, dt, root, ks_paths: int = 0, runs: int
         gen_obs = root.child(1).generator()
     # one step at a time, so state-dependent thinning never holds more than a
     # (runs, quadrature nodes) block
-    for k, ((t, X0), *fulls) in enumerate(zip(reduced, *full)):
+    for k, (t, ((X0, _), *fulls)) in enumerate(_law_steps(laws, T, dt, P)):
         if k == 0 or not runs:   # the common start carries no increment
             continue
         dbar = gen_obs.standard_normal((runs, obs.d)) * math.sqrt(dt)
         states = [(X0[:runs], hmodel.hbar(X0[:runs]))]
-        states += [(X[:runs], obs.h(X[:runs], Z[:runs])) for _, X, Z in fulls]
+        states += [(X[:runs], obs.h(X[:runs], Z[:runs])) for X, Z in fulls]
         for row, (X, hv) in enumerate(states):
             hv = np.asarray(hv, dtype=float)
             logl[row] += _batch_log_weight(obs, hv, X, dbar, dt, float(t), events.get(k - 1, ()))
     ks = [max(ks_statistic(X[:ks_paths, j], X0[:ks_paths, j]) for j in range(X0.shape[1]))
-          for _, X, _ in fulls] if ks_paths else []
+          for X, _ in fulls] if ks_paths else []
     return ks, logl
 
 
@@ -288,15 +290,19 @@ def _at_least_two(name: str, count) -> int:
     KS distance) needs two samples."""
     n = int(count)
     if n < 2:
-        raise ValueError(f"{name} must be at least 2 (a standard error needs two), got {n}")
+        raise ConfigError(f"{name} must be at least 2 (a standard error needs two), got {n}",
+                          key=name)
     return n
 
 
 def _check_epsilons(epsilons) -> list[float]:
+    """The epsilons of a study as floats, each > 0 and none repeated (two rows for one)."""
     eps = [float(e) for e in epsilons]
     bad = [e for e in eps if not e > 0]
     if bad:
-        raise ValueError(f"every epsilon must be > 0, got {bad}")
+        raise ConfigError(f"every epsilon must be > 0, got {bad}", key="eps")
+    if len(set(eps)) < len(eps):
+        raise ConfigError(f"every epsilon must appear once, got {eps}", key="eps")
     return eps
 
 
@@ -318,15 +324,15 @@ def filter_convergence_study(
     Each replication simulates one truth-plus-observation path of the full
     model, then runs both filters on those observations with a shared
     propagation-noise stream (common random numbers: the reduced filter reads
-    the same slow-Brownian columns the full filter uses), which strips most
+    the same slow-Brownian blocks the full filter uses), which strips most
     particle noise out of the terminal gap |pi_full(psi) - pi_homog(psi)|.
     Per epsilon, one ``simulate_full`` call advances every replication's path
     (``child(e).child(r).child(0)``); then one ``_filter_pass`` runs the 2E
     filters with the replications as rows, row r reading
-    ``child(0).child(r).child(1)`` at every epsilon and the widest epsilon's
-    noise width, so a step's block is drawn once per replication and key and
-    shared by every epsilon and both filters.  ``threads`` is accepted for
-    callers that still pass a worker count and has no effect.
+    ``child(0).child(r).child(1)`` at every epsilon, so a step's block of a
+    (source, shape) key is drawn once per replication and shared by every
+    filter that reads it.  ``threads`` is accepted for callers that still
+    pass a worker count and has no effect.
     Reported per epsilon: the mean coupled gap and its SE per functional, and
     the KS distance between the replication samples of the two terminal
     estimates (a coupling-free, distribution-level comparison).

@@ -20,11 +20,10 @@ the compensator.
 The filter runs R observation records at once on (R, N, .) ensembles, one
 row per record: propagation, the weight update and the estimates are array
 operations over every row, while each row keeps its own observation events,
-resample decisions and noise.  Propagation noise comes from one stream per
-(row's run stream, row's resample generation): each step draws the next
-(N, width) block from it, one line per particle in particle order, so a row's
-output is the single-record filter's, independent of which rows share its
-stack and of how the work is scheduled.
+resample decisions and noise.  Each step reads the noise blocks its dynamics
+declare, one stream per (row's run stream, resample generation, source), so a
+row's output is the single-record filter's whatever rows share its stack, and
+a full and a reduced filter on one run stream read the same slow blocks.
 """
 
 from __future__ import annotations
@@ -38,17 +37,17 @@ import numpy as np
 
 from .averaging import HomogenizedModel
 from .errors import ModelViolationError
-from .models import ModelPreset, ObservationModel, SlowFastModel, check_thinning
-from .noise import NoiseSource, RngStream
+from .models import ModelPreset, ObservationModel, check_thinning
+from .noise import NoiseSource, RngStream, keyed_normals
 from .sde import (
+    FullDynamics,
+    HomogDynamics,
     ObservationRecord,
     StepScheme,
+    _SIGNAL_SOURCES,
     _events_by_step,
-    _fast_scheme_params,
     _stack_events,
     default_scheme,
-    euler_step,
-    signal_step,
 )
 
 _INDICATOR_WIDTH = 1e-2
@@ -117,15 +116,10 @@ class ParticleEnsemble:
     one record, (R,) for a stack of R records advanced together.  ``streams``,
     ``resample_count`` and ``generation_start`` are arrays of shape ``rows``
     holding each row's run stream, resample generation and the step at which
-    that generation began.  Each row and resample generation draws its noise
-    from one generator, built on first use from the child stream
-    (PARTICLES, resample generation) of the row's run stream; ``resample``
-    drops it so the row's next generation is re-keyed.  Successive draws of
-    one generator equal the rows of a single large draw, so step k of a
-    generation gets row k of a (K, N, width) block of standard normals, rows
-    in particle order: a row's block is a function of its key (run stream,
-    resample generation, generation start) and the step, never of the other
-    rows.
+    that generation began.  Block s of a row's step is read from the stream
+    (PARTICLES, resample generation, ``_SIGNAL_SOURCES[s]``) below the row's
+    run stream, re-keyed by ``resample``, whose g-th call on a row reads
+    uniform g of the row's stream (RESAMPLING).
     """
 
     x: np.ndarray                      # (*rows, N, n)
@@ -135,12 +129,14 @@ class ParticleEnsemble:
     streams: np.ndarray                # (*rows,) RngStream objects
     resample_count: np.ndarray         # (*rows,) ints
     generation_start: np.ndarray       # (*rows,) ints, steps drawn before the generation
-    _noise_width: int = 1
     _steps: int = 0                    # steps drawn so far
-    _noise: list = field(init=False, repr=False)   # generator per row, rows flattened
+    _noise: list = field(init=False, repr=False)     # (streams, gens) per source, rows flattened
+    _offsets: list = field(init=False, repr=False)   # resampling generator per row
 
     def __post_init__(self):
-        self._noise = [None] * self.streams.size
+        n = self.streams.size
+        self._noise = [([None] * n, [None] * n) for _ in _SIGNAL_SOURCES]
+        self._offsets = [None] * n
 
     @property
     def rows(self) -> tuple:
@@ -150,39 +146,20 @@ class ParticleEnsemble:
     def n_particles(self) -> int:
         return self.log_weights.shape[-1]
 
-    def next_noise(self, cache: dict | None = None) -> np.ndarray:
-        """(*rows, N, width) standard normals for one step, each row from its
-        generation's stream.  The block is read-only.
-
-        ``cache`` is one step's dict shared by the ensembles of a pass, all on
-        the same N and width: it maps a row key to (generator, block, row) of
-        the first row that drew it.  A row whose key is there adopts that
-        generator and reads that row instead of drawing; an ensemble whose
-        rows all read one block's rows in order returns that block itself.
-        """
-        N, width = self.n_particles, self._noise_width
+    def next_noise(self, shapes: tuple, cache: dict | None = None) -> tuple:
+        """One step's blocks of the dynamics' ``shapes``, (*rows, *shape) each, by
+        ``keyed_normals`` through ``cache``, the step's dict for the whole pass."""
         cache = {} if cache is None else cache
-        gens, out, hits = self._noise, np.empty(self.rows + (N, width)), []
-        rows = out.reshape(-1, N, width)
-        keys = zip(self.streams.flat, self.resample_count.flat, self.generation_start.flat)
-        for i, (stream, generation, start) in enumerate(keys):
-            key = (stream.root_seed, stream.stream_id, int(generation), int(start))
-            if key in cache:
-                gens[i], block, j = cache[key]
-                hits.append((i, block, j))
-                continue
-            if gens[i] is None:
-                gens[i] = stream.child(NoiseSource.PARTICLES).child(int(generation)).generator()
-            gens[i].standard_normal(out=rows[i])
-            cache[key] = (gens[i], out, i)
+        for i, stream in enumerate(self._noise[0][0]):
+            if stream is None:      # the row's generation begins: key its source streams
+                generation = self.streams.flat[i].child(NoiseSource.PARTICLES).child(
+                    int(self.resample_count.flat[i]))
+                for source, (streams, _) in zip(_SIGNAL_SOURCES, self._noise):
+                    streams[i] = generation.child(source)
+        starts = self.generation_start.reshape(-1).tolist()
         self._steps += 1
-        if len(hits) == len(gens) and hits[0][1].shape == out.shape and all(
-                b is hits[0][1] and i == j for i, b, j in hits):
-            return hits[0][1]
-        for i, block, j in hits:
-            rows[i] = block.reshape(-1, N, width)[j]
-        out.flags.writeable = False
-        return out
+        return tuple(keyed_normals(streams, starts, shape, gens, cache, self.rows)
+                     for shape, (streams, gens) in zip(shapes, self._noise))
 
 
 def init_ensemble(
@@ -190,7 +167,6 @@ def init_ensemble(
     x0: np.ndarray,
     z0: np.ndarray | None,
     stream: RngStream | list[RngStream],
-    noise_width: int,
 ) -> ParticleEnsemble:
     """N particles at (x0, z0) with equal weights.
 
@@ -199,14 +175,11 @@ def init_ensemble(
     """
     if n_particles < 1:
         raise ValueError("need at least one particle")
-    if isinstance(stream, RngStream):
-        streams = np.empty((), dtype=object)
-        streams[()] = stream
-    else:
-        streams = np.empty(len(stream), dtype=object)
-        streams[:] = list(stream)
-        if streams.size == 0:
-            raise ValueError("need at least one run stream")
+    single = isinstance(stream, RngStream)
+    streams = np.empty(() if single else len(stream), dtype=object)
+    streams[...] = stream if single else list(stream)
+    if streams.size == 0:
+        raise ValueError("need at least one run stream")
     rows = streams.shape
 
     def tile(v):
@@ -220,89 +193,19 @@ def init_ensemble(
         streams=streams,
         resample_count=np.zeros(rows, dtype=int),
         generation_start=np.zeros(rows, dtype=int),
-        _noise_width=noise_width,
     )
 
 
-# ---------------------------------------------------------------------------
-# dynamics
-
-
-def full_noise_width(model: SlowFastModel, scheme: StepScheme) -> int:
-    """Noise columns per particle and step of the full filter under ``scheme``.
-
-    The l1 slow Brownian columns come first, then one standard normal for an
-    exact OU transition or substeps x l2 Euler increments of the fast part.
-    A reduced filter run at this width reads the same slow columns, which is
-    how the full and reduced filters share common random numbers.
-    """
-    if scheme.fast_mode == "exact_ou":
-        return model.l1 + 1
-    return model.l1 + scheme.substeps * model.l2
-
-
-@dataclass
-class FullDynamics:
-    """Signal dynamics of the two-timescale model, one coarse step at a time."""
-
-    model: SlowFastModel
-    scheme: StepScheme
-
-    def __post_init__(self):
-        self.dt_fast = _fast_scheme_params(self.model, self.scheme)
-        if self.model.nu1.total_intensity > 0 or self.model.nu2.total_intensity > 0:
-            raise ValueError(
-                "particle propagation currently supports jump-free signal dynamics"
-            )
-
-    @property
-    def noise_width(self) -> int:
-        return full_noise_width(self.model, self.scheme)
-
-    def step(self, ens: ParticleEnsemble, col: np.ndarray, dt: float):
-        m = self.model
-        dV = col[..., : m.l1] * math.sqrt(dt)
-        if self.dt_fast is None:
-            fast_noise = col[..., m.l1: m.l1 + 1]
-        else:
-            fast = col[..., m.l1: self.noise_width]     # a wider block's extra columns unread
-            dW = fast.reshape(col.shape[:-1] + (self.scheme.substeps, m.l2))
-            fast_noise = dW * math.sqrt(self.dt_fast / m.epsilon)
-        ens.x, ens.z = signal_step(m, self.dt_fast, ens.x, ens.z, dV, fast_noise, dt)
-
-
-@dataclass
-class HomogDynamics:
-    """Reduced-model dynamics for the particles of the limit filter."""
-
-    hmodel: HomogenizedModel
-
-    def __post_init__(self):
-        if self.hmodel.nu1.total_intensity > 0:
-            raise ValueError(
-                "particle propagation currently supports jump-free signal dynamics"
-            )
-
-    @property
-    def noise_width(self) -> int:
-        return self.hmodel.l_factor
-
-    def step(self, ens: ParticleEnsemble, col: np.ndarray, dt: float):
-        h = self.hmodel
-        dV = col[..., : h.l_factor] * math.sqrt(dt)
-        ens.x = euler_step(ens.x, h.bbar1(ens.x), h.sigmabar1(ens.x), dV, dt)
-
-
-def propagate(ens: ParticleEnsemble, dynamics, dt: float, noise: np.ndarray) -> ParticleEnsemble:
+def propagate(ens: ParticleEnsemble, dynamics, dt: float, noise: tuple) -> ParticleEnsemble:
     """Advance every particle by one step of the signal dynamics (in place).
 
-    ``noise`` is the step's block from ``ens.next_noise``.  Propagation never
+    ``noise`` is the step's blocks from ``ens.next_noise``.  Propagation never
     touches the weights: under the reference law the observation carries no
     drift information into the signal itself.
     """
     if not dt > 0:
         raise ValueError(f"dt must be > 0, got {dt}")
-    dynamics.step(ens, noise, dt)
+    ens.x, ens.z = dynamics.step(ens.x, ens.z, noise, dt)
     ens.time += dt
     if not np.all(np.isfinite(ens.x)):
         raise ModelViolationError(f"particle states became non-finite at t={ens.time:.6g}")
@@ -407,9 +310,11 @@ def resample(ens: ParticleEnsemble, row: tuple | int = ()) -> ParticleEnsemble:
     log_rho1 = mx + math.log(den / N)
     p = w / den
     generation = int(ens.resample_count[row])
-    offsets_gen = ens.streams[row].child(NoiseSource.RESAMPLING).child(generation).generator()
-    u0 = offsets_gen.uniform()
-    positions = (u0 + np.arange(N)) / N
+    i = int(np.arange(ens.streams.size).reshape(ens.rows)[row])    # the row, rows flattened
+    if ens._offsets[i] is None:
+        ens._offsets[i] = ens.streams[row].child(NoiseSource.RESAMPLING).generator()
+        ens._offsets[i].uniform(size=generation)     # resample g reads uniform g
+    positions = (ens._offsets[i].uniform() + np.arange(N)) / N
     cdf = np.cumsum(p)
     cdf[-1] = 1.0  # guard against cumulative roundoff at the top end
     idx = np.searchsorted(cdf, positions, side="left")
@@ -419,8 +324,8 @@ def resample(ens: ParticleEnsemble, row: tuple | int = ()) -> ParticleEnsemble:
     ens.log_weights[row] = log_rho1
     ens.resample_count[row] = generation + 1
     ens.generation_start[row] = ens._steps
-    # drop the row's generator; ``_noise`` holds the rows flattened
-    ens._noise[int(np.arange(len(ens._noise)).reshape(ens.rows)[row])] = None
+    for streams, gens in ens._noise:    # the next generation's streams are keyed on use
+        streams[i] = gens[i] = None
     return ens
 
 
@@ -473,10 +378,12 @@ def run_filter(
     A stack of one for ``run_filter_batch``, which documents the arguments;
     ``mode='both'`` returns the (full, homog) pair.  The output is a
     deterministic function of (observations, parameters, stream).
+    ``noise_width`` is accepted for callers that still pass it and has no
+    effect: each filter reads the blocks its dynamics declare.
     """
     out = run_filter_batch(
         [observations], mode, preset, n_particles, psis, [stream], hmodel=hmodel,
-        scheme=scheme, ess_frac=ess_frac, noise_width=noise_width,
+        scheme=scheme, ess_frac=ess_frac,
     )
     return (out[0][0], out[1][0]) if mode == "both" else out[0]
 
@@ -538,7 +445,6 @@ def run_filter_batch(
     hmodel: HomogenizedModel | None = None,
     scheme: StepScheme | None = None,
     ess_frac: float = 0.5,
-    noise_width: int | None = None,
 ) -> list[FilterOutput] | tuple[list[FilterOutput], list[FilterOutput]]:
     """Run one particle filter per observation record, all records advanced together.
 
@@ -550,35 +456,31 @@ def run_filter_batch(
     propagates the reduced model (``hmodel`` required) and evaluates the
     averaged sensor in the weights.  One propagation step is taken per
     observation step.  A row resamples after the weight update when its
-    ESS < ess_frac * N.  ``noise_width`` can widen each step's (N, width)
-    noise block (one row per particle) beyond what the dynamics consume, which
-    lets a full and a reduced filter share their slow-noise columns for
-    coupled comparisons.
+    ESS < ess_frac * N.  Both modes read the same slow blocks of a run
+    stream, which couples a full and a reduced filter for comparisons.
 
-    ``mode='both'`` runs the full and the reduced filter in one step loop at
-    the wider of their two widths and returns (full outputs, homog outputs),
-    each bitwise what the single-mode call at that width returns; a row whose
-    two modes are in the same resample generation, begun at the same step,
-    draws its block once.  Every mode is a one-case or two-case call of
+    ``mode='both'`` runs the full and the reduced filter in one step loop and
+    returns (full outputs, homog outputs), each bitwise what the single-mode
+    call returns; a row whose modes share a generation and its start draws
+    its slow block once.  Every mode is a one-case or two-case call of
     ``_filter_pass``.
     """
     if mode not in ("full", "homog", "both"):
         raise ValueError(f"mode must be 'full', 'homog' or 'both', got {mode!r}")
     modes = ("full", "homog") if mode == "both" else (mode,)
     outs = _filter_pass([(records, m, preset, hmodel, scheme) for m in modes],
-                        n_particles, psis, streams, ess_frac, noise_width)
+                        n_particles, psis, streams, ess_frac)
     return tuple(outs) if mode == "both" else outs[0]
 
 
-def _filter_pass(cases, n_particles, psis, streams, ess_frac=0.5, noise_width=None) -> list:
+def _filter_pass(cases, n_particles, psis, streams, ess_frac=0.5) -> list:
     """One filter per case, all advanced in one step loop on the run streams
     ``streams``; returns one list of ``FilterOutput`` per case.
 
     A case is (records, mode, preset, hmodel, scheme), mode 'full' or
     'homog', with ``records[r]`` on ``streams[r]`` and one time grid for all.
-    Every ensemble draws blocks at the widest case's width (or
-    ``noise_width``) through one cache per step, so a key's block is drawn
-    once and a case's outputs are bitwise the case run alone at that width.
+    Every ensemble reads its blocks through one cache per step, so a key's
+    block is drawn once and a case's outputs are bitwise the case run alone.
     """
     if not 0.0 < ess_frac <= 1.0:
         raise ValueError(f"ess_frac must lie in (0, 1], got {ess_frac}")
@@ -599,17 +501,13 @@ def _filter_pass(cases, n_particles, psis, streams, ess_frac=0.5, noise_width=No
 
     setups = [_mode_setup(mode, preset, hmodel, scheme, dt)
               for _, mode, preset, hmodel, scheme in cases]
-    need = max(dynamics.noise_width for dynamics, *_ in setups)
-    width = need if noise_width is None else int(noise_width)
-    if width < need:
-        raise ValueError(f"noise_width={width} is narrower than the dynamics need ({need})")
     runs = [
         _ModeRun(
             mode=mode, dynamics=dynamics, sensor=sensor, obs=preset.observation,
             events=_events_by_step(times, *_stack_events(
                 [rec.small_times for rec in records], [rec.small_marks for rec in records])),
             d_bbar=np.stack([rec.bbar_increments for rec in records], axis=1)[:, :, None, :],
-            ens=init_ensemble(n_particles, x0, z0, list(streams), width),
+            ens=init_ensemble(n_particles, x0, z0, list(streams)),
             pi=np.empty((K + 1, R, len(psis))), log_rho1=np.empty((K + 1, R)),
             ess=np.empty((K + 1, R)), resample_steps=[[] for _ in range(R)],
         )
@@ -623,7 +521,7 @@ def _filter_pass(cases, n_particles, psis, streams, ess_frac=0.5, noise_width=No
         cache, t_right = {}, float(times[k + 1])
         for run in runs:
             ens = run.ens
-            propagate(ens, run.dynamics, dt, ens.next_noise(cache))
+            propagate(ens, run.dynamics, dt, ens.next_noise(run.dynamics.blocks(n_particles), cache))
             ens.log_weights += _batch_log_weight(
                 run.obs, run.sensor(ens), ens.x, run.d_bbar[k], dt, t_right, run.events.get(k, ()))
             ess = run.record(k + 1, psis)

@@ -168,7 +168,7 @@ class MarkSampler:
 def _quadrature_rule(kind: str, params: tuple) -> tuple[np.ndarray, np.ndarray]:
     if kind == "uniform":
         a, b = params
-        t, w = np.polynomial.legendre.leggauss(_QUAD_POINTS)
+        t, w = _gauss_legendre(_QUAD_POINTS)
         nodes = 0.5 * (b - a) * t + 0.5 * (a + b)
         weights = 0.5 * w  # integrates the uniform density on [a, b]
     elif kind == "gauss":
@@ -186,6 +186,22 @@ def _quadrature_rule(kind: str, params: tuple) -> tuple[np.ndarray, np.ndarray]:
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
+
+
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1]: Newton's method
+    on the three-term recurrence of P_n, with no eigenvalue problem to solve."""
+    x = np.cos(math.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
+    for _ in range(100):
+        p0, p1 = np.ones_like(x), x
+        for k in range(2, n + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        dp = n * (x * p1 - p0) / (x * x - 1.0)      # P_n'(x)
+        x = x - p1 / dp
+        if np.max(np.abs(p1 / dp)) < 1e-16:
+            break
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    return x, w * (2.0 / w.sum())
 
 
 @dataclass(frozen=True)
@@ -253,6 +269,36 @@ def brownian_increments(stream: RngStream, dim: int, dt: float, count: int) -> n
         raise ValueError(f"count must be >= 0, got {count}")
     gen = stream.generator()
     return gen.normal(0.0, math.sqrt(dt), size=(count, dim))
+
+
+def keyed_normals(streams, starts, shape: tuple, gens: list, cache: dict, rows=()) -> np.ndarray:
+    """One step's read-only standard normals, a ``shape`` block per row stacked
+    (*rows, *shape); row i reads ``streams[i]``, begun at step ``starts[i]``,
+    with generator ``gens[i]`` (None until built).  ``cache``, the step's dict
+    shared by every reader, maps a key (stream, start, shape) to its first
+    reader's (generator, block, row): a later reader adopts that generator and
+    copies that row, or takes the block itself when all its rows hit it in
+    order, so a key is drawn once and a row's block depends on key and step."""
+    out = np.empty(rows + shape)
+    flat = out.reshape((-1,) + shape)
+    hits = []
+    for i, (stream, start) in enumerate(zip(streams, starts)):
+        key = (stream.root_seed, stream.stream_id, start, shape)
+        if key in cache:
+            gens[i], block, j = cache[key]
+            hits.append((i, block, j))
+            continue
+        if gens[i] is None:
+            gens[i] = stream.generator()
+        gens[i].standard_normal(out=flat[i])
+        cache[key] = (gens[i], out, i)
+    if len(hits) == len(gens) and hits[0][1].shape == out.shape and all(
+            b is hits[0][1] and i == j for i, b, j in hits):
+        return hits[0][1]
+    for i, block, j in hits:
+        flat[i] = block.reshape((-1,) + shape)[j]
+    out.flags.writeable = False
+    return out
 
 
 def sample_poisson_jumps(

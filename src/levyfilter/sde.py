@@ -1,4 +1,5 @@
-"""Path simulation for the two-timescale signal and its observation.
+"""Path simulation for the two-timescale signal and its observation, and the
+one step (``FullDynamics``, ``HomogDynamics``) of filter particles and law ensembles.
 
 The slow component is advanced by an Euler step on the coarse grid; the fast
 component is advanced inside each coarse step either by Euler substeps at its
@@ -19,7 +20,7 @@ import numpy as np
 
 from .errors import IntegrationFailureError, StiffnessError
 from .models import ObservationModel, OuFast, SlowFastModel, check_thinning
-from .noise import NoiseSource, RngStream, brownian_increments, sample_poisson_jumps
+from .noise import NoiseSource, RngStream, brownian_increments, keyed_normals, sample_poisson_jumps
 
 _GRID_RTOL = 1e-9
 # independent chains per frozen slow state in simulate_frozen_fast: the cost of
@@ -28,6 +29,8 @@ _GRID_RTOL = 1e-9
 FROZEN_REPLICAS = 16
 # byte budget of one chunk of frozen-chain Brownian increments, all rows together
 _FROZEN_CHUNK_BYTES = 1 << 18
+# the noise source of each block the full dynamics read, in ``blocks`` order
+_SIGNAL_SOURCES = (NoiseSource.SLOW_BROWNIAN, NoiseSource.FAST_BROWNIAN)
 
 
 @dataclass(frozen=True)
@@ -508,7 +511,84 @@ def simulate_reference_observations(
 
 
 # ---------------------------------------------------------------------------
-# vectorized ensembles (law-level sampling for the studies)
+# dynamics of ensembles (filter particles and law-level ensembles)
+
+@dataclass
+class FullDynamics:
+    """One coarse step of the slow/fast signal for an ensemble of states."""
+
+    model: SlowFastModel
+    scheme: StepScheme
+
+    def __post_init__(self):
+        self.dt_fast = _fast_scheme_params(self.model, self.scheme)
+        if self.model.nu1.total_intensity > 0 or self.model.nu2.total_intensity > 0:
+            raise ValueError("ensemble propagation supports jump-free signal dynamics only")
+
+    def blocks(self, count: int) -> tuple:
+        """Standard normal blocks a step of ``count`` states reads: slow (count,
+        l1), then fast (count, 1) on exact OU or (substeps, count, l2) on Euler."""
+        m = self.model
+        fast = (count, 1) if self.dt_fast is None else (self.scheme.substeps, count, m.l2)
+        return (count, m.l1), fast
+
+    @property
+    def noise_width(self) -> int:
+        """Standard normals per state and step."""
+        return sum(math.prod(shape) for shape in self.blocks(1))
+
+    def step(self, x, z, noise, dt: float):
+        """The next (x, z) from the ``blocks`` in ``noise``, behind any row axes."""
+        slow, fast = noise
+        if self.dt_fast is not None:
+            fast = np.moveaxis(math.sqrt(self.dt_fast / self.model.epsilon) * fast, -3, -2)
+        return signal_step(self.model, self.dt_fast, x, z, math.sqrt(dt) * slow, fast, dt)
+
+
+@dataclass
+class HomogDynamics:
+    """One step of the reduced slow model for an ensemble of states (no fast state)."""
+
+    hmodel: object
+
+    def __post_init__(self):
+        if self.hmodel.nu1.total_intensity > 0:
+            raise ValueError("ensemble propagation supports jump-free signal dynamics only")
+
+    def blocks(self, count: int) -> tuple:
+        return ((count, self.hmodel.l_factor),)
+
+    def step(self, x, z, noise, dt: float):
+        h = self.hmodel
+        return euler_step(x, h.bbar1(x), h.sigmabar1(x), math.sqrt(dt) * noise[0], dt), z
+
+
+def _signal_law(model: SlowFastModel, scheme: StepScheme, stream: RngStream) -> tuple:
+    return FullDynamics(model, scheme), model.x0, model.z0, list(map(stream.child, _SIGNAL_SOURCES))
+
+
+def _homogenized_law(hmodel, stream: RngStream) -> tuple:
+    return HomogDynamics(hmodel), hmodel.x0, None, [stream.child(NoiseSource.HOMOG_BROWNIAN)]
+
+
+def _law_steps(laws: list, T: float, dt: float, n_paths: int):
+    """Weightless ensembles of ``n_paths`` states per law (dynamics, x0, z0, block
+    streams) in lockstep: yields (t, [(X, Z), ...]) at every grid time, never
+    overwritten.  A step reads block s of a law from ``streams[s]`` through one
+    ``keyed_normals`` cache, so each ensemble is bitwise its own run."""
+    times, P = make_grid(T, dt), int(n_paths)
+    states = [(np.tile(x0, (P, 1)), None if z0 is None else np.tile(z0, (P, 1)))
+              for _, x0, z0, _ in laws]
+    yield times[0], list(states)
+    gens = [[[None] for _ in streams] for *_, streams in laws]
+    for t in times[1:]:
+        cache = {}
+        for i, ((dynamics, _, _, streams), law_gens) in enumerate(zip(laws, gens)):
+            noise = [keyed_normals([stream], [0], shape, g, cache)
+                     for stream, shape, g in zip(streams, dynamics.blocks(P), law_gens)]
+            states[i] = dynamics.step(*states[i], noise, dt)
+            _check_finite([a for a in states[i] if a is not None], t)
+        yield t, list(states)
 
 
 def signal_ensemble_steps(
@@ -518,81 +598,18 @@ def signal_ensemble_steps(
     step at a time: yields (t, X, Z), X (P, n) and Z (P, m), at every grid
     time, the start included; a yielded state is never overwritten.
 
-    Requires a jump-free slow/fast pair; draws are batch-indexed per step, so
-    the ensemble is reproducible as a whole.
+    Requires a jump-free slow/fast pair; the noise blocks come from
+    ``stream``'s SLOW_BROWNIAN and FAST_BROWNIAN children.
     """
-    return _signal_ensembles([model], [scheme], T, n_paths, stream)[0]
-
-
-def _signal_ensembles(models, schemes, T: float, n_paths: int, stream: RngStream) -> list:
-    """``signal_ensemble_steps`` of every (model, scheme) on ``stream``, read
-    in lockstep: one slow draw stream serves every ensemble and one fast draw
-    stream every ensemble of the same per-step fast shape (exact OU: (P, 1);
-    Euler: (substeps, P, l2)), so each ensemble is bitwise its own call."""
-    P = int(n_paths)
-    shapes = [((P, m.l1), (P, 1) if s.fast_mode == "exact_ou" else (s.substeps, P, m.l2))
-              for m, s in zip(models, schemes)]
-    draws = {}
-    for i, source in enumerate((NoiseSource.SLOW_BROWNIAN, NoiseSource.FAST_BROWNIAN)):
-        wanted = [sh[i] for sh in shapes]
-        for shape in dict.fromkeys(wanted):
-            draws[source, shape] = _normal_blocks(stream.child(source), shape, wanted.count(shape))
-    return [_signal_ensemble(m, T, s, P, draws[NoiseSource.SLOW_BROWNIAN, v],
-                             draws[NoiseSource.FAST_BROWNIAN, f])
-            for m, s, (v, f) in zip(models, schemes, shapes)]
-
-
-def _normal_blocks(stream: RngStream, shape: tuple, readers: int):
-    """Standard normal blocks of ``shape`` from one generator of ``stream``,
-    each yielded ``readers`` times in a row: readers that advance in lockstep,
-    one block each per step, all read one draw."""
-    gen = stream.generator()
-    while True:
-        yield from [gen.standard_normal(shape)] * readers
-
-
-def _signal_ensemble(model: SlowFastModel, T: float, scheme: StepScheme, n_paths: int,
-                     slow, fast):
-    """``signal_ensemble_steps`` driven by the per-step standard normal blocks
-    ``slow`` and ``fast``, scaled here: sigma times a standard normal is
-    ``normal(0, sigma)`` bit for bit."""
-    if model.nu1.total_intensity > 0 or model.nu2.total_intensity > 0:
-        raise ValueError("ensemble simulation supports jump-free signals only")
-    times = make_grid(T, scheme.dt_slow)
-    dt = scheme.dt_slow
-    dt_fast = _fast_scheme_params(model, scheme)
-    P = int(n_paths)
-    X = np.broadcast_to(model.x0, (P, model.n)).copy()
-    Z = np.broadcast_to(model.z0, (P, model.m)).copy()
-    yield times[0], X, Z
-    sqdt = math.sqrt(dt)
-    for t, slow_normals, fast_normals in zip(times[1:], slow, fast):
-        dV = sqdt * slow_normals
-        if dt_fast is None:
-            fast_noise = fast_normals
-        else:
-            fast_noise = np.moveaxis(math.sqrt(dt_fast / model.epsilon) * fast_normals, 0, -2)
-        X, Z = signal_step(model, dt_fast, X, Z, dV, fast_noise, dt)
-        _check_finite((X, Z), t)
-        yield t, X, Z
+    steps = _law_steps([_signal_law(model, scheme, stream)], T, scheme.dt_slow, n_paths)
+    return ((t, *states[0]) for t, states in steps)
 
 
 def homogenized_ensemble_steps(hmodel, T: float, dt: float, n_paths: int, stream: RngStream):
     """Many independent reduced-model paths advanced together (jump-free), one
     step at a time: yields (t, X) at every grid time, the start included."""
-    if hmodel.nu1.total_intensity > 0:
-        raise ValueError("ensemble simulation supports jump-free signals only")
-    times = make_grid(T, dt)
-    P = int(n_paths)
-    gen_v = stream.child(NoiseSource.HOMOG_BROWNIAN).generator()
-    X = np.broadcast_to(hmodel.x0, (P, hmodel.n)).copy()
-    yield times[0], X
-    sqdt = math.sqrt(dt)
-    for t in times[1:]:
-        dV = gen_v.normal(0.0, sqdt, size=(P, hmodel.l_factor))
-        X = euler_step(X, hmodel.bbar1(X), hmodel.sigmabar1(X), dV, dt)
-        _check_finite((X,), t)
-        yield t, X
+    steps = _law_steps([_homogenized_law(hmodel, stream)], T, dt, n_paths)
+    return ((t, states[0][0]) for t, states in steps)
 
 
 def simulate_signal_ensemble(

@@ -221,7 +221,7 @@ def test_filter_invariants():
     rng = np.random.default_rng(0)
     for trial in range(50):
         n = int(rng.integers(8, 200))
-        ens = init_ensemble(n, np.zeros(1), None, RngStream(500 + trial, 0), 2)
+        ens = init_ensemble(n, np.zeros(1), None, RngStream(500 + trial, 0))
         ens.x = rng.normal(size=(n, 1))
         ens.log_weights = rng.normal(size=n) * 2.0
         before = estimate(ens, one)["log_rho1"]

@@ -211,6 +211,29 @@ def test_converge_rejects_a_study_too_small_to_report(tmp_path, capsys, flag, va
     assert written <= {"config.json"}
 
 
+@pytest.mark.parametrize("command, flags, key", [
+    ("converge", ["--psi", "tanh", "--psi", "tanh"], "psi"),
+    ("converge", ["--psi", "indicator(0,1)", "--psi", "indicator(0, 1)"], "psi"),
+    ("converge", ["--eps", "0.1,0.1"], "eps"),
+    ("filter", ["--psi", "tanh", "--psi", "tanh"], "psi"),
+    ("filter", ["--psi", "indicator(0,1),indicator(0, 1)"], "psi"),
+])
+def test_a_repeated_functional_or_epsilon_is_rejected_before_any_work(
+        tmp_path, capsys, monkeypatch, command, flags, key):
+    # a repeat would write its columns (or its row) twice
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{command} started work before rejecting a repeat")
+
+    monkeypatch.setattr("levyfilter.cli.convergence_study", no_work)
+    monkeypatch.setattr("levyfilter.cli.simulate_full", no_work)
+    out = tmp_path / "o"
+    args = [command, "--T", "0.2", "--dt", "0.02", "--particles", "16", "--out", str(out)]
+    assert main(args + flags) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"(key: {key})" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["0", "1"])
 def test_converge_checks_signal_paths_before_any_work(tmp_path, capsys, monkeypatch, value):
     def no_work(*args, **kwargs):

@@ -2,6 +2,7 @@
 identities, and thread-count invariance of the convergence study."""
 
 import dataclasses
+import hashlib
 import math
 import tracemalloc
 
@@ -32,7 +33,7 @@ from levyfilter import (
 from levyfilter import experiments, sde
 from levyfilter.averaging import build_homogenized
 from levyfilter.errors import ConfigError
-from levyfilter.filtering import FullDynamics, ParticleEnsemble, _batch_log_weight, run_filter_batch
+from levyfilter.filtering import ParticleEnsemble, _batch_log_weight, run_filter_batch
 from levyfilter.sde import ObservationRecord
 
 
@@ -292,6 +293,20 @@ def test_convergence_studies_check_inputs_up_front(study, epsilons, kwargs, matc
               n_particles=16, psis=["tanh"], T=0.1, dt=0.02, **kwargs)
 
 
+@pytest.mark.parametrize("study", [filter_convergence_study, convergence_study])
+def test_convergence_studies_reject_a_repeated_epsilon(study, monkeypatch):
+    # a repeated epsilon would report two rows for one epsilon
+    def no_work(*args, **kwargs):
+        raise AssertionError("the study started work before rejecting a repeated epsilon")
+
+    monkeypatch.setattr("levyfilter.experiments.build_homogenized", no_work)
+    monkeypatch.setattr("levyfilter.experiments.simulate_full", no_work)
+    with pytest.raises(ConfigError, match="appear once") as info:
+        study(PRESETS["example6"](), [0.5, 0.1, 0.5], replications=2,
+              n_particles=16, psis=["tanh"], T=0.1, dt=0.02)
+    assert info.value.key == "eps"
+
+
 @pytest.mark.parametrize("kwargs, name", [
     ({"n_runs": 1}, "n_runs"),
     ({"n_runs": 100, "inverse_runs": 1}, "inverse_runs"),
@@ -302,8 +317,7 @@ def test_martingale_check_needs_two_runs_per_route(kwargs, name, monkeypatch):
         raise AssertionError("the check started work before rejecting its run counts")
 
     monkeypatch.setattr("levyfilter.experiments.build_homogenized", no_work)
-    monkeypatch.setattr("levyfilter.experiments.homogenized_ensemble_steps", no_work)
-    monkeypatch.setattr("levyfilter.experiments._signal_ensembles", no_work)
+    monkeypatch.setattr("levyfilter.experiments._law_steps", no_work)
     with pytest.raises(ValueError, match=f"{name} must be at least 2"):
         martingale_check(PRESETS["example6"](), epsilon=0.5, T=0.1, dt=0.02, **kwargs)
 
@@ -328,44 +342,67 @@ def test_signal_convergence_study_checks_every_epsilon_first(epsilons, monkeypat
         raise AssertionError("the study ran an ensemble before checking every epsilon")
 
     for module in (experiments, sde):
-        monkeypatch.setattr(module, "_signal_ensembles", no_work)
-        monkeypatch.setattr(module, "homogenized_ensemble_steps", no_work)
+        monkeypatch.setattr(module, "_law_steps", no_work)
     monkeypatch.setattr(experiments, "build_homogenized", no_work)
     with pytest.raises(ConfigError) as info:
         signal_convergence_study(PRESETS["example6"](), epsilons, n_paths=50, T=0.1, dt_slow=0.02)
     assert info.value.key == "epsilon"
 
 
-def _count_draw_streams(monkeypatch) -> list:
-    """The (shape, readers) of every draw stream the signal ensembles open."""
-    opened = []
+def _count_law_draws(monkeypatch, root_seed) -> tuple:
+    """Spy on the law ensembles on ``RngStream(root_seed)``: returns (laws,
+    built, draws), the dynamics types of every lockstep pass started, the
+    stream of every generator built and the shape of every block drawn."""
+    laws, built, draws = [], [], []
+    generator = RngStream.generator
 
-    def blocks(stream, shape, readers, _fn=sde._normal_blocks):
-        opened.append((shape, readers))
-        return _fn(stream, shape, readers)
+    class Counting:
+        def __init__(self, gen):
+            self.gen = gen
 
-    monkeypatch.setattr(sde, "_normal_blocks", blocks)
-    return opened
+        def __getattr__(self, name):
+            return getattr(self.gen, name)
+
+        def standard_normal(self, *args, out=None, **kwargs):
+            draws.append(out.shape if out is not None else args[0])
+            return self.gen.standard_normal(*args, out=out, **kwargs)
+
+    def spy_generator(stream):
+        if stream.root_seed != root_seed:
+            return generator(stream)
+        built.append(stream)
+        return Counting(generator(stream))
+
+    def spy_steps(pass_laws, *args, _fn=sde._law_steps, **kwargs):
+        laws.append([type(law[0]).__name__ for law in pass_laws])
+        return _fn(pass_laws, *args, **kwargs)
+
+    monkeypatch.setattr(RngStream, "generator", spy_generator)
+    for module in (experiments, sde):
+        monkeypatch.setattr(module, "_law_steps", spy_steps)
+    return laws, built, draws
 
 
 def test_convergence_study_runs_each_ensemble_once(monkeypatch):
-    # E full ensembles and one reduced ensemble; the full ones read one draw
-    # stream per noise: the slow draws and, on the exact-OU route, the fast
-    calls = {"_signal_ensemble": 0, "homogenized_ensemble_steps": 0}
-    for module, name in ((sde, "_signal_ensemble"), (experiments, "homogenized_ensemble_steps")):
-        def spy(*args, _fn=getattr(module, name), _name=name, **kwargs):
-            calls[_name] += 1
-            return _fn(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, spy)
-    opened = _count_draw_streams(monkeypatch)
-    epsilons = [0.5, 0.1, 0.02]
+    # E full ensembles and one reduced ensemble in lockstep; the full ones read
+    # one block per (source, shape) key and step: the slow block and, on the
+    # exact-OU route, one fast block, each drawn once for all E
+    seed, epsilons, T, dt, P, runs = 3, [0.5, 0.1, 0.02], 0.1, 0.02, 60, 40
+    laws, built, draws = _count_law_draws(monkeypatch, seed + 2)
     convergence_study(
         PRESETS["example6"](), epsilons, replications=2, n_particles=16, psis=["tanh"],
-        T=0.1, dt=0.02, seed=3, signal_paths=60, martingale_runs=40,
+        T=T, dt=dt, seed=seed, signal_paths=P, martingale_runs=runs,
     )
-    assert calls == {"_signal_ensemble": len(epsilons), "homogenized_ensemble_steps": 1}
-    assert opened == [((60, 1), 3), ((60, 1), 3)]
+    assert laws == [["HomogDynamics"] + ["FullDynamics"] * len(epsilons)]
+    root = RngStream(seed + 2)
+    ids = [s.stream_id for s in built]
+    for law_stream in (root.child(2).child(NoiseSource.HOMOG_BROWNIAN),
+                       root.child(0).child(NoiseSource.SLOW_BROWNIAN),
+                       root.child(0).child(NoiseSource.FAST_BROWNIAN)):
+        assert law_stream.stream_id in ids
+    K = int(round(T / dt))
+    # per step: the reduced, slow and fast blocks, then the observation increments
+    assert draws == [(P, 1), (P, 1), (P, 1), (runs, 1)] * K
 
 
 def _euler_example6():
@@ -376,23 +413,58 @@ def _euler_example6():
 
 def test_law_ensembles_share_one_draw_stream_per_shape(monkeypatch):
     # Euler route at dt = 0.01: eps 0.05 takes 2 substeps, 0.03 and 0.028 take
-    # 4, so the fast draws form two shape groups; every ensemble is bitwise the
-    # one it runs alone
-    opened = _count_draw_streams(monkeypatch)
+    # 4, so the fast blocks have two keys; every ensemble is bitwise the one
+    # it runs alone
     preset, dt, T, P = _euler_example6(), 0.01, 0.05, 30
     models = [with_epsilon(preset, e).model for e in (0.05, 0.03, 0.028)]
     schemes = [default_scheme(m, dt) for m in models]
     stream = RngStream(9, 4)
-    shared = sde._signal_ensembles(models, schemes, T, P, stream)
-    assert opened == [((P, 1), 3), ((2, P, 1), 1), ((4, P, 1), 2)]
+    laws = [sde._signal_law(m, s, stream) for m, s in zip(models, schemes)]
+    _, built, draws = _count_law_draws(monkeypatch, 9)
+    shared = list(sde._law_steps(laws, T, dt, P))
+    assert len(built) == 3
+    assert draws == [(P, 1), (2, P, 1), (4, P, 1)] * int(round(T / dt))
     monkeypatch.undo()
-    alone = [sde.signal_ensemble_steps(m, T, s, P, stream) for m, s in zip(models, schemes)]
-    for steps in zip(*shared, *alone):
-        for (t, X, Z), (t1, X1, Z1) in zip(steps[:3], steps[3:]):
+    alone = [list(sde.signal_ensemble_steps(m, T, s, P, stream)) for m, s in zip(models, schemes)]
+    for (t, states), *alone_steps in zip(shared, *alone):
+        for (X, Z), (t1, X1, Z1) in zip(states, alone_steps):
             assert t == t1
             np.testing.assert_array_equal(X, X1)
             np.testing.assert_array_equal(Z, Z1)
-    assert sde._signal_ensembles([], [], T, P, stream) == []
+
+
+def _digest(steps) -> str:
+    h = hashlib.sha256()
+    for _, *arrays in steps:
+        for a in arrays:
+            h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("route, epsilons, dt, full_digests, homog_digest", [
+    ("exact_ou", (0.5, 0.1, 0.02), 0.02,
+     ["780f6c89fcd5f01c", "c63aefd6f558d075", "0e547165bc68832a"], "2ae144507b02a3af"),
+    ("euler", (0.05, 0.03, 0.028), 0.01,
+     ["570e204044ec3fb8", "73096b6b453da6d3", "b6133a48ab434abf"], "b3763f402919685a"),
+])
+def test_law_ensembles_through_the_dynamics_keep_their_bits(
+        route, epsilons, dt, full_digests, homog_digest):
+    # the law ensembles step through FullDynamics/HomogDynamics on their
+    # streams root.child(0).child(source) and root.child(2).child(HOMOG_BROWNIAN);
+    # every state they yield equals the ensembles' bits before that refactor
+    preset = PRESETS["example6"]() if route == "exact_ou" else _euler_example6()
+    T, P, root = 0.1, 40, RngStream(17)
+    hmodel = build_homogenized(PRESETS["example6"]())
+    models = [with_epsilon(preset, e).model for e in epsilons]
+    laws = [sde._signal_law(m, default_scheme(m, dt), root.child(0)) for m in models]
+    shared = list(sde._law_steps([sde._homogenized_law(hmodel, root.child(2))] + laws, T, dt, P))
+    assert _digest([(t, states[0][0]) for t, states in shared]) == homog_digest
+    assert [_digest((t, *states[1 + e]) for t, states in shared)
+            for e in range(len(models))] == full_digests
+    alone = [_digest(sde.signal_ensemble_steps(m, T, default_scheme(m, dt), P, root.child(0)))
+             for m in models]
+    assert alone == full_digests
+    assert _digest(sde.homogenized_ensemble_steps(hmodel, T, dt, P, root.child(2))) == homog_digest
 
 
 def _hexes(a):
@@ -421,8 +493,8 @@ def _study_and_its_outputs(monkeypatch, preset, epsilons, **kwargs):
 def test_filter_study_is_one_coupled_pass_per_epsilon_on_shared_streams(
         route, epsilons, ess_frac, monkeypatch):
     # every epsilon's filters read replication r's particle stream
-    # child(0).child(r).child(1) at the widest epsilon's noise width, so each
-    # epsilon's outputs are its coupled pass alone on those streams
+    # child(0).child(r).child(1), each at its own blocks, so each epsilon's
+    # outputs are its coupled pass alone on those streams
     preset = PRESETS["example6"]() if route == "exact_ou" else _euler_example6()
     R, N, T, dt, seed, psis = 3, 16, 0.2, 0.02, 3, ["tanh", "arctan"]
     report, outs = _study_and_its_outputs(
@@ -430,7 +502,6 @@ def test_filter_study_is_one_coupled_pass_per_epsilon_on_shared_streams(
         ess_frac=ess_frac, seed=seed)
     root, hmodel = RngStream(seed), build_homogenized(preset)
     presets = [with_epsilon(preset, e) for e in epsilons]
-    width = max(FullDynamics(p.model, default_scheme(p.model, dt)).noise_width for p in presets)
     streams = [root.child(0).child(r).child(1) for r in range(R)]
     for ie, (peps, row) in enumerate(zip(presets, report.rows)):
         scheme = default_scheme(peps.model, dt)
@@ -438,7 +509,7 @@ def test_filter_study_is_one_coupled_pass_per_epsilon_on_shared_streams(
                               [root.child(ie).child(r).child(0) for r in range(R)])
         full, homog = run_filter_batch(
             [p.observations() for p in paths], "both", peps, N, psis, streams, hmodel=hmodel,
-            scheme=scheme, ess_frac=ess_frac, noise_width=width)
+            scheme=scheme, ess_frac=ess_frac)
         for got, want in zip(outs[2 * ie] + outs[2 * ie + 1], full + homog):
             assert got.mode == want.mode
             assert _hexes(got.pi) == _hexes(want.pi)
@@ -462,26 +533,27 @@ class _CountingGenerator:
 
 @pytest.mark.parametrize("ess_frac", [1e-9, 0.999, 1.0])
 def test_filter_study_draws_each_particle_key_once(ess_frac, monkeypatch):
-    # particle streams are keyed (run stream, generation, generation start):
-    # without resampling a 3-epsilon study of R rows builds R particle
-    # generators, not 3R, and draws R blocks per step; rows whose keys diverge
-    # draw their own blocks and stay bitwise single-record filters
+    # particle blocks are keyed (run stream, generation, source, generation
+    # start, shape): without resampling a 3-epsilon exact-OU study of R rows
+    # builds 2R particle generators (a slow and a fast one per row), not 9R,
+    # and draws 2R blocks per step; rows whose keys diverge draw their own
+    # blocks and stay bitwise single-record filters
     built, draws, caches = [], [], []
     generator = RngStream.generator
 
     def spy_generator(stream):
         gen = generator(stream)
-        if (stream.stream_id >> 64) % (1 << 64) != NoiseSource.PARTICLES:
+        if (stream.stream_id >> 128) % (1 << 64) != NoiseSource.PARTICLES:
             return gen
         built.append(stream)
         return _CountingGenerator(gen, draws)
 
     next_noise = ParticleEnsemble.next_noise
 
-    def spy_noise(self, cache=None):
+    def spy_noise(self, shapes, cache=None):
         if not caches or caches[-1] is not cache:
             caches.append(cache)
-        return next_noise(self, cache)
+        return next_noise(self, shapes, cache)
 
     monkeypatch.setattr(RngStream, "generator", spy_generator)
     monkeypatch.setattr(ParticleEnsemble, "next_noise", spy_noise)
@@ -495,7 +567,7 @@ def test_filter_study_draws_each_particle_key_once(ess_frac, monkeypatch):
     assert len(draws) == sum(len(c) for c in caches)
     assert len(built) == len(set().union(*caches))
     if ess_frac < 0.5:
-        assert len(built) == R and [len(c) for c in caches] == [R] * K
+        assert len(built) == 2 * R and [len(c) for c in caches] == [2 * R] * K
         assert all(not o.resample_steps for case in outs for o in case)
     elif ess_frac < 1.0:
         assert max(len(c) for c in caches) > R

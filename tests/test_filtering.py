@@ -230,44 +230,60 @@ def test_batch_weights_match_scalar_reference_state_dependent_thinning():
 # ensembles and resampling
 
 
-def _toy_ensemble(n=4, width=2):
+def _toy_ensemble(n=4):
     stream = RngStream(99, 0)
-    ens = init_ensemble(n, np.zeros(1), None, stream, width)
+    ens = init_ensemble(n, np.zeros(1), None, stream)
     return ens
 
 
+# a slow block and a substep-major fast block, as the Euler-route full dynamics read
+_TOY_SHAPES = ((3, 2), (2, 3, 1))
+
+
 def test_particle_noise_is_one_draw_per_resample_generation():
-    ens = _toy_ensemble(n=3, width=2)
-    cols = np.stack([ens.next_noise() for _ in range(12)])
-    assert not np.allclose(cols[:4], cols[4:8])
-    assert not np.allclose(cols[4:8], cols[8:12])
+    ens = _toy_ensemble(n=3)
+    steps = [ens.next_noise(_TOY_SHAPES) for _ in range(12)]
+    for s in range(2):
+        cols = np.stack([blocks[s] for blocks in steps])
+        assert not np.allclose(cols[:4], cols[4:8])
+        assert not np.allclose(cols[4:8], cols[8:12])
     # deterministic replay from an identically keyed ensemble
-    again = _toy_ensemble(n=3, width=2)
-    cols2 = np.stack([again.next_noise() for _ in range(12)])
-    np.testing.assert_array_equal(cols, cols2)
-    # step k of a generation is row k of one (K, N, width) draw of its stream
+    again = _toy_ensemble(n=3)
+    for blocks in steps:
+        for block, replay in zip(blocks, again.next_noise(_TOY_SHAPES)):
+            np.testing.assert_array_equal(block, replay)
+    # step k of a generation reads row k of one (K, *shape) draw of each source's stream
     particles = RngStream(99, 0).child(NoiseSource.PARTICLES)
-    block = particles.child(0).generator().standard_normal((12, 3, 2))
-    for k in range(12):
-        np.testing.assert_array_equal(cols[k], block[k])
-    # resampling re-keys the ensemble to the next generation's stream
+    sources = (NoiseSource.SLOW_BROWNIAN, NoiseSource.FAST_BROWNIAN)
+    for s, (source, shape) in enumerate(zip(sources, _TOY_SHAPES)):
+        block = particles.child(0).child(source).generator().standard_normal((12,) + shape)
+        for k in range(12):
+            np.testing.assert_array_equal(steps[k][s], block[k])
+    # resampling re-keys the ensemble to the next generation's streams
     resample(ens)
-    block1 = particles.child(1).generator().standard_normal((1, 3, 2))
-    np.testing.assert_array_equal(ens.next_noise(), block1[0])
+    for block, source, shape in zip(ens.next_noise(_TOY_SHAPES), sources, _TOY_SHAPES):
+        first = particles.child(1).child(source).generator().standard_normal((1,) + shape)
+        np.testing.assert_array_equal(block, first[0])
 
 
 def test_stacked_rows_draw_from_their_own_streams():
     # row r of a stack reads exactly the noise of a single ensemble on stream r,
     # and resampling one row re-keys that row only
     streams = [RngStream(99, 0), RngStream(99, 1), RngStream(7, 3)]
-    stack = init_ensemble(5, np.zeros(1), None, streams, 2)
+    shapes = ((5, 2), (2, 5, 1))
+    stack = init_ensemble(5, np.zeros(1), None, streams)
     assert stack.rows == (3,) and stack.x.shape == (3, 5, 1)
-    singles = [init_ensemble(5, np.zeros(1), None, s, 2) for s in streams]
-    for _ in range(3):
-        block = stack.next_noise()
-        assert block.shape == (3, 5, 2)
+    singles = [init_ensemble(5, np.zeros(1), None, s) for s in streams]
+
+    def check_rows():
+        blocks = stack.next_noise(shapes)
+        assert [b.shape for b in blocks] == [(3, 5, 2), (3, 2, 5, 1)]
         for r, single in enumerate(singles):
-            np.testing.assert_array_equal(block[r], single.next_noise())
+            for block, alone in zip(blocks, single.next_noise(shapes)):
+                np.testing.assert_array_equal(block[r], alone)
+
+    for _ in range(3):
+        check_rows()
     stack.log_weights[1] = np.log(np.arange(1.0, 6.0))
     singles[1].log_weights = stack.log_weights[1].copy()
     before = stack.x.copy()
@@ -276,9 +292,29 @@ def test_stacked_rows_draw_from_their_own_streams():
     assert list(stack.resample_count) == [0, 1, 0]
     np.testing.assert_array_equal(stack.x[[0, 2]], before[[0, 2]])
     np.testing.assert_array_equal(stack.log_weights[1], singles[1].log_weights)
-    block = stack.next_noise()
-    for r, single in enumerate(singles):
-        np.testing.assert_array_equal(block[r], single.next_noise())
+    check_rows()
+
+
+def test_resampling_offsets_are_one_stream_per_row():
+    # the g-th resample of a row reads uniform g of the row's RESAMPLING
+    # stream, however the ensemble reached generation g
+    rng = np.random.default_rng(3)
+    x, logw = rng.normal(size=(16, 1)), rng.normal(size=16)
+    uniforms = RngStream(99, 0).child(NoiseSource.RESAMPLING).generator().uniform(size=3)
+    ens = _toy_ensemble(n=16)
+    late = _toy_ensemble(n=16)
+    late.resample_count[()] = 2
+    for g, u0 in enumerate(uniforms):
+        ens.x, ens.log_weights = x.copy(), logw.copy()
+        resample(ens)
+        w = np.exp(logw - logw.max())
+        cdf = np.cumsum(w / w.sum())
+        cdf[-1] = 1.0
+        idx = np.searchsorted(cdf, (u0 + np.arange(16)) / 16, side="left")
+        np.testing.assert_array_equal(ens.x, x[idx])
+    late.x, late.log_weights = x.copy(), logw.copy()
+    resample(late)
+    np.testing.assert_array_equal(late.x, ens.x)
 
 
 def test_systematic_resample_offspring_counts():
@@ -432,8 +468,6 @@ def test_run_filter_validation_errors():
     bad_scheme = StepScheme(dt_slow=0.1, fast_mode="exact_ou")
     with pytest.raises(ValueError, match="observation spacing"):
         run_filter(obs, "full", preset, 8, ["tanh"], stream, scheme=bad_scheme)
-    with pytest.raises(ValueError, match="noise_width"):
-        run_filter(obs, "full", preset, 8, ["tanh"], stream, noise_width=1)
 
 
 def test_run_filter_batch_validation_errors():
@@ -456,7 +490,7 @@ _BATCH_PRESET = PRESETS["example6"](small_jump_intensity=25.0)
 _BATCH_HMODEL = build_homogenized(_BATCH_PRESET)
 
 
-def _reference_filter(rec, mode, preset, n, psis, stream, hmodel, ess_frac, width):
+def _reference_filter(rec, mode, preset, n, psis, stream, hmodel, ess_frac):
     """The single-record filter as a plain step loop over one (N,) ensemble:
     every event of a step goes through the weight kernel, as a stack of one
     row, with that step's Gaussian and compensator terms."""
@@ -464,14 +498,14 @@ def _reference_filter(rec, mode, preset, n, psis, stream, hmodel, ess_frac, widt
     obs, dt, K = preset.observation, rec.dt, rec.steps
     if mode == "full":
         dynamics = FullDynamics(preset.model, default_scheme(preset.model, dt))
-        ens = init_ensemble(n, preset.model.x0, preset.model.z0, stream, width)
+        ens = init_ensemble(n, preset.model.x0, preset.model.z0, stream)
     else:
         dynamics = HomogDynamics(hmodel)
-        ens = init_ensemble(n, hmodel.x0, None, stream, width)
+        ens = init_ensemble(n, hmodel.x0, None, stream)
     step_of_event = rec.small_step_index()
     rows, resample_steps = [estimate(ens, psis)], []
     for k in range(K):
-        propagate(ens, dynamics, dt, ens.next_noise())
+        propagate(ens, dynamics, dt, ens.next_noise(dynamics.blocks(n)))
         h_vals = obs.h(ens.x, ens.z) if mode == "full" else hmodel.hbar(ens.x)
         mine = step_of_event == k
         events = (np.zeros(mine.sum(), dtype=int), rec.small_times[mine], rec.small_marks[mine])
@@ -504,7 +538,7 @@ def _batch_against_single_records(n_rows, seed, mode, ess_frac, thinning="const"
         for r in range(n_rows)
     ]
     streams = [RngStream(seed, 2 * r + 1) for r in range(n_rows)]
-    kwargs = dict(hmodel=_BATCH_HMODEL, ess_frac=ess_frac, noise_width=2)
+    kwargs = dict(hmodel=_BATCH_HMODEL, ess_frac=ess_frac)
     psis = ["tanh", "poly(0,1,0)"]
     outs = run_filter_batch(records, mode, preset, 24, psis, streams, **kwargs)
     assert len(outs) == n_rows
@@ -516,7 +550,7 @@ def _batch_against_single_records(n_rows, seed, mode, ess_frac, thinning="const"
         assert out.resample_steps == one.resample_steps
         np.testing.assert_array_equal(out.times, one.times)
         pi, log_rho1, ess, resample_steps = _reference_filter(
-            rec, mode, preset, 24, psis, stream, _BATCH_HMODEL, ess_frac, 2
+            rec, mode, preset, 24, psis, stream, _BATCH_HMODEL, ess_frac
         )
         np.testing.assert_array_equal(out.pi, pi)
         np.testing.assert_array_equal(out.log_rho1, log_rho1)
@@ -558,7 +592,7 @@ def test_coupled_pass_is_bitwise_two_single_mode_passes(ess_frac):
     ]
     streams = [RngStream(8, 2 * r + 1) for r in range(5)]
     psis = ["tanh", "poly(0,1,0)"]
-    kwargs = dict(hmodel=_BATCH_HMODEL, ess_frac=ess_frac, noise_width=2)
+    kwargs = dict(hmodel=_BATCH_HMODEL, ess_frac=ess_frac)
     full, homog = run_filter_batch(records, "both", preset, 24, psis, streams, **kwargs)
     for mode, coupled in (("full", full), ("homog", homog)):
         alone = run_filter_batch(records, mode, preset, 24, psis, streams, **kwargs)
@@ -578,40 +612,43 @@ def test_coupled_pass_is_bitwise_two_single_mode_passes(ess_frac):
 
 def test_coupled_pass_draws_a_shared_block_once(monkeypatch):
     # with no resampling both modes stay in generation 0 from step 0, so their
-    # rows hold one key: the reduced ensemble reads the full ensemble's block
-    # and adopts its generator, and the pass builds one generator for the row
+    # rows hold one slow key: the reduced ensemble reads the full ensemble's
+    # slow block and adopts its generator, the fast block is the full
+    # ensemble's alone, and the pass builds one generator per source for the row
     built = []
     generator = RngStream.generator
     monkeypatch.setattr(RngStream, "generator", lambda s: built.append(s) or generator(s))
     preset = PRESETS["example6"]()
-    full = init_ensemble(6, preset.model.x0, preset.model.z0, [RngStream(1, 0)], 2)
-    homog = init_ensemble(6, preset.model.x0, None, [RngStream(1, 0)], 2)
+    full_shapes = FullDynamics(preset.model, default_scheme(preset.model, 0.05)).blocks(6)
+    homog_shapes = ((6, 1),)
+    full = init_ensemble(6, preset.model.x0, preset.model.z0, [RngStream(1, 0)])
+    homog = init_ensemble(6, preset.model.x0, None, [RngStream(1, 0)])
     for _ in range(2):
         cache = {}
-        block_f = full.next_noise(cache)
-        block_h = homog.next_noise(cache)
-        assert block_h is block_f and not block_f.flags.writeable
-        assert len(cache) == 1 and homog._noise[0] is full._noise[0]
-    assert len(built) == 1
-    # after the full row resamples its key changes: each row draws its own
-    # block, and the reduced row keeps the generator, which is where a reduced
-    # ensemble drawing on its own would be
+        slow_f, fast_f = full.next_noise(full_shapes, cache)
+        (slow_h,) = homog.next_noise(homog_shapes, cache)
+        assert slow_h is slow_f and not slow_f.flags.writeable and not fast_f.flags.writeable
+        assert len(cache) == 2 and homog._noise[0][1][0] is full._noise[0][1][0]
+    assert len(built) == 2 and homog._noise[1][1] == [None]   # no fast generator
+    # after the full row resamples its keys change: each row draws its own
+    # slow block, and the reduced row keeps the generator, which is where a
+    # reduced ensemble drawing on its own would be
     resample(full, 0)
     assert full.generation_start[0] == 2
     cache = {}
-    block_f, block_h = full.next_noise(cache), homog.next_noise(cache)
-    assert len(cache) == 2 and homog._noise[0] is not full._noise[0]
-    single = init_ensemble(6, preset.model.x0, None, [RngStream(1, 0)], 2)
+    (slow_f, _), (slow_h,) = full.next_noise(full_shapes, cache), homog.next_noise(homog_shapes, cache)
+    assert len(cache) == 3 and homog._noise[0][1][0] is not full._noise[0][1][0]
+    single = init_ensemble(6, preset.model.x0, None, [RngStream(1, 0)])
     for _ in range(2):
-        single.next_noise()
-    np.testing.assert_array_equal(block_h, single.next_noise())
-    resampled = init_ensemble(6, preset.model.x0, None, [RngStream(1, 0)], 2)
+        single.next_noise(homog_shapes)
+    np.testing.assert_array_equal(slow_h, single.next_noise(homog_shapes)[0])
+    resampled = init_ensemble(6, preset.model.x0, None, [RngStream(1, 0)])
     resampled.resample_count[()] = 1
-    np.testing.assert_array_equal(block_f, resampled.next_noise())
+    np.testing.assert_array_equal(slow_f, resampled.next_noise(homog_shapes)[0])
 
 
 def test_resample_of_a_stack_needs_a_row():
-    stack = init_ensemble(4, np.zeros(1), None, [RngStream(5, r) for r in range(3)], 1)
+    stack = init_ensemble(4, np.zeros(1), None, [RngStream(5, r) for r in range(3)])
     before = stack.x.copy()
     with pytest.raises(ValueError, match=r"row axes \(3,\)"):
         resample(stack)
@@ -681,42 +718,103 @@ def test_dynamics_noise_widths():
     preset = PRESETS["example6"]()
     scheme = StepScheme(dt_slow=0.05, fast_mode="exact_ou")
     assert FullDynamics(preset.model, scheme).noise_width == preset.model.l1 + 1
+    assert FullDynamics(preset.model, scheme).blocks(7) == ((7, preset.model.l1), (7, 1))
     euler = StepScheme(dt_slow=0.05, fast_mode="euler", dt_fast=0.05 / 10)
     assert (
         FullDynamics(preset.model, euler).noise_width
         == preset.model.l1 + 10 * preset.model.l2
     )
+    assert FullDynamics(preset.model, euler).blocks(7) == (
+        (7, preset.model.l1), (10, 7, preset.model.l2))
     hmodel = _linear_reduced_model(make_linear_gaussian())
-    assert HomogDynamics(hmodel).noise_width == 1
+    assert HomogDynamics(hmodel).blocks(7) == ((7, 1),)
 
 
 def test_full_and_reduced_filters_coincide_when_reduction_is_exact():
-    # Shared stream + widened noise block => both filters consume identical
-    # slow-noise columns; on the linear model the two state recursions are the
-    # same arithmetic, so every estimate matches bitwise.
+    # both filters read the same slow blocks of one run stream; on the linear
+    # model the two state recursions are the same arithmetic, so every
+    # estimate matches bitwise, with no argument coupling the two runs
     preset = make_linear_gaussian()
     hmodel = _linear_reduced_model(preset)
     obs = simulate_reference_observations(
         preset.observation, 0.5, 0.05, RngStream(21, 0)
     )
-    width = preset.model.l1 + 1  # what the full dynamics consume per step
     full = run_filter(
-        obs, "full", preset, 64, ["tanh", "poly(0,1,0)"], RngStream(22, 0)
+        obs, "full", preset, 64, ["tanh", "poly(0,1,0)"], RngStream(22, 0), ess_frac=0.99,
     )
     reduced = run_filter(
-        obs, "homog", preset, 64, ["tanh", "poly(0,1,0)"], RngStream(22, 0),
-        hmodel=hmodel, noise_width=width,
+        obs, "homog", preset, 64, ["tanh", "poly(0,1,0)"], RngStream(22, 0), hmodel=hmodel,
+        ess_frac=0.99,
     )
     np.testing.assert_array_equal(full.pi, reduced.pi)
     np.testing.assert_array_equal(full.log_rho1, reduced.log_rho1)
     np.testing.assert_array_equal(full.ess, reduced.ess)
     assert full.resample_steps == reduced.resample_steps
-    # without the widened block the reduced filter reads different columns
-    narrow = run_filter(
-        obs, "homog", preset, 64, ["tanh", "poly(0,1,0)"], RngStream(22, 0),
-        hmodel=hmodel,
-    )
-    assert not np.array_equal(full.pi, narrow.pi)
+    assert full.resample_steps      # the runs pass through more than one generation
+
+
+def _particle_source(stream):
+    """The noise source of a particle block stream (run, PARTICLES, generation,
+    source), or None for any other stream."""
+    mask = (1 << 64) - 1
+    if (stream.stream_id >> 128) & mask != NoiseSource.PARTICLES:
+        return None
+    return stream.stream_id & mask
+
+
+def _count_particle_draws(monkeypatch) -> list:
+    """Spy on generator builds: returns a list that collects (source, normals)
+    for every particle block drawn."""
+    draws = []
+    generator = RngStream.generator
+
+    class Counting:
+        def __init__(self, gen, source):
+            self.gen, self.source = gen, source
+
+        def standard_normal(self, *args, out=None, **kwargs):
+            draws.append((self.source, out.size))
+            return self.gen.standard_normal(*args, out=out, **kwargs)
+
+    def spy(stream):
+        source = _particle_source(stream)
+        return generator(stream) if source is None else Counting(generator(stream), source)
+
+    monkeypatch.setattr(RngStream, "generator", spy)
+    return draws
+
+
+def test_reduced_filter_draws_no_fast_block(monkeypatch):
+    preset, obs = _example6_obs(T=0.3)
+    draws = _count_particle_draws(monkeypatch)
+    out = run_filter(obs, "homog", preset, 32, ["tanh"], RngStream(4, 1),
+                     hmodel=build_homogenized(preset), ess_frac=0.99)
+    assert out.resample_steps and draws
+    assert {source for source, _ in draws} == {NoiseSource.SLOW_BROWNIAN}
+
+
+def test_separate_full_and_reduced_filters_draw_only_their_own_blocks(monkeypatch):
+    # the shape of a coupled full/homog pair run as two run_filter calls on one
+    # stream, on the Euler route with 5 substeps per step: per step the full
+    # filter draws N slow and 5 N fast normals and the reduced one N slow,
+    # 7 N in all (a block as wide as the full filter's for both was 12 N)
+    cfg = preset_to_config(PRESETS["example6"]())
+    del cfg["model"]["ou_fast"]
+    cfg["model"]["epsilon"] = 0.02
+    preset = preset_from_config(cfg)
+    N, dt, T = 2000, 0.01, 0.02
+    scheme = default_scheme(preset.model, dt)
+    assert scheme.substeps == 5
+    obs = simulate_reference_observations(preset.observation, T, dt, RngStream(6, 0))
+    hmodel = build_homogenized(PRESETS["example6"]())
+    draws = _count_particle_draws(monkeypatch)
+    for mode in ("full", "homog"):
+        run_filter(obs, mode, preset, N, ["tanh"], RngStream(6, 1), hmodel=hmodel,
+                   scheme=scheme if mode == "full" else None, ess_frac=1e-9)
+    K = int(round(T / dt))
+    assert sum(n for _, n in draws) == K * 14_000
+    fast = sum(n for source, n in draws if source == NoiseSource.FAST_BROWNIAN)
+    assert fast == K * 5 * N
 
 
 # ---------------------------------------------------------------------------

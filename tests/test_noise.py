@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from levyfilter.noise import (
     MarkSampler,
     NoiseSource,
     RngStream,
+    _gauss_legendre,
     brownian_increments,
     null_measure,
     sample_poisson_jumps,
@@ -106,6 +110,22 @@ def test_quadrature_matches_closed_forms():
     assert abs(e.expectation(lambda v: v[..., 0]) - 1.0 / 1.5) < 1e-10
     pt = MarkSampler.parse("point(2.0)")
     assert pt.expectation(lambda v: v[..., 0] ** 2) == pytest.approx(4.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 128])
+def test_gauss_legendre_rule_matches_numpy(n):
+    x, w = _gauss_legendre(n)
+    ref_x, ref_w = np.polynomial.legendre.leggauss(n)
+    assert np.max(np.abs(x - ref_x)) <= 1e-14
+    assert np.max(np.abs(w - ref_w)) <= 1e-14
+
+
+def test_uniform_quadrature_loads_no_polynomial_module():
+    code = ("import sys; from levyfilter.noise import MarkSampler; "
+            "MarkSampler.parse('uniform(0, 1)').quadrature(); "
+            "sys.exit('numpy.polynomial' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 @given(

@@ -323,9 +323,10 @@ def filter_convergence_study(
 
     Each replication simulates one truth-plus-observation path of the full
     model, then runs both filters on those observations with a shared
-    propagation-noise stream (common random numbers: the reduced filter reads
-    the same slow-Brownian blocks the full filter uses), which strips most
-    particle noise out of the terminal gap |pi_full(psi) - pi_homog(psi)|.
+    propagation-noise stream (common random numbers: when ``hmodel.l_factor``
+    equals the model's ``l1`` the reduced filter reads the same slow-Brownian
+    blocks the full filter uses), which strips most particle noise out of the
+    terminal gap |pi_full(psi) - pi_homog(psi)|.
     Per epsilon, one ``simulate_full`` call advances every replication's path
     (``child(e).child(r).child(0)``); then one ``_filter_pass`` runs the 2E
     filters with the replications as rows, row r reading

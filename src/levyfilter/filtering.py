@@ -23,7 +23,9 @@ operations over every row, while each row keeps its own observation events,
 resample decisions and noise.  Each step reads the noise blocks its dynamics
 declare, one stream per (row's run stream, resample generation, source), so a
 row's output is the single-record filter's whatever rows share its stack, and
-a full and a reduced filter on one run stream read the same slow blocks.
+a full and a reduced filter on one run stream read the same slow blocks when
+the reduced model's Brownian dimension ``l_factor`` equals the full model's
+``l1`` (otherwise their slow shapes, and so their keys, differ).
 """
 
 from __future__ import annotations
@@ -118,8 +120,8 @@ class ParticleEnsemble:
     holding each row's run stream, resample generation and the step at which
     that generation began.  Block s of a row's step is read from the stream
     (PARTICLES, resample generation, ``_SIGNAL_SOURCES[s]``) below the row's
-    run stream, re-keyed by ``resample``, whose g-th call on a row reads
-    uniform g of the row's stream (RESAMPLING).
+    run stream, re-keyed by ``resample``, whose successive calls on a row read
+    successive uniforms of the row's stream (RESAMPLING).
     """
 
     x: np.ndarray                      # (*rows, N, n)
@@ -130,13 +132,20 @@ class ParticleEnsemble:
     resample_count: np.ndarray         # (*rows,) ints
     generation_start: np.ndarray       # (*rows,) ints, steps drawn before the generation
     _steps: int = 0                    # steps drawn so far
-    _noise: list = field(init=False, repr=False)     # (streams, gens) per source, rows flattened
-    _offsets: list = field(init=False, repr=False)   # resampling generator per row
+    _noise: list = field(init=False, repr=False)     # (streams, gens) per source, (*rows,) each
+    _offsets: np.ndarray = field(init=False, repr=False)   # (*rows,) resampling generators
 
     def __post_init__(self):
-        n = self.streams.size
-        self._noise = [([None] * n, [None] * n) for _ in _SIGNAL_SOURCES]
-        self._offsets = [None] * n
+        self._noise = [(np.empty(self.rows, object), np.empty(self.rows, object))
+                       for _ in _SIGNAL_SOURCES]
+        self._offsets = np.empty(self.rows, object)
+
+    def _key(self, row) -> None:
+        """Point ``row``'s source streams at its resample generation, generators unbuilt."""
+        generation = self.streams[row].child(NoiseSource.PARTICLES).child(
+            int(self.resample_count[row]))
+        for source, (streams, gens) in zip(_SIGNAL_SOURCES, self._noise):
+            streams[row], gens[row] = generation.child(source), None
 
     @property
     def rows(self) -> tuple:
@@ -150,16 +159,13 @@ class ParticleEnsemble:
         """One step's blocks of the dynamics' ``shapes``, (*rows, *shape) each, by
         ``keyed_normals`` through ``cache``, the step's dict for the whole pass."""
         cache = {} if cache is None else cache
-        for i, stream in enumerate(self._noise[0][0]):
-            if stream is None:      # the row's generation begins: key its source streams
-                generation = self.streams.flat[i].child(NoiseSource.PARTICLES).child(
-                    int(self.resample_count.flat[i]))
-                for source, (streams, _) in zip(_SIGNAL_SOURCES, self._noise):
-                    streams[i] = generation.child(source)
+        if not self._steps:     # the first draw keys every row, then ``resample`` re-keys
+            for row in np.ndindex(self.rows):
+                self._key(row)
         starts = self.generation_start.reshape(-1).tolist()
         self._steps += 1
-        return tuple(keyed_normals(streams, starts, shape, gens, cache, self.rows)
-                     for shape, (streams, gens) in zip(shapes, self._noise))
+        return tuple(keyed_normals(streams.reshape(-1), starts, shape, gens.reshape(-1), cache,
+                                   self.rows) for shape, (streams, gens) in zip(shapes, self._noise))
 
 
 def init_ensemble(
@@ -310,11 +316,9 @@ def resample(ens: ParticleEnsemble, row: tuple | int = ()) -> ParticleEnsemble:
     log_rho1 = mx + math.log(den / N)
     p = w / den
     generation = int(ens.resample_count[row])
-    i = int(np.arange(ens.streams.size).reshape(ens.rows)[row])    # the row, rows flattened
-    if ens._offsets[i] is None:
-        ens._offsets[i] = ens.streams[row].child(NoiseSource.RESAMPLING).generator()
-        ens._offsets[i].uniform(size=generation)     # resample g reads uniform g
-    positions = (ens._offsets[i].uniform() + np.arange(N)) / N
+    if ens._offsets[row] is None:
+        ens._offsets[row] = ens.streams[row].child(NoiseSource.RESAMPLING).generator()
+    positions = (ens._offsets[row].uniform() + np.arange(N)) / N
     cdf = np.cumsum(p)
     cdf[-1] = 1.0  # guard against cumulative roundoff at the top end
     idx = np.searchsorted(cdf, positions, side="left")
@@ -324,8 +328,7 @@ def resample(ens: ParticleEnsemble, row: tuple | int = ()) -> ParticleEnsemble:
     ens.log_weights[row] = log_rho1
     ens.resample_count[row] = generation + 1
     ens.generation_start[row] = ens._steps
-    for streams, gens in ens._noise:    # the next generation's streams are keyed on use
-        streams[i] = gens[i] = None
+    ens._key(row)
     return ens
 
 
@@ -456,8 +459,9 @@ def run_filter_batch(
     propagates the reduced model (``hmodel`` required) and evaluates the
     averaged sensor in the weights.  One propagation step is taken per
     observation step.  A row resamples after the weight update when its
-    ESS < ess_frac * N.  Both modes read the same slow blocks of a run
-    stream, which couples a full and a reduced filter for comparisons.
+    ESS < ess_frac * N.  Both modes read the slow blocks of a run stream, the
+    same ones when ``hmodel.l_factor`` equals the model's ``l1``, which
+    couples a full and a reduced filter for comparisons.
 
     ``mode='both'`` runs the full and the reduced filter in one step loop and
     returns (full outputs, homog outputs), each bitwise what the single-mode

@@ -198,7 +198,8 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
             p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
         dp = n * (x * p1 - p0) / (x * x - 1.0)      # P_n'(x)
         x = x - p1 / dp
-        if np.max(np.abs(p1 / dp)) < 1e-16:
+        # nodes lie in (-1, 1), so steps within a few ulps of 1 are rounding noise
+        if np.max(np.abs(p1 / dp)) <= 4 * np.finfo(float).eps:
             break
     w = 2.0 / ((1.0 - x * x) * dp * dp)
     return x, w * (2.0 / w.sum())

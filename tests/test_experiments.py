@@ -570,7 +570,7 @@ def test_filter_study_draws_each_particle_key_once(ess_frac, monkeypatch):
         assert len(built) == 2 * R and [len(c) for c in caches] == [2 * R] * K
         assert all(not o.resample_steps for case in outs for o in case)
     elif ess_frac < 1.0:
-        assert max(len(c) for c in caches) > R
+        assert max(len(c) for c in caches) > 2 * R
     monkeypatch.undo()
     root, hmodel = RngStream(seed), build_homogenized(preset)
     for ie, eps in enumerate(epsilons):

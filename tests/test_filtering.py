@@ -31,6 +31,7 @@ from levyfilter.averaging import HomogenizedModel, build_homogenized
 from levyfilter.filtering import (
     FullDynamics,
     HomogDynamics,
+    ParticleEnsemble,
     _batch_log_weight,
     estimate,
     init_ensemble,
@@ -296,14 +297,11 @@ def test_stacked_rows_draw_from_their_own_streams():
 
 
 def test_resampling_offsets_are_one_stream_per_row():
-    # the g-th resample of a row reads uniform g of the row's RESAMPLING
-    # stream, however the ensemble reached generation g
+    # the g-th resample of a row reads uniform g of the row's RESAMPLING stream
     rng = np.random.default_rng(3)
     x, logw = rng.normal(size=(16, 1)), rng.normal(size=16)
     uniforms = RngStream(99, 0).child(NoiseSource.RESAMPLING).generator().uniform(size=3)
     ens = _toy_ensemble(n=16)
-    late = _toy_ensemble(n=16)
-    late.resample_count[()] = 2
     for g, u0 in enumerate(uniforms):
         ens.x, ens.log_weights = x.copy(), logw.copy()
         resample(ens)
@@ -312,9 +310,7 @@ def test_resampling_offsets_are_one_stream_per_row():
         cdf[-1] = 1.0
         idx = np.searchsorted(cdf, (u0 + np.arange(16)) / 16, side="left")
         np.testing.assert_array_equal(ens.x, x[idx])
-    late.x, late.log_weights = x.copy(), logw.copy()
-    resample(late)
-    np.testing.assert_array_equal(late.x, ens.x)
+        assert ens.resample_count[()] == g + 1
 
 
 def test_systematic_resample_offspring_counts():
@@ -791,6 +787,40 @@ def test_reduced_filter_draws_no_fast_block(monkeypatch):
                      hmodel=build_homogenized(preset), ess_frac=0.99)
     assert out.resample_steps and draws
     assert {source for source, _ in draws} == {NoiseSource.SLOW_BROWNIAN}
+
+
+def test_full_and_reduced_filters_share_slow_blocks_only_in_one_shape(monkeypatch):
+    # the full filter reads slow blocks (N, l1), the reduced one (N, l_factor):
+    # on example6 (l1 = l_factor = 1) a step's cache holds the shared slow key
+    # and the fast key; with n = 2 slow states driven by l1 = 1 Brownian
+    # motion the closed-form reduced model has l_factor = 2, so the slow keys
+    # differ and the pair is not coupled; either way each filter of the pass
+    # is bitwise its single-mode run
+    cfg = preset_to_config(PRESETS["example6"]())
+    cfg["model"].update(n=2, x0=[0.5, 0.0], b1=["sin(z[0])", "sin(z[0])"],
+                        sigma1=[["1.0"], ["0.5"]], bounds=None)
+    cfg["model"]["closed_form"].update(bbar1=[0.0, 0.0], abar=[[1.0, 0.5], [0.5, 0.25]])
+    keys = []
+    next_noise = ParticleEnsemble.next_noise
+
+    def spy_noise(self, shapes, cache=None):
+        blocks = next_noise(self, shapes, cache)
+        keys.append(len(cache))
+        return blocks
+
+    monkeypatch.setattr(ParticleEnsemble, "next_noise", spy_noise)
+    for preset, n_keys in ((PRESETS["example6"](), 2), (preset_from_config(cfg), 3)):
+        hmodel = build_homogenized(preset)
+        assert (hmodel.l_factor == preset.model.l1) == (n_keys == 2)
+        obs = simulate_reference_observations(preset.observation, 0.2, 0.05, RngStream(8, 0))
+        keys.clear()
+        pair = run_filter(obs, "both", preset, 12, ["tanh"], RngStream(8, 1), hmodel=hmodel,
+                          ess_frac=1e-9)
+        assert keys[1::2] == [n_keys] * 4     # the cache after both filters' step
+        for mode, out in zip(("full", "homog"), pair):
+            alone = run_filter(obs, mode, preset, 12, ["tanh"], RngStream(8, 1), hmodel=hmodel,
+                               ess_frac=1e-9)
+            np.testing.assert_array_equal(out.pi, alone.pi)
 
 
 def test_separate_full_and_reduced_filters_draw_only_their_own_blocks(monkeypatch):

@@ -325,15 +325,17 @@ def filter_convergence_study(
     model, then runs both filters on those observations with a shared
     propagation-noise stream (common random numbers: when ``hmodel.l_factor``
     equals the model's ``l1`` the reduced filter reads the same slow-Brownian
-    blocks the full filter uses), which strips most particle noise out of the
+    blocks the full filter uses, resampled or not; otherwise a warning says
+    the filters are not coupled), which strips most particle noise out of the
     terminal gap |pi_full(psi) - pi_homog(psi)|.
     Per epsilon, one ``simulate_full`` call advances every replication's path
     (``child(e).child(r).child(0)``); then one ``_filter_pass`` runs the 2E
     filters with the replications as rows, row r reading
     ``child(0).child(r).child(1)`` at every epsilon, so a step's block of a
     (source, shape) key is drawn once per replication and shared by every
-    filter that reads it.  ``threads`` is accepted for callers that still
-    pass a worker count and has no effect.
+    filter that reads it.  The pass evaluates the functionals at the last
+    step only, the one the study reads.  ``threads`` is accepted for callers
+    that still pass a worker count and has no effect.
     Reported per epsilon: the mean coupled gap and its SE per functional, and
     the KS distance between the replication samples of the two terminal
     estimates (a coupling-free, distribution-level comparison).
@@ -353,7 +355,7 @@ def filter_convergence_study(
         records = [path.observations() for path in paths]
         cases += [(records, mode, peps, hmodel, scheme) for mode in ("full", "homog")]
     outs = _filter_pass(cases, n_particles, psis, [root.child(0).child(r).child(1) for r in range(R)],
-                        ess_frac)
+                        ess_frac, _last_pi_only=True)
     rows = []
     for eps, out_full, out_homog in zip(epsilons, outs[0::2], outs[1::2]):
         full_T = np.array([o.pi[-1] for o in out_full])

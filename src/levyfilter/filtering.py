@@ -20,12 +20,12 @@ the compensator.
 The filter runs R observation records at once on (R, N, .) ensembles, one
 row per record: propagation, the weight update and the estimates are array
 operations over every row, while each row keeps its own observation events,
-resample decisions and noise.  Each step reads the noise blocks its dynamics
-declare, one stream per (row's run stream, resample generation, source), so a
-row's output is the single-record filter's whatever rows share its stack, and
-a full and a reduced filter on one run stream read the same slow blocks when
-the reduced model's Brownian dimension ``l_factor`` equals the full model's
-``l1`` (otherwise their slow shapes, and so their keys, differ).
+resample decisions and noise.  A step reads the next block of each noise
+source its dynamics declare, one stream per (row's run stream, source) for the
+whole run; resampling re-keys nothing, as later blocks are independent of the
+ancestor indices.  So a row's output is the single-record filter's in any
+stack, and a full and a reduced filter on one run stream read the same slow
+blocks when the reduced ``l_factor`` equals ``l1`` (else a warning says so).
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 import os
 import re
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,13 +116,11 @@ class ParticleEnsemble:
     """State arrays of one or more observation records plus their noise streams.
 
     Arrays carry the row axes ``rows`` in front of the particle axis: () for
-    one record, (R,) for a stack of R records advanced together.  ``streams``,
-    ``resample_count`` and ``generation_start`` are arrays of shape ``rows``
-    holding each row's run stream, resample generation and the step at which
-    that generation began.  Block s of a row's step is read from the stream
-    (PARTICLES, resample generation, ``_SIGNAL_SOURCES[s]``) below the row's
-    run stream, re-keyed by ``resample``, whose successive calls on a row read
-    successive uniforms of the row's stream (RESAMPLING).
+    one record, (R,) for a stack of R records advanced together.  ``streams``
+    (shape ``rows``) holds each row's run stream.  Block s of every step of a
+    row is the next draw of one stream (PARTICLES, 0, ``_SIGNAL_SOURCES[s]``)
+    below the row's run stream: ``resample`` re-keys nothing, and its calls on
+    a row read successive uniforms of the row's stream (RESAMPLING).
     """
 
     x: np.ndarray                      # (*rows, N, n)
@@ -129,23 +128,14 @@ class ParticleEnsemble:
     log_weights: np.ndarray            # (*rows, N)
     time: float
     streams: np.ndarray                # (*rows,) RngStream objects
-    resample_count: np.ndarray         # (*rows,) ints
-    generation_start: np.ndarray       # (*rows,) ints, steps drawn before the generation
-    _steps: int = 0                    # steps drawn so far
-    _noise: list = field(init=False, repr=False)     # (streams, gens) per source, (*rows,) each
+    _noise: list = field(init=False, repr=False)     # (streams, gens) per source, rows flattened
     _offsets: np.ndarray = field(init=False, repr=False)   # (*rows,) resampling generators
 
     def __post_init__(self):
-        self._noise = [(np.empty(self.rows, object), np.empty(self.rows, object))
-                       for _ in _SIGNAL_SOURCES]
+        particles = [s.child(NoiseSource.PARTICLES).child(0) for s in self.streams.reshape(-1)]
+        self._noise = [([p.child(source) for p in particles], [None] * len(particles))
+                       for source in _SIGNAL_SOURCES]
         self._offsets = np.empty(self.rows, object)
-
-    def _key(self, row) -> None:
-        """Point ``row``'s source streams at its resample generation, generators unbuilt."""
-        generation = self.streams[row].child(NoiseSource.PARTICLES).child(
-            int(self.resample_count[row]))
-        for source, (streams, gens) in zip(_SIGNAL_SOURCES, self._noise):
-            streams[row], gens[row] = generation.child(source), None
 
     @property
     def rows(self) -> tuple:
@@ -159,13 +149,8 @@ class ParticleEnsemble:
         """One step's blocks of the dynamics' ``shapes``, (*rows, *shape) each, by
         ``keyed_normals`` through ``cache``, the step's dict for the whole pass."""
         cache = {} if cache is None else cache
-        if not self._steps:     # the first draw keys every row, then ``resample`` re-keys
-            for row in np.ndindex(self.rows):
-                self._key(row)
-        starts = self.generation_start.reshape(-1).tolist()
-        self._steps += 1
-        return tuple(keyed_normals(streams.reshape(-1), starts, shape, gens.reshape(-1), cache,
-                                   self.rows) for shape, (streams, gens) in zip(shapes, self._noise))
+        return tuple(keyed_normals(streams, shape, gens, cache, self.rows)
+                     for shape, (streams, gens) in zip(shapes, self._noise))
 
 
 def init_ensemble(
@@ -197,8 +182,6 @@ def init_ensemble(
         log_weights=np.zeros(rows + (n_particles,)),
         time=0.0,
         streams=streams,
-        resample_count=np.zeros(rows, dtype=int),
-        generation_start=np.zeros(rows, dtype=int),
     )
 
 
@@ -267,7 +250,7 @@ def _batch_log_weight(
 # estimates and resampling
 
 
-def estimate(ens: ParticleEnsemble, psis: list[PsiSpec]) -> dict:
+def estimate(ens: ParticleEnsemble, psis: list[PsiSpec], out: tuple = (None,) * 3) -> dict:
     """Normalized estimates, unnormalized mass, and effective sample size.
 
     Each row of the ensemble reduces along its particle axis on its own:
@@ -275,19 +258,21 @@ def estimate(ens: ParticleEnsemble, psis: list[PsiSpec]) -> dict:
     (floats for a single record).  pi(psi) is a convex combination of psi
     values, so it stays inside the functional's declared range; psi
     identically one yields exactly 1.0 because numerator and denominator are
-    then the same float reduction.
+    then the same float reduction.  Buffers ``out`` (*rows, 1), (*rows, N),
+    ``rows`` receive mx = max logw, w = exp(logw - mx) and den = sum w.
     """
     logw = ens.log_weights
     if not np.all(np.isfinite(logw)):
         raise ModelViolationError("non-finite log-weights in the ensemble")
-    mx = logw.max(axis=-1, keepdims=True)
-    w = np.subtract(logw, mx)
+    mx, w, den = out
+    mx = logw.max(axis=-1, keepdims=True, out=mx)
+    w = np.subtract(logw, mx, out=w)
     np.exp(w, out=w)
-    den = w.sum(axis=-1)
+    den = w.sum(axis=-1, out=den)
     pi = np.empty(ens.rows + (len(psis),))
     for i, psi in enumerate(psis):
         pi[..., i] = (w * psi(ens.x)).sum(axis=-1) / den
-    ess = den * den / np.multiply(w, w, out=w).sum(axis=-1)
+    ess = den * den / (w * w).sum(axis=-1)
     # math.log per row, as resample uses, so both agree on the mass level bitwise
     N = ens.n_particles
     if not ens.rows:
@@ -296,39 +281,38 @@ def estimate(ens: ParticleEnsemble, psis: list[PsiSpec]) -> dict:
     return {"pi": pi, "log_rho1": np.array(mass), "ess": ess}
 
 
-def resample(ens: ParticleEnsemble, row: tuple | int = ()) -> ParticleEnsemble:
+def resample(ens: ParticleEnsemble, row: tuple | int = (), weights: tuple | None = None
+             ) -> ParticleEnsemble:
     """Systematic resampling of one row; preserves its unnormalized mass exactly.
 
     ``row`` indexes the row axes (the default () is the whole ensemble of a
-    single record).  Offspring counts of a weight p differ from N p by less
-    than one in either direction.  Survivors keep equal log-weights at the
-    current mass level, and the row is re-keyed to the stream of its new
-    resample generation, so the future noise of survivor copies is
-    independent.  Other rows are untouched.
+    single record).  ``weights`` is the row's (w, den, log_rho1) from
+    ``estimate`` on the current log-weights, computed here when None.
+    Offspring counts of a weight p differ from N p by less than one in either
+    direction.  Survivors keep equal log-weights at the current mass level.
+    Nothing is re-keyed: copies of a particle read different columns of the
+    row's next blocks.  Other rows are untouched.
     """
-    if np.ndim(ens.resample_count[row]) != 0:
+    if ens.log_weights[row].ndim != 1:
         raise ValueError(f"resample takes one row of the row axes {ens.rows}, got row={row!r}")
     N = ens.n_particles
-    logw = ens.log_weights[row]
-    mx = float(logw.max())
-    w = np.exp(logw - mx)
-    den = float(np.sum(w))
-    log_rho1 = mx + math.log(den / N)
-    p = w / den
-    generation = int(ens.resample_count[row])
+    if weights is None:
+        logw = ens.log_weights[row]
+        mx = float(logw.max())
+        w = np.exp(logw - mx)
+        den = float(np.sum(w))
+        weights = w, den, mx + math.log(den / N)
+    w, den, log_rho1 = weights
     if ens._offsets[row] is None:
         ens._offsets[row] = ens.streams[row].child(NoiseSource.RESAMPLING).generator()
     positions = (ens._offsets[row].uniform() + np.arange(N)) / N
-    cdf = np.cumsum(p)
+    cdf = np.cumsum(w / den)
     cdf[-1] = 1.0  # guard against cumulative roundoff at the top end
     idx = np.searchsorted(cdf, positions, side="left")
     ens.x[row] = ens.x[row][idx]
     if ens.z is not None:
         ens.z[row] = ens.z[row][idx]
     ens.log_weights[row] = log_rho1
-    ens.resample_count[row] = generation + 1
-    ens.generation_start[row] = ens._steps
-    ens._key(row)
     return ens
 
 
@@ -407,9 +391,11 @@ class _ModeRun:
     ess: np.ndarray              # (K+1, R)
     resample_steps: list         # per row
 
-    def record(self, k: int, psis: list) -> np.ndarray:
-        est = estimate(self.ens, psis)
-        self.pi[k], self.log_rho1[k], self.ess[k] = est["pi"], est["log_rho1"], est["ess"]
+    def record(self, k: int, psis: list, weights: tuple) -> np.ndarray:
+        est = estimate(self.ens, psis, weights)
+        if psis:
+            self.pi[k] = est["pi"]
+        self.log_rho1[k], self.ess[k] = est["log_rho1"], est["ess"]
         return est["ess"]
 
     def outputs(self, times: np.ndarray, psis: list) -> list[FilterOutput]:
@@ -465,9 +451,8 @@ def run_filter_batch(
 
     ``mode='both'`` runs the full and the reduced filter in one step loop and
     returns (full outputs, homog outputs), each bitwise what the single-mode
-    call returns; a row whose modes share a generation and its start draws
-    its slow block once.  Every mode is a one-case or two-case call of
-    ``_filter_pass``.
+    call returns; a row draws its shared slow block once per step, resampled
+    or not.  Every mode is a one-case or two-case call of ``_filter_pass``.
     """
     if mode not in ("full", "homog", "both"):
         raise ValueError(f"mode must be 'full', 'homog' or 'both', got {mode!r}")
@@ -477,7 +462,7 @@ def run_filter_batch(
     return tuple(outs) if mode == "both" else outs[0]
 
 
-def _filter_pass(cases, n_particles, psis, streams, ess_frac=0.5) -> list:
+def _filter_pass(cases, n_particles, psis, streams, ess_frac=0.5, _last_pi_only=False) -> list:
     """One filter per case, all advanced in one step loop on the run streams
     ``streams``; returns one list of ``FilterOutput`` per case.
 
@@ -485,6 +470,8 @@ def _filter_pass(cases, n_particles, psis, streams, ess_frac=0.5) -> list:
     'homog', with ``records[r]`` on ``streams[r]`` and one time grid for all.
     Every ensemble reads its blocks through one cache per step, so a key's
     block is drawn once and a case's outputs are bitwise the case run alone.
+    Both modes with ``l_factor`` != ``l1`` warn.  ``_last_pi_only`` evaluates
+    the functionals at the last step only (``pi`` NaN before), not mass or ESS.
     """
     if not 0.0 < ess_frac <= 1.0:
         raise ValueError(f"ess_frac must lie in (0, 1], got {ess_frac}")
@@ -505,6 +492,12 @@ def _filter_pass(cases, n_particles, psis, streams, ess_frac=0.5) -> list:
 
     setups = [_mode_setup(mode, preset, hmodel, scheme, dt)
               for _, mode, preset, hmodel, scheme in cases]
+    if len({case[1] for case in cases}) == 2:
+        for l_factor, l1 in {(h.l_factor, p.model.l1) for _, _, p, h, _ in cases}:
+            if l_factor != l1:
+                warnings.warn(f"the reduced model's Brownian dimension l_factor={l_factor} is not "
+                              f"the model's l1={l1}: the full and reduced filters read different "
+                              "slow blocks and are not coupled", stacklevel=3)
     runs = [
         _ModeRun(
             mode=mode, dynamics=dynamics, sensor=sensor, obs=preset.observation,
@@ -512,15 +505,18 @@ def _filter_pass(cases, n_particles, psis, streams, ess_frac=0.5) -> list:
                 [rec.small_times for rec in records], [rec.small_marks for rec in records])),
             d_bbar=np.stack([rec.bbar_increments for rec in records], axis=1)[:, :, None, :],
             ens=init_ensemble(n_particles, x0, z0, list(streams)),
-            pi=np.empty((K + 1, R, len(psis))), log_rho1=np.empty((K + 1, R)),
+            pi=np.full((K + 1, R, len(psis)), np.nan), log_rho1=np.empty((K + 1, R)),
             ess=np.empty((K + 1, R)), resample_steps=[[] for _ in range(R)],
         )
         for (records, mode, preset, _, _), (dynamics, x0, z0, sensor) in zip(cases, setups)
     ]
-    threshold = ess_frac * n_particles
-
+    threshold, before_last = ess_frac * n_particles, [] if _last_pi_only else psis
+    # estimate's (mx, w, den) buffers, shared by the runs: a run's resamples read
+    # them before the next run's estimate overwrites them
+    weights = (np.empty((R, 1)), np.empty((R, n_particles)), np.empty(R))
+    _, w, den = weights
     for run in runs:
-        run.record(0, psis)
+        run.record(0, before_last, weights)
     for k in range(K):
         cache, t_right = {}, float(times[k + 1])
         for run in runs:
@@ -528,10 +524,10 @@ def _filter_pass(cases, n_particles, psis, streams, ess_frac=0.5) -> list:
             propagate(ens, run.dynamics, dt, ens.next_noise(run.dynamics.blocks(n_particles), cache))
             ens.log_weights += _batch_log_weight(
                 run.obs, run.sensor(ens), ens.x, run.d_bbar[k], dt, t_right, run.events.get(k, ()))
-            ess = run.record(k + 1, psis)
+            ess = run.record(k + 1, psis if k == K - 1 else before_last, weights)
             if k < K - 1:
                 for r, row_ess in enumerate(ess.tolist()):
                     if row_ess < threshold:
-                        resample(ens, r)
+                        resample(ens, r, (w[r], den[r], run.log_rho1[k + 1, r]))
                         run.resample_steps[r].append(k + 1)
     return [run.outputs(times, psis) for run in runs]

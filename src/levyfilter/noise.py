@@ -2,8 +2,9 @@
 
 Every driving noise of every simulated path gets its own stream, addressed by
 an integer id.  Ids are allocated hierarchically: ``RngStream.child(key)``
-shifts the parent id up by 64 bits and packs ``key`` below it, so distinct
-(parent, key) pairs can never collide no matter how deep the derivation goes.
+shifts the parent id up by 64 bits and packs ``key`` below it, so two key
+chains give one id exactly when they differ only in leading zero keys:
+``RngStream(s).child(0).child(k)`` and ``RngStream(s).child(k)`` are one stream.
 The bit stream behind a ``(root_seed, stream_id)`` pair is a pure function of
 those two integers; nothing here mutates global numpy state.
 """
@@ -37,7 +38,7 @@ class NoiseSource(IntEnum):
     THINNING = 7           # acceptance uniforms for state-dependent thinning
     HOMOG_BROWNIAN = 8     # Brownian motion of the reduced slow model
     HOMOG_JUMPS = 9        # jump measure of the reduced slow model
-    PARTICLES = 10         # filter propagation noise, one stream per resample generation
+    PARTICLES = 10         # filter propagation noise, one stream per row and source
     RESAMPLING = 11        # systematic-resampling offsets
     VALIDATION = 12        # state sampling in assumption checks
     AVERAGING = 13         # invariant-measure chains
@@ -272,19 +273,19 @@ def brownian_increments(stream: RngStream, dim: int, dt: float, count: int) -> n
     return gen.normal(0.0, math.sqrt(dt), size=(count, dim))
 
 
-def keyed_normals(streams, starts, shape: tuple, gens: list, cache: dict, rows=()) -> np.ndarray:
+def keyed_normals(streams, shape: tuple, gens: list, cache: dict, rows=()) -> np.ndarray:
     """One step's read-only standard normals, a ``shape`` block per row stacked
-    (*rows, *shape); row i reads ``streams[i]``, begun at step ``starts[i]``,
-    with generator ``gens[i]`` (None until built).  ``cache``, the step's dict
-    shared by every reader, maps a key (stream, start, shape) to its first
-    reader's (generator, block, row): a later reader adopts that generator and
-    copies that row, or takes the block itself when all its rows hit it in
-    order, so a key is drawn once and a row's block depends on key and step."""
+    (*rows, *shape): row i reads the next block of ``streams[i]`` with
+    generator ``gens[i]`` (None until built).  ``cache``, the step's dict shared
+    by every reader, maps a key (stream, shape) to its first reader's
+    (generator, block, row): a later reader adopts that generator and copies
+    that row, or takes the block itself when all its rows hit it in order, so
+    a key is drawn once per step and a row's block depends on key and step."""
     out = np.empty(rows + shape)
     flat = out.reshape((-1,) + shape)
     hits = []
-    for i, (stream, start) in enumerate(zip(streams, starts)):
-        key = (stream.root_seed, stream.stream_id, start, shape)
+    for i, stream in enumerate(streams):
+        key = (stream.root_seed, stream.stream_id, shape)
         if key in cache:
             gens[i], block, j = cache[key]
             hits.append((i, block, j))

@@ -584,7 +584,7 @@ def _law_steps(laws: list, T: float, dt: float, n_paths: int):
     for t in times[1:]:
         cache = {}
         for i, ((dynamics, _, _, streams), law_gens) in enumerate(zip(laws, gens)):
-            noise = [keyed_normals([stream], [0], shape, g, cache)
+            noise = [keyed_normals([stream], shape, g, cache)
                      for stream, shape, g in zip(streams, dynamics.blocks(P), law_gens)]
             states[i] = dynamics.step(*states[i], noise, dt)
             _check_finite([a for a in states[i] if a is not None], t)

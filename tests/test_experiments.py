@@ -494,7 +494,8 @@ def test_filter_study_is_one_coupled_pass_per_epsilon_on_shared_streams(
         route, epsilons, ess_frac, monkeypatch):
     # every epsilon's filters read replication r's particle stream
     # child(0).child(r).child(1), each at its own blocks, so each epsilon's
-    # outputs are its coupled pass alone on those streams
+    # outputs are its coupled pass alone on those streams; the study's pass
+    # evaluates the functionals at the last step only
     preset = PRESETS["example6"]() if route == "exact_ou" else _euler_example6()
     R, N, T, dt, seed, psis = 3, 16, 0.2, 0.02, 3, ["tanh", "arctan"]
     report, outs = _study_and_its_outputs(
@@ -512,8 +513,9 @@ def test_filter_study_is_one_coupled_pass_per_epsilon_on_shared_streams(
             scheme=scheme, ess_frac=ess_frac)
         for got, want in zip(outs[2 * ie] + outs[2 * ie + 1], full + homog):
             assert got.mode == want.mode
-            assert _hexes(got.pi) == _hexes(want.pi)
+            assert _hexes(got.pi[-1]) == _hexes(want.pi[-1]) and np.isnan(got.pi[:-1]).all()
             assert _hexes(got.log_rho1) == _hexes(want.log_rho1)
+            assert _hexes(got.ess) == _hexes(want.ess)
             assert got.resample_steps == want.resample_steps
         gaps = np.abs(np.array([o.pi[-1] for o in full]) - np.array([o.pi[-1] for o in homog]))
         assert _hexes(row["mean_gap"]) == _hexes(gaps.mean(axis=0))
@@ -533,16 +535,19 @@ class _CountingGenerator:
 
 @pytest.mark.parametrize("ess_frac", [1e-9, 0.999, 1.0])
 def test_filter_study_draws_each_particle_key_once(ess_frac, monkeypatch):
-    # particle blocks are keyed (run stream, generation, source, generation
-    # start, shape): without resampling a 3-epsilon exact-OU study of R rows
-    # builds 2R particle generators (a slow and a fast one per row), not 9R,
-    # and draws 2R blocks per step; rows whose keys diverge draw their own
-    # blocks and stay bitwise single-record filters
-    built, draws, caches = [], [], []
+    # particle blocks are keyed (run stream, source, shape), one stream per
+    # row and source for the whole run: however often the rows resample, a
+    # 3-epsilon exact-OU study of R rows builds 2R particle generators (a slow
+    # and a fast one per row), not 9R, draws 2R blocks per step, and builds
+    # one resampling generator per filter row that resamples; every row stays
+    # bitwise its single-record filter
+    built, offsets, draws, caches = [], [], [], []
     generator = RngStream.generator
 
     def spy_generator(stream):
         gen = generator(stream)
+        if stream.stream_id % (1 << 64) == NoiseSource.RESAMPLING:
+            offsets.append(stream)
         if (stream.stream_id >> 128) % (1 << 64) != NoiseSource.PARTICLES:
             return gen
         built.append(stream)
@@ -566,11 +571,12 @@ def test_filter_study_draws_each_particle_key_once(ess_frac, monkeypatch):
     assert len(caches) == K
     assert len(draws) == sum(len(c) for c in caches)
     assert len(built) == len(set().union(*caches))
-    if ess_frac < 0.5:
-        assert len(built) == 2 * R and [len(c) for c in caches] == [2 * R] * K
-        assert all(not o.resample_steps for case in outs for o in case)
-    elif ess_frac < 1.0:
-        assert max(len(c) for c in caches) > 2 * R
+    assert len(built) == 2 * R and [len(c) for c in caches] == [2 * R] * K
+    resampled = sum(1 for case in outs for o in case if o.resample_steps)
+    assert len(offsets) == resampled and (resampled > 0) == (ess_frac > 0.5)
+    run_offsets = {RngStream(seed).child(0).child(r).child(1).child(NoiseSource.RESAMPLING)
+                   .stream_id for r in range(R)}
+    assert {s.stream_id for s in offsets} <= run_offsets
     monkeypatch.undo()
     root, hmodel = RngStream(seed), build_homogenized(preset)
     for ie, eps in enumerate(epsilons):
@@ -581,7 +587,8 @@ def test_filter_study_draws_each_particle_key_once(ess_frac, monkeypatch):
             pair = run_filter(path.observations(), "both", peps, N, ["tanh"],
                               root.child(0).child(r).child(1), hmodel=hmodel, ess_frac=ess_frac)
             for got, want in zip((outs[2 * ie][r], outs[2 * ie + 1][r]), pair):
-                assert _hexes(got.pi) == _hexes(want.pi)
+                assert _hexes(got.pi[-1]) == _hexes(want.pi[-1])
+                assert _hexes(got.log_rho1) == _hexes(want.log_rho1)
                 assert got.resample_steps == want.resample_steps
 
 

@@ -1,8 +1,10 @@
 """Particle filter: weights, resampling, invariants, and the reduced-model coupling."""
 
-import math
-
+import contextlib
 import dataclasses
+import hashlib
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from levyfilter import (
     preset_to_config,
 )
 from levyfilter.averaging import HomogenizedModel, build_homogenized
+from levyfilter.experiments import filter_convergence_study
 from levyfilter.filtering import (
     FullDynamics,
     HomogDynamics,
@@ -241,35 +244,37 @@ def _toy_ensemble(n=4):
 _TOY_SHAPES = ((3, 2), (2, 3, 1))
 
 
-def test_particle_noise_is_one_draw_per_resample_generation():
+def test_particle_noise_is_one_draw_per_source_for_the_whole_run():
+    # the row resamples after steps 1, 4, 7 and 10 and re-keys nothing: step k
+    # still reads row k of one (K, *shape) draw of each source's stream
     ens = _toy_ensemble(n=3)
-    steps = [ens.next_noise(_TOY_SHAPES) for _ in range(12)]
+    rng = np.random.default_rng(4)
+    steps = []
+    for k in range(12):
+        steps.append(ens.next_noise(_TOY_SHAPES))
+        if k % 3 == 1:
+            ens.log_weights = rng.normal(size=3)
+            resample(ens)
     for s in range(2):
         cols = np.stack([blocks[s] for blocks in steps])
         assert not np.allclose(cols[:4], cols[4:8])
         assert not np.allclose(cols[4:8], cols[8:12])
-    # deterministic replay from an identically keyed ensemble
+    # deterministic replay from an ensemble on the same stream that never resamples
     again = _toy_ensemble(n=3)
     for blocks in steps:
         for block, replay in zip(blocks, again.next_noise(_TOY_SHAPES)):
             np.testing.assert_array_equal(block, replay)
-    # step k of a generation reads row k of one (K, *shape) draw of each source's stream
-    particles = RngStream(99, 0).child(NoiseSource.PARTICLES)
+    particles = RngStream(99, 0).child(NoiseSource.PARTICLES).child(0)
     sources = (NoiseSource.SLOW_BROWNIAN, NoiseSource.FAST_BROWNIAN)
     for s, (source, shape) in enumerate(zip(sources, _TOY_SHAPES)):
-        block = particles.child(0).child(source).generator().standard_normal((12,) + shape)
+        block = particles.child(source).generator().standard_normal((12,) + shape)
         for k in range(12):
             np.testing.assert_array_equal(steps[k][s], block[k])
-    # resampling re-keys the ensemble to the next generation's streams
-    resample(ens)
-    for block, source, shape in zip(ens.next_noise(_TOY_SHAPES), sources, _TOY_SHAPES):
-        first = particles.child(1).child(source).generator().standard_normal((1,) + shape)
-        np.testing.assert_array_equal(block, first[0])
 
 
 def test_stacked_rows_draw_from_their_own_streams():
     # row r of a stack reads exactly the noise of a single ensemble on stream r,
-    # and resampling one row re-keys that row only
+    # and resampling one row moves that row's particles only
     streams = [RngStream(99, 0), RngStream(99, 1), RngStream(7, 3)]
     shapes = ((5, 2), (2, 5, 1))
     stack = init_ensemble(5, np.zeros(1), None, streams)
@@ -290,7 +295,6 @@ def test_stacked_rows_draw_from_their_own_streams():
     before = stack.x.copy()
     resample(stack, 1)
     resample(singles[1])
-    assert list(stack.resample_count) == [0, 1, 0]
     np.testing.assert_array_equal(stack.x[[0, 2]], before[[0, 2]])
     np.testing.assert_array_equal(stack.log_weights[1], singles[1].log_weights)
     check_rows()
@@ -310,7 +314,6 @@ def test_resampling_offsets_are_one_stream_per_row():
         cdf[-1] = 1.0
         idx = np.searchsorted(cdf, (u0 + np.arange(16)) / 16, side="left")
         np.testing.assert_array_equal(ens.x, x[idx])
-        assert ens.resample_count[()] == g + 1
 
 
 def test_systematic_resample_offspring_counts():
@@ -325,7 +328,6 @@ def test_systematic_resample_offspring_counts():
     # survivors share the mass level: log mean weight of the old ensemble
     assert np.all(ens.log_weights == ens.log_weights[0])
     assert ens.log_weights[0] == pytest.approx(math.log(0.25), rel=1e-15)
-    assert ens.resample_count == 1
 
 
 def test_resample_preserves_unnormalized_mass_bitwise():
@@ -607,10 +609,13 @@ def test_coupled_pass_is_bitwise_two_single_mode_passes(ess_frac):
 
 
 def test_coupled_pass_draws_a_shared_block_once(monkeypatch):
-    # with no resampling both modes stay in generation 0 from step 0, so their
-    # rows hold one slow key: the reduced ensemble reads the full ensemble's
-    # slow block and adopts its generator, the fast block is the full
-    # ensemble's alone, and the pass builds one generator per source for the row
+    # both modes read one slow stream per row for the whole run, so at every
+    # step, whether the full row resampled or not, the row holds one slow key:
+    # the reduced ensemble reads the full ensemble's slow block and adopts its
+    # generator, the fast block is the full ensemble's alone, and the pass
+    # builds one generator per source for the row plus its resampling offsets
+    slow = RngStream(1, 0).child(NoiseSource.PARTICLES).child(0).child(NoiseSource.SLOW_BROWNIAN)
+    expected = slow.generator().standard_normal((4, 6, 1))
     built = []
     generator = RngStream.generator
     monkeypatch.setattr(RngStream, "generator", lambda s: built.append(s) or generator(s))
@@ -619,39 +624,53 @@ def test_coupled_pass_draws_a_shared_block_once(monkeypatch):
     homog_shapes = ((6, 1),)
     full = init_ensemble(6, preset.model.x0, preset.model.z0, [RngStream(1, 0)])
     homog = init_ensemble(6, preset.model.x0, None, [RngStream(1, 0)])
-    for _ in range(2):
+    rng = np.random.default_rng(1)
+    for k in range(4):
         cache = {}
         slow_f, fast_f = full.next_noise(full_shapes, cache)
         (slow_h,) = homog.next_noise(homog_shapes, cache)
         assert slow_h is slow_f and not slow_f.flags.writeable and not fast_f.flags.writeable
         assert len(cache) == 2 and homog._noise[0][1][0] is full._noise[0][1][0]
-    assert len(built) == 2 and homog._noise[1][1] == [None]   # no fast generator
-    # after the full row resamples its keys change: each row draws its own
-    # slow block, and the reduced row keeps the generator, which is where a
-    # reduced ensemble drawing on its own would be
-    resample(full, 0)
-    assert full.generation_start[0] == 2
-    cache = {}
-    (slow_f, _), (slow_h,) = full.next_noise(full_shapes, cache), homog.next_noise(homog_shapes, cache)
-    assert len(cache) == 3 and homog._noise[0][1][0] is not full._noise[0][1][0]
-    single = init_ensemble(6, preset.model.x0, None, [RngStream(1, 0)])
-    for _ in range(2):
-        single.next_noise(homog_shapes)
-    np.testing.assert_array_equal(slow_h, single.next_noise(homog_shapes)[0])
-    resampled = init_ensemble(6, preset.model.x0, None, [RngStream(1, 0)])
-    resampled.resample_count[()] = 1
-    np.testing.assert_array_equal(slow_f, resampled.next_noise(homog_shapes)[0])
+        np.testing.assert_array_equal(slow_h[0], expected[k])
+        full.log_weights[0] = rng.normal(size=6)
+        resample(full, 0)
+    offsets = RngStream(1, 0).child(NoiseSource.RESAMPLING)
+    assert [s.stream_id for s in built].count(offsets.stream_id) == 1
+    assert len(built) == 3 and homog._noise[1][1] == [None]   # no fast generator
 
 
 def test_resample_of_a_stack_needs_a_row():
     stack = init_ensemble(4, np.zeros(1), None, [RngStream(5, r) for r in range(3)])
+    stack.x = np.arange(12.0).reshape(3, 4, 1)
+    stack.log_weights[2] = np.log([0.1, 0.1, 0.1, 0.7])
     before = stack.x.copy()
     with pytest.raises(ValueError, match=r"row axes \(3,\)"):
         resample(stack)
     np.testing.assert_array_equal(stack.x, before)
-    assert list(stack.resample_count) == [0, 0, 0]
     resample(stack, 2)
-    assert list(stack.resample_count) == [0, 0, 1]
+    np.testing.assert_array_equal(stack.x[:2], before[:2])
+    assert not np.array_equal(stack.x[2], before[2]) and set(stack.x[2, :, 0]) <= {8, 9, 10, 11}
+
+
+def test_resample_fed_the_step_weights_is_bitwise_resample_on_its_own():
+    # the filter hands resample the (w, den, log_rho1) that estimate computed
+    # for the row; the survivors, their log-weights and the next offsets match
+    rng = np.random.default_rng(11)
+    x, logw = rng.normal(size=(3, 50, 1)), 3.0 * rng.normal(size=(3, 50))
+    streams = [RngStream(5, r) for r in range(3)]
+    fed, alone = (init_ensemble(50, np.zeros(1), None, streams) for _ in range(2))
+    buffers = (np.empty((3, 1)), np.empty((3, 50)), np.empty(3))
+    for _ in range(3):
+        for ens in (fed, alone):
+            ens.x, ens.log_weights = x.copy(), logw.copy()
+        est = estimate(fed, [psi_from_string("tanh")], buffers)
+        np.testing.assert_array_equal(
+            buffers[1], np.exp(logw - logw.max(axis=-1, keepdims=True)))
+        for r in range(3):
+            resample(fed, r, (buffers[1][r], buffers[2][r], est["log_rho1"][r]))
+            resample(alone, r)
+        np.testing.assert_array_equal(fed.x, alone.x)
+        assert fed.log_weights.tobytes() == alone.log_weights.tobytes()
 
 
 _finite = st.floats(-1e3, 1e3, allow_nan=False, width=64)
@@ -746,7 +765,7 @@ def test_full_and_reduced_filters_coincide_when_reduction_is_exact():
     np.testing.assert_array_equal(full.log_rho1, reduced.log_rho1)
     np.testing.assert_array_equal(full.ess, reduced.ess)
     assert full.resample_steps == reduced.resample_steps
-    assert full.resample_steps      # the runs pass through more than one generation
+    assert full.resample_steps      # the runs resample
 
 
 def _particle_source(stream):
@@ -789,17 +808,22 @@ def test_reduced_filter_draws_no_fast_block(monkeypatch):
     assert {source for source, _ in draws} == {NoiseSource.SLOW_BROWNIAN}
 
 
-def test_full_and_reduced_filters_share_slow_blocks_only_in_one_shape(monkeypatch):
-    # the full filter reads slow blocks (N, l1), the reduced one (N, l_factor):
-    # on example6 (l1 = l_factor = 1) a step's cache holds the shared slow key
-    # and the fast key; with n = 2 slow states driven by l1 = 1 Brownian
-    # motion the closed-form reduced model has l_factor = 2, so the slow keys
-    # differ and the pair is not coupled; either way each filter of the pass
-    # is bitwise its single-mode run
+def uncoupled_example6():
+    """example6 with n = 2 slow states driven by l1 = 1 Brownian motion: the
+    closed-form reduced model has l_factor = n = 2."""
     cfg = preset_to_config(PRESETS["example6"]())
     cfg["model"].update(n=2, x0=[0.5, 0.0], b1=["sin(z[0])", "sin(z[0])"],
                         sigma1=[["1.0"], ["0.5"]], bounds=None)
     cfg["model"]["closed_form"].update(bbar1=[0.0, 0.0], abar=[[1.0, 0.5], [0.5, 0.25]])
+    return preset_from_config(cfg)
+
+
+def test_full_and_reduced_filters_share_slow_blocks_only_in_one_shape(monkeypatch):
+    # the full filter reads slow blocks (N, l1), the reduced one (N, l_factor):
+    # on example6 (l1 = l_factor = 1) a step's cache holds the shared slow key
+    # and the fast key; on the variant with l_factor = 2 the slow keys differ,
+    # the pair is not coupled and a warning says so; either way each filter of
+    # the pass is bitwise its single-mode run
     keys = []
     next_noise = ParticleEnsemble.next_noise
 
@@ -809,18 +833,91 @@ def test_full_and_reduced_filters_share_slow_blocks_only_in_one_shape(monkeypatc
         return blocks
 
     monkeypatch.setattr(ParticleEnsemble, "next_noise", spy_noise)
-    for preset, n_keys in ((PRESETS["example6"](), 2), (preset_from_config(cfg), 3)):
+    for preset, n_keys in ((PRESETS["example6"](), 2), (uncoupled_example6(), 3)):
         hmodel = build_homogenized(preset)
         assert (hmodel.l_factor == preset.model.l1) == (n_keys == 2)
         obs = simulate_reference_observations(preset.observation, 0.2, 0.05, RngStream(8, 0))
         keys.clear()
-        pair = run_filter(obs, "both", preset, 12, ["tanh"], RngStream(8, 1), hmodel=hmodel,
-                          ess_frac=1e-9)
+        with pytest.warns(UserWarning, match="not coupled") if n_keys == 3 else _no_warning():
+            pair = run_filter(obs, "both", preset, 12, ["tanh"], RngStream(8, 1), hmodel=hmodel,
+                              ess_frac=1e-9)
         assert keys[1::2] == [n_keys] * 4     # the cache after both filters' step
         for mode, out in zip(("full", "homog"), pair):
             alone = run_filter(obs, mode, preset, 12, ["tanh"], RngStream(8, 1), hmodel=hmodel,
                                ess_frac=1e-9)
             np.testing.assert_array_equal(out.pi, alone.pi)
+
+
+@contextlib.contextmanager
+def _no_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        yield
+
+
+def test_only_uncoupled_filter_pairs_warn():
+    # one warning per call, naming both dimensions; example6 passes silently
+    preset = uncoupled_example6()
+    hmodel = build_homogenized(preset)
+    obs = simulate_reference_observations(preset.observation, 0.1, 0.05, RngStream(3, 0))
+    with pytest.warns(UserWarning, match=r"l_factor=2 .* l1=1.*not coupled") as caught:
+        run_filter_batch([obs, obs], "both", preset, 8, ["tanh"], [RngStream(3, 1)] * 2,
+                         hmodel=hmodel)
+    assert len(caught) == 1
+    with pytest.warns(UserWarning, match="not coupled") as caught:
+        filter_convergence_study(preset, [0.5, 0.1], replications=2, n_particles=8,
+                                 psis=["tanh"], T=0.1, dt=0.05, hmodel=hmodel)
+    assert len(caught) == 1
+    with _no_warning():
+        run_filter_batch([obs], "homog", preset, 8, ["tanh"], [RngStream(3, 1)], hmodel=hmodel)
+        example6 = PRESETS["example6"]()
+        filter_convergence_study(example6, [0.5, 0.1], replications=2, n_particles=8,
+                                 psis=["tanh"], T=0.1, dt=0.05)
+
+
+def test_mode_both_pass_holds_two_keys_per_row_at_every_step(monkeypatch):
+    # rows resample at their own steps, yet every step's cache holds one slow
+    # key (read by both filters) and one fast key per row
+    preset, R = PRESETS["example6"](), 4
+    records = [simulate_reference_observations(preset.observation, 0.5, 0.05, RngStream(9, 2 * r))
+               for r in range(R)]
+    caches = []
+    next_noise = ParticleEnsemble.next_noise
+
+    def spy_noise(self, shapes, cache=None):
+        if not caches or caches[-1] is not cache:
+            caches.append(cache)
+        return next_noise(self, shapes, cache)
+
+    monkeypatch.setattr(ParticleEnsemble, "next_noise", spy_noise)
+    full, homog = run_filter_batch(records, "both", preset, 16, ["tanh"],
+                                   [RngStream(9, 2 * r + 1) for r in range(R)],
+                                   hmodel=build_homogenized(preset), ess_frac=0.999)
+    assert [len(c) for c in caches] == [2 * R] * 10
+    assert all(o.resample_steps for o in full + homog)
+    assert len({tuple(o.resample_steps) for o in full}) == R
+
+
+def test_rows_keep_their_bits_until_their_first_resample():
+    # the digest was taken when a resample re-keyed the row to a fresh stream
+    # per resample generation; generation 0 read the one stream per source that
+    # every step now reads, so a row that never resamples keeps every bit and a
+    # row that resamples keeps its outputs up to the step of its first resample
+    preset = _BATCH_PRESET
+    records = [simulate_reference_observations(preset.observation, 1.0, 0.05, RngStream(12, 2 * r))
+               for r in range(6)]
+    streams = [RngStream(12, 2 * r + 1) for r in range(6)]
+    full, homog = run_filter_batch(records, "both", preset, 24, ["tanh"], streams,
+                                   hmodel=_BATCH_HMODEL, ess_frac=0.8)
+    assert [o.resample_steps[:1] for o in full + homog] == [
+        [], [], [9], [19], [16], [17], [], [], [9], [19], [16], [17]]
+    digest = hashlib.sha256()
+    for out in full + homog:
+        end = out.resample_steps[0] + 1 if out.resample_steps else None
+        for series in (out.pi[:end], out.log_rho1[:end], out.ess[:end]):
+            digest.update(series.tobytes())
+    assert digest.hexdigest() == (
+        "51c0ce2cfe0bb2f194accc3ef9c53825117fc0fb9cb89b9c385efc1c7f996622")
 
 
 def test_separate_full_and_reduced_filters_draw_only_their_own_blocks(monkeypatch):

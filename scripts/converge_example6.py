@@ -36,7 +36,7 @@ def run(args):
             "y": [float(r["mean_gap"][0]) for r in report.rows],
         }]
         (out / "gap_vs_eps.svg").write_text(emit_svg(
-            series, log_x=True, log_y=True, title="coupled filter gap",
+            series, title="coupled filter gap",
             xlabel="epsilon", ylabel="mean |pi_full - pi_homog|",
         ))
         print(f"wrote {out / 'gap_vs_eps.svg'}")

@@ -36,8 +36,7 @@ class EmpiricalMeasure:
     replica: replica c holds rows [c L, (c + 1) L) with L = ceil(S /
     replicas), the last one cut to fit.  A stack of G frozen states carries a
     leading node axis; ``node(g)`` is node g's own measure and ``warnings``
-    lists every node's in node order.  ``mean()`` and ``cov()`` describe one
-    state's measure: take ``node(g)`` of a stack first.
+    lists every node's in node order.
     """
 
     samples: np.ndarray        # (S, m), or (G, S, m) for a stack
@@ -65,12 +64,6 @@ class EmpiricalMeasure:
             self, samples=self.samples[g], frozen_x=self.frozen_x[g],
             warnings=_stationarity_warnings(self.samples[g], self.replicas),
         )
-
-    def mean(self) -> np.ndarray:
-        return self.samples.mean(axis=0)
-
-    def cov(self) -> np.ndarray:
-        return np.cov(self.samples.T).reshape(self.samples.shape[1], self.samples.shape[1])
 
 
 def _stationarity_warnings(samples: np.ndarray, replicas: int) -> list[str]:

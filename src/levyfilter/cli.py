@@ -85,25 +85,21 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
-def _ticks(lo: float, hi: float, log: bool, count: int = 5):
-    if log:
-        klo, khi = math.floor(math.log10(lo)), math.ceil(math.log10(hi))
-        if khi == klo:
-            khi += 1
-        return [10.0 ** k for k in range(klo, khi + 1)]
-    if hi == lo:
-        hi = lo + 1.0
-    step = (hi - lo) / (count - 1)
-    return [lo + i * step for i in range(count)]
+def _ticks(lo: float, hi: float):
+    """The powers of ten from the decade at or below lo to the one at or above hi."""
+    klo, khi = math.floor(math.log10(lo)), math.ceil(math.log10(hi))
+    if khi == klo:
+        khi += 1
+    return [10.0 ** k for k in range(klo, khi + 1)]
 
 
-def emit_svg(series, log_x: bool = False, log_y: bool = False,
-             title: str = "", xlabel: str = "", ylabel: str = "",
+def emit_svg(series, title: str = "", xlabel: str = "", ylabel: str = "",
              width: int = 640, height: int = 420) -> str:
-    """Self-contained SVG line plot.
+    """Self-contained SVG line plot on log-log axes with ticks at powers of ten.
 
-    ``series`` is a list of mappings with keys ``label``, ``x``, ``y``.
-    Output depends only on the inputs (fixed palette, %.6g coordinates).
+    ``series`` is a list of mappings with keys ``label``, ``x``, ``y``, every
+    value finite and strictly positive.  Output depends only on the inputs
+    (fixed palette, %.6g coordinates).
     """
     if not series:
         raise ValueError("emit_svg needs at least one series")
@@ -115,33 +111,25 @@ def emit_svg(series, log_x: bool = False, log_y: bool = False,
             raise ValueError("each series needs at least two (x, y) points")
         if not (np.isfinite(x).all() and np.isfinite(y).all()):
             raise ValueError("series values must be finite")
-        if log_x and np.any(x <= 0):
-            raise ValueError("log x-axis requires strictly positive x values")
-        if log_y and np.any(y <= 0):
-            raise ValueError("log y-axis requires strictly positive y values")
+        if np.any(x <= 0) or np.any(y <= 0):
+            raise ValueError("log axes require strictly positive x and y values")
         cleaned.append((str(s["label"]), x, y))
 
     all_x = np.concatenate([x for _, x, _ in cleaned])
     all_y = np.concatenate([y for _, _, y in cleaned])
-    tx = (lambda v: np.log10(v)) if log_x else (lambda v: v)
-    ty = (lambda v: np.log10(v)) if log_y else (lambda v: v)
-    x_ticks = _ticks(all_x.min(), all_x.max(), log_x)
-    y_ticks = _ticks(all_y.min(), all_y.max(), log_y)
-    x_lo, x_hi = tx(np.asarray([x_ticks[0], x_ticks[-1]]))
-    y_lo, y_hi = ty(np.asarray([y_ticks[0], y_ticks[-1]]))
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
+    x_ticks = _ticks(all_x.min(), all_x.max())
+    y_ticks = _ticks(all_y.min(), all_y.max())
+    x_lo, x_hi = np.log10([x_ticks[0], x_ticks[-1]])
+    y_lo, y_hi = np.log10([y_ticks[0], y_ticks[-1]])
 
     ml, mr, mt, mb = 64, 16, 28, 44
     pw, ph = width - ml - mr, height - mt - mb
 
     def px(v):
-        return ml + (tx(v) - x_lo) / (x_hi - x_lo) * pw
+        return ml + (np.log10(v) - x_lo) / (x_hi - x_lo) * pw
 
     def py(v):
-        return mt + ph - (ty(v) - y_lo) / (y_hi - y_lo) * ph
+        return mt + ph - (np.log10(v) - y_lo) / (y_hi - y_lo) * ph
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -429,7 +417,7 @@ def _cmd_converge(args) -> int:
         for i, name in enumerate(names)
     ]
     (out_dir / "gap_vs_eps.svg").write_text(emit_svg(
-        gap_series, log_x=True, log_y=True, title="coupled filter gap",
+        gap_series, title="coupled filter gap",
         xlabel="epsilon", ylabel="mean |pi_full - pi_homog|",
     ))
     ks_series = [
@@ -437,7 +425,7 @@ def _cmd_converge(args) -> int:
         for i, name in enumerate(names)
     ] + [{"label": "ks signal", "x": report.epsilons, "y": [float(r["ks_signal"]) for r in report.rows]}]
     (out_dir / "ks_vs_eps.svg").write_text(emit_svg(
-        ks_series, log_x=True, log_y=True, title="weak-convergence diagnostics",
+        ks_series, title="weak-convergence diagnostics",
         xlabel="epsilon", ylabel="KS distance",
     ))
     for row in report.rows:

@@ -48,6 +48,7 @@ from .sde import (
     ObservationRecord,
     StepScheme,
     _SIGNAL_SOURCES,
+    _check_finite,
     _events_by_step,
     _stack_events,
     default_scheme,
@@ -113,43 +114,38 @@ def psi_from_string(spec: str) -> PsiSpec:
 
 @dataclass
 class ParticleEnsemble:
-    """State arrays of one or more observation records plus their noise streams.
+    """State arrays of a stack of R observation records plus their noise streams.
 
-    Arrays carry the row axes ``rows`` in front of the particle axis: () for
-    one record, (R,) for a stack of R records advanced together.  ``streams``
-    (shape ``rows``) holds each row's run stream.  Block s of every step of a
-    row is the next draw of one stream (PARTICLES, 0, ``_SIGNAL_SOURCES[s]``)
-    below the row's run stream: ``resample`` re-keys nothing, and its calls on
-    a row read successive uniforms of the row's stream (RESAMPLING).
+    Arrays carry a row axis of length R in front of the particle axis, one row
+    per record; ``streams`` holds each row's run stream.  Block s of every step
+    of row r is the next draw of one stream (PARTICLES, 0,
+    ``_SIGNAL_SOURCES[s]``) below ``streams[r]``, read for all rows at once by
+    ``keyed_normals``: ``resample`` re-keys nothing, and its calls on row r
+    read successive uniforms of that row's stream (RESAMPLING).
     """
 
-    x: np.ndarray                      # (*rows, N, n)
-    z: np.ndarray | None               # (*rows, N, m) in full mode, None in homog mode
-    log_weights: np.ndarray            # (*rows, N)
+    x: np.ndarray                      # (R, N, n)
+    z: np.ndarray | None               # (R, N, m) in full mode, None in homog mode
+    log_weights: np.ndarray            # (R, N)
     time: float
-    streams: np.ndarray                # (*rows,) RngStream objects
-    _noise: list = field(init=False, repr=False)     # (streams, gens) per source, rows flattened
-    _offsets: np.ndarray = field(init=False, repr=False)   # (*rows,) resampling generators
+    streams: list                      # R run streams
+    _noise: list = field(init=False, repr=False)     # (streams, generators) per source
+    _offsets: list = field(init=False, repr=False)   # resampling generator per row
 
     def __post_init__(self):
-        particles = [s.child(NoiseSource.PARTICLES).child(0) for s in self.streams.reshape(-1)]
+        particles = [s.child(NoiseSource.PARTICLES).child(0) for s in self.streams]
         self._noise = [([p.child(source) for p in particles], [None] * len(particles))
                        for source in _SIGNAL_SOURCES]
-        self._offsets = np.empty(self.rows, object)
-
-    @property
-    def rows(self) -> tuple:
-        return self.log_weights.shape[:-1]
+        self._offsets = [None] * len(self.streams)
 
     @property
     def n_particles(self) -> int:
         return self.log_weights.shape[-1]
 
-    def next_noise(self, shapes: tuple, cache: dict | None = None) -> tuple:
-        """One step's blocks of the dynamics' ``shapes``, (*rows, *shape) each, by
+    def next_noise(self, shapes: tuple, cache: dict) -> tuple:
+        """One step's blocks of the dynamics' ``shapes``, (R, *shape) each, by
         ``keyed_normals`` through ``cache``, the step's dict for the whole pass."""
-        cache = {} if cache is None else cache
-        return tuple(keyed_normals(streams, shape, gens, cache, self.rows)
+        return tuple(keyed_normals(streams, shape, gens, cache)
                      for shape, (streams, gens) in zip(shapes, self._noise))
 
 
@@ -157,31 +153,25 @@ def init_ensemble(
     n_particles: int,
     x0: np.ndarray,
     z0: np.ndarray | None,
-    stream: RngStream | list[RngStream],
+    streams: list[RngStream],
 ) -> ParticleEnsemble:
-    """N particles at (x0, z0) with equal weights.
-
-    ``stream`` is one run stream, or a list of R run streams for a stack of R
-    records whose arrays gain a leading row axis of length R.
-    """
+    """N particles at (x0, z0) with equal weights in each of R rows, row r on
+    the run stream ``streams[r]``."""
     if n_particles < 1:
         raise ValueError("need at least one particle")
-    single = isinstance(stream, RngStream)
-    streams = np.empty(() if single else len(stream), dtype=object)
-    streams[...] = stream if single else list(stream)
-    if streams.size == 0:
+    if not streams:
         raise ValueError("need at least one run stream")
-    rows = streams.shape
+    shape = (len(streams), n_particles)
 
     def tile(v):
-        return np.tile(np.asarray(v, dtype=float), rows + (n_particles, 1))
+        return np.tile(np.asarray(v, dtype=float), shape + (1,))
 
     return ParticleEnsemble(
         x=tile(x0),
         z=None if z0 is None else tile(z0),
-        log_weights=np.zeros(rows + (n_particles,)),
+        log_weights=np.zeros(shape),
         time=0.0,
-        streams=streams,
+        streams=list(streams),
     )
 
 
@@ -190,14 +180,14 @@ def propagate(ens: ParticleEnsemble, dynamics, dt: float, noise: tuple) -> Parti
 
     ``noise`` is the step's blocks from ``ens.next_noise``.  Propagation never
     touches the weights: under the reference law the observation carries no
-    drift information into the signal itself.
+    drift information into the signal itself.  A non-finite state raises
+    ``IntegrationFailureError`` at the step's time.
     """
     if not dt > 0:
         raise ValueError(f"dt must be > 0, got {dt}")
     ens.x, ens.z = dynamics.step(ens.x, ens.z, noise, dt)
     ens.time += dt
-    if not np.all(np.isfinite(ens.x)):
-        raise ModelViolationError(f"particle states became non-finite at t={ens.time:.6g}")
+    _check_finite([a for a in (ens.x, ens.z) if a is not None], ens.time)
     return ens
 
 
@@ -254,12 +244,13 @@ def estimate(ens: ParticleEnsemble, psis: list[PsiSpec], out: tuple = (None,) * 
     """Normalized estimates, unnormalized mass, and effective sample size.
 
     Each row of the ensemble reduces along its particle axis on its own:
-    ``pi`` has shape (*rows, n_psi), ``log_rho1`` and ``ess`` shape ``rows``
-    (floats for a single record).  pi(psi) is a convex combination of psi
-    values, so it stays inside the functional's declared range; psi
-    identically one yields exactly 1.0 because numerator and denominator are
-    then the same float reduction.  Buffers ``out`` (*rows, 1), (*rows, N),
-    ``rows`` receive mx = max logw, w = exp(logw - mx) and den = sum w.
+    ``pi`` has shape (R, n_psi), ``log_rho1`` and ``ess`` shape (R,).
+    pi(psi) is a convex combination of psi values, so it stays inside the
+    functional's declared range; psi identically one yields exactly 1.0
+    because numerator and denominator are then the same float reduction.
+    Buffers ``out`` (R, 1), (R, N), (R,) receive mx = max logw, w = exp(logw
+    - mx) and den = sum w: row r's (w[r], den[r], log_rho1[r]) is what
+    ``resample`` reads.
     """
     logw = ens.log_weights
     if not np.all(np.isfinite(logw)):
@@ -269,39 +260,26 @@ def estimate(ens: ParticleEnsemble, psis: list[PsiSpec], out: tuple = (None,) * 
     w = np.subtract(logw, mx, out=w)
     np.exp(w, out=w)
     den = w.sum(axis=-1, out=den)
-    pi = np.empty(ens.rows + (len(psis),))
+    pi = np.empty((len(den), len(psis)))
     for i, psi in enumerate(psis):
-        pi[..., i] = (w * psi(ens.x)).sum(axis=-1) / den
+        pi[:, i] = (w * psi(ens.x)).sum(axis=-1) / den
     ess = den * den / (w * w).sum(axis=-1)
-    # math.log per row, as resample uses, so both agree on the mass level bitwise
+    # math.log per row keeps every recorded mass's bits (np.log may round differently)
     N = ens.n_particles
-    if not ens.rows:
-        return {"pi": pi, "log_rho1": float(mx[0]) + math.log(float(den) / N), "ess": float(ess)}
     mass = [m + math.log(d / N) for m, d in zip(mx.flat, den.flat)]
     return {"pi": pi, "log_rho1": np.array(mass), "ess": ess}
 
 
-def resample(ens: ParticleEnsemble, row: tuple | int = (), weights: tuple | None = None
-             ) -> ParticleEnsemble:
-    """Systematic resampling of one row; preserves its unnormalized mass exactly.
+def resample(ens: ParticleEnsemble, row: int, weights: tuple) -> ParticleEnsemble:
+    """Systematic resampling of row ``row``; preserves its unnormalized mass exactly.
 
-    ``row`` indexes the row axes (the default () is the whole ensemble of a
-    single record).  ``weights`` is the row's (w, den, log_rho1) from
-    ``estimate`` on the current log-weights, computed here when None.
-    Offspring counts of a weight p differ from N p by less than one in either
-    direction.  Survivors keep equal log-weights at the current mass level.
-    Nothing is re-keyed: copies of a particle read different columns of the
-    row's next blocks.  Other rows are untouched.
+    ``weights`` is the row's (w, den, log_rho1) from ``estimate`` on the
+    current log-weights.  Offspring counts of a weight p differ from N p by
+    less than one in either direction.  Survivors keep equal log-weights at
+    the current mass level.  Nothing is re-keyed: copies of a particle read
+    different columns of the row's next blocks.  Other rows are untouched.
     """
-    if ens.log_weights[row].ndim != 1:
-        raise ValueError(f"resample takes one row of the row axes {ens.rows}, got row={row!r}")
     N = ens.n_particles
-    if weights is None:
-        logw = ens.log_weights[row]
-        mx = float(logw.max())
-        w = np.exp(logw - mx)
-        den = float(np.sum(w))
-        weights = w, den, mx + math.log(den / N)
     w, den, log_rho1 = weights
     if ens._offsets[row] is None:
         ens._offsets[row] = ens.streams[row].child(NoiseSource.RESAMPLING).generator()
@@ -504,7 +482,7 @@ def _filter_pass(cases, n_particles, psis, streams, ess_frac=0.5, _last_pi_only=
             events=_events_by_step(times, *_stack_events(
                 [rec.small_times for rec in records], [rec.small_marks for rec in records])),
             d_bbar=np.stack([rec.bbar_increments for rec in records], axis=1)[:, :, None, :],
-            ens=init_ensemble(n_particles, x0, z0, list(streams)),
+            ens=init_ensemble(n_particles, x0, z0, streams),
             pi=np.full((K + 1, R, len(psis)), np.nan), log_rho1=np.empty((K + 1, R)),
             ess=np.empty((K + 1, R)), resample_steps=[[] for _ in range(R)],
         )

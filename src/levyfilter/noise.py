@@ -37,7 +37,6 @@ class NoiseSource(IntEnum):
     OBS_JUMPS_LARGE = 6    # observation jumps with marks in the large region
     THINNING = 7           # acceptance uniforms for state-dependent thinning
     HOMOG_BROWNIAN = 8     # Brownian motion of the reduced slow model
-    HOMOG_JUMPS = 9        # jump measure of the reduced slow model
     PARTICLES = 10         # filter propagation noise, one stream per row and source
     RESAMPLING = 11        # systematic-resampling offsets
     VALIDATION = 12        # state sampling in assumption checks
@@ -273,34 +272,26 @@ def brownian_increments(stream: RngStream, dim: int, dt: float, count: int) -> n
     return gen.normal(0.0, math.sqrt(dt), size=(count, dim))
 
 
-def keyed_normals(streams, shape: tuple, gens: list, cache: dict, rows=()) -> np.ndarray:
-    """One step's read-only standard normals, a ``shape`` block per row stacked
-    (*rows, *shape): row i reads the next block of ``streams[i]`` with
-    generator ``gens[i]`` (None until built).  ``cache``, the step's dict shared
-    by every reader, maps a key (stream, shape) to its first reader's
-    (generator, block, row): a later reader adopts that generator and copies
-    that row, or takes the block itself when all its rows hit it in order, so
-    a key is drawn once per step and a row's block depends on key and step."""
-    out = np.empty(rows + shape)
-    flat = out.reshape((-1,) + shape)
-    hits = []
+def keyed_normals(streams: list, shape: tuple, gens: list, cache: dict) -> np.ndarray:
+    """One step's read-only standard normals, a ``shape`` block per stream
+    stacked (len(streams), *shape): row i is the next block of ``streams[i]``,
+    drawn with generator ``gens[i]`` (None until built).  ``cache``, the step's
+    dict shared by every reader, maps a key (the streams, shape) to its first
+    reader's (generators, block): a later reader takes that block and adopts
+    those generators, so a key is drawn once per step and a row's block
+    depends on key and step."""
+    key = (tuple((s.root_seed, s.stream_id) for s in streams), shape)
+    if key in cache:
+        gens[:], block = cache[key]
+        return block
+    block = np.empty((len(streams),) + shape)
     for i, stream in enumerate(streams):
-        key = (stream.root_seed, stream.stream_id, shape)
-        if key in cache:
-            gens[i], block, j = cache[key]
-            hits.append((i, block, j))
-            continue
         if gens[i] is None:
             gens[i] = stream.generator()
-        gens[i].standard_normal(out=flat[i])
-        cache[key] = (gens[i], out, i)
-    if len(hits) == len(gens) and hits[0][1].shape == out.shape and all(
-            b is hits[0][1] and i == j for i, b, j in hits):
-        return hits[0][1]
-    for i, block, j in hits:
-        flat[i] = block.reshape((-1,) + shape)[j]
-    out.flags.writeable = False
-    return out
+        gens[i].standard_normal(out=block[i])
+    block.flags.writeable = False
+    cache[key] = (gens, block)
+    return block
 
 
 def sample_poisson_jumps(

@@ -94,7 +94,6 @@ class ObservationRecord:
     small_marks: np.ndarray         # (Ms, k3)
     large_times: np.ndarray         # (Ml,)
     large_marks: np.ndarray         # (Ml, k3')
-    Y: np.ndarray | None = None     # (K+1, d) raw observation path, when available
 
     @property
     def dt(self) -> float:
@@ -113,8 +112,9 @@ class ObservationRecord:
 class JointPath:
     """A simulated trajectory of (X, Z, Y) on the coarse grid.
 
-    States are cadlag evaluated at grid times; the raw jump contributions per
-    step are kept so tests can separate continuous and jump parts.
+    States are cadlag evaluated at grid times.  ``events`` holds every jump
+    event of the path as sampled (the observation ones with their acceptance),
+    from which the jump part of each step can be recomputed.
     """
 
     times: np.ndarray               # (K+1,)
@@ -122,8 +122,6 @@ class JointPath:
     Z: np.ndarray                   # (K+1, m); m = 0 for reduced-model paths
     Y: np.ndarray                   # (K+1, d); d = 0 for signal-only paths
     bbar_increments: np.ndarray     # (K, d)
-    x_jump_totals: np.ndarray       # (K, n)
-    y_jump_totals: np.ndarray       # (K, d)
     events: dict
     epsilon: float | None
 
@@ -136,7 +134,6 @@ class JointPath:
             small_marks=small.marks[small.accepted],
             large_times=large.times[large.accepted],
             large_marks=large.marks[large.accepted],
-            Y=self.Y if self.Y.shape[1] else None,
         )
 
     def to_csv(self, fh) -> None:
@@ -371,8 +368,6 @@ def simulate_full(
     Z = np.empty((R, K + 1, m)); Z[:, 0] = model.z0
     Y = np.zeros((R, K + 1, d))
     bbar = np.empty((R, K, d))
-    x_jumps = np.zeros((R, K, n))
-    y_jumps = np.zeros((R, K, d))
     x, z, y = X[:, 0].copy(), Z[:, 0].copy(), Y[:, 0].copy()
 
     for k in range(K):
@@ -380,9 +375,6 @@ def simulate_full(
         fast_kicks = [fast_at.get(k * substeps + j) for j in range(substeps)]
         x_new, z_new = signal_step(model, dt_fast, x, z, dV[k], fast_noise[k], dt,
                                    slow_at.get(k), fast_kicks)
-        if k in slow_at:
-            rows, _, marks = slow_at[k]
-            np.add.at(x_jumps[:, k], rows, model.f1(x[rows], marks))
 
         # observation: continuous part plus thinned jumps, left-limit state
         bbar[:, k] = dB[k] + obs.h(x, z) * dt
@@ -394,7 +386,6 @@ def simulate_full(
                 accepted[where] = acc
                 jumps = shape(ev_t[acc], ev_u[acc])
                 np.add.at(y_new, rows[acc], jumps)
-                np.add.at(y_jumps[:, k], rows[acc], jumps)
         if obs.nu3_small.total_intensity > 0:
             y_new -= dt * obs.nu3_small.integrate(
                 lambda u: obs.f3(t, u) * obs.thinning(t, x[:, None, :], u)[..., None])
@@ -412,7 +403,6 @@ def simulate_full(
     paths = [
         JointPath(
             times=times, X=X[r], Z=Z[r], Y=Y[r], bbar_increments=bbar[r],
-            x_jump_totals=x_jumps[r], y_jump_totals=y_jumps[r],
             events={key: p[key] for key in ("slow", "fast", "obs_small", "obs_large")},
             epsilon=eps,
         )
@@ -506,7 +496,6 @@ def simulate_reference_observations(
         small_marks=small.marks,
         large_times=large.times,
         large_marks=large.marks,
-        Y=None,
     )
 
 
@@ -584,45 +573,30 @@ def _law_steps(laws: list, T: float, dt: float, n_paths: int):
     for t in times[1:]:
         cache = {}
         for i, ((dynamics, _, _, streams), law_gens) in enumerate(zip(laws, gens)):
-            noise = [keyed_normals([stream], shape, g, cache)
+            noise = [keyed_normals([stream], shape, g, cache)[0]
                      for stream, shape, g in zip(streams, dynamics.blocks(P), law_gens)]
             states[i] = dynamics.step(*states[i], noise, dt)
             _check_finite([a for a in states[i] if a is not None], t)
         yield t, list(states)
 
 
-def signal_ensemble_steps(
+def simulate_signal_ensemble(
     model: SlowFastModel, T: float, scheme: StepScheme, n_paths: int, stream: RngStream
 ):
-    """Many independent signal paths advanced together (no observation), one
-    step at a time: yields (t, X, Z), X (P, n) and Z (P, m), at every grid
-    time, the start included; a yielded state is never overwritten.
+    """Many independent signal paths advanced together (no observation):
+    (times, X, Z), the terminal states X (P, n) and Z (P, m).
 
     Requires a jump-free slow/fast pair; the noise blocks come from
     ``stream``'s SLOW_BROWNIAN and FAST_BROWNIAN children.
     """
-    steps = _law_steps([_signal_law(model, scheme, stream)], T, scheme.dt_slow, n_paths)
-    return ((t, *states[0]) for t, states in steps)
-
-
-def homogenized_ensemble_steps(hmodel, T: float, dt: float, n_paths: int, stream: RngStream):
-    """Many independent reduced-model paths advanced together (jump-free), one
-    step at a time: yields (t, X) at every grid time, the start included."""
-    steps = _law_steps([_homogenized_law(hmodel, stream)], T, dt, n_paths)
-    return ((t, states[0][0]) for t, states in steps)
-
-
-def simulate_signal_ensemble(
-    model: SlowFastModel, T: float, scheme: StepScheme, n_paths: int, stream: RngStream
-):
-    """Terminal states of ``signal_ensemble_steps``: (times, X, Z) with X (P, n), Z (P, m)."""
-    for _, X, Z in signal_ensemble_steps(model, T, scheme, n_paths, stream):
+    for _, ((X, Z),) in _law_steps([_signal_law(model, scheme, stream)], T, scheme.dt_slow, n_paths):
         pass
     return make_grid(T, scheme.dt_slow), X, Z
 
 
 def simulate_homogenized_ensemble(hmodel, T: float, dt: float, n_paths: int, stream: RngStream):
-    """Terminal states of ``homogenized_ensemble_steps``: (times, X) with X (P, n)."""
-    for _, X in homogenized_ensemble_steps(hmodel, T, dt, n_paths, stream):
+    """Many independent reduced-model paths advanced together (jump-free):
+    (times, X), the terminal states X (P, n)."""
+    for _, ((X, _),) in _law_steps([_homogenized_law(hmodel, stream)], T, dt, n_paths):
         pass
     return make_grid(T, dt), X

@@ -221,12 +221,13 @@ def test_filter_invariants():
     rng = np.random.default_rng(0)
     for trial in range(50):
         n = int(rng.integers(8, 200))
-        ens = init_ensemble(n, np.zeros(1), None, RngStream(500 + trial, 0))
-        ens.x = rng.normal(size=(n, 1))
-        ens.log_weights = rng.normal(size=n) * 2.0
-        before = estimate(ens, one)["log_rho1"]
-        resample(ens)
-        after = estimate(ens, one)["log_rho1"]
+        ens = init_ensemble(n, np.zeros(1), None, [RngStream(500 + trial, 0)])
+        ens.x[0] = rng.normal(size=(n, 1))
+        ens.log_weights[0] = rng.normal(size=n) * 2.0
+        _, w, den = weights = (np.empty((1, 1)), np.empty((1, n)), np.empty(1))
+        before = estimate(ens, one, weights)["log_rho1"][0]
+        resample(ens, 0, (w[0], den[0], before))
+        after = estimate(ens, one)["log_rho1"][0]
         rel = abs(math.exp(after - before) - 1.0)
         worst = max(worst, rel)
         resample_ok &= rel <= 1e-12

@@ -12,7 +12,7 @@ import pytest
 from levyfilter import PRESETS, preset_to_config
 from levyfilter import RngStream
 from levyfilter.cli import _split_top_level, _threads, build_parser, emit_svg, main
-from levyfilter.sde import FROZEN_REPLICAS, default_scheme, simulate_full
+from levyfilter.sde import FROZEN_REPLICAS, FullDynamics, default_scheme, simulate_full
 
 
 @pytest.fixture(autouse=True)
@@ -323,6 +323,17 @@ def test_stiff_fast_step_maps_to_numerical_failure(tmp_path, capsys):
     assert "numerical failure" in err and "seed" in err
 
 
+def test_non_finite_particles_map_to_a_timed_numerical_failure(tmp_path, capsys, monkeypatch):
+    # the filter's particles blow up at the first step while the simulated
+    # truth stays finite: the CLI names the time of the failure
+    monkeypatch.setattr(FullDynamics, "step", lambda self, x, z, noise, dt: (x + np.inf, z))
+    rc = main(["filter", "--T", "0.1", "--dt", "0.05", "--particles", "8",
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure at t=0.05 (seed 0):") and "Traceback" not in err
+
+
 def test_validation_failures_exit_nonzero(tmp_path, capsys):
     cfg_path = _write_config(
         tmp_path, lambda c: c["model"]["bounds"].__setitem__("L1", 0.05)
@@ -392,7 +403,7 @@ def test_emit_svg_draws_one_polyline_per_series():
 def test_emit_svg_log_axes_reject_nonpositive_values():
     series = [{"label": "a", "x": [0.1, 1.0], "y": [0.0, 2.0]}]
     with pytest.raises(ValueError):
-        emit_svg(series, log_y=True)
+        emit_svg(series)
     with pytest.raises(ValueError):
         emit_svg([{"label": "a", "x": [1.0], "y": [2.0]}])  # one point is not a line
     with pytest.raises(ValueError):

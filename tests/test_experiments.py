@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -133,7 +134,6 @@ def _record_with_one_event(T=0.25, dt=0.05, t_event=0.12, mark=0.3):
         small_marks=np.array([[mark]]),
         large_times=np.zeros(0),
         large_marks=np.zeros((0, 1)),
-        Y=None,
     )
 
 
@@ -425,9 +425,9 @@ def test_law_ensembles_share_one_draw_stream_per_shape(monkeypatch):
     assert len(built) == 3
     assert draws == [(P, 1), (2, P, 1), (4, P, 1)] * int(round(T / dt))
     monkeypatch.undo()
-    alone = [list(sde.signal_ensemble_steps(m, T, s, P, stream)) for m, s in zip(models, schemes)]
+    alone = [list(sde._law_steps([law], T, dt, P)) for law in laws]
     for (t, states), *alone_steps in zip(shared, *alone):
-        for (X, Z), (t1, X1, Z1) in zip(states, alone_steps):
+        for (X, Z), (t1, [(X1, Z1)]) in zip(states, alone_steps):
             assert t == t1
             np.testing.assert_array_equal(X, X1)
             np.testing.assert_array_equal(Z, Z1)
@@ -461,10 +461,11 @@ def test_law_ensembles_through_the_dynamics_keep_their_bits(
     assert _digest([(t, states[0][0]) for t, states in shared]) == homog_digest
     assert [_digest((t, *states[1 + e]) for t, states in shared)
             for e in range(len(models))] == full_digests
-    alone = [_digest(sde.signal_ensemble_steps(m, T, default_scheme(m, dt), P, root.child(0)))
-             for m in models]
+    alone = [_digest((t, *states[0]) for t, states in sde._law_steps([law], T, dt, P))
+             for law in laws]
     assert alone == full_digests
-    assert _digest(sde.homogenized_ensemble_steps(hmodel, T, dt, P, root.child(2))) == homog_digest
+    homog_alone = sde._law_steps([sde._homogenized_law(hmodel, root.child(2))], T, dt, P)
+    assert _digest((t, states[0][0]) for t, states in homog_alone) == homog_digest
 
 
 def _hexes(a):
@@ -523,24 +524,24 @@ def test_filter_study_is_one_coupled_pass_per_epsilon_on_shared_streams(
 
 
 class _CountingGenerator:
-    """A particle generator whose block draws are counted."""
+    """A particle generator whose block draws are counted by its stream id."""
 
-    def __init__(self, gen, draws):
-        self.gen, self.draws = gen, draws
+    def __init__(self, gen, stream_id, draws):
+        self.gen, self.stream_id, self.draws = gen, stream_id, draws
 
     def standard_normal(self, *args, **kwargs):
-        self.draws.append(1)
+        self.draws.append(self.stream_id)
         return self.gen.standard_normal(*args, **kwargs)
 
 
 @pytest.mark.parametrize("ess_frac", [1e-9, 0.999, 1.0])
 def test_filter_study_draws_each_particle_key_once(ess_frac, monkeypatch):
-    # particle blocks are keyed (run stream, source, shape), one stream per
-    # row and source for the whole run: however often the rows resample, a
-    # 3-epsilon exact-OU study of R rows builds 2R particle generators (a slow
-    # and a fast one per row), not 9R, draws 2R blocks per step, and builds
-    # one resampling generator per filter row that resamples; every row stays
-    # bitwise its single-record filter
+    # particle blocks are keyed (the rows' streams of a source, shape), one
+    # stream per row and source for the whole run: however often the rows
+    # resample, a 3-epsilon exact-OU study of R rows builds 2R particle
+    # generators (a slow and a fast one per row), not 9R, draws from each of
+    # them once per step, and builds one resampling generator per filter row
+    # that resamples; every row stays bitwise its single-record filter
     built, offsets, draws, caches = [], [], [], []
     generator = RngStream.generator
 
@@ -551,11 +552,11 @@ def test_filter_study_draws_each_particle_key_once(ess_frac, monkeypatch):
         if (stream.stream_id >> 128) % (1 << 64) != NoiseSource.PARTICLES:
             return gen
         built.append(stream)
-        return _CountingGenerator(gen, draws)
+        return _CountingGenerator(gen, stream.stream_id, draws)
 
     next_noise = ParticleEnsemble.next_noise
 
-    def spy_noise(self, shapes, cache=None):
+    def spy_noise(self, shapes, cache):
         if not caches or caches[-1] is not cache:
             caches.append(cache)
         return next_noise(self, shapes, cache)
@@ -569,9 +570,8 @@ def test_filter_study_draws_each_particle_key_once(ess_frac, monkeypatch):
         dt=dt, ess_frac=ess_frac, seed=seed)
     K = int(round(T / dt))
     assert len(caches) == K
-    assert len(draws) == sum(len(c) for c in caches)
-    assert len(built) == len(set().union(*caches))
-    assert len(built) == 2 * R and [len(c) for c in caches] == [2 * R] * K
+    assert len(built) == len({s.stream_id for s in built}) == 2 * R
+    assert Counter(draws) == {s.stream_id: K for s in built}
     resampled = sum(1 for case in outs for o in case if o.resample_steps)
     assert len(offsets) == resampled and (resampled > 0) == (ess_frac > 0.5)
     run_offsets = {RngStream(seed).child(0).child(r).child(1).child(NoiseSource.RESAMPLING)

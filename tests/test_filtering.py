@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from levyfilter import (
+    IntegrationFailureError,
     LevyMeasureSpec,
     MarkSampler,
     ModelViolationError,
@@ -235,9 +236,18 @@ def test_batch_weights_match_scalar_reference_state_dependent_thinning():
 
 
 def _toy_ensemble(n=4):
-    stream = RngStream(99, 0)
-    ens = init_ensemble(n, np.zeros(1), None, stream)
-    return ens
+    """A one-row stack of n particles on the run stream RngStream(99, 0)."""
+    return init_ensemble(n, np.zeros(1), None, [RngStream(99, 0)])
+
+
+def _resample_rows(ens, rows):
+    """Resample ``rows`` of ``ens`` with the weights ``estimate`` writes for
+    them, as the filter does after a step."""
+    R, N = ens.log_weights.shape
+    weights = (np.empty((R, 1)), np.empty((R, N)), np.empty(R))
+    est = estimate(ens, [], weights)
+    for r in rows:
+        resample(ens, r, (weights[1][r], weights[2][r], est["log_rho1"][r]))
 
 
 # a slow block and a substep-major fast block, as the Euler-route full dynamics read
@@ -251,10 +261,10 @@ def test_particle_noise_is_one_draw_per_source_for_the_whole_run():
     rng = np.random.default_rng(4)
     steps = []
     for k in range(12):
-        steps.append(ens.next_noise(_TOY_SHAPES))
+        steps.append(ens.next_noise(_TOY_SHAPES, {}))
         if k % 3 == 1:
-            ens.log_weights = rng.normal(size=3)
-            resample(ens)
+            ens.log_weights[0] = rng.normal(size=3)
+            _resample_rows(ens, [0])
     for s in range(2):
         cols = np.stack([blocks[s] for blocks in steps])
         assert not np.allclose(cols[:4], cols[4:8])
@@ -262,41 +272,44 @@ def test_particle_noise_is_one_draw_per_source_for_the_whole_run():
     # deterministic replay from an ensemble on the same stream that never resamples
     again = _toy_ensemble(n=3)
     for blocks in steps:
-        for block, replay in zip(blocks, again.next_noise(_TOY_SHAPES)):
+        for block, replay in zip(blocks, again.next_noise(_TOY_SHAPES, {})):
             np.testing.assert_array_equal(block, replay)
     particles = RngStream(99, 0).child(NoiseSource.PARTICLES).child(0)
     sources = (NoiseSource.SLOW_BROWNIAN, NoiseSource.FAST_BROWNIAN)
     for s, (source, shape) in enumerate(zip(sources, _TOY_SHAPES)):
         block = particles.child(source).generator().standard_normal((12,) + shape)
         for k in range(12):
-            np.testing.assert_array_equal(steps[k][s], block[k])
+            np.testing.assert_array_equal(steps[k][s], block[k][None])
 
 
 def test_stacked_rows_draw_from_their_own_streams():
-    # row r of a stack reads exactly the noise of a single ensemble on stream r,
+    # row r of a stack reads exactly the noise of a one-row stack on stream r,
     # and resampling one row moves that row's particles only
     streams = [RngStream(99, 0), RngStream(99, 1), RngStream(7, 3)]
     shapes = ((5, 2), (2, 5, 1))
     stack = init_ensemble(5, np.zeros(1), None, streams)
-    assert stack.rows == (3,) and stack.x.shape == (3, 5, 1)
-    singles = [init_ensemble(5, np.zeros(1), None, s) for s in streams]
+    assert stack.x.shape == (3, 5, 1) and stack.log_weights.shape == (3, 5)
+    singles = [init_ensemble(5, np.zeros(1), None, [s]) for s in streams]
 
     def check_rows():
-        blocks = stack.next_noise(shapes)
+        blocks = stack.next_noise(shapes, {})
         assert [b.shape for b in blocks] == [(3, 5, 2), (3, 2, 5, 1)]
         for r, single in enumerate(singles):
-            for block, alone in zip(blocks, single.next_noise(shapes)):
-                np.testing.assert_array_equal(block[r], alone)
+            for block, alone in zip(blocks, single.next_noise(shapes, {})):
+                np.testing.assert_array_equal(block[r], alone[0])
 
     for _ in range(3):
         check_rows()
     stack.log_weights[1] = np.log(np.arange(1.0, 6.0))
-    singles[1].log_weights = stack.log_weights[1].copy()
+    singles[1].log_weights[0] = stack.log_weights[1]
+    stack.x[:] = singles[1].x[0] = np.arange(5.0)[:, None]
     before = stack.x.copy()
-    resample(stack, 1)
-    resample(singles[1])
+    _resample_rows(stack, [1])
+    _resample_rows(singles[1], [0])
     np.testing.assert_array_equal(stack.x[[0, 2]], before[[0, 2]])
-    np.testing.assert_array_equal(stack.log_weights[1], singles[1].log_weights)
+    np.testing.assert_array_equal(stack.x[1], singles[1].x[0])
+    assert not np.array_equal(stack.x[1], before[1])
+    np.testing.assert_array_equal(stack.log_weights[1], singles[1].log_weights[0])
     check_rows()
 
 
@@ -307,39 +320,39 @@ def test_resampling_offsets_are_one_stream_per_row():
     uniforms = RngStream(99, 0).child(NoiseSource.RESAMPLING).generator().uniform(size=3)
     ens = _toy_ensemble(n=16)
     for g, u0 in enumerate(uniforms):
-        ens.x, ens.log_weights = x.copy(), logw.copy()
-        resample(ens)
+        ens.x[0], ens.log_weights[0] = x, logw
+        _resample_rows(ens, [0])
         w = np.exp(logw - logw.max())
         cdf = np.cumsum(w / w.sum())
         cdf[-1] = 1.0
         idx = np.searchsorted(cdf, (u0 + np.arange(16)) / 16, side="left")
-        np.testing.assert_array_equal(ens.x, x[idx])
+        np.testing.assert_array_equal(ens.x[0], x[idx])
 
 
 def test_systematic_resample_offspring_counts():
     ens = _toy_ensemble(n=4)
-    ens.x = np.array([[1.0], [2.0], [3.0], [4.0]])
-    neg_inf = float("-inf")
-    ens.log_weights = np.array([math.log(0.75), math.log(0.25), neg_inf, neg_inf])
-    resample(ens)
-    values, counts = np.unique(ens.x[:, 0], return_counts=True)
+    ens.x[0] = np.array([[1.0], [2.0], [3.0], [4.0]])
+    # the last two weights underflow to exactly zero against the largest
+    ens.log_weights[0] = np.array([math.log(0.75), math.log(0.25), -1000.0, -1000.0])
+    _resample_rows(ens, [0])
+    values, counts = np.unique(ens.x[0, :, 0], return_counts=True)
     assert list(values) == [1.0, 2.0]
     assert list(counts) == [3, 1]
     # survivors share the mass level: log mean weight of the old ensemble
-    assert np.all(ens.log_weights == ens.log_weights[0])
-    assert ens.log_weights[0] == pytest.approx(math.log(0.25), rel=1e-15)
+    assert np.all(ens.log_weights == ens.log_weights[0, 0])
+    assert ens.log_weights[0, 0] == pytest.approx(math.log(0.25), rel=1e-15)
 
 
 def test_resample_preserves_unnormalized_mass_bitwise():
     ens = _toy_ensemble(n=16)
     rng = np.random.default_rng(5)
-    ens.x = rng.normal(size=(16, 1))
-    ens.log_weights = rng.normal(size=16) * 0.8
+    ens.x = rng.normal(size=(1, 16, 1))
+    ens.log_weights = rng.normal(size=(1, 16)) * 0.8
     one = [psi_from_string("poly(1,0,0)")]
     before = estimate(ens, one)["log_rho1"]
-    resample(ens)
+    _resample_rows(ens, [0])
     after = estimate(ens, one)["log_rho1"]
-    assert after == before
+    assert after.tobytes() == before.tobytes()
 
 
 def test_systematic_resample_offspring_within_one_of_proportional():
@@ -347,12 +360,12 @@ def test_systematic_resample_offspring_within_one_of_proportional():
     for trial in range(20):
         N = int(rng.integers(3, 40))
         ens = _toy_ensemble(n=N)
-        ens.x = np.arange(N, dtype=float)[:, None]
+        ens.x[0] = np.arange(N, dtype=float)[:, None]
         raw = rng.uniform(0.05, 1.0, size=N)
-        ens.log_weights = np.log(raw)
+        ens.log_weights[0] = np.log(raw)
         p = raw / raw.sum()
-        resample(ens)
-        counts = np.bincount(ens.x[:, 0].astype(int), minlength=N)
+        _resample_rows(ens, [0])
+        counts = np.bincount(ens.x[0, :, 0].astype(int), minlength=N)
         assert np.all(counts >= np.floor(N * p))
         assert np.all(counts <= np.ceil(N * p))
 
@@ -360,22 +373,42 @@ def test_systematic_resample_offspring_within_one_of_proportional():
 def test_estimate_is_permutation_invariant_up_to_roundoff():
     ens = _toy_ensemble(n=32)
     rng = np.random.default_rng(3)
-    ens.x = rng.normal(size=(32, 1))
-    ens.log_weights = rng.normal(size=32)
+    ens.x = rng.normal(size=(1, 32, 1))
+    ens.log_weights = rng.normal(size=(1, 32))
     psis = [psi_from_string("tanh")]
     base = estimate(ens, psis)
     perm = rng.permutation(32)
-    ens.x = ens.x[perm]
-    ens.log_weights = ens.log_weights[perm]
+    ens.x = ens.x[:, perm]
+    ens.log_weights = ens.log_weights[:, perm]
     permuted = estimate(ens, psis)
     assert permuted["pi"] == pytest.approx(base["pi"], rel=1e-12)
     assert permuted["log_rho1"] == pytest.approx(base["log_rho1"], rel=1e-12)
     assert permuted["ess"] == pytest.approx(base["ess"], rel=1e-12)
 
 
+class _ToyDynamics:
+    """Moves every fast state by ``kick`` per step and leaves the slow state."""
+
+    def __init__(self, kick):
+        self.kick = kick
+
+    def step(self, x, z, noise, dt):
+        return x, z + self.kick
+
+
+def test_non_finite_particle_states_fail_with_their_time():
+    # propagate checks the slow and the fast state by the one rule of the
+    # simulators: IntegrationFailureError carrying the time of the step
+    ens = init_ensemble(3, np.zeros(1), np.zeros(1), [RngStream(1), RngStream(2)])
+    propagate(ens, _ToyDynamics(1.0), 0.25, ())
+    with pytest.raises(IntegrationFailureError, match="t=0.5") as info:
+        propagate(ens, _ToyDynamics(np.inf), 0.25, ())
+    assert info.value.time == 0.5
+
+
 def test_estimate_rejects_non_finite_weights():
     ens = _toy_ensemble(n=4)
-    ens.log_weights = np.array([0.0, float("nan"), 0.0, 0.0])
+    ens.log_weights[0, 1] = float("nan")
     with pytest.raises(ModelViolationError):
         estimate(ens, [psi_from_string("tanh")])
 
@@ -489,35 +522,34 @@ _BATCH_HMODEL = build_homogenized(_BATCH_PRESET)
 
 
 def _reference_filter(rec, mode, preset, n, psis, stream, hmodel, ess_frac):
-    """The single-record filter as a plain step loop over one (N,) ensemble:
-    every event of a step goes through the weight kernel, as a stack of one
-    row, with that step's Gaussian and compensator terms."""
+    """The single-record filter as a plain step loop over a one-row stack:
+    every event of a step goes through the weight kernel with that step's
+    Gaussian and compensator terms, and a resample reads the step's weights."""
     psis = [psi_from_string(p) for p in psis]
     obs, dt, K = preset.observation, rec.dt, rec.steps
     if mode == "full":
         dynamics = FullDynamics(preset.model, default_scheme(preset.model, dt))
-        ens = init_ensemble(n, preset.model.x0, preset.model.z0, stream)
+        ens = init_ensemble(n, preset.model.x0, preset.model.z0, [stream])
     else:
         dynamics = HomogDynamics(hmodel)
-        ens = init_ensemble(n, hmodel.x0, None, stream)
+        ens = init_ensemble(n, hmodel.x0, None, [stream])
     step_of_event = rec.small_step_index()
-    rows, resample_steps = [estimate(ens, psis)], []
+    _, w, den = weights = (np.empty((1, 1)), np.empty((1, n)), np.empty(1))
+    rows, resample_steps = [estimate(ens, psis, weights)], []
     for k in range(K):
-        propagate(ens, dynamics, dt, ens.next_noise(dynamics.blocks(n)))
+        propagate(ens, dynamics, dt, ens.next_noise(dynamics.blocks(n), {}))
         h_vals = obs.h(ens.x, ens.z) if mode == "full" else hmodel.hbar(ens.x)
         mine = step_of_event == k
         events = (np.zeros(mine.sum(), dtype=int), rec.small_times[mine], rec.small_marks[mine])
         ens.log_weights = ens.log_weights + _batch_log_weight(
-            obs, h_vals[None], ens.x[None], rec.bbar_increments[k], dt, float(rec.times[k + 1]),
-            events,
-        )[0]
-        rows.append(estimate(ens, psis))
-        if rows[-1]["ess"] < ess_frac * n and k < K - 1:
-            resample(ens)
+            obs, h_vals, ens.x, rec.bbar_increments[k], dt, float(rec.times[k + 1]), events)
+        rows.append(estimate(ens, psis, weights))
+        if rows[-1]["ess"][0] < ess_frac * n and k < K - 1:
+            resample(ens, 0, (w[0], den[0], rows[-1]["log_rho1"][0]))
             resample_steps.append(k + 1)
     return (
-        np.array([r["pi"] for r in rows]), np.array([r["log_rho1"] for r in rows]),
-        np.array([r["ess"] for r in rows]), resample_steps,
+        np.array([r["pi"][0] for r in rows]), np.array([r["log_rho1"][0] for r in rows]),
+        np.array([r["ess"][0] for r in rows]), resample_steps,
     )
 
 
@@ -633,44 +665,27 @@ def test_coupled_pass_draws_a_shared_block_once(monkeypatch):
         assert len(cache) == 2 and homog._noise[0][1][0] is full._noise[0][1][0]
         np.testing.assert_array_equal(slow_h[0], expected[k])
         full.log_weights[0] = rng.normal(size=6)
-        resample(full, 0)
+        _resample_rows(full, [0])
     offsets = RngStream(1, 0).child(NoiseSource.RESAMPLING)
     assert [s.stream_id for s in built].count(offsets.stream_id) == 1
     assert len(built) == 3 and homog._noise[1][1] == [None]   # no fast generator
 
 
-def test_resample_of_a_stack_needs_a_row():
+def test_resample_moves_only_its_row():
+    # a resample of row 2 reads the weights estimate wrote for that row and
+    # leaves the other rows' particles and weights alone
     stack = init_ensemble(4, np.zeros(1), None, [RngStream(5, r) for r in range(3)])
     stack.x = np.arange(12.0).reshape(3, 4, 1)
     stack.log_weights[2] = np.log([0.1, 0.1, 0.1, 0.7])
-    before = stack.x.copy()
-    with pytest.raises(ValueError, match=r"row axes \(3,\)"):
-        resample(stack)
-    np.testing.assert_array_equal(stack.x, before)
-    resample(stack, 2)
+    before, logw = stack.x.copy(), stack.log_weights.copy()
+    _, w, den = weights = (np.empty((3, 1)), np.empty((3, 4)), np.empty(3))
+    est = estimate(stack, [], weights)
+    np.testing.assert_array_equal(w, np.exp(logw - logw.max(axis=-1, keepdims=True)))
+    resample(stack, 2, (w[2], den[2], est["log_rho1"][2]))
     np.testing.assert_array_equal(stack.x[:2], before[:2])
+    np.testing.assert_array_equal(stack.log_weights[:2], logw[:2])
     assert not np.array_equal(stack.x[2], before[2]) and set(stack.x[2, :, 0]) <= {8, 9, 10, 11}
-
-
-def test_resample_fed_the_step_weights_is_bitwise_resample_on_its_own():
-    # the filter hands resample the (w, den, log_rho1) that estimate computed
-    # for the row; the survivors, their log-weights and the next offsets match
-    rng = np.random.default_rng(11)
-    x, logw = rng.normal(size=(3, 50, 1)), 3.0 * rng.normal(size=(3, 50))
-    streams = [RngStream(5, r) for r in range(3)]
-    fed, alone = (init_ensemble(50, np.zeros(1), None, streams) for _ in range(2))
-    buffers = (np.empty((3, 1)), np.empty((3, 50)), np.empty(3))
-    for _ in range(3):
-        for ens in (fed, alone):
-            ens.x, ens.log_weights = x.copy(), logw.copy()
-        est = estimate(fed, [psi_from_string("tanh")], buffers)
-        np.testing.assert_array_equal(
-            buffers[1], np.exp(logw - logw.max(axis=-1, keepdims=True)))
-        for r in range(3):
-            resample(fed, r, (buffers[1][r], buffers[2][r], est["log_rho1"][r]))
-            resample(alone, r)
-        np.testing.assert_array_equal(fed.x, alone.x)
-        assert fed.log_weights.tobytes() == alone.log_weights.tobytes()
+    assert np.all(stack.log_weights[2] == est["log_rho1"][2])
 
 
 _finite = st.floats(-1e3, 1e3, allow_nan=False, width=64)
@@ -827,7 +842,7 @@ def test_full_and_reduced_filters_share_slow_blocks_only_in_one_shape(monkeypatc
     keys = []
     next_noise = ParticleEnsemble.next_noise
 
-    def spy_noise(self, shapes, cache=None):
+    def spy_noise(self, shapes, cache):
         blocks = next_noise(self, shapes, cache)
         keys.append(len(cache))
         return blocks
@@ -876,24 +891,17 @@ def test_only_uncoupled_filter_pairs_warn():
 
 
 def test_mode_both_pass_holds_two_keys_per_row_at_every_step(monkeypatch):
-    # rows resample at their own steps, yet every step's cache holds one slow
-    # key (read by both filters) and one fast key per row
-    preset, R = PRESETS["example6"](), 4
+    # rows resample at their own steps, yet every step draws one slow block
+    # (read by both filters) and one fast block per row
+    preset, R, K, N = PRESETS["example6"](), 4, 10, 16
     records = [simulate_reference_observations(preset.observation, 0.5, 0.05, RngStream(9, 2 * r))
                for r in range(R)]
-    caches = []
-    next_noise = ParticleEnsemble.next_noise
-
-    def spy_noise(self, shapes, cache=None):
-        if not caches or caches[-1] is not cache:
-            caches.append(cache)
-        return next_noise(self, shapes, cache)
-
-    monkeypatch.setattr(ParticleEnsemble, "next_noise", spy_noise)
-    full, homog = run_filter_batch(records, "both", preset, 16, ["tanh"],
+    draws = _count_particle_draws(monkeypatch)
+    full, homog = run_filter_batch(records, "both", preset, N, ["tanh"],
                                    [RngStream(9, 2 * r + 1) for r in range(R)],
                                    hmodel=build_homogenized(preset), ess_frac=0.999)
-    assert [len(c) for c in caches] == [2 * R] * 10
+    slow, fast = NoiseSource.SLOW_BROWNIAN, NoiseSource.FAST_BROWNIAN
+    assert draws == ([(slow, N)] * R + [(fast, N)] * R) * K
     assert all(o.resample_steps for o in full + homog)
     assert len({tuple(o.resample_steps) for o in full}) == R
 

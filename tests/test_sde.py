@@ -11,9 +11,11 @@ from levyfilter.noise import RngStream
 from levyfilter.sde import (
     ObservationRecord,
     StepScheme,
+    _bin_events,
+    _homogenized_law,
+    _law_steps,
     default_scheme,
     euler_scheme,
-    homogenized_ensemble_steps,
     make_grid,
     simulate_full,
     simulate_homogenized_ensemble,
@@ -128,34 +130,51 @@ def test_compensated_slow_jumps_are_mean_zero():
     assert abs(xs.var() - 2.0 / 3.0) < 0.15
 
 
+def _jumps_by_step(times, values, grid):
+    """The sum of ``values`` over the events at ``times`` in each step of ``grid``."""
+    out = np.zeros((len(grid) - 1, values.shape[1]))
+    np.add.at(out, _bin_events(times, grid), values)
+    return out
+
+
 def test_jump_totals_reconstruct_pure_jump_path():
+    # a pure-jump slow component whose jump size depends on the state: every
+    # X increment is its step's events, charged through f1 at the left state,
+    # minus the (deterministic) compensator drift
     cfg = preset_to_config(build_example6())
-    cfg["model"]["b1"] = ["0.0"]
-    cfg["model"]["sigma1"] = [["0.0"]]
-    cfg["model"]["f1"] = ["u[0]"]
-    cfg["model"]["nu1"] = {"intensity": 3.0, "marks": "uniform(-1,1)"}
+    cfg["model"].update(b1=["0.0"], sigma1=[["0.0"]], f1=["0.5*u[0]*cos(x[0])"],
+                        nu1={"intensity": 3.0, "marks": "uniform(-1,1)"})
     preset = preset_from_config(cfg)
-    scheme = StepScheme(dt_slow=0.05, fast_mode="exact_ou")
-    path = simulate_full(preset.model, preset.observation, 1.0, scheme, RngStream(21))
-    # with no drift/diffusion the X increments are exactly the recorded jump
-    # totals plus the (deterministic) compensator drift
-    incr = np.diff(path.X[:, 0])
-    comp = preset.model.nu1.integrate(lambda u: u[..., 0])  # E nu1[f1] = 0 here
-    np.testing.assert_allclose(incr, path.x_jump_totals[:, 0] - 0.05 * comp, atol=1e-12)
+    model, dt = preset.model, 0.05
+    path = simulate_full(model, preset.observation, 1.0,
+                         StepScheme(dt_slow=dt, fast_mode="exact_ou"), RngStream(21))
+    slow = path.events["slow"]
+    assert len(slow)
+    x_left, grid = path.X[:-1], path.times
+    kicks = model.f1(x_left[_bin_events(slow.times, grid)], slow.marks)
+    comp = model.nu1.integrate(lambda u: model.f1(x_left[:, None, :], u))
+    np.testing.assert_allclose(np.diff(path.X, axis=0),
+                               _jumps_by_step(slow.times, kicks, grid) - dt * comp, atol=1e-12)
 
 
 def test_observation_path_reconstruction():
-    preset = build_example6()
-    scheme = StepScheme(dt_slow=0.01, fast_mode="exact_ou")
-    path = simulate_full(preset.model, preset.observation, 1.0, scheme, RngStream(30))
-    rec = path.observations()
-    # Y increments = bbar increments + jump totals - small-jump compensator drift
-    lam0 = preset.observation.thinning.params[0]
-    comp = preset.observation.nu3_small.integrate(lambda u: u[..., 0]) * lam0
-    dy = np.diff(path.Y[:, 0])
-    np.testing.assert_allclose(
-        dy, rec.bbar_increments[:, 0] + path.y_jump_totals[:, 0] - 0.01 * comp, atol=1e-12
-    )
+    # example6's observation jumps, thinned at a constant rate: Y increments
+    # are the bbar increments plus the accepted jumps of the step, minus the
+    # small-jump compensator drift
+    preset = build_example6(small_jump_intensity=20.0, large_jump_intensity=10.0)
+    obs, dt = preset.observation, 0.01
+    path = simulate_full(preset.model, obs, 1.0, StepScheme(dt_slow=dt, fast_mode="exact_ou"),
+                         RngStream(30))
+    small, large = path.events["obs_small"], path.events["obs_large"]
+    assert small.accepted.any() and large.accepted.any()
+    y_jumps = sum(_jumps_by_step(ev.times[ev.accepted],
+                                 shape(ev.times[ev.accepted], ev.marks[ev.accepted]), path.times)
+                  for ev, shape in ((small, obs.f3), (large, obs.g3)))
+    lam0 = obs.thinning.params[0]
+    y_comp = obs.nu3_small.integrate(lambda u: obs.f3(0.0, u)) * lam0
+    np.testing.assert_allclose(np.diff(path.Y, axis=0),
+                               path.observations().bbar_increments + y_jumps - dt * y_comp,
+                               atol=1e-12)
 
 
 def test_simulate_full_thinning_acceptance_rate():
@@ -183,7 +202,6 @@ def test_signal_ensemble_matches_path_simulator_moments():
 def test_reference_observations_are_signal_free():
     preset = build_example6()
     rec = simulate_reference_observations(preset.observation, 1.0, 0.01, RngStream(17))
-    assert rec.Y is None
     assert rec.bbar_increments.shape == (100, 1)
     # increments are plain Brownian under the reference law (SE of the
     # sample variance at 100 draws is ~0.0014)
@@ -196,14 +214,15 @@ def test_simulate_homogenized_reduced_dimensions():
     from levyfilter.averaging import build_homogenized
 
     hmodel = build_homogenized(build_example6(), mode="closed_form")
-    steps = list(homogenized_ensemble_steps(hmodel, 1.0, 0.01, 3, RngStream(5)))
+    steps = [(t, X, Z) for t, [(X, Z)] in
+             _law_steps([_homogenized_law(hmodel, RngStream(5))], 1.0, 0.01, 3)]
     assert len(steps) == 101
-    for _, X in steps:
-        assert X.shape == (3, 1)   # slow state only: no fast or observation part
+    for _, X, Z in steps:
+        assert X.shape == (3, 1) and Z is None   # slow state only: no fast or observation part
     np.testing.assert_array_equal(steps[0][1], np.broadcast_to(hmodel.x0, (3, 1)))
-    # the simulator returns the iterator's last state
+    # the simulator returns the law pass's last state
     times, XT = simulate_homogenized_ensemble(hmodel, 1.0, 0.01, 3, RngStream(5))
-    np.testing.assert_array_equal(times, [t for t, _ in steps])
+    np.testing.assert_array_equal(times, [t for t, _, _ in steps])
     np.testing.assert_array_equal(XT, steps[-1][1])
 
 
@@ -274,12 +293,12 @@ def test_stacked_paths_are_bitwise_single_paths(rows, seed, case):
     assert isinstance(stack, list) and len(stack) == rows
     for stream, path in zip(streams, stack):
         one = simulate_full(preset.model, preset.observation, 0.6, scheme, stream)
-        for name in ("times", "X", "Z", "Y", "bbar_increments", "x_jump_totals", "y_jump_totals"):
+        for name in ("times", "X", "Z", "Y", "bbar_increments"):
             np.testing.assert_array_equal(getattr(path, name), getattr(one, name), err_msg=name)
         assert _event_tuples(path) == _event_tuples(one)
         a, b = path.observations(), one.observations()
         for name in ("times", "bbar_increments", "small_times", "small_marks",
-                     "large_times", "large_marks", "Y"):
+                     "large_times", "large_marks"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
 
 

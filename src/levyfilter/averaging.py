@@ -297,7 +297,7 @@ class HomogenizedModel:
     x0: np.ndarray
     bbar1: object           # (..., n)
     sigmabar1: object       # (..., n, n)
-    hbar: object            # (..., d)
+    hbar: object            # (..., d), takes out=None
     f1: object | None
     nu1: LevyMeasureSpec
     mode: str
@@ -305,11 +305,11 @@ class HomogenizedModel:
 
 
 def _const_field(value: np.ndarray):
+    """x -> ``value`` over the batch axes of x, as a read-only view."""
     value = np.asarray(value, dtype=float)
 
     def fn(x):
-        batch = np.asarray(x).shape[:-1]
-        return np.broadcast_to(value, batch + value.shape).copy()
+        return np.broadcast_to(value, np.shape(x)[:-1] + value.shape)
 
     return fn
 
@@ -390,10 +390,10 @@ def build_homogenized(
     def sigmabar1(x):
         return np.sqrt(np.clip(np.interp(guard_query(x), grid, a_tab), 0.0, None))[..., None, None]
 
-    def hbar(x):
+    def hbar(x, out=None):
         xq = guard_query(x)
         cols = [np.interp(xq, grid, h_tab[:, j]) for j in range(h_tab.shape[1])]
-        return np.stack(cols, axis=-1)
+        return np.stack(cols, axis=-1, out=out)
 
     return HomogenizedModel(
         n=1, d=obs.d, l_factor=1, x0=model.x0.copy(),

@@ -14,6 +14,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -52,7 +53,12 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems as exceptions instead of exiting."""
+    """argparse that reports usage problems as exceptions instead of exiting,
+    and reads a number list that starts with '-' (``--x -1,0,1``) as a value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d[\d.eE+-]*(,\s*[-+]?\.?\d[\d.eE+-]*)*$")
 
     def error(self, message):
         raise UsageError(message)

@@ -111,7 +111,7 @@ def _law_pass(preset, hmodel, presets, T, dt, root, ks_paths: int = 0, runs: int
                                  ev_times, ev_marks)
         gen_obs = root.child(1).generator()
     # one step at a time, so state-dependent thinning never holds more than a
-    # (runs, quadrature nodes) block
+    # (runs, quadrature nodes) block; the steps overwrite the states they yield
     for k, (t, ((X0, _), *fulls)) in enumerate(_law_steps(laws, T, dt, P)):
         if k == 0 or not runs:   # the common start carries no increment
             continue
@@ -120,7 +120,7 @@ def _law_pass(preset, hmodel, presets, T, dt, root, ks_paths: int = 0, runs: int
         states += [(X[:runs], obs.h(X[:runs], Z[:runs])) for X, Z in fulls]
         for row, (X, hv) in enumerate(states):
             hv = np.asarray(hv, dtype=float)
-            logl[row] += _batch_log_weight(obs, hv, X, dbar, dt, float(t), events.get(k - 1, ()))
+            _batch_log_weight(obs, hv, X, dbar, dt, float(t), events.get(k - 1, ()), logl[row])
     ks = [max(ks_statistic(X[:ks_paths, j], X0[:ks_paths, j]) for j in range(X0.shape[1]))
           for X, _ in fulls] if ks_paths else []
     return ks, logl

@@ -3,13 +3,13 @@
 Grammar: +, -, *, / over floating literals, the variables t, x[i], z[j], u[k],
 the constants pi and e, and the unary functions sin, cos, exp, arctan, tanh.
 Expressions are parsed with the ast module against a strict whitelist.  Each
-coefficient field compiles once into straight-line numpy that allocates the
-(..., k) or (..., r, c) output and writes every component into its slot,
-reading x[i] as x[..., i]: it broadcasts over the leading batch axes of its
-arguments (``t`` has no coordinate axis).  Variable-free parts are evaluated
-once at compile time, so a constant component is only filled.  The code keeps
-the source's ufuncs, operand order and literals, so it is bitwise the
-expression evaluated as written.
+coefficient field compiles once into straight-line numpy that writes every
+component into its slot of the (..., k) or (..., r, c) ``out=`` array (None
+allocates), a root function call directly, reading x[i] as x[..., i]: it
+broadcasts over the batch axes of its arguments (``t`` has no coordinate
+axis).  Variable-free parts are evaluated once at compile time, so a constant
+component is only filled.  The code keeps the source's ufuncs, operand order
+and literals, so it is bitwise the expression evaluated as written.
 """
 
 from __future__ import annotations
@@ -94,30 +94,35 @@ class _Lower(ast.NodeTransformer):
 
 
 def _compile(sources: list[str], argnames: tuple[str, ...], tail: tuple):
-    """fn(*argnames) -> (batch + tail), component i of ``sources`` (C order)
-    written to the i-th index of ``tail``."""
+    """fn(*argnames, out=None) -> (batch + tail) ``out`` (None allocates), component i of
+    ``sources`` (C order) at the i-th index of ``tail``; ``fn.variables`` are those read."""
     trees = [_parse(src) for src in sources]
     used = frozenset().union(*map(_variables, trees))
     if not used <= set(argnames) <= set(_VARS):
         raise ConfigError(f"{sources} use {sorted(used)}, not within {argnames} of {_VARS}")
     namespace = {"__builtins__": {}, "_asarray": np.asarray, "_empty": np.empty, "_float": float,
                  "_broadcast_shapes": np.broadcast_shapes, **_FUNCS, **_CONSTS}
-    lines = [f"def field({', '.join(argnames)}):"]
+    lines = [f"def field({', '.join([*argnames, 'out=None'])}):"]
+    coords = [a for a in argnames if a in used and a != "t"]
+    lines += [f"    {a} = _asarray({a}, dtype=_float)" for a in coords]
+    lines.append("    if out is None:")
     for a in argnames:
-        coord = a in used and a != "t"
-        if coord:
-            lines.append(f"    {a} = _asarray({a}, dtype=_float)")
-        array = a if coord else f"_asarray({a})"
-        lines.append(f"    _{a} = {array}.shape{'' if a == 't' else '[:-1]'}")
+        array = a if a in coords else f"_asarray({a})"
+        lines.append(f"        _{a} = {array}.shape{'' if a == 't' else '[:-1]'}")
     shapes = [f"_{a}" for a in argnames] or ["()"]
-    lines += [f"    batch = {shapes[0]} if {' == '.join(shapes)} "
+    lines += [f"        batch = {shapes[0]} if {' == '.join(shapes)} "
               f"else _broadcast_shapes({', '.join(shapes)})",
-              f"    out = _empty(batch + {tail!r})"]
+              f"        out = _empty(batch + {tail!r})"]
     for index, src, tree in zip(np.ndindex(tail), sources, trees):
-        slot = ", ".join(["...", *map(str, index)])
-        lines.append(f"    out[{slot}] = {ast.unparse(_Lower(src, namespace).visit(tree))}")
+        slot, node = ", ".join(["...", *map(str, index)]), _Lower(src, namespace).visit(tree)
+        if isinstance(node, ast.Call):      # a ufunc: out= writes into the slot
+            node.keywords = [ast.keyword("out", ast.parse(f"out[{slot}]", mode="eval").body)]
+            lines.append(f"    {ast.unparse(node)}")
+        else:
+            lines.append(f"    out[{slot}] = {ast.unparse(node)}")
     code = compile("\n".join(lines + ["    return out"]), f"<field {sources!r}>", "exec")
     exec(code, namespace)  # noqa: S102 - whitelisted AST
+    namespace["field"].variables = used
     return namespace["field"]
 
 

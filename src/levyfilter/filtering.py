@@ -43,6 +43,7 @@ from .errors import ModelViolationError
 from .models import ModelPreset, ObservationModel, check_thinning
 from .noise import NoiseSource, RngStream, keyed_normals
 from .sde import (
+    Arena,
     FullDynamics,
     HomogDynamics,
     ObservationRecord,
@@ -178,7 +179,8 @@ def init_ensemble(
 def propagate(ens: ParticleEnsemble, dynamics, dt: float, noise: tuple) -> ParticleEnsemble:
     """Advance every particle by one step of the signal dynamics (in place).
 
-    ``noise`` is the step's blocks from ``ens.next_noise``.  Propagation never
+    ``noise`` is the step's blocks from ``ens.next_noise``; the dynamics write
+    the ensemble's own state arrays and return them.  Propagation never
     touches the weights: under the reference law the observation carries no
     drift information into the signal itself.  A non-finite state raises
     ``IntegrationFailureError`` at the step's time.
@@ -203,6 +205,8 @@ def _batch_log_weight(
     dt: float,
     t_right,                     # scalar or (R, ...) right-endpoint times
     events,                      # () or a stack (rows, times, marks)
+    out=None,                    # (R, ...) log-weights to add to and return, or None
+    scratch=None,                # Arena of the products
 ) -> np.ndarray:
     """One-step log-weights of R rows, broadcast over the states of each row.
 
@@ -215,7 +219,10 @@ def _batch_log_weight(
     """
     # d = 1 skips the reductions: a sum over one term is that term
     total = (lambda a: a[..., 0]) if h_vals.shape[-1] == 1 else (lambda a: np.sum(a, axis=-1))
-    incr = total(h_vals * d_bbar) - 0.5 * dt * total(h_vals * h_vals)
+    scratch = scratch or Arena()
+    incr = total(np.multiply(h_vals, d_bbar, out=scratch.take(1, h_vals.shape)))
+    square = total(np.multiply(h_vals, h_vals, out=scratch.take(2, h_vals.shape)))
+    incr -= np.multiply(square, 0.5 * dt, out=square)
     if len(events):
         rows, ev_t, ev_u = events
         x = x_right[rows]
@@ -227,20 +234,20 @@ def _batch_log_weight(
     if intensity > 0:
         thinning = obs.thinning
         if thinning.kind == "const":
-            incr = incr + dt * intensity * (1.0 - thinning.params[0])
+            incr += dt * intensity * (1.0 - thinning.params[0])
         else:
             nodes, weights = obs.nu3_small.mark_sampler.quadrature()
             t_col = np.asarray(t_right, dtype=float)[..., None]
             lam = np.asarray(thinning(t_col, x_right[..., None, :], nodes), dtype=float)
-            incr = incr + dt * intensity * ((1.0 - lam) @ weights)
-    return incr
+            incr += dt * intensity * ((1.0 - lam) @ weights)
+    return incr if out is None else np.add(out, incr, out=out)
 
 
 # ---------------------------------------------------------------------------
 # estimates and resampling
 
 
-def estimate(ens: ParticleEnsemble, psis: list[PsiSpec], out: tuple = (None,) * 3) -> dict:
+def estimate(ens: ParticleEnsemble, psis: list[PsiSpec], out=(None,) * 3, scratch=None) -> dict:
     """Normalized estimates, unnormalized mass, and effective sample size.
 
     Each row of the ensemble reduces along its particle axis on its own:
@@ -250,7 +257,7 @@ def estimate(ens: ParticleEnsemble, psis: list[PsiSpec], out: tuple = (None,) * 
     because numerator and denominator are then the same float reduction.
     Buffers ``out`` (R, 1), (R, N), (R,) receive mx = max logw, w = exp(logw
     - mx) and den = sum w: row r's (w[r], den[r], log_rho1[r]) is what
-    ``resample`` reads.
+    ``resample`` reads.  ``scratch`` is the ``Arena`` of w squared.
     """
     logw = ens.log_weights
     if not np.all(np.isfinite(logw)):
@@ -263,7 +270,8 @@ def estimate(ens: ParticleEnsemble, psis: list[PsiSpec], out: tuple = (None,) * 
     pi = np.empty((len(den), len(psis)))
     for i, psi in enumerate(psis):
         pi[:, i] = (w * psi(ens.x)).sum(axis=-1) / den
-    ess = den * den / (w * w).sum(axis=-1)
+    work = (scratch or Arena()).take(1, w.shape)
+    ess = den * den / np.multiply(w, w, out=work).sum(axis=-1)
     # math.log per row keeps every recorded mass's bits (np.log may round differently)
     N = ens.n_particles
     mass = [m + math.log(d / N) for m, d in zip(mx.flat, den.flat)]
@@ -359,7 +367,7 @@ class _ModeRun:
 
     mode: str
     dynamics: object
-    sensor: object               # ensemble -> (*rows, N, d) sensor values
+    sensor: object               # (ensemble, out) -> (*rows, N, d) sensor values
     obs: ObservationModel
     events: dict                 # small-region events by step, stacked over the records
     d_bbar: np.ndarray           # (K, R, 1, d)
@@ -369,8 +377,8 @@ class _ModeRun:
     ess: np.ndarray              # (K+1, R)
     resample_steps: list         # per row
 
-    def record(self, k: int, psis: list, weights: tuple) -> np.ndarray:
-        est = estimate(self.ens, psis, weights)
+    def record(self, k: int, psis: list, weights: tuple, scratch: Arena) -> np.ndarray:
+        est = estimate(self.ens, psis, weights, scratch)
         if psis:
             self.pi[k] = est["pi"]
         self.log_rho1[k], self.ess[k] = est["log_rho1"], est["ess"]
@@ -384,7 +392,7 @@ class _ModeRun:
         ) for r, steps in enumerate(self.resample_steps)]
 
 
-def _mode_setup(mode: str, preset: ModelPreset, hmodel, scheme, dt: float) -> tuple:
+def _mode_setup(mode: str, preset: ModelPreset, hmodel, scheme, dt: float, scratch) -> tuple:
     """(dynamics, x0, z0, sensor) of one filter mode on observations spaced ``dt``."""
     obs = preset.observation
     if mode == "full":
@@ -394,12 +402,12 @@ def _mode_setup(mode: str, preset: ModelPreset, hmodel, scheme, dt: float) -> tu
         if abs(scheme.dt_slow - dt) > 1e-9 * max(1.0, dt):
             raise ValueError(
                 f"scheme dt_slow={scheme.dt_slow} must match the observation spacing {dt}")
-        return (FullDynamics(model, scheme), model.x0, model.z0,
-                lambda ens: np.asarray(obs.h(ens.x, ens.z), dtype=float))
+        return (FullDynamics(model, scheme, scratch), model.x0, model.z0,
+                lambda ens, out: obs.h(ens.x, ens.z, out=out))
     if hmodel is None:
         raise ValueError("homog mode needs a homogenized model")
-    return (HomogDynamics(hmodel), hmodel.x0, None,
-            lambda ens: np.asarray(hmodel.hbar(ens.x), dtype=float))
+    return (HomogDynamics(hmodel, scratch), hmodel.x0, None,
+            lambda ens, out: hmodel.hbar(ens.x, out=out))
 
 
 def run_filter_batch(
@@ -448,6 +456,9 @@ def _filter_pass(cases, n_particles, psis, streams, ess_frac=0.5, _last_pi_only=
     'homog', with ``records[r]`` on ``streams[r]`` and one time grid for all.
     Every ensemble reads its blocks through one cache per step, so a key's
     block is drawn once and a case's outputs are bitwise the case run alone.
+    The reduced filters of one ``hmodel`` hold the same particles until they
+    resample, so they share one cloud, stepped and sensed once per step; one
+    that resamples a row first copies it.  The pass works in one ``Arena``.
     Both modes with ``l_factor`` != ``l1`` warn.  ``_last_pi_only`` evaluates
     the functionals at the last step only (``pi`` NaN before), not mass or ESS.
     """
@@ -468,7 +479,8 @@ def _filter_pass(cases, n_particles, psis, streams, ess_frac=0.5, _last_pi_only=
     if np.max(np.abs(np.diff(times) - dt)) > 1e-9 * max(1.0, dt):
         raise ValueError("observation grid is not uniform")
 
-    setups = [_mode_setup(mode, preset, hmodel, scheme, dt)
+    scratch = Arena()
+    setups = [_mode_setup(mode, preset, hmodel, scheme, dt, scratch)
               for _, mode, preset, hmodel, scheme in cases]
     if len({case[1] for case in cases}) == 2:
         for l_factor, l1 in {(h.l_factor, p.model.l1) for _, _, p, h, _ in cases}:
@@ -488,24 +500,37 @@ def _filter_pass(cases, n_particles, psis, streams, ess_frac=0.5, _last_pi_only=
         )
         for (records, mode, preset, _, _), (dynamics, x0, z0, sensor) in zip(cases, setups)
     ]
+    shared = {}      # the reduced filters of one hmodel start on one cloud
+    for run, (_, mode, _, hmodel, _) in zip(runs, cases):
+        if mode == "homog":
+            run.ens.x = shared.setdefault(id(hmodel), run.ens.x)
     threshold, before_last = ess_frac * n_particles, [] if _last_pi_only else psis
     # estimate's (mx, w, den) buffers, shared by the runs: a run's resamples read
     # them before the next run's estimate overwrites them
     weights = (np.empty((R, 1)), np.empty((R, n_particles)), np.empty(R))
     _, w, den = weights
     for run in runs:
-        run.record(0, before_last, weights)
+        run.record(0, before_last, weights, scratch)
     for k in range(K):
-        cache, t_right = {}, float(times[k + 1])
+        cache, t_right, clouds = {}, float(times[k + 1]), {}
         for run in runs:
-            ens = run.ens
-            propagate(ens, run.dynamics, dt, ens.next_noise(run.dynamics.blocks(n_particles), cache))
-            ens.log_weights += _batch_log_weight(
-                run.obs, run.sensor(ens), ens.x, run.d_bbar[k], dt, t_right, run.events.get(k, ()))
-            ess = run.record(k + 1, psis if k == K - 1 else before_last, weights)
-            if k < K - 1:
-                for r, row_ess in enumerate(ess.tolist()):
+            clouds.setdefault(id(run.ens.x), []).append(run)
+        for group in clouds.values():
+            for run in group:
+                ens = run.ens
+                noise = ens.next_noise(run.dynamics.blocks(n_particles), cache)
+                if run is group[0]:       # the cloud steps and senses once, into slot 0
+                    propagate(ens, run.dynamics, dt, noise)
+                    h = run.sensor(ens, scratch.take(0, ens.x.shape[:-1] + (run.obs.d,)))
+                else:
+                    ens.time += dt
+                _batch_log_weight(run.obs, h, ens.x, run.d_bbar[k], dt, t_right,
+                                  run.events.get(k, ()), ens.log_weights, scratch)
+                ess = run.record(k + 1, psis if k == K - 1 else before_last, weights, scratch)
+                for r, row_ess in enumerate(ess.tolist() if k < K - 1 else ()):
                     if row_ess < threshold:
+                        if len(group) > 1 and any(o.ens.x is ens.x for o in group if o is not run):
+                            ens.x = ens.x.copy()      # copy-on-resample
                         resample(ens, r, (w[r], den[r], run.log_rho1[k + 1, r]))
                         run.resample_steps[r].append(k + 1)
     return [run.outputs(times, psis) for run in runs]

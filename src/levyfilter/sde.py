@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -187,9 +187,36 @@ def _kicks_by_step(records, T: float, dt: float) -> dict:
 
 
 def _check_finite(arrays, t: float):
-    for arr in arrays:
+    """A finite sum proves every entry finite; else (an entry or an overflow) the exact check."""
+    total = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for arr in arrays:
+            total += arr.sum()
+    for arr in () if math.isfinite(total) else arrays:
         if not np.all(np.isfinite(arr)):
             raise IntegrationFailureError(f"state became non-finite at t={t:.6g}", time=t)
+
+
+class Arena:
+    """Work arrays kept for reuse: ``take(i, shape)`` views slot i (grown on demand)
+    as ``shape``; a fresh arena allocates, as a ufunc without ``out`` does.  A slot
+    holds one thing at a time: 0 a step's slow noise, then a filter's sensor
+    values; 1 and 2 the slow or reduced coefficients, then the weight kernel's
+    products and ``estimate``'s squares (1); 3 the Euler fast noise; 4 and 5 the
+    coefficients of a fast substep."""
+
+    def __init__(self):
+        self.slots, self.views = {}, {}
+
+    def take(self, i: int, shape: tuple) -> np.ndarray:
+        view = self.views.get((i, shape))
+        if view is None:
+            size = math.prod(shape)
+            if self.slots.get(i, np.empty(0)).size < size:
+                self.slots[i] = np.empty(size)
+                self.views = {key: v for key, v in self.views.items() if key[0] != i}
+            view = self.views[i, shape] = self.slots[i][:size].reshape(shape)
+        return view
 
 
 def _fast_scheme_params(model: SlowFastModel, scheme: StepScheme):
@@ -207,23 +234,26 @@ def _fast_scheme_params(model: SlowFastModel, scheme: StepScheme):
     return dt_fast
 
 
-def euler_step(x, drift, diffusion, dV, dt: float):
+def euler_step(x, drift, diffusion, dV, dt: float, out=None, work=None):
     """Euler-Maruyama update x + drift dt + diffusion dV, batched over leading axes.
 
     ``diffusion`` has shape (..., n, l) and ``dV`` shape (..., l).  The slow
     step of the full model, the step of the reduced model and the fast
     substep all take it, so the slow and reduced steps agree operation for
     operation when their coefficients do.  One noise column takes a plain
-    product, which is the einsum's one-term sum.
-    """
+    product, which is the einsum's one-term sum.  The sum goes to ``out`` (may
+    be x), the products to ``work`` (may be drift); None allocates."""
+    work = np.multiply(drift, dt, out=work)
+    out = np.add(x, work, out=out)
     if dV.shape[-1] == 1:
-        out = x + drift * dt
-        out += diffusion[..., 0] * dV     # in place: one state-sized temporary fewer
-        return out
-    return x + drift * dt + np.einsum("...nl,...l->...n", diffusion, dV)
+        np.multiply(diffusion[..., 0], dV, out=work)
+    else:
+        np.einsum("...nl,...l->...n", diffusion, dV, out=work)
+    out += work
+    return out
 
 
-def fast_euler_substep(model: SlowFastModel, x, z, dW, ds: float, kicks=None):
+def fast_euler_substep(model: SlowFastModel, x, z, dW, ds, kicks=None, out=None, scratch=None):
     """One Euler substep of the fast component with compensated jumps, slow
     state frozen at x, batched over leading axes.
 
@@ -232,14 +262,20 @@ def fast_euler_substep(model: SlowFastModel, x, z, dW, ds: float, kicks=None):
     compensator is one quadrature over the whole stack.  ``kicks`` is None or
     a stack (rows, times, marks): row ``rows[i]`` jumps by f2 at mark
     ``marks[i]``, rows indexing the leading axis, added in event order; every
-    term reads the substep's left state.
+    term reads the substep's left state, so ``out`` may be z (None allocates);
+    coefficients go to slots of the ``Arena`` ``scratch``.
     """
-    z_new = euler_step(z, model.b2(x, z), model.sigma2(x, z), dW, ds)
-    if model.nu2.total_intensity > 0:
-        z_new -= ds * model.nu2.integrate(lambda u: model.f2(x[..., None, :], z[..., None, :], u))
-    if kicks is not None:
-        rows, _, marks = kicks
-        np.add.at(z_new, rows, model.f2(x[rows], z[rows], marks))
+    scratch = scratch or Arena()
+    drift = model.b2(x, z, out=scratch.take(4, z.shape))
+    diffusion = model.sigma2(x, z, out=scratch.take(5, z.shape + (model.l2,)))
+    comp = (ds * model.nu2.integrate(lambda u: model.f2(x[..., None, :], z[..., None, :], u))
+            if model.nu2.total_intensity > 0 else None)
+    jumps = None if kicks is None else model.f2(x[kicks[0]], z[kicks[0]], kicks[2])
+    z_new = euler_step(z, drift, diffusion, dW, ds, out=out, work=drift)
+    if comp is not None:
+        z_new -= comp
+    if jumps is not None:
+        np.add.at(z_new, kicks[0], jumps)
     return z_new
 
 
@@ -250,7 +286,7 @@ def ou_transition(ou: OuFast, s: float) -> tuple[float, float]:
 
 
 def signal_step(model: SlowFastModel, dt_fast: float | None, x, z, dV, fast_noise, dt: float,
-                slow_kicks=None, fast_kicks=None):
+                slow_kicks=None, fast_kicks=None, out=(None, None), scratch=None):
     """One coarse step of the slow/fast pair, batched over leading axes.
 
     The slow Euler step, its jumps and its nu1 compensator, and every fast
@@ -260,22 +296,31 @@ def signal_step(model: SlowFastModel, dt_fast: float | None, x, z, dV, fast_nois
     Euler substeps, of variance dt_fast/epsilon.  ``slow_kicks`` is None or
     the stack (rows, times, marks) of the slow jumps in the step,
     ``fast_kicks`` None or one such stack per substep (see
-    ``fast_euler_substep``).  Returns (x_new, z_new); x and z are not
-    modified.
+    ``fast_euler_substep``).  Returns (x_new, z_new) written into ``out``, which
+    may be (x, z): a term (coefficients into the ``Arena`` ``scratch``) is
+    evaluated before the state it reads is written, so Euler substeps go before
+    the slow update and the exact OU transition after it.
     """
-    x_new = euler_step(x, model.b1(x, z), model.sigma1(x, z), dV, dt)
-    if slow_kicks is not None:
-        rows, _, marks = slow_kicks
-        np.add.at(x_new, rows, model.f1(x[rows], marks))
-    if model.nu1.total_intensity > 0:
-        x_new -= dt * model.nu1.integrate(lambda u: model.f1(x[..., None, :], u))
-    if dt_fast is None:
+    (x_new, z_new), scratch = out, scratch or Arena()
+    drift = model.b1(x, z, out=scratch.take(1, x.shape))
+    diffusion = model.sigma1(x, z, out=scratch.take(2, x.shape + (model.l1,)))
+    jumps = None if slow_kicks is None else model.f1(x[slow_kicks[0]], slow_kicks[2])
+    comp = (dt * model.nu1.integrate(lambda u: model.f1(x[..., None, :], u))
+            if model.nu1.total_intensity > 0 else None)
+    for j in range(0 if dt_fast is None else fast_noise.shape[-2]):
+        z = z_new = fast_euler_substep(
+            model, x, z, fast_noise[..., j, :], dt_fast / model.epsilon,
+            None if fast_kicks is None else fast_kicks[j], z_new, scratch)
+    x_new = euler_step(x, drift, diffusion, dV, dt, out=x_new, work=drift)
+    if jumps is not None:
+        np.add.at(x_new, slow_kicks[0], jumps)
+    if comp is not None:
+        x_new -= comp
+    if dt_fast is None:       # the diffusion's slot is free again
         decay, scale = ou_transition(model.ou_fast, dt / model.epsilon)
-        return x_new, decay * z + scale * fast_noise
-    for j in range(fast_noise.shape[-2]):
-        z = fast_euler_substep(model, x, z, fast_noise[..., j, :], dt_fast / model.epsilon,
-                               None if fast_kicks is None else fast_kicks[j])
-    return x_new, z
+        z_new = np.multiply(z, decay, out=z_new)
+        z_new += np.multiply(fast_noise, scale, out=scratch.take(2, z.shape))
+    return x_new, z_new
 
 
 def _path_draws(
@@ -341,10 +386,7 @@ def simulate_full(
     if not streams:
         raise ValueError("need at least one stream")
     times = make_grid(T, scheme.dt_slow)
-    K = len(times) - 1
-    R = len(streams)
-    dt = scheme.dt_slow
-    eps = model.epsilon
+    K, R, dt = len(times) - 1, len(streams), scheme.dt_slow
     dt_fast = _fast_scheme_params(model, scheme)
     n, m, d = model.n, model.m, obs.d
 
@@ -368,33 +410,31 @@ def simulate_full(
     Z = np.empty((R, K + 1, m)); Z[:, 0] = model.z0
     Y = np.zeros((R, K + 1, d))
     bbar = np.empty((R, K, d))
-    x, z, y = X[:, 0].copy(), Z[:, 0].copy(), Y[:, 0].copy()
+    scratch = Arena()
+    # const thinning and an f3 free of t make the small-jump compensator state-free
+    state_free = obs.thinning.kind == "const" and "t" not in getattr(obs.f3, "variables", "t")
 
     for k in range(K):
-        t = times[k]
+        t, x, z, y = times[k], X[:, k], Z[:, k], Y[:, k]
         fast_kicks = [fast_at.get(k * substeps + j) for j in range(substeps)]
-        x_new, z_new = signal_step(model, dt_fast, x, z, dV[k], fast_noise[k], dt,
-                                   slow_at.get(k), fast_kicks)
+        signal_step(model, dt_fast, x, z, dV[k], fast_noise[k], dt, slow_at.get(k), fast_kicks,
+                    (X[:, k + 1], Z[:, k + 1]), scratch)
 
         # observation: continuous part plus thinned jumps, left-limit state
         bbar[:, k] = dB[k] + obs.h(x, z) * dt
-        y_new = y + bbar[:, k]
+        y_new = np.add(y, bbar[:, k], out=Y[:, k + 1])
         for _, shape, accepted, at in regions:
             if k in at:
                 rows, ev_t, ev_u, uniforms, where = at[k]
                 acc = uniforms < check_thinning(obs.thinning(ev_t, x[rows], ev_u))
                 accepted[where] = acc
-                jumps = shape(ev_t[acc], ev_u[acc])
-                np.add.at(y_new, rows[acc], jumps)
+                np.add.at(y_new, rows[acc], shape(ev_t[acc], ev_u[acc]))
         if obs.nu3_small.total_intensity > 0:
-            y_new -= dt * obs.nu3_small.integrate(
-                lambda u: obs.f3(t, u) * obs.thinning(t, x[:, None, :], u)[..., None])
-
-        X[:, k + 1] = x_new
-        Z[:, k + 1] = z_new
-        Y[:, k + 1] = y_new
-        _check_finite((x_new, z_new, y_new), times[k + 1])
-        x, z, y = x_new, z_new, y_new
+            if k == 0 or not state_free:
+                comp = dt * obs.nu3_small.integrate(
+                    lambda u: obs.f3(t, u) * obs.thinning(t, x[:, None, :], u)[..., None])
+            y_new -= comp
+        _check_finite((X[:, k + 1], Z[:, k + 1], y_new), times[k + 1])
 
     for key, _, accepted, _ in regions:
         cuts = np.cumsum([len(p[key]) for p in draws])[:-1]
@@ -404,7 +444,7 @@ def simulate_full(
         JointPath(
             times=times, X=X[r], Z=Z[r], Y=Y[r], bbar_increments=bbar[r],
             events={key: p[key] for key in ("slow", "fast", "obs_small", "obs_large")},
-            epsilon=eps,
+            epsilon=model.epsilon,
         )
         for r, p in enumerate(draws)
     ]
@@ -461,6 +501,7 @@ def simulate_frozen_fast(
     z[:] = np.asarray(z_init, dtype=float).reshape(m)
     chunk = max(1, _FROZEN_CHUNK_BYTES // (8 * R * l2))
     sqdt = math.sqrt(dt)
+    scratch = Arena()
     i = 0
     for k0 in range(0, K, chunk):
         width = min(chunk, K - k0)
@@ -468,9 +509,8 @@ def simulate_frozen_fast(
         for r, gen in enumerate(gens):
             dW[:, r] = gen.normal(0.0, sqdt, size=(width, l2))
         for k in range(k0, k0 + width):
-            z_new = fast_euler_substep(model, rows, z, dW[k - k0], dt, kicks.get(k))
-            _check_finite((z_new,), dt * (k + 1))
-            z = z_new
+            fast_euler_substep(model, rows, z, dW[k - k0], dt, kicks.get(k), z, scratch)
+            _check_finite((z,), dt * (k + 1))
             if k + 1 == keep[i]:
                 Z[:, i] = z
                 i += 1
@@ -504,10 +544,11 @@ def simulate_reference_observations(
 
 @dataclass
 class FullDynamics:
-    """One coarse step of the slow/fast signal for an ensemble of states."""
+    """One coarse step of the slow/fast signal for an ensemble of states, in ``scratch``."""
 
     model: SlowFastModel
     scheme: StepScheme
+    scratch: Arena = field(default_factory=Arena, repr=False, compare=False)
 
     def __post_init__(self):
         self.dt_fast = _fast_scheme_params(self.model, self.scheme)
@@ -527,11 +568,15 @@ class FullDynamics:
         return sum(math.prod(shape) for shape in self.blocks(1))
 
     def step(self, x, z, noise, dt: float):
-        """The next (x, z) from the ``blocks`` in ``noise``, behind any row axes."""
-        slow, fast = noise
+        """The next (x, z) from the ``blocks`` in ``noise``, behind any row
+        axes, written into x and z, which it returns."""
+        (slow, fast), scratch = noise, self.scratch
         if self.dt_fast is not None:
-            fast = np.moveaxis(math.sqrt(self.dt_fast / self.model.epsilon) * fast, -3, -2)
-        return signal_step(self.model, self.dt_fast, x, z, math.sqrt(dt) * slow, fast, dt)
+            scale = math.sqrt(self.dt_fast / self.model.epsilon)
+            fast = np.moveaxis(np.multiply(fast, scale, out=scratch.take(3, fast.shape)), -3, -2)
+        dV = np.multiply(slow, math.sqrt(dt), out=scratch.take(0, slow.shape))
+        return signal_step(self.model, self.dt_fast, x, z, dV, fast, dt, out=(x, z),
+                           scratch=scratch)
 
 
 @dataclass
@@ -539,6 +584,7 @@ class HomogDynamics:
     """One step of the reduced slow model for an ensemble of states (no fast state)."""
 
     hmodel: object
+    scratch: Arena = field(default_factory=Arena, repr=False, compare=False)
 
     def __post_init__(self):
         if self.hmodel.nu1.total_intensity > 0:
@@ -548,8 +594,11 @@ class HomogDynamics:
         return ((count, self.hmodel.l_factor),)
 
     def step(self, x, z, noise, dt: float):
-        h = self.hmodel
-        return euler_step(x, h.bbar1(x), h.sigmabar1(x), math.sqrt(dt) * noise[0], dt), z
+        """The next x from the block in ``noise``, written into x; returns (x, z)."""
+        h, scratch = self.hmodel, self.scratch
+        dV = np.multiply(noise[0], math.sqrt(dt), out=scratch.take(0, noise[0].shape))
+        work = scratch.take(1, x.shape)
+        return euler_step(x, h.bbar1(x), h.sigmabar1(x), dV, dt, out=x, work=work), z
 
 
 def _signal_law(model: SlowFastModel, scheme: StepScheme, stream: RngStream) -> tuple:
@@ -562,14 +611,17 @@ def _homogenized_law(hmodel, stream: RngStream) -> tuple:
 
 def _law_steps(laws: list, T: float, dt: float, n_paths: int):
     """Weightless ensembles of ``n_paths`` states per law (dynamics, x0, z0, block
-    streams) in lockstep: yields (t, [(X, Z), ...]) at every grid time, never
-    overwritten.  A step reads block s of a law from ``streams[s]`` through one
-    ``keyed_normals`` cache, so each ensemble is bitwise its own run."""
-    times, P = make_grid(T, dt), int(n_paths)
+    streams) in lockstep, in one ``Arena``: yields (t, [(X, Z), ...]) at every
+    grid time, copies at the start, then the ensembles' own arrays, which the
+    next step overwrites.  A step reads block s of a law from ``streams[s]``
+    through one ``keyed_normals`` cache, so each ensemble is bitwise its own run."""
+    times, P, scratch = make_grid(T, dt), int(n_paths), Arena()
     states = [(np.tile(x0, (P, 1)), None if z0 is None else np.tile(z0, (P, 1)))
               for _, x0, z0, _ in laws]
-    yield times[0], list(states)
+    yield times[0], [tuple(None if a is None else a.copy() for a in state) for state in states]
     gens = [[[None] for _ in streams] for *_, streams in laws]
+    for dynamics, *_ in laws:
+        dynamics.scratch = scratch
     for t in times[1:]:
         cache = {}
         for i, ((dynamics, _, _, streams), law_gens) in enumerate(zip(laws, gens)):

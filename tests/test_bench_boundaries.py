@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from levyfilter import PRESETS, RngStream, build_homogenized, filtering
+from levyfilter import PRESETS, RngStream, build_homogenized, experiments, filtering
 from levyfilter.sde import simulate_reference_observations
 
 _TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -53,3 +53,34 @@ def test_a_coupled_filter_run_reaches_every_filter_layer(tracer):
                  "filtering.estimate_s", "filtering.resample_s", "filtering.resamples",
                  "filtering.particle_steps", "noise.generators"):
         assert metrics[name] > 0, name
+
+
+def test_a_traced_study_reaches_every_filter_layer(tracer, monkeypatch):
+    # every run of the study's pass reads its blocks through next_noise, also
+    # a reduced filter on the shared cloud, and the weight kernel takes its
+    # events as the 7th positional argument, where the tracer's _events reads them
+    module, installed = tracer
+    passes = []
+
+    def keep(cases, *args, _fn=experiments._filter_pass, **kwargs):
+        passes.append(cases)
+        return _fn(cases, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "_filter_pass", keep)
+    preset = PRESETS["example6"](small_jump_intensity=30.0)
+    experiments.filter_convergence_study(preset, [0.5, 0.1, 0.02], replications=2, n_particles=8,
+                                         psis=["tanh"], T=0.2, dt=0.02, seed=4)
+    [cases] = passes
+    K = 10
+    names = [span[1] for span in installed.spans]
+    assert names.count("noise.next_noise") == len(cases) * K
+    assert {"filtering.FullDynamics.step", "filtering.HomogDynamics.step"} <= set(names)
+    weights = [span[6] for span in installed.spans if span[1] == "filtering._batch_log_weight"]
+    assert len(weights) == len(cases) * K and all(w is not None for w in weights)
+    with_events = sum(len({int(k) for rec in records for k in rec.small_step_index()})
+                      for records, *_ in cases)
+    assert with_events > 0
+    assert sum(w["events"] > 0 for w in weights) == with_events
+    metrics = module.layer_metrics(installed, threads=1)
+    assert metrics["filtering.weight_event_calls"] == with_events
+    assert metrics["noise.next_noise_s"] > 0 and metrics["filtering.propagate_s"] > 0

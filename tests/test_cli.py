@@ -79,6 +79,23 @@ def test_average_writes_table(tmp_path):
     assert meta["n_samples"] == 2000
 
 
+@pytest.mark.parametrize("flag", [["--x", "-1,0,1"], ["--x=-1,0,1"]])
+def test_average_takes_a_grid_that_starts_below_zero(tmp_path, flag):
+    # a comma list of numbers that starts with '-' is the option's value, not an option
+    out = tmp_path / "avg"
+    assert main(["average", "--samples", "1000", "--burn-in", "1.0", "--stride", "2", *flag,
+                 "--out", str(out)]) == 0
+    data = np.loadtxt(out / "averaged.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert data[:, 0].tolist() == [-1.0, 0.0, 1.0]
+
+
+def test_converge_reads_a_negative_epsilon_list_as_its_value(tmp_path, capsys):
+    # the list parses, and the study's own check rejects it before any work
+    assert main(["converge", "--eps", "-0.5,0.1", "--out", str(tmp_path / "o")]) == 1
+    assert "every epsilon must be > 0" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_average_records_the_euler_replicas(tmp_path):
     cfg_path = _write_config(tmp_path, lambda c: c["model"].pop("ou_fast"))
     out = tmp_path / "avg"

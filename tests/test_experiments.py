@@ -31,7 +31,7 @@ from levyfilter import (
     signal_convergence_study,
     strictly_decreasing,
 )
-from levyfilter import experiments, sde
+from levyfilter import experiments, filtering, sde
 from levyfilter.averaging import build_homogenized
 from levyfilter.errors import ConfigError
 from levyfilter.filtering import ParticleEnsemble, _batch_log_weight, run_filter_batch
@@ -457,10 +457,15 @@ def test_law_ensembles_through_the_dynamics_keep_their_bits(
     hmodel = build_homogenized(PRESETS["example6"]())
     models = [with_epsilon(preset, e).model for e in epsilons]
     laws = [sde._signal_law(m, default_scheme(m, dt), root.child(0)) for m in models]
-    shared = list(sde._law_steps([sde._homogenized_law(hmodel, root.child(2))] + laws, T, dt, P))
-    assert _digest([(t, states[0][0]) for t, states in shared]) == homog_digest
-    assert [_digest((t, *states[1 + e]) for t, states in shared)
-            for e in range(len(models))] == full_digests
+    hashes = [hashlib.sha256() for _ in range(1 + len(models))]
+    for _, states in sde._law_steps([sde._homogenized_law(hmodel, root.child(2))] + laws, T, dt, P):
+        # each state is hashed as it is yielded: the next step overwrites it
+        for h, state in zip(hashes, states):
+            for a in state:
+                if a is not None:
+                    h.update(np.ascontiguousarray(a).tobytes())
+    assert hashes[0].hexdigest()[:16] == homog_digest
+    assert [h.hexdigest()[:16] for h in hashes[1:]] == full_digests
     alone = [_digest((t, *states[0]) for t, states in sde._law_steps([law], T, dt, P))
              for law in laws]
     assert alone == full_digests
@@ -521,6 +526,48 @@ def test_filter_study_is_one_coupled_pass_per_epsilon_on_shared_streams(
         gaps = np.abs(np.array([o.pi[-1] for o in full]) - np.array([o.pi[-1] for o in homog]))
         assert _hexes(row["mean_gap"]) == _hexes(gaps.mean(axis=0))
         assert _hexes(row["se_gap"]) == _hexes(gaps.std(axis=0, ddof=1) / math.sqrt(R))
+
+
+@pytest.mark.parametrize("ess_frac", [1e-9, 0.5, 0.999])
+def test_reduced_filters_of_a_study_step_one_cloud_until_they_resample(ess_frac, monkeypatch):
+    # the E reduced filters share hmodel, start and slow blocks, so one cloud
+    # steps per step; a filter leaves it at its first resample and steps alone
+    # from then on, and each epsilon's reduced output is bitwise its pass alone
+    stepped, step = [], sde.HomogDynamics.step
+
+    def spy(self, x, z, noise, dt):
+        stepped.append(id(x))
+        return step(self, x, z, noise, dt)
+
+    passes = []
+
+    def keep(*args, _fn=experiments._filter_pass, **kwargs):
+        passes.append((args, _fn(*args, **kwargs)))
+        return passes[-1][1]
+
+    monkeypatch.setattr(sde.HomogDynamics, "step", spy)
+    monkeypatch.setattr(experiments, "_filter_pass", keep)
+    epsilons, R, N, K = [0.5, 0.1, 0.02], 3, 16, 15
+    filter_convergence_study(PRESETS["example6"](), epsilons, replications=R, n_particles=N,
+                             psis=["tanh"], T=K * 0.02, dt=0.02, ess_frac=ess_frac, seed=3)
+    [((cases, _, psis, streams, _), outs)] = passes
+    # loop index k steps one cloud per filter whose first resample came at
+    # step <= k, plus the shared cloud while a filter is still on it
+    first = [min([s[0] for s in (o.resample_steps for o in case) if s], default=K)
+             for case in outs[1::2]]
+    assert len(stepped) == sum(sum(f <= k for f in first) + any(f > k for f in first)
+                               for k in range(K))
+    if ess_frac == 1e-9:
+        assert len(stepped) == K
+    if ess_frac == 0.999:
+        assert min(first) < K - 1 and len(stepped) > K
+    for case, out in zip(cases[1::2], outs[1::2]):
+        alone = filtering._filter_pass([case], N, psis, streams, ess_frac, _last_pi_only=True)[0]
+        for got, want in zip(out, alone):
+            assert _hexes(got.pi[-1]) == _hexes(want.pi[-1])
+            assert _hexes(got.log_rho1) == _hexes(want.log_rho1)
+            assert _hexes(got.ess) == _hexes(want.ess)
+            assert got.resample_steps == want.resample_steps
 
 
 class _CountingGenerator:

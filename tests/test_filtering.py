@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -888,6 +889,29 @@ def test_only_uncoupled_filter_pairs_warn():
         example6 = PRESETS["example6"]()
         filter_convergence_study(example6, [0.5, 0.1], replications=2, n_particles=8,
                                  psis=["tanh"], T=0.1, dt=0.05)
+
+
+def test_filter_pass_memory_does_not_grow_with_its_steps():
+    # the pass steps its ensembles in place, in work arrays it keeps, so a run
+    # four times as long peaks where the short one does, up to its longer
+    # (K + 1, R) series; one leaked (R, N) array per step would add 0.5 MB
+    preset, R, N = PRESETS["example6"](), 4, 500
+    hmodel = build_homogenized(preset)
+
+    def peak(T):
+        records = [simulate_reference_observations(preset.observation, T, 0.02, RngStream(5, r))
+                   for r in range(R)]
+        streams = [RngStream(6, r) for r in range(R)]
+        tracemalloc.start()
+        try:
+            run_filter_batch(records, "both", preset, N, ["tanh"], streams, hmodel=hmodel)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(0.1)       # lazily built tables land outside the comparison
+    short, long = peak(0.2), peak(0.8)
+    assert abs(long - short) < 64 * 1024
 
 
 def test_mode_both_pass_holds_two_keys_per_row_at_every_step(monkeypatch):

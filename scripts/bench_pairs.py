@@ -22,6 +22,12 @@ and a verdict:
   change run beats every parent run;
 - ``unchanged`` otherwise.
 
+After each run the passes' output digests are read from the tree's
+``.bench_out/<workload>/result.json``; each pair records both sides'
+digests and whether they agree at that seed, and the summary counts the
+pairs that agree, so a claim that a change keeps every output bit is one
+command.
+
 ``--traced-seed`` adds one traced pass per tree (``--trace 1 --seconds 3``):
 its layer metrics, and whether every count metric is equal on both sides.
 The output file keeps the keys it already holds for other workloads.
@@ -43,7 +49,8 @@ WIN_SHARE = 0.9
 
 
 def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One ``perfbench/run.py`` run in ``tree``: its summary line and its metrics line."""
+    """One ``perfbench/run.py`` run in ``tree``: its summary line, its metrics
+    line and the distinct output digests of its passes."""
     for cache in tree.rglob("__pycache__"):
         shutil.rmtree(cache, ignore_errors=True)
     proc = subprocess.run(
@@ -53,7 +60,9 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) 
     lines = proc.stdout.strip().splitlines()
     if proc.returncode or len(lines) < 2:
         return {"error": proc.stderr[-2000:] or f"exit {proc.returncode}"}
-    return {"record": json.loads(lines[-2]), "result": json.loads(lines[-1])}
+    result = json.loads((tree / ".bench_out" / workload / "result.json").read_text())
+    digests = sorted({p["digest"] for p in result["passes"] if "digest" in p})
+    return {"record": json.loads(lines[-2]), "result": json.loads(lines[-1]), "digests": digests}
 
 
 def quartiles(values: list) -> dict:
@@ -97,8 +106,11 @@ def pairs(args, workload: str, metrics: list) -> tuple[list, dict]:
             res, summary = out["result"], out["record"]["summary"]
             entry[side] = {m["name"]: summary.get(m["name"]) for m in metrics}
             entry[side].update(attempted=res["attempted"], failed=res["failed"],
-                               correct=res["correct"])
+                               correct=res["correct"], digests=out["digests"])
             entry.setdefault("environment", {})[side] = out["record"]["environment"]
+        if all("digests" in entry.get(side, {}) for side in SIDES):
+            entry["digests_equal"] = bool(entry["parent"]["digests"]) and (
+                entry["parent"]["digests"] == entry["change"]["digests"])
         print(json.dumps({k: v for k, v in entry.items() if k != "environment"}), flush=True)
         runs.append(entry)
     done = [r for r in runs if all("error" not in r[s] for s in SIDES)]
@@ -107,6 +119,7 @@ def pairs(args, workload: str, metrics: list) -> tuple[list, dict]:
         "failed": {s: sum(r[s]["failed"] for r in done) for s in SIDES},
         "attempted": {s: sum(r[s]["attempted"] for r in done) for s in SIDES},
         "correct": all(r[s]["correct"] for r in done for s in SIDES),
+        "digests_equal_pairs": sum(r["digests_equal"] for r in done),
     }
     for m in metrics:
         paired = [(r["parent"][m["name"]], r["change"][m["name"]]) for r in done
@@ -158,7 +171,9 @@ def main() -> int:
             doc.setdefault("traced_layers", {})[workload] = traced(args, workload, units)
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
     for workload in args.workload:
-        for name, s in doc["summary"][workload].items():
+        summary = doc["summary"][workload]
+        print(f"{workload} digests equal in {summary['digests_equal_pairs']}/{summary['pairs']} pairs")
+        for name, s in summary.items():
             if isinstance(s, dict) and "verdict" in s:
                 print(f"{workload} {name}: {s['change_over_parent_median']:.3f} "
                       f"({s['change_better_pairs']}/{doc['summary'][workload]['pairs']} won) "

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ExtrapolationError
 from .models import ModelPreset, ObservationModel, SlowFastModel
 from .noise import LevyMeasureSpec, NoiseSource, RngStream
-from .sde import FROZEN_REPLICAS, ou_transition, simulate_frozen_fast
+from .sde import FROZEN_REPLICAS, simulate_frozen_fast
 
 MIN_SAMPLES = 1000
 _BATCHES = 64
@@ -130,14 +130,14 @@ def estimate_invariant_measure(
     mode = "euler" if model.ou_fast is None else "exact_ou"
 
     if mode == "exact_ou":
-        a, b = ou_transition(model.ou_fast, stride * dt)
+        ou = model.ou_fast
+        a, b = ou.decay(stride * dt), ou.step_std(stride * dt)
         chains = []
         for node_stream in [stream.child(g) for g in range(len(x))] if stack else [stream]:
             gen = node_stream.generator()
             z = float(model.z0[0])
             if burn_in > 0:
-                decay, scale = ou_transition(model.ou_fast, burn_in)
-                z = decay * z + scale * gen.standard_normal()
+                z = ou.decay(burn_in) * z + ou.step_std(burn_in) * gen.standard_normal()
             # exact transitions at the recording spacing: the recursion started at
             # zero plus the decayed start value z a^k
             chain = []

@@ -45,7 +45,7 @@ from .models import (
     with_epsilon,
 )
 from .noise import RngStream
-from .sde import StepScheme, euler_scheme, simulate_full
+from .sde import StepScheme, euler_scheme, require_jump_free, simulate_full
 
 
 class UsageError(Exception):
@@ -344,6 +344,8 @@ def _cmd_filter(args) -> int:
     preset = _load_preset(args)
     out_dir = Path(args.out)
     psis = _psi_list(args)
+    model = preset.model
+    require_jump_free(model.nu1, *(() if args.mode == "homog" else (model.nu2,)))
     _run_config(
         args, "filter", preset,
         mode=args.mode, T=args.T, dt=args.dt, particles=args.particles,
@@ -385,6 +387,7 @@ def _cmd_converge(args) -> int:
                           key="eps")
     for name in ("replications", "signal_paths", "martingale_runs"):
         _at_least_two(name, getattr(args, name))
+    require_jump_free(preset.model.nu1, preset.model.nu2)
     threads = _threads(args)
     _run_config(
         args, "converge", preset,

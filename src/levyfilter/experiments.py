@@ -38,6 +38,7 @@ from .sde import (
     _signal_law,
     default_scheme,
     make_grid,
+    require_jump_free,
     simulate_full,
 )
 
@@ -93,7 +94,7 @@ def _law_pass(preset, hmodel, presets, T, dt, root, ks_paths: int = 0, runs: int
     terminal slow states of the first ``ks_paths`` rows of ``presets[e]`` and
     of the reduced model; ``logl`` (1 + E, runs) the log-likelihoods of the
     first ``runs`` rows under ``preset``'s reference-law observations
-    (``child(1)`` increments, ``child(3)`` unthinned events), row 0 with the
+    (``child(5)`` increments, ``child(3)`` unthinned events), row 0 with the
     averaged sensor.  No KS paths compute no KS; no runs draw nothing for
     the observations and evaluate no sensor."""
     P, obs = max(ks_paths, runs), preset.observation
@@ -109,7 +110,8 @@ def _law_pass(preset, hmodel, presets, T, dt, root, ks_paths: int = 0, runs: int
         ev_marks = obs.nu3_small.mark_sampler.sample(gen_ev, len(ev_times))
         events = _events_by_step(make_grid(T, dt), np.repeat(np.arange(runs), counts),
                                  ev_times, ev_marks)
-        gen_obs = root.child(1).generator()
+        # not child(1): under a root of id 0 that is the fast stream child(0).child(1)
+        gen_obs = root.child(5).generator()
     # one step at a time, so state-dependent thinning never holds more than a
     # (runs, quadrature nodes) block; the steps overwrite the states they yield
     for k, (t, ((X0, _), *fulls)) in enumerate(_law_steps(laws, T, dt, P)):
@@ -342,6 +344,7 @@ def filter_convergence_study(
     """
     R = _at_least_two("replications", replications)
     epsilons = _check_epsilons(epsilons)
+    require_jump_free(preset.model.nu1, preset.model.nu2)
     psis = [p if isinstance(p, PsiSpec) else psi_from_string(p) for p in psis]
     if hmodel is None:
         hmodel = build_homogenized(preset)

@@ -53,6 +53,7 @@ from .sde import (
     _events_by_step,
     _stack_events,
     default_scheme,
+    require_jump_free,
 )
 
 _INDICATOR_WIDTH = 1e-2
@@ -402,6 +403,7 @@ def _mode_setup(mode: str, preset: ModelPreset, hmodel, scheme, dt: float, scrat
         if abs(scheme.dt_slow - dt) > 1e-9 * max(1.0, dt):
             raise ValueError(
                 f"scheme dt_slow={scheme.dt_slow} must match the observation spacing {dt}")
+        require_jump_free(model.nu1, model.nu2)
         return (FullDynamics(model, scheme, scratch), model.x0, model.z0,
                 lambda ens, out: obs.h(ens.x, ens.z, out=out))
     if hmodel is None:

@@ -68,7 +68,7 @@ class RngStream:
         return np.random.Generator(np.random.PCG64(seq))
 
     def child(self, key: int) -> "RngStream":
-        """Independent stream addressed below this one (collision-free)."""
+        """Independent stream addressed below this one; on a stream of id 0, child(0) is itself."""
         key = int(key)
         if not 0 <= key < _KEY_SPACE:
             raise ValueError(f"child key must lie in [0, 2**64), got {key}")

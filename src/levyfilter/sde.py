@@ -1,5 +1,5 @@
 """Path simulation for the two-timescale signal and its observation, and the
-one step (``FullDynamics``, ``HomogDynamics``) of filter particles and law ensembles.
+one step (``FullDynamics``, ``HomogDynamics``) of paths, filter particles and law ensembles.
 
 The slow component is advanced by an Euler step on the coarse grid; the fast
 component is advanced inside each coarse step either by Euler substeps at its
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import IntegrationFailureError, StiffnessError
-from .models import ObservationModel, OuFast, SlowFastModel, check_thinning
+from .models import ObservationModel, SlowFastModel, check_thinning
 from .noise import NoiseSource, RngStream, brownian_increments, keyed_normals, sample_poisson_jumps
 
 _GRID_RTOL = 1e-9
@@ -219,19 +219,10 @@ class Arena:
         return view
 
 
-def _fast_scheme_params(model: SlowFastModel, scheme: StepScheme):
-    """Resolve the fast-substep policy against the model's epsilon."""
-    if scheme.fast_mode == "exact_ou":
-        if model.ou_fast is None:
-            raise ValueError("scheme requests exact OU transitions but the model declares none")
-        return None
-    dt_fast = scheme.dt_fast if scheme.dt_fast is not None else scheme.dt_slow
-    if dt_fast > model.epsilon / 10.0 * (1.0 + 1e-12):
-        raise StiffnessError(
-            f"dt_fast={dt_fast:.6g} exceeds epsilon/10={model.epsilon / 10.0:.6g}; "
-            "refine dt_fast or use exact OU transitions"
-        )
-    return dt_fast
+def require_jump_free(*measures) -> None:
+    """The rule of filter particles and law ensembles until they take jumps: no measure has mass."""
+    if any(nu.total_intensity > 0 for nu in measures):
+        raise ValueError("ensemble propagation supports jump-free signal dynamics only")
 
 
 def euler_step(x, drift, diffusion, dV, dt: float, out=None, work=None):
@@ -279,68 +270,11 @@ def fast_euler_substep(model: SlowFastModel, x, z, dW, ds, kicks=None, out=None,
     return z_new
 
 
-def ou_transition(ou: OuFast, s: float) -> tuple[float, float]:
-    """Exact OU transition over fast time s as (decay, scale): z -> decay z + scale xi,
-    with xi standard normal."""
-    return ou.decay(s), ou.step_std(s)
-
-
-def signal_step(model: SlowFastModel, dt_fast: float | None, x, z, dV, fast_noise, dt: float,
-                slow_kicks=None, fast_kicks=None, out=(None, None), scratch=None):
-    """One coarse step of the slow/fast pair, batched over leading axes.
-
-    The slow Euler step, its jumps and its nu1 compensator, and every fast
-    substep read the slow state at the start of the step.  ``fast_noise``
-    holds (..., 1) standard normals for the exact OU transition (``dt_fast``
-    None) or the (..., substeps, l2) fast-time Brownian increments of the
-    Euler substeps, of variance dt_fast/epsilon.  ``slow_kicks`` is None or
-    the stack (rows, times, marks) of the slow jumps in the step,
-    ``fast_kicks`` None or one such stack per substep (see
-    ``fast_euler_substep``).  Returns (x_new, z_new) written into ``out``, which
-    may be (x, z): a term (coefficients into the ``Arena`` ``scratch``) is
-    evaluated before the state it reads is written, so Euler substeps go before
-    the slow update and the exact OU transition after it.
-    """
-    (x_new, z_new), scratch = out, scratch or Arena()
-    drift = model.b1(x, z, out=scratch.take(1, x.shape))
-    diffusion = model.sigma1(x, z, out=scratch.take(2, x.shape + (model.l1,)))
-    jumps = None if slow_kicks is None else model.f1(x[slow_kicks[0]], slow_kicks[2])
-    comp = (dt * model.nu1.integrate(lambda u: model.f1(x[..., None, :], u))
-            if model.nu1.total_intensity > 0 else None)
-    for j in range(0 if dt_fast is None else fast_noise.shape[-2]):
-        z = z_new = fast_euler_substep(
-            model, x, z, fast_noise[..., j, :], dt_fast / model.epsilon,
-            None if fast_kicks is None else fast_kicks[j], z_new, scratch)
-    x_new = euler_step(x, drift, diffusion, dV, dt, out=x_new, work=drift)
-    if jumps is not None:
-        np.add.at(x_new, slow_kicks[0], jumps)
-    if comp is not None:
-        x_new -= comp
-    if dt_fast is None:       # the diffusion's slot is free again
-        decay, scale = ou_transition(model.ou_fast, dt / model.epsilon)
-        z_new = np.multiply(z, decay, out=z_new)
-        z_new += np.multiply(fast_noise, scale, out=scratch.take(2, z.shape))
-    return x_new, z_new
-
-
-def _path_draws(
-    model: SlowFastModel,
-    obs: ObservationModel,
-    T: float,
-    K: int,
-    scheme: StepScheme,
-    dt_fast: float | None,
-    stream: RngStream,
-) -> dict:
+def _path_draws(dynamics: FullDynamics, obs: ObservationModel, T: float, K: int,
+                stream: RngStream) -> dict:
     """Every random input of one path, each noise from its own child stream of
-    ``stream`` keyed by ``NoiseSource``."""
-    dt, eps = scheme.dt_slow, model.epsilon
-    fast = stream.child(NoiseSource.FAST_BROWNIAN)
-    if dt_fast is None:
-        fast_noise = fast.generator().normal(size=(K, 1))
-    else:
-        fast_noise = brownian_increments(fast, model.l2, dt_fast / eps, K * scheme.substeps)
-        fast_noise = fast_noise.reshape(K, scheme.substeps, model.l2)
+    ``stream`` keyed by ``NoiseSource``, the signal's as K steps of ``dynamics.blocks(1)``."""
+    model, dt = dynamics.model, dynamics.scheme.dt_slow
 
     def events(source, spec, rate_scale=1.0):
         return sample_poisson_jumps(stream.child(source), spec, T, rate_scale=rate_scale)
@@ -349,11 +283,11 @@ def _path_draws(
     large = events(NoiseSource.OBS_JUMPS_LARGE, obs.nu3_large)
     thin_gen = stream.child(NoiseSource.THINNING).generator()
     return {
-        "dV": brownian_increments(stream.child(NoiseSource.SLOW_BROWNIAN), model.l1, dt, K),
+        "signal": [stream.child(source).generator().standard_normal((K,) + shape)
+                   for source, shape in zip(_SIGNAL_SOURCES, dynamics.blocks(1))],
         "dB": brownian_increments(stream.child(NoiseSource.OBS_BROWNIAN), obs.d, dt, K),
-        "fast_noise": fast_noise,
         "slow": events(NoiseSource.SLOW_JUMPS, model.nu1),
-        "fast": events(NoiseSource.FAST_JUMPS, model.nu2, 1.0 / eps),
+        "fast": events(NoiseSource.FAST_JUMPS, model.nu2, 1.0 / model.epsilon),
         "obs_small": small, "obs_large": large,
         # acceptance uniforms, one per base event, drawn small region first
         "u_obs_small": thin_gen.uniform(size=len(small)),
@@ -375,8 +309,8 @@ def simulate_full(
     Each driving noise of path r uses its own child stream of ``stream[r]``
     keyed by ``NoiseSource``, so refining one source never perturbs another,
     and path r is bitwise the single-stream call on ``stream[r]``: one stream
-    runs as a stack of one, the signal advances by ``signal_step``, whose
-    coefficients and compensators act on each row alone, and each step thins
+    runs as a stack of one, the signal advances by ``FullDynamics.step`` with
+    the step's kicks, whose terms act on each row alone, and each step thins
     the observation events of every path by one call per region, small then
     large, at the left-limit states.  Slow events are binned on the coarse
     grid, fast events on the fine grid ``make_grid(T, dt_fast)``.
@@ -387,14 +321,14 @@ def simulate_full(
         raise ValueError("need at least one stream")
     times = make_grid(T, scheme.dt_slow)
     K, R, dt = len(times) - 1, len(streams), scheme.dt_slow
-    dt_fast = _fast_scheme_params(model, scheme)
+    dynamics = FullDynamics(model, scheme)
     n, m, d = model.n, model.m, obs.d
 
-    draws = [_path_draws(model, obs, T, K, scheme, dt_fast, s) for s in streams]
-    dV, dB, fast_noise = (np.stack([p[key] for p in draws], axis=1)
-                          for key in ("dV", "dB", "fast_noise"))
+    draws = [_path_draws(dynamics, obs, T, K, s) for s in streams]
+    signal = [np.concatenate(blocks, axis=-2) for blocks in zip(*(p["signal"] for p in draws))]
+    dB = np.stack([p["dB"] for p in draws], axis=1)
     slow_at = _kicks_by_step([p["slow"] for p in draws], T, dt)
-    fast_at = _kicks_by_step([p["fast"] for p in draws], T, dt_fast)   # none on the OU route
+    fast_at = _kicks_by_step([p["fast"] for p in draws], T, dynamics.dt_fast)   # none on exact OU
     substeps = scheme.substeps
     # per region, small then large: (key, jump shape, acceptance of the stacked
     # events, the events by step with their uniforms and stack positions)
@@ -410,15 +344,14 @@ def simulate_full(
     Z = np.empty((R, K + 1, m)); Z[:, 0] = model.z0
     Y = np.zeros((R, K + 1, d))
     bbar = np.empty((R, K, d))
-    scratch = Arena()
     # const thinning and an f3 free of t make the small-jump compensator state-free
     state_free = obs.thinning.kind == "const" and "t" not in getattr(obs.f3, "variables", "t")
 
     for k in range(K):
         t, x, z, y = times[k], X[:, k], Z[:, k], Y[:, k]
         fast_kicks = [fast_at.get(k * substeps + j) for j in range(substeps)]
-        signal_step(model, dt_fast, x, z, dV[k], fast_noise[k], dt, slow_at.get(k), fast_kicks,
-                    (X[:, k + 1], Z[:, k + 1]), scratch)
+        dynamics.step(x, z, [block[k] for block in signal], dt, (slow_at.get(k), fast_kicks),
+                      (X[:, k + 1], Z[:, k + 1]))
 
         # observation: continuous part plus thinned jumps, left-limit state
         bbar[:, k] = dB[k] + obs.h(x, z) * dt
@@ -540,20 +473,28 @@ def simulate_reference_observations(
 
 
 # ---------------------------------------------------------------------------
-# dynamics of ensembles (filter particles and law-level ensembles)
+# the dynamics: the one step of paths, filter particles and law ensembles
 
 @dataclass
 class FullDynamics:
-    """One coarse step of the slow/fast signal for an ensemble of states, in ``scratch``."""
+    """The one coarse step of the slow/fast signal for paths, filter particles and
+    law ensembles, in ``scratch``; ``dt_fast`` is the Euler substep (None: exact OU)."""
 
     model: SlowFastModel
     scheme: StepScheme
     scratch: Arena = field(default_factory=Arena, repr=False, compare=False)
 
     def __post_init__(self):
-        self.dt_fast = _fast_scheme_params(self.model, self.scheme)
-        if self.model.nu1.total_intensity > 0 or self.model.nu2.total_intensity > 0:
-            raise ValueError("ensemble propagation supports jump-free signal dynamics only")
+        model, scheme, self.dt_fast = self.model, self.scheme, None
+        if scheme.fast_mode == "exact_ou" and model.ou_fast is None:
+            raise ValueError("scheme requests exact OU transitions but the model declares none")
+        if scheme.fast_mode == "euler":
+            self.dt_fast = scheme.dt_fast if scheme.dt_fast is not None else scheme.dt_slow
+        if self.dt_fast is not None and self.dt_fast > model.epsilon / 10.0 * (1.0 + 1e-12):
+            raise StiffnessError(
+                f"dt_fast={self.dt_fast:.6g} exceeds epsilon/10={model.epsilon / 10.0:.6g}; "
+                "refine dt_fast or use exact OU transitions"
+            )
 
     def blocks(self, count: int) -> tuple:
         """Standard normal blocks a step of ``count`` states reads: slow (count,
@@ -567,16 +508,44 @@ class FullDynamics:
         """Standard normals per state and step."""
         return sum(math.prod(shape) for shape in self.blocks(1))
 
-    def step(self, x, z, noise, dt: float):
-        """The next (x, z) from the ``blocks`` in ``noise``, behind any row
-        axes, written into x and z, which it returns."""
-        (slow, fast), scratch = noise, self.scratch
-        if self.dt_fast is not None:
-            scale = math.sqrt(self.dt_fast / self.model.epsilon)
-            fast = np.moveaxis(np.multiply(fast, scale, out=scratch.take(3, fast.shape)), -3, -2)
+    def step(self, x, z, noise, dt: float, kicks=(None, None), out=None):
+        """The next (x, z) from the standard normal ``blocks`` in ``noise``, behind
+        any row axes, written into ``out`` (default (x, z)), which it returns.
+
+        The slow Euler step, its jumps and its nu1 compensator, and every fast
+        substep read the slow state at the start of the step.  ``kicks`` is
+        (slow, fast): slow None or the stack (rows, times, marks) of the step's
+        slow jumps, fast None or one such stack per substep (see
+        ``fast_euler_substep``).  A term (coefficients into ``scratch``) is
+        evaluated before the state it reads is written, so Euler substeps go
+        before the slow update and the exact OU transition after it.
+        """
+        model, dt_fast, scratch = self.model, self.dt_fast, self.scratch
+        (slow, fast), (slow_kicks, fast_kicks) = noise, kicks
+        x_new, z_new = (x, z) if out is None else out
+        if dt_fast is not None:     # fast-time Brownian increments (..., substeps, count, l2)
+            scale = math.sqrt(dt_fast / model.epsilon)
+            fast = np.multiply(fast, scale, out=scratch.take(3, fast.shape))
         dV = np.multiply(slow, math.sqrt(dt), out=scratch.take(0, slow.shape))
-        return signal_step(self.model, self.dt_fast, x, z, dV, fast, dt, out=(x, z),
-                           scratch=scratch)
+        drift = model.b1(x, z, out=scratch.take(1, x.shape))
+        diffusion = model.sigma1(x, z, out=scratch.take(2, x.shape + (model.l1,)))
+        jumps = None if slow_kicks is None else model.f1(x[slow_kicks[0]], slow_kicks[2])
+        comp = (dt * model.nu1.integrate(lambda u: model.f1(x[..., None, :], u))
+                if model.nu1.total_intensity > 0 else None)
+        for j in range(0 if dt_fast is None else fast.shape[-3]):
+            z = z_new = fast_euler_substep(
+                model, x, z, fast[..., j, :, :], dt_fast / model.epsilon,
+                None if fast_kicks is None else fast_kicks[j], z_new, scratch)
+        x_new = euler_step(x, drift, diffusion, dV, dt, out=x_new, work=drift)
+        if jumps is not None:
+            np.add.at(x_new, slow_kicks[0], jumps)
+        if comp is not None:
+            x_new -= comp
+        if dt_fast is None:       # the diffusion's slot is free again
+            ou, s = model.ou_fast, dt / model.epsilon
+            z_new = np.multiply(z, ou.decay(s), out=z_new)
+            z_new += np.multiply(fast, ou.step_std(s), out=scratch.take(2, z.shape))
+        return x_new, z_new
 
 
 @dataclass
@@ -587,8 +556,7 @@ class HomogDynamics:
     scratch: Arena = field(default_factory=Arena, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.hmodel.nu1.total_intensity > 0:
-            raise ValueError("ensemble propagation supports jump-free signal dynamics only")
+        require_jump_free(self.hmodel.nu1)
 
     def blocks(self, count: int) -> tuple:
         return ((count, self.hmodel.l_factor),)
@@ -602,6 +570,7 @@ class HomogDynamics:
 
 
 def _signal_law(model: SlowFastModel, scheme: StepScheme, stream: RngStream) -> tuple:
+    require_jump_free(model.nu1, model.nu2)
     return FullDynamics(model, scheme), model.x0, model.z0, list(map(stream.child, _SIGNAL_SOURCES))
 
 
@@ -613,8 +582,8 @@ def _law_steps(laws: list, T: float, dt: float, n_paths: int):
     """Weightless ensembles of ``n_paths`` states per law (dynamics, x0, z0, block
     streams) in lockstep, in one ``Arena``: yields (t, [(X, Z), ...]) at every
     grid time, copies at the start, then the ensembles' own arrays, which the
-    next step overwrites.  A step reads block s of a law from ``streams[s]``
-    through one ``keyed_normals`` cache, so each ensemble is bitwise its own run."""
+    next step overwrites.  A step reads block s of a law from ``streams[s]`` through
+    one ``keyed_normals`` cache and steps without kicks; each is bitwise its own run."""
     times, P, scratch = make_grid(T, dt), int(n_paths), Arena()
     states = [(np.tile(x0, (P, 1)), None if z0 is None else np.tile(z0, (P, 1)))
               for _, x0, z0, _ in laws]

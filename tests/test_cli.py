@@ -12,7 +12,7 @@ import pytest
 from levyfilter import PRESETS, preset_to_config
 from levyfilter import RngStream
 from levyfilter.cli import _split_top_level, _threads, build_parser, emit_svg, main
-from levyfilter.sde import FROZEN_REPLICAS, FullDynamics, default_scheme, simulate_full
+from levyfilter.sde import FROZEN_REPLICAS, HomogDynamics, default_scheme, simulate_full
 
 
 @pytest.fixture(autouse=True)
@@ -119,6 +119,23 @@ def test_average_checks_its_inputs_before_writing(tmp_path, capsys, flag, value,
     assert main(["average", "--samples", "2000", "--x", "0.3", flag, value, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:") and f"(key: {key})" in err
+    assert not out.exists()
+
+
+def _slow_jumps(cfg):
+    cfg["model"]["f1"] = ["0.5*u[0]*cos(x[0])"]
+    cfg["model"]["nu1"] = {"intensity": 5.0, "marks": "uniform(-1,1)"}
+
+
+@pytest.mark.parametrize("command", [
+    ["filter"], ["filter", "--mode", "homog"], ["converge", "--eps", "0.5,0.1"]])
+def test_a_jump_driven_signal_is_rejected_before_writing(tmp_path, capsys, command):
+    out = tmp_path / "o"
+    rc = main([*command, "--config", str(_write_config(tmp_path, _slow_jumps)), "--T", "0.1",
+               "--dt", "0.05", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "jump-free" in err
     assert not out.exists()
 
 
@@ -341,10 +358,11 @@ def test_stiff_fast_step_maps_to_numerical_failure(tmp_path, capsys):
 
 
 def test_non_finite_particles_map_to_a_timed_numerical_failure(tmp_path, capsys, monkeypatch):
-    # the filter's particles blow up at the first step while the simulated
-    # truth stays finite: the CLI names the time of the failure
-    monkeypatch.setattr(FullDynamics, "step", lambda self, x, z, noise, dt: (x + np.inf, z))
-    rc = main(["filter", "--T", "0.1", "--dt", "0.05", "--particles", "8",
+    # the reduced filter's particles blow up at the first step while the
+    # simulated truth, which steps through FullDynamics, stays finite: the CLI
+    # names the time of the failure
+    monkeypatch.setattr(HomogDynamics, "step", lambda self, x, z, noise, dt: (x + np.inf, z))
+    rc = main(["filter", "--mode", "homog", "--T", "0.1", "--dt", "0.05", "--particles", "8",
                "--out", str(tmp_path / "o")])
     assert rc == 2
     err = capsys.readouterr().err

@@ -232,6 +232,61 @@ def test_martingale_check_memory_does_not_grow_with_the_steps():
     assert peak < histories / 10
 
 
+def _sensing_the_fast_state():
+    cfg = preset_to_config(PRESETS["example6"]())
+    cfg["observation"]["h"] = ["z[0]"]
+    return preset_from_config(cfg)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_forward_martingale_on_a_fast_sensor_has_unit_mean(seed):
+    # h = z[0] reads the fast OU state, so the mean is off one whenever the
+    # observation increments draw from a stream the ensembles' fast noise reads
+    rep = martingale_check(_sensing_the_fast_state(), 0.1, 1000, T=0.5, dt=0.02, seed=seed)
+    assert abs(rep.mean_forward - 1.0) < 5.0 * rep.se_forward
+
+
+def test_forward_martingale_check_builds_each_stream_once(monkeypatch):
+    preset = PRESETS["example6"]()
+    hmodel = build_homogenized(preset)
+    built, generator = [], RngStream.generator
+
+    def spy(self):
+        built.append(self.stream_id)
+        return generator(self)
+
+    monkeypatch.setattr(RngStream, "generator", spy)
+    martingale_check(preset, [0.5, 0.1], 50, T=0.1, dt=0.02, seed=0, hmodel=hmodel)
+    assert built and sorted(Counter(built).values())[-1] == 1
+
+
+def _with_slow_jumps():
+    cfg = preset_to_config(PRESETS["example6"]())
+    cfg["model"]["f1"] = ["0.5*u[0]*cos(x[0])"]
+    cfg["model"]["nu1"] = {"intensity": 5.0, "marks": "uniform(-1,1)"}
+    return preset_from_config(cfg)
+
+
+def test_ensembles_reject_a_jump_driven_signal(monkeypatch):
+    preset = _with_slow_jumps()
+    rec = simulate_full(preset.model, preset.observation, 0.1, default_scheme(preset.model, 0.05),
+                        RngStream(1)).observations()
+    hmodel = build_homogenized(preset)
+    for mode in ("full", "homog"):
+        with pytest.raises(ValueError, match="jump-free"):
+            run_filter(rec, mode, preset, 8, ["tanh"], RngStream(2), hmodel=hmodel)
+    with pytest.raises(ValueError, match="jump-free"):
+        martingale_check(preset, 0.5, 10, T=0.1, dt=0.05, hmodel=hmodel)
+
+    def simulate(*args, **kwargs):
+        raise AssertionError("the study simulated a path before rejecting the signal")
+
+    monkeypatch.setattr(experiments, "simulate_full", simulate)
+    with pytest.raises(ValueError, match="jump-free"):
+        filter_convergence_study(preset, [0.5, 0.1], 2, 8, ["tanh"], T=0.1, dt=0.05,
+                                 hmodel=hmodel)
+
+
 def test_signal_convergence_study_rows():
     preset = PRESETS["example6"]()
     rows = signal_convergence_study(preset, [0.5, 0.1], n_paths=2000, T=0.5, dt_slow=0.02)

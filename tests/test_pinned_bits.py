@@ -1,16 +1,20 @@
 """Outputs pinned bitwise by sha256 digests of small runs.
 
-The filter and law passes step their ensembles in place and the reduced
-filters of an epsilon study share one particle cloud until they resample;
-both were made to keep every output bit.  These digests were taken before
-those changes, on runs that cover the coupled study with rows resampling at
-their own steps, the linear oracle, an Euler-route lattice filter pair with
-logistic thinning, and the study with its law pass.
+The filter and law passes step their ensembles in place, the reduced
+filters of an epsilon study share one particle cloud until they resample,
+and ``simulate_full`` steps its paths through ``FullDynamics``; each was
+made to keep every output bit.  These digests were taken before those
+changes, on runs that cover the coupled study with rows resampling at their
+own steps, the linear oracle, an Euler-route lattice filter pair with
+logistic thinning, the study with its law pass, and every route through
+``simulate_full``.  The law pass's martingale fields were re-pinned when its
+observation increments moved off a stream that the full ensembles also read.
 """
 
 import hashlib
 
 import numpy as np
+import pytest
 
 from levyfilter import (
     PRESETS,
@@ -26,6 +30,7 @@ from levyfilter import (
     run_filter,
     simulate_full,
 )
+from test_sde import _STACK_CASES, _STACK_PRESETS
 
 
 def _digest(*arrays) -> str:
@@ -89,4 +94,29 @@ def test_convergence_study_with_its_law_pass_keeps_its_bits():
     report = convergence_study(PRESETS["example6"](), [0.5, 0.1], replications=3, n_particles=16,
                                psis=["tanh"], T=0.1, dt=0.02, seed=2, signal_paths=40,
                                martingale_runs=40)
-    assert _report_digest(report) == "02b88ea7d610d493"
+    martingale = ("martingale_mean", "martingale_se", "max_rho0_inverse")
+    assert _digest(*[v for row in report.rows for k, v in sorted(row.items())
+                     if k not in martingale]) == "55dcbe02df287387"
+    assert _digest(*[row[k] for row in report.rows for k in martingale]) == "c1df39ac8acdb09a"
+
+
+_ROUTE_DIGESTS = {
+    "exact_ou": "2f904e3519034d97", "euler": "85cad1467208cec7",
+    "logistic_thinning": "8c1ec5fc7ddbeee8", "slow_jumps": "d71d2c619fe187ba",
+    "fast_jumps": "392188a7b726d05c", "all_jumps": "28d63438c3b7d877",
+    "l1_2": "52adae82f86df90f", "dense_obs_jumps": "cd808eeeabfb0265",
+}
+
+
+@pytest.mark.parametrize("case", _STACK_CASES)
+def test_simulate_full_keeps_its_bits_on_every_route(case):
+    preset, scheme = _STACK_PRESETS[case]
+    paths = simulate_full(preset.model, preset.observation, 0.6, scheme,
+                          [RngStream(9, r) for r in range(3)])
+    arrays = []
+    for path in paths:
+        arrays += [path.X, path.Z, path.Y, path.bbar_increments]
+        for key in ("slow", "fast", "obs_small", "obs_large"):
+            ev = path.events[key]
+            arrays += [ev.times, ev.marks, ev.accepted]
+    assert _digest(*arrays) == _ROUTE_DIGESTS[case]

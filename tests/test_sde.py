@@ -9,6 +9,7 @@ from levyfilter.errors import StiffnessError
 from levyfilter.models import build_example6, make_linear_gaussian, preset_from_config, preset_to_config
 from levyfilter.noise import RngStream
 from levyfilter.sde import (
+    FullDynamics,
     ObservationRecord,
     StepScheme,
     _bin_events,
@@ -300,6 +301,26 @@ def test_stacked_paths_are_bitwise_single_paths(rows, seed, case):
         for name in ("times", "bbar_increments", "small_times", "small_marks",
                      "large_times", "large_marks"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
+
+
+def test_paths_step_through_the_full_dynamics_with_their_kicks(monkeypatch):
+    preset, scheme = _STACK_PRESETS["all_jumps"]
+    kicks, step = [], FullDynamics.step
+
+    def spy(self, x, z, noise, dt, kicks_in=(None, None), out=None):
+        kicks.append(kicks_in)
+        return step(self, x, z, noise, dt, kicks_in, out)
+
+    monkeypatch.setattr(FullDynamics, "step", spy)
+    paths = simulate_full(preset.model, preset.observation, 0.6, scheme,
+                          [RngStream(9, r) for r in range(3)])
+    assert len(kicks) == len(paths[0].times) - 1
+    assert all(len(fast) == scheme.substeps for _, fast in kicks)
+    slow = [s for s, _ in kicks if s is not None]
+    fast = [f for _, stacks in kicks for f in stacks if f is not None]
+    assert slow and fast
+    assert sum(len(s[0]) for s in slow) == sum(len(p.events["slow"]) for p in paths)
+    assert sum(len(f[0]) for f in fast) == sum(len(p.events["fast"]) for p in paths)
 
 
 @pytest.mark.parametrize(("eps", "dt"), [(0.02, 0.01), (0.03, 0.02), (0.07, 0.02)])

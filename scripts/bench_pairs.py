@@ -18,9 +18,16 @@ and a verdict:
   by more than the parent's IQR;
 - ``worse``: the change's median is worse than the parent's by more than the
   metric's bound;
-- ``unresolved``: the parent's IQR is wider than the bound, unless every
-  change run beats every parent run;
+- ``unresolved``: the medians differ by less than the metric's resolution
+  floor (``RESOLUTION``: 1 % for ``peak_rss_mb``, which moves by that much
+  when the program only imports one more name), or the parent's IQR is wider
+  than the bound, unless every change run beats every parent run;
 - ``unchanged`` otherwise.
+
+The written environment holds each side's record and this process's
+``PYTHONDONTWRITEBYTECODE``, which the passes inherit: when it is set, no
+pass writes a bytecode cache, so every pass compiles ``src/levyfilter`` from
+source.
 
 After each run the passes' output digests are read from the tree's
 ``.bench_out/<workload>/result.json``; each pair records both sides'
@@ -38,6 +45,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import shutil
 import statistics
 import subprocess
@@ -46,6 +54,8 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 WIN_SHARE = 0.9
+# relative median shifts below which a metric cannot tell the sides apart
+RESOLUTION = {"peak_rss_mb": 0.01}
 
 
 def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -70,15 +80,18 @@ def quartiles(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def verdict(parent: list, change: list, better: str, bound: float) -> dict:
-    """Compare paired runs of one metric (``better`` is 'lower' or 'higher')."""
+def verdict(parent: list, change: list, better: str, bound: float, floor: float = 0.0) -> dict:
+    """Compare paired runs of one metric (``better`` is 'lower' or 'higher');
+    a median shift below ``floor`` of the parent's median is unresolved."""
     sign = 1.0 if better == "lower" else -1.0
     p, c = quartiles(parent), quartiles(change)
     wins = sum(sign * (a - b) > 0 for a, b in zip(parent, change))
     losses = sum(sign * (b - a) > 0 for a, b in zip(parent, change))
     iqr = p["q3"] - p["q1"]
     gain = sign * (p["median"] - c["median"])
-    if wins >= math.ceil(WIN_SHARE * len(parent)) and gain > iqr:
+    if abs(gain) < floor * p["median"]:
+        word = "unresolved"
+    elif wins >= math.ceil(WIN_SHARE * len(parent)) and gain > iqr:
         word = "better"
     elif -gain > bound * p["median"]:
         word = "worse"
@@ -89,7 +102,8 @@ def verdict(parent: list, change: list, better: str, bound: float) -> dict:
         word = "unchanged"
     return {"parent": p, "change": c, "change_over_parent_median": c["median"] / p["median"],
             "change_better_pairs": wins, "change_worse_pairs": losses,
-            "parent_iqr_over_median": iqr / p["median"], "bound": bound, "verdict": word}
+            "parent_iqr_over_median": iqr / p["median"], "bound": bound,
+            "resolution": floor, "verdict": word}
 
 
 def pairs(args, workload: str, metrics: list) -> tuple[list, dict]:
@@ -126,7 +140,7 @@ def pairs(args, workload: str, metrics: list) -> tuple[list, dict]:
                   if r["parent"][m["name"]] is not None and r["change"][m["name"]] is not None]
         if len(paired) >= 2:
             summary[m["name"]] = verdict([a for a, _ in paired], [b for _, b in paired],
-                                         m["better"], m["bound"])
+                                         m["better"], m["bound"], RESOLUTION.get(m["name"], 0.0))
     return runs, summary
 
 
@@ -163,7 +177,8 @@ def main() -> int:
         runs, summary = pairs(args, workload, spec["end_to_end"])
         env = next((r["environment"] for r in runs if "environment" in r), None)
         if env is not None:
-            doc["environment"] = env
+            doc["environment"] = {**env, "PYTHONDONTWRITEBYTECODE":
+                                  os.environ.get("PYTHONDONTWRITEBYTECODE")}
         doc.setdefault("summary", {})[workload] = summary
         doc.setdefault("runs", {})[workload] = [
             {k: v for k, v in r.items() if k != "environment"} for r in runs]

@@ -305,12 +305,13 @@ class HomogenizedModel:
 
 
 def _const_field(value: np.ndarray):
-    """x -> ``value`` over the batch axes of x, as a read-only view."""
+    """x -> ``value`` over the batch axes of x, as a read-only view; it reads no variable."""
     value = np.asarray(value, dtype=float)
 
     def fn(x):
         return np.broadcast_to(value, np.shape(x)[:-1] + value.shape)
 
+    fn.variables = frozenset()
     return fn
 
 

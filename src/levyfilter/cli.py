@@ -45,7 +45,7 @@ from .models import (
     with_epsilon,
 )
 from .noise import RngStream
-from .sde import StepScheme, euler_scheme, require_jump_free, simulate_full
+from .sde import FullDynamics, StepScheme, euler_scheme, require_jump_free, simulate_full
 
 
 class UsageError(Exception):
@@ -240,13 +240,14 @@ def _threads(args) -> int:
 
 
 def _scheme(args, model) -> StepScheme:
-    if args.fast_mode == "auto":
-        return default_scheme(model, args.dt)
-    if args.fast_mode == "exact_ou":
-        return StepScheme(dt_slow=args.dt, fast_mode="exact_ou")
-    if args.dt_fast is None:
-        return euler_scheme(model, args.dt)
-    return StepScheme(dt_slow=args.dt, dt_fast=args.dt_fast, fast_mode="euler")
+    """The flags' step scheme, which the model's dynamics are built on here, so
+    that a scheme they reject fails before anything is written."""
+    scheme = (default_scheme(model, args.dt) if args.fast_mode == "auto" else
+              StepScheme(dt_slow=args.dt, fast_mode="exact_ou") if args.fast_mode == "exact_ou" else
+              euler_scheme(model, args.dt) if args.dt_fast is None else
+              StepScheme(dt_slow=args.dt, dt_fast=args.dt_fast, fast_mode="euler"))
+    FullDynamics(model, scheme)
+    return scheme
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -346,12 +347,12 @@ def _cmd_filter(args) -> int:
     psis = _psi_list(args)
     model = preset.model
     require_jump_free(model.nu1, *(() if args.mode == "homog" else (model.nu2,)))
+    scheme = _scheme(args, model)
     _run_config(
         args, "filter", preset,
         mode=args.mode, T=args.T, dt=args.dt, particles=args.particles,
         psi=[p.name for p in psis], ess_frac=args.ess_frac,
     ).write(out_dir)
-    scheme = _scheme(args, preset.model)
     root = RngStream(args.seed)
     path = simulate_full(preset.model, preset.observation, args.T, scheme, root.child(0))
     path.to_csv(out_dir / "path.csv")
@@ -556,14 +557,14 @@ def main(argv=None) -> int:
         key = f" (key: {exc.key})" if exc.key else ""
         print(f"config error: {exc}{key}", file=sys.stderr)
         return 1
-    except (UnsupportedMeasureError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except (UnsupportedMeasureError, StiffnessError, ValueError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)     # a stiff step is the flags' choice
         return 1
     except IntegrationFailureError as exc:
         t = f" at t={exc.time:g}" if exc.time is not None else ""
         print(f"numerical failure{t} (seed {args.seed}): {exc}", file=sys.stderr)
         return 2
-    except (StiffnessError, ModelViolationError, ExtrapolationError) as exc:
+    except (ModelViolationError, ExtrapolationError) as exc:
         print(f"numerical failure (seed {args.seed}): {exc}", file=sys.stderr)
         return 2
 

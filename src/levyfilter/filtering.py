@@ -103,8 +103,8 @@ def psi_from_string(spec: str) -> PsiSpec:
     if m:
         c0, c1, c2 = (float(m.group(i)) for i in (1, 2, 3))
 
-        def poly(v, c0=c0, c1=c1, c2=c2):
-            return np.clip(c0 + c1 * v + c2 * v * v, -_POLY_CLIP, _POLY_CLIP)
+        def poly(v, c0=c0, c1=c1, c2=c2):       # np.clip's values, without its wrapper
+            return np.minimum(np.maximum(c0 + c1 * v + c2 * v * v, -_POLY_CLIP), _POLY_CLIP)
 
         return PsiSpec(s.replace(" ", ""), poly, -_POLY_CLIP, _POLY_CLIP)
     raise ValueError(f"unknown test functional {spec!r}")
@@ -131,14 +131,17 @@ class ParticleEnsemble:
     log_weights: np.ndarray            # (R, N)
     time: float
     streams: list                      # R run streams
-    _noise: list = field(init=False, repr=False)     # (streams, generators) per source
+    _noise: list = field(init=False, repr=False)     # (streams, generators, ids) per source
     _offsets: list = field(init=False, repr=False)   # resampling generator per row
+    _grid: np.ndarray = field(init=False, repr=False)   # 0, ..., N-1 for resample
 
     def __post_init__(self):
         particles = [s.child(NoiseSource.PARTICLES).child(0) for s in self.streams]
-        self._noise = [([p.child(source) for p in particles], [None] * len(particles))
-                       for source in _SIGNAL_SOURCES]
+        sources = [[p.child(source) for p in particles] for source in _SIGNAL_SOURCES]
+        self._noise = [(ss, [None] * len(ss), tuple((s.root_seed, s.stream_id) for s in ss))
+                       for ss in sources]
         self._offsets = [None] * len(self.streams)
+        self._grid = np.arange(self.n_particles, dtype=float)
 
     @property
     def n_particles(self) -> int:
@@ -147,8 +150,8 @@ class ParticleEnsemble:
     def next_noise(self, shapes: tuple, cache: dict) -> tuple:
         """One step's blocks of the dynamics' ``shapes``, (R, *shape) each, by
         ``keyed_normals`` through ``cache``, the step's dict for the whole pass."""
-        return tuple(keyed_normals(streams, shape, gens, cache)
-                     for shape, (streams, gens) in zip(shapes, self._noise))
+        return tuple([keyed_normals(streams, (ids, shape), gens, cache)
+                      for shape, (streams, gens, ids) in zip(shapes, self._noise)])
 
 
 def init_ensemble(
@@ -218,11 +221,14 @@ def _batch_log_weight(
     state of row ``rows[i]``, in stack order, after the Gaussian term and
     before the compensator.
     """
-    # d = 1 skips the reductions: a sum over one term is that term
-    total = (lambda a: a[..., 0]) if h_vals.shape[-1] == 1 else (lambda a: np.sum(a, axis=-1))
-    scratch = scratch or Arena()
-    incr = total(np.multiply(h_vals, d_bbar, out=scratch.take(1, h_vals.shape)))
-    square = total(np.multiply(h_vals, h_vals, out=scratch.take(2, h_vals.shape)))
+    work = (None, None) if scratch is None else (scratch.take(1, h_vals.shape),
+                                                 scratch.take(2, h_vals.shape))
+    incr = np.multiply(h_vals, d_bbar, out=work[0])
+    square = np.multiply(h_vals, h_vals, out=work[1])
+    if h_vals.shape[-1] == 1:     # d = 1 skips the reductions: a sum over one term is that term
+        incr, square = incr[..., 0], square[..., 0]
+    else:
+        incr, square = np.add.reduce(incr, -1), np.add.reduce(square, -1)
     incr -= np.multiply(square, 0.5 * dt, out=square)
     if len(events):
         rows, ev_t, ev_u = events
@@ -258,24 +264,24 @@ def estimate(ens: ParticleEnsemble, psis: list[PsiSpec], out=(None,) * 3, scratc
     because numerator and denominator are then the same float reduction.
     Buffers ``out`` (R, 1), (R, N), (R,) receive mx = max logw, w = exp(logw
     - mx) and den = sum w: row r's (w[r], den[r], log_rho1[r]) is what
-    ``resample`` reads.  ``scratch`` is the ``Arena`` of w squared.
+    ``resample`` reads.  ``scratch`` is the ``Arena`` of the products w psi and w w.
     """
-    logw = ens.log_weights
-    if not np.all(np.isfinite(logw)):
+    logw, (mx, w, den) = ens.log_weights, out
+    mx = np.maximum.reduce(logw, -1, out=mx, keepdims=True)
+    # min and max do no arithmetic and keep a NaN: both finite prove every entry finite
+    if not (math.isfinite(np.minimum.reduce(logw, None))
+            and math.isfinite(np.maximum.reduce(mx, None))):
         raise ModelViolationError("non-finite log-weights in the ensemble")
-    mx, w, den = out
-    mx = logw.max(axis=-1, keepdims=True, out=mx)
-    w = np.subtract(logw, mx, out=w)
-    np.exp(w, out=w)
-    den = w.sum(axis=-1, out=den)
+    w = np.exp(np.subtract(logw, mx, out=w), out=w)
+    den = np.add.reduce(w, -1, out=den)
+    work = (scratch or Arena()).take(1, w.shape)
     pi = np.empty((len(den), len(psis)))
     for i, psi in enumerate(psis):
-        pi[:, i] = (w * psi(ens.x)).sum(axis=-1) / den
-    work = (scratch or Arena()).take(1, w.shape)
-    ess = den * den / np.multiply(w, w, out=work).sum(axis=-1)
+        np.divide(np.add.reduce(np.multiply(w, psi(ens.x), out=work), -1), den, out=pi[:, i])
+    ess = den * den / np.add.reduce(np.multiply(w, w, out=work), -1)
     # math.log per row keeps every recorded mass's bits (np.log may round differently)
     N = ens.n_particles
-    mass = [m + math.log(d / N) for m, d in zip(mx.flat, den.flat)]
+    mass = [m + math.log(d / N) for m, d in zip(mx[:, 0].tolist(), den.tolist())]
     return {"pi": pi, "log_rho1": np.array(mass), "ess": ess}
 
 
@@ -292,13 +298,13 @@ def resample(ens: ParticleEnsemble, row: int, weights: tuple) -> ParticleEnsembl
     w, den, log_rho1 = weights
     if ens._offsets[row] is None:
         ens._offsets[row] = ens.streams[row].child(NoiseSource.RESAMPLING).generator()
-    positions = (ens._offsets[row].uniform() + np.arange(N)) / N
-    cdf = np.cumsum(w / den)
+    positions = np.divide(np.add(ens._offsets[row].random(), ens._grid), N)   # uniform()'s draw
+    cdf = np.add.accumulate(np.divide(w, den))
     cdf[-1] = 1.0  # guard against cumulative roundoff at the top end
-    idx = np.searchsorted(cdf, positions, side="left")
-    ens.x[row] = ens.x[row][idx]
+    idx = cdf.searchsorted(positions, side="left")
+    ens.x[row] = ens.x[row].take(idx, 0)
     if ens.z is not None:
-        ens.z[row] = ens.z[row][idx]
+        ens.z[row] = ens.z[row].take(idx, 0)
     ens.log_weights[row] = log_rho1
     return ens
 
@@ -368,6 +374,7 @@ class _ModeRun:
 
     mode: str
     dynamics: object
+    blocks: tuple                # the dynamics' noise blocks of one row's particles
     sensor: object               # (ensemble, out) -> (*rows, N, d) sensor values
     obs: ObservationModel
     events: dict                 # small-region events by step, stacked over the records
@@ -492,7 +499,8 @@ def _filter_pass(cases, n_particles, psis, streams, ess_frac=0.5, _last_pi_only=
                               "slow blocks and are not coupled", stacklevel=3)
     runs = [
         _ModeRun(
-            mode=mode, dynamics=dynamics, sensor=sensor, obs=preset.observation,
+            mode=mode, dynamics=dynamics, blocks=dynamics.blocks(n_particles), sensor=sensor,
+            obs=preset.observation,
             events=_events_by_step(times, *_stack_events(
                 [rec.small_times for rec in records], [rec.small_marks for rec in records])),
             d_bbar=np.stack([rec.bbar_increments for rec in records], axis=1)[:, :, None, :],
@@ -520,7 +528,7 @@ def _filter_pass(cases, n_particles, psis, streams, ess_frac=0.5, _last_pi_only=
         for group in clouds.values():
             for run in group:
                 ens = run.ens
-                noise = ens.next_noise(run.dynamics.blocks(n_particles), cache)
+                noise = ens.next_noise(run.blocks, cache)
                 if run is group[0]:       # the cloud steps and senses once, into slot 0
                     propagate(ens, run.dynamics, dt, noise)
                     h = run.sensor(ens, scratch.take(0, ens.x.shape[:-1] + (run.obs.d,)))

@@ -272,19 +272,19 @@ def brownian_increments(stream: RngStream, dim: int, dt: float, count: int) -> n
     return gen.normal(0.0, math.sqrt(dt), size=(count, dim))
 
 
-def keyed_normals(streams: list, shape: tuple, gens: list, cache: dict) -> np.ndarray:
+def keyed_normals(streams: list, key: tuple, gens: list, cache: dict) -> np.ndarray:
     """One step's read-only standard normals, a ``shape`` block per stream
     stacked (len(streams), *shape): row i is the next block of ``streams[i]``,
     drawn with generator ``gens[i]`` (None until built).  ``cache``, the step's
-    dict shared by every reader, maps a key (the streams, shape) to its first
-    reader's (generators, block): a later reader takes that block and adopts
-    those generators, so a key is drawn once per step and a row's block
-    depends on key and step."""
-    key = (tuple((s.root_seed, s.stream_id) for s in streams), shape)
+    dict shared by every reader, maps ``key`` ((root_seed, stream_id) per stream,
+    shape), which a reader can build once per run, to its first reader's
+    (generators, block): a later reader takes that block and adopts those
+    generators, so a key is drawn once per step and a row's block depends on
+    key and step."""
     if key in cache:
         gens[:], block = cache[key]
         return block
-    block = np.empty((len(streams),) + shape)
+    block = np.empty((len(streams),) + key[1])
     for i, stream in enumerate(streams):
         if gens[i] is None:
             gens[i] = stream.generator()

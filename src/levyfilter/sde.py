@@ -191,7 +191,7 @@ def _check_finite(arrays, t: float):
     total = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for arr in arrays:
-            total += arr.sum()
+            total += np.add.reduce(arr, None)
     for arr in () if math.isfinite(total) else arrays:
         if not np.all(np.isfinite(arr)):
             raise IntegrationFailureError(f"state became non-finite at t={t:.6g}", time=t)
@@ -202,7 +202,7 @@ class Arena:
     as ``shape``; a fresh arena allocates, as a ufunc without ``out`` does.  A slot
     holds one thing at a time: 0 a step's slow noise, then a filter's sensor
     values; 1 and 2 the slow or reduced coefficients, then the weight kernel's
-    products and ``estimate``'s squares (1); 3 the Euler fast noise; 4 and 5 the
+    products and ``estimate``'s (1); 3 the Euler fast noise; 4 and 5 the
     coefficients of a fast substep."""
 
     def __init__(self):
@@ -244,7 +244,13 @@ def euler_step(x, drift, diffusion, dV, dt: float, out=None, work=None):
     return out
 
 
-def fast_euler_substep(model: SlowFastModel, x, z, dW, ds, kicks=None, out=None, scratch=None):
+def _constant(fn, *args):
+    """``fn`` evaluated at ``args`` when it reads no variable (empty ``.variables``), else None."""
+    return fn(*args) if getattr(fn, "variables", None) == frozenset() else None
+
+
+def fast_euler_substep(model: SlowFastModel, x, z, dW, ds, kicks=None, out=None, scratch=None,
+                       sigma2=None):
     """One Euler substep of the fast component with compensated jumps, slow
     state frozen at x, batched over leading axes.
 
@@ -254,11 +260,12 @@ def fast_euler_substep(model: SlowFastModel, x, z, dW, ds, kicks=None, out=None,
     a stack (rows, times, marks): row ``rows[i]`` jumps by f2 at mark
     ``marks[i]``, rows indexing the leading axis, added in event order; every
     term reads the substep's left state, so ``out`` may be z (None allocates);
-    coefficients go to slots of the ``Arena`` ``scratch``.
+    coefficients go to slots of the ``Arena`` ``scratch``; ``sigma2`` is a ``_constant`` diffusion.
     """
     scratch = scratch or Arena()
     drift = model.b2(x, z, out=scratch.take(4, z.shape))
-    diffusion = model.sigma2(x, z, out=scratch.take(5, z.shape + (model.l2,)))
+    diffusion = sigma2 if sigma2 is not None else model.sigma2(
+        x, z, out=scratch.take(5, z.shape + (model.l2,)))
     comp = (ds * model.nu2.integrate(lambda u: model.f2(x[..., None, :], z[..., None, :], u))
             if model.nu2.total_intensity > 0 else None)
     jumps = None if kicks is None else model.f2(x[kicks[0]], z[kicks[0]], kicks[2])
@@ -349,7 +356,7 @@ def simulate_full(
 
     for k in range(K):
         t, x, z, y = times[k], X[:, k], Z[:, k], Y[:, k]
-        fast_kicks = [fast_at.get(k * substeps + j) for j in range(substeps)]
+        fast_kicks = [fast_at.get(k * substeps + j) for j in range(substeps)] if fast_at else None
         dynamics.step(x, z, [block[k] for block in signal], dt, (slow_at.get(k), fast_kicks),
                       (X[:, k + 1], Z[:, k + 1]))
 
@@ -433,7 +440,7 @@ def simulate_frozen_fast(
     z = np.empty((R, m))
     z[:] = np.asarray(z_init, dtype=float).reshape(m)
     chunk = max(1, _FROZEN_CHUNK_BYTES // (8 * R * l2))
-    sqdt = math.sqrt(dt)
+    sqdt, sigma2 = math.sqrt(dt), _constant(model.sigma2, model.x0, model.z0)
     scratch = Arena()
     i = 0
     for k0 in range(0, K, chunk):
@@ -442,7 +449,7 @@ def simulate_frozen_fast(
         for r, gen in enumerate(gens):
             dW[:, r] = gen.normal(0.0, sqdt, size=(width, l2))
         for k in range(k0, k0 + width):
-            fast_euler_substep(model, rows, z, dW[k - k0], dt, kicks.get(k), z, scratch)
+            fast_euler_substep(model, rows, z, dW[k - k0], dt, kicks.get(k), z, scratch, sigma2)
             _check_finite((z,), dt * (k + 1))
             if k + 1 == keep[i]:
                 Z[:, i] = z
@@ -478,7 +485,8 @@ def simulate_reference_observations(
 @dataclass
 class FullDynamics:
     """The one coarse step of the slow/fast signal for paths, filter particles and
-    law ensembles, in ``scratch``; ``dt_fast`` is the Euler substep (None: exact OU)."""
+    law ensembles, in ``scratch``; ``dt_fast`` is the Euler substep (None: exact OU).
+    The fields that read no variable (``_constant``) and the step's scalars are resolved once."""
 
     model: SlowFastModel
     scheme: StepScheme
@@ -495,6 +503,9 @@ class FullDynamics:
                 f"dt_fast={self.dt_fast:.6g} exceeds epsilon/10={model.epsilon / 10.0:.6g}; "
                 "refine dt_fast or use exact OU transitions"
             )
+        self._sigma1 = _constant(model.sigma1, model.x0, model.z0)
+        self._sigma2 = _constant(model.sigma2, model.x0, model.z0)
+        self._nu1, self._dt = model.nu1.total_intensity > 0, None     # _dt: _scalars' step size
 
     def blocks(self, count: int) -> tuple:
         """Standard normal blocks a step of ``count`` states reads: slow (count,
@@ -523,28 +534,32 @@ class FullDynamics:
         model, dt_fast, scratch = self.model, self.dt_fast, self.scratch
         (slow, fast), (slow_kicks, fast_kicks) = noise, kicks
         x_new, z_new = (x, z) if out is None else out
+        if dt != self._dt:      # sqrt(dt) and the exact OU transition's factors
+            s, ou = dt / model.epsilon, model.ou_fast
+            self._dt, self._scalars = dt, (math.sqrt(dt), ou and ou.decay(s), ou and ou.step_std(s))
+        sqdt, decay, std = self._scalars
         if dt_fast is not None:     # fast-time Brownian increments (..., substeps, count, l2)
             scale = math.sqrt(dt_fast / model.epsilon)
             fast = np.multiply(fast, scale, out=scratch.take(3, fast.shape))
-        dV = np.multiply(slow, math.sqrt(dt), out=scratch.take(0, slow.shape))
+        dV = np.multiply(slow, sqdt, out=scratch.take(0, slow.shape))
         drift = model.b1(x, z, out=scratch.take(1, x.shape))
-        diffusion = model.sigma1(x, z, out=scratch.take(2, x.shape + (model.l1,)))
+        diffusion = self._sigma1 if self._sigma1 is not None else model.sigma1(
+            x, z, out=scratch.take(2, x.shape + (model.l1,)))
         jumps = None if slow_kicks is None else model.f1(x[slow_kicks[0]], slow_kicks[2])
         comp = (dt * model.nu1.integrate(lambda u: model.f1(x[..., None, :], u))
-                if model.nu1.total_intensity > 0 else None)
+                if self._nu1 else None)
         for j in range(0 if dt_fast is None else fast.shape[-3]):
             z = z_new = fast_euler_substep(
                 model, x, z, fast[..., j, :, :], dt_fast / model.epsilon,
-                None if fast_kicks is None else fast_kicks[j], z_new, scratch)
+                None if fast_kicks is None else fast_kicks[j], z_new, scratch, self._sigma2)
         x_new = euler_step(x, drift, diffusion, dV, dt, out=x_new, work=drift)
         if jumps is not None:
             np.add.at(x_new, slow_kicks[0], jumps)
         if comp is not None:
             x_new -= comp
         if dt_fast is None:       # the diffusion's slot is free again
-            ou, s = model.ou_fast, dt / model.epsilon
-            z_new = np.multiply(z, ou.decay(s), out=z_new)
-            z_new += np.multiply(fast, ou.step_std(s), out=scratch.take(2, z.shape))
+            z_new = np.multiply(z, decay, out=z_new)
+            z_new += np.multiply(fast, std, out=scratch.take(2, z.shape))
         return x_new, z_new
 
 
@@ -556,7 +571,9 @@ class HomogDynamics:
     scratch: Arena = field(default_factory=Arena, repr=False, compare=False)
 
     def __post_init__(self):
-        require_jump_free(self.hmodel.nu1)
+        h = self.hmodel
+        require_jump_free(h.nu1)
+        self._bbar1, self._sigmabar1 = (_constant(f, h.x0) for f in (h.bbar1, h.sigmabar1))
 
     def blocks(self, count: int) -> tuple:
         return ((count, self.hmodel.l_factor),)
@@ -565,8 +582,9 @@ class HomogDynamics:
         """The next x from the block in ``noise``, written into x; returns (x, z)."""
         h, scratch = self.hmodel, self.scratch
         dV = np.multiply(noise[0], math.sqrt(dt), out=scratch.take(0, noise[0].shape))
-        work = scratch.take(1, x.shape)
-        return euler_step(x, h.bbar1(x), h.sigmabar1(x), dV, dt, out=x, work=work), z
+        drift = self._bbar1 if self._bbar1 is not None else h.bbar1(x)
+        diffusion = self._sigmabar1 if self._sigmabar1 is not None else h.sigmabar1(x)
+        return euler_step(x, drift, diffusion, dV, dt, out=x, work=scratch.take(1, x.shape)), z
 
 
 def _signal_law(model: SlowFastModel, scheme: StepScheme, stream: RngStream) -> tuple:
@@ -594,8 +612,8 @@ def _law_steps(laws: list, T: float, dt: float, n_paths: int):
     for t in times[1:]:
         cache = {}
         for i, ((dynamics, _, _, streams), law_gens) in enumerate(zip(laws, gens)):
-            noise = [keyed_normals([stream], shape, g, cache)[0]
-                     for stream, shape, g in zip(streams, dynamics.blocks(P), law_gens)]
+            noise = [keyed_normals([s], (((s.root_seed, s.stream_id),), shape), g, cache)[0]
+                     for s, shape, g in zip(streams, dynamics.blocks(P), law_gens)]
             states[i] = dynamics.step(*states[i], noise, dt)
             _check_finite([a for a in states[i] if a is not None], t)
         yield t, list(states)

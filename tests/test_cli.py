@@ -347,14 +347,23 @@ def test_broken_json_config(tmp_path, capsys):
     assert rc == 1
 
 
-def test_stiff_fast_step_maps_to_numerical_failure(tmp_path, capsys):
-    rc = main([
-        "simulate", "--fast-mode", "euler", "--dt", "0.1", "--dt-fast", "0.05",
-        "--eps", "0.1", "--T", "0.2", "--out", str(tmp_path / "o"),
-    ])
-    assert rc == 2
+@pytest.mark.parametrize(("command", "message"), [
+    (["simulate", "--fast-mode", "euler", "--dt", "0.1", "--dt-fast", "0.05", "--eps", "0.1"],
+     "exceeds epsilon/10"),
+    (["filter", "--fast-mode", "exact_ou", "--dt", "0.05", "--particles", "8"],
+     "declares none"),
+], ids=["stiff_euler", "exact_ou_without_ou_fast"])
+def test_a_scheme_the_dynamics_reject_is_a_config_error_before_writing(tmp_path, capsys,
+                                                                      command, message):
+    # a stiff Euler substep, or exact OU transitions the model does not declare,
+    # is rejected before the run writes its config
+    out = tmp_path / "o"
+    cfg = _write_config(tmp_path, lambda c: c["model"].pop("ou_fast"))
+    rc = main([*command, "--config", str(cfg), "--T", "0.2", "--out", str(out)])
+    assert rc == 1
     err = capsys.readouterr().err
-    assert "numerical failure" in err and "seed" in err
+    assert err.startswith("config error:") and message in err
+    assert not out.exists()
 
 
 def test_non_finite_particles_map_to_a_timed_numerical_failure(tmp_path, capsys, monkeypatch):

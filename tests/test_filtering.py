@@ -407,11 +407,23 @@ def test_non_finite_particle_states_fail_with_their_time():
     assert info.value.time == 0.5
 
 
-def test_estimate_rejects_non_finite_weights():
-    ens = _toy_ensemble(n=4)
-    ens.log_weights[0, 1] = float("nan")
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_estimate_rejects_non_finite_weights(bad):
+    ens = init_ensemble(4, np.zeros(1), None, [RngStream(99, r) for r in range(3)])
+    ens.log_weights[1, 2] = bad
     with pytest.raises(ModelViolationError):
         estimate(ens, [psi_from_string("tanh")])
+
+
+def test_estimate_takes_finite_weights_whose_sum_overflows():
+    # every entry is finite, but a sum over them is not: no raise and no warning
+    ens = init_ensemble(4, np.zeros(1), None, [RngStream(99, r) for r in range(2)])
+    ens.log_weights[0], ens.log_weights[1] = 1e308, -1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = estimate(ens, [psi_from_string("tanh")])
+    np.testing.assert_array_equal(est["log_rho1"], [1e308, -1e308])
+    np.testing.assert_array_equal(est["ess"], [4.0, 4.0])
 
 
 # ---------------------------------------------------------------------------
@@ -997,3 +1009,41 @@ def test_filter_output_csv_roundtrip(tmp_path):
     np.testing.assert_allclose(data[:, 0], out.times, rtol=1e-12)
     np.testing.assert_allclose(data[:, 1], out.pi[:, 0], rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(data[:, -1], out.ess, rtol=1e-12)
+
+
+def _counted(model, names, calls):
+    """``model`` with each field of ``names`` counting its calls in ``calls``,
+    counted from zero after the model's own shape probes."""
+    def spy(name, fn):
+        def field(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        field.variables = fn.variables
+        return field
+
+    counted = dataclasses.replace(model, **{n: spy(n, getattr(model, n)) for n in names})
+    calls.update(dict.fromkeys(names, 0))
+    return counted
+
+
+@pytest.mark.parametrize("route", ["exact_ou", "euler"])
+def test_a_step_evaluates_a_constant_field_once_per_dynamics(route):
+    # sigma1 and sigma2 read no variable: evaluated at most once per dynamics
+    # object, however many steps and substeps; b1 and b2 read the state:
+    # evaluated at every step (b2 at every substep)
+    preset = PRESETS["example6"]()
+    if route == "euler":
+        cfg = preset_to_config(preset)
+        del cfg["model"]["ou_fast"]
+        cfg["model"]["epsilon"] = 0.05
+        preset = preset_from_config(cfg)
+    scheme = default_scheme(preset.model, 0.02)
+    rec = simulate_reference_observations(preset.observation, 0.2, 0.02, RngStream(3))
+    calls = {}
+    model = _counted(preset.model, ("b1", "sigma1", "b2", "sigma2"), calls)
+    run_filter(rec, "full", dataclasses.replace(preset, model=model), 8, ["tanh"], RngStream(4),
+               scheme=scheme)
+    K, substeps = rec.steps, scheme.substeps if route == "euler" else 0
+    assert (calls["b1"], calls["b2"]) == (K, K * substeps)
+    assert calls["sigma1"] <= 1 and calls["sigma2"] <= 1

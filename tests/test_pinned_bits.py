@@ -27,6 +27,7 @@ from levyfilter import (
     kalman_oracle,
     preset_from_config,
     preset_to_config,
+    psi_from_string,
     run_filter,
     simulate_full,
 )
@@ -120,3 +121,59 @@ def test_simulate_full_keeps_its_bits_on_every_route(case):
             ev = path.events[key]
             arrays += [ev.times, ev.marks, ev.accepted]
     assert _digest(*arrays) == _ROUTE_DIGESTS[case]
+
+
+# The digests below were taken before each step resolved its constant
+# coefficients once: a field that reads no variable (both presets' sigma1
+# and sigma2, also inside every Euler substep) is one evaluated array, a
+# field that reads the state is evaluated at every step.
+
+def _filter_digest(preset, scheme, mode="full", hmodel=None):
+    rec = simulate_full(preset.model, preset.observation, 0.3, scheme, RngStream(6)).observations()
+    outs = run_filter(rec, mode, preset, 24, ["tanh", "poly(0,1,1)"], RngStream(7), hmodel=hmodel,
+                      scheme=scheme, ess_frac=0.8)
+    return _outputs_digest(outs if mode == "both" else [outs])
+
+
+def test_filter_pair_with_a_state_dependent_sigma1_keeps_its_bits():
+    cfg = preset_to_config(PRESETS["example6"]())
+    cfg["model"]["sigma1"] = [["1.0 + 0.5*tanh(x[0])"]]
+    del cfg["model"]["closed_form"]
+    preset = preset_from_config(cfg)
+    assert preset.model.sigma1.variables == {"x"}
+    hmodel = build_homogenized(preset, mode="lattice", x_grid=[-2.0, 0.0, 2.0],
+                               stream=RngStream(4), burn_in=1.0, n_samples=1000, stride=5)
+    scheme = default_scheme(preset.model, 0.02)
+    assert _filter_digest(preset, scheme, "both", hmodel) == "6fbaff6aedcb266d"
+
+
+@pytest.mark.parametrize(("sigma1", "digest"), [
+    ([["1.0", "0.3*cos(x[0])"]], "4109540e161034af"),
+    ([["1.0", "0.3"]], "818236b8411910c9"),
+], ids=["state", "const"])
+def test_filter_on_two_slow_noise_columns_keeps_its_bits(sigma1, digest):
+    # the einsum branch of euler_step, with a state-dependent and a constant sigma1
+    cfg = preset_to_config(_STACK_PRESETS["l1_2"][0])
+    cfg["model"]["sigma1"] = sigma1
+    preset = preset_from_config(cfg)
+    assert preset.model.l1 == 2
+    assert _filter_digest(preset, default_scheme(preset.model, 0.02)) == digest
+
+
+def test_euler_route_filter_with_a_constant_sigma2_keeps_its_bits():
+    cfg = preset_to_config(PRESETS["example6"]())
+    del cfg["model"]["ou_fast"], cfg["model"]["closed_form"]
+    cfg["model"]["epsilon"] = 0.05
+    preset = preset_from_config(cfg)
+    assert not preset.model.sigma2.variables
+    scheme = default_scheme(preset.model, 0.02)
+    assert scheme.fast_mode == "euler" and scheme.substeps == 4
+    assert _filter_digest(preset, scheme) == "d861268d42d8ec04"
+
+
+@pytest.mark.parametrize("coeffs", [(0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (1.0, -3.0, 0.5)])
+def test_poly_clips_exactly_as_np_clip(coeffs):
+    v = np.array([-1e100, -2e6, -1e3, -0.5, 0.0, 0.5, 1e3, 2e6, 1e100])
+    psi = psi_from_string("poly(%r,%r,%r)" % coeffs)
+    c0, c1, c2 = coeffs
+    np.testing.assert_array_equal(psi(v[:, None]), np.clip(c0 + c1 * v + c2 * v * v, -1e6, 1e6))

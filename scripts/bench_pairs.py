@@ -11,8 +11,9 @@ directories, so both sides pay the same cold start.
 
 For each end-to-end metric of ``BENCHMARK.json`` the summary holds each
 side's median and quartiles over the pairs, the change/parent ratio of the
-medians, the pairs the change won and lost, the parent's IQR over its median,
-and a verdict:
+medians, the pairs the change won and lost, the pairs in which the side that
+ran first read worse (a count near all or none of the pairs shows a run-order
+effect, not a tree effect), the parent's IQR over its median, and a verdict:
 
 - ``better``: the change wins at least 9 in 10 pairs and the medians differ
   by more than the parent's IQR;
@@ -53,6 +54,7 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+OTHER = {"parent": "change", "change": "parent"}
 WIN_SHARE = 0.9
 # relative median shifts below which a metric cannot tell the sides apart
 RESOLUTION = {"peak_rss_mb": 0.01}
@@ -136,11 +138,15 @@ def pairs(args, workload: str, metrics: list) -> tuple[list, dict]:
         "digests_equal_pairs": sum(r["digests_equal"] for r in done),
     }
     for m in metrics:
-        paired = [(r["parent"][m["name"]], r["change"][m["name"]]) for r in done
-                  if r["parent"][m["name"]] is not None and r["change"][m["name"]] is not None]
-        if len(paired) >= 2:
-            summary[m["name"]] = verdict([a for a, _ in paired], [b for _, b in paired],
-                                         m["better"], m["bound"], RESOLUTION.get(m["name"], 0.0))
+        name, sign = m["name"], 1.0 if m["better"] == "lower" else -1.0
+        rows = [r for r in done if r["parent"][name] is not None and r["change"][name] is not None]
+        if len(rows) >= 2:
+            summary[name] = verdict([r["parent"][name] for r in rows],
+                                    [r["change"][name] for r in rows],
+                                    m["better"], m["bound"], RESOLUTION.get(name, 0.0))
+            summary[name]["first_run_worse_pairs"] = sum(
+                sign * (r[r["first"]][name] - r[OTHER[r["first"]]][name]) > 0
+                for r in rows)
     return runs, summary
 
 
@@ -191,8 +197,8 @@ def main() -> int:
         for name, s in summary.items():
             if isinstance(s, dict) and "verdict" in s:
                 print(f"{workload} {name}: {s['change_over_parent_median']:.3f} "
-                      f"({s['change_better_pairs']}/{doc['summary'][workload]['pairs']} won) "
-                      f"{s['verdict']}")
+                      f"({s['change_better_pairs']}/{summary['pairs']} won, first run worse "
+                      f"in {s['first_run_worse_pairs']}) {s['verdict']}")
     return 0
 
 

@@ -112,8 +112,7 @@ def _law_pass(preset, hmodel, presets, T, dt, root, ks_paths: int = 0, runs: int
                                  ev_times, ev_marks)
         # not child(1): under a root of id 0 that is the fast stream child(0).child(1)
         gen_obs = root.child(5).generator()
-    # one step at a time, so state-dependent thinning never holds more than a
-    # (runs, quadrature nodes) block; the steps overwrite the states they yield
+    # the steps overwrite the states they yield
     for k, (t, ((X0, _), *fulls)) in enumerate(_law_steps(laws, T, dt, P)):
         if k == 0 or not runs:   # the common start carries no increment
             continue

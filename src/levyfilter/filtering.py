@@ -6,7 +6,7 @@ observation jump events arrive at the base rate.  Particles therefore
 propagate with the plain signal dynamics; all observation information enters
 through the log-weight increment
 
-    h . dBbar - |h|^2 dt / 2 + sum_events log lambda + dt * int (1-lambda) nu3(du),
+    h . dBbar - |h|^2 dt / 2 + sum_events log lambda + dt * nu3(U3) * (1 - lambda),
 
 with states taken at the right endpoint of each step, which makes the
 unnormalized mass a mean-one discrete-time martingale exactly.  Only
@@ -217,9 +217,11 @@ def _batch_log_weight(
     The one implementation of the Girsanov log-weight: the filter calls it
     with its records as rows, the forward martingale check with its runs and
     the inverse check with the steps of one path.  ``events`` is () or a
-    stack (rows, times, marks): event i adds log lambda at its mark to every
+    stack (rows, times, marks): event i adds log lambda at its time to every
     state of row ``rows[i]``, in stack order, after the Gaussian term and
-    before the compensator.
+    before the compensator.  The acceptance law lambda(t, x) reads no mark,
+    so the compensator int (1 - lambda) nu3_small(du) is the measure's mass
+    times 1 - lambda(t_right, x_right), one law evaluation per state.
     """
     work = (None, None) if scratch is None else (scratch.take(1, h_vals.shape),
                                                  scratch.take(2, h_vals.shape))
@@ -231,22 +233,13 @@ def _batch_log_weight(
         incr, square = np.add.reduce(incr, -1), np.add.reduce(square, -1)
     incr -= np.multiply(square, 0.5 * dt, out=square)
     if len(events):
-        rows, ev_t, ev_u = events
+        rows, ev_t, _ = events
         x = x_right[rows]
-        pad = (1,) * (x.ndim - 2)     # the state axes of a row
-        lam = obs.thinning(ev_t.reshape(ev_t.shape + pad), x,
-                           ev_u.reshape(ev_u.shape[:1] + pad + ev_u.shape[1:]))
+        lam = obs.thinning(ev_t.reshape(ev_t.shape + (1,) * (x.ndim - 2)), x)
         np.add.at(incr, rows, np.log(check_thinning(lam)))
     intensity = obs.nu3_small.total_intensity
     if intensity > 0:
-        thinning = obs.thinning
-        if thinning.kind == "const":
-            incr += dt * intensity * (1.0 - thinning.params[0])
-        else:
-            nodes, weights = obs.nu3_small.mark_sampler.quadrature()
-            t_col = np.asarray(t_right, dtype=float)[..., None]
-            lam = np.asarray(thinning(t_col, x_right[..., None, :], nodes), dtype=float)
-            incr += dt * intensity * ((1.0 - lam) @ weights)
+        incr += dt * intensity * (1.0 - obs.thinning(t_right, x_right))
     return incr if out is None else np.add(out, incr, out=out)
 
 

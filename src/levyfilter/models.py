@@ -43,12 +43,13 @@ class OuFast:
 class ThinningLaw:
     """State-dependent acceptance probability for observation jumps.
 
-    Families: ``const`` (value in (0, 1]; the open upper end is required as
-    soon as the jump measures actually charge marks, which ``ObservationModel``
-    enforces) and ``logistic``, lambda(t, x, u) = low + (high - low) /
-    (1 + exp(-slope * x[0])), with low and high in (0, 1).  Wherever the law
-    is evaluated at a charged event its value must lie in (0, 1); see
-    ``check_thinning``.
+    The law is a field lambda(t, x) of time and slow state; no family reads
+    the mark.  Families: ``const`` (value in (0, 1]; the open upper end is
+    required as soon as the jump measures actually charge marks, which
+    ``ObservationModel`` enforces) and ``logistic``, lambda(t, x) = low +
+    (high - low) / (1 + exp(-slope * x[0])), with low and high in (0, 1).
+    Wherever the law is evaluated at a charged event its value must lie in
+    (0, 1); see ``check_thinning``.
     """
 
     kind: str
@@ -73,17 +74,14 @@ class ThinningLaw:
             return self.params[0]
         return min(self.params[0], self.params[1])
 
-    def __call__(self, t, x, u):
-        x0 = np.asarray(x, dtype=float)[..., 0]
-        u0 = np.asarray(u, dtype=float)[..., 0]
+    def __call__(self, t, x):
+        """lambda(t, x): a float for ``const``, an array over x's batch axes
+        (all but the last) for ``logistic``."""
         if self.kind == "const":
-            val = np.full_like(x0, self.params[0], dtype=float)
-        else:
-            low, high, slope = self.params
-            with np.errstate(over="ignore"):   # exp overflow is the limit value low
-                val = low + (high - low) / (1.0 + np.exp(-slope * x0))
-        out, _ = np.broadcast_arrays(val, u0)
-        return out.copy()
+            return self.params[0]
+        low, high, slope = self.params
+        with np.errstate(over="ignore"):   # exp overflow is the limit value low
+            return low + (high - low) / (1.0 + np.exp(-slope * np.asarray(x, dtype=float)[..., 0]))
 
     @staticmethod
     def from_dict(doc: dict) -> "ThinningLaw":
@@ -367,11 +365,14 @@ def preset_to_config(preset: ModelPreset) -> dict:
 
 
 def load_config(path) -> ModelPreset:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    """The preset of a config file; a file that cannot be read or parsed is a ConfigError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}", key="config") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     return preset_from_config(doc)
 
 
@@ -615,16 +616,8 @@ def validate_assumptions(
 
     total_obs_mass = obs.nu3_small.total_intensity + obs.nu3_large.total_intensity
     if total_obs_mass > 0:
-        def lam_extremes(spec):
-            vals = spec.mark_sampler.quadrature()[0]
-            lam = obs.thinning(ts[:, None], ex[:, None, :], vals[None, :, :])
-            return float(np.min(lam)), float(np.max(lam))
-        lo = math.inf
-        hi = -math.inf
-        for spec in (obs.nu3_small, obs.nu3_large):
-            if spec.total_intensity > 0:
-                a, b = lam_extremes(spec)
-                lo, hi = min(lo, a), max(hi, b)
+        lam = obs.thinning(ts, ex)
+        lo, hi = float(np.min(lam)), float(np.max(lam))
         ok = bool(lo >= obs.thinning.lower_bound - 1e-12 and hi < 1.0)
         entries.append(CheckResult(
             "thinning_in_range", ok, hi, 1.0,

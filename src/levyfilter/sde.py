@@ -351,8 +351,6 @@ def simulate_full(
     Z = np.empty((R, K + 1, m)); Z[:, 0] = model.z0
     Y = np.zeros((R, K + 1, d))
     bbar = np.empty((R, K, d))
-    # const thinning and an f3 free of t make the small-jump compensator state-free
-    state_free = obs.thinning.kind == "const" and "t" not in getattr(obs.f3, "variables", "t")
 
     for k in range(K):
         t, x, z, y = times[k], X[:, k], Z[:, k], Y[:, k]
@@ -366,14 +364,12 @@ def simulate_full(
         for _, shape, accepted, at in regions:
             if k in at:
                 rows, ev_t, ev_u, uniforms, where = at[k]
-                acc = uniforms < check_thinning(obs.thinning(ev_t, x[rows], ev_u))
+                acc = uniforms < check_thinning(obs.thinning(ev_t, x[rows]))
                 accepted[where] = acc
                 np.add.at(y_new, rows[acc], shape(ev_t[acc], ev_u[acc]))
         if obs.nu3_small.total_intensity > 0:
-            if k == 0 or not state_free:
-                comp = dt * obs.nu3_small.integrate(
-                    lambda u: obs.f3(t, u) * obs.thinning(t, x[:, None, :], u)[..., None])
-            y_new -= comp
+            lam = np.asarray(obs.thinning(t, x))[..., None, None]   # over the nodes and d
+            y_new -= dt * obs.nu3_small.integrate(lambda u: obs.f3(t, u) * lam)
         _check_finite((X[:, k + 1], Z[:, k + 1], y_new), times[k + 1])
 
     for key, _, accepted, _ in regions:

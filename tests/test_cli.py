@@ -340,6 +340,20 @@ def test_failing_constant_expression_exits_with_a_keyed_config_error(tmp_path, c
     assert err.startswith("config error:") and "(key: b1)" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(("command", "config"), [
+    ("filter", "missing.json"),
+    ("validate", "."),
+], ids=["missing_file", "directory"])
+def test_an_unreadable_config_is_a_keyed_config_error_before_writing(tmp_path, capsys,
+                                                                     command, config):
+    out = tmp_path / "o"
+    rc = main([command, "--config", str(tmp_path / config), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "(key: config)" in err
+    assert not out.exists()
+
+
 def test_broken_json_config(tmp_path, capsys):
     cfg_path = tmp_path / "broken.json"
     cfg_path.write_text("{not json")

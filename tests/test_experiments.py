@@ -36,6 +36,7 @@ from levyfilter.averaging import build_homogenized
 from levyfilter.errors import ConfigError
 from levyfilter.filtering import ParticleEnsemble, _batch_log_weight, run_filter_batch
 from levyfilter.sde import ObservationRecord
+from test_filtering import logistic_preset
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +189,13 @@ def test_martingale_check_forward_and_inverse():
     assert abs(rep.mean_inverse - 1.0) < 4.0 * rep.se_inverse
     assert rep.max_rho0_inverse > 0.0
     assert math.isfinite(rep.max_rho0_inverse)
+
+
+def test_martingale_check_under_state_dependent_thinning():
+    # the event and compensator terms of the logistic law, at a base intensity
+    # where the likelihood's plain SE is honest (at 25 it is heavy-tailed)
+    rep = martingale_check(logistic_preset(intensity=2.0), 0.1, n_runs=2000, T=1.0, seed=0)
+    assert abs(rep.mean_forward - 1.0) < 5.0 * rep.se_forward
 
 
 def _hex_fields(report):
@@ -728,3 +736,12 @@ def test_convergence_study_diagnostics_match_the_wrappers():
         values = {k: float.fromhex(v) for k, v in row.items()}
         assert all(math.isfinite(v) for v in values.values())
         assert 0.0 <= values["ks_signal"] <= 1.0
+
+
+def test_filter_study_gaps_fall_in_epsilon_under_state_dependent_thinning():
+    # logistic thinning of the small observation jumps: they carry information
+    report = filter_convergence_study(logistic_preset(intensity=1.0), [0.5, 0.1, 0.02],
+                                      replications=20, n_particles=2000, psis=["tanh"],
+                                      T=1.0, dt=0.01, seed=0)
+    gaps = [float(row["mean_gap"][0]) for row in report.rows]
+    assert gaps[0] > gaps[1] > gaps[2]

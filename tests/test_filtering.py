@@ -24,6 +24,7 @@ from levyfilter import (
     make_linear_gaussian,
     null_measure,
     run_filter,
+    simulate_full,
     simulate_reference_observations,
     vector_field,
     matrix_field,
@@ -97,7 +98,6 @@ def log_weight_increment(
     d_bbar,
     dt: float,
     event_times,
-    event_marks,
     thinning,
     x,
     t: float,
@@ -108,7 +108,8 @@ def log_weight_increment(
 
     ``h_value`` is the sensor at the step's right endpoint, ``d_bbar`` the
     increment of the h-shifted observation Brownian part over the step, and
-    the events are the small-region observation jumps inside the step.
+    ``event_times`` the times of the small-region observation jumps inside
+    the step; the acceptance law ``thinning`` is lambda(t, x).
     """
     h = np.asarray(h_value, dtype=float).reshape(-1)
     db = np.asarray(d_bbar, dtype=float).reshape(-1)
@@ -116,16 +117,12 @@ def log_weight_increment(
         raise ValueError(f"h has shape {h.shape} but the increment has shape {db.shape}")
     out = float(h @ db) - 0.5 * dt * float(h @ h)
     x = np.asarray(x, dtype=float)
-    for tj, uj in zip(event_times, event_marks):
-        lam = np.asarray(thinning(tj, x, np.asarray(uj, dtype=float).reshape(1, -1)))
-        out += math.log(float(check_thinning(lam.reshape(-1)[0])))
-    intensity = nu3_small.total_intensity
-    if intensity > 0:
-        if isinstance(thinning, ThinningLaw) and thinning.kind == "const":
-            out += dt * intensity * (1.0 - thinning.params[0])
-        else:
-            comp = nu3_small.integrate(lambda u: 1.0 - thinning(t, x, u))
-            out += dt * float(comp)
+    for tj in event_times:
+        out += math.log(float(check_thinning(thinning(tj, x))))
+    if nu3_small.total_intensity > 0:
+        # the compensator as a mark quadrature of the law, which reads no mark
+        comp = nu3_small.integrate(lambda u: np.full(len(u), 1.0 - thinning(t, x)))
+        out += dt * float(comp)
     return out
 
 
@@ -139,7 +136,6 @@ def test_log_weight_jump_terms_closed_form():
         d_bbar=np.zeros(1),
         dt=0.1,
         event_times=[0.05],
-        event_marks=[np.array([0.3])],
         thinning=thin,
         x=np.array([0.2]),
         t=0.1,
@@ -155,7 +151,6 @@ def test_log_weight_gaussian_part():
         d_bbar=np.array([0.3]),
         dt=0.1,
         event_times=[],
-        event_marks=[],
         thinning=ThinningLaw("const", (1.0,)),
         x=np.array([0.0]),
         t=0.1,
@@ -172,8 +167,7 @@ def test_log_weight_rejects_bad_thinning_values():
             d_bbar=np.zeros(1),
             dt=0.1,
             event_times=[0.05],
-            event_marks=[np.array([0.3])],
-            thinning=lambda t, x, u: 1.5,
+            thinning=lambda t, x: 1.5,
             x=np.array([0.0]),
             t=0.1,
             nu3_small=nu3,
@@ -192,8 +186,7 @@ def _batch_vs_scalar(obs, n_events, seed):
 
     def reference(i, db, t_right, rows_events):
         return log_weight_increment(
-            h_vals[i], db, dt, ev_t[rows_events], ev_u[rows_events],
-            obs.thinning, x_right[i], t_right, obs.nu3_small,
+            h_vals[i], db, dt, ev_t[rows_events], obs.thinning, x_right[i], t_right, obs.nu3_small,
         )
 
     # filter: one record of N particles, every event charged to every particle
@@ -1047,3 +1040,81 @@ def test_a_step_evaluates_a_constant_field_once_per_dynamics(route):
     K, substeps = rec.steps, scheme.substeps if route == "euler" else 0
     assert (calls["b1"], calls["b2"]) == (K, K * substeps)
     assert calls["sigma1"] <= 1 and calls["sigma2"] <= 1
+
+
+# ---------------------------------------------------------------------------
+# state-dependent thinning
+
+
+def logistic_preset(intensity=50.0, epsilon=0.1, thinning=(0.2, 0.8, 2.0)):
+    """example6 whose small observation jumps are thinned by a logistic law of
+    x[0] at base intensity ``intensity``, so the jumps carry information."""
+    cfg = preset_to_config(PRESETS["example6"]())
+    low, high, slope = thinning
+    cfg["observation"]["lambda"] = {"kind": "logistic", "low": low, "high": high, "slope": slope}
+    cfg["observation"]["nu3_small"]["intensity"] = intensity
+    cfg["model"]["epsilon"] = epsilon
+    return preset_from_config(cfg)
+
+
+def _with_const_thinning(preset, value):
+    return dataclasses.replace(preset, observation=dataclasses.replace(
+        preset.observation, thinning=ThinningLaw("const", (value,))))
+
+
+def _filter_pair_on_shared_records(preset, R, n_particles, seed):
+    """tanh(X_T) of R paths of ``preset`` and the terminal pi(tanh) of two full
+    filters on their records, on one run stream per record: one weighs the
+    jump events by the preset's law, the other by constant thinning 0.5,
+    under which every jump term is the same for every particle."""
+    root = RngStream(seed)
+    scheme = default_scheme(preset.model, 0.02)
+    paths = simulate_full(preset.model, preset.observation, 1.0, scheme,
+                          [root.child(r).child(0) for r in range(R)])
+    records = [p.observations() for p in paths]
+    streams = [root.child(r).child(1) for r in range(R)]
+    pis = [np.array([o.pi[-1, 0] for o in run_filter_batch(records, "full", p, n_particles,
+                                                             ["tanh"], streams)])
+           for p in (preset, _with_const_thinning(preset, 0.5))]
+    return np.tanh([p.X[-1, 0] for p in paths]), pis
+
+
+def test_state_dependent_thinning_makes_the_jumps_informative():
+    # the filter that reads lambda(x) at the events tracks tanh(X_T) better
+    # than the same filter with a constant law on the same records and particles
+    truth, (pi_true, pi_flat) = _filter_pair_on_shared_records(logistic_preset(), 256, 200, 0)
+    gain = (pi_flat - truth) ** 2 - (pi_true - truth) ** 2
+    se = gain.std(ddof=1) / math.sqrt(len(gain))
+    assert gain.mean() > 3.0 * se
+
+
+def test_constant_thinning_makes_the_jumps_uninformative():
+    # example6's constant law: a shift of every log-weight by one number
+    _, (pi_true, pi_flat) = _filter_pair_on_shared_records(PRESETS["example6"](), 256, 200, 0)
+    np.testing.assert_allclose(pi_true, pi_flat, rtol=0, atol=1e-10)
+
+
+def test_the_filter_evaluates_the_law_on_its_states_and_no_mark_nodes(monkeypatch):
+    preset = logistic_preset(intensity=5.0)
+    R, N, n = 16, 50, preset.model.n
+    records = [p.observations() for p in simulate_full(
+        preset.model, preset.observation, 1.0, default_scheme(preset.model, 0.02),
+        [RngStream(3, r) for r in range(R)])]
+    assert sum(len(rec.small_times) for rec in records) > 0
+    shapes = []
+
+    def law(self, t, x, _call=ThinningLaw.__call__):
+        shapes.append(np.shape(x))
+        return _call(self, t, x)
+
+    def quadrature(self):
+        raise AssertionError("the filter evaluated the law on mark quadrature nodes")
+
+    monkeypatch.setattr(ThinningLaw, "__call__", law)
+    monkeypatch.setattr(MarkSampler, "quadrature", quadrature)
+    run_filter_batch(records, "full", preset, N, ["tanh"], [RngStream(4, r) for r in range(R)])
+    # one call per step on the (R, N, n) states, one per step with events on
+    # the (events, N, n) states of the rows they are charged to: no call sees
+    # more than R N n state entries, and none has a mark-node axis
+    assert (R, N, n) in shapes and any(s != (R, N, n) for s in shapes)
+    assert all(len(s) == 3 and s[0] <= R and s[1:] == (N, n) for s in shapes)

@@ -1057,11 +1057,6 @@ def logistic_preset(intensity=50.0, epsilon=0.1, thinning=(0.2, 0.8, 2.0)):
     return preset_from_config(cfg)
 
 
-def _with_const_thinning(preset, value):
-    return dataclasses.replace(preset, observation=dataclasses.replace(
-        preset.observation, thinning=ThinningLaw("const", (value,))))
-
-
 def _filter_pair_on_shared_records(preset, R, n_particles, seed):
     """tanh(X_T) of R paths of ``preset`` and the terminal pi(tanh) of two full
     filters on their records, on one run stream per record: one weighs the
@@ -1073,9 +1068,11 @@ def _filter_pair_on_shared_records(preset, R, n_particles, seed):
                           [root.child(r).child(0) for r in range(R)])
     records = [p.observations() for p in paths]
     streams = [root.child(r).child(1) for r in range(R)]
+    flat = dataclasses.replace(preset, observation=dataclasses.replace(
+        preset.observation, thinning=ThinningLaw("const", (0.5,))))
     pis = [np.array([o.pi[-1, 0] for o in run_filter_batch(records, "full", p, n_particles,
                                                              ["tanh"], streams)])
-           for p in (preset, _with_const_thinning(preset, 0.5))]
+           for p in (preset, flat)]
     return np.tanh([p.X[-1, 0] for p in paths]), pis
 
 

@@ -21,7 +21,6 @@ from .errors import (
     IntegrationFailureError,
     LevyFilterError,
     ModelViolationError,
-    StiffnessError,
     UnsupportedMeasureError,
 )
 from .exprs import Expr, matrix_field, vector_field
@@ -91,7 +90,7 @@ __all__ = [
     "AveragedPoint", "EmpiricalMeasure", "HomogenizedModel", "average_coefficients",
     "build_homogenized", "estimate_invariant_measure", "factor_diffusion",
     "ConfigError", "ExtrapolationError", "IntegrationFailureError", "LevyFilterError",
-    "ModelViolationError", "StiffnessError", "UnsupportedMeasureError",
+    "ModelViolationError", "UnsupportedMeasureError",
     "Expr", "matrix_field", "vector_field",
     "FilterOutput", "ParticleEnsemble", "PsiSpec", "init_ensemble",
     "psi_from_string", "resample", "run_filter", "run_filter_batch",

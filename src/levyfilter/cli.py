@@ -31,11 +31,10 @@ from .errors import (
     ExtrapolationError,
     IntegrationFailureError,
     ModelViolationError,
-    StiffnessError,
     UnsupportedMeasureError,
 )
-from .experiments import _at_least_two, _check_epsilons, convergence_study, default_scheme
-from .filtering import psi_from_string, run_filter
+from .experiments import _at_least_two, _check_epsilons, convergence_study
+from .filtering import check_filter_sizes, psi_from_string, run_filter
 from .models import (
     PRESETS,
     ModelPreset,
@@ -45,7 +44,8 @@ from .models import (
     with_epsilon,
 )
 from .noise import RngStream
-from .sde import FullDynamics, StepScheme, euler_scheme, require_jump_free, simulate_full
+from .sde import (FullDynamics, StepScheme, default_scheme, make_grid, require_jump_free,
+                  simulate_full)
 
 
 class UsageError(Exception):
@@ -239,15 +239,13 @@ def _threads(args) -> int:
     return 1
 
 
-def _scheme(args, model) -> StepScheme:
-    """The flags' step scheme, which the model's dynamics are built on here, so
-    that a scheme they reject fails before anything is written."""
-    scheme = (default_scheme(model, args.dt) if args.fast_mode == "auto" else
-              StepScheme(dt_slow=args.dt, fast_mode="exact_ou") if args.fast_mode == "exact_ou" else
-              euler_scheme(model, args.dt) if args.dt_fast is None else
-              StepScheme(dt_slow=args.dt, dt_fast=args.dt_fast, fast_mode="euler"))
-    FullDynamics(model, scheme)
-    return scheme
+def _dynamics(args, model) -> FullDynamics:
+    """The flags' signal dynamics on the grid of ``--T`` and ``--dt``, both built
+    here so that a grid or a scheme they reject fails before anything is written."""
+    make_grid(args.T, args.dt)
+    scheme = (default_scheme(model, args.dt) if args.fast_mode == "auto"
+              else StepScheme(args.dt, args.fast_mode))
+    return FullDynamics(model, scheme)
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -273,20 +271,24 @@ def _run_config(args, command: str, preset: ModelPreset, **params) -> RunConfig:
 def _cmd_simulate(args) -> int:
     preset = _load_preset(args)
     out_dir = Path(args.out)
-    scheme = _scheme(args, preset.model)
+    dynamics = _dynamics(args, preset.model)
     _run_config(
         args, "simulate", preset,
-        T=args.T, dt=args.dt, fast_mode=scheme.fast_mode, dt_fast=scheme.dt_fast,
+        T=args.T, dt=args.dt, fast_mode=dynamics.scheme.fast_mode, dt_fast=dynamics.dt_fast,
     ).write(out_dir)
-    path = simulate_full(preset.model, preset.observation, args.T, scheme, RngStream(args.seed))
+    path = simulate_full(preset.model, preset.observation, args.T, dynamics.scheme,
+                         RngStream(args.seed))
     path.to_csv(out_dir / "path.csv")
     rec = path.observations()
+    events = {k: len(v) for k, v in path.events.items()}
     summary = {
         "T": args.T, "dt": args.dt, "epsilon": preset.model.epsilon,
         "steps": len(path.times) - 1,
-        "events": {k: len(v) for k, v in path.events.items()},
+        "events": events,
         "accepted_small_obs_jumps": len(rec.small_times),
         "accepted_large_obs_jumps": len(rec.large_times),
+        "rejected_small_obs_jumps": events["obs_small"] - len(rec.small_times),
+        "rejected_large_obs_jumps": events["obs_large"] - len(rec.large_times),
         "x_terminal": [float(v) for v in path.X[-1]],
     }
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
@@ -347,7 +349,10 @@ def _cmd_filter(args) -> int:
     psis = _psi_list(args)
     model = preset.model
     require_jump_free(model.nu1, *(() if args.mode == "homog" else (model.nu2,)))
-    scheme = _scheme(args, model)
+    check_filter_sizes(args.particles, args.ess_frac)
+    scheme = _dynamics(args, model).scheme
+    modes = ["full", "homog"] if args.mode == "both" else [args.mode]
+    hmodel = build_homogenized(preset) if "homog" in modes else None
     _run_config(
         args, "filter", preset,
         mode=args.mode, T=args.T, dt=args.dt, particles=args.particles,
@@ -358,8 +363,6 @@ def _cmd_filter(args) -> int:
     path.to_csv(out_dir / "path.csv")
     rec = path.observations()
     summary = {"modes": {}, "truth_terminal": [float(v) for v in path.X[-1]]}
-    modes = ["full", "homog"] if args.mode == "both" else [args.mode]
-    hmodel = build_homogenized(preset) if "homog" in modes else None
     # "both" is one coupled pass; the homog filter's output is the same alone
     outs = run_filter(
         rec, mode=args.mode, preset=preset, n_particles=args.particles, psis=psis,
@@ -389,6 +392,9 @@ def _cmd_converge(args) -> int:
     for name in ("replications", "signal_paths", "martingale_runs"):
         _at_least_two(name, getattr(args, name))
     require_jump_free(preset.model.nu1, preset.model.nu2)
+    check_filter_sizes(args.particles, args.ess_frac)
+    make_grid(args.T, args.dt)
+    hmodel = build_homogenized(preset)
     threads = _threads(args)
     _run_config(
         args, "converge", preset,
@@ -399,7 +405,7 @@ def _cmd_converge(args) -> int:
     report = convergence_study(
         preset, epsilons, args.replications, args.particles, psis, args.T,
         dt=args.dt, ess_frac=args.ess_frac, seed=args.seed, threads=threads,
-        signal_paths=args.signal_paths, martingale_runs=args.martingale_runs,
+        signal_paths=args.signal_paths, martingale_runs=args.martingale_runs, hmodel=hmodel,
     )
     names = [p.name for p in psis]
     header = ["epsilon"]
@@ -494,7 +500,6 @@ def build_parser() -> _Parser:
     common(p)
     p.add_argument("--T", type=float, default=1.0)
     p.add_argument("--fast-mode", choices=["auto", "exact_ou", "euler"], default="auto")
-    p.add_argument("--dt-fast", type=float, default=None)
     p.set_defaults(fn=_cmd_simulate)
 
     p = sub.add_parser("average", help="estimate invariant measure and averaged coefficients")
@@ -514,7 +519,6 @@ def build_parser() -> _Parser:
                    help="functional(s): tanh, arctan, indicator(a,b), poly(c0,c1,c2)")
     p.add_argument("--ess-frac", type=float, default=0.5)
     p.add_argument("--fast-mode", choices=["auto", "exact_ou", "euler"], default="auto")
-    p.add_argument("--dt-fast", type=float, default=None)
     p.set_defaults(fn=_cmd_filter)
 
     p = sub.add_parser("converge", help="filter-convergence study over a list of eps")
@@ -557,8 +561,8 @@ def main(argv=None) -> int:
         key = f" (key: {exc.key})" if exc.key else ""
         print(f"config error: {exc}{key}", file=sys.stderr)
         return 1
-    except (UnsupportedMeasureError, StiffnessError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)     # a stiff step is the flags' choice
+    except (UnsupportedMeasureError, ValueError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
         return 1
     except IntegrationFailureError as exc:
         t = f" at t={exc.time:g}" if exc.time is not None else ""

@@ -37,9 +37,5 @@ class IntegrationFailureError(LevyFilterError):
         self.time = time
 
 
-class StiffnessError(LevyFilterError):
-    """Step sizes too coarse for the fast subsystem at the requested epsilon."""
-
-
 class ExtrapolationError(LevyFilterError):
     """A lattice-backed coefficient was queried outside its covered range."""

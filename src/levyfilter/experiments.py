@@ -395,18 +395,21 @@ def convergence_study(
     threads: int = 1,
     signal_paths: int = 2000,
     martingale_runs: int = 2000,
+    hmodel: HomogenizedModel | None = None,
 ) -> ConvergenceReport:
     """Filter convergence plus signal-law KS and martingale diagnostics per epsilon.
 
     The diagnostics share one ``_law_pass`` on ``RngStream(seed + 2)``: the
     martingale fields are ``martingale_check(seed=seed + 2)`` bitwise while
     ``signal_paths <= martingale_runs``, and ``ks_signal`` is
-    ``signal_convergence_study(seed=seed + 2)`` when the counts are equal."""
+    ``signal_convergence_study(seed=seed + 2)`` when the counts are equal.
+    ``hmodel`` defaults to ``build_homogenized(preset)``."""
     _at_least_two("replications", replications)
     signal_paths = _at_least_two("signal_paths", signal_paths)
     martingale_runs = _at_least_two("martingale_runs", martingale_runs)
     _check_epsilons(epsilons)
-    hmodel = build_homogenized(preset)
+    if hmodel is None:
+        hmodel = build_homogenized(preset)
     report = filter_convergence_study(
         preset, epsilons, replications, n_particles, psis, T, dt=dt,
         ess_frac=ess_frac, seed=seed, threads=threads, hmodel=hmodel,

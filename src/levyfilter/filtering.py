@@ -10,12 +10,16 @@ through the log-weight increment
 
 with states taken at the right endpoint of each step, which makes the
 unnormalized mass a mean-one discrete-time martingale exactly.  Only
-small-region events enter the weights: with the acceptance law constant on
-the complement region the large-jump factor is state-independent and cancels
-from every normalized estimate.  One kernel, ``_batch_log_weight``, computes
-this increment for the filter and for both routes of the likelihood-martingale
-check; it charges a step's events, stacked as (rows, times, marks), before
-the compensator.
+small-region events enter the weights; large-region events are not charged.
+That is exact when the acceptance law is constant, as on both presets: the
+large-region factor is then state-independent and cancels from every
+normalized estimate.  A law that reads the state (``logistic``) also thins
+the large-region events that ``simulate_full`` draws, by lambda(t, x), and
+this filter drops their sum of log lambda and their compensator, so it is
+not the exact filter for such a model.  One kernel, ``_batch_log_weight``,
+computes this increment for the filter and for both routes of the
+likelihood-martingale check; it charges a step's events, stacked as (rows,
+times, marks), before the compensator.
 
 The filter runs R observation records at once on (R, N, .) ensembles, one
 row per record: propagation, the weight update and the estimates are array
@@ -39,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .averaging import HomogenizedModel
-from .errors import ModelViolationError
+from .errors import ConfigError, ModelViolationError
 from .models import ModelPreset, ObservationModel, check_thinning
 from .noise import NoiseSource, RngStream, keyed_normals
 from .sde import (
@@ -154,6 +158,16 @@ class ParticleEnsemble:
                       for shape, (streams, gens, ids) in zip(shapes, self._noise)])
 
 
+def check_filter_sizes(n_particles: int, ess_frac: float | None = None) -> None:
+    """The size rules of every filter, checked by ``init_ensemble``, by
+    ``_filter_pass`` and by the CLI before it writes: at least one particle, and
+    a resampling threshold ``ess_frac`` (when given) in (0, 1]."""
+    if n_particles < 1:
+        raise ConfigError(f"need at least one particle, got {n_particles}", key="particles")
+    if ess_frac is not None and not 0.0 < ess_frac <= 1.0:
+        raise ConfigError(f"ess_frac must lie in (0, 1], got {ess_frac}", key="ess_frac")
+
+
 def init_ensemble(
     n_particles: int,
     x0: np.ndarray,
@@ -162,8 +176,7 @@ def init_ensemble(
 ) -> ParticleEnsemble:
     """N particles at (x0, z0) with equal weights in each of R rows, row r on
     the run stream ``streams[r]``."""
-    if n_particles < 1:
-        raise ValueError("need at least one particle")
+    check_filter_sizes(n_particles)
     if not streams:
         raise ValueError("need at least one run stream")
     shape = (len(streams), n_particles)
@@ -464,8 +477,7 @@ def _filter_pass(cases, n_particles, psis, streams, ess_frac=0.5, _last_pi_only=
     Both modes with ``l_factor`` != ``l1`` warn.  ``_last_pi_only`` evaluates
     the functionals at the last step only (``pi`` NaN before), not mass or ESS.
     """
-    if not 0.0 < ess_frac <= 1.0:
-        raise ValueError(f"ess_frac must lie in (0, 1], got {ess_frac}")
+    check_filter_sizes(n_particles, ess_frac)
     if not psis:
         raise ValueError("need at least one test functional")
     R = len(streams)

@@ -2,12 +2,12 @@
 one step (``FullDynamics``, ``HomogDynamics``) of paths, filter particles and law ensembles.
 
 The slow component is advanced by an Euler step on the coarse grid; the fast
-component is advanced inside each coarse step either by Euler substeps at its
-own (accelerated) scale or, for models that declare an OU fast part, by exact
-Gaussian transitions.  Observation jumps are thinned against the
-state-dependent acceptance law using the left-limit state, and every
-compensated jump term subtracts its quadrature compensator so that simulated
-martingale parts stay centered.
+component is advanced inside each coarse step either by Euler substeps no
+longer than epsilon/10, which resolve its own timescale, or, for models that
+declare an OU fast part, by exact Gaussian transitions.  Observation jumps
+are thinned against the state-dependent acceptance law using the left-limit
+state, and every compensated jump term subtracts its quadrature compensator
+so that simulated martingale parts stay centered.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import IntegrationFailureError, StiffnessError
+from .errors import IntegrationFailureError
 from .models import ObservationModel, SlowFastModel, check_thinning
 from .noise import NoiseSource, RngStream, brownian_increments, keyed_normals, sample_poisson_jumps
 
@@ -35,10 +35,10 @@ _SIGNAL_SOURCES = (NoiseSource.SLOW_BROWNIAN, NoiseSource.FAST_BROWNIAN)
 
 @dataclass(frozen=True)
 class StepScheme:
-    """Coarse step for the slow component plus the fast-substep policy."""
+    """Coarse step of the slow component and the route of the fast one; the
+    Euler substeps follow from the model (``FullDynamics``)."""
 
     dt_slow: float
-    dt_fast: float | None = None     # defaults to dt_slow (one substep)
     fast_mode: str = "euler"         # "euler" | "exact_ou"
 
     def __post_init__(self):
@@ -46,31 +46,11 @@ class StepScheme:
             raise ValueError(f"dt_slow must be > 0, got {self.dt_slow}")
         if self.fast_mode not in ("euler", "exact_ou"):
             raise ValueError(f"fast_mode must be 'euler' or 'exact_ou', got {self.fast_mode!r}")
-        if self.dt_fast is not None:
-            ratio = self.dt_slow / self.dt_fast
-            if not self.dt_fast > 0 or abs(ratio - round(ratio)) > 1e-9:
-                raise ValueError(
-                    f"dt_fast must divide dt_slow, got dt_fast={self.dt_fast}, dt_slow={self.dt_slow}"
-                )
-
-    @property
-    def substeps(self) -> int:
-        if self.dt_fast is None:
-            return 1
-        return int(round(self.dt_slow / self.dt_fast))
-
-
-def euler_scheme(model: SlowFastModel, dt_slow: float) -> StepScheme:
-    """Euler substeps: the fewest equal ones that fill dt_slow and are no longer than epsilon/10."""
-    substeps = max(1, math.ceil(dt_slow / (model.epsilon / 10.0)))
-    return StepScheme(dt_slow=dt_slow, dt_fast=dt_slow / substeps, fast_mode="euler")
 
 
 def default_scheme(model: SlowFastModel, dt_slow: float) -> StepScheme:
-    """Exact OU transitions when declared, else Euler substeps at epsilon/10."""
-    if model.ou_fast is not None:
-        return StepScheme(dt_slow=dt_slow, fast_mode="exact_ou")
-    return euler_scheme(model, dt_slow)
+    """Exact OU transitions when the model declares them, else Euler substeps."""
+    return StepScheme(dt_slow, "exact_ou" if model.ou_fast is not None else "euler")
 
 
 def make_grid(T: float, dt: float) -> np.ndarray:
@@ -336,7 +316,7 @@ def simulate_full(
     dB = np.stack([p["dB"] for p in draws], axis=1)
     slow_at = _kicks_by_step([p["slow"] for p in draws], T, dt)
     fast_at = _kicks_by_step([p["fast"] for p in draws], T, dynamics.dt_fast)   # none on exact OU
-    substeps = scheme.substeps
+    substeps = dynamics.substeps
     # per region, small then large: (key, jump shape, acceptance of the stacked
     # events, the events by step with their uniforms and stack positions)
     regions = []
@@ -481,24 +461,24 @@ def simulate_reference_observations(
 @dataclass
 class FullDynamics:
     """The one coarse step of the slow/fast signal for paths, filter particles and
-    law ensembles, in ``scratch``; ``dt_fast`` is the Euler substep (None: exact OU).
-    The fields that read no variable (``_constant``) and the step's scalars are resolved once."""
+    law ensembles, in ``scratch``.  It alone splits the step: ``substeps`` Euler
+    substeps of length ``dt_fast``, the fewest no longer than epsilon/10 (the
+    fast timescale), or on exact OU one transition (``dt_fast`` None).  The
+    fields that read no variable (``_constant``) and the step's scalars are resolved once."""
 
     model: SlowFastModel
     scheme: StepScheme
     scratch: Arena = field(default_factory=Arena, repr=False, compare=False)
 
     def __post_init__(self):
-        model, scheme, self.dt_fast = self.model, self.scheme, None
-        if scheme.fast_mode == "exact_ou" and model.ou_fast is None:
-            raise ValueError("scheme requests exact OU transitions but the model declares none")
-        if scheme.fast_mode == "euler":
-            self.dt_fast = scheme.dt_fast if scheme.dt_fast is not None else scheme.dt_slow
-        if self.dt_fast is not None and self.dt_fast > model.epsilon / 10.0 * (1.0 + 1e-12):
-            raise StiffnessError(
-                f"dt_fast={self.dt_fast:.6g} exceeds epsilon/10={model.epsilon / 10.0:.6g}; "
-                "refine dt_fast or use exact OU transitions"
-            )
+        model, scheme = self.model, self.scheme
+        if scheme.fast_mode == "exact_ou":
+            if model.ou_fast is None:
+                raise ValueError("scheme requests exact OU transitions but the model declares none")
+            self.substeps, self.dt_fast = 1, None
+        else:
+            self.substeps = max(1, math.ceil(scheme.dt_slow / (model.epsilon / 10.0)))
+            self.dt_fast = scheme.dt_slow / self.substeps
         self._sigma1 = _constant(model.sigma1, model.x0, model.z0)
         self._sigma2 = _constant(model.sigma2, model.x0, model.z0)
         self._nu1, self._dt = model.nu1.total_intensity > 0, None     # _dt: _scalars' step size
@@ -507,7 +487,7 @@ class FullDynamics:
         """Standard normal blocks a step of ``count`` states reads: slow (count,
         l1), then fast (count, 1) on exact OU or (substeps, count, l2) on Euler."""
         m = self.model
-        fast = (count, 1) if self.dt_fast is None else (self.scheme.substeps, count, m.l2)
+        fast = (count, 1) if self.dt_fast is None else (self.substeps, count, m.l2)
         return (count, m.l1), fast
 
     @property
@@ -544,7 +524,7 @@ class FullDynamics:
         jumps = None if slow_kicks is None else model.f1(x[slow_kicks[0]], slow_kicks[2])
         comp = (dt * model.nu1.integrate(lambda u: model.f1(x[..., None, :], u))
                 if self._nu1 else None)
-        for j in range(0 if dt_fast is None else fast.shape[-3]):
+        for j in range(0 if dt_fast is None else self.substeps):
             z = z_new = fast_euler_substep(
                 model, x, z, fast[..., j, :, :], dt_fast / model.epsilon,
                 None if fast_kicks is None else fast_kicks[j], z_new, scratch, self._sigma2)

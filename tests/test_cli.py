@@ -60,6 +60,23 @@ def test_simulate_writes_path_and_summary(tmp_path):
     assert summary["accepted_large_obs_jumps"] == int(events["obs_large"].accepted.sum())
 
 
+def test_simulate_counts_the_rejected_jumps_of_each_region(tmp_path):
+    # a state-dependent law thins events in both observation regions: per
+    # region the accepted and the rejected events are all the events drawn
+    cfg = _write_config(tmp_path, lambda c: c["observation"].update(
+        {"lambda": {"kind": "logistic", "low": 0.2, "high": 0.8, "slope": 1.5}}))
+    out = tmp_path / "sim"
+    rc = main(["simulate", "--config", str(cfg), "--T", "8", "--dt", "0.05", "--seed", "3",
+               "--out", str(out)])
+    assert rc == 0
+    summary = json.loads((out / "summary.json").read_text())
+    for region in ("small", "large"):
+        accepted = summary[f"accepted_{region}_obs_jumps"]
+        rejected = summary[f"rejected_{region}_obs_jumps"]
+        assert accepted > 0 and rejected > 0
+        assert accepted + rejected == summary["events"][f"obs_{region}"]
+
+
 def test_average_writes_table(tmp_path):
     out = tmp_path / "avg"
     rc = main([
@@ -362,18 +379,30 @@ def test_broken_json_config(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(("command", "message"), [
-    (["simulate", "--fast-mode", "euler", "--dt", "0.1", "--dt-fast", "0.05", "--eps", "0.1"],
-     "exceeds epsilon/10"),
-    (["filter", "--fast-mode", "exact_ou", "--dt", "0.05", "--particles", "8"],
+    (["filter", "--config", "NO_OU", "--fast-mode", "exact_ou", "--dt", "0.05", "--T", "0.2"],
      "declares none"),
-], ids=["stiff_euler", "exact_ou_without_ou_fast"])
-def test_a_scheme_the_dynamics_reject_is_a_config_error_before_writing(tmp_path, capsys,
-                                                                      command, message):
-    # a stiff Euler substep, or exact OU transitions the model does not declare,
-    # is rejected before the run writes its config
+    (["filter", "--particles", "0"], "need at least one particle"),
+    (["filter", "--ess-frac", "0"], "ess_frac must lie in (0, 1]"),
+    (["filter", "--mode", "homog", "--preset", "linear_gaussian"], "no closed-form averages"),
+    (["simulate", "--T", "0.3", "--dt", "0.2"], "not an integer multiple"),
+    (["filter", "--T", "0.3", "--dt", "0.2"], "not an integer multiple"),
+    (["converge", "--T", "0.3", "--dt", "0.2"], "not an integer multiple"),
+    (["filter", "--T", "-1"], "need T > 0"),
+    (["converge", "--particles", "0"], "need at least one particle"),
+    (["converge", "--ess-frac", "1.5"], "ess_frac must lie in (0, 1]"),
+    (["converge", "--preset", "linear_gaussian"], "no closed-form averages"),
+], ids=["exact_ou_without_ou_fast", "filter_no_particles", "filter_ess_frac_0",
+        "homog_no_closed_form", "simulate_grid", "filter_grid", "converge_grid",
+        "filter_negative_T", "converge_no_particles", "converge_ess_frac_1.5",
+        "converge_no_closed_form"])
+def test_a_rejected_input_is_a_config_error_before_writing(tmp_path, capsys, command, message):
+    # exact OU transitions the model does not declare, a grid that --T and --dt
+    # do not make, a particle count or resampling threshold the filter rejects,
+    # and a reduced filter without closed-form averages are all rejected before
+    # the run writes its config (NO_OU: example6 without ou_fast)
     out = tmp_path / "o"
-    cfg = _write_config(tmp_path, lambda c: c["model"].pop("ou_fast"))
-    rc = main([*command, "--config", str(cfg), "--T", "0.2", "--out", str(out)])
+    cfg = str(_write_config(tmp_path, lambda c: c["model"].pop("ou_fast")))
+    rc = main([cfg if a == "NO_OU" else a for a in command] + ["--out", str(out)])
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:") and message in err

@@ -35,7 +35,7 @@ from levyfilter import experiments, filtering, sde
 from levyfilter.averaging import build_homogenized
 from levyfilter.errors import ConfigError
 from levyfilter.filtering import ParticleEnsemble, _batch_log_weight, run_filter_batch
-from levyfilter.sde import ObservationRecord
+from levyfilter.sde import FullDynamics, ObservationRecord
 from test_filtering import logistic_preset
 
 
@@ -73,12 +73,13 @@ def test_default_scheme_prefers_exact_ou():
     model = PRESETS["example6"]().model
     scheme = default_scheme(model, 0.05)
     assert scheme.fast_mode == "exact_ou"
-    assert scheme.dt_fast is None
+    assert FullDynamics(model, scheme).dt_fast is None
     no_ou = dataclasses.replace(model, ou_fast=None)
     scheme = default_scheme(no_ou, 0.05)  # epsilon = 0.1 => substeps at 0.01
     assert scheme.fast_mode == "euler"
-    assert scheme.substeps == 5
-    assert scheme.dt_fast == pytest.approx(0.01)
+    dynamics = FullDynamics(no_ou, scheme)
+    assert dynamics.substeps == 5
+    assert dynamics.dt_fast == pytest.approx(0.01)
 
 
 # ---------------------------------------------------------------------------

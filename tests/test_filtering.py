@@ -484,7 +484,7 @@ def test_run_filter_default_scheme_fills_the_step_with_equal_substeps():
     preset = preset_from_config(cfg)
     obs = simulate_reference_observations(preset.observation, 0.05, 0.01, RngStream(4, 0))
     scheme = default_scheme(preset.model, 0.01)
-    assert scheme.substeps == 4
+    assert FullDynamics(preset.model, scheme).substeps == 4
     implicit = run_filter(obs, "full", preset, 16, ["tanh"], RngStream(5, 0))
     explicit = run_filter(obs, "full", preset, 16, ["tanh"], RngStream(5, 0), scheme=scheme)
     np.testing.assert_array_equal(implicit.pi, explicit.pi)
@@ -755,13 +755,13 @@ def test_dynamics_noise_widths():
     scheme = StepScheme(dt_slow=0.05, fast_mode="exact_ou")
     assert FullDynamics(preset.model, scheme).noise_width == preset.model.l1 + 1
     assert FullDynamics(preset.model, scheme).blocks(7) == ((7, preset.model.l1), (7, 1))
-    euler = StepScheme(dt_slow=0.05, fast_mode="euler", dt_fast=0.05 / 10)
+    euler = StepScheme(dt_slow=0.05, fast_mode="euler")     # epsilon 0.1: 5 substeps of 0.01
     assert (
         FullDynamics(preset.model, euler).noise_width
-        == preset.model.l1 + 10 * preset.model.l2
+        == preset.model.l1 + 5 * preset.model.l2
     )
     assert FullDynamics(preset.model, euler).blocks(7) == (
-        (7, preset.model.l1), (10, 7, preset.model.l2))
+        (7, preset.model.l1), (5, 7, preset.model.l2))
     hmodel = _linear_reduced_model(make_linear_gaussian())
     assert HomogDynamics(hmodel).blocks(7) == ((7, 1),)
 
@@ -968,7 +968,7 @@ def test_separate_full_and_reduced_filters_draw_only_their_own_blocks(monkeypatc
     preset = preset_from_config(cfg)
     N, dt, T = 2000, 0.01, 0.02
     scheme = default_scheme(preset.model, dt)
-    assert scheme.substeps == 5
+    assert FullDynamics(preset.model, scheme).substeps == 5
     obs = simulate_reference_observations(preset.observation, T, dt, RngStream(6, 0))
     hmodel = build_homogenized(PRESETS["example6"]())
     draws = _count_particle_draws(monkeypatch)
@@ -1037,7 +1037,7 @@ def test_a_step_evaluates_a_constant_field_once_per_dynamics(route):
     model = _counted(preset.model, ("b1", "sigma1", "b2", "sigma2"), calls)
     run_filter(rec, "full", dataclasses.replace(preset, model=model), 8, ["tanh"], RngStream(4),
                scheme=scheme)
-    K, substeps = rec.steps, scheme.substeps if route == "euler" else 0
+    K, substeps = rec.steps, FullDynamics(preset.model, scheme).substeps if route == "euler" else 0
     assert (calls["b1"], calls["b2"]) == (K, K * substeps)
     assert calls["sigma1"] <= 1 and calls["sigma2"] <= 1
 

@@ -36,6 +36,7 @@ from levyfilter import (
     run_filter,
     simulate_full,
 )
+from levyfilter.sde import FullDynamics
 from test_sde import _STACK_CASES, _STACK_PRESETS
 
 
@@ -88,7 +89,7 @@ def test_euler_lattice_filter_pair_with_logistic_thinning_keeps_its_bits():
     hmodel = build_homogenized(preset, mode="lattice", x_grid=[-2.0, 0.0, 2.0],
                                stream=RngStream(4), burn_in=1.0, n_samples=1000, stride=5)
     scheme = default_scheme(preset.model, 0.02)
-    assert scheme.fast_mode == "euler" and scheme.substeps == 4
+    assert scheme.fast_mode == "euler" and FullDynamics(preset.model, scheme).substeps == 4
     rec = simulate_full(preset.model, preset.observation, 0.2, scheme, RngStream(6)).observations()
     assert len(rec.small_times) > 0
     full, homog = run_filter(rec, "both", preset, 24, ["tanh"], RngStream(7), hmodel=hmodel,
@@ -172,7 +173,7 @@ def test_euler_route_filter_with_a_constant_sigma2_keeps_its_bits():
     preset = preset_from_config(cfg)
     assert not preset.model.sigma2.variables
     scheme = default_scheme(preset.model, 0.02)
-    assert scheme.fast_mode == "euler" and scheme.substeps == 4
+    assert scheme.fast_mode == "euler" and FullDynamics(preset.model, scheme).substeps == 4
     assert _filter_digest(preset, scheme) == "d861268d42d8ec04"
 
 

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from levyfilter.errors import StiffnessError
-from levyfilter.models import build_example6, make_linear_gaussian, preset_from_config, preset_to_config
+from levyfilter import sde
+from levyfilter.models import (build_example6, make_linear_gaussian, preset_from_config,
+                               preset_to_config, with_epsilon)
 from levyfilter.noise import RngStream
 from levyfilter.sde import (
     FullDynamics,
@@ -16,7 +17,6 @@ from levyfilter.sde import (
     _homogenized_law,
     _law_steps,
     default_scheme,
-    euler_scheme,
     make_grid,
     simulate_full,
     simulate_homogenized_ensemble,
@@ -34,23 +34,48 @@ def test_make_grid():
 
 
 def test_step_scheme_validation():
-    s = StepScheme(dt_slow=0.01, fast_mode="exact_ou")
-    assert s.substeps == 1
-    s = StepScheme(dt_slow=0.01, dt_fast=0.002, fast_mode="euler")
-    assert s.substeps == 5
-    # dt_fast unset means one substep of the coarse size
-    assert StepScheme(dt_slow=0.01, fast_mode="euler").substeps == 1
-    with pytest.raises(ValueError):
-        StepScheme(dt_slow=0.01, dt_fast=0.003, fast_mode="euler")  # not a divisor
+    model = build_example6().model
+    dynamics = FullDynamics(model, StepScheme(dt_slow=0.01, fast_mode="exact_ou"))
+    assert (dynamics.substeps, dynamics.dt_fast) == (1, None)
+    # at epsilon 0.1 a step of epsilon/10 is one Euler substep of the coarse size
+    dynamics = FullDynamics(model, StepScheme(dt_slow=0.01, fast_mode="euler"))
+    assert (dynamics.substeps, dynamics.dt_fast) == (1, 0.01)
     with pytest.raises(ValueError):
         StepScheme(dt_slow=0.01, fast_mode="nope")
 
 
-def test_euler_fast_mode_rejects_coarse_substeps():
+def _euler_example6():
+    cfg = preset_to_config(build_example6())
+    del cfg["model"]["ou_fast"]
+    return preset_from_config(cfg)
+
+
+_EULER_EXAMPLE6 = _euler_example6()
+
+
+@settings(max_examples=200, deadline=None)
+@given(eps=st.floats(1e-4, 10.0), dt=st.floats(1e-4, 1.0), count=st.integers(1, 5))
+def test_euler_substeps_are_the_fewest_that_resolve_epsilon(eps, dt, count):
+    preset = with_epsilon(_EULER_EXAMPLE6, eps)
+    dynamics = FullDynamics(preset.model, StepScheme(dt, "euler"))
+    J, dt_fast, rtol = dynamics.substeps, dynamics.dt_fast, 1e-12
+    assert dt_fast <= eps / 10 * (1 + rtol)
+    assert J == 1 or dt / (J - 1) > eps / 10 * (1 - rtol)
+    assert J * dt_fast == pytest.approx(dt, rel=rtol, abs=0)
+    assert dynamics.blocks(count) == ((count, preset.model.l1), (J, count, preset.model.l2))
+
+
+def test_a_coarse_euler_step_takes_the_derived_substeps(monkeypatch):
+    # dt = epsilon = 0.1: ten Euler substeps of 0.01 per step (it was a stiffness error)
     preset = build_example6()
-    scheme = StepScheme(dt_slow=0.1, dt_fast=0.05, fast_mode="euler")
-    with pytest.raises(StiffnessError):
-        simulate_full(preset.model, preset.observation, 0.5, scheme, RngStream(0))
+    scheme = StepScheme(0.1, "euler")
+    dynamics = FullDynamics(preset.model, scheme)
+    assert (dynamics.substeps, dynamics.dt_fast) == (10, 0.1 / 10)
+    calls, substep = [], sde.fast_euler_substep
+    monkeypatch.setattr(sde, "fast_euler_substep", lambda *a: calls.append(a[4]) or substep(*a))
+    path = simulate_full(preset.model, preset.observation, 0.5, scheme, RngStream(0))
+    assert calls == [dynamics.dt_fast / preset.model.epsilon] * 50
+    assert np.all(np.isfinite(path.Z))
 
 
 def test_simulate_full_deterministic():
@@ -269,8 +294,7 @@ def _stack_case(name):
         model["l1"] = 2
         model["sigma1"] = [["1.0", "0.3*cos(x[0])"]]
     preset = preset_from_config(cfg)
-    scheme = euler_scheme(preset.model, 0.02) if euler else default_scheme(preset.model, 0.02)
-    return preset, scheme
+    return preset, default_scheme(preset.model, 0.02)
 
 
 _STACK_CASES = ["exact_ou", "euler", "logistic_thinning", "slow_jumps", "fast_jumps", "all_jumps",
@@ -315,7 +339,7 @@ def test_paths_step_through_the_full_dynamics_with_their_kicks(monkeypatch):
     paths = simulate_full(preset.model, preset.observation, 0.6, scheme,
                           [RngStream(9, r) for r in range(3)])
     assert len(kicks) == len(paths[0].times) - 1
-    assert all(len(fast) == scheme.substeps for _, fast in kicks)
+    assert all(len(fast) == FullDynamics(preset.model, scheme).substeps for _, fast in kicks)
     slow = [s for s, _ in kicks if s is not None]
     fast = [f for _, stacks in kicks for f in stacks if f is not None]
     assert slow and fast
@@ -333,7 +357,7 @@ def test_every_fast_jump_is_applied_once(eps, dt):
     model.update(epsilon=eps, z0=[0.0], b2=["0.0"], sigma2=[["0.0"]], f2=["1.0"],
                  nu2={"intensity": 3.0, "marks": "uniform(0,1)"})
     preset = preset_from_config(cfg)
-    scheme = euler_scheme(preset.model, dt)
+    scheme = default_scheme(preset.model, dt)
     paths = simulate_full(preset.model, preset.observation, 1.0, scheme,
                           [RngStream(seed) for seed in range(4)])
     for path in paths:

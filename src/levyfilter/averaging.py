@@ -4,12 +4,13 @@ The reduced slow model replaces (b1, sigma1 sigma1^T, h) by their averages
 against the invariant law of the frozen-x fast component.  There are two
 routes to those averages: the preset's closed-form values, or Monte Carlo on
 a lattice of frozen slow states whose chains advance together as one
-ensemble.  On the exact-OU route each frozen state has one chain; on the
-Euler route it has ``FROZEN_REPLICAS`` independent replica chains, each with
-its own burn-in, whose recorded states are concatenated replica by replica
-(the micro-solver ensemble of the heterogeneous multiscale method).
-Standard errors come from the spread of the independent replica means on the
-Euler route and from batch means of the one chain on the exact-OU route.
+ensemble.  Each frozen state has ``FROZEN_REPLICAS`` independent replica
+chains (``sde.simulate_frozen_fast``), each with its own burn-in, whose
+recorded states are concatenated replica by replica (the micro-solver
+ensemble of the heterogeneous multiscale method).  The chains step by the
+model's one fast transition: exact OU when the model declares ``ou_fast``,
+else Euler.  Standard errors come from the spread of the independent replica
+means on both routes.
 """
 
 from __future__ import annotations
@@ -46,17 +47,13 @@ class EmpiricalMeasure:
     dt: float
     mode: str                  # "exact_ou" | "euler"
     warnings: list = field(default_factory=list)
+    replicas = FROZEN_REPLICAS   # independent chains behind each state's samples; not a field
 
     def __post_init__(self):
         if self.samples.shape[-2] < MIN_SAMPLES:
             raise ValueError(
                 f"need at least {MIN_SAMPLES} samples, got {self.samples.shape[-2]}"
             )
-
-    @property
-    def replicas(self) -> int:
-        """Independent chains behind each state's samples (1 on the exact-OU route)."""
-        return 1 if self.mode == "exact_ou" else FROZEN_REPLICAS
 
     def node(self, g: int) -> "EmpiricalMeasure":
         """Node g of a stack: the measure of that frozen state alone."""
@@ -100,17 +97,17 @@ def estimate_invariant_measure(
 ) -> EmpiricalMeasure:
     """Sample the invariant law of the fast component with the slow state frozen at x.
 
-    The route follows the model: one that declares an OU fast part
-    (``model.ou_fast``) runs one chain by its exact Gaussian transition at the
-    recording spacing, with no discretization bias (``mode='exact_ou'``).
-    Any other runs ``FROZEN_REPLICAS`` = C independent replicas by Euler steps
-    at the fast timescale (``mode='euler'``, ``sde.simulate_frozen_fast``):
-    each replica burns in for ``burn_in``, then records every ``stride``-th
-    state, ceil(n_samples / C) of them, and the samples are the replicas'
-    records concatenated replica by replica, cut to exactly ``n_samples``.
-    Ergodicity of the frozen chain is an assumption; a stationarity
-    diagnostic on the recorded samples appends a warning when the chains look
-    like they are still drifting.
+    ``FROZEN_REPLICAS`` = C independent replicas run by the model's fast
+    transition (``sde.simulate_frozen_fast``): a model that declares an OU fast
+    part (``model.ou_fast``) steps by its exact Gaussian transition at the
+    recording spacing stride dt, with no discretization bias
+    (``mode='exact_ou'``); any other steps by Euler at dt, ``stride`` steps per
+    record (``mode='euler'``).  Each replica burns in for round(burn_in / span)
+    steps of its span, then records ceil(n_samples / C) states, and the
+    samples are the replicas' records concatenated replica by replica, cut to
+    exactly ``n_samples``.  Ergodicity of the frozen chain is an assumption; a
+    stationarity diagnostic on the recorded samples appends a warning when the
+    chains look like they are still drifting.
 
     ``x`` is one state (n,) or a stack (G, n) whose chains run together; node
     g of a stack uses ``stream.child(g)`` and is bitwise the single-state
@@ -123,38 +120,17 @@ def estimate_invariant_measure(
     if stride < 1 or not burn_in >= 0 or not dt > 0:
         raise ValueError("need stride >= 1, burn_in >= 0, dt > 0")
     x = np.asarray(x, dtype=float)
-    stack = x.ndim == 2
-    x = x.reshape((len(x), model.n) if stack else model.n)
+    x = x.reshape((len(x), model.n) if x.ndim == 2 else model.n)
     if stream is None:
         stream = RngStream(0, int(NoiseSource.AVERAGING))
     mode = "euler" if model.ou_fast is None else "exact_ou"
-
-    if mode == "exact_ou":
-        ou = model.ou_fast
-        a, b = ou.decay(stride * dt), ou.step_std(stride * dt)
-        chains = []
-        for node_stream in [stream.child(g) for g in range(len(x))] if stack else [stream]:
-            gen = node_stream.generator()
-            z = float(model.z0[0])
-            if burn_in > 0:
-                z = ou.decay(burn_in) * z + ou.step_std(burn_in) * gen.standard_normal()
-            # exact transitions at the recording spacing: the recursion started at
-            # zero plus the decayed start value z a^k
-            chain = []
-            acc = 0.0
-            for v in (b * gen.standard_normal(n_samples)).tolist():
-                acc = a * acc + v
-                chain.append(acc)
-            chains.append((np.asarray(chain) + z * a ** np.arange(1, n_samples + 1)).reshape(-1, 1))
-        samples = np.stack(chains) if stack else chains[0]
-    else:
-        burn_steps = int(round(burn_in / dt))
-        per_replica = -(-n_samples // FROZEN_REPLICAS)
-        record = range(burn_steps + stride, burn_steps + per_replica * stride + 1, stride)
-        _, Z = simulate_frozen_fast(model, x, model.z0, record, dt, stream)
-        # (..., C, S/C, m) -> (..., C S/C, m), replica by replica
-        samples = Z.reshape(Z.shape[:-3] + (-1, model.m))[..., :n_samples, :]
-
+    span, every = (dt, stride) if mode == "euler" else (stride * dt, 1)
+    burn_steps = int(round(burn_in / span))
+    per_replica = -(-n_samples // FROZEN_REPLICAS)
+    record = range(burn_steps + every, burn_steps + per_replica * every + 1, every)
+    _, Z = simulate_frozen_fast(model, x, model.z0, record, span, stream)
+    # (..., C, S/C, m) -> (..., C S/C, m), replica by replica
+    samples = Z.reshape(Z.shape[:-3] + (-1, model.m))[..., :n_samples, :]
     measure = EmpiricalMeasure(
         samples=samples, frozen_x=x, burn_in=burn_in, stride=stride, dt=dt, mode=mode,
     )
@@ -191,8 +167,6 @@ def _mean_se(values: np.ndarray, replicas: int) -> np.ndarray:
     """SE of the mean of C = ``replicas`` independent chains concatenated (the
     last one cut): the count-weighted spread of the replica means over C - 1,
     taken about the first sample so a constant sequence reports exactly zero."""
-    if replicas == 1:
-        return _batch_means_se(values)
     starts = np.arange(0, len(values), -(-len(values) // replicas))
     weights = np.diff(np.append(starts, len(values)))[:, None] / len(values)
     means = np.add.reduceat(values - values[0], starts, axis=0) / (weights * len(values))
@@ -360,10 +334,10 @@ def build_homogenized(
             f"lattice mode supports scalar slow components only; preset {preset.name!r} "
             f"has n={model.n} and needs closed-form averages"
         )
-    if x_grid is None or len(np.atleast_1d(x_grid)) < 2:
-        raise ValueError("lattice mode needs an x_grid with at least two points")
-    grid = np.sort(np.asarray(x_grid, dtype=float).reshape(-1))
-    span = grid[-1] - grid[0]
+    grid = np.sort(np.asarray([] if x_grid is None else x_grid, dtype=float).reshape(-1))
+    span = grid[-1] - grid[0] if len(grid) else 0.0
+    if not span > 0:
+        raise ValueError("lattice mode needs an x_grid with at least two distinct points")
     guard = 0.1 * span
     grid = np.concatenate([[grid[0] - guard], grid, [grid[-1] + guard]])
     meas = estimate_invariant_measure(

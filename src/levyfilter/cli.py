@@ -44,8 +44,7 @@ from .models import (
     with_epsilon,
 )
 from .noise import RngStream
-from .sde import (FullDynamics, StepScheme, default_scheme, make_grid, require_jump_free,
-                  simulate_full)
+from .sde import FullDynamics, default_scheme, make_grid, require_jump_free, simulate_full
 
 
 class UsageError(Exception):
@@ -240,12 +239,21 @@ def _threads(args) -> int:
 
 
 def _dynamics(args, model) -> FullDynamics:
-    """The flags' signal dynamics on the grid of ``--T`` and ``--dt``, both built
-    here so that a grid or a scheme they reject fails before anything is written."""
+    """The signal dynamics on the grid of ``--T`` and ``--dt``, built here so that
+    a grid they reject fails before anything is written."""
     make_grid(args.T, args.dt)
-    scheme = (default_scheme(model, args.dt) if args.fast_mode == "auto"
-              else StepScheme(args.dt, args.fast_mode))
-    return FullDynamics(model, scheme)
+    return FullDynamics(model, default_scheme(model, args.dt))
+
+
+def _check_seed(args) -> None:
+    """The seed rule of ``RngStream`` for every root stream the command builds
+    (``converge``'s law pass reads seed + 2), checked before anything is written."""
+    top = 2 if args.command == "converge" else 0
+    try:
+        RngStream(args.seed), RngStream(args.seed + top)
+    except ValueError as exc:
+        raise ConfigError(f"--seed must lie in [0, 2**64 - {1 + top}], got {args.seed}",
+                          key="seed") from exc
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -274,7 +282,7 @@ def _cmd_simulate(args) -> int:
     dynamics = _dynamics(args, preset.model)
     _run_config(
         args, "simulate", preset,
-        T=args.T, dt=args.dt, fast_mode=dynamics.scheme.fast_mode, dt_fast=dynamics.dt_fast,
+        T=args.T, dt=args.dt, dt_fast=dynamics.dt_fast,
     ).write(out_dir)
     path = simulate_full(preset.model, preset.observation, args.T, dynamics.scheme,
                          RngStream(args.seed))
@@ -300,6 +308,8 @@ def _cmd_average(args) -> int:
     preset = _load_preset(args)
     out_dir = Path(args.out)
     xs = [float(v) for v in _split_top_level(args.x)]
+    if not xs:
+        raise ConfigError("--x needs at least one slow state", key="x")
     model, obs = preset.model, preset.observation
     if model.n != 1:
         raise ConfigError("--x grids are one-dimensional; use a config preset with n=1", key="x")
@@ -456,8 +466,9 @@ def _cmd_converge(args) -> int:
 def _cmd_validate(args) -> int:
     preset = _load_preset(args)
     out_dir = Path(args.out)
-    _run_config(args, "validate", preset, samples=args.samples).write(out_dir)
+    # the checks run before the config is written, so a sample count they reject writes nothing
     report = validate_assumptions(preset, sample_count=args.samples, stream=RngStream(args.seed))
+    _run_config(args, "validate", preset, samples=args.samples).write(out_dir)
     payload = {
         "passed": report.passed,
         "checks": [
@@ -499,7 +510,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("simulate", help="simulate one joint signal/observation path")
     common(p)
     p.add_argument("--T", type=float, default=1.0)
-    p.add_argument("--fast-mode", choices=["auto", "exact_ou", "euler"], default="auto")
     p.set_defaults(fn=_cmd_simulate)
 
     p = sub.add_parser("average", help="estimate invariant measure and averaged coefficients")
@@ -518,7 +528,6 @@ def build_parser() -> _Parser:
     p.add_argument("--psi", action="append", default=None,
                    help="functional(s): tanh, arctan, indicator(a,b), poly(c0,c1,c2)")
     p.add_argument("--ess-frac", type=float, default=0.5)
-    p.add_argument("--fast-mode", choices=["auto", "exact_ou", "euler"], default="auto")
     p.set_defaults(fn=_cmd_filter)
 
     p = sub.add_parser("converge", help="filter-convergence study over a list of eps")
@@ -556,6 +565,7 @@ def main(argv=None) -> int:
     if args.out is None:
         args.out = f"levyfilter_{args.command}"
     try:
+        _check_seed(args)
         return args.fn(args)
     except ConfigError as exc:
         key = f" (key: {exc.key})" if exc.key else ""

@@ -31,7 +31,6 @@ from .filtering import (
 from .models import ModelPreset, make_linear_gaussian, with_epsilon
 from .noise import RngStream
 from .sde import (
-    StepScheme,
     _events_by_step,
     _homogenized_law,
     _law_steps,
@@ -254,7 +253,7 @@ def kalman_oracle(
     """
     preset = make_linear_gaussian(a=a, c=c, sigma=sigma, x0=x0)
     root = RngStream(int(seed))
-    scheme = StepScheme(dt_slow=dt, fast_mode="exact_ou")
+    scheme = default_scheme(preset.model, dt)
     path = simulate_full(preset.model, preset.observation, T, scheme, root.child(0))
     rec = path.observations()
     psis = [psi_from_string("poly(0,1,0)"), psi_from_string("poly(0,0,1)")]
@@ -408,6 +407,7 @@ def convergence_study(
     signal_paths = _at_least_two("signal_paths", signal_paths)
     martingale_runs = _at_least_two("martingale_runs", martingale_runs)
     _check_epsilons(epsilons)
+    law_stream = RngStream(int(seed) + 2)     # a seed it rejects fails before the filter study
     if hmodel is None:
         hmodel = build_homogenized(preset)
     report = filter_convergence_study(
@@ -415,7 +415,7 @@ def convergence_study(
         ess_frac=ess_frac, seed=seed, threads=threads, hmodel=hmodel,
     )
     presets = [with_epsilon(preset, eps) for eps in report.epsilons]
-    ks, logl = _law_pass(preset, hmodel, presets, T, dt, RngStream(int(seed) + 2),
+    ks, logl = _law_pass(preset, hmodel, presets, T, dt, law_stream,
                          ks_paths=signal_paths, runs=martingale_runs)
     for row, ks_signal, lik_full in zip(report.rows, ks, np.exp(logl[1:])):
         row["ks_signal"] = ks_signal

@@ -143,8 +143,9 @@ class SlowFastModel:
             raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
         self.x0 = np.asarray(self.x0, dtype=float).reshape(self.n)
         self.z0 = np.asarray(self.z0, dtype=float).reshape(self.m)
-        if self.ou_fast is not None and (self.m != 1 or self.f2 is not None):
-            raise ValueError("exact OU fast data requires a scalar jump-free fast component")
+        if self.ou_fast is not None and (self.m != 1 or self.l2 != 1 or self.f2 is not None):
+            raise ValueError("exact OU fast data requires a scalar jump-free fast component "
+                             "of one noise column")
         if self.nu1.total_intensity > 0 and self.f1 is None:
             raise ValueError("nu1 carries mass but no jump coefficient f1 was given")
         if self.nu2.total_intensity > 0 and self.f2 is None:
@@ -554,6 +555,8 @@ def validate_assumptions(
     constant is not declared is skipped with a warning.
     Nothing is ever altered: the report only describes what was found.
     """
+    if sample_count < 1:
+        raise ConfigError(f"samples must be at least 1, got {sample_count}", key="samples")
     model, obs = preset.model, preset.observation
     if stream is None:
         stream = RngStream(20260819, int(NoiseSource.VALIDATION))

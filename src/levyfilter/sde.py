@@ -2,9 +2,9 @@
 one step (``FullDynamics``, ``HomogDynamics``) of paths, filter particles and law ensembles.
 
 The slow component is advanced by an Euler step on the coarse grid; the fast
-component is advanced inside each coarse step either by Euler substeps no
-longer than epsilon/10, which resolve its own timescale, or, for models that
-declare an OU fast part, by exact Gaussian transitions.  Observation jumps
+one by ``fast_step`` on the route the model fixes: one exact Gaussian
+transition per coarse step if it declares an OU fast part, else Euler substeps
+no longer than epsilon/10, which resolve its own timescale.  Observation jumps
 are thinned against the state-dependent acceptance law using the left-limit
 state, and every compensated jump term subtracts its quadrature compensator
 so that simulated martingale parts stay centered.
@@ -35,22 +35,19 @@ _SIGNAL_SOURCES = (NoiseSource.SLOW_BROWNIAN, NoiseSource.FAST_BROWNIAN)
 
 @dataclass(frozen=True)
 class StepScheme:
-    """Coarse step of the slow component and the route of the fast one; the
-    Euler substeps follow from the model (``FullDynamics``)."""
+    """Coarse step of the slow component.  The fast route and its Euler
+    substeps follow from the model (``FullDynamics``)."""
 
     dt_slow: float
-    fast_mode: str = "euler"         # "euler" | "exact_ou"
 
     def __post_init__(self):
         if not self.dt_slow > 0:
             raise ValueError(f"dt_slow must be > 0, got {self.dt_slow}")
-        if self.fast_mode not in ("euler", "exact_ou"):
-            raise ValueError(f"fast_mode must be 'euler' or 'exact_ou', got {self.fast_mode!r}")
 
 
 def default_scheme(model: SlowFastModel, dt_slow: float) -> StepScheme:
-    """Exact OU transitions when the model declares them, else Euler substeps."""
-    return StepScheme(dt_slow, "exact_ou" if model.ou_fast is not None else "euler")
+    """The scheme of coarse step ``dt_slow``; ``model.ou_fast`` fixes the fast route."""
+    return StepScheme(dt_slow)
 
 
 def make_grid(T: float, dt: float) -> np.ndarray:
@@ -167,13 +164,11 @@ def _kicks_by_step(records, T: float, dt: float) -> dict:
 
 
 def _check_finite(arrays, t: float):
-    """A finite sum proves every entry finite; else (an entry or an overflow) the exact check."""
-    total = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for arr in arrays:
-            total += np.add.reduce(arr, None)
-    for arr in () if math.isfinite(total) else arrays:
-        if not np.all(np.isfinite(arr)):
+    """Raise unless every entry is finite: min and max do no arithmetic and keep
+    a NaN, so both finite prove it (``filtering.estimate``'s rule)."""
+    for arr in arrays:
+        if not (math.isfinite(np.minimum.reduce(arr, None))
+                and math.isfinite(np.maximum.reduce(arr, None))):
             raise IntegrationFailureError(f"state became non-finite at t={t:.6g}", time=t)
 
 
@@ -182,8 +177,8 @@ class Arena:
     as ``shape``; a fresh arena allocates, as a ufunc without ``out`` does.  A slot
     holds one thing at a time: 0 a step's slow noise, then a filter's sensor
     values; 1 and 2 the slow or reduced coefficients, then the weight kernel's
-    products and ``estimate``'s (1); 3 the Euler fast noise; 4 and 5 the
-    coefficients of a fast substep."""
+    products and ``estimate``'s (1); 3 the route-scaled fast noise; 4 and 5 the
+    coefficients of an Euler substep."""
 
     def __init__(self):
         self.slots, self.views = {}, {}
@@ -229,27 +224,39 @@ def _constant(fn, *args):
     return fn(*args) if getattr(fn, "variables", None) == frozenset() else None
 
 
-def fast_euler_substep(model: SlowFastModel, x, z, dW, ds, kicks=None, out=None, scratch=None,
-                       sigma2=None):
-    """One Euler substep of the fast component with compensated jumps, slow
-    state frozen at x, batched over leading axes.
+def fast_scalars(model: SlowFastModel, s: float) -> tuple:
+    """(scale, decay) of a fast step over fast-time span s: its increment is a
+    standard normal times ``scale``, step_std(s) on exact OU and sqrt(s) on
+    Euler; ``decay`` is exact OU's decay(s), None on Euler."""
+    ou = model.ou_fast
+    return (math.sqrt(s), None) if ou is None else (ou.step_std(s), ou.decay(s))
 
-    ``ds`` is the substep in fast time (dt/epsilon on the slow clock) and
-    ``dW`` the fast-time Brownian increment, of variance ds.  The nu2
-    compensator is one quadrature over the whole stack.  ``kicks`` is None or
-    a stack (rows, times, marks): row ``rows[i]`` jumps by f2 at mark
-    ``marks[i]``, rows indexing the leading axis, added in event order; every
-    term reads the substep's left state, so ``out`` may be z (None allocates);
-    coefficients go to slots of the ``Arena`` ``scratch``; ``sigma2`` is a ``_constant`` diffusion.
-    """
+
+def fast_step(model: SlowFastModel, x, z, dW, s, decay=None, kicks=None, out=None, scratch=None,
+              sigma2=None):
+    """The one fast transition: z over fast-time span ``s`` (dt/epsilon on the
+    slow clock), slow state frozen at x, batched over leading axes, given the
+    route-scaled increment ``dW`` and ``decay`` of ``fast_scalars``.
+
+    A model with ``ou_fast`` takes the exact transition decay z + dW; any other
+    one Euler substep with compensated jumps: the nu2 compensator is one
+    quadrature over the whole stack, and ``kicks`` is None or a stack (rows,
+    times, marks): row ``rows[i]`` jumps by f2 at mark ``marks[i]``, added in
+    event order.  Every term reads the left state, so ``out`` may be z (None
+    allocates); Euler coefficients go to ``scratch`` slots; ``sigma2`` is a
+    ``_constant`` diffusion."""
+    if model.ou_fast is not None:
+        z_new = np.multiply(z, decay, out=out)
+        z_new += dW
+        return z_new
     scratch = scratch or Arena()
     drift = model.b2(x, z, out=scratch.take(4, z.shape))
     diffusion = sigma2 if sigma2 is not None else model.sigma2(
         x, z, out=scratch.take(5, z.shape + (model.l2,)))
-    comp = (ds * model.nu2.integrate(lambda u: model.f2(x[..., None, :], z[..., None, :], u))
+    comp = (s * model.nu2.integrate(lambda u: model.f2(x[..., None, :], z[..., None, :], u))
             if model.nu2.total_intensity > 0 else None)
     jumps = None if kicks is None else model.f2(x[kicks[0]], z[kicks[0]], kicks[2])
-    z_new = euler_step(z, drift, diffusion, dW, ds, out=out, work=drift)
+    z_new = euler_step(z, drift, diffusion, dW, s, out=out, work=drift)
     if comp is not None:
         z_new -= comp
     if jumps is not None:
@@ -377,25 +384,25 @@ def simulate_frozen_fast(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Replica chains of the fast component at its own timescale, slow state frozen at x.
 
-    Plain Euler with compensated jumps.  Every frozen state runs as
+    Each step is one ``fast_step`` of span dt.  Every frozen state runs as
     ``FROZEN_REPLICAS`` independent chains from ``z_init``, stacked as extra
     rows of one ensemble; replica c draws from ``stream.child(c)``.  ``steps``
-    lists the fine-step indices (strictly increasing, from 1) whose states are
+    lists the step indices (strictly increasing, from 1) whose states are
     kept, and every chain runs to the last of them.  Returns (times, Z): the
     kept times ``dt * steps`` and the kept states, Z of shape (C, S, m) for
     one state x (n,), or (G, C, S, m) for a stack (G, n) of states.  Node g of
     a stack draws from ``stream.child(g)`` and Z[g] is what a single-state
     call on that stream returns: every operation acts on each row alone.
 
-    The chains are streamed: each row draws its Brownian increments from its
-    own generator in chunks of at most ``_FROZEN_CHUNK_BYTES`` for all rows
+    The chains are streamed: each row draws its standard normals from its own
+    generator in chunks of at most ``_FROZEN_CHUNK_BYTES`` for all rows
     together (successive draws equal one large draw, so the chunk size never
-    changes a bit), and only the kept states are stored.  Memory is
-    O(rows x S x m) plus the chunk, whatever the chain length.
+    changes a bit), scaled in one pass, and only the kept states are stored.
+    Memory is O(rows x S x m) plus the chunk, whatever the chain length.
     """
     keep = [int(k) for k in np.asarray(steps).reshape(-1)]
     if not keep or keep[0] < 1 or any(b <= a for a, b in zip(keep, keep[1:])):
-        raise ValueError("steps must be strictly increasing fine-step indices >= 1")
+        raise ValueError("steps must be strictly increasing step indices >= 1")
     if not dt > 0:
         raise ValueError(f"dt must be > 0, got {dt}")
     K = keep[-1]
@@ -416,16 +423,17 @@ def simulate_frozen_fast(
     z = np.empty((R, m))
     z[:] = np.asarray(z_init, dtype=float).reshape(m)
     chunk = max(1, _FROZEN_CHUNK_BYTES // (8 * R * l2))
-    sqdt, sigma2 = math.sqrt(dt), _constant(model.sigma2, model.x0, model.z0)
+    (scale, decay), sigma2 = fast_scalars(model, dt), _constant(model.sigma2, model.x0, model.z0)
     scratch = Arena()
     i = 0
     for k0 in range(0, K, chunk):
         width = min(chunk, K - k0)
         dW = np.empty((width, R, l2))
         for r, gen in enumerate(gens):
-            dW[:, r] = gen.normal(0.0, sqdt, size=(width, l2))
+            dW[:, r] = gen.standard_normal(size=(width, l2))
+        dW *= scale
         for k in range(k0, k0 + width):
-            fast_euler_substep(model, rows, z, dW[k - k0], dt, kicks.get(k), z, scratch, sigma2)
+            fast_step(model, rows, z, dW[k - k0], dt, decay, kicks.get(k), z, scratch, sigma2)
             _check_finite((z,), dt * (k + 1))
             if k + 1 == keep[i]:
                 Z[:, i] = z
@@ -461,34 +469,32 @@ def simulate_reference_observations(
 @dataclass
 class FullDynamics:
     """The one coarse step of the slow/fast signal for paths, filter particles and
-    law ensembles, in ``scratch``.  It alone splits the step: ``substeps`` Euler
-    substeps of length ``dt_fast``, the fewest no longer than epsilon/10 (the
-    fast timescale), or on exact OU one transition (``dt_fast`` None).  The
-    fields that read no variable (``_constant``) and the step's scalars are resolved once."""
+    law ensembles, in ``scratch``.  It alone splits the step into ``substeps``
+    ``fast_step``s: on exact OU one over the whole step (``dt_fast`` None), on
+    Euler the fewest of length ``dt_fast`` no longer than epsilon/10 (the fast
+    timescale).  The fields that read no variable (``_constant``) and the step's
+    scalars are resolved once."""
 
     model: SlowFastModel
     scheme: StepScheme
     scratch: Arena = field(default_factory=Arena, repr=False, compare=False)
 
     def __post_init__(self):
-        model, scheme = self.model, self.scheme
-        if scheme.fast_mode == "exact_ou":
-            if model.ou_fast is None:
-                raise ValueError("scheme requests exact OU transitions but the model declares none")
+        model, dt = self.model, self.scheme.dt_slow
+        if model.ou_fast is not None:
             self.substeps, self.dt_fast = 1, None
         else:
-            self.substeps = max(1, math.ceil(scheme.dt_slow / (model.epsilon / 10.0)))
-            self.dt_fast = scheme.dt_slow / self.substeps
+            self.substeps = max(1, math.ceil(dt / (model.epsilon / 10.0)))
+            self.dt_fast = dt / self.substeps
         self._sigma1 = _constant(model.sigma1, model.x0, model.z0)
         self._sigma2 = _constant(model.sigma2, model.x0, model.z0)
         self._nu1, self._dt = model.nu1.total_intensity > 0, None     # _dt: _scalars' step size
 
     def blocks(self, count: int) -> tuple:
         """Standard normal blocks a step of ``count`` states reads: slow (count,
-        l1), then fast (count, 1) on exact OU or (substeps, count, l2) on Euler."""
+        l1), then fast (substeps, count, l2)."""
         m = self.model
-        fast = (count, 1) if self.dt_fast is None else (self.substeps, count, m.l2)
-        return (count, m.l1), fast
+        return (count, m.l1), (self.substeps, count, m.l2)
 
     @property
     def noise_width(self) -> int:
@@ -503,20 +509,18 @@ class FullDynamics:
         substep read the slow state at the start of the step.  ``kicks`` is
         (slow, fast): slow None or the stack (rows, times, marks) of the step's
         slow jumps, fast None or one such stack per substep (see
-        ``fast_euler_substep``).  A term (coefficients into ``scratch``) is
-        evaluated before the state it reads is written, so Euler substeps go
-        before the slow update and the exact OU transition after it.
+        ``fast_step``).  A term (coefficients into ``scratch``) is evaluated
+        before the state it reads is written, so the fast substeps go after the
+        slow coefficients and before the slow update.
         """
-        model, dt_fast, scratch = self.model, self.dt_fast, self.scratch
+        model, scratch = self.model, self.scratch
         (slow, fast), (slow_kicks, fast_kicks) = noise, kicks
         x_new, z_new = (x, z) if out is None else out
-        if dt != self._dt:      # sqrt(dt) and the exact OU transition's factors
-            s, ou = dt / model.epsilon, model.ou_fast
-            self._dt, self._scalars = dt, (math.sqrt(dt), ou and ou.decay(s), ou and ou.step_std(s))
-        sqdt, decay, std = self._scalars
-        if dt_fast is not None:     # fast-time Brownian increments (..., substeps, count, l2)
-            scale = math.sqrt(dt_fast / model.epsilon)
-            fast = np.multiply(fast, scale, out=scratch.take(3, fast.shape))
+        if dt != self._dt:      # sqrt(dt), the fast span and its scalars
+            s = (self.dt_fast or dt) / model.epsilon
+            self._dt, self._scalars = dt, (math.sqrt(dt), s, *fast_scalars(model, s))
+        sqdt, s, scale, decay = self._scalars
+        fast = np.multiply(fast, scale, out=scratch.take(3, fast.shape))   # route-scaled
         dV = np.multiply(slow, sqdt, out=scratch.take(0, slow.shape))
         drift = model.b1(x, z, out=scratch.take(1, x.shape))
         diffusion = self._sigma1 if self._sigma1 is not None else model.sigma1(
@@ -524,18 +528,15 @@ class FullDynamics:
         jumps = None if slow_kicks is None else model.f1(x[slow_kicks[0]], slow_kicks[2])
         comp = (dt * model.nu1.integrate(lambda u: model.f1(x[..., None, :], u))
                 if self._nu1 else None)
-        for j in range(0 if dt_fast is None else self.substeps):
-            z = z_new = fast_euler_substep(
-                model, x, z, fast[..., j, :, :], dt_fast / model.epsilon,
-                None if fast_kicks is None else fast_kicks[j], z_new, scratch, self._sigma2)
+        for j in range(self.substeps):
+            kick = None if fast_kicks is None else fast_kicks[j]
+            z = z_new = fast_step(model, x, z, fast[..., j, :, :], s, decay, kick, z_new, scratch,
+                                  self._sigma2)
         x_new = euler_step(x, drift, diffusion, dV, dt, out=x_new, work=drift)
         if jumps is not None:
             np.add.at(x_new, slow_kicks[0], jumps)
         if comp is not None:
             x_new -= comp
-        if dt_fast is None:       # the diffusion's slot is free again
-            z_new = np.multiply(z, decay, out=z_new)
-            z_new += np.multiply(fast, std, out=scratch.take(2, z.shape))
         return x_new, z_new
 
 

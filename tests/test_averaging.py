@@ -1,4 +1,3 @@
-import copy
 import math
 import tracemalloc
 
@@ -20,6 +19,7 @@ from levyfilter.errors import ExtrapolationError
 from levyfilter.models import build_example6, preset_from_config, preset_to_config
 from levyfilter.noise import NoiseSource, RngStream, sample_poisson_jumps
 from levyfilter.sde import FROZEN_REPLICAS, _bin_events, euler_step, make_grid
+from test_sde import without_ou
 
 
 @pytest.fixture(scope="module")
@@ -39,10 +39,7 @@ def test_invariant_measure_exact_ou_moments(example6):
 
 
 def test_invariant_measure_euler_route_agrees(example6):
-    cfg = preset_to_config(example6)
-    cfg = copy.deepcopy(cfg)
-    cfg["model"].pop("ou_fast")
-    preset = preset_from_config(cfg)
+    preset = without_ou(example6)
     meas = estimate_invariant_measure(
         preset.model, np.array([0.0]), burn_in=5.0, n_samples=20_000,
         stride=20, dt=0.005, stream=RngStream(1),
@@ -87,23 +84,28 @@ def test_averaged_coefficients_match_closed_forms(example6):
 
 
 def test_averaged_se_shrinks_with_samples(example6):
+    # each SE is the spread of FROZEN_REPLICAS replica means, an estimate with
+    # 15 degrees of freedom: the ratio of two of them strays outside the bounds
+    # in about one stream in six, so the SEs are pooled over eight streams
     x = np.array([0.0])
     ses = []
     for n in (2**14, 2**16):
-        meas = estimate_invariant_measure(
-            example6.model, x, burn_in=10.0, n_samples=n, stream=RngStream(5)
-        )
-        pt = average_coefficients(example6.model, example6.observation, x, meas)
-        ses.append(pt.se_bbar1[0])
+        se2 = []
+        for i in range(8):
+            meas = estimate_invariant_measure(
+                example6.model, x, burn_in=10.0, n_samples=n, stream=RngStream(5, i)
+            )
+            pt = average_coefficients(example6.model, example6.observation, x, meas)
+            se2.append(pt.se_bbar1[0] ** 2)
+        ses.append(math.sqrt(np.mean(se2)))
     # quadrupling the samples should halve the SE, give or take noise
     ratio = ses[0] / ses[1]
     assert 1.4 < ratio < 2.9
 
 
-def test_euler_route_se_is_the_spread_of_the_replica_means(example6):
-    cfg = copy.deepcopy(preset_to_config(example6))
-    cfg["model"].pop("ou_fast")
-    preset = preset_from_config(cfg)
+@pytest.mark.parametrize("route", ["exact_ou", "euler"])
+def test_replica_se_is_the_spread_of_the_replica_means(example6, route):
+    preset = example6 if route == "exact_ou" else without_ou(example6)
     x = np.array([0.7])
     meas = estimate_invariant_measure(
         preset.model, x, burn_in=5.0, n_samples=1000, stride=10, dt=0.01, stream=RngStream(4),
@@ -118,6 +120,7 @@ def test_euler_route_se_is_the_spread_of_the_replica_means(example6):
     grand = np.average(means, weights=counts)
     expected = math.sqrt(np.sum(counts * (means - grand) ** 2) / (15 * 1000))
     assert pt.se_bbar1[0] == pytest.approx(expected, rel=1e-10)
+    assert meas.mode == route
     # a sensor that ignores the fast variable has exactly zero error, cut replica included
     assert pt.se_hbar[0] == 0.0
 
@@ -188,6 +191,13 @@ def test_build_homogenized_lattice_interpolates(example6):
         hm.bbar1(np.array([[5.0]]))
 
 
+@pytest.mark.parametrize("grid", [None, [0.0], [0.0, 0.0], [1.5, 1.5, 1.5]])
+def test_lattice_needs_two_distinct_points(example6, grid):
+    # one distinct point spans no lattice: every query off it would extrapolate
+    with pytest.raises(ValueError, match="at least two distinct points"):
+        build_homogenized(example6, mode="lattice", x_grid=grid)
+
+
 def test_build_homogenized_has_two_routes(example6):
     with pytest.raises(ValueError, match="unknown homogenization mode"):
         build_homogenized(example6, mode="on_demand")
@@ -197,35 +207,34 @@ def test_build_homogenized_has_two_routes(example6):
         build_homogenized(preset_from_config(cfg))
 
 
-def _without_ou(preset, **model_fields):
-    cfg = copy.deepcopy(preset_to_config(preset))
-    cfg["model"].pop("ou_fast")
-    cfg["model"].update(model_fields)
-    return preset_from_config(cfg)
-
-
 @pytest.fixture(scope="module")
 def route_presets(example6):
     return {
         "exact_ou": example6,
-        "euler": _without_ou(example6),
+        "euler": without_ou(example6),
         # two fast noise columns: the diffusion product sums over them
-        "euler_2d_noise": _without_ou(example6, l2=2, sigma2=[["1.2", "0.4*cos(z[0])"]]),
+        "euler_2d_noise": without_ou(example6, l2=2, sigma2=[["1.2", "0.4*cos(z[0])"]]),
         # fast jumps: the frozen chain's compensator and event branch
-        "euler_jumps": _without_ou(
+        "euler_jumps": without_ou(
             example6, f2=["0.5*u[0] - 0.1*z[0]"], nu2={"intensity": 2.0, "marks": "gauss(0,1)"},
         ),
     }
 
 
 def _replica_chain(model, x, stream, burn_in, n_samples, stride, dt):
-    """The states one Euler replica records, from a standalone one-row chain on
-    ``stream``: its own increments drawn at once, its own jump events binned
-    on the full fine grid."""
-    burn = int(round(burn_in / dt))
-    K = burn + -(-n_samples // FROZEN_REPLICAS) * stride
-    dW = stream.child(NoiseSource.FAST_BROWNIAN).generator().normal(
-        0.0, math.sqrt(dt), size=(K, model.l2))
+    """The states one replica records, from a standalone one-row chain on
+    ``stream`` with its own increments drawn at once: exact OU transitions at
+    the recording spacing, or Euler steps with its own jump events binned on
+    the full fine grid."""
+    ou = model.ou_fast
+    span, every = (dt, stride) if ou is None else (stride * dt, 1)
+    burn = int(round(burn_in / span))
+    K = burn + -(-n_samples // FROZEN_REPLICAS) * every
+    gen = stream.child(NoiseSource.FAST_BROWNIAN).generator()
+    if ou is not None:
+        dW = ou.step_std(span) * gen.standard_normal((K, 1))
+    else:
+        dW = gen.normal(0.0, math.sqrt(dt), size=(K, model.l2))
     kicks = {}
     if model.f2 is not None:
         events = sample_poisson_jumps(stream.child(NoiseSource.FAST_JUMPS), model.nu2, dt * K)
@@ -236,13 +245,16 @@ def _replica_chain(model, x, stream, burn_in, n_samples, stride, dt):
     z = model.z0.reshape(1, model.m).copy()
     kept = []
     for k in range(K):
-        z_new = euler_step(z, model.b2(x, z), model.sigma2(x, z), dW[k: k + 1], dt)
+        if ou is not None:
+            z_new = ou.decay(span) * z + dW[k: k + 1]
+        else:
+            z_new = euler_step(z, model.b2(x, z), model.sigma2(x, z), dW[k: k + 1], dt)
         if model.f2 is not None:
             z_new[0] -= dt * model.nu2.integrate(lambda u: model.f2(x[0], z[0], u))
             for mark in kicks.get(k, ()):
                 z_new[0] += model.f2(x[0], z[0], mark[None, :])[0]
         z = z_new
-        if k + 1 > burn and (k + 1 - burn) % stride == 0:
+        if k + 1 > burn and (k + 1 - burn) % every == 0:
             kept.append(z[0])
     return np.array(kept)
 
@@ -260,7 +272,7 @@ def test_stacked_nodes_match_single_state_chains(route_presets, route, xs, seed)
     stream = RngStream(seed)
     kw = dict(burn_in=0.5, n_samples=1000, stride=2, dt=0.01)
     stack = estimate_invariant_measure(model, xs, stream=stream, **kw)
-    assert stack.replicas == (1 if route == "exact_ou" else FROZEN_REPLICAS)
+    assert stack.replicas == FROZEN_REPLICAS
     length = -(-kw["n_samples"] // stack.replicas)
     warnings = []
     for g in range(len(xs)):
@@ -275,14 +287,13 @@ def test_stacked_nodes_match_single_state_chains(route_presets, route, xs, seed)
         want = average_coefficients(model, obs, xs[g], single)
         for name in ("bbar1", "abar", "hbar", "se_bbar1", "se_hbar"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
-        if route != "exact_ou":
-            # replica c of node g fills its block of the samples, the last one
-            # cut to fit, and is the one-row chain on stream.child(g).child(c)
-            for c in (0, stack.replicas // 2, stack.replicas - 1):
-                block = node.samples[c * length: (c + 1) * length]
-                assert len(block) == min(length, kw["n_samples"] - c * length)
-                ref = _replica_chain(model, xs[g], stream.child(g).child(c), **kw)
-                assert block.tobytes() == ref[: len(block)].tobytes()
+        # replica c of node g fills its block of the samples, the last one
+        # cut to fit, and is the one-row chain on stream.child(g).child(c)
+        for c in (0, stack.replicas // 2, stack.replicas - 1):
+            block = node.samples[c * length: (c + 1) * length]
+            assert len(block) == min(length, kw["n_samples"] - c * length)
+            ref = _replica_chain(model, xs[g], stream.child(g).child(c), **kw)
+            assert block.tobytes() == ref[: len(block)].tobytes()
     assert stack.warnings == warnings
     if route == "euler_jumps":   # the jumps reach the chain
         plain = route_presets["euler"].model
@@ -325,7 +336,7 @@ def test_stationarity_warning_on_transient_chain():
     # a fast start far from the invariant law: every replica drifts down from
     # z0 = 5, which the pooled first halves and second halves of the replicas
     # show; the two halves of the replica-major concatenation would not
-    transient = _without_ou(build_example6(z0=5.0)).model
+    transient = without_ou(build_example6(z0=5.0)).model
     kw = dict(n_samples=1000, stride=10, dt=0.01, stream=RngStream(17))
     meas = estimate_invariant_measure(transient, np.array([0.0]), burn_in=0.0, **kw)
     assert meas.mode == "euler"

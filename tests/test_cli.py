@@ -92,7 +92,7 @@ def test_average_writes_table(tmp_path):
     assert data.shape[0] == 1 and data[0, 0] == 0.3
     meta = json.loads((out / "averaged.json").read_text())
     assert meta["mode"] == "exact_ou"
-    assert meta["replicas"] == 1
+    assert meta["replicas"] == FROZEN_REPLICAS
     assert meta["n_samples"] == 2000
 
 
@@ -378,9 +378,10 @@ def test_broken_json_config(tmp_path, capsys):
     assert rc == 1
 
 
+_SEED_RULE = "--seed must lie in [0, 2**64 - 1], got -1 (key: seed)"
+
+
 @pytest.mark.parametrize(("command", "message"), [
-    (["filter", "--config", "NO_OU", "--fast-mode", "exact_ou", "--dt", "0.05", "--T", "0.2"],
-     "declares none"),
     (["filter", "--particles", "0"], "need at least one particle"),
     (["filter", "--ess-frac", "0"], "ess_frac must lie in (0, 1]"),
     (["filter", "--mode", "homog", "--preset", "linear_gaussian"], "no closed-form averages"),
@@ -391,18 +392,30 @@ def test_broken_json_config(tmp_path, capsys):
     (["converge", "--particles", "0"], "need at least one particle"),
     (["converge", "--ess-frac", "1.5"], "ess_frac must lie in (0, 1]"),
     (["converge", "--preset", "linear_gaussian"], "no closed-form averages"),
-], ids=["exact_ou_without_ou_fast", "filter_no_particles", "filter_ess_frac_0",
-        "homog_no_closed_form", "simulate_grid", "filter_grid", "converge_grid",
-        "filter_negative_T", "converge_no_particles", "converge_ess_frac_1.5",
-        "converge_no_closed_form"])
+    (["simulate", "--seed", "-1"], _SEED_RULE),
+    (["filter", "--seed", "-1"], _SEED_RULE),
+    (["converge", "--seed", "-1"], _SEED_RULE.replace("2**64 - 1", "2**64 - 3")),
+    (["average", "--seed", "-1"], _SEED_RULE),
+    (["validate", "--seed", "-1"], _SEED_RULE),
+    (["converge", "--seed", str(2**64 - 1)],
+     f"--seed must lie in [0, 2**64 - 3], got {2**64 - 1} (key: seed)"),
+    (["validate", "--samples", "0"], "samples must be at least 1, got 0 (key: samples)"),
+    (["validate", "--samples", "-3"], "samples must be at least 1, got -3 (key: samples)"),
+    (["average", "--x="], "--x needs at least one slow state (key: x)"),
+], ids=["filter_no_particles", "filter_ess_frac_0", "homog_no_closed_form", "simulate_grid",
+        "filter_grid", "converge_grid", "filter_negative_T", "converge_no_particles",
+        "converge_ess_frac_1.5", "converge_no_closed_form", "simulate_negative_seed",
+        "filter_negative_seed", "converge_negative_seed", "average_negative_seed",
+        "validate_negative_seed", "converge_law_pass_seed_overflow", "validate_no_samples",
+        "validate_negative_samples", "average_empty_grid"])
 def test_a_rejected_input_is_a_config_error_before_writing(tmp_path, capsys, command, message):
-    # exact OU transitions the model does not declare, a grid that --T and --dt
-    # do not make, a particle count or resampling threshold the filter rejects,
-    # and a reduced filter without closed-form averages are all rejected before
-    # the run writes its config (NO_OU: example6 without ou_fast)
+    # a grid that --T and --dt do not make, a particle count or resampling
+    # threshold the filter rejects, a reduced filter without closed-form
+    # averages, a seed outside the streams' range (converge's law pass reads
+    # seed + 2), a sample count the checks cannot draw and an empty --x are all
+    # rejected before the run writes its config
     out = tmp_path / "o"
-    cfg = str(_write_config(tmp_path, lambda c: c["model"].pop("ou_fast")))
-    rc = main([cfg if a == "NO_OU" else a for a in command] + ["--out", str(out)])
+    rc = main(command + ["--out", str(out)])
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:") and message in err

@@ -35,8 +35,9 @@ from levyfilter import experiments, filtering, sde
 from levyfilter.averaging import build_homogenized
 from levyfilter.errors import ConfigError
 from levyfilter.filtering import ParticleEnsemble, _batch_log_weight, run_filter_batch
-from levyfilter.sde import FullDynamics, ObservationRecord
+from levyfilter.sde import FullDynamics, ObservationRecord, StepScheme
 from test_filtering import logistic_preset
+from test_sde import without_ou
 
 
 # ---------------------------------------------------------------------------
@@ -70,13 +71,13 @@ def test_strictly_decreasing():
 
 
 def test_default_scheme_prefers_exact_ou():
+    # the scheme carries the coarse step only; the model's ou_fast fixes the route
     model = PRESETS["example6"]().model
     scheme = default_scheme(model, 0.05)
-    assert scheme.fast_mode == "exact_ou"
+    assert scheme == StepScheme(0.05)
     assert FullDynamics(model, scheme).dt_fast is None
     no_ou = dataclasses.replace(model, ou_fast=None)
     scheme = default_scheme(no_ou, 0.05)  # epsilon = 0.1 => substeps at 0.01
-    assert scheme.fast_mode == "euler"
     dynamics = FullDynamics(no_ou, scheme)
     assert dynamics.substeps == 5
     assert dynamics.dt_fast == pytest.approx(0.01)
@@ -465,21 +466,16 @@ def test_convergence_study_runs_each_ensemble_once(monkeypatch):
                        root.child(0).child(NoiseSource.FAST_BROWNIAN)):
         assert law_stream.stream_id in ids
     K = int(round(T / dt))
-    # per step: the reduced, slow and fast blocks, then the observation increments
-    assert draws == [(P, 1), (P, 1), (P, 1), (runs, 1)] * K
-
-
-def _euler_example6():
-    cfg = preset_to_config(PRESETS["example6"]())
-    del cfg["model"]["ou_fast"]
-    return preset_from_config(cfg)
+    # per step: the reduced, slow and fast (one substep) blocks, then the
+    # observation increments
+    assert draws == [(P, 1), (P, 1), (1, P, 1), (runs, 1)] * K
 
 
 def test_law_ensembles_share_one_draw_stream_per_shape(monkeypatch):
     # Euler route at dt = 0.01: eps 0.05 takes 2 substeps, 0.03 and 0.028 take
     # 4, so the fast blocks have two keys; every ensemble is bitwise the one
     # it runs alone
-    preset, dt, T, P = _euler_example6(), 0.01, 0.05, 30
+    preset, dt, T, P = without_ou(PRESETS["example6"]()), 0.01, 0.05, 30
     models = [with_epsilon(preset, e).model for e in (0.05, 0.03, 0.028)]
     schemes = [default_scheme(m, dt) for m in models]
     stream = RngStream(9, 4)
@@ -516,7 +512,7 @@ def test_law_ensembles_through_the_dynamics_keep_their_bits(
     # the law ensembles step through FullDynamics/HomogDynamics on their
     # streams root.child(0).child(source) and root.child(2).child(HOMOG_BROWNIAN);
     # every state they yield equals the ensembles' bits before that refactor
-    preset = PRESETS["example6"]() if route == "exact_ou" else _euler_example6()
+    preset = PRESETS["example6"]() if route == "exact_ou" else without_ou(PRESETS["example6"]())
     T, P, root = 0.1, 40, RngStream(17)
     hmodel = build_homogenized(PRESETS["example6"]())
     models = [with_epsilon(preset, e).model for e in epsilons]
@@ -566,7 +562,7 @@ def test_filter_study_is_one_coupled_pass_per_epsilon_on_shared_streams(
     # child(0).child(r).child(1), each at its own blocks, so each epsilon's
     # outputs are its coupled pass alone on those streams; the study's pass
     # evaluates the functionals at the last step only
-    preset = PRESETS["example6"]() if route == "exact_ou" else _euler_example6()
+    preset = PRESETS["example6"]() if route == "exact_ou" else without_ou(PRESETS["example6"]())
     R, N, T, dt, seed, psis = 3, 16, 0.2, 0.02, 3, ["tanh", "arctan"]
     report, outs = _study_and_its_outputs(
         monkeypatch, preset, epsilons, replications=R, n_particles=N, psis=psis, T=T, dt=dt,

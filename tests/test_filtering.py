@@ -48,6 +48,7 @@ from levyfilter.filtering import (
 )
 from levyfilter.models import check_thinning
 from levyfilter.sde import euler_step
+from test_sde import without_ou
 
 
 # ---------------------------------------------------------------------------
@@ -392,12 +393,17 @@ class _ToyDynamics:
 
 def test_non_finite_particle_states_fail_with_their_time():
     # propagate checks the slow and the fast state by the one rule of the
-    # simulators: IntegrationFailureError carrying the time of the step
-    ens = init_ensemble(3, np.zeros(1), np.zeros(1), [RngStream(1), RngStream(2)])
-    propagate(ens, _ToyDynamics(1.0), 0.25, ())
-    with pytest.raises(IntegrationFailureError, match="t=0.5") as info:
-        propagate(ens, _ToyDynamics(np.inf), 0.25, ())
-    assert info.value.time == 0.5
+    # simulators: IntegrationFailureError carrying the time of the step; finite
+    # states whose sum overflows pass, with no floating-point warning
+    for bad in (np.nan, np.inf, -np.inf):
+        ens = init_ensemble(3, np.zeros(1), np.zeros(1), [RngStream(1), RngStream(2)])
+        ens.z[0, :2] = 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            propagate(ens, _ToyDynamics(1.0), 0.25, ())
+        with pytest.raises(IntegrationFailureError, match="t=0.5") as info:
+            propagate(ens, _ToyDynamics(bad), 0.25, ())
+        assert info.value.time == 0.5
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
@@ -477,11 +483,9 @@ def test_unnormalized_mass_is_mean_one_under_reference_law():
 
 
 def test_run_filter_default_scheme_fills_the_step_with_equal_substeps():
-    # Euler fast mode at eps = 0.03, dt = 0.01: eps/10 does not divide dt, so
+    # the Euler route at eps = 0.03, dt = 0.01: eps/10 does not divide dt, so
     # the default takes 4 substeps of 0.0025
-    cfg = preset_to_config(PRESETS["example6"](epsilon=0.03))
-    del cfg["model"]["ou_fast"]
-    preset = preset_from_config(cfg)
+    preset = without_ou(PRESETS["example6"](epsilon=0.03))
     obs = simulate_reference_observations(preset.observation, 0.05, 0.01, RngStream(4, 0))
     scheme = default_scheme(preset.model, 0.01)
     assert FullDynamics(preset.model, scheme).substeps == 4
@@ -502,7 +506,7 @@ def test_run_filter_validation_errors():
         run_filter(obs, "full", preset, 8, ["tanh"], stream, ess_frac=0.0)
     with pytest.raises(ValueError, match="functional"):
         run_filter(obs, "full", preset, 8, [], stream)
-    bad_scheme = StepScheme(dt_slow=0.1, fast_mode="exact_ou")
+    bad_scheme = StepScheme(dt_slow=0.1)
     with pytest.raises(ValueError, match="observation spacing"):
         run_filter(obs, "full", preset, 8, ["tanh"], stream, scheme=bad_scheme)
 
@@ -752,16 +756,12 @@ def _linear_reduced_model(preset):
 
 def test_dynamics_noise_widths():
     preset = PRESETS["example6"]()
-    scheme = StepScheme(dt_slow=0.05, fast_mode="exact_ou")
+    scheme = StepScheme(dt_slow=0.05)
     assert FullDynamics(preset.model, scheme).noise_width == preset.model.l1 + 1
-    assert FullDynamics(preset.model, scheme).blocks(7) == ((7, preset.model.l1), (7, 1))
-    euler = StepScheme(dt_slow=0.05, fast_mode="euler")     # epsilon 0.1: 5 substeps of 0.01
-    assert (
-        FullDynamics(preset.model, euler).noise_width
-        == preset.model.l1 + 5 * preset.model.l2
-    )
-    assert FullDynamics(preset.model, euler).blocks(7) == (
-        (7, preset.model.l1), (5, 7, preset.model.l2))
+    assert FullDynamics(preset.model, scheme).blocks(7) == ((7, preset.model.l1), (1, 7, 1))
+    euler = without_ou(preset).model      # epsilon 0.1: 5 substeps of 0.01
+    assert FullDynamics(euler, scheme).noise_width == euler.l1 + 5 * euler.l2
+    assert FullDynamics(euler, scheme).blocks(7) == ((7, euler.l1), (5, 7, euler.l2))
     hmodel = _linear_reduced_model(make_linear_gaussian())
     assert HomogDynamics(hmodel).blocks(7) == ((7, 1),)
 
@@ -1027,10 +1027,7 @@ def test_a_step_evaluates_a_constant_field_once_per_dynamics(route):
     # evaluated at every step (b2 at every substep)
     preset = PRESETS["example6"]()
     if route == "euler":
-        cfg = preset_to_config(preset)
-        del cfg["model"]["ou_fast"]
-        cfg["model"]["epsilon"] = 0.05
-        preset = preset_from_config(cfg)
+        preset = without_ou(preset, epsilon=0.05)
     scheme = default_scheme(preset.model, 0.02)
     rec = simulate_reference_observations(preset.observation, 0.2, 0.02, RngStream(3))
     calls = {}

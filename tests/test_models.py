@@ -237,6 +237,12 @@ def test_ou_fast_requires_scalar_fast_component():
     bad["model"]["z0"] = [0.0, 0.0]
     with pytest.raises(ConfigError):
         preset_from_config(bad)
+    # the exact transition draws one normal per state: one noise column only
+    bad = copy.deepcopy(cfg)
+    bad["model"]["l2"] = 2
+    bad["model"]["sigma2"] = [["1.0", "0.5"]]
+    with pytest.raises(ConfigError, match="one noise column"):
+        preset_from_config(bad)
 
 
 def test_presets_registry():

@@ -33,31 +33,36 @@ def test_make_grid():
         make_grid(1.0, 0.3)
 
 
-def test_step_scheme_validation():
-    model = build_example6().model
-    dynamics = FullDynamics(model, StepScheme(dt_slow=0.01, fast_mode="exact_ou"))
-    assert (dynamics.substeps, dynamics.dt_fast) == (1, None)
-    # at epsilon 0.1 a step of epsilon/10 is one Euler substep of the coarse size
-    dynamics = FullDynamics(model, StepScheme(dt_slow=0.01, fast_mode="euler"))
-    assert (dynamics.substeps, dynamics.dt_fast) == (1, 0.01)
-    with pytest.raises(ValueError):
-        StepScheme(dt_slow=0.01, fast_mode="nope")
-
-
-def _euler_example6():
-    cfg = preset_to_config(build_example6())
-    del cfg["model"]["ou_fast"]
+def without_ou(preset, **model_fields):
+    """``preset`` without ``ou_fast``, so its fast component takes the Euler
+    route, with ``model_fields`` replacing entries of its model config."""
+    cfg = copy.deepcopy(preset_to_config(preset))
+    cfg["model"].pop("ou_fast")
+    cfg["model"].update(model_fields)
     return preset_from_config(cfg)
 
 
-_EULER_EXAMPLE6 = _euler_example6()
+def test_step_scheme_validation():
+    # the model fixes the route: exact OU when it declares ou_fast, else Euler
+    preset = build_example6()
+    dynamics = FullDynamics(preset.model, StepScheme(dt_slow=0.01))
+    assert (dynamics.substeps, dynamics.dt_fast) == (1, None)
+    # at epsilon 0.1 a step of epsilon/10 is one Euler substep of the coarse size
+    dynamics = FullDynamics(without_ou(preset).model, StepScheme(dt_slow=0.01))
+    assert (dynamics.substeps, dynamics.dt_fast) == (1, 0.01)
+    for dt in (0.0, -0.01, float("nan")):
+        with pytest.raises(ValueError, match="dt_slow"):
+            StepScheme(dt_slow=dt)
+
+
+_EULER_EXAMPLE6 = without_ou(build_example6())
 
 
 @settings(max_examples=200, deadline=None)
 @given(eps=st.floats(1e-4, 10.0), dt=st.floats(1e-4, 1.0), count=st.integers(1, 5))
 def test_euler_substeps_are_the_fewest_that_resolve_epsilon(eps, dt, count):
     preset = with_epsilon(_EULER_EXAMPLE6, eps)
-    dynamics = FullDynamics(preset.model, StepScheme(dt, "euler"))
+    dynamics = FullDynamics(preset.model, StepScheme(dt))
     J, dt_fast, rtol = dynamics.substeps, dynamics.dt_fast, 1e-12
     assert dt_fast <= eps / 10 * (1 + rtol)
     assert J == 1 or dt / (J - 1) > eps / 10 * (1 - rtol)
@@ -67,20 +72,37 @@ def test_euler_substeps_are_the_fewest_that_resolve_epsilon(eps, dt, count):
 
 def test_a_coarse_euler_step_takes_the_derived_substeps(monkeypatch):
     # dt = epsilon = 0.1: ten Euler substeps of 0.01 per step (it was a stiffness error)
-    preset = build_example6()
-    scheme = StepScheme(0.1, "euler")
+    preset = _EULER_EXAMPLE6
+    scheme = StepScheme(0.1)
     dynamics = FullDynamics(preset.model, scheme)
     assert (dynamics.substeps, dynamics.dt_fast) == (10, 0.1 / 10)
-    calls, substep = [], sde.fast_euler_substep
-    monkeypatch.setattr(sde, "fast_euler_substep", lambda *a: calls.append(a[4]) or substep(*a))
+    calls, substep = [], sde.fast_step
+    monkeypatch.setattr(sde, "fast_step", lambda *a: calls.append(a[4]) or substep(*a))
     path = simulate_full(preset.model, preset.observation, 0.5, scheme, RngStream(0))
     assert calls == [dynamics.dt_fast / preset.model.epsilon] * 50
     assert np.all(np.isfinite(path.Z))
 
 
+def test_exact_ou_paths_and_chains_step_through_the_one_fast_step(monkeypatch):
+    # a path takes one exact OU fast_step per coarse step, of span dt/epsilon;
+    # a frozen chain one per step, of span stride dt
+    from levyfilter.averaging import estimate_invariant_measure
+
+    preset = build_example6()
+    spans, step = [], sde.fast_step
+    monkeypatch.setattr(sde, "fast_step", lambda *a: spans.append(a[4]) or step(*a))
+    simulate_full(preset.model, preset.observation, 0.5, StepScheme(0.1), RngStream(0))
+    assert spans == [0.1 / preset.model.epsilon] * 5
+    spans.clear()
+    estimate_invariant_measure(preset.model, [0.0], burn_in=0.3, n_samples=1000, stride=3,
+                               dt=0.01, stream=RngStream(1))
+    # 10 burn-in steps of 0.03, then 63 records per replica
+    assert spans == [3 * 0.01] * (10 + 63)
+
+
 def test_simulate_full_deterministic():
     preset = build_example6()
-    scheme = StepScheme(dt_slow=0.01, fast_mode="exact_ou")
+    scheme = StepScheme(dt_slow=0.01)
     a = simulate_full(preset.model, preset.observation, 1.0, scheme, RngStream(12))
     b = simulate_full(preset.model, preset.observation, 1.0, scheme, RngStream(12))
     assert np.array_equal(a.X, b.X)
@@ -92,7 +114,7 @@ def test_simulate_full_deterministic():
 
 def test_observation_record_shapes_and_bbar():
     preset = build_example6()
-    scheme = StepScheme(dt_slow=0.01, fast_mode="exact_ou")
+    scheme = StepScheme(dt_slow=0.01)
     path = simulate_full(preset.model, preset.observation, 1.0, scheme, RngStream(4))
     rec = path.observations()
     assert rec.steps == 100
@@ -128,7 +150,7 @@ def test_ou_fast_exact_transition_statistics():
     cfg = preset_to_config(build_example6())
     cfg["model"]["epsilon"] = 1.0
     preset = preset_from_config(cfg)
-    scheme = StepScheme(dt_slow=math.log(2.0), fast_mode="exact_ou")
+    scheme = StepScheme(dt_slow=math.log(2.0))
     _, _, ZT = simulate_signal_ensemble(
         preset.model, math.log(2.0), scheme, 40_000, RngStream(8)
     )
@@ -145,7 +167,7 @@ def test_compensated_slow_jumps_are_mean_zero():
     cfg["model"]["f1"] = ["u[0]"]
     cfg["model"]["nu1"] = {"intensity": 2.0, "marks": "uniform(-1,1)"}
     preset = preset_from_config(cfg)
-    scheme = StepScheme(dt_slow=0.01, fast_mode="exact_ou")
+    scheme = StepScheme(dt_slow=0.01)
     paths = simulate_full(
         preset.model, preset.observation, 1.0, scheme, [RngStream(seed) for seed in range(400)]
     )
@@ -173,7 +195,7 @@ def test_jump_totals_reconstruct_pure_jump_path():
     preset = preset_from_config(cfg)
     model, dt = preset.model, 0.05
     path = simulate_full(model, preset.observation, 1.0,
-                         StepScheme(dt_slow=dt, fast_mode="exact_ou"), RngStream(21))
+                         StepScheme(dt_slow=dt), RngStream(21))
     slow = path.events["slow"]
     assert len(slow)
     x_left, grid = path.X[:-1], path.times
@@ -189,7 +211,7 @@ def test_observation_path_reconstruction():
     # small-jump compensator drift
     preset = build_example6(small_jump_intensity=20.0, large_jump_intensity=10.0)
     obs, dt = preset.observation, 0.01
-    path = simulate_full(preset.model, obs, 1.0, StepScheme(dt_slow=dt, fast_mode="exact_ou"),
+    path = simulate_full(preset.model, obs, 1.0, StepScheme(dt_slow=dt),
                          RngStream(30))
     small, large = path.events["obs_small"], path.events["obs_large"]
     assert small.accepted.any() and large.accepted.any()
@@ -207,7 +229,7 @@ def test_simulate_full_thinning_acceptance_rate():
     # constant acceptance 0.3 on both observation regions, ~400 base events
     preset = build_example6(lambda_const=0.3, small_jump_intensity=200.0,
                             large_jump_intensity=200.0)
-    scheme = StepScheme(dt_slow=0.01, fast_mode="exact_ou")
+    scheme = StepScheme(dt_slow=0.01)
     path = simulate_full(preset.model, preset.observation, 1.0, scheme, RngStream(3))
     events = np.concatenate([path.events["obs_small"].accepted, path.events["obs_large"].accepted])
     frac = sum(events) / len(events)
@@ -217,7 +239,7 @@ def test_simulate_full_thinning_acceptance_rate():
 
 def test_signal_ensemble_matches_path_simulator_moments():
     preset = make_linear_gaussian()
-    scheme = StepScheme(dt_slow=0.01, fast_mode="exact_ou")
+    scheme = StepScheme(dt_slow=0.01)
     _, XT, _ = simulate_signal_ensemble(preset.model, 1.0, scheme, 30_000, RngStream(3))
     # dX = -X dt + sqrt(3) dV from 0: var(T) = 1.5 (1 - e^-2)
     target = 1.5 * (1.0 - math.exp(-2.0))
@@ -254,7 +276,7 @@ def test_simulate_homogenized_reduced_dimensions():
 
 def test_path_csv_round_trip(tmp_path):
     preset = build_example6()
-    scheme = StepScheme(dt_slow=0.1, fast_mode="exact_ou")
+    scheme = StepScheme(dt_slow=0.1)
     path = simulate_full(preset.model, preset.observation, 0.5, scheme, RngStream(2))
     out = tmp_path / "path.csv"
     path.to_csv(out)

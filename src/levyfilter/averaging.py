@@ -9,8 +9,8 @@ chains (``sde.simulate_frozen_fast``), each with its own burn-in, whose
 recorded states are concatenated replica by replica (the micro-solver
 ensemble of the heterogeneous multiscale method).  The chains step by the
 model's one fast transition: exact OU when the model declares ``ou_fast``,
-else Euler.  Standard errors come from the spread of the independent replica
-means on both routes.
+else Euler.  Standard errors come from batch means pooled over the
+independent replicas on both routes (``_mean_se``).
 """
 
 from __future__ import annotations
@@ -165,9 +165,15 @@ def _batch_means_se(values: np.ndarray) -> np.ndarray:
 
 def _mean_se(values: np.ndarray, replicas: int) -> np.ndarray:
     """SE of the mean of C = ``replicas`` independent chains concatenated (the
-    last one cut): the count-weighted spread of the replica means over C - 1,
-    taken about the first sample so a constant sequence reports exactly zero."""
-    starts = np.arange(0, len(values), -(-len(values) // replicas))
+    last one cut): the count-weighted spread of the batch means over their number
+    less one, min(4, L // 256) batches, at least one, per replica of L records
+    (256 span many correlation times, so long replicas add degrees of freedom
+    without biasing the SE low), about the first sample so a constant reads 0."""
+    length = -(-len(values) // replicas)
+    batches = min(4, max(1, length // 256))
+    firsts = np.arange(0, len(values), length)
+    sizes = np.minimum(length, len(values) - firsts)
+    starts = (firsts[:, None] + np.arange(batches) * sizes[:, None] // batches).ravel()
     weights = np.diff(np.append(starts, len(values)))[:, None] / len(values)
     means = np.add.reduceat(values - values[0], starts, axis=0) / (weights * len(values))
     spread = (weights * (means - (weights * means).sum(axis=0)) ** 2).sum(axis=0)

@@ -33,7 +33,7 @@ from .errors import (
     ModelViolationError,
     UnsupportedMeasureError,
 )
-from .experiments import _at_least_two, _check_epsilons, convergence_study
+from .experiments import _at_least_two, _check_epsilons, convergence_seeds, convergence_study
 from .filtering import check_filter_sizes, psi_from_string, run_filter
 from .models import (
     PRESETS,
@@ -247,13 +247,13 @@ def _dynamics(args, model) -> FullDynamics:
 
 def _check_seed(args) -> None:
     """The seed rule of ``RngStream`` for every root stream the command builds
-    (``converge``'s law pass reads seed + 2), checked before anything is written."""
-    top = 2 if args.command == "converge" else 0
+    (``converge``'s are ``convergence_seeds``), checked before anything is written."""
+    seeds = convergence_seeds(args.seed) if args.command == "converge" else (args.seed,)
     try:
-        RngStream(args.seed), RngStream(args.seed + top)
+        [RngStream(seed) for seed in seeds]
     except ValueError as exc:
-        raise ConfigError(f"--seed must lie in [0, 2**64 - {1 + top}], got {args.seed}",
-                          key="seed") from exc
+        raise ConfigError(f"--seed must lie in [0, 2**64 - {1 + seeds[-1] - args.seed}], "
+                          f"got {args.seed}", key="seed") from exc
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:

@@ -381,6 +381,11 @@ def filter_convergence_study(
     )
 
 
+def convergence_seeds(seed: int) -> tuple[int, int]:
+    """Root seeds of ``convergence_study``: its filter study's, its law pass's."""
+    return int(seed), int(seed) + 2
+
+
 def convergence_study(
     preset: ModelPreset,
     epsilons,
@@ -407,7 +412,7 @@ def convergence_study(
     signal_paths = _at_least_two("signal_paths", signal_paths)
     martingale_runs = _at_least_two("martingale_runs", martingale_runs)
     _check_epsilons(epsilons)
-    law_stream = RngStream(int(seed) + 2)     # a seed it rejects fails before the filter study
+    law_stream = RngStream(convergence_seeds(seed)[1])   # a bad seed fails before the filter study
     if hmodel is None:
         hmodel = build_homogenized(preset)
     report = filter_convergence_study(

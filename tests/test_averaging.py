@@ -84,41 +84,39 @@ def test_averaged_coefficients_match_closed_forms(example6):
 
 
 def test_averaged_se_shrinks_with_samples(example6):
-    # each SE is the spread of FROZEN_REPLICAS replica means, an estimate with
-    # 15 degrees of freedom: the ratio of two of them strays outside the bounds
-    # in about one stream in six, so the SEs are pooled over eight streams
     x = np.array([0.0])
     ses = []
     for n in (2**14, 2**16):
-        se2 = []
-        for i in range(8):
-            meas = estimate_invariant_measure(
-                example6.model, x, burn_in=10.0, n_samples=n, stream=RngStream(5, i)
-            )
-            pt = average_coefficients(example6.model, example6.observation, x, meas)
-            se2.append(pt.se_bbar1[0] ** 2)
-        ses.append(math.sqrt(np.mean(se2)))
+        meas = estimate_invariant_measure(
+            example6.model, x, burn_in=10.0, n_samples=n, stream=RngStream(5)
+        )
+        pt = average_coefficients(example6.model, example6.observation, x, meas)
+        ses.append(pt.se_bbar1[0])
     # quadrupling the samples should halve the SE, give or take noise
     ratio = ses[0] / ses[1]
     assert 1.4 < ratio < 2.9
 
 
 @pytest.mark.parametrize("route", ["exact_ou", "euler"])
-def test_replica_se_is_the_spread_of_the_replica_means(example6, route):
+@pytest.mark.parametrize("n, batches", [pytest.param(1000, 1, id="short"),
+                                        pytest.param(16 * 600 - 10, 2, id="long")])
+def test_replica_se_is_the_spread_of_the_batch_means(example6, route, n, batches):
     preset = example6 if route == "exact_ou" else without_ou(example6)
     x = np.array([0.7])
     meas = estimate_invariant_measure(
-        preset.model, x, burn_in=5.0, n_samples=1000, stride=10, dt=0.01, stream=RngStream(4),
+        preset.model, x, burn_in=5.0, n_samples=n, stride=10, dt=0.01, stream=RngStream(4),
     )
     pt = average_coefficients(preset.model, preset.observation, x, meas)
-    # 15 replicas of 63 recorded states and the last one cut to 55, weighted by count
+    # 15 replicas of L records and the last one cut (short: 63 and 55, one
+    # batch each; long: 600 and 590, two batches each), weighted by count
     b = np.sin(meas.samples[:, 0])
-    blocks = [b[i: i + 63] for i in range(0, 1000, 63)]
+    L = -(-n // FROZEN_REPLICAS)
+    blocks = [part for i in range(0, n, L) for part in np.array_split(b[i: i + L], batches)]
     counts = np.array([len(blk) for blk in blocks])
-    assert len(blocks) == FROZEN_REPLICAS and counts[-1] == 55
+    assert len(blocks) == batches * FROZEN_REPLICAS and counts[-1] == (n - 15 * L) // batches
     means = np.array([blk.mean() for blk in blocks])
     grand = np.average(means, weights=counts)
-    expected = math.sqrt(np.sum(counts * (means - grand) ** 2) / (15 * 1000))
+    expected = math.sqrt(np.sum(counts * (means - grand) ** 2) / ((len(blocks) - 1) * n))
     assert pt.se_bbar1[0] == pytest.approx(expected, rel=1e-10)
     assert meas.mode == route
     # a sensor that ignores the fast variable has exactly zero error, cut replica included

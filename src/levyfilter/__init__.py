@@ -63,7 +63,7 @@ from .noise import (
 from .sde import (
     JointPath,
     ObservationRecord,
-    StepScheme,
+    default_scheme,
     make_grid,
     simulate_full,
     simulate_reference_observations,
@@ -74,7 +74,6 @@ from .experiments import (
     MartingaleReport,
     OracleResult,
     convergence_study,
-    default_scheme,
     filter_convergence_study,
     kalman_bucy,
     kalman_oracle,
@@ -100,10 +99,10 @@ __all__ = [
     "validate_assumptions", "with_epsilon",
     "JumpRecord", "LevyMeasureSpec", "MarkSampler", "NoiseSource", "RngStream",
     "brownian_increments", "null_measure", "sample_poisson_jumps",
-    "JointPath", "ObservationRecord", "StepScheme", "make_grid", "simulate_full",
+    "JointPath", "ObservationRecord", "default_scheme", "make_grid", "simulate_full",
     "simulate_reference_observations", "simulate_signal_ensemble",
     "ConvergenceReport", "MartingaleReport", "OracleResult", "convergence_study",
-    "default_scheme", "filter_convergence_study", "kalman_bucy", "kalman_oracle",
+    "filter_convergence_study", "kalman_bucy", "kalman_oracle",
     "ks_statistic", "martingale_check", "signal_convergence_study",
     "strictly_decreasing",
     "__version__",

@@ -102,8 +102,9 @@ def estimate_invariant_measure(
     part (``model.ou_fast``) steps by its exact Gaussian transition at the
     recording spacing stride dt, with no discretization bias
     (``mode='exact_ou'``); any other steps by Euler at dt, ``stride`` steps per
-    record (``mode='euler'``).  Each replica burns in for round(burn_in / span)
-    steps of its span, then records ceil(n_samples / C) states, and the
+    record (``mode='euler'``).  Each replica burns in for the fewest steps of its
+    span that cover ``burn_in`` (a ratio within 1e-9 of a whole number counts as
+    that number), then records ceil(n_samples / C) states, and the
     samples are the replicas' records concatenated replica by replica, cut to
     exactly ``n_samples``.  Ergodicity of the frozen chain is an assumption; a
     stationarity diagnostic on the recorded samples appends a warning when the
@@ -125,9 +126,10 @@ def estimate_invariant_measure(
         stream = RngStream(0, int(NoiseSource.AVERAGING))
     mode = "euler" if model.ou_fast is None else "exact_ou"
     span, every = (dt, stride) if mode == "euler" else (stride * dt, 1)
-    burn_steps = int(round(burn_in / span))
+    ratio = burn_in / span
+    burn = round(ratio) if abs(ratio - round(ratio)) <= 1e-9 * ratio else math.ceil(ratio)
     per_replica = -(-n_samples // FROZEN_REPLICAS)
-    record = range(burn_steps + every, burn_steps + per_replica * every + 1, every)
+    record = range(burn + every, burn + per_replica * every + 1, every)
     _, Z = simulate_frozen_fast(model, x, model.z0, record, span, stream)
     # (..., C, S/C, m) -> (..., C S/C, m), replica by replica
     samples = Z.reshape(Z.shape[:-3] + (-1, model.m))[..., :n_samples, :]

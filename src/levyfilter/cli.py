@@ -44,7 +44,7 @@ from .models import (
     with_epsilon,
 )
 from .noise import RngStream
-from .sde import FullDynamics, default_scheme, make_grid, require_jump_free, simulate_full
+from .sde import FullDynamics, make_grid, require_jump_free, simulate_full
 
 
 class UsageError(Exception):
@@ -238,13 +238,6 @@ def _threads(args) -> int:
     return 1
 
 
-def _dynamics(args, model) -> FullDynamics:
-    """The signal dynamics on the grid of ``--T`` and ``--dt``, built here so that
-    a grid they reject fails before anything is written."""
-    make_grid(args.T, args.dt)
-    return FullDynamics(model, default_scheme(model, args.dt))
-
-
 def _check_seed(args) -> None:
     """The seed rule of ``RngStream`` for every root stream the command builds
     (``converge``'s are ``convergence_seeds``), checked before anything is written."""
@@ -279,13 +272,12 @@ def _run_config(args, command: str, preset: ModelPreset, **params) -> RunConfig:
 def _cmd_simulate(args) -> int:
     preset = _load_preset(args)
     out_dir = Path(args.out)
-    dynamics = _dynamics(args, preset.model)
+    make_grid(args.T, args.dt)     # a grid --T and --dt do not make fails before any write
     _run_config(
         args, "simulate", preset,
-        T=args.T, dt=args.dt, dt_fast=dynamics.dt_fast,
+        T=args.T, dt=args.dt, dt_fast=FullDynamics(preset.model, args.dt).dt_fast,
     ).write(out_dir)
-    path = simulate_full(preset.model, preset.observation, args.T, dynamics.scheme,
-                         RngStream(args.seed))
+    path = simulate_full(preset.model, preset.observation, args.T, args.dt, RngStream(args.seed))
     path.to_csv(out_dir / "path.csv")
     rec = path.observations()
     events = {k: len(v) for k, v in path.events.items()}
@@ -360,7 +352,7 @@ def _cmd_filter(args) -> int:
     model = preset.model
     require_jump_free(model.nu1, *(() if args.mode == "homog" else (model.nu2,)))
     check_filter_sizes(args.particles, args.ess_frac)
-    scheme = _dynamics(args, model).scheme
+    make_grid(args.T, args.dt)
     modes = ["full", "homog"] if args.mode == "both" else [args.mode]
     hmodel = build_homogenized(preset) if "homog" in modes else None
     _run_config(
@@ -369,14 +361,14 @@ def _cmd_filter(args) -> int:
         psi=[p.name for p in psis], ess_frac=args.ess_frac,
     ).write(out_dir)
     root = RngStream(args.seed)
-    path = simulate_full(preset.model, preset.observation, args.T, scheme, root.child(0))
+    path = simulate_full(preset.model, preset.observation, args.T, args.dt, root.child(0))
     path.to_csv(out_dir / "path.csv")
     rec = path.observations()
     summary = {"modes": {}, "truth_terminal": [float(v) for v in path.X[-1]]}
     # "both" is one coupled pass; the homog filter's output is the same alone
     outs = run_filter(
         rec, mode=args.mode, preset=preset, n_particles=args.particles, psis=psis,
-        stream=root.child(1), hmodel=hmodel, scheme=scheme, ess_frac=args.ess_frac,
+        stream=root.child(1), hmodel=hmodel, ess_frac=args.ess_frac,
     )
     for mode, out in zip(modes, outs if args.mode == "both" else [outs]):
         out.to_csv(out_dir / f"filter_{mode}.csv")

@@ -35,7 +35,6 @@ from .sde import (
     _homogenized_law,
     _law_steps,
     _signal_law,
-    default_scheme,
     make_grid,
     require_jump_free,
     simulate_full,
@@ -68,7 +67,7 @@ def signal_convergence_study(
     epsilons,
     n_paths: int,
     T: float,
-    dt_slow: float = 0.01,
+    dt: float = 0.01,
     seed: int = 0,
     hmodel: HomogenizedModel | None = None,
 ) -> list[dict]:
@@ -80,7 +79,7 @@ def signal_convergence_study(
     presets = [with_epsilon(preset, float(eps)) for eps in epsilons]
     if hmodel is None:
         hmodel = build_homogenized(preset)
-    ks, _ = _law_pass(preset, hmodel, presets, T, dt_slow, RngStream(int(seed)), ks_paths=n_paths)
+    ks, _ = _law_pass(preset, hmodel, presets, T, dt, RngStream(int(seed)), ks_paths=n_paths)
     return [{"epsilon": p.model.epsilon, "ks": k, "n_paths": n_paths, "T": float(T)}
             for p, k in zip(presets, ks)]
 
@@ -97,8 +96,8 @@ def _law_pass(preset, hmodel, presets, T, dt, root, ks_paths: int = 0, runs: int
     averaged sensor.  No KS paths compute no KS; no runs draw nothing for
     the observations and evaluate no sensor."""
     P, obs = max(ks_paths, runs), preset.observation
-    laws = [_homogenized_law(hmodel, root.child(2))]
-    laws += [_signal_law(p.model, default_scheme(p.model, dt), root.child(0)) for p in presets]
+    laws = [_homogenized_law(hmodel, dt, root.child(2))]
+    laws += [_signal_law(p.model, dt, root.child(0)) for p in presets]
     logl = np.zeros((1 + len(presets), runs))
     if runs:
         # reference-law events of every run, charged to their run by the weight
@@ -189,8 +188,7 @@ def martingale_check(
     for peps, lik_full in zip(presets, lik[1:]):
         inv = np.empty(inverse_runs)
         paths = simulate_full(
-            peps.model, obs, T, default_scheme(peps.model, dt),
-            [root.child(4).child(r) for r in range(inverse_runs)],
+            peps.model, obs, T, dt, [root.child(4).child(r) for r in range(inverse_runs)],
         ) if inverse_runs else []
         for r, path in enumerate(paths):
             rec = path.observations()
@@ -253,13 +251,12 @@ def kalman_oracle(
     """
     preset = make_linear_gaussian(a=a, c=c, sigma=sigma, x0=x0)
     root = RngStream(int(seed))
-    scheme = default_scheme(preset.model, dt)
-    path = simulate_full(preset.model, preset.observation, T, scheme, root.child(0))
+    path = simulate_full(preset.model, preset.observation, T, dt, root.child(0))
     rec = path.observations()
     psis = [psi_from_string("poly(0,1,0)"), psi_from_string("poly(0,0,1)")]
     out = run_filter(
         rec, mode="full", preset=preset, n_particles=n_particles, psis=psis,
-        stream=root.child(1), scheme=scheme, ess_frac=ess_frac,
+        stream=root.child(1), ess_frac=ess_frac,
     )
     dY = rec.bbar_increments[:, 0]        # jump-free: the raw observation increments
     m, P = kalman_bucy(rec.times, dY, a, c, sigma, m0=x0, P0=0.0)
@@ -348,13 +345,12 @@ def filter_convergence_study(
         hmodel = build_homogenized(preset)
     root = RngStream(int(seed))
     presets = [with_epsilon(preset, eps) for eps in epsilons]
-    schemes = [default_scheme(p.model, dt) for p in presets]
     cases = []
-    for ie, (peps, scheme) in enumerate(zip(presets, schemes)):
-        paths = simulate_full(peps.model, peps.observation, T, scheme,
+    for ie, peps in enumerate(presets):
+        paths = simulate_full(peps.model, peps.observation, T, dt,
                               [root.child(ie).child(r).child(0) for r in range(R)])
         records = [path.observations() for path in paths]
-        cases += [(records, mode, peps, hmodel, scheme) for mode in ("full", "homog")]
+        cases += [(records, mode, peps, hmodel) for mode in ("full", "homog")]
     outs = _filter_pass(cases, n_particles, psis, [root.child(0).child(r).child(1) for r in range(R)],
                         ess_frac, _last_pi_only=True)
     rows = []

@@ -51,12 +51,10 @@ from .sde import (
     FullDynamics,
     HomogDynamics,
     ObservationRecord,
-    StepScheme,
     _SIGNAL_SOURCES,
     _check_finite,
     _events_by_step,
     _stack_events,
-    default_scheme,
     require_jump_free,
 )
 
@@ -193,8 +191,8 @@ def init_ensemble(
     )
 
 
-def propagate(ens: ParticleEnsemble, dynamics, dt: float, noise: tuple) -> ParticleEnsemble:
-    """Advance every particle by one step of the signal dynamics (in place).
+def propagate(ens: ParticleEnsemble, dynamics, noise: tuple) -> ParticleEnsemble:
+    """Advance every particle, and ``ens.time``, by one step of ``dynamics`` (in place).
 
     ``noise`` is the step's blocks from ``ens.next_noise``; the dynamics write
     the ensemble's own state arrays and return them.  Propagation never
@@ -202,10 +200,8 @@ def propagate(ens: ParticleEnsemble, dynamics, dt: float, noise: tuple) -> Parti
     drift information into the signal itself.  A non-finite state raises
     ``IntegrationFailureError`` at the step's time.
     """
-    if not dt > 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    ens.x, ens.z = dynamics.step(ens.x, ens.z, noise, dt)
-    ens.time += dt
+    ens.x, ens.z = dynamics.step(ens.x, ens.z, noise)
+    ens.time += dynamics.dt
     _check_finite([a for a in (ens.x, ens.z) if a is not None], ens.time)
     return ens
 
@@ -355,7 +351,7 @@ def run_filter(
     psis: list,
     stream: RngStream,
     hmodel: HomogenizedModel | None = None,
-    scheme: StepScheme | None = None,
+    scheme: float | None = None,
     ess_frac: float = 0.5,
     noise_width: int | None = None,
 ) -> FilterOutput | tuple[FilterOutput, FilterOutput]:
@@ -363,13 +359,16 @@ def run_filter(
 
     A stack of one for ``run_filter_batch``, which documents the arguments;
     ``mode='both'`` returns the (full, homog) pair.  The output is a
-    deterministic function of (observations, parameters, stream).
-    ``noise_width`` is accepted for callers that still pass it and has no
-    effect: each filter reads the blocks its dynamics declare.
+    deterministic function of (observations, parameters, stream).  The
+    benchmark workloads still pass ``scheme``, which must equal the records'
+    spacing, and ``noise_width``, which has no effect; both go with ROADMAP item 3.
     """
+    dt = observations.dt
+    if scheme is not None and abs(scheme - dt) > 1e-9 * max(1.0, dt):
+        raise ValueError(f"scheme {scheme} must match the observation spacing {dt}")
     out = run_filter_batch(
         [observations], mode, preset, n_particles, psis, [stream], hmodel=hmodel,
-        scheme=scheme, ess_frac=ess_frac,
+        ess_frac=ess_frac,
     )
     return (out[0][0], out[1][0]) if mode == "both" else out[0]
 
@@ -406,22 +405,17 @@ class _ModeRun:
         ) for r, steps in enumerate(self.resample_steps)]
 
 
-def _mode_setup(mode: str, preset: ModelPreset, hmodel, scheme, dt: float, scratch) -> tuple:
+def _mode_setup(mode: str, preset: ModelPreset, hmodel, dt: float, scratch) -> tuple:
     """(dynamics, x0, z0, sensor) of one filter mode on observations spaced ``dt``."""
     obs = preset.observation
     if mode == "full":
         model = preset.model
-        if scheme is None:
-            scheme = default_scheme(model, dt)
-        if abs(scheme.dt_slow - dt) > 1e-9 * max(1.0, dt):
-            raise ValueError(
-                f"scheme dt_slow={scheme.dt_slow} must match the observation spacing {dt}")
         require_jump_free(model.nu1, model.nu2)
-        return (FullDynamics(model, scheme, scratch), model.x0, model.z0,
+        return (FullDynamics(model, dt, scratch), model.x0, model.z0,
                 lambda ens, out: obs.h(ens.x, ens.z, out=out))
     if hmodel is None:
         raise ValueError("homog mode needs a homogenized model")
-    return (HomogDynamics(hmodel, scratch), hmodel.x0, None,
+    return (HomogDynamics(hmodel, dt, scratch), hmodel.x0, None,
             lambda ens, out: hmodel.hbar(ens.x, out=out))
 
 
@@ -433,7 +427,6 @@ def run_filter_batch(
     psis: list,
     streams: list[RngStream],
     hmodel: HomogenizedModel | None = None,
-    scheme: StepScheme | None = None,
     ess_frac: float = 0.5,
 ) -> list[FilterOutput] | tuple[list[FilterOutput], list[FilterOutput]]:
     """Run one particle filter per observation record, all records advanced together.
@@ -444,9 +437,9 @@ def run_filter_batch(
     per-step Python overhead is paid once per step instead of once per record.
     ``mode='full'`` propagates the two-timescale signal; ``mode='homog'``
     propagates the reduced model (``hmodel`` required) and evaluates the
-    averaged sensor in the weights.  One propagation step is taken per
-    observation step.  A row resamples after the weight update when its
-    ESS < ess_frac * N.  Both modes read the slow blocks of a run stream, the
+    averaged sensor in the weights.  One propagation step, of the records'
+    spacing, is taken per observation step.  A row resamples after the weight
+    update when its ESS < ess_frac * N.  Both modes read the slow blocks of a run stream, the
     same ones when ``hmodel.l_factor`` equals the model's ``l1``, which
     couples a full and a reduced filter for comparisons.
 
@@ -458,7 +451,7 @@ def run_filter_batch(
     if mode not in ("full", "homog", "both"):
         raise ValueError(f"mode must be 'full', 'homog' or 'both', got {mode!r}")
     modes = ("full", "homog") if mode == "both" else (mode,)
-    outs = _filter_pass([(records, m, preset, hmodel, scheme) for m in modes],
+    outs = _filter_pass([(records, m, preset, hmodel) for m in modes],
                         n_particles, psis, streams, ess_frac)
     return tuple(outs) if mode == "both" else outs[0]
 
@@ -467,8 +460,9 @@ def _filter_pass(cases, n_particles, psis, streams, ess_frac=0.5, _last_pi_only=
     """One filter per case, all advanced in one step loop on the run streams
     ``streams``; returns one list of ``FilterOutput`` per case.
 
-    A case is (records, mode, preset, hmodel, scheme), mode 'full' or
-    'homog', with ``records[r]`` on ``streams[r]`` and one time grid for all.
+    A case is (records, mode, preset, hmodel), mode 'full' or 'homog', with
+    ``records[r]`` on ``streams[r]`` and one time grid for all: its spacing is
+    every dynamics' step size.
     Every ensemble reads its blocks through one cache per step, so a key's
     block is drawn once and a case's outputs are bitwise the case run alone.
     The reduced filters of one ``hmodel`` hold the same particles until they
@@ -494,10 +488,9 @@ def _filter_pass(cases, n_particles, psis, streams, ess_frac=0.5, _last_pi_only=
         raise ValueError("observation grid is not uniform")
 
     scratch = Arena()
-    setups = [_mode_setup(mode, preset, hmodel, scheme, dt, scratch)
-              for _, mode, preset, hmodel, scheme in cases]
+    setups = [_mode_setup(mode, preset, hmodel, dt, scratch) for _, mode, preset, hmodel in cases]
     if len({case[1] for case in cases}) == 2:
-        for l_factor, l1 in {(h.l_factor, p.model.l1) for _, _, p, h, _ in cases}:
+        for l_factor, l1 in {(h.l_factor, p.model.l1) for _, _, p, h in cases}:
             if l_factor != l1:
                 warnings.warn(f"the reduced model's Brownian dimension l_factor={l_factor} is not "
                               f"the model's l1={l1}: the full and reduced filters read different "
@@ -513,10 +506,10 @@ def _filter_pass(cases, n_particles, psis, streams, ess_frac=0.5, _last_pi_only=
             pi=np.full((K + 1, R, len(psis)), np.nan), log_rho1=np.empty((K + 1, R)),
             ess=np.empty((K + 1, R)), resample_steps=[[] for _ in range(R)],
         )
-        for (records, mode, preset, _, _), (dynamics, x0, z0, sensor) in zip(cases, setups)
+        for (records, mode, preset, _), (dynamics, x0, z0, sensor) in zip(cases, setups)
     ]
     shared = {}      # the reduced filters of one hmodel start on one cloud
-    for run, (_, mode, _, hmodel, _) in zip(runs, cases):
+    for run, (_, mode, _, hmodel) in zip(runs, cases):
         if mode == "homog":
             run.ens.x = shared.setdefault(id(hmodel), run.ens.x)
     threshold, before_last = ess_frac * n_particles, [] if _last_pi_only else psis
@@ -535,7 +528,7 @@ def _filter_pass(cases, n_particles, psis, streams, ess_frac=0.5, _last_pi_only=
                 ens = run.ens
                 noise = ens.next_noise(run.blocks, cache)
                 if run is group[0]:       # the cloud steps and senses once, into slot 0
-                    propagate(ens, run.dynamics, dt, noise)
+                    propagate(ens, run.dynamics, noise)
                     h = run.sensor(ens, scratch.take(0, ens.x.shape[:-1] + (run.obs.d,)))
                 else:
                     ens.time += dt

@@ -20,6 +20,9 @@ from .errors import ConfigError, ModelViolationError
 from .exprs import matrix_field, vector_field
 from .noise import LevyMeasureSpec, MarkSampler, NoiseSource, RngStream, null_measure
 
+# offsets from (x0, z0) of the states where a declared ou_fast must meet b2 and sigma2
+_OU_PROBES = np.array([[0.0], [1.0], [-2.0]])
+
 
 @dataclass(frozen=True)
 class OuFast:
@@ -154,6 +157,13 @@ class SlowFastModel:
         _probe_shape("sigma1", self.sigma1(self.x0, self.z0), (self.n, self.l1))
         _probe_shape("b2", self.b2(self.x0, self.z0), (self.m,))
         _probe_shape("sigma2", self.sigma2(self.x0, self.z0), (self.m, self.l2))
+        if self.ou_fast is not None:    # the exact route's law must be b2 and sigma2's
+            ou, x, z = self.ou_fast, self.x0 + _OU_PROBES, self.z0 + _OU_PROBES
+            if not (np.allclose(self.b2(x, z), -ou.rate * z, rtol=1e-12, atol=0.0)
+                    and np.allclose(self.sigma2(x, z), ou.sigma, rtol=1e-12, atol=0.0)):
+                raise ConfigError(f"ou_fast (rate {ou.rate}, sigma {ou.sigma}) contradicts b2 "
+                                  f"and sigma2, which must be -rate*z[0] and sigma at z = "
+                                  f"{z[:, 0].tolist()}", key="ou_fast")
         if self.f1 is not None:
             u = np.zeros((2, self.nu1.mark_dim))
             _probe_shape("f1", self.f1(self.x0, u), (2, self.n))
@@ -213,6 +223,7 @@ def _probe_shape(name: str, value, expected: tuple):
     got = np.asarray(value).shape
     if got != expected:
         raise ValueError(f"coefficient {name} returned shape {got}, expected {expected}")
+
 
 
 # ---------------------------------------------------------------------------

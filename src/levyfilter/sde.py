@@ -1,10 +1,11 @@
 """Path simulation for the two-timescale signal and its observation, and the
 one step (``FullDynamics``, ``HomogDynamics``) of paths, filter particles and law ensembles.
 
-The slow component is advanced by an Euler step on the coarse grid; the fast
-one by ``fast_step`` on the route the model fixes: one exact Gaussian
-transition per coarse step if it declares an OU fast part, else Euler substeps
-no longer than epsilon/10, which resolve its own timescale.  Observation jumps
+A dynamics object owns one step size, the coarse grid's spacing.  The slow
+component is advanced by an Euler step on the coarse grid; the fast one by
+``fast_step`` on the route the model fixes: one exact Gaussian transition per
+coarse step if it declares an OU fast part, else Euler substeps no longer
+than epsilon/10, which resolve its own timescale.  Observation jumps
 are thinned against the state-dependent acceptance law using the left-limit
 state, and every compensated jump term subtracts its quadrature compensator
 so that simulated martingale parts stay centered.
@@ -33,21 +34,14 @@ _FROZEN_CHUNK_BYTES = 1 << 18
 _SIGNAL_SOURCES = (NoiseSource.SLOW_BROWNIAN, NoiseSource.FAST_BROWNIAN)
 
 
-@dataclass(frozen=True)
-class StepScheme:
-    """Coarse step of the slow component.  The fast route and its Euler
-    substeps follow from the model (``FullDynamics``)."""
-
-    dt_slow: float
-
-    def __post_init__(self):
-        if not self.dt_slow > 0:
-            raise ValueError(f"dt_slow must be > 0, got {self.dt_slow}")
+def default_scheme(model: SlowFastModel, dt: float) -> float:
+    """``dt``, the step size the benchmark workloads pass; goes with ROADMAP item 3."""
+    return float(dt)
 
 
-def default_scheme(model: SlowFastModel, dt_slow: float) -> StepScheme:
-    """The scheme of coarse step ``dt_slow``; ``model.ou_fast`` fixes the fast route."""
-    return StepScheme(dt_slow)
+def _check_step(dt) -> None:
+    if not dt > 0:
+        raise ValueError(f"dt must be > 0, got {dt}")
 
 
 def make_grid(T: float, dt: float) -> np.ndarray:
@@ -268,7 +262,7 @@ def _path_draws(dynamics: FullDynamics, obs: ObservationModel, T: float, K: int,
                 stream: RngStream) -> dict:
     """Every random input of one path, each noise from its own child stream of
     ``stream`` keyed by ``NoiseSource``, the signal's as K steps of ``dynamics.blocks(1)``."""
-    model, dt = dynamics.model, dynamics.scheme.dt_slow
+    model, dt = dynamics.model, dynamics.dt
 
     def events(source, spec, rate_scale=1.0):
         return sample_poisson_jumps(stream.child(source), spec, T, rate_scale=rate_scale)
@@ -293,10 +287,10 @@ def simulate_full(
     model: SlowFastModel,
     obs: ObservationModel,
     T: float,
-    scheme: StepScheme,
+    dt: float,
     stream: RngStream | list[RngStream],
 ) -> JointPath | list[JointPath]:
-    """Trajectories of the coupled system (slow, fast, observation).
+    """Trajectories of the coupled system (slow, fast, observation) on ``make_grid(T, dt)``.
 
     ``stream`` is one stream, giving one ``JointPath``, or a list of R streams,
     giving R paths advanced together by one time loop over (R, .) arrays.
@@ -313,9 +307,9 @@ def simulate_full(
     streams = [stream] if single else list(stream)
     if not streams:
         raise ValueError("need at least one stream")
-    times = make_grid(T, scheme.dt_slow)
-    K, R, dt = len(times) - 1, len(streams), scheme.dt_slow
-    dynamics = FullDynamics(model, scheme)
+    times = make_grid(T, dt)
+    K, R = len(times) - 1, len(streams)
+    dynamics = FullDynamics(model, dt)
     n, m, d = model.n, model.m, obs.d
 
     draws = [_path_draws(dynamics, obs, T, K, s) for s in streams]
@@ -342,7 +336,7 @@ def simulate_full(
     for k in range(K):
         t, x, z, y = times[k], X[:, k], Z[:, k], Y[:, k]
         fast_kicks = [fast_at.get(k * substeps + j) for j in range(substeps)] if fast_at else None
-        dynamics.step(x, z, [block[k] for block in signal], dt, (slow_at.get(k), fast_kicks),
+        dynamics.step(x, z, [block[k] for block in signal], (slow_at.get(k), fast_kicks),
                       (X[:, k + 1], Z[:, k + 1]))
 
         # observation: continuous part plus thinned jumps, left-limit state
@@ -398,13 +392,14 @@ def simulate_frozen_fast(
     generator in chunks of at most ``_FROZEN_CHUNK_BYTES`` for all rows
     together (successive draws equal one large draw, so the chunk size never
     changes a bit), scaled in one pass, and only the kept states are stored.
-    Memory is O(rows x S x m) plus the chunk, whatever the chain length.
+    Without fast jumps, memory is O(rows x S x m) plus the chunk, whatever the
+    chain length.  With fast jumps every event of the whole chain is drawn and
+    binned up front, so memory grows with the chain length (ROADMAP item 13).
     """
     keep = [int(k) for k in np.asarray(steps).reshape(-1)]
     if not keep or keep[0] < 1 or any(b <= a for a, b in zip(keep, keep[1:])):
         raise ValueError("steps must be strictly increasing step indices >= 1")
-    if not dt > 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
+    _check_step(dt)
     K = keep[-1]
     x = np.asarray(x, dtype=float)
     stack = x.ndim == 2
@@ -468,27 +463,30 @@ def simulate_reference_observations(
 
 @dataclass
 class FullDynamics:
-    """The one coarse step of the slow/fast signal for paths, filter particles and
-    law ensembles, in ``scratch``.  It alone splits the step into ``substeps``
-    ``fast_step``s: on exact OU one over the whole step (``dt_fast`` None), on
-    Euler the fewest of length ``dt_fast`` no longer than epsilon/10 (the fast
-    timescale).  The fields that read no variable (``_constant``) and the step's
-    scalars are resolved once."""
+    """The one coarse step, of size ``dt`` (> 0), of the slow/fast signal for
+    paths, filter particles and law ensembles, in ``scratch``.  It alone splits
+    the step into ``substeps`` ``fast_step``s: on exact OU one over the whole
+    step (``dt_fast`` None), on Euler the fewest of length ``dt_fast`` no longer
+    than epsilon/10 (the fast timescale).  The step's scalars and the fields
+    that read no variable (``_constant``) are resolved once, here."""
 
     model: SlowFastModel
-    scheme: StepScheme
+    dt: float
     scratch: Arena = field(default_factory=Arena, repr=False, compare=False)
 
     def __post_init__(self):
-        model, dt = self.model, self.scheme.dt_slow
+        model, dt = self.model, self.dt
+        _check_step(dt)
         if model.ou_fast is not None:
             self.substeps, self.dt_fast = 1, None
         else:
             self.substeps = max(1, math.ceil(dt / (model.epsilon / 10.0)))
             self.dt_fast = dt / self.substeps
+        s = (self.dt_fast or dt) / model.epsilon     # the fast span of one substep
+        self._scalars = (math.sqrt(dt), s, *fast_scalars(model, s))
         self._sigma1 = _constant(model.sigma1, model.x0, model.z0)
         self._sigma2 = _constant(model.sigma2, model.x0, model.z0)
-        self._nu1, self._dt = model.nu1.total_intensity > 0, None     # _dt: _scalars' step size
+        self._nu1 = model.nu1.total_intensity > 0
 
     def blocks(self, count: int) -> tuple:
         """Standard normal blocks a step of ``count`` states reads: slow (count,
@@ -501,7 +499,7 @@ class FullDynamics:
         """Standard normals per state and step."""
         return sum(math.prod(shape) for shape in self.blocks(1))
 
-    def step(self, x, z, noise, dt: float, kicks=(None, None), out=None):
+    def step(self, x, z, noise, kicks=(None, None), out=None):
         """The next (x, z) from the standard normal ``blocks`` in ``noise``, behind
         any row axes, written into ``out`` (default (x, z)), which it returns.
 
@@ -513,12 +511,9 @@ class FullDynamics:
         before the state it reads is written, so the fast substeps go after the
         slow coefficients and before the slow update.
         """
-        model, scratch = self.model, self.scratch
+        model, scratch, dt = self.model, self.scratch, self.dt
         (slow, fast), (slow_kicks, fast_kicks) = noise, kicks
         x_new, z_new = (x, z) if out is None else out
-        if dt != self._dt:      # sqrt(dt), the fast span and its scalars
-            s = (self.dt_fast or dt) / model.epsilon
-            self._dt, self._scalars = dt, (math.sqrt(dt), s, *fast_scalars(model, s))
         sqdt, s, scale, decay = self._scalars
         fast = np.multiply(fast, scale, out=scratch.take(3, fast.shape))   # route-scaled
         dV = np.multiply(slow, sqdt, out=scratch.take(0, slow.shape))
@@ -542,40 +537,43 @@ class FullDynamics:
 
 @dataclass
 class HomogDynamics:
-    """One step of the reduced slow model for an ensemble of states (no fast state)."""
+    """One step, of size ``dt`` (> 0), of the reduced slow model for a state ensemble."""
 
     hmodel: object
+    dt: float
     scratch: Arena = field(default_factory=Arena, repr=False, compare=False)
 
     def __post_init__(self):
         h = self.hmodel
+        _check_step(self.dt)
         require_jump_free(h.nu1)
+        self._sqdt = math.sqrt(self.dt)
         self._bbar1, self._sigmabar1 = (_constant(f, h.x0) for f in (h.bbar1, h.sigmabar1))
 
     def blocks(self, count: int) -> tuple:
         return ((count, self.hmodel.l_factor),)
 
-    def step(self, x, z, noise, dt: float):
+    def step(self, x, z, noise):
         """The next x from the block in ``noise``, written into x; returns (x, z)."""
-        h, scratch = self.hmodel, self.scratch
-        dV = np.multiply(noise[0], math.sqrt(dt), out=scratch.take(0, noise[0].shape))
+        h, scratch, dt = self.hmodel, self.scratch, self.dt
+        dV = np.multiply(noise[0], self._sqdt, out=scratch.take(0, noise[0].shape))
         drift = self._bbar1 if self._bbar1 is not None else h.bbar1(x)
         diffusion = self._sigmabar1 if self._sigmabar1 is not None else h.sigmabar1(x)
         return euler_step(x, drift, diffusion, dV, dt, out=x, work=scratch.take(1, x.shape)), z
 
 
-def _signal_law(model: SlowFastModel, scheme: StepScheme, stream: RngStream) -> tuple:
+def _signal_law(model: SlowFastModel, dt: float, stream: RngStream) -> tuple:
     require_jump_free(model.nu1, model.nu2)
-    return FullDynamics(model, scheme), model.x0, model.z0, list(map(stream.child, _SIGNAL_SOURCES))
+    return FullDynamics(model, dt), model.x0, model.z0, list(map(stream.child, _SIGNAL_SOURCES))
 
 
-def _homogenized_law(hmodel, stream: RngStream) -> tuple:
-    return HomogDynamics(hmodel), hmodel.x0, None, [stream.child(NoiseSource.HOMOG_BROWNIAN)]
+def _homogenized_law(hmodel, dt: float, stream: RngStream) -> tuple:
+    return HomogDynamics(hmodel, dt), hmodel.x0, None, [stream.child(NoiseSource.HOMOG_BROWNIAN)]
 
 
 def _law_steps(laws: list, T: float, dt: float, n_paths: int):
-    """Weightless ensembles of ``n_paths`` states per law (dynamics, x0, z0, block
-    streams) in lockstep, in one ``Arena``: yields (t, [(X, Z), ...]) at every
+    """Weightless ensembles of ``n_paths`` states per law (dynamics of step ``dt``,
+    x0, z0, block streams) in lockstep, in one ``Arena``: yields (t, [(X, Z), ...]) at every
     grid time, copies at the start, then the ensembles' own arrays, which the
     next step overwrites.  A step reads block s of a law from ``streams[s]`` through
     one ``keyed_normals`` cache and steps without kicks; each is bitwise its own run."""
@@ -591,13 +589,13 @@ def _law_steps(laws: list, T: float, dt: float, n_paths: int):
         for i, ((dynamics, _, _, streams), law_gens) in enumerate(zip(laws, gens)):
             noise = [keyed_normals([s], (((s.root_seed, s.stream_id),), shape), g, cache)[0]
                      for s, shape, g in zip(streams, dynamics.blocks(P), law_gens)]
-            states[i] = dynamics.step(*states[i], noise, dt)
+            states[i] = dynamics.step(*states[i], noise)
             _check_finite([a for a in states[i] if a is not None], t)
         yield t, list(states)
 
 
 def simulate_signal_ensemble(
-    model: SlowFastModel, T: float, scheme: StepScheme, n_paths: int, stream: RngStream
+    model: SlowFastModel, T: float, dt: float, n_paths: int, stream: RngStream
 ):
     """Many independent signal paths advanced together (no observation):
     (times, X, Z), the terminal states X (P, n) and Z (P, m).
@@ -605,14 +603,14 @@ def simulate_signal_ensemble(
     Requires a jump-free slow/fast pair; the noise blocks come from
     ``stream``'s SLOW_BROWNIAN and FAST_BROWNIAN children.
     """
-    for _, ((X, Z),) in _law_steps([_signal_law(model, scheme, stream)], T, scheme.dt_slow, n_paths):
+    for _, ((X, Z),) in _law_steps([_signal_law(model, dt, stream)], T, dt, n_paths):
         pass
-    return make_grid(T, scheme.dt_slow), X, Z
+    return make_grid(T, dt), X, Z
 
 
 def simulate_homogenized_ensemble(hmodel, T: float, dt: float, n_paths: int, stream: RngStream):
     """Many independent reduced-model paths advanced together (jump-free):
     (times, X), the terminal states X (P, n)."""
-    for _, ((X, _),) in _law_steps([_homogenized_law(hmodel, stream)], T, dt, n_paths):
+    for _, ((X, _),) in _law_steps([_homogenized_law(hmodel, dt, stream)], T, dt, n_paths):
         pass
     return make_grid(T, dt), X

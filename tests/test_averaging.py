@@ -226,7 +226,8 @@ def _replica_chain(model, x, stream, burn_in, n_samples, stride, dt):
     the full fine grid."""
     ou = model.ou_fast
     span, every = (dt, stride) if ou is None else (stride * dt, 1)
-    burn = int(round(burn_in / span))
+    ratio = burn_in / span      # the fewest spans that cover the burn-in, to 1e-9
+    burn = round(ratio) if abs(ratio - round(ratio)) <= 1e-9 * ratio else math.ceil(ratio)
     K = burn + -(-n_samples // FROZEN_REPLICAS) * every
     gen = stream.child(NoiseSource.FAST_BROWNIAN).generator()
     if ou is not None:

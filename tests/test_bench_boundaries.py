@@ -1,10 +1,13 @@
-"""The benchmark's timing boundaries stay in the program.
+"""The benchmark's timing boundaries and calls stay in the program.
 
 ``perfbench/tracer.py`` wraps library functions by name to time the layers of
 a pass.  A boundary that a refactor renames or bypasses drops or zeroes its
 layer metric without any error, so these checks load the tracer (reading its
 source, writing nothing) and require every boundary to install and a small
-coupled filter run to reach the filter's layers.
+coupled filter run to reach the filter's layers.  ``perfbench/workloads.py``
+calls the library by name and signature; a refactor that breaks one of those
+calls fails every benchmark run, so one check runs each workload once at its
+tiny size, loaded the same way.
 """
 
 import types
@@ -15,13 +18,21 @@ import pytest
 from levyfilter import PRESETS, RngStream, build_homogenized, experiments, filtering
 from levyfilter.sde import simulate_reference_observations
 
-_TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+_TRACER = _PERFBENCH / "tracer.py"
+_WORKLOADS = _PERFBENCH / "workloads.py"
+
+
+def _load(path: Path, name: str) -> types.ModuleType:
+    """The module of ``path``, executed from its source: nothing is written."""
+    module = types.ModuleType(name)
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
 
 
 @pytest.fixture
 def tracer():
-    module = types.ModuleType("perfbench_tracer")
-    exec(compile(_TRACER.read_text(), str(_TRACER), "exec"), module.__dict__)
+    module = _load(_TRACER, "perfbench_tracer")
     installed = module.Tracer()
     installed.install()
     try:
@@ -84,3 +95,26 @@ def test_a_traced_study_reaches_every_filter_layer(tracer, monkeypatch):
     metrics = module.layer_metrics(installed, threads=1)
     assert metrics["filtering.weight_event_calls"] == with_events
     assert metrics["noise.next_noise_s"] > 0 and metrics["filtering.propagate_s"] > 0
+
+
+def test_every_benchmark_workload_runs_and_passes_its_check(tmp_path):
+    # each workload's setup -> run -> check -> digest once in process, at its
+    # tiny size and the harness's seed, as perfbench/worker.py runs a pass; at
+    # tiny size converge_example6's gap need not fall in eps, which the
+    # harness's self-test also exempts
+    patcher_type = _load(_TRACER, "perfbench_tracer").Patcher
+    workloads = _load(_WORKLOADS, "perfbench_workloads").WORKLOADS
+    assert sorted(workloads) == ["converge_example6", "euler_lattice", "kalman_bootstrap"]
+    for name, workload in sorted(workloads.items()):
+        sizes = workload.sizes(True)
+        state = workload.setup(sizes)
+        patcher = patcher_type()
+        try:
+            result = workload.run(state, sizes, 5, tmp_path / name, patcher)
+        finally:
+            patcher.restore()
+        failures = workload.check(result, sizes)
+        if name == "converge_example6":
+            failures = [f for f in failures if not f.startswith("tanh gap at eps=")]
+        assert failures == [], name
+        assert len(workload.digest(result)) == 64

@@ -12,7 +12,7 @@ import pytest
 from levyfilter import PRESETS, preset_to_config
 from levyfilter import RngStream
 from levyfilter.cli import _split_top_level, _threads, build_parser, emit_svg, main
-from levyfilter.sde import FROZEN_REPLICAS, HomogDynamics, default_scheme, simulate_full
+from levyfilter.sde import FROZEN_REPLICAS, HomogDynamics, simulate_full
 
 
 @pytest.fixture(autouse=True)
@@ -50,8 +50,7 @@ def test_simulate_writes_path_and_summary(tmp_path):
     assert rc == 0
     summary = json.loads((out / "summary.json").read_text())
     preset = PRESETS["example6"]()
-    path = simulate_full(preset.model, preset.observation, 8.0,
-                         default_scheme(preset.model, 0.05), RngStream(3))
+    path = simulate_full(preset.model, preset.observation, 8.0, 0.05, RngStream(3))
     events = path.events
     assert summary["events"] == {key: events[key].times.size
                                  for key in ("slow", "fast", "obs_small", "obs_large")}
@@ -378,6 +377,12 @@ def test_broken_json_config(tmp_path, capsys):
     assert rc == 1
 
 
+def _contradicting_ou_fast(cfg):
+    # example6's b2 = -z and sigma2 = sqrt(2) (variance 1) against an exact OU
+    # transition of variance 0.001
+    cfg["model"]["ou_fast"] = {"rate": 5.0, "sigma": 0.1}
+
+
 _SEED_RULE = "--seed must lie in [0, 2**64 - 1], got -1 (key: seed)"
 
 
@@ -402,19 +407,24 @@ _SEED_RULE = "--seed must lie in [0, 2**64 - 1], got -1 (key: seed)"
     (["validate", "--samples", "0"], "samples must be at least 1, got 0 (key: samples)"),
     (["validate", "--samples", "-3"], "samples must be at least 1, got -3 (key: samples)"),
     (["average", "--x="], "--x needs at least one slow state (key: x)"),
+    (lambda tmp: ["simulate", "--config", str(_write_config(tmp, _contradicting_ou_fast))],
+     "contradicts b2 and sigma2, which must be -rate*z[0] and sigma"),
 ], ids=["filter_no_particles", "filter_ess_frac_0", "homog_no_closed_form", "simulate_grid",
         "filter_grid", "converge_grid", "filter_negative_T", "converge_no_particles",
         "converge_ess_frac_1.5", "converge_no_closed_form", "simulate_negative_seed",
         "filter_negative_seed", "converge_negative_seed", "average_negative_seed",
         "validate_negative_seed", "converge_law_pass_seed_overflow", "validate_no_samples",
-        "validate_negative_samples", "average_empty_grid"])
+        "validate_negative_samples", "average_empty_grid", "contradicting_ou_fast"])
 def test_a_rejected_input_is_a_config_error_before_writing(tmp_path, capsys, command, message):
     # a grid that --T and --dt do not make, a particle count or resampling
     # threshold the filter rejects, a reduced filter without closed-form
     # averages, a seed outside the streams' range (converge's law pass reads
-    # seed + 2), a sample count the checks cannot draw and an empty --x are all
-    # rejected before the run writes its config
+    # seed + 2), a sample count the checks cannot draw, an empty --x and an
+    # OU fast part that b2 and sigma2 contradict are all rejected before the
+    # run writes its config
     out = tmp_path / "o"
+    if callable(command):       # a command that reads a config written for it
+        command = command(tmp_path)
     rc = main(command + ["--out", str(out)])
     assert rc == 1
     err = capsys.readouterr().err
@@ -426,7 +436,7 @@ def test_non_finite_particles_map_to_a_timed_numerical_failure(tmp_path, capsys,
     # the reduced filter's particles blow up at the first step while the
     # simulated truth, which steps through FullDynamics, stays finite: the CLI
     # names the time of the failure
-    monkeypatch.setattr(HomogDynamics, "step", lambda self, x, z, noise, dt: (x + np.inf, z))
+    monkeypatch.setattr(HomogDynamics, "step", lambda self, x, z, noise: (x + np.inf, z))
     rc = main(["filter", "--mode", "homog", "--T", "0.1", "--dt", "0.05", "--particles", "8",
                "--out", str(tmp_path / "o")])
     assert rc == 2

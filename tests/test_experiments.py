@@ -35,7 +35,7 @@ from levyfilter import experiments, filtering, sde
 from levyfilter.averaging import build_homogenized
 from levyfilter.errors import ConfigError
 from levyfilter.filtering import ParticleEnsemble, _batch_log_weight, run_filter_batch
-from levyfilter.sde import FullDynamics, ObservationRecord, StepScheme
+from levyfilter.sde import FullDynamics, ObservationRecord
 from test_filtering import logistic_preset
 from test_sde import without_ou
 
@@ -71,16 +71,31 @@ def test_strictly_decreasing():
 
 
 def test_default_scheme_prefers_exact_ou():
-    # the scheme carries the coarse step only; the model's ou_fast fixes the route
+    # the scheme is the coarse step only; the model's ou_fast fixes the route
     model = PRESETS["example6"]().model
     scheme = default_scheme(model, 0.05)
-    assert scheme == StepScheme(0.05)
     assert FullDynamics(model, scheme).dt_fast is None
     no_ou = dataclasses.replace(model, ou_fast=None)
     scheme = default_scheme(no_ou, 0.05)  # epsilon = 0.1 => substeps at 0.01
     dynamics = FullDynamics(no_ou, scheme)
     assert dynamics.substeps == 5
     assert dynamics.dt_fast == pytest.approx(0.01)
+
+
+def test_the_benchmark_step_size_calls_keep_their_contract():
+    # perfbench/workloads.py builds its step size with default_scheme and passes
+    # it as simulate_full's 4th positional argument, FullDynamics's 2nd and
+    # run_filter's scheme: each takes the plain step size
+    preset = PRESETS["example6"]()
+    scheme = default_scheme(preset.model, 0.05)
+    assert scheme == 0.05 and type(scheme) is float
+    path = simulate_full(preset.model, preset.observation, 0.2, scheme, RngStream(1))
+    assert path.observations().dt == scheme
+    assert FullDynamics(preset.model, scheme).noise_width == preset.model.l1 + 1
+    rec = path.observations()
+    out = run_filter(rec, "full", preset, 8, ["tanh"], RngStream(2), scheme=scheme)
+    alone = run_filter(rec, "full", preset, 8, ["tanh"], RngStream(2))
+    assert out.pi.tobytes() == alone.pi.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +294,7 @@ def _with_slow_jumps():
 
 def test_ensembles_reject_a_jump_driven_signal(monkeypatch):
     preset = _with_slow_jumps()
-    rec = simulate_full(preset.model, preset.observation, 0.1, default_scheme(preset.model, 0.05),
-                        RngStream(1)).observations()
+    rec = simulate_full(preset.model, preset.observation, 0.1, 0.05, RngStream(1)).observations()
     hmodel = build_homogenized(preset)
     for mode in ("full", "homog"):
         with pytest.raises(ValueError, match="jump-free"):
@@ -299,12 +313,12 @@ def test_ensembles_reject_a_jump_driven_signal(monkeypatch):
 
 def test_signal_convergence_study_rows():
     preset = PRESETS["example6"]()
-    rows = signal_convergence_study(preset, [0.5, 0.1], n_paths=2000, T=0.5, dt_slow=0.02)
+    rows = signal_convergence_study(preset, [0.5, 0.1], n_paths=2000, T=0.5, dt=0.02)
     assert [r["epsilon"] for r in rows] == [0.5, 0.1]
     for r in rows:
         assert 0.0 <= r["ks"] <= 1.0
         assert r["n_paths"] == 2000
-    again = signal_convergence_study(preset, [0.5, 0.1], n_paths=2000, T=0.5, dt_slow=0.02)
+    again = signal_convergence_study(preset, [0.5, 0.1], n_paths=2000, T=0.5, dt=0.02)
     assert [r["ks"] for r in again] == [r["ks"] for r in rows]
 
 
@@ -410,7 +424,7 @@ def test_signal_convergence_study_checks_every_epsilon_first(epsilons, monkeypat
         monkeypatch.setattr(module, "_law_steps", no_work)
     monkeypatch.setattr(experiments, "build_homogenized", no_work)
     with pytest.raises(ConfigError) as info:
-        signal_convergence_study(PRESETS["example6"](), epsilons, n_paths=50, T=0.1, dt_slow=0.02)
+        signal_convergence_study(PRESETS["example6"](), epsilons, n_paths=50, T=0.1, dt=0.02)
     assert info.value.key == "epsilon"
 
 
@@ -477,9 +491,8 @@ def test_law_ensembles_share_one_draw_stream_per_shape(monkeypatch):
     # it runs alone
     preset, dt, T, P = without_ou(PRESETS["example6"]()), 0.01, 0.05, 30
     models = [with_epsilon(preset, e).model for e in (0.05, 0.03, 0.028)]
-    schemes = [default_scheme(m, dt) for m in models]
     stream = RngStream(9, 4)
-    laws = [sde._signal_law(m, s, stream) for m, s in zip(models, schemes)]
+    laws = [sde._signal_law(m, dt, stream) for m in models]
     _, built, draws = _count_law_draws(monkeypatch, 9)
     shared = list(sde._law_steps(laws, T, dt, P))
     assert len(built) == 3
@@ -516,9 +529,10 @@ def test_law_ensembles_through_the_dynamics_keep_their_bits(
     T, P, root = 0.1, 40, RngStream(17)
     hmodel = build_homogenized(PRESETS["example6"]())
     models = [with_epsilon(preset, e).model for e in epsilons]
-    laws = [sde._signal_law(m, default_scheme(m, dt), root.child(0)) for m in models]
+    laws = [sde._signal_law(m, dt, root.child(0)) for m in models]
     hashes = [hashlib.sha256() for _ in range(1 + len(models))]
-    for _, states in sde._law_steps([sde._homogenized_law(hmodel, root.child(2))] + laws, T, dt, P):
+    homog_law = sde._homogenized_law(hmodel, dt, root.child(2))
+    for _, states in sde._law_steps([homog_law] + laws, T, dt, P):
         # each state is hashed as it is yielded: the next step overwrites it
         for h, state in zip(hashes, states):
             for a in state:
@@ -529,7 +543,7 @@ def test_law_ensembles_through_the_dynamics_keep_their_bits(
     alone = [_digest((t, *states[0]) for t, states in sde._law_steps([law], T, dt, P))
              for law in laws]
     assert alone == full_digests
-    homog_alone = sde._law_steps([sde._homogenized_law(hmodel, root.child(2))], T, dt, P)
+    homog_alone = sde._law_steps([sde._homogenized_law(hmodel, dt, root.child(2))], T, dt, P)
     assert _digest((t, states[0][0]) for t, states in homog_alone) == homog_digest
 
 
@@ -571,12 +585,11 @@ def test_filter_study_is_one_coupled_pass_per_epsilon_on_shared_streams(
     presets = [with_epsilon(preset, e) for e in epsilons]
     streams = [root.child(0).child(r).child(1) for r in range(R)]
     for ie, (peps, row) in enumerate(zip(presets, report.rows)):
-        scheme = default_scheme(peps.model, dt)
-        paths = simulate_full(peps.model, peps.observation, T, scheme,
+        paths = simulate_full(peps.model, peps.observation, T, dt,
                               [root.child(ie).child(r).child(0) for r in range(R)])
         full, homog = run_filter_batch(
             [p.observations() for p in paths], "both", peps, N, psis, streams, hmodel=hmodel,
-            scheme=scheme, ess_frac=ess_frac)
+            ess_frac=ess_frac)
         for got, want in zip(outs[2 * ie] + outs[2 * ie + 1], full + homog):
             assert got.mode == want.mode
             assert _hexes(got.pi[-1]) == _hexes(want.pi[-1]) and np.isnan(got.pi[:-1]).all()
@@ -689,7 +702,7 @@ def test_filter_study_draws_each_particle_key_once(ess_frac, monkeypatch):
     for ie, eps in enumerate(epsilons):
         peps = with_epsilon(preset, eps)
         for r in range(R):
-            path = simulate_full(peps.model, peps.observation, T, default_scheme(peps.model, dt),
+            path = simulate_full(peps.model, peps.observation, T, dt,
                                  root.child(ie).child(r).child(0))
             pair = run_filter(path.observations(), "both", peps, N, ["tanh"],
                               root.child(0).child(r).child(1), hmodel=hmodel, ess_frac=ess_frac)
@@ -716,7 +729,7 @@ def test_convergence_study_diagnostics_match_the_wrappers():
         return [_diagnostics(row) for row in report.rows]
 
     marts = martingale_check(preset, epsilons, n, T, dt=dt, seed=seed + 2)
-    signal = signal_convergence_study(preset, epsilons, n, T, dt_slow=dt, seed=seed + 2)
+    signal = signal_convergence_study(preset, epsilons, n, T, dt=dt, seed=seed + 2)
     equal = study(n, n)
     assert equal == [
         _diagnostics({"ks_signal": s["ks"], "martingale_mean": m.mean_forward,

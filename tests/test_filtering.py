@@ -18,9 +18,7 @@ from levyfilter import (
     ModelViolationError,
     NoiseSource,
     RngStream,
-    StepScheme,
     ThinningLaw,
-    default_scheme,
     make_linear_gaussian,
     null_measure,
     run_filter,
@@ -382,12 +380,14 @@ def test_estimate_is_permutation_invariant_up_to_roundoff():
 
 
 class _ToyDynamics:
-    """Moves every fast state by ``kick`` per step and leaves the slow state."""
+    """Moves every fast state by ``kick`` per step of 0.25 and leaves the slow state."""
+
+    dt = 0.25
 
     def __init__(self, kick):
         self.kick = kick
 
-    def step(self, x, z, noise, dt):
+    def step(self, x, z, noise):
         return x, z + self.kick
 
 
@@ -400,9 +400,9 @@ def test_non_finite_particle_states_fail_with_their_time():
         ens.z[0, :2] = 1e308
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            propagate(ens, _ToyDynamics(1.0), 0.25, ())
+            propagate(ens, _ToyDynamics(1.0), ())
         with pytest.raises(IntegrationFailureError, match="t=0.5") as info:
-            propagate(ens, _ToyDynamics(bad), 0.25, ())
+            propagate(ens, _ToyDynamics(bad), ())
         assert info.value.time == 0.5
 
 
@@ -487,10 +487,9 @@ def test_run_filter_default_scheme_fills_the_step_with_equal_substeps():
     # the default takes 4 substeps of 0.0025
     preset = without_ou(PRESETS["example6"](epsilon=0.03))
     obs = simulate_reference_observations(preset.observation, 0.05, 0.01, RngStream(4, 0))
-    scheme = default_scheme(preset.model, 0.01)
-    assert FullDynamics(preset.model, scheme).substeps == 4
+    assert FullDynamics(preset.model, 0.01).substeps == 4
     implicit = run_filter(obs, "full", preset, 16, ["tanh"], RngStream(5, 0))
-    explicit = run_filter(obs, "full", preset, 16, ["tanh"], RngStream(5, 0), scheme=scheme)
+    explicit = run_filter(obs, "full", preset, 16, ["tanh"], RngStream(5, 0), scheme=0.01)
     np.testing.assert_array_equal(implicit.pi, explicit.pi)
     np.testing.assert_array_equal(implicit.log_rho1, explicit.log_rho1)
 
@@ -506,9 +505,8 @@ def test_run_filter_validation_errors():
         run_filter(obs, "full", preset, 8, ["tanh"], stream, ess_frac=0.0)
     with pytest.raises(ValueError, match="functional"):
         run_filter(obs, "full", preset, 8, [], stream)
-    bad_scheme = StepScheme(dt_slow=0.1)
     with pytest.raises(ValueError, match="observation spacing"):
-        run_filter(obs, "full", preset, 8, ["tanh"], stream, scheme=bad_scheme)
+        run_filter(obs, "full", preset, 8, ["tanh"], stream, scheme=0.1)
 
 
 def test_run_filter_batch_validation_errors():
@@ -538,16 +536,16 @@ def _reference_filter(rec, mode, preset, n, psis, stream, hmodel, ess_frac):
     psis = [psi_from_string(p) for p in psis]
     obs, dt, K = preset.observation, rec.dt, rec.steps
     if mode == "full":
-        dynamics = FullDynamics(preset.model, default_scheme(preset.model, dt))
+        dynamics = FullDynamics(preset.model, dt)
         ens = init_ensemble(n, preset.model.x0, preset.model.z0, [stream])
     else:
-        dynamics = HomogDynamics(hmodel)
+        dynamics = HomogDynamics(hmodel, dt)
         ens = init_ensemble(n, hmodel.x0, None, [stream])
     step_of_event = rec.small_step_index()
     _, w, den = weights = (np.empty((1, 1)), np.empty((1, n)), np.empty(1))
     rows, resample_steps = [estimate(ens, psis, weights)], []
     for k in range(K):
-        propagate(ens, dynamics, dt, ens.next_noise(dynamics.blocks(n), {}))
+        propagate(ens, dynamics, ens.next_noise(dynamics.blocks(n), {}))
         h_vals = obs.h(ens.x, ens.z) if mode == "full" else hmodel.hbar(ens.x)
         mine = step_of_event == k
         events = (np.zeros(mine.sum(), dtype=int), rec.small_times[mine], rec.small_marks[mine])
@@ -662,7 +660,7 @@ def test_coupled_pass_draws_a_shared_block_once(monkeypatch):
     generator = RngStream.generator
     monkeypatch.setattr(RngStream, "generator", lambda s: built.append(s) or generator(s))
     preset = PRESETS["example6"]()
-    full_shapes = FullDynamics(preset.model, default_scheme(preset.model, 0.05)).blocks(6)
+    full_shapes = FullDynamics(preset.model, 0.05).blocks(6)
     homog_shapes = ((6, 1),)
     full = init_ensemble(6, preset.model.x0, preset.model.z0, [RngStream(1, 0)])
     homog = init_ensemble(6, preset.model.x0, None, [RngStream(1, 0)])
@@ -756,14 +754,14 @@ def _linear_reduced_model(preset):
 
 def test_dynamics_noise_widths():
     preset = PRESETS["example6"]()
-    scheme = StepScheme(dt_slow=0.05)
-    assert FullDynamics(preset.model, scheme).noise_width == preset.model.l1 + 1
-    assert FullDynamics(preset.model, scheme).blocks(7) == ((7, preset.model.l1), (1, 7, 1))
+    dt = 0.05
+    assert FullDynamics(preset.model, dt).noise_width == preset.model.l1 + 1
+    assert FullDynamics(preset.model, dt).blocks(7) == ((7, preset.model.l1), (1, 7, 1))
     euler = without_ou(preset).model      # epsilon 0.1: 5 substeps of 0.01
-    assert FullDynamics(euler, scheme).noise_width == euler.l1 + 5 * euler.l2
-    assert FullDynamics(euler, scheme).blocks(7) == ((7, euler.l1), (5, 7, euler.l2))
+    assert FullDynamics(euler, dt).noise_width == euler.l1 + 5 * euler.l2
+    assert FullDynamics(euler, dt).blocks(7) == ((7, euler.l1), (5, 7, euler.l2))
     hmodel = _linear_reduced_model(make_linear_gaussian())
-    assert HomogDynamics(hmodel).blocks(7) == ((7, 1),)
+    assert HomogDynamics(hmodel, dt).blocks(7) == ((7, 1),)
 
 
 def test_full_and_reduced_filters_coincide_when_reduction_is_exact():
@@ -967,14 +965,12 @@ def test_separate_full_and_reduced_filters_draw_only_their_own_blocks(monkeypatc
     cfg["model"]["epsilon"] = 0.02
     preset = preset_from_config(cfg)
     N, dt, T = 2000, 0.01, 0.02
-    scheme = default_scheme(preset.model, dt)
-    assert FullDynamics(preset.model, scheme).substeps == 5
+    assert FullDynamics(preset.model, dt).substeps == 5
     obs = simulate_reference_observations(preset.observation, T, dt, RngStream(6, 0))
     hmodel = build_homogenized(PRESETS["example6"]())
     draws = _count_particle_draws(monkeypatch)
     for mode in ("full", "homog"):
-        run_filter(obs, mode, preset, N, ["tanh"], RngStream(6, 1), hmodel=hmodel,
-                   scheme=scheme if mode == "full" else None, ess_frac=1e-9)
+        run_filter(obs, mode, preset, N, ["tanh"], RngStream(6, 1), hmodel=hmodel, ess_frac=1e-9)
     K = int(round(T / dt))
     assert sum(n for _, n in draws) == K * 14_000
     fast = sum(n for source, n in draws if source == NoiseSource.FAST_BROWNIAN)
@@ -1028,13 +1024,11 @@ def test_a_step_evaluates_a_constant_field_once_per_dynamics(route):
     preset = PRESETS["example6"]()
     if route == "euler":
         preset = without_ou(preset, epsilon=0.05)
-    scheme = default_scheme(preset.model, 0.02)
     rec = simulate_reference_observations(preset.observation, 0.2, 0.02, RngStream(3))
     calls = {}
     model = _counted(preset.model, ("b1", "sigma1", "b2", "sigma2"), calls)
-    run_filter(rec, "full", dataclasses.replace(preset, model=model), 8, ["tanh"], RngStream(4),
-               scheme=scheme)
-    K, substeps = rec.steps, FullDynamics(preset.model, scheme).substeps if route == "euler" else 0
+    run_filter(rec, "full", dataclasses.replace(preset, model=model), 8, ["tanh"], RngStream(4))
+    K, substeps = rec.steps, FullDynamics(preset.model, 0.02).substeps if route == "euler" else 0
     assert (calls["b1"], calls["b2"]) == (K, K * substeps)
     assert calls["sigma1"] <= 1 and calls["sigma2"] <= 1
 
@@ -1060,8 +1054,7 @@ def _filter_pair_on_shared_records(preset, R, n_particles, seed):
     jump events by the preset's law, the other by constant thinning 0.5,
     under which every jump term is the same for every particle."""
     root = RngStream(seed)
-    scheme = default_scheme(preset.model, 0.02)
-    paths = simulate_full(preset.model, preset.observation, 1.0, scheme,
+    paths = simulate_full(preset.model, preset.observation, 1.0, 0.02,
                           [root.child(r).child(0) for r in range(R)])
     records = [p.observations() for p in paths]
     streams = [root.child(r).child(1) for r in range(R)]
@@ -1092,7 +1085,7 @@ def test_the_filter_evaluates_the_law_on_its_states_and_no_mark_nodes(monkeypatc
     preset = logistic_preset(intensity=5.0)
     R, N, n = 16, 50, preset.model.n
     records = [p.observations() for p in simulate_full(
-        preset.model, preset.observation, 1.0, default_scheme(preset.model, 0.02),
+        preset.model, preset.observation, 1.0, 0.02,
         [RngStream(3, r) for r in range(R)])]
     assert sum(len(rec.small_times) for rec in records) > 0
     shapes = []

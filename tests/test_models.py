@@ -245,6 +245,29 @@ def test_ou_fast_requires_scalar_fast_component():
         preset_from_config(bad)
 
 
+@pytest.mark.parametrize("model_fields", [
+    {"ou_fast": {"rate": 5.0, "sigma": 0.1}},             # variance 0.001 against b2/sigma2's 1
+    {"ou_fast": {"rate": 2.0, "sigma": 1.4142135623730951}},    # the rate alone
+    {"sigma2": [["1.5"]]},                                 # sigma2 alone
+    {"b2": ["-z[0] + 0.1*sin(x[0])"]},                     # b2 reads the slow state
+    {"b2": ["-z[0]*(1 + 1e-9)"]},                          # off by more than 1e-12
+], ids=["both", "rate", "sigma", "x_dependent_b2", "near_rate"])
+def test_ou_fast_must_agree_with_b2_and_sigma2(model_fields):
+    # the exact route samples the declared OU law and every Euler consumer
+    # reads b2 and sigma2: a config whose two disagree is refused at load
+    bad = copy.deepcopy(preset_to_config(build_example6()))
+    bad["model"].update(model_fields)
+    with pytest.raises(ConfigError, match="contradicts b2 and sigma2") as exc:
+        preset_from_config(bad)
+    assert exc.value.key == "ou_fast"
+
+
+def test_ou_fast_agreeing_with_b2_and_sigma2_loads():
+    cfg = copy.deepcopy(preset_to_config(build_example6()))
+    cfg["model"].update(b2=["-2.5*z[0]"], sigma2=[["0.5"]], ou_fast={"rate": 2.5, "sigma": 0.5})
+    assert preset_from_config(cfg).model.ou_fast == OuFast(2.5, 0.5)
+
+
 def test_presets_registry():
     assert set(PRESETS) == {"example6", "linear_gaussian"}
     for factory in PRESETS.values():

@@ -30,7 +30,6 @@ from levyfilter import (
     RngStream,
     build_homogenized,
     convergence_study,
-    default_scheme,
     experiments,
     filter_convergence_study,
     kalman_oracle,
@@ -92,9 +91,8 @@ def test_euler_lattice_filter_pair_with_logistic_thinning_keeps_its_bits():
     preset = preset_from_config(cfg)
     hmodel = build_homogenized(preset, mode="lattice", x_grid=[-2.0, 0.0, 2.0],
                                stream=RngStream(4), burn_in=1.0, n_samples=1000, stride=5)
-    scheme = default_scheme(preset.model, 0.02)
-    assert FullDynamics(preset.model, scheme).substeps == 4
-    rec = simulate_full(preset.model, preset.observation, 0.2, scheme, RngStream(6)).observations()
+    assert FullDynamics(preset.model, 0.02).substeps == 4
+    rec = simulate_full(preset.model, preset.observation, 0.2, 0.02, RngStream(6)).observations()
     assert len(rec.small_times) > 0
     full, homog = run_filter(rec, "both", preset, 24, ["tanh"], RngStream(7), hmodel=hmodel,
                              ess_frac=0.8)
@@ -121,8 +119,8 @@ _ROUTE_DIGESTS = {
 
 @pytest.mark.parametrize("case", _STACK_CASES)
 def test_simulate_full_keeps_its_bits_on_every_route(case):
-    preset, scheme = _STACK_PRESETS[case]
-    paths = simulate_full(preset.model, preset.observation, 0.6, scheme,
+    preset, dt = _STACK_PRESETS[case]
+    paths = simulate_full(preset.model, preset.observation, 0.6, dt,
                           [RngStream(9, r) for r in range(3)])
     arrays = []
     for path in paths:
@@ -138,10 +136,10 @@ def test_simulate_full_keeps_its_bits_on_every_route(case):
 # and sigma2, also inside every Euler substep) is one evaluated array, a
 # field that reads the state is evaluated at every step.
 
-def _filter_digest(preset, scheme, mode="full", hmodel=None):
-    rec = simulate_full(preset.model, preset.observation, 0.3, scheme, RngStream(6)).observations()
+def _filter_digest(preset, dt, mode="full", hmodel=None):
+    rec = simulate_full(preset.model, preset.observation, 0.3, dt, RngStream(6)).observations()
     outs = run_filter(rec, mode, preset, 24, ["tanh", "poly(0,1,1)"], RngStream(7), hmodel=hmodel,
-                      scheme=scheme, ess_frac=0.8)
+                      ess_frac=0.8)
     return _outputs_digest(outs if mode == "both" else [outs])
 
 
@@ -153,11 +151,10 @@ def test_filter_pair_with_a_state_dependent_sigma1_keeps_its_bits():
     assert preset.model.sigma1.variables == {"x"}
     hmodel = build_homogenized(preset, mode="lattice", x_grid=[-2.0, 0.0, 2.0],
                                stream=RngStream(4), burn_in=1.0, n_samples=1000, stride=5)
-    scheme = default_scheme(preset.model, 0.02)
     # the full filter alone keeps its bits; the pair was re-pinned with the
     # exact-OU lattice averages (see the module docstring)
-    assert _filter_digest(preset, scheme) == "0f35dd70e0e35629"
-    assert _filter_digest(preset, scheme, "both", hmodel) == "34f88bd0fdd41ada"
+    assert _filter_digest(preset, 0.02) == "0f35dd70e0e35629"
+    assert _filter_digest(preset, 0.02, "both", hmodel) == "34f88bd0fdd41ada"
 
 
 @pytest.mark.parametrize(("sigma1", "digest"), [
@@ -170,7 +167,7 @@ def test_filter_on_two_slow_noise_columns_keeps_its_bits(sigma1, digest):
     cfg["model"]["sigma1"] = sigma1
     preset = preset_from_config(cfg)
     assert preset.model.l1 == 2
-    assert _filter_digest(preset, default_scheme(preset.model, 0.02)) == digest
+    assert _filter_digest(preset, 0.02) == digest
 
 
 def test_euler_route_filter_with_a_constant_sigma2_keeps_its_bits():
@@ -179,9 +176,8 @@ def test_euler_route_filter_with_a_constant_sigma2_keeps_its_bits():
     cfg["model"]["epsilon"] = 0.05
     preset = preset_from_config(cfg)
     assert not preset.model.sigma2.variables
-    scheme = default_scheme(preset.model, 0.02)
-    assert FullDynamics(preset.model, scheme).substeps == 4
-    assert _filter_digest(preset, scheme) == "d861268d42d8ec04"
+    assert FullDynamics(preset.model, 0.02).substeps == 4
+    assert _filter_digest(preset, 0.02) == "d861268d42d8ec04"
 
 
 @pytest.mark.parametrize("coeffs", [(0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (1.0, -3.0, 0.5)])

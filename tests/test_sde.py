@@ -6,17 +6,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from levyfilter import sde
+from levyfilter.averaging import build_homogenized
 from levyfilter.models import (build_example6, make_linear_gaussian, preset_from_config,
                                preset_to_config, with_epsilon)
 from levyfilter.noise import RngStream
 from levyfilter.sde import (
     FullDynamics,
+    HomogDynamics,
     ObservationRecord,
-    StepScheme,
     _bin_events,
     _homogenized_law,
     _law_steps,
-    default_scheme,
     make_grid,
     simulate_full,
     simulate_homogenized_ensemble,
@@ -42,17 +42,21 @@ def without_ou(preset, **model_fields):
     return preset_from_config(cfg)
 
 
-def test_step_scheme_validation():
+def test_dynamics_own_one_valid_step_size():
     # the model fixes the route: exact OU when it declares ou_fast, else Euler
     preset = build_example6()
-    dynamics = FullDynamics(preset.model, StepScheme(dt_slow=0.01))
-    assert (dynamics.substeps, dynamics.dt_fast) == (1, None)
+    dynamics = FullDynamics(preset.model, 0.01)
+    assert (dynamics.dt, dynamics.substeps, dynamics.dt_fast) == (0.01, 1, None)
     # at epsilon 0.1 a step of epsilon/10 is one Euler substep of the coarse size
-    dynamics = FullDynamics(without_ou(preset).model, StepScheme(dt_slow=0.01))
+    dynamics = FullDynamics(without_ou(preset).model, 0.01)
     assert (dynamics.substeps, dynamics.dt_fast) == (1, 0.01)
+    hmodel = build_homogenized(preset)
+    assert HomogDynamics(hmodel, 0.01).dt == 0.01
     for dt in (0.0, -0.01, float("nan")):
-        with pytest.raises(ValueError, match="dt_slow"):
-            StepScheme(dt_slow=dt)
+        with pytest.raises(ValueError, match="dt must be > 0"):
+            FullDynamics(preset.model, dt)
+        with pytest.raises(ValueError, match="dt must be > 0"):
+            HomogDynamics(hmodel, dt)
 
 
 _EULER_EXAMPLE6 = without_ou(build_example6())
@@ -62,7 +66,7 @@ _EULER_EXAMPLE6 = without_ou(build_example6())
 @given(eps=st.floats(1e-4, 10.0), dt=st.floats(1e-4, 1.0), count=st.integers(1, 5))
 def test_euler_substeps_are_the_fewest_that_resolve_epsilon(eps, dt, count):
     preset = with_epsilon(_EULER_EXAMPLE6, eps)
-    dynamics = FullDynamics(preset.model, StepScheme(dt))
+    dynamics = FullDynamics(preset.model, dt)
     J, dt_fast, rtol = dynamics.substeps, dynamics.dt_fast, 1e-12
     assert dt_fast <= eps / 10 * (1 + rtol)
     assert J == 1 or dt / (J - 1) > eps / 10 * (1 - rtol)
@@ -73,12 +77,11 @@ def test_euler_substeps_are_the_fewest_that_resolve_epsilon(eps, dt, count):
 def test_a_coarse_euler_step_takes_the_derived_substeps(monkeypatch):
     # dt = epsilon = 0.1: ten Euler substeps of 0.01 per step (it was a stiffness error)
     preset = _EULER_EXAMPLE6
-    scheme = StepScheme(0.1)
-    dynamics = FullDynamics(preset.model, scheme)
+    dynamics = FullDynamics(preset.model, 0.1)
     assert (dynamics.substeps, dynamics.dt_fast) == (10, 0.1 / 10)
     calls, substep = [], sde.fast_step
     monkeypatch.setattr(sde, "fast_step", lambda *a: calls.append(a[4]) or substep(*a))
-    path = simulate_full(preset.model, preset.observation, 0.5, scheme, RngStream(0))
+    path = simulate_full(preset.model, preset.observation, 0.5, 0.1, RngStream(0))
     assert calls == [dynamics.dt_fast / preset.model.epsilon] * 50
     assert np.all(np.isfinite(path.Z))
 
@@ -91,31 +94,34 @@ def test_exact_ou_paths_and_chains_step_through_the_one_fast_step(monkeypatch):
     preset = build_example6()
     spans, step = [], sde.fast_step
     monkeypatch.setattr(sde, "fast_step", lambda *a: spans.append(a[4]) or step(*a))
-    simulate_full(preset.model, preset.observation, 0.5, StepScheme(0.1), RngStream(0))
+    simulate_full(preset.model, preset.observation, 0.5, 0.1, RngStream(0))
     assert spans == [0.1 / preset.model.epsilon] * 5
-    spans.clear()
-    estimate_invariant_measure(preset.model, [0.0], burn_in=0.3, n_samples=1000, stride=3,
-                               dt=0.01, stream=RngStream(1))
-    # 10 burn-in steps of 0.03, then 63 records per replica
-    assert spans == [3 * 0.01] * (10 + 63)
+    # burn-in steps: the fewest spans that cover it, 10 of 0.03 for 0.3 and one of
+    # 0.5 for 0.2 (a burn-in shorter than half a span once took none); then 63
+    # records per replica
+    for burn_in, stride, burn in ((0.3, 3, 10), (0.2, 50, 1)):
+        spans.clear()
+        estimate_invariant_measure(preset.model, [0.0], burn_in=burn_in, n_samples=1000,
+                                   stride=stride, dt=0.01, stream=RngStream(1))
+        assert spans == [stride * 0.01] * (burn + 63)
 
 
 def test_simulate_full_deterministic():
     preset = build_example6()
-    scheme = StepScheme(dt_slow=0.01)
-    a = simulate_full(preset.model, preset.observation, 1.0, scheme, RngStream(12))
-    b = simulate_full(preset.model, preset.observation, 1.0, scheme, RngStream(12))
+    dt = 0.01
+    a = simulate_full(preset.model, preset.observation, 1.0, dt, RngStream(12))
+    b = simulate_full(preset.model, preset.observation, 1.0, dt, RngStream(12))
     assert np.array_equal(a.X, b.X)
     assert np.array_equal(a.Z, b.Z)
     assert np.array_equal(a.Y, b.Y)
-    c = simulate_full(preset.model, preset.observation, 1.0, scheme, RngStream(13))
+    c = simulate_full(preset.model, preset.observation, 1.0, dt, RngStream(13))
     assert not np.array_equal(a.X, c.X)
 
 
 def test_observation_record_shapes_and_bbar():
     preset = build_example6()
-    scheme = StepScheme(dt_slow=0.01)
-    path = simulate_full(preset.model, preset.observation, 1.0, scheme, RngStream(4))
+    dt = 0.01
+    path = simulate_full(preset.model, preset.observation, 1.0, dt, RngStream(4))
     rec = path.observations()
     assert rec.steps == 100
     assert rec.dt == pytest.approx(0.01)
@@ -150,9 +156,9 @@ def test_ou_fast_exact_transition_statistics():
     cfg = preset_to_config(build_example6())
     cfg["model"]["epsilon"] = 1.0
     preset = preset_from_config(cfg)
-    scheme = StepScheme(dt_slow=math.log(2.0))
+    dt = math.log(2.0)
     _, _, ZT = simulate_signal_ensemble(
-        preset.model, math.log(2.0), scheme, 40_000, RngStream(8)
+        preset.model, math.log(2.0), dt, 40_000, RngStream(8)
     )
     # Z_dt | Z_0 = 0 is N(0, sigma^2 (1 - exp(-2 dt)) / 2) = N(0, 0.75)
     assert abs(ZT.var() - 0.75) < 0.02
@@ -167,9 +173,9 @@ def test_compensated_slow_jumps_are_mean_zero():
     cfg["model"]["f1"] = ["u[0]"]
     cfg["model"]["nu1"] = {"intensity": 2.0, "marks": "uniform(-1,1)"}
     preset = preset_from_config(cfg)
-    scheme = StepScheme(dt_slow=0.01)
+    dt = 0.01
     paths = simulate_full(
-        preset.model, preset.observation, 1.0, scheme, [RngStream(seed) for seed in range(400)]
+        preset.model, preset.observation, 1.0, dt, [RngStream(seed) for seed in range(400)]
     )
     xs = np.asarray([path.X[-1, 0] for path in paths])
     # mean 0 (compensation), variance T * intensity * E[u^2] = 2/3
@@ -195,7 +201,7 @@ def test_jump_totals_reconstruct_pure_jump_path():
     preset = preset_from_config(cfg)
     model, dt = preset.model, 0.05
     path = simulate_full(model, preset.observation, 1.0,
-                         StepScheme(dt_slow=dt), RngStream(21))
+                         dt, RngStream(21))
     slow = path.events["slow"]
     assert len(slow)
     x_left, grid = path.X[:-1], path.times
@@ -211,7 +217,7 @@ def test_observation_path_reconstruction():
     # small-jump compensator drift
     preset = build_example6(small_jump_intensity=20.0, large_jump_intensity=10.0)
     obs, dt = preset.observation, 0.01
-    path = simulate_full(preset.model, obs, 1.0, StepScheme(dt_slow=dt),
+    path = simulate_full(preset.model, obs, 1.0, dt,
                          RngStream(30))
     small, large = path.events["obs_small"], path.events["obs_large"]
     assert small.accepted.any() and large.accepted.any()
@@ -229,8 +235,8 @@ def test_simulate_full_thinning_acceptance_rate():
     # constant acceptance 0.3 on both observation regions, ~400 base events
     preset = build_example6(lambda_const=0.3, small_jump_intensity=200.0,
                             large_jump_intensity=200.0)
-    scheme = StepScheme(dt_slow=0.01)
-    path = simulate_full(preset.model, preset.observation, 1.0, scheme, RngStream(3))
+    dt = 0.01
+    path = simulate_full(preset.model, preset.observation, 1.0, dt, RngStream(3))
     events = np.concatenate([path.events["obs_small"].accepted, path.events["obs_large"].accepted])
     frac = sum(events) / len(events)
     assert len(events) > 300
@@ -239,8 +245,8 @@ def test_simulate_full_thinning_acceptance_rate():
 
 def test_signal_ensemble_matches_path_simulator_moments():
     preset = make_linear_gaussian()
-    scheme = StepScheme(dt_slow=0.01)
-    _, XT, _ = simulate_signal_ensemble(preset.model, 1.0, scheme, 30_000, RngStream(3))
+    dt = 0.01
+    _, XT, _ = simulate_signal_ensemble(preset.model, 1.0, dt, 30_000, RngStream(3))
     # dX = -X dt + sqrt(3) dV from 0: var(T) = 1.5 (1 - e^-2)
     target = 1.5 * (1.0 - math.exp(-2.0))
     assert abs(XT.mean()) < 0.02
@@ -259,11 +265,9 @@ def test_reference_observations_are_signal_free():
 
 
 def test_simulate_homogenized_reduced_dimensions():
-    from levyfilter.averaging import build_homogenized
-
     hmodel = build_homogenized(build_example6(), mode="closed_form")
     steps = [(t, X, Z) for t, [(X, Z)] in
-             _law_steps([_homogenized_law(hmodel, RngStream(5))], 1.0, 0.01, 3)]
+             _law_steps([_homogenized_law(hmodel, 0.01, RngStream(5))], 1.0, 0.01, 3)]
     assert len(steps) == 101
     for _, X, Z in steps:
         assert X.shape == (3, 1) and Z is None   # slow state only: no fast or observation part
@@ -276,8 +280,8 @@ def test_simulate_homogenized_reduced_dimensions():
 
 def test_path_csv_round_trip(tmp_path):
     preset = build_example6()
-    scheme = StepScheme(dt_slow=0.1)
-    path = simulate_full(preset.model, preset.observation, 0.5, scheme, RngStream(2))
+    dt = 0.1
+    path = simulate_full(preset.model, preset.observation, 0.5, dt, RngStream(2))
     out = tmp_path / "path.csv"
     path.to_csv(out)
     data = np.genfromtxt(out, delimiter=",", names=True)
@@ -291,7 +295,7 @@ def test_path_csv_round_trip(tmp_path):
 
 
 def _stack_case(name):
-    """(preset, scheme) of one route through ``simulate_full``; ``all_jumps``
+    """(preset, dt) of one route through ``simulate_full``; ``all_jumps``
     combines the slow-jump, fast-jump and logistic-thinning routes, and
     ``dense_obs_jumps`` thins several events of one path per step in both
     observation regions."""
@@ -316,7 +320,7 @@ def _stack_case(name):
         model["l1"] = 2
         model["sigma1"] = [["1.0", "0.3*cos(x[0])"]]
     preset = preset_from_config(cfg)
-    return preset, default_scheme(preset.model, 0.02)
+    return preset, 0.02
 
 
 _STACK_CASES = ["exact_ou", "euler", "logistic_thinning", "slow_jumps", "fast_jumps", "all_jumps",
@@ -334,12 +338,12 @@ def _event_tuples(path):
 @settings(max_examples=20, deadline=None)
 @given(rows=st.integers(1, 4), seed=st.integers(0, 2**16), case=st.sampled_from(_STACK_CASES))
 def test_stacked_paths_are_bitwise_single_paths(rows, seed, case):
-    preset, scheme = _STACK_PRESETS[case]
+    preset, dt = _STACK_PRESETS[case]
     streams = [RngStream(seed, r) for r in range(rows)]
-    stack = simulate_full(preset.model, preset.observation, 0.6, scheme, streams)
+    stack = simulate_full(preset.model, preset.observation, 0.6, dt, streams)
     assert isinstance(stack, list) and len(stack) == rows
     for stream, path in zip(streams, stack):
-        one = simulate_full(preset.model, preset.observation, 0.6, scheme, stream)
+        one = simulate_full(preset.model, preset.observation, 0.6, dt, stream)
         for name in ("times", "X", "Z", "Y", "bbar_increments"):
             np.testing.assert_array_equal(getattr(path, name), getattr(one, name), err_msg=name)
         assert _event_tuples(path) == _event_tuples(one)
@@ -350,18 +354,18 @@ def test_stacked_paths_are_bitwise_single_paths(rows, seed, case):
 
 
 def test_paths_step_through_the_full_dynamics_with_their_kicks(monkeypatch):
-    preset, scheme = _STACK_PRESETS["all_jumps"]
+    preset, dt = _STACK_PRESETS["all_jumps"]
     kicks, step = [], FullDynamics.step
 
-    def spy(self, x, z, noise, dt, kicks_in=(None, None), out=None):
+    def spy(self, x, z, noise, kicks_in=(None, None), out=None):
         kicks.append(kicks_in)
-        return step(self, x, z, noise, dt, kicks_in, out)
+        return step(self, x, z, noise, kicks_in, out)
 
     monkeypatch.setattr(FullDynamics, "step", spy)
-    paths = simulate_full(preset.model, preset.observation, 0.6, scheme,
+    paths = simulate_full(preset.model, preset.observation, 0.6, dt,
                           [RngStream(9, r) for r in range(3)])
     assert len(kicks) == len(paths[0].times) - 1
-    assert all(len(fast) == FullDynamics(preset.model, scheme).substeps for _, fast in kicks)
+    assert all(len(fast) == FullDynamics(preset.model, dt).substeps for _, fast in kicks)
     slow = [s for s, _ in kicks if s is not None]
     fast = [f for _, stacks in kicks for f in stacks if f is not None]
     assert slow and fast
@@ -379,8 +383,7 @@ def test_every_fast_jump_is_applied_once(eps, dt):
     model.update(epsilon=eps, z0=[0.0], b2=["0.0"], sigma2=[["0.0"]], f2=["1.0"],
                  nu2={"intensity": 3.0, "marks": "uniform(0,1)"})
     preset = preset_from_config(cfg)
-    scheme = default_scheme(preset.model, dt)
-    paths = simulate_full(preset.model, preset.observation, 1.0, scheme,
+    paths = simulate_full(preset.model, preset.observation, 1.0, dt,
                           [RngStream(seed) for seed in range(4)])
     for path in paths:
         assert len(path.events["fast"]) > 0
@@ -395,7 +398,7 @@ def test_observations_keep_the_mark_width_without_events():
     cfg["observation"]["nu3_small"] = {"intensity": 0.0, "marks": "point(0.1,0.2)"}
     preset = preset_from_config(cfg)
     path = simulate_full(preset.model, preset.observation, 0.2,
-                         default_scheme(preset.model, 0.02), RngStream(1))
+                         0.02, RngStream(1))
     ref = simulate_reference_observations(preset.observation, 0.2, 0.02, RngStream(1))
     assert path.observations().small_marks.shape == ref.small_marks.shape == (0, 2)
 
@@ -403,4 +406,4 @@ def test_observations_keep_the_mark_width_without_events():
 def test_simulate_full_needs_a_stream():
     preset = build_example6()
     with pytest.raises(ValueError, match="at least one stream"):
-        simulate_full(preset.model, preset.observation, 0.1, default_scheme(preset.model, 0.02), [])
+        simulate_full(preset.model, preset.observation, 0.1, 0.02, [])

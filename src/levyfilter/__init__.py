@@ -58,7 +58,7 @@ from .noise import (
     RngStream,
     brownian_increments,
     null_measure,
-    sample_poisson_jumps,
+    poisson_steps,
 )
 from .sde import (
     JointPath,
@@ -98,7 +98,7 @@ __all__ = [
     "make_linear_gaussian", "preset_from_config", "preset_to_config",
     "validate_assumptions", "with_epsilon",
     "JumpRecord", "LevyMeasureSpec", "MarkSampler", "NoiseSource", "RngStream",
-    "brownian_increments", "null_measure", "sample_poisson_jumps",
+    "brownian_increments", "null_measure", "poisson_steps",
     "JointPath", "ObservationRecord", "default_scheme", "make_grid", "simulate_full",
     "simulate_reference_observations", "simulate_signal_ensemble",
     "ConvergenceReport", "MartingaleReport", "OracleResult", "convergence_study",

@@ -3,10 +3,10 @@ diagnostics, a linear-Gaussian oracle, and filter convergence as the
 timescale separation vanishes.
 
 The filter study simulates each epsilon's replication paths as one stack,
-path r of epsilon e on the stream (study seed, e, r), and runs every
-epsilon's full and reduced filters in one lockstep pass whose row r reads
-the particle stream (study seed, 0, r) at every epsilon: common random
-numbers across epsilon.  No path or filter row depends on the other rows,
+path r on the stream (study seed, 0, r, 0), and runs every epsilon's full
+and reduced filters in one lockstep pass whose row r reads the particle
+stream (study seed, 0, r, 1): common random numbers across epsilon, for the
+truth and the particles.  No path or filter row depends on the other rows,
 so the numbers are a deterministic function of the seed.  The signal KS and
 the martingale check share one streamed pass over the law ensembles, which
 step through the filter's dynamics objects.
@@ -29,16 +29,8 @@ from .filtering import (
     run_filter,
 )
 from .models import ModelPreset, make_linear_gaussian, with_epsilon
-from .noise import RngStream
-from .sde import (
-    _events_by_step,
-    _homogenized_law,
-    _law_steps,
-    _signal_law,
-    make_grid,
-    require_jump_free,
-    simulate_full,
-)
+from .noise import RngStream, poisson_steps
+from .sde import _homogenized_law, _law_steps, _signal_law, require_jump_free, simulate_full
 
 
 def ks_statistic(a, b) -> float:
@@ -92,22 +84,17 @@ def _law_pass(preset, hmodel, presets, T, dt, root, ks_paths: int = 0, runs: int
     terminal slow states of the first ``ks_paths`` rows of ``presets[e]`` and
     of the reduced model; ``logl`` (1 + E, runs) the log-likelihoods of the
     first ``runs`` rows under ``preset``'s reference-law observations
-    (``child(5)`` increments, ``child(3)`` unthinned events), row 0 with the
-    averaged sensor.  No KS paths compute no KS; no runs draw nothing for
-    the observations and evaluate no sensor."""
+    (``child(5)`` increments; unthinned events, each step's for every run drawn
+    in the step by one ``poisson_steps`` call on ``child(3)``), row 0 with the
+    averaged sensor.  Nothing is drawn ahead of its step, so memory is O(P)
+    whatever the horizon.  No KS paths compute no KS; no runs draw nothing
+    for the observations and evaluate no sensor."""
     P, obs = max(ks_paths, runs), preset.observation
     laws = [_homogenized_law(hmodel, dt, root.child(2))]
     laws += [_signal_law(p.model, dt, root.child(0)) for p in presets]
     logl = np.zeros((1 + len(presets), runs))
     if runs:
-        # reference-law events of every run, charged to their run by the weight
-        # kernel at their step's right endpoint
         gen_ev = root.child(3).generator()
-        counts = gen_ev.poisson(obs.nu3_small.total_intensity * T, size=runs)
-        ev_times = gen_ev.uniform(0.0, T, size=int(counts.sum()))
-        ev_marks = obs.nu3_small.mark_sampler.sample(gen_ev, len(ev_times))
-        events = _events_by_step(make_grid(T, dt), np.repeat(np.arange(runs), counts),
-                                 ev_times, ev_marks)
         # not child(1): under a root of id 0 that is the fast stream child(0).child(1)
         gen_obs = root.child(5).generator()
     # the steps overwrite the states they yield
@@ -115,11 +102,15 @@ def _law_pass(preset, hmodel, presets, T, dt, root, ks_paths: int = 0, runs: int
         if k == 0 or not runs:   # the common start carries no increment
             continue
         dbar = gen_obs.standard_normal((runs, obs.d)) * math.sqrt(dt)
+        # the step's reference-law events of every run, charged to their run
+        # by the weight kernel at the step's right endpoint; none pass ()
+        ev_rows, _, ev_t, ev_u = poisson_steps(gen_ev, obs.nu3_small, dt, k - 1, 1, rows=runs)
+        events = (ev_rows, ev_t, ev_u) if len(ev_rows) else ()
         states = [(X0[:runs], hmodel.hbar(X0[:runs]))]
         states += [(X[:runs], obs.h(X[:runs], Z[:runs])) for X, Z in fulls]
         for row, (X, hv) in enumerate(states):
             hv = np.asarray(hv, dtype=float)
-            _batch_log_weight(obs, hv, X, dbar, dt, float(t), events.get(k - 1, ()), logl[row])
+            _batch_log_weight(obs, hv, X, dbar, dt, float(t), events, logl[row])
     ks = [max(ks_statistic(X[:ks_paths, j], X0[:ks_paths, j]) for j in range(X0.shape[1]))
           for X, _ in fulls] if ks_paths else []
     return ks, logl
@@ -169,8 +160,8 @@ def martingale_check(
 
     ``epsilon`` is one value or a list (one report each, bitwise the single
     call) sharing the epsilon-free reduced-model reference.  The forward route
-    is ``_law_pass`` with no KS paths: it streams, so memory is
-    O(n_runs + events) whatever the number of steps.
+    is ``_law_pass`` with no KS paths: it streams, drawing each step's events
+    in that step, so memory is O(n_runs) whatever the horizon.
     """
     P = _at_least_two("n_runs", n_runs)
     inverse_runs = 0 if not inverse_runs else _at_least_two("inverse_runs", inverse_runs)
@@ -325,8 +316,9 @@ def filter_convergence_study(
     blocks the full filter uses, resampled or not; otherwise a warning says
     the filters are not coupled), which strips most particle noise out of the
     terminal gap |pi_full(psi) - pi_homog(psi)|.
-    Per epsilon, one ``simulate_full`` call advances every replication's path
-    (``child(e).child(r).child(0)``); then one ``_filter_pass`` runs the 2E
+    Per epsilon, one ``simulate_full`` call advances every replication's path,
+    path r reading ``child(0).child(r).child(0)`` at every epsilon (common
+    random numbers for the truth too); then one ``_filter_pass`` runs the 2E
     filters with the replications as rows, row r reading
     ``child(0).child(r).child(1)`` at every epsilon, so a step's block of a
     (source, shape) key is drawn once per replication and shared by every
@@ -346,9 +338,9 @@ def filter_convergence_study(
     root = RngStream(int(seed))
     presets = [with_epsilon(preset, eps) for eps in epsilons]
     cases = []
-    for ie, peps in enumerate(presets):
+    for peps in presets:
         paths = simulate_full(peps.model, peps.observation, T, dt,
-                              [root.child(ie).child(r).child(0) for r in range(R)])
+                              [root.child(0).child(r).child(0) for r in range(R)])
         records = [path.observations() for path in paths]
         cases += [(records, mode, peps, hmodel) for mode in ("full", "homog")]
     outs = _filter_pass(cases, n_particles, psis, [root.child(0).child(r).child(1) for r in range(R)],

@@ -499,8 +499,8 @@ def _filter_pass(cases, n_particles, psis, streams, ess_frac=0.5, _last_pi_only=
         _ModeRun(
             mode=mode, dynamics=dynamics, blocks=dynamics.blocks(n_particles), sensor=sensor,
             obs=preset.observation,
-            events=_events_by_step(times, *_stack_events(
-                [rec.small_times for rec in records], [rec.small_marks for rec in records])),
+            events=_events_by_step(*_stack_events(
+                [(rec.small_step_index(), rec.small_times, rec.small_marks) for rec in records])),
             d_bbar=np.stack([rec.bbar_increments for rec in records], axis=1)[:, :, None, :],
             ens=init_ensemble(n_particles, x0, z0, streams),
             pi=np.full((K + 1, R, len(psis)), np.nan), log_rho1=np.empty((K + 1, R)),

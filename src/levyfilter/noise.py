@@ -294,28 +294,29 @@ def keyed_normals(streams: list, key: tuple, gens: list, cache: dict) -> np.ndar
     return block
 
 
-def sample_poisson_jumps(
-    stream: RngStream,
-    spec: LevyMeasureSpec,
-    horizon: float,
-    rate_scale: float = 1.0,
-) -> JumpRecord:
-    """Events of a Poisson random measure with intensity rate_scale * ν on (0, horizon].
+def poisson_steps(gen, spec: LevyMeasureSpec, dt: float, first: int, count: int,
+                  rate_scale: float = 1.0, rows: int = 1) -> tuple:
+    """Events of ``rows`` independent Poisson random measures of intensity
+    rate_scale * ν on the steps (k dt, (k+1) dt], k = first, ..., first + count - 1,
+    as one stack (rows, steps, times, marks) ordered by row, then by time.
 
-    The count, the sorted event times and the marks are drawn from a single
-    generator in a fixed order, so the result is reproducible from the stream;
-    a measure without mass draws nothing.  rate_scale carries the 1/epsilon
-    acceleration of fast-component jumps.
+    ``gen`` draws the total count, Poisson(rows count rate_scale |ν| dt), then
+    each event's (row, step) cell, uniform, then its time dt (k + 1 - U) in its
+    step, then its mark: independent Poisson counts per cell at a cost of
+    O(1 + events), however many cells.  No mass (or no cell) draws nothing and
+    leaves ``gen`` untouched (it may be None).  rate_scale carries the
+    1/epsilon acceleration of fast jumps.
     """
-    if not horizon > 0:
-        raise ValueError(f"horizon must be > 0, got {horizon}")
-    if not rate_scale > 0:
-        raise ValueError(f"rate_scale must be > 0, got {rate_scale}")
-    mean_count = spec.total_intensity * rate_scale * horizon
-    if mean_count == 0:
-        return JumpRecord(np.zeros(0), np.zeros((0, spec.mark_dim)), np.ones(0, dtype=bool))
-    gen = stream.generator()
-    count = int(gen.poisson(mean_count))
-    # 1 - U(0,1) lands in (0, 1], keeping event times strictly positive
-    times = np.sort(horizon * (1.0 - gen.uniform(size=count)))
-    return JumpRecord(times, spec.mark_sampler.sample(gen, count), np.ones(count, dtype=bool))
+    if not (dt > 0 and rate_scale > 0):
+        raise ValueError(f"dt and rate_scale must be > 0, got {dt} and {rate_scale}")
+    mean = spec.total_intensity * rate_scale * dt * count * rows
+    if mean == 0:
+        none = np.zeros(0, dtype=np.int64)
+        return none, none, np.zeros(0), np.zeros((0, spec.mark_dim))
+    total = int(gen.poisson(mean))
+    cells = gen.integers(count * rows, size=total)
+    late = 1.0 - gen.uniform(size=total)     # 1 - U, in (0, 1]
+    order = np.lexsort((late, cells))
+    row, step = np.divmod(cells[order], count)
+    step += first
+    return row, step, dt * (step + late[order]), spec.mark_sampler.sample(gen, total)

@@ -5,23 +5,25 @@ A dynamics object owns one step size, the coarse grid's spacing.  The slow
 component is advanced by an Euler step on the coarse grid; the fast one by
 ``fast_step`` on the route the model fixes: one exact Gaussian transition per
 coarse step if it declares an OU fast part, else Euler substeps no longer
-than epsilon/10, which resolve its own timescale.  Observation jumps
-are thinned against the state-dependent acceptance law using the left-limit
-state, and every compensated jump term subtracts its quadrature compensator
-so that simulated martingale parts stay centered.
+than epsilon/10, which resolve its own timescale.  Every jump event is
+drawn on its step by ``noise.poisson_steps``, so no consumer bins simulated
+events; an ``ObservationRecord`` keeps times alone, binned by ``_bin_events``.
+Observation jumps are thinned against the state-dependent acceptance law
+using the left-limit state, and every compensated jump term subtracts its
+quadrature compensator so that simulated martingale parts stay centered.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import IntegrationFailureError
 from .models import ObservationModel, SlowFastModel, check_thinning
-from .noise import NoiseSource, RngStream, brownian_increments, keyed_normals, sample_poisson_jumps
+from .noise import JumpRecord, NoiseSource, RngStream, brownian_increments, keyed_normals, poisson_steps
 
 _GRID_RTOL = 1e-9
 # independent chains per frozen slow state in simulate_frozen_fast: the cost of
@@ -30,6 +32,9 @@ _GRID_RTOL = 1e-9
 FROZEN_REPLICAS = 16
 # byte budget of one chunk of frozen-chain Brownian increments, all rows together
 _FROZEN_CHUNK_BYTES = 1 << 18
+# steps per window of frozen-chain jump events: each row draws a window's events
+# at once from its own generator, whatever the number of rows
+_FROZEN_EVENT_WINDOW = 256
 # the noise source of each block the full dynamics read, in ``blocks`` order
 _SIGNAL_SOURCES = (NoiseSource.SLOW_BROWNIAN, NoiseSource.FAST_BROWNIAN)
 
@@ -130,18 +135,18 @@ def _bin_events(event_times, times: np.ndarray) -> np.ndarray:
     return np.minimum(np.searchsorted(times[1:], event_times, side="left"), len(times) - 2)
 
 
-def _stack_events(times: list, marks: list) -> tuple:
-    """The events of R rows, row r's at ``times[r]`` with ``marks[r]``, as one
-    stack (rows, times, marks) in row order."""
-    rows = np.repeat(np.arange(len(times)), [len(t) for t in times])
-    return rows, np.concatenate(times), np.concatenate(marks)
+def _stack_events(stacks) -> tuple:
+    """The events (steps, times, *payload) of R rows, row r's in ``stacks[r]``,
+    as one stack (steps, rows, times, *payload) in row order."""
+    rows = np.repeat(np.arange(len(stacks)), [len(s[0]) for s in stacks])
+    steps, *columns = (np.concatenate(c) for c in zip(*stacks))
+    return steps, rows, *columns
 
 
-def _events_by_step(grid: np.ndarray, rows, times, *payload) -> dict:
-    """A stack of events (rows, times, *payload) by step of ``grid``:
+def _events_by_step(steps, rows, times, *payload) -> dict:
+    """A stack of events (rows, times, *payload) by their ``steps``:
     {k: (rows, times, *payload)} in stack order within each step, so every
     row's events keep their order; steps without events are absent."""
-    steps = _bin_events(times, grid)
     order = np.argsort(steps, kind="stable")
     steps, stack = steps[order], [a[order] for a in (rows, times, *payload)]
     cuts = (np.flatnonzero(np.diff(steps)) + 1).tolist()
@@ -149,12 +154,11 @@ def _events_by_step(grid: np.ndarray, rows, times, *payload) -> dict:
             for a, b in zip([0, *cuts], [*cuts, len(steps)]) if b > a}
 
 
-def _kicks_by_step(records, T: float, dt: float) -> dict:
-    """The jumps of R rows, row r jumping at the events ``records[r]``, by
-    step of the grid ``make_grid(T, dt)``: {k: (rows, times, marks)}.  No
-    events build no grid (the exact-OU route has no fine one)."""
-    rows, times, marks = _stack_events([r.times for r in records], [r.marks for r in records])
-    return _events_by_step(make_grid(T, dt), rows, times, marks) if len(times) else {}
+def _step_events(stream: RngStream, spec, dt: float, count: int, rate_scale: float = 1.0):
+    """(steps, times, marks) of ``spec``'s events on the steps 0, ..., count - 1
+    of size ``dt``, from ``stream``; a measure without mass builds no generator."""
+    gen = stream.generator() if spec.total_intensity > 0 else None
+    return poisson_steps(gen, spec, dt, 0, count, rate_scale)[1:]
 
 
 def _check_finite(arrays, t: float):
@@ -258,28 +262,25 @@ def fast_step(model: SlowFastModel, x, z, dW, s, decay=None, kicks=None, out=Non
     return z_new
 
 
-def _path_draws(dynamics: FullDynamics, obs: ObservationModel, T: float, K: int,
-                stream: RngStream) -> dict:
+def _path_draws(dynamics: FullDynamics, obs: ObservationModel, K: int, stream: RngStream) -> dict:
     """Every random input of one path, each noise from its own child stream of
-    ``stream`` keyed by ``NoiseSource``, the signal's as K steps of ``dynamics.blocks(1)``."""
+    ``stream`` keyed by ``NoiseSource``, the signal's as K steps of ``dynamics.blocks(1)``,
+    the events as (steps, times, marks): fast ones on the K substeps fine steps."""
     model, dt = dynamics.model, dynamics.dt
-
-    def events(source, spec, rate_scale=1.0):
-        return sample_poisson_jumps(stream.child(source), spec, T, rate_scale=rate_scale)
-
-    small = events(NoiseSource.OBS_JUMPS_SMALL, obs.nu3_small)
-    large = events(NoiseSource.OBS_JUMPS_LARGE, obs.nu3_large)
+    small = _step_events(stream.child(NoiseSource.OBS_JUMPS_SMALL), obs.nu3_small, dt, K)
+    large = _step_events(stream.child(NoiseSource.OBS_JUMPS_LARGE), obs.nu3_large, dt, K)
     thin_gen = stream.child(NoiseSource.THINNING).generator()
     return {
         "signal": [stream.child(source).generator().standard_normal((K,) + shape)
                    for source, shape in zip(_SIGNAL_SOURCES, dynamics.blocks(1))],
         "dB": brownian_increments(stream.child(NoiseSource.OBS_BROWNIAN), obs.d, dt, K),
-        "slow": events(NoiseSource.SLOW_JUMPS, model.nu1),
-        "fast": events(NoiseSource.FAST_JUMPS, model.nu2, 1.0 / model.epsilon),
+        "slow": _step_events(stream.child(NoiseSource.SLOW_JUMPS), model.nu1, dt, K),
+        "fast": _step_events(stream.child(NoiseSource.FAST_JUMPS), model.nu2,
+                             dynamics.dt_fast or dt, K * dynamics.substeps, 1.0 / model.epsilon),
         "obs_small": small, "obs_large": large,
         # acceptance uniforms, one per base event, drawn small region first
-        "u_obs_small": thin_gen.uniform(size=len(small)),
-        "u_obs_large": thin_gen.uniform(size=len(large)),
+        "u_obs_small": thin_gen.uniform(size=len(small[0])),
+        "u_obs_large": thin_gen.uniform(size=len(large[0])),
     }
 
 
@@ -300,8 +301,9 @@ def simulate_full(
     runs as a stack of one, the signal advances by ``FullDynamics.step`` with
     the step's kicks, whose terms act on each row alone, and each step thins
     the observation events of every path by one call per region, small then
-    large, at the left-limit states.  Slow events are binned on the coarse
-    grid, fast events on the fine grid ``make_grid(T, dt_fast)``.
+    large, at the left-limit states.  Every event is drawn on its step by
+    ``poisson_steps``: slow and observation events on the K coarse steps, fast
+    events on the K substeps fine steps of size dt_fast at rate 1/epsilon.
     """
     single = isinstance(stream, RngStream)
     streams = [stream] if single else list(stream)
@@ -312,19 +314,18 @@ def simulate_full(
     dynamics = FullDynamics(model, dt)
     n, m, d = model.n, model.m, obs.d
 
-    draws = [_path_draws(dynamics, obs, T, K, s) for s in streams]
+    draws = [_path_draws(dynamics, obs, K, s) for s in streams]
     signal = [np.concatenate(blocks, axis=-2) for blocks in zip(*(p["signal"] for p in draws))]
     dB = np.stack([p["dB"] for p in draws], axis=1)
-    slow_at = _kicks_by_step([p["slow"] for p in draws], T, dt)
-    fast_at = _kicks_by_step([p["fast"] for p in draws], T, dynamics.dt_fast)   # none on exact OU
+    slow_at, fast_at = (_events_by_step(*_stack_events([p[key] for p in draws]))
+                        for key in ("slow", "fast"))
     substeps = dynamics.substeps
     # per region, small then large: (key, jump shape, acceptance of the stacked
     # events, the events by step with their uniforms and stack positions)
     regions = []
     for key, shape in (("obs_small", obs.f3), ("obs_large", obs.g3)):
-        rows, ev_t, ev_u = _stack_events([p[key].times for p in draws], [p[key].marks for p in draws])
-        uniforms = np.concatenate([p["u_" + key] for p in draws])
-        at = _events_by_step(times, rows, ev_t, ev_u, uniforms, np.arange(len(ev_t)))
+        steps, rows, ev_t, ev_u, uniforms = _stack_events([(*p[key], p["u_" + key]) for p in draws])
+        at = _events_by_step(steps, rows, ev_t, ev_u, uniforms, np.arange(len(ev_t)))
         regions.append((key, shape, np.zeros(len(ev_t), dtype=bool), at))
 
     # path-major, so each path's arrays are contiguous, laid out as a single path's
@@ -353,10 +354,13 @@ def simulate_full(
             y_new -= dt * obs.nu3_small.integrate(lambda u: obs.f3(t, u) * lam)
         _check_finite((X[:, k + 1], Z[:, k + 1], y_new), times[k + 1])
 
+    for p in draws:
+        for key in ("slow", "fast"):
+            p[key] = JumpRecord(*p[key][1:], np.ones(len(p[key][1]), dtype=bool))
     for key, _, accepted, _ in regions:
-        cuts = np.cumsum([len(p[key]) for p in draws])[:-1]
+        cuts = np.cumsum([len(p[key][1]) for p in draws])[:-1]
         for p, acc in zip(draws, np.split(accepted, cuts)):
-            p[key] = replace(p[key], accepted=acc)
+            p[key] = JumpRecord(*p[key][1:], acc)
     paths = [
         JointPath(
             times=times, X=X[r], Z=Z[r], Y=Y[r], bbar_increments=bbar[r],
@@ -392,9 +396,10 @@ def simulate_frozen_fast(
     generator in chunks of at most ``_FROZEN_CHUNK_BYTES`` for all rows
     together (successive draws equal one large draw, so the chunk size never
     changes a bit), scaled in one pass, and only the kept states are stored.
-    Without fast jumps, memory is O(rows x S x m) plus the chunk, whatever the
-    chain length.  With fast jumps every event of the whole chain is drawn and
-    binned up front, so memory grows with the chain length (ROADMAP item 13).
+    Each row draws its fast jump events from its own generator by
+    ``poisson_steps``, ``_FROZEN_EVENT_WINDOW`` steps at a time.  Memory is
+    O(rows x S x m) plus the chunk and one window's events, whatever the chain
+    length.
     """
     keep = [int(k) for k in np.asarray(steps).reshape(-1)]
     if not keep or keep[0] < 1 or any(b <= a for a, b in zip(keep, keep[1:])):
@@ -410,9 +415,8 @@ def simulate_frozen_fast(
     rows = np.repeat(x, C, axis=0)     # row g C + c is replica c of node g
     R, m, l2 = len(rows), model.m, model.l2
     gens = [s.child(NoiseSource.FAST_BROWNIAN).generator() for s in row_streams]
-    events = [sample_poisson_jumps(s.child(NoiseSource.FAST_JUMPS), model.nu2, dt * K)
-              for s in row_streams]
-    kicks = _kicks_by_step(events, dt * K, dt)
+    jump_gens = [s.child(NoiseSource.FAST_JUMPS).generator() if model.nu2.total_intensity > 0
+                 else None for s in row_streams]
 
     Z = np.empty((R, len(keep), m))
     z = np.empty((R, m))
@@ -428,6 +432,10 @@ def simulate_frozen_fast(
             dW[:, r] = gen.standard_normal(size=(width, l2))
         dW *= scale
         for k in range(k0, k0 + width):
+            if k % _FROZEN_EVENT_WINDOW == 0:
+                window = min(_FROZEN_EVENT_WINDOW, K - k)
+                kicks = _events_by_step(*_stack_events(
+                    [poisson_steps(g, model.nu2, dt, k, window)[1:] for g in jump_gens]))
             fast_step(model, rows, z, dW[k - k0], dt, decay, kicks.get(k), z, scratch, sigma2)
             _check_finite((z,), dt * (k + 1))
             if k + 1 == keep[i]:
@@ -446,16 +454,11 @@ def simulate_reference_observations(
     times = make_grid(T, dt)
     K = len(times) - 1
     bbar = brownian_increments(stream.child(NoiseSource.OBS_BROWNIAN), obs.d, dt, K)
-    small = sample_poisson_jumps(stream.child(NoiseSource.OBS_JUMPS_SMALL), obs.nu3_small, T)
-    large = sample_poisson_jumps(stream.child(NoiseSource.OBS_JUMPS_LARGE), obs.nu3_large, T)
-    return ObservationRecord(
-        times=times,
-        bbar_increments=bbar,
-        small_times=small.times,
-        small_marks=small.marks,
-        large_times=large.times,
-        large_marks=large.marks,
-    )
+    _, small_times, small_marks = _step_events(stream.child(NoiseSource.OBS_JUMPS_SMALL),
+                                               obs.nu3_small, dt, K)
+    _, large_times, large_marks = _step_events(stream.child(NoiseSource.OBS_JUMPS_LARGE),
+                                               obs.nu3_large, dt, K)
+    return ObservationRecord(times, bbar, small_times, small_marks, large_times, large_marks)
 
 
 # ---------------------------------------------------------------------------

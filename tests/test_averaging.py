@@ -17,8 +17,8 @@ from levyfilter.averaging import (
 )
 from levyfilter.errors import ExtrapolationError
 from levyfilter.models import build_example6, preset_from_config, preset_to_config
-from levyfilter.noise import NoiseSource, RngStream, sample_poisson_jumps
-from levyfilter.sde import FROZEN_REPLICAS, _bin_events, euler_step, make_grid
+from levyfilter.noise import NoiseSource, RngStream, poisson_steps
+from levyfilter.sde import FROZEN_REPLICAS, euler_step
 from test_sde import without_ou
 
 
@@ -222,8 +222,8 @@ def route_presets(example6):
 def _replica_chain(model, x, stream, burn_in, n_samples, stride, dt):
     """The states one replica records, from a standalone one-row chain on
     ``stream`` with its own increments drawn at once: exact OU transitions at
-    the recording spacing, or Euler steps with its own jump events binned on
-    the full fine grid."""
+    the recording spacing, or Euler steps with its own jump events drawn on
+    their steps, ``sde._FROZEN_EVENT_WINDOW`` steps per draw."""
     ou = model.ou_fast
     span, every = (dt, stride) if ou is None else (stride * dt, 1)
     ratio = burn_in / span      # the fewest spans that cover the burn-in, to 1e-9
@@ -236,10 +236,11 @@ def _replica_chain(model, x, stream, burn_in, n_samples, stride, dt):
         dW = gen.normal(0.0, math.sqrt(dt), size=(K, model.l2))
     kicks = {}
     if model.f2 is not None:
-        events = sample_poisson_jumps(stream.child(NoiseSource.FAST_JUMPS), model.nu2, dt * K)
-        steps = _bin_events(events.times, make_grid(dt * K, dt))
-        for k, mark in zip(steps.tolist(), events.marks):
-            kicks.setdefault(k, []).append(mark)
+        gen, window = stream.child(NoiseSource.FAST_JUMPS).generator(), sde._FROZEN_EVENT_WINDOW
+        for first in range(0, K, window):
+            _, steps, _, marks = poisson_steps(gen, model.nu2, dt, first, min(window, K - first))
+            for k, mark in zip(steps.tolist(), marks):
+                kicks.setdefault(k, []).append(mark)
     x = np.asarray(x, dtype=float).reshape(1, model.n)
     z = model.z0.reshape(1, model.m).copy()
     kept = []
@@ -313,6 +314,21 @@ def test_chunked_noise_gives_the_same_samples(route_presets, monkeypatch, route,
     assert chunked.samples.tobytes() == whole.samples.tobytes()
 
 
+def test_jump_windows_keep_stacked_nodes_their_single_state_chains(route_presets, monkeypatch):
+    # windows of 7 steps cut the 176-step chains into 26 event draws per row
+    monkeypatch.setattr(sde, "_FROZEN_EVENT_WINDOW", 7)
+    model = route_presets["euler_jumps"].model
+    xs, stream = np.array([[-1.0], [0.5]]), RngStream(31)
+    kw = dict(burn_in=0.5, n_samples=1000, stride=2, dt=0.01)
+    stack = estimate_invariant_measure(model, xs, stream=stream, **kw)
+    length = -(-kw["n_samples"] // FROZEN_REPLICAS)
+    for g in range(len(xs)):
+        single = estimate_invariant_measure(model, xs[g], stream=stream.child(g), **kw)
+        assert stack.node(g).samples.tobytes() == single.samples.tobytes()
+        ref = _replica_chain(model, xs[g], stream.child(g).child(0), **kw)
+        assert single.samples[:length].tobytes() == ref.tobytes()
+
+
 def test_euler_chain_memory_does_not_grow_with_its_length(route_presets):
     model = route_presets["euler"].model
     xs = np.array([[-1.0], [1.0]])
@@ -329,6 +345,20 @@ def test_euler_chain_memory_does_not_grow_with_its_length(route_presets):
         tracemalloc.stop()
     assert meas.samples.shape == (2, 1000, 1)
     assert peak < unstreamed / 10
+    # with fast jumps (nu2 of mass 20, 3.2 events per step over the 16 rows):
+    # a chain 16 times longer peaks at most twice as high; drawing every event
+    # of the chain up front took 8.2 -> 119.7 MB at 10 k -> 160 k steps
+    jumps = without_ou(build_example6(), f2=["0.1*u[0]"],
+                       nu2={"intensity": 20.0, "marks": "uniform(-1,1)"}).model
+    peaks = []
+    for steps in (10, 1250, 20_000):     # the first warms every cache
+        tracemalloc.start()
+        try:
+            sde.simulate_frozen_fast(jumps, np.array([0.5]), jumps.z0, [steps], 0.01, RngStream(3))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[2] < 2 * peaks[1]
 
 
 def test_stationarity_warning_on_transient_chain():

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from levyfilter import PRESETS, RngStream, build_homogenized, experiments, filtering
+from levyfilter.noise import poisson_steps
 from levyfilter.sde import simulate_reference_observations
 
 _PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -95,6 +96,26 @@ def test_a_traced_study_reaches_every_filter_layer(tracer, monkeypatch):
     metrics = module.layer_metrics(installed, threads=1)
     assert metrics["filtering.weight_event_calls"] == with_events
     assert metrics["noise.next_noise_s"] > 0 and metrics["filtering.propagate_s"] > 0
+
+
+def test_a_traced_law_pass_counts_only_the_steps_that_drew_events(tracer):
+    # the law pass draws each step's reference-law events for all runs in the
+    # step and passes () on a step that drew none, so the tracer's
+    # weight_event_calls counts (step, ensemble) calls with events; an empty
+    # (rows, times, marks) stack in place of () would count every call
+    module, installed = tracer
+    preset = PRESETS["example6"]()
+    nu, runs, T, dt, seed = preset.observation.nu3_small, 20, 1.0, 0.05, 6
+    experiments.martingale_check(preset, [0.5, 0.1], runs, T, dt=dt, seed=seed)
+    gen = RngStream(seed).child(3).generator()
+    K, ensembles = int(round(T / dt)), 3       # the reduced and two full ensembles
+    drew = sum(len(poisson_steps(gen, nu, dt, k, 1, rows=runs)[0]) > 0 for k in range(K))
+    assert 0 < drew < K
+    weights = [span[6] for span in installed.spans if span[1] == "filtering._batch_log_weight"]
+    assert len(weights) == K * ensembles
+    assert sum(w["events"] > 0 for w in weights) == drew * ensembles
+    assert module.layer_metrics(installed, threads=1)["filtering.weight_event_calls"] == (
+        drew * ensembles)
 
 
 def test_every_benchmark_workload_runs_and_passes_its_check(tmp_path):

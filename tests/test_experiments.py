@@ -257,6 +257,25 @@ def test_martingale_check_memory_does_not_grow_with_the_steps():
     assert peak < histories / 10
 
 
+def test_martingale_check_memory_does_not_grow_with_the_horizon():
+    # each step's reference-law events are drawn in that step, so four times
+    # the horizon (and the events) peaks within 20 %; drawing every event up
+    # front took 0.43 -> 0.81 MB at T 1 -> 4
+    preset = PRESETS["example6"]()
+    assert preset.observation.nu3_small.total_intensity > 0
+    hmodel = build_homogenized(preset)
+    martingale_check(preset, 0.1, 2, 0.02, dt=0.01, seed=1, hmodel=hmodel)   # warms every cache
+    peaks = []
+    for T in (1.0, 4.0):
+        tracemalloc.start()
+        try:
+            martingale_check(preset, 0.1, 2000, T, dt=0.01, seed=1, hmodel=hmodel)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.2 * peaks[0]
+
+
 def _sensing_the_fast_state():
     cfg = preset_to_config(PRESETS["example6"]())
     cfg["observation"]["h"] = ["z[0]"]
@@ -572,8 +591,9 @@ def _study_and_its_outputs(monkeypatch, preset, epsilons, **kwargs):
 ])
 def test_filter_study_is_one_coupled_pass_per_epsilon_on_shared_streams(
         route, epsilons, ess_frac, monkeypatch):
-    # every epsilon's filters read replication r's particle stream
-    # child(0).child(r).child(1), each at its own blocks, so each epsilon's
+    # every epsilon's truth path r reads child(0).child(r).child(0) and its
+    # filters replication r's particle stream child(0).child(r).child(1),
+    # each at its own blocks, so each epsilon's
     # outputs are its coupled pass alone on those streams; the study's pass
     # evaluates the functionals at the last step only
     preset = PRESETS["example6"]() if route == "exact_ou" else without_ou(PRESETS["example6"]())
@@ -586,7 +606,7 @@ def test_filter_study_is_one_coupled_pass_per_epsilon_on_shared_streams(
     streams = [root.child(0).child(r).child(1) for r in range(R)]
     for ie, (peps, row) in enumerate(zip(presets, report.rows)):
         paths = simulate_full(peps.model, peps.observation, T, dt,
-                              [root.child(ie).child(r).child(0) for r in range(R)])
+                              [root.child(0).child(r).child(0) for r in range(R)])
         full, homog = run_filter_batch(
             [p.observations() for p in paths], "both", peps, N, psis, streams, hmodel=hmodel,
             ess_frac=ess_frac)
@@ -703,7 +723,7 @@ def test_filter_study_draws_each_particle_key_once(ess_frac, monkeypatch):
         peps = with_epsilon(preset, eps)
         for r in range(R):
             path = simulate_full(peps.model, peps.observation, T, dt,
-                                 root.child(ie).child(r).child(0))
+                                 root.child(0).child(r).child(0))
             pair = run_filter(path.observations(), "both", peps, N, ["tanh"],
                               root.child(0).child(r).child(1), hmodel=hmodel, ess_frac=ess_frac)
             for got, want in zip((outs[2 * ie][r], outs[2 * ie + 1][r]), pair):

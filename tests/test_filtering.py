@@ -937,7 +937,9 @@ def test_rows_keep_their_bits_until_their_first_resample():
     # the digest was taken when a resample re-keyed the row to a fresh stream
     # per resample generation; generation 0 read the one stream per source that
     # every step now reads, so a row that never resamples keeps every bit and a
-    # row that resamples keeps its outputs up to the step of its first resample
+    # row that resamples keeps its outputs up to the step of its first resample.
+    # It was re-pinned when jump events came to be drawn on their steps, which
+    # moved the records' small-region events (the resample steps held)
     preset = _BATCH_PRESET
     records = [simulate_reference_observations(preset.observation, 1.0, 0.05, RngStream(12, 2 * r))
                for r in range(6)]
@@ -952,7 +954,7 @@ def test_rows_keep_their_bits_until_their_first_resample():
         for series in (out.pi[:end], out.log_rho1[:end], out.ess[:end]):
             digest.update(series.tobytes())
     assert digest.hexdigest() == (
-        "51c0ce2cfe0bb2f194accc3ef9c53825117fc0fb9cb89b9c385efc1c7f996622")
+        "d7b6294991df869d410b78e80c18d63f707ebe45a06e7869aceffe6511bd8ae9")
 
 
 def test_separate_full_and_reduced_filters_draw_only_their_own_blocks(monkeypatch):

@@ -17,7 +17,7 @@ from levyfilter.noise import (
     _gauss_legendre,
     brownian_increments,
     null_measure,
-    sample_poisson_jumps,
+    poisson_steps,
 )
 
 
@@ -169,27 +169,48 @@ def test_levy_measure_integrate_and_guards():
     assert null_measure("U1").total_intensity == 0.0
 
 
-def test_sample_poisson_jumps_basics():
+def test_poisson_steps_lie_in_their_steps_in_time_order():
     spec = LevyMeasureSpec(3.0, MarkSampler.parse("uniform(-1,1)"), "U1")
-    events = sample_poisson_jumps(RngStream(4), spec, horizon=2.0)
-    times = events.times.tolist()
-    assert times == sorted(times)
-    assert all(0 < t <= 2.0 for t in times)
-    assert events.marks.shape == (len(times), 1) and events.accepted.all()
-    again = sample_poisson_jumps(RngStream(4), spec, horizon=2.0)
-    assert again.times.tolist() == times
-    assert len(sample_poisson_jumps(RngStream(4), null_measure("U1"), 2.0)) == 0
+    dt, first, count, rows = 0.1, 7, 40, 5
+    row, step, times, marks = poisson_steps(np.random.default_rng(4), spec, dt, first, count,
+                                            rate_scale=2.0, rows=rows)
+    assert len(times) > 100 and marks.shape == (len(times), 1)
+    assert ((0 <= row) & (row < rows)).all() and ((first <= step) & (step < first + count)).all()
+    assert ((step * dt < times) & (times <= (step + 1) * dt)).all()
+    assert (np.diff(row) >= 0).all()
+    for r in range(rows):
+        assert (np.diff(times[row == r]) > 0).all()
+    again = poisson_steps(np.random.default_rng(4), spec, dt, first, count, rate_scale=2.0,
+                          rows=rows)
+    for a, b in zip((row, step, times, marks), again):
+        assert a.tobytes() == b.tobytes()
 
 
-def test_sample_poisson_jumps_rate_scaling():
-    spec = LevyMeasureSpec(1.0, MarkSampler.parse("uniform(-1,1)"), "U2")
-    counts = [
-        len(sample_poisson_jumps(RngStream(seed), spec, 1.0, rate_scale=50.0))
-        for seed in range(40)
-    ]
-    mean = np.mean(counts)
-    # Poisson(50): mean of 40 draws has SE ~ 1.1
-    assert abs(mean - 50.0) < 5.0
+def test_poisson_steps_without_mass_leave_the_generator_untouched():
+    gen = np.random.default_rng(5)
+    state = gen.bit_generator.state
+    massive = LevyMeasureSpec(2.0, MarkSampler.parse("gauss(0,1)"), "U2")
+    for spec, count in ((null_measure("U1"), 10), (massive, 0)):     # no mass, no cell
+        row, step, times, marks = poisson_steps(gen, spec, 0.1, 0, count, rows=3)
+        assert len(row) == len(step) == len(times) == len(marks) == 0
+        assert marks.shape == (0, 1)
+    assert gen.bit_generator.state == state
+    assert len(poisson_steps(None, null_measure("U1"), 0.1, 0, 10)[2]) == 0
+
+
+@pytest.mark.parametrize("rate_scale", [1.0, 20.0])
+def test_poisson_steps_counts_per_cell_are_poisson(rate_scale):
+    # mass 1.5, dt 0.2: per (row, step) cell the count is Poisson(0.3 rate_scale),
+    # whose mean and variance both equal the rate; 20000 cells give SEs of
+    # sqrt(rate / n) for the mean and about rate sqrt(2 / n) for the variance
+    spec = LevyMeasureSpec(1.5, MarkSampler.parse("exp(2)"), "U1")
+    rows, count, dt = 50, 400, 0.2
+    row, step, _, _ = poisson_steps(np.random.default_rng(6), spec, dt, 3, count, rate_scale,
+                                    rows)
+    cells = np.bincount(row * count + step - 3, minlength=rows * count)
+    rate, n = 1.5 * rate_scale * dt, rows * count
+    assert abs(cells.mean() - rate) < 4 * math.sqrt(rate / n)
+    assert abs(cells.var(ddof=1) - rate) < 4 * math.sqrt((2 * rate * rate + rate) / n)
 
 
 def test_brownian_increments_moments_and_determinism():

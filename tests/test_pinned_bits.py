@@ -18,6 +18,15 @@ The filter pair with a state-dependent sigma1 was re-pinned when exact-OU
 invariant measures became ``FROZEN_REPLICAS`` replica chains in place of one
 chain: its lattice runs exact OU, so its reduced filter moved, while the
 full filter alone kept the digest it had before.
+Every digest of a run that draws a jump event was re-pinned when the events
+came to be drawn on their steps (``noise.poisson_steps``: a total count, then
+each event's step, its time in that step and its mark) in place of sorted
+times over the whole horizon: the study with rows resampling at their own
+steps, the logistic-thinning filter pair, the study with its law pass (both
+digests) and the logistic_thinning, slow_jumps, fast_jumps, all_jumps and
+dense_obs_jumps routes of ``simulate_full``.  The two studies moved also
+because each truth path r now reads one stream at every epsilon.  Runs that
+draw no jump event kept their bits.
 """
 
 import hashlib
@@ -73,8 +82,8 @@ def test_study_with_rows_resampling_at_their_own_steps_keeps_its_bits(monkeypatc
     homog = [o for case in outs[1::2] for o in case]
     assert len({tuple(o.resample_steps) for o in homog}) > 1
     assert [_report_digest(report)] + [_outputs_digest(case) for case in outs] == [
-        "e3ded7785750e10d", "25c22da6f1337086", "3ebe9b70441a7bd5", "c9d604b335e4319c",
-        "65779b74e54a974d", "7860b0adbf92ae5b", "2dc1e435f10d5b38"]
+        "f3f0dae6d33627e7", "909b6f0a31bf01fe", "2c335c9166f33d13", "af81972d972fe9b5",
+        "43ee870aab121b99", "171875eb0aee9453", "da35520fdf95a7b1"]
 
 
 def test_kalman_oracle_keeps_its_bits():
@@ -96,7 +105,7 @@ def test_euler_lattice_filter_pair_with_logistic_thinning_keeps_its_bits():
     assert len(rec.small_times) > 0
     full, homog = run_filter(rec, "both", preset, 24, ["tanh"], RngStream(7), hmodel=hmodel,
                              ess_frac=0.8)
-    assert _outputs_digest([full, homog]) == "804ff6ac8da356dd"
+    assert _outputs_digest([full, homog]) == "bf50a644bd1c9ec7"
 
 
 def test_convergence_study_with_its_law_pass_keeps_its_bits():
@@ -105,15 +114,15 @@ def test_convergence_study_with_its_law_pass_keeps_its_bits():
                                martingale_runs=40)
     martingale = ("martingale_mean", "martingale_se", "max_rho0_inverse")
     assert _digest(*[v for row in report.rows for k, v in sorted(row.items())
-                     if k not in martingale]) == "55dcbe02df287387"
-    assert _digest(*[row[k] for row in report.rows for k in martingale]) == "c1df39ac8acdb09a"
+                     if k not in martingale]) == "919970eefcb2b441"
+    assert _digest(*[row[k] for row in report.rows for k in martingale]) == "eafb834c58c9faf0"
 
 
 _ROUTE_DIGESTS = {
     "exact_ou": "2f904e3519034d97", "euler": "85cad1467208cec7",
-    "logistic_thinning": "8c1ec5fc7ddbeee8", "slow_jumps": "d71d2c619fe187ba",
-    "fast_jumps": "392188a7b726d05c", "all_jumps": "28d63438c3b7d877",
-    "l1_2": "52adae82f86df90f", "dense_obs_jumps": "cd808eeeabfb0265",
+    "logistic_thinning": "8fecdc461557a578", "slow_jumps": "66c30d639608d011",
+    "fast_jumps": "d15a0084c61007e9", "all_jumps": "64cfbec41ff807e8",
+    "l1_2": "52adae82f86df90f", "dense_obs_jumps": "d464da85af5be344",
 }
 
 

@@ -397,9 +397,9 @@ def simulate_frozen_fast(
     together (successive draws equal one large draw, so the chunk size never
     changes a bit), scaled in one pass, and only the kept states are stored.
     Each row draws its fast jump events from its own generator by
-    ``poisson_steps``, ``_FROZEN_EVENT_WINDOW`` steps at a time.  Memory is
-    O(rows x S x m) plus the chunk and one window's events, whatever the chain
-    length.
+    ``poisson_steps``, ``_FROZEN_EVENT_WINDOW`` steps at a time (unlike the
+    chunk size, the window size fixes the draws).  Memory is O(rows x S x m)
+    plus the chunk and one window's events, whatever the chain length.
     """
     keep = [int(k) for k in np.asarray(steps).reshape(-1)]
     if not keep or keep[0] < 1 or any(b <= a for a, b in zip(keep, keep[1:])):
@@ -415,8 +415,9 @@ def simulate_frozen_fast(
     rows = np.repeat(x, C, axis=0)     # row g C + c is replica c of node g
     R, m, l2 = len(rows), model.m, model.l2
     gens = [s.child(NoiseSource.FAST_BROWNIAN).generator() for s in row_streams]
-    jump_gens = [s.child(NoiseSource.FAST_JUMPS).generator() if model.nu2.total_intensity > 0
-                 else None for s in row_streams]
+    jump_gens = ([s.child(NoiseSource.FAST_JUMPS).generator() for s in row_streams]
+                 if model.nu2.total_intensity > 0 else [])
+    kicks = {}
 
     Z = np.empty((R, len(keep), m))
     z = np.empty((R, m))
@@ -432,7 +433,7 @@ def simulate_frozen_fast(
             dW[:, r] = gen.standard_normal(size=(width, l2))
         dW *= scale
         for k in range(k0, k0 + width):
-            if k % _FROZEN_EVENT_WINDOW == 0:
+            if jump_gens and k % _FROZEN_EVENT_WINDOW == 0:
                 window = min(_FROZEN_EVENT_WINDOW, K - k)
                 kicks = _events_by_step(*_stack_events(
                     [poisson_steps(g, model.nu2, dt, k, window)[1:] for g in jump_gens]))
